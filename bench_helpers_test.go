@@ -1,6 +1,7 @@
 package extra
 
 import (
+	"context"
 	"testing"
 
 	"extra/internal/gg"
@@ -31,7 +32,7 @@ func benchInterpScasb(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s2 := st.Clone()
-		res, err := interp.Run(d, []uint64{1, 0, 0, 0, 100, 64, 'z'}, s2, 0)
+		res, err := interp.Run(context.Background(), d, []uint64{1, 0, 0, 0, 100, 64, 'z'}, s2, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -85,17 +84,7 @@ func TestCommandErrors(t *testing.T) {
 		{"serve", "positional"},        // serve takes no positional args
 		{"serve", "-addr", "nonsense"}, // no host:port shape
 		{"serve", "-addr", "127.0.0.1:99999"},
-		{"gateway", "-bogusflag"},
-		{"gateway", "positional"},
-		{"gateway", "-workers", "0"},
-		{"gateway", "-addr", "noport"},
-		{"gateway", "-workers", "2", "-worker-ports", "9001,9001"},         // duplicate
-		{"gateway", "-workers", "2", "-worker-ports", "9001"},              // count mismatch
-		{"gateway", "-workers", "2", "-worker-ports", "9001,bogus"},        // unparseable
-		{"gateway", "-workers", "2", "-worker-ports", "9001,9002", "-worker-port-base", "9100"}, // mutually exclusive
-		{"gateway", "-addr", "127.0.0.1:9001", "-workers", "2", "-worker-ports", "9001,9002"},   // collides with -addr
-		{"gateway", "-addr", "127.0.0.1:9001", "-workers", "2", "-worker-port-base", "9000"},    // base+1 collides
-		{"gateway", "-workers", "2", "-worker-port-base", "65535"}, // base+1 out of range
+		{"gateway", "-workers", "3"},              // no shard gateway: an unknown command
 		{"analyze", "scasb/index", "--timeout"},   // missing duration as final arg
 		{"analyze", "scasb/index", "--timeout=0"}, // zero timeout is rejected
 	}
@@ -297,34 +286,5 @@ func TestStatsReportShape(t *testing.T) {
 	}
 	if again.String() != first {
 		t.Error("two reports over the same registry differ; ordering is unstable")
-	}
-}
-
-// TestWorkerPortPlan pins the gateway's port-planning contract: explicit
-// lists and base runs resolve to loopback addresses, and the empty plan
-// (ephemeral ports) stays nil so workers bind :0 and report what they got.
-func TestWorkerPortPlan(t *testing.T) {
-	addrs, err := workerPortPlan("127.0.0.1:8373", 3, "9001, 9002,9003", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"}
-	if !reflect.DeepEqual(addrs, want) {
-		t.Errorf("explicit ports: got %v, want %v", addrs, want)
-	}
-	addrs, err = workerPortPlan("127.0.0.1:8373", 2, "", 9100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = []string{"127.0.0.1:9100", "127.0.0.1:9101"}
-	if !reflect.DeepEqual(addrs, want) {
-		t.Errorf("port base: got %v, want %v", addrs, want)
-	}
-	addrs, err = workerPortPlan("127.0.0.1:8373", 4, "", 0)
-	if err != nil || addrs != nil {
-		t.Errorf("ephemeral plan: got %v, %v; want nil, nil", addrs, err)
-	}
-	if _, err := workerPortPlan("127.0.0.1:8373", 2, "", 8372); err == nil {
-		t.Error("run 8372,8373 collides with the gateway port; want error")
 	}
 }

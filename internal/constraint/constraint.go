@@ -12,6 +12,7 @@
 package constraint
 
 import (
+	"context"
 	"fmt"
 
 	"extra/internal/interp"
@@ -180,7 +181,7 @@ func EvalPredicate(pred string, env map[string]uint64) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("constraint: bad predicate %q: %v", pred, err)
 	}
-	res, err := interp.Run(d, vals, interp.NewState(), 10000)
+	res, err := interp.Run(context.TODO(), d, vals, interp.NewState(), 10000)
 	if err != nil {
 		return false, err
 	}

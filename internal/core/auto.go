@@ -138,12 +138,6 @@ func (s *Session) AutoComplete(maxDepth, budget int) (int, error) {
 	return s.autoComplete(s.Context(), maxDepth, budget, 0, 1)
 }
 
-// AutoCompleteCtx is AutoComplete bounded by ctx: the search aborts with
-// ctx.Err (wrapped) once the context is cancelled or past its deadline.
-func (s *Session) AutoCompleteCtx(ctx context.Context, maxDepth, budget int) (int, error) {
-	return s.autoComplete(ctx, maxDepth, budget, 0, 1)
-}
-
 // AutoRung is one rung of an auto-search retry ladder: the bounds one
 // attempt runs under.
 type AutoRung struct {

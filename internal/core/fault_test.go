@@ -139,8 +139,8 @@ func TestSessionContextCanceled(t *testing.T) {
 	if s.StepCount() != 0 {
 		t.Error("canceled Apply recorded a step")
 	}
-	if _, err := s.AutoCompleteCtx(ctx, 2, 100); !errors.Is(err, context.Canceled) {
-		t.Errorf("AutoCompleteCtx under canceled ctx: %v", err)
+	if _, err := s.AutoComplete(2, 100); !errors.Is(err, context.Canceled) {
+		t.Errorf("AutoComplete under canceled ctx: %v", err)
 	}
 	if _, err := s.Finish(); !errors.Is(err, context.Canceled) {
 		t.Errorf("Finish under canceled ctx: %v", err)

@@ -28,20 +28,15 @@ type InputGen func(rng *rand.Rand) (opInputs []uint64, mem map[uint64]byte)
 // against production compilers (section 5), and it is the check that found
 // "obscure bugs in the use of VAX-11 instructions in each compiler" there.
 func ValidateBinding(b *Binding, gen InputGen, rounds int, seed int64) (int, error) {
-	return ValidateBindingTraced(b, gen, rounds, seed, nil)
+	return ValidateBindingCtx(context.Background(), b, gen, rounds, seed, nil)
 }
 
-// ValidateBindingTraced is ValidateBinding with a span on the given tracer
+// ValidateBindingCtx is ValidateBinding bounded by ctx, with a span on tr
 // bounding the differential run (attrs: binding, rounds requested, inputs
-// actually checked, outcome). Constraint evaluations and interpreter runs
-// are counted in the process metrics registry either way.
-func ValidateBindingTraced(b *Binding, gen InputGen, rounds int, seed int64, tr *obs.Tracer) (int, error) {
-	return ValidateBindingCtx(context.Background(), b, gen, rounds, seed, tr)
-}
-
-// ValidateBindingCtx is ValidateBindingTraced bounded by ctx: the
-// differential run is checked between rounds and inside each interpreter
-// execution, so a deadline interrupts even a single runaway description.
+// actually checked, outcome). The context is checked between rounds and
+// inside each interpreter execution, so a deadline interrupts even a single
+// runaway description. Constraint evaluations and interpreter runs are
+// counted in the process metrics registry either way.
 func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds int, seed int64, tr *obs.Tracer) (n int, err error) {
 	reg := obs.Default()
 	label := b.Instruction + "/" + b.Operation
@@ -103,8 +98,8 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 			st1.Mem[k] = v
 		}
 		st2 := st1.Clone()
-		r1, err1 := interp.RunCtx(ctx, b.Operator, opIn, st1, 0)
-		r2, err2 := interp.RunCtx(ctx, b.Variant, opIn, st2, 0)
+		r1, err1 := interp.Run(ctx, b.Operator, opIn, st1, 0)
+		r2, err2 := interp.Run(ctx, b.Variant, opIn, st2, 0)
 		if err1 != nil || err2 != nil {
 			// Wrap the first failure so typed sentinels (ErrStepLimit,
 			// ErrCallDepth, context errors) survive this layer.

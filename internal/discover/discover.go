@@ -450,9 +450,9 @@ func InjectPoint(c Candidate) string { return "discover.candidate:" + c.Pair() }
 // result), anything else — panic, timeout, hostile description — retries up
 // to Attempts times and then quarantines as "poison" carrying the
 // underlying fault class.
-func (s *Sweep) runCandidate(ctx context.Context, c Candidate) Result {
+func (s *Sweep) runCandidate(ctx context.Context, c Candidate) (res Result) {
 	start := time.Now()
-	res := Result{
+	res = Result{
 		Machine:     c.Machine,
 		Instruction: c.Instruction,
 		Language:    c.Language,

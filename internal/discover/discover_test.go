@@ -201,6 +201,25 @@ func TestSweepFindsAndFails(t *testing.T) {
 	}
 }
 
+// TestSweepRowDuration pins duration_ms on engine-run rows: a candidate
+// whose every attempt is cut by EachTimeout is quarantined after Attempts
+// runs, so its row must record at least Attempts × EachTimeout.
+func TestSweepRowDuration(t *testing.T) {
+	cfg := testConfig(t, t.TempDir())
+	// A real unproven pair under a budget no attempt can spend in time.
+	cfg.Candidates = Enumerate([]string{"VAX-11"}, []string{"Pascal"})[:1]
+	cfg.Ladder = []core.AutoRung{{MaxDepth: 12, Budget: 1 << 30}}
+	cfg.EachTimeout = 30 * time.Millisecond
+	rep := runSweep(t, cfg)
+	if len(rep.Rows) != 1 || rep.Rows[0].Outcome != "poison" || rep.Rows[0].Class != "timeout" {
+		t.Fatalf("rows: %+v, want one poison row of class timeout", rep.Rows)
+	}
+	floor := int64(cfg.Attempts) * cfg.EachTimeout.Milliseconds()
+	if got := rep.Rows[0].DurationMS; got < floor {
+		t.Fatalf("duration_ms = %d, want >= %d (%d attempts of %v)", got, floor, cfg.Attempts, cfg.EachTimeout)
+	}
+}
+
 func TestSweepPoisonQuarantine(t *testing.T) {
 	cfg := testConfig(t, t.TempDir())
 	in := inject.New(1)

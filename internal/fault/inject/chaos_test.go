@@ -219,8 +219,9 @@ func TestChaosContextCancellation(t *testing.T) {
 	s2 := chaosSession(t)
 	deadline, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel2()
-	if _, err := s2.AutoCompleteCtx(deadline, 8, 1<<30); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("AutoCompleteCtx under expired deadline: %v", err)
+	s2.SetContext(deadline)
+	if _, err := s2.AutoComplete(8, 1<<30); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("AutoComplete under expired deadline: %v", err)
 	}
 
 	spin := isps.MustParse(`spin.operation := begin
@@ -237,8 +238,8 @@ func TestChaosContextCancellation(t *testing.T) {
 end`)
 	rctx, cancel3 := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel3()
-	if _, err := interp.RunCtx(rctx, spin, []uint64{0}, interp.NewState(), 1<<30); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("RunCtx under expired deadline: %v", err)
+	if _, err := interp.Run(rctx, spin, []uint64{0}, interp.NewState(), 1<<30); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("interp.Run under expired deadline: %v", err)
 	}
 	checkGoroutines(t, base)
 }

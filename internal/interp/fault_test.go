@@ -27,7 +27,7 @@ func TestCallDepthSentinel(t *testing.T) {
     output (n);
   end
 end`)
-	_, err := Run(d, []uint64{1}, NewState(), 0)
+	_, err := Run(context.Background(), d, []uint64{1}, NewState(), 0)
 	if !errors.Is(err, ErrCallDepth) {
 		t.Fatalf("err = %v, want ErrCallDepth sentinel", err)
 	}
@@ -57,7 +57,7 @@ end`)
 	go func() {
 		// A limit far beyond what 20ms can execute: only the context
 		// can stop this run.
-		_, err := RunCtx(ctx, d, []uint64{0}, NewState(), 1<<30)
+		_, err := Run(ctx, d, []uint64{0}, NewState(), 1<<30)
 		done <- err
 	}()
 	select {
@@ -66,7 +66,7 @@ end`)
 			t.Fatalf("err = %v, want DeadlineExceeded", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunCtx did not honor the deadline")
+		t.Fatal("Run did not honor the deadline")
 	}
 }
 
@@ -83,14 +83,14 @@ func TestStepLimitInjection(t *testing.T) {
   end
 end`)
 	// Sanity: without injection the description runs fine.
-	if _, err := Run(d, []uint64{2, 3}, NewState(), 0); err != nil {
+	if _, err := Run(context.Background(), d, []uint64{2, 3}, NewState(), 0); err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
 	in := inject.New(1)
 	in.Arm(inject.Fault{Point: "interp.steplimit", Every: 1, Val: 1})
 	restore := inject.Activate(in)
 	defer restore()
-	_, err := Run(d, []uint64{2, 3}, NewState(), 0)
+	_, err := Run(context.Background(), d, []uint64{2, 3}, NewState(), 0)
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("err = %v, want ErrStepLimit from injected budget", err)
 	}

@@ -108,9 +108,9 @@ type execer struct {
 	steps   int
 	limit   int
 	depth   int
-	// ctx, when non-nil, is polled every ctxCheckMask+1 statements so a
-	// deadline or cancellation stops a runaway description promptly
-	// without taxing the per-statement hot path.
+	// ctx is polled every ctxCheckMask+1 statements so a deadline or
+	// cancellation stops a runaway description promptly without taxing
+	// the per-statement hot path.
 	ctx context.Context
 }
 
@@ -124,16 +124,11 @@ const DefaultStepLimit = 1 << 20
 // Run executes the description's routine against the given state, consuming
 // inputs at input statements. The state is mutated in place. limit bounds
 // the number of executed statements (<= 0 selects DefaultStepLimit).
-// Runs and executed-statement counts are recorded per description in the
-// process metrics registry.
-func Run(d *isps.Description, inputs []uint64, state *State, limit int) (*Result, error) {
-	return RunCtx(nil, d, inputs, state, limit)
-}
-
-// RunCtx is Run bounded by ctx: execution is abandoned (with ctx.Err
-// wrapped in the returned error) shortly after the context is cancelled or
-// its deadline passes. A nil ctx disables the check.
-func RunCtx(ctx context.Context, d *isps.Description, inputs []uint64, state *State, limit int) (*Result, error) {
+// Execution is abandoned (with ctx.Err wrapped in the returned error)
+// shortly after ctx is cancelled or its deadline passes. Runs and
+// executed-statement counts are recorded per description in the process
+// metrics registry.
+func Run(ctx context.Context, d *isps.Description, inputs []uint64, state *State, limit int) (*Result, error) {
 	start := time.Now()
 	res, err := runDesc(ctx, d, inputs, state, limit)
 	r := obs.Default()
@@ -213,7 +208,7 @@ func (ex *execer) stmt(s isps.Stmt) error {
 	if ex.steps > ex.limit {
 		return ErrStepLimit
 	}
-	if ex.ctx != nil && ex.steps&ctxCheckMask == 0 {
+	if ex.steps&ctxCheckMask == 0 {
 		if err := ex.ctx.Err(); err != nil {
 			return fmt.Errorf("interp: %s interrupted after %d steps: %w", ex.desc.Name, ex.steps, err)
 		}

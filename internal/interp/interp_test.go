@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ func run(t *testing.T, d *isps.Description, inputs []uint64, st *State) *Result 
 	if err := isps.Validate(d); err != nil {
 		t.Fatalf("Validate(%s): %v", d.Name, err)
 	}
-	res, err := Run(d, inputs, st, 0)
+	res, err := Run(context.Background(), d, inputs, st, 0)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", d.Name, err)
 	}
@@ -140,7 +141,7 @@ func TestScasbMatchesReferenceQuick(t *testing.T) {
 		d := machines.Get("scasb")
 		st := NewState()
 		st.SetString(addr, string(s))
-		res, err := Run(d, []uint64{1, 0, 0, 0, addr, uint64(len(s)), uint64(ch)}, st, 0)
+		res, err := Run(context.Background(), d, []uint64{1, 0, 0, 0, addr, uint64(len(s)), uint64(ch)}, st, 0)
 		if err != nil {
 			return false
 		}
@@ -345,7 +346,7 @@ func TestStepLimit(t *testing.T) {
   end
 end`
 	d := isps.MustParse(src)
-	_, err := Run(d, nil, NewState(), 1000)
+	_, err := Run(context.Background(), d, nil, NewState(), 1000)
 	if err != ErrStepLimit {
 		t.Errorf("err = %v, want ErrStepLimit", err)
 	}
@@ -362,10 +363,10 @@ func TestAssertFailure(t *testing.T) {
   end
 end`
 	d := isps.MustParse(src)
-	if _, err := Run(d, []uint64{5}, NewState(), 0); err != nil {
+	if _, err := Run(context.Background(), d, []uint64{5}, NewState(), 0); err != nil {
 		t.Errorf("assert true: %v", err)
 	}
-	_, err := Run(d, []uint64{0}, NewState(), 0)
+	_, err := Run(context.Background(), d, []uint64{0}, NewState(), 0)
 	var ae *AssertError
 	if err == nil || !strings.Contains(err.Error(), "assertion failed") {
 		t.Errorf("assert false: err = %v", err)
@@ -384,7 +385,7 @@ func asAssert(err error, target **AssertError) bool {
 
 func TestInputExhaustion(t *testing.T) {
 	d := langops.Get("index")
-	_, err := Run(d, []uint64{1, 2}, NewState(), 0)
+	_, err := Run(context.Background(), d, []uint64{1, 2}, NewState(), 0)
 	if err == nil || !strings.Contains(err.Error(), "exhausted") {
 		t.Errorf("err = %v, want input exhaustion", err)
 	}
@@ -401,7 +402,7 @@ func TestRegisterWidthMasking(t *testing.T) {
   end
 end`
 	d := isps.MustParse(src)
-	res, err := Run(d, []uint64{15}, NewState(), 0)
+	res, err := Run(context.Background(), d, []uint64{15}, NewState(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ end`
 		t.Errorf("4-bit 15+1 = %d, want 0 (wraparound)", res.Outputs[0])
 	}
 	// Input is masked on entry too.
-	res2, _ := Run(d, []uint64{0xff}, NewState(), 0)
+	res2, _ := Run(context.Background(), d, []uint64{0xff}, NewState(), 0)
 	if res2.Outputs[0] != 0 {
 		t.Errorf("masked input: got %d, want 0", res2.Outputs[0])
 	}
@@ -425,7 +426,7 @@ func TestLogicalOperators(t *testing.T) {
   end
 end`
 	d := isps.MustParse(src)
-	res, err := Run(d, []uint64{5, 0}, NewState(), 0)
+	res, err := Run(context.Background(), d, []uint64{5, 0}, NewState(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,10 +448,10 @@ func TestDivisionByZero(t *testing.T) {
   end
 end`
 	d := isps.MustParse(src)
-	if _, err := Run(d, []uint64{0}, NewState(), 0); err == nil {
+	if _, err := Run(context.Background(), d, []uint64{0}, NewState(), 0); err == nil {
 		t.Error("division by zero not reported")
 	}
-	res, err := Run(d, []uint64{2}, NewState(), 0)
+	res, err := Run(context.Background(), d, []uint64{2}, NewState(), 0)
 	if err != nil || res.Outputs[0] != 0 {
 		t.Errorf("1/2 = %v, %v", res, err)
 	}
@@ -470,7 +471,7 @@ func TestFunctionValueIsLastAssignment(t *testing.T) {
   end
 end`
 	d := isps.MustParse(src)
-	res, err := Run(d, []uint64{5}, NewState(), 0)
+	res, err := Run(context.Background(), d, []uint64{5}, NewState(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,20 +328,13 @@ type Quantiles struct {
 }
 
 // WindowSnap is the rolling-window view of a histogram: the same stats and
-// quantile estimates restricted to roughly the last WindowSeconds. Buckets
-// carries the window's own power-of-two counts (not the cumulative ones),
-// which is what lets MergeSnapshots fold per-shard windows into a
-// fleet-wide window instead of dropping or faking them from all-time data.
+// quantile estimates restricted to roughly the last WindowSeconds.
 type WindowSnap struct {
 	Seconds int     `json:"seconds"`
 	Count   uint64  `json:"count"`
 	Sum     uint64  `json:"sum"`
 	Mean    float64 `json:"mean"`
 	Quantiles
-	Buckets []struct {
-		Le    string `json:"le"`
-		Count uint64 `json:"count"`
-	} `json:"buckets,omitempty"`
 }
 
 // HistSnap is one histogram series in a snapshot. Buckets maps the
@@ -414,9 +407,15 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		snap.Histograms = append(snap.Histograms, hs)
 	}
-	sort.Slice(snap.Counters, func(i, j int) bool { return lessKey(snap.Counters[i].Metric, snap.Counters[i].Label, snap.Counters[j].Metric, snap.Counters[j].Label) })
-	sort.Slice(snap.Gauges, func(i, j int) bool { return lessKey(snap.Gauges[i].Metric, snap.Gauges[i].Label, snap.Gauges[j].Metric, snap.Gauges[j].Label) })
-	sort.Slice(snap.Histograms, func(i, j int) bool { return lessKey(snap.Histograms[i].Metric, snap.Histograms[i].Label, snap.Histograms[j].Metric, snap.Histograms[j].Label) })
+	sort.Slice(snap.Counters, func(i, j int) bool {
+		return lessKey(snap.Counters[i].Metric, snap.Counters[i].Label, snap.Counters[j].Metric, snap.Counters[j].Label)
+	})
+	sort.Slice(snap.Gauges, func(i, j int) bool {
+		return lessKey(snap.Gauges[i].Metric, snap.Gauges[i].Label, snap.Gauges[j].Metric, snap.Gauges[j].Label)
+	})
+	sort.Slice(snap.Histograms, func(i, j int) bool {
+		return lessKey(snap.Histograms[i].Metric, snap.Histograms[i].Label, snap.Histograms[j].Metric, snap.Histograms[j].Label)
+	})
 	return snap
 }
 
@@ -447,15 +446,6 @@ func (h *histogram) window(now int64) (*WindowSnap, bool) {
 	win := &WindowSnap{Seconds: WindowSeconds, Count: count, Sum: sum,
 		Mean: float64(sum) / float64(count)}
 	win.Quantiles = quantiles(&counts, count, 0, math.MaxUint64)
-	for b, n := range counts {
-		if n == 0 {
-			continue
-		}
-		win.Buckets = append(win.Buckets, struct {
-			Le    string `json:"le"`
-			Count uint64 `json:"count"`
-		}{Le: bucketName(b), Count: n})
-	}
 	return win, true
 }
 

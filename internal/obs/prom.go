@@ -73,10 +73,7 @@ func promSeries(w io.Writer, name, label, extra string, value any) error {
 // TYPE header per family, series in the snapshot's deterministic
 // (metric, label) order.
 func (r *Registry) WriteProm(w io.Writer) error {
-	return writeProm(w, r.Snapshot())
-}
-
-func writeProm(w io.Writer, snap Snapshot) error {
+	snap := r.Snapshot()
 	bw := bufio.NewWriter(w)
 	typed := map[string]bool{}
 	header := func(name, typ string) {

@@ -40,21 +40,17 @@ type Analysis struct {
 // Run executes the analysis end to end and returns the finished session and
 // binding.
 func (a *Analysis) Run() (*core.Session, *core.Binding, error) {
-	return a.RunObserved(nil)
+	return a.RunCtx(context.Background(), nil)
 }
 
-// RunObserved is Run with a tracer attached to the session: the analysis
-// becomes one span (attrs: machine, instruction, language, operation)
-// bounding per-step transform.apply events and the session.finish event.
-// Step counts land in the process metrics registry as analysis.steps /
-// analysis.elementary gauges either way — the paper's Table 2 columns.
-func (a *Analysis) RunObserved(tr *obs.Tracer) (*core.Session, *core.Binding, error) {
-	return a.RunCtx(context.Background(), tr)
-}
-
-// RunCtx is RunObserved bounded by ctx: the context is installed on the
-// session, so every scripted step, the finish check, and any auto search
-// the script starts observe its deadline or cancellation.
+// RunCtx is Run bounded by ctx, with a tracer attached to the session. The
+// context is installed on the session, so every scripted step, the finish
+// check, and any auto search the script starts observe its deadline or
+// cancellation. On tr the analysis becomes one span (attrs: machine,
+// instruction, language, operation) bounding per-step transform.apply
+// events and the session.finish event. Step counts land in the process
+// metrics registry as analysis.steps / analysis.elementary gauges either
+// way — the paper's Table 2 columns.
 func (a *Analysis) RunCtx(ctx context.Context, tr *obs.Tracer) (_ *core.Session, _ *core.Binding, err error) {
 	label := a.Instruction + "/" + a.Operator
 	if tr.Enabled() {

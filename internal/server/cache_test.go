@@ -275,9 +275,9 @@ func TestRetryAfterDerived(t *testing.T) {
 
 // TestCanceledLeaderDoesNotPoisonFollowers pins the shared-computation
 // contract behind sharedContext: the singleflight leader's client hanging up
-// must not cancel the engine run that coalesced followers are waiting on. A
-// hedging gateway cancels its losing request as a matter of course — before
-// this contract, that loser could be a flight's leader, and every innocent
+// must not cancel the engine run that coalesced followers are waiting on.
+// Any client can hang up mid-run — a timeout, a retry, a closed tab — and
+// without this contract, if that client led a flight, every innocent
 // follower got its "canceled" 503.
 func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	m := obs.NewRegistry()

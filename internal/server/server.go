@@ -14,7 +14,7 @@
 // consulted *before* admission: a warm hit — or a request coalesced onto an
 // identical in-flight one — is served without ever occupying a worker slot.
 // Every cold request runs behind the batch runner's fault boundary with its
-// deadline threaded into the engine's cancellation plumbing (interp.RunCtx,
+// deadline threaded into the engine's cancellation plumbing (interp.Run,
 // AutoComplete). A per-(machine, instruction) circuit breaker trips after
 // repeated panic/budget faults and demotes the pair to a cached-failure fast
 // path until a cooldown probe genuinely succeeds. Shutdown is graceful:
@@ -359,12 +359,12 @@ func (s *Server) requestContext(req *http.Request, explicit time.Duration) (cont
 
 // sharedContext derives the context for a coalescing (singleflight) engine
 // run. The computation is shared: followers who coalesced onto this flight
-// must not lose their answer because the leader's client hung up — a hedging
-// gateway cancels its losing request as a matter of course, and that loser
-// may be the leader of a flight other clients are waiting on. So the
-// client's cancellation is dropped (request values — trace ID, tracer —
-// carry over) and the run's lifetime is owned by the server: bounded by the
-// request timeout and cut by the drain hard-stop, nothing else.
+// must not lose their answer because the leader's client hung up — any
+// client may time out or abandon its request, and that client may be the
+// leader of a flight other clients are waiting on. So the client's
+// cancellation is dropped (request values — trace ID, tracer — carry over)
+// and the run's lifetime is owned by the server: bounded by the request
+// timeout and cut by the drain hard-stop, nothing else.
 func (s *Server) sharedContext(req *http.Request, explicit time.Duration) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(context.WithoutCancel(req.Context()))
 	stop := context.AfterFunc(s.workCtx, cancel)

@@ -1,6 +1,7 @@
 package i8086
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -152,7 +153,7 @@ func TestScasbAgainstDescription(t *testing.T) {
 		// Description.
 		st := interp.NewState()
 		st.SetString(base, string(content))
-		res, err := interp.Run(desc, []uint64{1, 0, 0, 0, base, uint64(n), uint64(ch)}, st, 0)
+		res, err := interp.Run(context.Background(), desc, []uint64{1, 0, 0, 0, base, uint64(n), uint64(ch)}, st, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func TestMovsbAgainstDescription(t *testing.T) {
 		runM(t, m)
 		st := interp.NewState()
 		st.SetString(src, string(content))
-		if _, err := interp.Run(desc, []uint64{1, 0, src, dst, uint64(n)}, st, 0); err != nil {
+		if _, err := interp.Run(context.Background(), desc, []uint64{1, 0, src, dst, uint64(n)}, st, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package ibm370
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestMvcAgainstDescription(t *testing.T) {
 		for i, b := range content {
 			st.Mem[uint64(95+i)] = b
 		}
-		if _, err := interp.Run(desc, []uint64{dst, src, lencode}, st, 0); err != nil {
+		if _, err := interp.Run(context.Background(), desc, []uint64{dst, src, lencode}, st, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 40; i++ {

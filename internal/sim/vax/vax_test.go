@@ -1,6 +1,7 @@
 package vax
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -113,7 +114,7 @@ func TestMovc3OverlapAgainstDescription(t *testing.T) {
 		for i, b := range content {
 			st.Mem[uint64(96+i)] = b
 		}
-		res, err := interp.Run(desc, []uint64{uint64(n), src, dst}, st, 0)
+		res, err := interp.Run(context.Background(), desc, []uint64{uint64(n), src, dst}, st, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestLoccAgainstDescription(t *testing.T) {
 		runM(t, m)
 		st := interp.NewState()
 		st.SetString(base, string(content))
-		res, err := interp.Run(desc, []uint64{uint64(ch), uint64(n), base}, st, 0)
+		res, err := interp.Run(context.Background(), desc, []uint64{uint64(ch), uint64(n), base}, st, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestCmpc3AgainstDescription(t *testing.T) {
 		st := interp.NewState()
 		st.SetString(a, string(s1))
 		st.SetString(b, string(s2))
-		res, err := interp.Run(desc, []uint64{uint64(n), a, b}, st, 0)
+		res, err := interp.Run(context.Background(), desc, []uint64{uint64(n), a, b}, st, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +227,7 @@ func TestMovc5AgainstDescription(t *testing.T) {
 		runM(t, m)
 		st := interp.NewState()
 		st.SetString(src, string(content))
-		res, err := interp.Run(desc,
+		res, err := interp.Run(context.Background(), desc,
 			[]uint64{uint64(srclen), src, uint64(fill), uint64(dstlen), dst}, st, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -386,7 +387,7 @@ func diffInstruction(t codegen.Target, desc *descT, mn string, n int, ch byte, c
 	if err := m.Run(sweepMaxSteps); err != nil {
 		return "sim: " + err.Error(), nil
 	}
-	res, err := interp.Run(desc, inputs, st, 0)
+	res, err := interp.Run(context.TODO(), desc, inputs, st, 0)
 	if err != nil {
 		return "description: " + err.Error(), nil
 	}

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -125,7 +126,7 @@ func runFuzz(d *isps.Description, seed int64) ([]uint64, map[uint64]byte, error)
 		st.Mem[a] = byte(rng.Intn(8))
 	}
 	in := []uint64{rng.Uint64() % 16, rng.Uint64() % 16, rng.Uint64() % 2, rng.Uint64() % 6}
-	res, err := interp.Run(d, in, st, 1<<16)
+	res, err := interp.Run(context.Background(), d, in, st, 1<<16)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -119,8 +120,8 @@ func diffCheck(t *testing.T, old, new *isps.Description, rounds int, maxVal uint
 			st1.Mem[a] = byte(rng.Intn(4)) // small alphabet: collisions likely
 		}
 		st2 := st1.Clone()
-		r1, err1 := interp.Run(old, oldIn, st1, 100000)
-		r2, err2 := interp.Run(new, newIn, st2, 100000)
+		r1, err1 := interp.Run(context.Background(), old, oldIn, st1, 100000)
+		r2, err2 := interp.Run(context.Background(), new, newIn, st2, 100000)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("round %d: errors diverge: %v vs %v\nold:\n%s\nnew:\n%s", r, err1, err2, isps.Format(old), isps.Format(new))
 		}
@@ -581,10 +582,10 @@ func TestLoopDoWhileCount(t *testing.T) {
 	// moves one byte, new moves none.
 	st1, st2 := interp.NewState(), interp.NewState()
 	st1.Mem[32], st2.Mem[32] = 'x', 'x'
-	if _, err := interp.Run(d, []uint64{0, 32, 0}, st1, 10000); err != nil {
+	if _, err := interp.Run(context.Background(), d, []uint64{0, 32, 0}, st1, 10000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := interp.Run(out.Desc, []uint64{0, 32, 0}, st2, 10000); err != nil {
+	if _, err := interp.Run(context.Background(), out.Desc, []uint64{0, 32, 0}, st2, 10000); err != nil {
 		t.Fatal(err)
 	}
 	if st1.Mem[0] == st2.Mem[0] {
