@@ -1,9 +1,10 @@
 #!/bin/sh
-# CI gate: vet, build, and the full test suite under the race detector.
+# CI gate: vet, gofmt, build, and the full test suite under the race detector.
 # The observability layer (internal/obs) is exercised concurrently from
 # analyses, validation, and the code generators, so -race is load-bearing.
 set -eux
 go vet ./...
+test -z "$(gofmt -l .)"
 go build ./...
 go test -race ./...
 

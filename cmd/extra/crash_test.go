@@ -105,7 +105,7 @@ func waitForJournal(p *helperProc, path string, n int, deadline time.Duration) b
 // modulo timing and run identity.
 func normalizeReport(t *testing.T, path string) string {
 	t.Helper()
-	rows, err := batch.ReadJournal(path)
+	rows, _, err := batch.ReadJournal[batch.Result](path)
 	if err != nil {
 		t.Fatalf("reading %s: %v", path, err)
 	}
@@ -153,7 +153,7 @@ func TestBatchKillDashNineResume(t *testing.T) {
 
 	// The surviving journal must be a valid JSONL prefix with only
 	// completed rows in it.
-	rows, err := batch.ReadJournal(journal)
+	rows, _, err := batch.ReadJournal[batch.Result](journal)
 	if err != nil {
 		t.Fatalf("journal after kill -9 is unreadable: %v", err)
 	}
@@ -179,8 +179,8 @@ func TestBatchKillDashNineResume(t *testing.T) {
 	if got != wantReport {
 		t.Errorf("resumed report differs from the uninterrupted run:\n--- resumed\n%s--- uninterrupted\n%s", got, wantReport)
 	}
-	if n := journalLines(journal); n != want {
-		t.Errorf("final report has %d rows, want %d", n, want)
+	if final, _, err := batch.ReadJournal[batch.Result](journal); err != nil || len(final) != want {
+		t.Errorf("final report has %d rows (%v), want %d", len(final), err, want)
 	}
 }
 
@@ -207,7 +207,7 @@ func TestBatchSIGINTLeavesValidJournal(t *testing.T) {
 			t.Error("SIGINT-cancelled batch exited 0; want a nonzero exit for an incomplete run")
 		}
 	}
-	rows, err := batch.ReadJournal(journal)
+	rows, _, err := batch.ReadJournal[batch.Result](journal)
 	if err != nil {
 		t.Fatalf("journal after SIGINT is unreadable: %v", err)
 	}

@@ -44,23 +44,17 @@ func normalizeDiscoverReport(t *testing.T, dir string) string {
 	return string(out)
 }
 
-// walResultKeys returns the candidate key of every result row in a sweep WAL,
-// in journal order. Lease rows and the header are skipped.
+// walResultKeys returns the candidate key of every row in a sweep WAL, in
+// journal order.
 func walResultKeys(t *testing.T, path string) []string {
 	t.Helper()
-	lines, _, err := batch.ReadJournalLines(path)
+	rows, _, err := batch.ReadJournal[discover.Result](path)
 	if err != nil {
 		t.Fatalf("reading WAL: %v", err)
 	}
-	var keys []string
-	for _, line := range lines {
-		var row struct {
-			Result *discover.Result `json:"result"`
-		}
-		if json.Unmarshal(line, &row) != nil || row.Result == nil {
-			continue
-		}
-		keys = append(keys, row.Result.Key())
+	keys := make([]string, len(rows))
+	for i, r := range rows {
+		keys[i] = r.Key()
 	}
 	return keys
 }
@@ -84,10 +78,9 @@ func TestDiscoverKillDashNineResume(t *testing.T) {
 	}
 
 	// The victim: single worker so results land one at a time, killed -9
-	// once the WAL shows a completed candidate beyond the header and the
-	// first lease (header + lease + result + next lease = 4 lines).
+	// once the WAL shows a completed candidate beyond the header (2 lines).
 	p := startHelperBatch(t, "discover -dir "+dir+" -jobs 1 "+discoverFlags)
-	midFlight := waitForJournal(p, wal, 4, 30*time.Second)
+	midFlight := waitForJournal(p, wal, 2, 30*time.Second)
 	if midFlight {
 		if err := p.cmd.Process.Kill(); err != nil { // SIGKILL: no cleanup runs
 			t.Fatalf("kill -9: %v", err)

@@ -222,7 +222,7 @@ func usage(w io.Writer) {
                              -rungs R shape the search ladder; -attempts N
                              faulting runs before a candidate is quarantined
                              to the poison.jsonl dead-letter;
-                             -each-timeout D, -lease-ttl D;
+                             -each-timeout D;
                              -machines CSV, -operators CSV filter the
                              cross-product; -cache-dir DIR dedups candidates
                              across runs via the content-addressed cache;
@@ -776,9 +776,7 @@ func faultDrill(ctx context.Context) error {
 // throwaway directory — one auto-provable pair labeled as the movsb/sassign
 // emitter site (discover.found plus a real discover.savings.cycles gauge
 // from the simulator) and one candidate armed to panic on every attempt
-// (discover.poison, quarantined to the dead-letter journal) — followed by a
-// lease-expiry reclaim on a raw work queue (discover.leased /
-// discover.expired / discover.lease.late).
+// (discover.poison, quarantined to the dead-letter file).
 func discoveryDrill(ctx context.Context) error {
 	dir, err := os.MkdirTemp("", "extra-discover-drill-")
 	if err != nil {
@@ -799,7 +797,6 @@ func discoveryDrill(ctx context.Context) error {
 		Dir:        filepath.Join(dir, "sweep"),
 		Jobs:       2,
 		Ladder:     []core.AutoRung{{MaxDepth: 3, Budget: 50000}},
-		LeaseTTL:   time.Minute,
 	})
 	if err != nil {
 		return err
@@ -810,38 +807,6 @@ func discoveryDrill(ctx context.Context) error {
 	}
 	if rep.Outcomes["found"] != 1 || rep.Outcomes["poison"] != 1 {
 		return fmt.Errorf("discovery drill: outcomes %v, want 1 found + 1 poison", rep.Outcomes)
-	}
-	// Lease-expiry reclaim on a bare queue: the first claim's deadline
-	// passes, the second claim gets the same candidate back, and the late
-	// completion from the first holder is dropped, not double-counted.
-	q, err := discover.OpenQueue(cands[:1], discover.QueueConfig{
-		Path:     filepath.Join(dir, "lease.jsonl"),
-		Config:   "drill",
-		LeaseTTL: time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-	defer q.Close()
-	slow, err := q.Claim(ctx, 1)
-	if err != nil {
-		return err
-	}
-	time.Sleep(5 * time.Millisecond)
-	fast, err := q.Claim(ctx, 2)
-	if err != nil {
-		return err
-	}
-	row := discover.Result{Machine: cands[0].Machine, Instruction: cands[0].Instruction,
-		Language: cands[0].Language, Operation: cands[0].Operation, Operator: cands[0].Operator,
-		Outcome: "failed"}
-	if _, err := q.Complete(fast, row); err != nil {
-		return err
-	}
-	if accepted, err := q.Complete(slow, row); err != nil {
-		return err
-	} else if accepted {
-		return fmt.Errorf("discovery drill: late completion double-counted")
 	}
 	return nil
 }
@@ -907,7 +872,7 @@ func batchCmd(ctx context.Context, args []string) error {
 	runConfig := batch.ConfigDigest(cfgParts...)
 	r := &batch.Runner{Jobs: *jobs, Validate: *validate, EachTimeout: *eachTimeout, Retries: *retries}
 	if *resume != "" {
-		prior, priorConfig, err := batch.ReadJournalConfig(*resume)
+		prior, priorConfig, err := batch.ReadJournal[batch.Result](*resume)
 		if err != nil {
 			return fmt.Errorf("-resume: %v", err)
 		}
@@ -1049,7 +1014,7 @@ func batchCmd(ctx context.Context, args []string) error {
 // request's span tree (ingress, admission, cache, engine — all stamped with
 // the request's trace ID) as JSON lines.
 // discoverCmd runs the durable discovery sweep: the unproven instruction x
-// operator cross-product, a crash-safe leased work queue under -dir, and a
+// operator cross-product, a crash-safe work-list journal under -dir, and a
 // report ranking whatever the bounded auto-search proves by simulated cycle
 // savings. A killed sweep resumes with -resume; repeatedly faulting
 // candidates land in -dir/poison.jsonl instead of wedging the run.
@@ -1062,7 +1027,6 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 	rungs := fs.Int("rungs", 2, "auto-search ladder rungs (each doubles depth and quadruples budget)")
 	attempts := fs.Int("attempts", 2, "faulting attempts per candidate before it is quarantined as poison")
 	eachTimeout := fs.Duration("each-timeout", 0, "per-attempt deadline (0 = none)")
-	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "work-queue lease deadline; an expired lease returns its candidate")
 	resume := fs.Bool("resume", false, "replay -dir's WAL and continue the interrupted sweep")
 	cacheDir := fs.String("cache-dir", "", "dedup candidates across runs via the content-addressed cache in `directory`")
 	machinesCSV := fs.String("machines", "", "restrict the sweep to these machine or instruction `names` (comma-separated)")
@@ -1106,7 +1070,6 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 			SearchWorkers: *searchWorkers,
 			Attempts:      *attempts,
 			EachTimeout:   *eachTimeout,
-			LeaseTTL:      *leaseTTL,
 			Resume:        *resume,
 			Cache:         ch,
 			Tracer:        tr,
@@ -1124,10 +1087,9 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 			return err
 		}
 		m := obs.Default()
-		fmt.Fprintf(os.Stderr, "discover: summary found=%d failed=%d poison=%d leased=%d expired=%d resumed=%d cached=%d\n",
+		fmt.Fprintf(os.Stderr, "discover: summary found=%d failed=%d poison=%d resumed=%d cached=%d\n",
 			m.Total("discover.found"), m.Total("discover.failed"), m.Total("discover.poison"),
-			m.Total("discover.leased"), m.Total("discover.expired"), m.Total("discover.resumed"),
-			m.Total("discover.cached"))
+			m.Total("discover.resumed"), m.Total("discover.cached"))
 		rep.Render(os.Stdout)
 		fmt.Fprintf(os.Stderr, "discover: report written to %s\n", filepath.Join(*dir, "report.json"))
 		return nil

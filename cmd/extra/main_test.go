@@ -58,6 +58,7 @@ func TestCommandsRun(t *testing.T) {
 }
 
 func TestCommandErrors(t *testing.T) {
+	sweepDir := t.TempDir()
 	cases := [][]string{
 		{}, // no command: usage goes to stderr and the exit code is nonzero
 		{"bogus"},
@@ -84,6 +85,8 @@ func TestCommandErrors(t *testing.T) {
 		{"serve", "positional"},        // serve takes no positional args
 		{"serve", "-addr", "nonsense"}, // no host:port shape
 		{"serve", "-addr", "127.0.0.1:99999"},
+		// The sweep claims each candidate once: no leases, so no -lease-ttl.
+		{"discover", "-lease-ttl", "1s", "-dir", sweepDir},
 		{"gateway", "-workers", "3"},              // no shard gateway: an unknown command
 		{"analyze", "scasb/index", "--timeout"},   // missing duration as final arg
 		{"analyze", "scasb/index", "--timeout=0"}, // zero timeout is rejected

@@ -105,10 +105,11 @@ func (r *Runner) metrics() *obs.Registry {
 // Run executes every analysis and returns one Result per analysis, in input
 // order. Rows whose key appears in Completed are copied from there without
 // running. Worker goroutines claim the remaining analyses off a shared
-// atomic cursor; a cancelled context stops claiming, and already-claimed
-// analyses finish under their own (cancelled) contexts, reporting
-// "canceled". After the first pass, timeout/panic rows climb the Retries
-// ladder. Run never returns an error: failures are rows, not aborts.
+// cursor (see Pool). A canceled context does not stop the claiming: every
+// remaining analysis runs under it and reports "canceled", so Run still
+// returns one row per analysis. After the first pass, timeout/panic rows
+// climb the Retries ladder. Run never returns an error: failures are rows,
+// not aborts.
 func (r *Runner) Run(ctx context.Context, analyses []*proofs.Analysis) []Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -156,65 +157,82 @@ func (r *Runner) Run(ctx context.Context, analyses []*proofs.Analysis) []Result 
 	return results
 }
 
-// runIndices drives the worker pool over the given result indices, using
-// cfg's per-analysis settings. Completed rows land in results and fan out
+// runIndices runs the given result indices on the worker pool, using cfg's
+// per-analysis settings. Completed rows land in results and fan out
 // through OnResult (serialized) in completion order.
 func (r *Runner) runIndices(ctx context.Context, cfg *Runner, analyses []*proofs.Analysis, idxs []int, results []Result) {
 	if len(idxs) == 0 {
 		return
 	}
-	workers := r.jobs()
-	if workers > len(idxs) {
-		workers = len(idxs)
-	}
 	m := r.metrics()
-	m.Set("batch.jobs", "configured", int64(workers))
+	jobs := min(r.jobs(), len(idxs))
+	m.Set("batch.jobs", "configured", int64(jobs))
+	var reportMu sync.Mutex
+	Pool(jobs, len(idxs), func(n int) error {
+		i := idxs[n]
+		res, bound := cfg.RunOneBound(ctx, analyses[i])
+		results[i] = res
+		m.Inc("batch.outcome", res.Outcome)
+		if r.OnResult != nil || r.OnBound != nil {
+			reportMu.Lock()
+			defer reportMu.Unlock()
+			if r.OnResult != nil {
+				r.OnResult(res)
+			}
+			if r.OnBound != nil {
+				r.OnBound(res, bound)
+			}
+		}
+		return nil
+	})
+}
+
+// Pool calls work(i) for every i in [0, n) on at most jobs goroutines
+// (jobs <= 0 means GOMAXPROCS). Workers claim indices in ascending order
+// off one shared cursor, so each index runs exactly once. After the first
+// error no further index is claimed; Pool waits for the calls in flight
+// and returns that error.
+func Pool(jobs, n int, work func(i int) error) error {
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
 	var (
 		next     atomic.Int64
+		stop     atomic.Bool
 		wg       sync.WaitGroup
-		reportMu sync.Mutex
+		errOnce  sync.Once
+		firstErr error
 	)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(jobs, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(idxs) {
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				i := idxs[n]
-				res, bound := cfg.RunOneBound(ctx, analyses[i])
-				results[i] = res
-				m.Inc("batch.outcome", res.Outcome)
-				if r.OnResult != nil || r.OnBound != nil {
-					reportMu.Lock()
-					if r.OnResult != nil {
-						r.OnResult(res)
-					}
-					if r.OnBound != nil {
-						r.OnBound(res, bound)
-					}
-					reportMu.Unlock()
+				if err := work(i); err != nil {
+					errOnce.Do(func() {
+						firstErr = err
+						stop.Store(true)
+					})
+					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	return firstErr
 }
 
-// RunOne executes a single analysis behind its own fault boundary: a panic
-// out of a script or the engine becomes a *fault.PanicError classified into
-// the row, never a crashed process. The analysis server serves /analyze
-// through exactly this boundary.
-func (r *Runner) RunOne(ctx context.Context, a *proofs.Analysis) Result {
-	res, _ := r.RunOneBound(ctx, a)
-	return res
-}
-
-// RunOneBound is RunOne, additionally returning the finished binding when
-// the analysis ended "ok" (nil otherwise) — for callers that persist the
-// result, like the analysis cache, the binding IS the product worth keeping.
+// RunOneBound executes a single analysis behind its own fault boundary: a
+// panic out of a script or the engine becomes a *fault.PanicError
+// classified into the row, never a crashed process. The analysis server
+// serves /analyze through exactly this boundary. It also returns the
+// finished binding when the analysis ended "ok" (nil otherwise): for
+// callers that persist the result, like the analysis cache, the binding
+// IS the product worth keeping.
 func (r *Runner) RunOneBound(ctx context.Context, a *proofs.Analysis) (Result, *core.Binding) {
 	res := Result{
 		Machine: a.Machine, Instruction: a.Instruction,

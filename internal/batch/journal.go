@@ -1,9 +1,10 @@
-// Crash-safe batch journaling. A Journal appends each completed Result as
-// one fsynced JSON line, so a process killed mid-batch (SIGKILL included)
-// loses at most the row that was being written; every earlier row survives
-// as valid JSONL. ReadJournal tolerates the torn tail, and CompletedFrom
-// turns the surviving rows into the Runner.Completed skip set, which is how
-// `extra batch -resume FILE` restarts a killed run from where it died.
+// Crash-safe journaling. A Journal appends each completed row as one
+// fsynced JSON line, so a process killed mid-run (SIGKILL included) loses
+// at most the row that was being written; every earlier row survives as
+// valid JSONL. ReadJournal tolerates the torn tail, and CompletedFrom turns
+// the surviving rows into the Runner.Completed skip set, which is how
+// `extra batch -resume FILE` restarts a killed run from where it died. The
+// discovery sweep keeps its work list in the same kind of journal.
 // WriteFileAtomic is the shared write-tmp+fsync+rename helper behind every
 // report file the batch CLI and the analysis server produce: a reader of
 // the target path sees the old complete report or the new complete report,
@@ -40,9 +41,10 @@ func AnalysisKey(a *proofs.Analysis) string {
 // concurrent use; each row is one JSON line followed by a file sync, so
 // rows are durable in order of completion.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	mu     sync.Mutex
+	f      *os.File
+	path   string
+	config string // the header's digest, kept by Rewrite
 }
 
 // OpenJournal opens (creating if needed) an append-mode journal at path.
@@ -63,38 +65,20 @@ func OpenJournal(path string) (*Journal, error) {
 	return &Journal{f: f, path: path}, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Append journals one completed row: a single buffered JSON line, then
-// fsync. The encode happens before any byte reaches the file, so a failed
-// encode never writes a partial line.
-func (j *Journal) Append(r Result) error {
-	line, err := json.Marshal(&r)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
-// AppendAny journals one arbitrary row with the same durability contract as
-// Append: encode fully, write one line, fsync. Sweep drivers use this for
-// their non-Result rows (leases, quarantine entries) so every row type in a
-// work-queue WAL shares one torn-tail-tolerant line discipline.
-func (j *Journal) AppendAny(v any) error {
+// Append journals one row: v encoded as a single JSON line, then fsync.
+// The encode happens before any byte reaches the file, so a failed encode
+// never writes a partial line.
+func (j *Journal) Append(v any) error {
 	line, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.writeLocked(append(line, '\n'))
+}
+
+func (j *Journal) writeLocked(line []byte) error {
 	if _, err := j.f.Write(line); err != nil {
 		return err
 	}
@@ -115,6 +99,13 @@ type header struct {
 	Config  string `json:"config"`
 }
 
+// headerLine is the encoded header WriteHeader writes and Rewrite keeps.
+func headerLine(config string) []byte {
+	// A struct of strings and an int always encodes.
+	line, _ := json.Marshal(header{Journal: journalMagic, Version: 1, Config: config})
+	return append(line, '\n')
+}
+
 // asHeader reports whether a journal line is a header line.
 func asHeader(line []byte) (header, bool) {
 	if !bytes.Contains(line, []byte(`"journal"`)) {
@@ -132,6 +123,7 @@ func asHeader(line []byte) (header, bool) {
 // a matching header (or a legacy headerless journal, which predates the
 // fingerprint) is accepted, a mismatched one is a hard error — the caller
 // is about to append rows produced under a different configuration.
+// Either way Rewrite keeps the digest as the rewritten file's first line.
 func (j *Journal) WriteHeader(config string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -140,50 +132,18 @@ func (j *Journal) WriteHeader(config string) error {
 		return err
 	}
 	if st.Size() > 0 {
-		existing, err := readHeader(j.path)
+		_, existing, err := ReadJournal[json.RawMessage](j.path)
 		if err != nil {
 			return err
 		}
 		if existing != "" && existing != config {
 			return fmt.Errorf("journal %s was written under config %s, this run is %s: resume with matching flags or start a fresh journal", j.path, existing, config)
 		}
-		return nil
-	}
-	line, err := json.Marshal(header{Journal: journalMagic, Version: 1, Config: config})
-	if err != nil {
+	} else if err := j.writeLocked(headerLine(config)); err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	if _, err := j.f.Write(line); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
-// readHeader returns the journal's config digest, or "" for a legacy
-// headerless (or missing, or torn-at-line-one) journal.
-func readHeader(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return "", nil
-		}
-		return "", err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if h, ok := asHeader(line); ok {
-			return h.Config, nil
-		}
-		return "", nil
-	}
-	return "", sc.Err()
+	j.config = config
+	return nil
 }
 
 // ConfigDigest folds the given configuration facts into the short stable
@@ -210,6 +170,8 @@ func (j *Journal) Close() error {
 // finished (rather than being killed) calls this so the journal file doubles
 // as the final JSONL report: same bytes as an uninterrupted run, with
 // completion-order and superseded (retried, resumed) rows compacted away.
+// The WriteHeader digest stays the first line, so a later -resume under
+// different flags is still refused.
 func (j *Journal) Rewrite(results []Result) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -217,46 +179,24 @@ func (j *Journal) Rewrite(results []Result) error {
 		return err
 	}
 	return WriteFileAtomic(j.path, func(w io.Writer) error {
+		if j.config != "" {
+			if _, err := w.Write(headerLine(j.config)); err != nil {
+				return err
+			}
+		}
 		return WriteJSONL(w, results)
 	})
 }
 
-// ReadJournal loads the surviving rows of a journal. A missing file is an
-// empty journal (resume of a run that never started). The read stops at the
-// first line that is not a complete JSON row — the torn tail of a kill -9 —
-// and returns every row before it; a torn tail is expected, not an error.
-// A config-fingerprint header line is skipped; ReadJournalConfig also
-// returns it.
-func ReadJournal(path string) ([]Result, error) {
-	rows, _, err := ReadJournalConfig(path)
-	return rows, err
-}
-
-// ReadJournalConfig is ReadJournal plus the journal's config digest ("" for
-// a legacy headerless journal). Resume paths compare the digest against the
-// current run's and refuse a mismatch.
-func ReadJournalConfig(path string) ([]Result, string, error) {
-	lines, config, err := ReadJournalLines(path)
-	if err != nil {
-		return nil, config, err
-	}
-	var rows []Result
-	for _, line := range lines {
-		var r Result
-		if err := json.Unmarshal(line, &r); err != nil {
-			break
-		}
-		rows = append(rows, r)
-	}
-	return rows, config, nil
-}
-
-// ReadJournalLines loads the surviving raw JSON lines of a journal plus its
-// config digest, for callers whose journals interleave row types beyond
-// Result (a discovery WAL's leases and quarantine rows). Each returned line
-// is complete, verified JSON; the torn tail of a kill -9 is dropped, and a
-// missing file is an empty journal.
-func ReadJournalLines(path string) (lines [][]byte, config string, err error) {
+// ReadJournal loads the surviving rows of a journal, each decoded into an
+// R, plus the config digest of its header ("" for a legacy headerless
+// journal; resume paths refuse a digest that differs from the current
+// run's). A missing file is an empty journal (resume of a run that never
+// started). The read stops at the first line that is not complete JSON —
+// the torn tail of a kill -9 — and returns every row before it; a torn
+// tail is expected, not an error. A complete line that does not decode
+// into an R is an error.
+func ReadJournal[R any](path string) (rows []R, config string, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -279,12 +219,16 @@ func ReadJournalLines(path string) (lines [][]byte, config string, err error) {
 			config = h.Config
 			continue
 		}
-		lines = append(lines, append([]byte(nil), line...))
+		var r R
+		if err := json.Unmarshal(line, &r); err != nil {
+			return rows, config, fmt.Errorf("journal %s: %w", path, err)
+		}
+		rows = append(rows, r)
 	}
 	if err := sc.Err(); err != nil {
-		return lines, config, fmt.Errorf("reading journal %s: %w", path, err)
+		return rows, config, fmt.Errorf("reading journal %s: %w", path, err)
 	}
-	return lines, config, nil
+	return rows, config, nil
 }
 
 // CompletedFrom builds the Runner.Completed skip set from journaled rows:
@@ -346,9 +290,4 @@ func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 // WriteJSONFile writes the indented JSON report atomically to path.
 func WriteJSONFile(path string, results []Result) error {
 	return WriteFileAtomic(path, func(w io.Writer) error { return WriteJSON(w, results) })
-}
-
-// WriteJSONLFile writes the JSONL report atomically to path.
-func WriteJSONLFile(path string, results []Result) error {
-	return WriteFileAtomic(path, func(w io.Writer) error { return WriteJSONL(w, results) })
 }

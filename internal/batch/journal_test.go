@@ -34,7 +34,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJournal(path)
+	got, _, err := ReadJournal[Result](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestJournalTornTail(t *testing.T) {
 	if err := os.WriteFile(path, []byte(complete+complete+torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ReadJournal(path)
+	rows, _, err := ReadJournal[Result](path)
 	if err != nil {
 		t.Fatalf("torn tail must not error: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestJournalTornTail(t *testing.T) {
 // TestJournalMissingFile: resuming a run that never started is an empty
 // journal, not an error.
 func TestJournalMissingFile(t *testing.T) {
-	rows, err := ReadJournal(filepath.Join(t.TempDir(), "never-written.jsonl"))
+	rows, _, err := ReadJournal[Result](filepath.Join(t.TempDir(), "never-written.jsonl"))
 	if err != nil || rows != nil {
 		t.Fatalf("missing journal: rows=%v err=%v, want nil/nil", rows, err)
 	}
@@ -149,12 +149,52 @@ func TestJournalRewriteCompacts(t *testing.T) {
 	if err := j.Rewrite(canonical); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ReadJournal(path)
+	rows, _, err := ReadJournal[Result](path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 || rows[0] != canonical[0] || rows[1] != canonical[1] {
 		t.Fatalf("rewritten journal %+v, want canonical %+v", rows, canonical)
+	}
+}
+
+// TestJournalRewriteKeepsHeader: a finished journal keeps its config
+// fingerprint as line 1, so resuming it under different flags is still
+// refused while the matching flags are still accepted.
+func TestJournalRewriteKeepsHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ConfigDigest("validate=50")
+	if err := j.WriteHeader(cfg); err != nil {
+		t.Fatal(err)
+	}
+	row := Result{Machine: "m", Instruction: "i", Language: "l", Operation: "o", Operator: "p", Outcome: "ok", Validated: 50}
+	if err := j.Append(row); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Rewrite([]Result{row}); err != nil {
+		t.Fatal(err)
+	}
+	rows, got, err := ReadJournal[Result](path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != cfg || len(rows) != 1 || rows[0] != row {
+		t.Fatalf("rewritten journal: config %q rows %+v, want config %q and the one row", got, rows, cfg)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if err := j2.WriteHeader(ConfigDigest("validate=7")); err == nil || !strings.Contains(err.Error(), cfg) {
+		t.Fatalf("resume of a finished journal under different flags: err = %v, want a refusal naming %s", err, cfg)
+	}
+	if err := j2.WriteHeader(cfg); err != nil {
+		t.Fatalf("resume of a finished journal under matching flags: %v", err)
 	}
 }
 
@@ -267,7 +307,7 @@ func TestRunnerRetryEscalatesTimeout(t *testing.T) {
 }
 
 // TestJournalHeaderRoundTrip: WriteHeader stamps the config fingerprint,
-// ReadJournalConfig surfaces it, and the data rows are unaffected.
+// ReadJournal surfaces it and skips it, and the data rows are unaffected.
 func TestJournalHeaderRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "h.jsonl")
 	j, err := OpenJournal(path)
@@ -284,7 +324,8 @@ func TestJournalHeaderRoundTrip(t *testing.T) {
 	}
 	j.Close()
 
-	rows, got, err := ReadJournalConfig(path)
+	// The header must be skipped, not decoded as an empty row.
+	rows, got, err := ReadJournal[Result](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,14 +334,6 @@ func TestJournalHeaderRoundTrip(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0] != row {
 		t.Fatalf("rows %+v, want the one appended row", rows)
-	}
-	// ReadJournal must skip the header, not decode it as an empty row.
-	plain, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != 1 {
-		t.Fatalf("ReadJournal: %d rows, want 1 (header skipped)", len(plain))
 	}
 }
 
@@ -340,7 +373,7 @@ func TestJournalLegacyHeaderless(t *testing.T) {
 	if err := os.WriteFile(path, []byte(line+line), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rows, cfg, err := ReadJournalConfig(path)
+	rows, cfg, err := ReadJournal[Result](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,8 +394,9 @@ func TestJournalLegacyHeaderless(t *testing.T) {
 	}
 }
 
-// TestJournalAppendAny: arbitrary row shapes share the journal's
-// fsync-per-line discipline and come back via ReadJournalLines.
+// TestJournalAppendAny: Append takes any row shape under the journal's
+// fsync-per-line discipline, and ReadJournal decodes it back into that
+// shape; a complete line that does not decode is an error, not a torn tail.
 func TestJournalAppendAny(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "any.jsonl")
 	j, err := OpenJournal(path)
@@ -376,19 +410,25 @@ func TestJournalAppendAny(t *testing.T) {
 		Kind string `json:"kind"`
 		N    int    `json:"n"`
 	}
-	if err := j.AppendAny(custom{Kind: "lease", N: 7}); err != nil {
+	if err := j.Append(custom{Kind: "probe", N: 7}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	lines, cfg, err := ReadJournalLines(path)
+	rows, cfg, err := ReadJournal[custom](path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg != ConfigDigest("x") {
 		t.Fatalf("config %q", cfg)
 	}
-	if len(lines) != 1 || !strings.Contains(string(lines[0]), `"kind":"lease"`) {
-		t.Fatalf("lines: %q", lines)
+	if len(rows) != 1 || rows[0] != (custom{Kind: "probe", N: 7}) {
+		t.Fatalf("rows: %+v", rows)
+	}
+	type mismatched struct {
+		Kind int `json:"kind"`
+	}
+	if _, _, err := ReadJournal[mismatched](path); err == nil {
+		t.Fatal("a complete row that does not decode was accepted")
 	}
 }
 

@@ -6,31 +6,31 @@
 // chose; a sweep inverts the economics — machine time is cheap, so try
 // everything and let an analyst read the report.
 //
-// A sweep is long-running and must survive operator kills, OOM kills, and
-// wedged candidates, so every unit of progress is one fsync'd row in a WAL
-// (queue.go): candidates are claimed under leases with deadlines, expired
-// leases return their candidate to the queue, completions are idempotent
-// (first journaled row per candidate wins), and a -resume run replays the
-// WAL and produces a report byte-identical — modulo wall-clock fields — to
-// an uninterrupted run, because the search itself is deterministic at every
-// worker count. A candidate that keeps faulting (panic, timeout — not a
-// clean budget exhaustion, which is a *result*) is quarantined to a
-// dead-letter journal with its underlying fault class rather than wedging
-// the sweep ("poison" in the fault taxonomy). Cross-run dedup rides the
-// content-addressed cache: rows are keyed by the description pair's
-// structural digest salted with the search configuration, so a warm cache
-// directory skips candidates any previous sweep — even a differently
-// filtered one — already answered.
+// A sweep is long-running and must survive operator kills and OOM kills, so
+// every answered candidate is one fsync'd row in a WAL — a batch.Journal
+// behind the same config-fingerprint header a batch journal carries — and
+// the candidates run on the batch worker pool, each claimed exactly once. A
+// -resume run replays the WAL (first row per candidate wins) and produces a
+// report byte-identical — modulo wall-clock fields — to an uninterrupted
+// run, because the search itself is deterministic at every worker count. A
+// candidate that keeps faulting (panic, timeout — not a clean budget
+// exhaustion, which is a *result*) is quarantined with its underlying fault
+// class rather than wedging the sweep ("poison" in the fault taxonomy), and
+// lands in a dead-letter file written from the WAL's rows at the end of the
+// run. Cross-run dedup rides the content-addressed cache: rows are keyed by
+// the description pair's structural digest salted with the search
+// configuration, so a warm cache directory skips candidates any previous
+// sweep — even a differently filtered one — already answered.
 package discover
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -154,7 +154,7 @@ type Config struct {
 	// Machines and Operators filter the enumerated cross-product.
 	Machines, Operators []string
 	// Dir holds the sweep's durable state: queue.jsonl (the WAL),
-	// poison.jsonl (the dead-letter journal), report.json (the product).
+	// poison.jsonl (the dead-letter file), report.json (the product).
 	Dir string
 	// Jobs is the candidate-level worker count (0 = GOMAXPROCS).
 	Jobs int
@@ -170,7 +170,8 @@ type Config struct {
 	Attempts int
 	// EachTimeout bounds each attempt (0 = no per-attempt deadline).
 	EachTimeout time.Duration
-	// LeaseTTL is the claim deadline (see QueueConfig).
+	// LeaseTTL is ignored. Each candidate is claimed exactly once per run, so
+	// there is no claim to expire; the field stays so existing callers build.
 	LeaseTTL time.Duration
 	// Resume continues an interrupted sweep from Dir's WAL.
 	Resume bool
@@ -191,13 +192,15 @@ type Sweep struct {
 	cands  []Candidate
 	digest string
 	salt   uint64
-	q      *Queue
-	poison *batch.Journal
+	wal    *batch.Journal
+	// rows[i] is candidate i's answer, nil until it has one; each index is
+	// written by the one worker that claimed it.
+	rows    []*Result
+	resumed int
 }
 
 // New prepares the sweep: enumerates candidates, fingerprints the
-// configuration, and opens (or resumes) the WAL and dead-letter journals
-// under cfg.Dir.
+// configuration, and opens (or resumes) the WAL under cfg.Dir.
 func New(cfg Config) (*Sweep, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("discover: Config.Dir is required")
@@ -240,24 +243,57 @@ func New(cfg Config) (*Sweep, error) {
 	}
 	s.digest = batch.ConfigDigest(walParts...)
 
-	q, err := OpenQueue(cands, QueueConfig{
-		Path:     filepath.Join(cfg.Dir, "queue.jsonl"),
-		Config:   s.digest,
-		LeaseTTL: cfg.LeaseTTL,
-		Resume:   cfg.Resume,
-		Metrics:  cfg.Metrics,
-	})
-	if err != nil {
+	if err := s.openWAL(filepath.Join(cfg.Dir, "queue.jsonl")); err != nil {
 		return nil, err
 	}
-	poison, err := batch.OpenJournal(filepath.Join(cfg.Dir, "poison.jsonl"))
-	if err != nil {
-		q.Close()
-		return nil, err
-	}
-	s.q = q
-	s.poison = poison
 	return s, nil
+}
+
+// openWAL replays a previous run's WAL when resuming (its header must carry
+// this run's digest, and every row must belong to a candidate of this run),
+// then opens it for appending.
+func (s *Sweep) openWAL(path string) error {
+	byKey := make(map[string]int, len(s.cands))
+	for i, c := range s.cands {
+		if _, dup := byKey[c.Key()]; dup {
+			return fmt.Errorf("discover: duplicate candidate %s", c.Key())
+		}
+		byKey[c.Key()] = i
+	}
+	if st, err := os.Stat(path); err == nil && st.Size() > 0 && !s.cfg.Resume {
+		return fmt.Errorf("discover: %s already holds a sweep journal; pass -resume to continue it or choose a fresh directory", path)
+	}
+	s.rows = make([]*Result, len(s.cands))
+	if s.cfg.Resume {
+		rows, config, err := batch.ReadJournal[Result](path)
+		if err != nil {
+			return fmt.Errorf("discover: %w", err)
+		}
+		if config != "" && config != s.digest {
+			return fmt.Errorf("discover: journal %s was written under config %s, this run is %s (different candidate set, ladder, attempts, or timeout); resume with matching flags or start fresh", path, config, s.digest)
+		}
+		for _, r := range rows {
+			i, known := byKey[r.Key()]
+			if !known {
+				return fmt.Errorf("discover: journal %s holds a row for unknown candidate %s", path, r.Key())
+			}
+			if s.rows[i] == nil {
+				s.rows[i] = &r
+				s.resumed++
+			}
+		}
+	}
+	wal, err := batch.OpenJournal(path)
+	if err != nil {
+		return err
+	}
+	if err := wal.WriteHeader(s.digest); err != nil {
+		wal.Close()
+		return err
+	}
+	s.wal = wal
+	s.metrics().Add("discover.resumed", "", uint64(s.resumed))
+	return nil
 }
 
 // searchConfigParts lists every knob that changes a candidate's row.
@@ -280,7 +316,7 @@ func (s *Sweep) ConfigDigest() string { return s.digest }
 func (s *Sweep) Candidates() int { return len(s.cands) }
 
 // Resumed reports how many rows were carried over from a previous run.
-func (s *Sweep) Resumed() int { return s.q.Resumed() }
+func (s *Sweep) Resumed() int { return s.resumed }
 
 func (s *Sweep) metrics() *obs.Registry {
 	if s.cfg.Metrics != nil {
@@ -289,38 +325,30 @@ func (s *Sweep) metrics() *obs.Registry {
 	return obs.Default()
 }
 
-// Run drains the queue with a worker pool and writes the report. On context
-// cancellation (SIGTERM) it returns ctx's error after the workers have
-// checkpointed: every completed candidate is already journaled, so the
-// sweep resumes exactly where it stopped. A kill -9 loses at most the
-// in-flight candidates — their leases expire on resume.
+// Run answers every candidate the WAL does not already hold on the worker
+// pool, then writes the report. On context cancellation (SIGTERM) it
+// returns ctx's error once the workers in flight have stopped: every
+// completed candidate is already journaled, so the sweep resumes exactly
+// where it stopped. A kill -9 loses at most the candidates in flight.
 func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 	defer s.Close()
-	jobs := s.cfg.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(s.cands) {
-		jobs = len(s.cands)
-	}
-	errCh := make(chan error, jobs)
-	for w := 1; w <= jobs; w++ {
-		go func(w int) { errCh <- s.worker(ctx, w) }(w)
-	}
-	var firstErr error
-	for i := 0; i < jobs; i++ {
-		if err := <-errCh; err != nil && firstErr == nil {
-			firstErr = err
+	var pending []int
+	for i, r := range s.rows {
+		if r == nil {
+			pending = append(pending, i)
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	err := batch.Pool(s.cfg.Jobs, len(pending), func(n int) error {
+		return s.settle(ctx, pending[n])
+	})
+	if err != nil {
+		return nil, err
 	}
-	rows := s.q.Done()
+	rows := make([]Result, len(s.rows))
+	for i, r := range s.rows {
+		rows[i] = *r
+	}
 	rep := buildReport(s.digest, len(s.cands), rows)
-	// Re-derive the dead-letter journal from the journaled rows: appends
-	// during the run give liveness, this gives exactness — a kill between
-	// a result row and its dead-letter append cannot lose a quarantine.
 	if err := s.rewriteDeadLetter(rows); err != nil {
 		return nil, err
 	}
@@ -330,58 +358,40 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// Close releases the sweep's journals. Idempotent.
+// Close releases the sweep's WAL. Idempotent.
 func (s *Sweep) Close() error {
-	err := s.q.Close()
-	if perr := s.poison.Close(); err == nil {
-		err = perr
+	if s.wal == nil {
+		return nil
 	}
+	err := s.wal.Close()
+	s.wal = nil
 	return err
 }
 
-// worker drains the queue: claim, resolve (cache or engine), journal.
-func (s *Sweep) worker(ctx context.Context, w int) error {
-	for {
-		l, err := s.q.Claim(ctx, w)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
+// settle answers candidate i (cache or engine) and journals the row.
+func (s *Sweep) settle(ctx context.Context, i int) error {
+	res, fromCache := s.resolve(ctx, s.cands[i])
+	if res.Outcome == "canceled" {
+		// Not journaled: the candidate's work was cut short, so the row is
+		// not a result, and the candidate re-runs on resume.
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if l == nil {
-			return nil
-		}
-		res, fromCache := s.resolve(ctx, l.Cand)
-		if res.Outcome == "canceled" {
-			// Not journaled: the candidate's work was cut short, so the row
-			// is not a result. Its lease dies with this run and the
-			// candidate re-runs on resume.
-			return ctx.Err()
-		}
-		accepted, err := s.q.Complete(l, res)
-		if err != nil {
-			return err
-		}
-		if !accepted {
-			continue // a re-run finished first; this row is surplus
-		}
-		m := s.metrics()
-		m.Inc("discover."+res.Outcome, res.Pair())
-		if fromCache {
-			m.Inc("discover.cached", res.Pair())
-		}
-		switch res.Outcome {
-		case "poison":
-			if err := s.poison.AppendAny(deadLetterRow(res)); err != nil {
-				return err
-			}
-		case "found":
-			if res.SavingsCycles > 0 {
-				m.SetMax("discover.savings.cycles", res.Machine+"/"+res.Pair(), res.SavingsCycles)
-			}
-		}
+		return errors.New(res.Error)
 	}
+	if err := s.wal.Append(&res); err != nil {
+		return fmt.Errorf("discover: journaling result for %s: %w", res.Key(), err)
+	}
+	s.rows[i] = &res
+	m := s.metrics()
+	m.Inc("discover."+res.Outcome, res.Pair())
+	if fromCache {
+		m.Inc("discover.cached", res.Pair())
+	}
+	if res.Outcome == "found" && res.SavingsCycles > 0 {
+		m.SetMax("discover.savings.cycles", res.Machine+"/"+res.Pair(), res.SavingsCycles)
+	}
+	return nil
 }
 
 // resolve answers one candidate: from the cross-run cache when warm, from
@@ -573,9 +583,9 @@ func deadLetterRow(r Result) deadLetter {
 }
 
 // rewriteDeadLetter replaces poison.jsonl with the canonical quarantine
-// set — the journaled poison rows in candidate order — atomically. The
-// incremental appends during the run keep the file live for an operator
-// watching a long sweep; this write makes it exact.
+// set — the journaled poison rows in candidate order — atomically. Written
+// from the WAL's rows at the end of the run, it is exact however often the
+// sweep was killed and resumed.
 func (s *Sweep) rewriteDeadLetter(rows []Result) error {
 	path := filepath.Join(s.cfg.Dir, "poison.jsonl")
 	return batch.WriteFileAtomic(path, func(w io.Writer) error {

@@ -2,6 +2,7 @@ package discover
 
 import (
 	"fmt"
+	"sync"
 
 	"extra/internal/codegen"
 	"extra/internal/core"
@@ -112,9 +113,18 @@ func evalSavings(c Candidate, b *core.Binding, res *Result) {
 	res.SavingsCycles = int64(loop) - int64(exotic)
 }
 
+// evalMu serializes evalRun. codegen.InjectBindings swaps a process-wide
+// override table and its restore puts back the table it saw at install
+// time, so two concurrent evaluations — two found candidates on one
+// emitter key, as movsb/sassign and movsb/smove are — would compile
+// against each other's binding or drop it.
+var evalMu sync.Mutex
+
 // evalRun compiles and simulates the workload with and without the binding.
 func evalRun(et evalTarget, b *core.Binding) (exotic, loop uint64, err error) {
 	defer fault.RecoverInto(&err, "discover.eval")
+	evalMu.Lock()
+	defer evalMu.Unlock()
 	restore := codegen.InjectBindings(map[string]*core.Binding{et.bindKey: b})
 	defer restore()
 	prog, err := hll.Parse(et.src)

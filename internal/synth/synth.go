@@ -70,14 +70,14 @@ func (c *Config) Defaults() {
 
 // Report is one synthesis run's full result.
 type Report struct {
-	Trace       string          `json:"trace,omitempty"`
-	DurationMS  int64           `json:"duration_ms"`
-	Config      string          `json:"config_digest"`
-	Seed        uint64          `json:"seed"`
-	Depth       int             `json:"depth"`
-	Trials      int             `json:"trials"`
-	Gadgets     []string        `json:"gadgets"`
-	Bindings    []BindingReport `json:"bindings"`
+	Trace      string          `json:"trace,omitempty"`
+	DurationMS int64           `json:"duration_ms"`
+	Config     string          `json:"config_digest"`
+	Seed       uint64          `json:"seed"`
+	Depth      int             `json:"depth"`
+	Trials     int             `json:"trials"`
+	Gadgets    []string        `json:"gadgets"`
+	Bindings   []BindingReport `json:"bindings"`
 	// Swept records whether the cross-layer sweeps ran; an empty
 	// Divergences list only means "clean" when they did.
 	Swept       bool         `json:"swept"`
