@@ -31,6 +31,7 @@ go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/isps
 go test -run '^FuzzParseStmt$' -fuzz '^FuzzParseStmt$' -fuzztime 10s ./internal/isps
 go test -run '^FuzzBindingJSON$' -fuzz '^FuzzBindingJSON$' -fuzztime 10s ./internal/core
 go test -run '^FuzzSynthGadget$' -fuzz '^FuzzSynthGadget$' -fuzztime 10s ./internal/synth
+go test -run '^FuzzInterpReference$' -fuzz '^FuzzInterpReference$' -fuzztime 10s ./internal/interp
 
 # Bench stage: the PR 3 tracked benchmarks (the eleven scripted analyses
 # and the auto-search retry ladder), recorded as BENCH_PR3.json (name ->
@@ -56,6 +57,20 @@ COLD_ALLOCS=$(awk '$1 ~ /BenchmarkCacheWarmVsCold\/cold/ { for (i = 2; i <= NF; 
 test -n "$COLD_ALLOCS"
 test "$COLD_ALLOCS" -le 9300
 rm -f "$BENCH_COLD"
+
+# Validation and interpreter benchmarks. Validation compiles the operator,
+# the variant and every predicate once and runs them over the generator's
+# image as a shared read-only base, so the flagship binding's 300-input
+# validation is gated at <= 3281 allocs/op (the 3,249 it measured when that
+# landed, + 1%; the tree-walking engine it replaced took 12,279): a change
+# that brings back per-input parsing, name tables or image copies fails
+# here. The one-shot interpreter row is recorded, not gated.
+BENCH_VAL=$(mktemp)
+go test -run '^$' -bench 'BenchmarkTable2Validation$|BenchmarkInterpreter$' -benchmem -benchtime 100x -count 1 -cpu 1 . | tee "$BENCH_VAL"
+VAL_ALLOCS=$(awk '$1 ~ /BenchmarkTable2Validation/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$BENCH_VAL")
+test -n "$VAL_ALLOCS"
+test "$VAL_ALLOCS" -le 3281
+rm -f "$BENCH_VAL"
 
 # Serve smoke: boot the real binary, run one analysis over HTTP, scrape
 # /metrics in both encodings (JSON default, Prometheus text exposition via

@@ -49,20 +49,54 @@ type Journal struct {
 
 // OpenJournal opens (creating if needed) an append-mode journal at path.
 // An existing journal is extended, not truncated — resume appends the
-// remaining rows after the survivors. The parent directory is fsynced after
-// the open, so a journal created just before a crash still has a directory
-// entry on recovery — the same dir-sync WriteFileAtomic performs after its
-// rename; rows alone being durable is worthless if the file name is not.
+// remaining rows after the survivors. A torn last line (a crash mid-write)
+// is cut off first: appending after it would fuse the next row with it
+// into one unreadable line and hide every later row from ReadJournal. The
+// parent directory is fsynced after the open, so a journal created just
+// before a crash still has a directory entry on recovery — the same
+// dir-sync WriteFileAtomic performs after its rename; rows alone being
+// durable is worthless if the file name is not.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	if err := trimTornTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("journal %s: %w", path, err)
 	}
 	if d, derr := os.Open(filepath.Dir(path)); derr == nil {
 		d.Sync() // best-effort: some filesystems refuse directory fsync
 		d.Close()
 	}
 	return &Journal{f: f, path: path}, nil
+}
+
+// trimTornTail truncates f back to just past its last newline, dropping
+// whatever partial line a crash left after it. Every complete row ends in
+// a newline, so nothing ReadJournal would return is lost.
+func trimTornTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := st.Size()
+	keep := int64(0) // bytes up to and including the last newline
+	buf := make([]byte, 4096)
+	for end := size; end > 0 && keep == 0; {
+		n := min(end, int64(len(buf)))
+		end -= n
+		if _, err := f.ReadAt(buf[:n], end); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			keep = end + int64(i) + 1
+		}
+	}
+	if keep == size {
+		return nil
+	}
+	return f.Truncate(keep)
 }
 
 // Append journals one row: v encoded as a single JSON line, then fsync.

@@ -66,6 +66,50 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalOpenTrimsTornTail: a journal reopened after a crash mid-write
+// drops the torn last line, so the next row starts a line of its own and
+// every row appended after the reopen stays readable.
+func TestJournalOpenTrimsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.jsonl")
+	row := Result{Machine: "m", Instruction: "i", Language: "l", Operation: "o", Operator: "p", Outcome: "ok"}
+	complete := `{"machine":"m","instruction":"i","language":"l","operation":"o","operator":"p","outcome":"ok","duration_ms":0}` + "\n"
+	torn := `{"machine":"m","instruction":"i2","language":"l","opera`
+	if err := os.WriteFile(path, append(headerLine("cfg"), complete+torn...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteHeader("cfg"); err != nil {
+		t.Fatal(err)
+	}
+	for _, ins := range []string{"j", "k"} {
+		r := row
+		r.Instruction = ins
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rows, config, err := ReadJournal[Result](path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if config != "cfg" {
+		t.Errorf("config %q after reopen, want the header's %q", config, "cfg")
+	}
+	var got []string
+	for _, r := range rows {
+		got = append(got, r.Instruction)
+	}
+	if strings.Join(got, ",") != "i,j,k" {
+		t.Fatalf("rows %v after appending to a torn journal, want [i j k]", got)
+	}
+}
+
 // TestJournalMissingFile: resuming a run that never started is an empty
 // journal, not an error.
 func TestJournalMissingFile(t *testing.T) {

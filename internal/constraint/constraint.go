@@ -149,67 +149,102 @@ func (c Constraint) Satisfied(env map[string]uint64) (bool, error) {
 	return false, fmt.Errorf("constraint: unknown kind %v", c.Kind)
 }
 
+// Compiled is a constraint prepared for checking against many operand
+// environments: a predicate is parsed and compiled once, so each check
+// costs one interpreter run and no parse.
+type Compiled struct {
+	Constraint
+	pred *predicate // Predicate kind only
+}
+
+// Compile prepares c for repeated checks.
+func (c Constraint) Compile() Compiled {
+	k := Compiled{Constraint: c}
+	if c.Kind == Predicate {
+		k.pred = compilePredicate(c.Pred)
+	}
+	return k
+}
+
+// Satisfied is Constraint.Satisfied, reusing the compiled predicate.
+func (c Compiled) Satisfied(env map[string]uint64) (bool, error) {
+	if c.pred != nil {
+		return c.pred.eval(env)
+	}
+	return c.Constraint.Satisfied(env)
+}
+
 // EvalPredicate evaluates a boolean expression in description syntax
 // against operand values. It works by wrapping the expression in a
 // one-statement description and running the interpreter on it.
 func EvalPredicate(pred string, env map[string]uint64) (bool, error) {
-	names, err := predicateOperands(pred)
+	return compilePredicate(pred).eval(env)
+}
+
+// predicate is a predicate expression compiled for evaluation: the operand
+// names it reads, in first-occurrence order, and a program that inputs
+// them and outputs the expression. A predicate that does not compile
+// keeps its error for eval to report.
+type predicate struct {
+	src   string
+	names []string
+	prog  *interp.Program
+	err   error
+}
+
+// compilePredicate parses pred once, as the single output of a one-statement
+// routine, and puts an input statement for its operands in front. The
+// operands need no declarations: an undeclared register is unbounded, the
+// same as one declared integer.
+func compilePredicate(pred string) *predicate {
+	p := &predicate{src: pred}
+	d, err := isps.Parse("pred.operation := begin\n** P **\npred.execute := begin\noutput (" + pred + ");\nend\nend")
 	if err != nil {
-		return false, err
+		p.err = fmt.Errorf("constraint: cannot parse predicate %q: %v", pred, err)
+		return p
 	}
-	var decls, inputs string
-	vals := make([]uint64, 0, len(names))
-	for i, n := range names {
-		if i > 0 {
-			decls += ", "
-			inputs += ", "
+	r := d.Routine()
+	var out *isps.OutputStmt
+	if r != nil && len(r.Body.Stmts) == 1 {
+		out, _ = r.Body.Stmts[0].(*isps.OutputStmt)
+	}
+	if out == nil || len(out.Exprs) != 1 {
+		p.err = fmt.Errorf("constraint: bad predicate %q: not a single expression", pred)
+		return p
+	}
+	seen := map[string]bool{}
+	isps.Walk(out.Exprs[0], func(n isps.Node, _ isps.Path) bool {
+		if id, ok := n.(*isps.Ident); ok && !seen[id.Name] {
+			seen[id.Name] = true
+			p.names = append(p.names, id.Name)
 		}
-		decls += n + ": integer"
-		inputs += n
+		return true
+	})
+	if len(p.names) > 0 {
+		r.Body.Stmts = []isps.Stmt{&isps.InputStmt{Names: p.names}, out}
+	}
+	p.prog = interp.Compile(d)
+	return p
+}
+
+func (p *predicate) eval(env map[string]uint64) (bool, error) {
+	if p.err != nil {
+		return false, p.err
+	}
+	vals := make([]uint64, len(p.names))
+	for i, n := range p.names {
 		v, ok := env[n]
 		if !ok {
-			return false, fmt.Errorf("constraint: no value for operand %q in predicate %q", n, pred)
+			return false, fmt.Errorf("constraint: no value for operand %q in predicate %q", n, p.src)
 		}
-		vals = append(vals, v)
+		vals[i] = v
 	}
-	src := "pred.operation := begin\n** P **\n" + decls + ",\npred.execute := begin\n"
-	if len(names) > 0 {
-		src += "input (" + inputs + ");\n"
-	}
-	src += "output (" + pred + ");\nend\nend"
-	d, err := isps.Parse(src)
-	if err != nil {
-		return false, fmt.Errorf("constraint: bad predicate %q: %v", pred, err)
-	}
-	res, err := interp.Run(context.TODO(), d, vals, interp.NewState(), 10000)
+	// A predicate's registers are its operands; nothing reads them back.
+	res, err := p.prog.Run(context.TODO(), vals, &interp.State{}, 10000)
 	if err != nil {
 		return false, err
 	}
 	return res.Outputs[0] != 0, nil
-}
-
-// predicateOperands parses the predicate and returns the operand names it
-// mentions, in first-occurrence order. Parsing reuses the description
-// grammar by wrapping the predicate in a one-assignment skeleton. Note that
-// the skeleton's placeholder register is named so it cannot collide with an
-// operand: a predicate mentioning it would simply constrain that name.
-func predicateOperands(pred string) ([]string, error) {
-	wrapped := "q.operation := begin\n** P **\nzzz: integer,\nq.execute := begin\nzzz <- " + pred + ";\nend\nend"
-	dd, err := isps.Parse(wrapped)
-	if err != nil {
-		return nil, fmt.Errorf("constraint: cannot parse predicate %q: %v", pred, err)
-	}
-	assign := dd.Routine().Body.Stmts[0].(*isps.AssignStmt)
-	seen := map[string]bool{}
-	var names []string
-	isps.Walk(assign.RHS, func(n isps.Node, _ isps.Path) bool {
-		if id, ok := n.(*isps.Ident); ok && !seen[id.Name] {
-			seen[id.Name] = true
-			names = append(names, id.Name)
-		}
-		return true
-	})
-	return names, nil
 }
 
 // AllSatisfied reports whether every constraint holds for env; the first

@@ -84,9 +84,15 @@ func TestPredicateConstraint(t *testing.T) {
 }
 
 func TestPredicateParseErrors(t *testing.T) {
-	c := NewPredicate("not a predicate ((", "")
-	if _, err := c.Satisfied(map[string]uint64{}); err == nil {
-		t.Error("malformed predicate accepted")
+	env := map[string]uint64{"a": 1, "b": 1}
+	for _, pred := range []string{"not a predicate ((", "a, b", "a); output (b", "a); b <- (1"} {
+		c := NewPredicate(pred, "")
+		if _, err := c.Satisfied(env); err == nil {
+			t.Errorf("malformed predicate %q accepted", pred)
+		}
+		if _, err := c.Compile().Satisfied(env); err == nil {
+			t.Errorf("malformed predicate %q accepted once compiled", pred)
+		}
 	}
 }
 

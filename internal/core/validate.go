@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 
 	"extra/internal/constraint"
 	"extra/internal/interp"
@@ -52,6 +52,21 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 			sp.End(attrs)
 		}()
 	}
+	// Compile once, run per input: both descriptions and every predicate.
+	op, variant := interp.Compile(b.Operator), interp.Compile(b.Variant)
+	checks := make([]constraint.Compiled, len(b.Constraints))
+	for i, c := range b.Constraints {
+		checks[i] = c.Compile()
+	}
+	// Constraints are phrased over both operator operand names and
+	// instruction operand names; one environment holds both. Every round
+	// sets the same keys, so the map is reused.
+	env := make(map[string]uint64, 2*len(b.OpInputs))
+	// Both sides run over the generator's image as a shared read-only
+	// base, each writing into its own overlay, cleared between rounds.
+	// Registers are not observed (nil Regs).
+	st1 := &interp.State{Mem: map[uint64]byte{}}
+	st2 := &interp.State{Mem: map[uint64]byte{}}
 	rng := rand.New(rand.NewSource(seed))
 	checked := 0
 	for r := 0; r < rounds; r++ {
@@ -62,15 +77,12 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 		if len(opIn) != len(b.OpInputs) {
 			return checked, fmt.Errorf("core: generator produced %d operands, binding has %d", len(opIn), len(b.OpInputs))
 		}
-		// Constraints are phrased over both operator operand names and
-		// instruction operand names; build one environment with both.
-		env := map[string]uint64{}
 		for i, name := range b.OpInputs {
 			env[name] = opIn[i]
 			env[b.InsInputs[i]] = opIn[i]
 		}
 		ok := true
-		for _, c := range b.Constraints {
+		for _, c := range checks {
 			// Constraints on operands that no longer appear in either input
 			// list (fixed flags, re-encoded fields) are satisfied by
 			// construction: the variant embeds them.
@@ -93,13 +105,11 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 		if !ok {
 			continue
 		}
-		st1 := interp.NewState()
-		for k, v := range mem {
-			st1.Mem[k] = v
-		}
-		st2 := st1.Clone()
-		r1, err1 := interp.Run(ctx, b.Operator, opIn, st1, 0)
-		r2, err2 := interp.Run(ctx, b.Variant, opIn, st2, 0)
+		clear(st1.Mem)
+		clear(st2.Mem)
+		st1.Base, st2.Base = mem, mem
+		r1, err1 := op.Run(ctx, opIn, st1, 0)
+		r2, err2 := variant.Run(ctx, opIn, st2, 0)
 		if err1 != nil || err2 != nil {
 			// Wrap the first failure so typed sentinels (ErrStepLimit,
 			// ErrCallDepth, context errors) survive this layer.
@@ -109,11 +119,11 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 			}
 			return checked, fmt.Errorf("core: execution failed (operator: %v, variant: %v): %w", err1, err2, cause)
 		}
-		if !reflect.DeepEqual(r1.Outputs, r2.Outputs) {
+		if !slices.Equal(r1.Outputs, r2.Outputs) {
 			return checked, fmt.Errorf("core: binding refuted on inputs %v: operator outputs %v, variant outputs %v",
 				opIn, r1.Outputs, r2.Outputs)
 		}
-		if !sameMem(st1, st2) {
+		if !sameWrites(st1, st2) {
 			return checked, fmt.Errorf("core: binding refuted on inputs %v: final memories differ", opIn)
 		}
 		checked++
@@ -124,14 +134,19 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 	return checked, nil
 }
 
-func sameMem(a, b *interp.State) bool {
+// sameWrites reports whether two runs over one base image left the same
+// final memory. Only addresses one side wrote can differ, so it compares
+// each side's writes with the other side's view of the same address: a
+// write of the base's own value, or of 0 where the base has no byte, is no
+// difference, exactly as in a compare of the two full memories.
+func sameWrites(a, b *interp.State) bool {
 	for k, v := range a.Mem {
-		if b.Mem[k] != v {
+		if b.Load(k) != v {
 			return false
 		}
 	}
 	for k, v := range b.Mem {
-		if a.Mem[k] != v {
+		if a.Load(k) != v {
 			return false
 		}
 	}

@@ -97,4 +97,15 @@ end`)
 	if in.Fired("interp.steplimit") == 0 {
 		t.Error("injector never fired")
 	}
+	// The seam is crossed once per run, whether the run compiles its
+	// description or reuses a compiled Program.
+	p := Compile(d)
+	for i := 0; i < 2; i++ {
+		if _, err := p.Run(context.Background(), []uint64{2, 3}, NewState(), 0); !errors.Is(err, ErrStepLimit) {
+			t.Fatalf("compiled run %d: err = %v, want ErrStepLimit from injected budget", i, err)
+		}
+	}
+	if n := in.Crossings("interp.steplimit"); n != 3 {
+		t.Errorf("seam crossed %d times in 3 runs", n)
+	}
 }

@@ -17,12 +17,16 @@
 //     result values in order.
 //   - Niladic functions execute their body on the shared register state;
 //     the call's value is the last assignment to the function's own name.
+//
+// A description is compiled once into a Program (see Compile) and run
+// once per input; Run does both for a one-shot execution.
 package interp
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"extra/internal/fault/inject"
@@ -31,9 +35,20 @@ import (
 )
 
 // State is a concrete machine state: register values and main memory.
+//
+// Memory is an overlay. Mem holds the bytes this state has written (or
+// was preset with); Base is an optional read-only image underneath. A read
+// of an address not in Mem falls back to Base and then to 0, and writes go
+// to Mem only, so any number of states can run over one image without
+// copying it.
+//
+// A nil Regs map means the caller does not observe registers: a run
+// starts every register at 0 and drops the final values instead of
+// writing them back.
 type State struct {
 	Regs map[string]uint64
 	Mem  map[uint64]byte
+	Base map[uint64]byte
 }
 
 // NewState returns an empty state.
@@ -41,16 +56,19 @@ func NewState() *State {
 	return &State{Regs: map[string]uint64{}, Mem: map[uint64]byte{}}
 }
 
-// Clone returns a deep copy of the state.
+// Clone returns a copy of the state with its own registers and written
+// memory. The read-only Base is shared, not copied.
 func (s *State) Clone() *State {
-	c := NewState()
-	for k, v := range s.Regs {
-		c.Regs[k] = v
+	return &State{Regs: maps.Clone(s.Regs), Mem: maps.Clone(s.Mem), Base: s.Base}
+}
+
+// Load returns the memory byte at addr: Mem's if written, else Base's,
+// else 0.
+func (s *State) Load(addr uint64) byte {
+	if v, ok := s.Mem[addr]; ok {
+		return v
 	}
-	for k, v := range s.Mem {
-		c.Mem[k] = v
-	}
-	return c
+	return s.Base[addr]
 }
 
 // SetString stores the bytes of str into memory starting at addr.
@@ -64,7 +82,7 @@ func (s *State) SetString(addr uint64, str string) {
 func (s *State) ReadString(addr uint64, n int) string {
 	b := make([]byte, n)
 	for i := range b {
-		b[i] = s.Mem[addr+uint64(i)]
+		b[i] = s.Load(addr + uint64(i))
 	}
 	return string(b)
 }
@@ -95,24 +113,7 @@ func (e *AssertError) Error() string {
 	return fmt.Sprintf("interp: assertion failed: %s", e.Cond)
 }
 
-type exitSignal struct{}
-
-type execer struct {
-	desc    *isps.Description
-	widths  map[string]int
-	funcs   map[string]*isps.FuncDecl
-	state   *State
-	inputs  []uint64
-	nextIn  int
-	outputs []uint64
-	steps   int
-	limit   int
-	depth   int
-	// ctx is polled every ctxCheckMask+1 statements so a deadline or
-	// cancellation stops a runaway description promptly without taxing
-	// the per-statement hot path.
-	ctx context.Context
-}
+var errExit = errors.New("interp: exit_when outside of repeat loop")
 
 // ctxCheckMask gates the cancellation poll to one check per 1024
 // statements.
@@ -121,28 +122,43 @@ const ctxCheckMask = 1<<10 - 1
 // DefaultStepLimit bounds execution when the caller passes limit <= 0.
 const DefaultStepLimit = 1 << 20
 
-// Run executes the description's routine against the given state, consuming
-// inputs at input statements. The state is mutated in place. limit bounds
-// the number of executed statements (<= 0 selects DefaultStepLimit).
-// Execution is abandoned (with ctx.Err wrapped in the returned error)
-// shortly after ctx is cancelled or its deadline passes. Runs and
-// executed-statement counts are recorded per description in the process
-// metrics registry.
+const maxCallDepth = 64
+
+// Run compiles the description and executes its routine once against the
+// given state, consuming inputs at input statements. The state is mutated
+// in place. limit bounds the number of executed statements (<= 0 selects
+// DefaultStepLimit). Execution is abandoned (with ctx.Err wrapped in the
+// returned error) shortly after ctx is cancelled or its deadline passes.
+// Runs and executed-statement counts are recorded per description in the
+// process metrics registry. Callers that run one description many times
+// should Compile it once and call Program.Run instead.
 func Run(ctx context.Context, d *isps.Description, inputs []uint64, state *State, limit int) (*Result, error) {
 	start := time.Now()
-	res, err := runDesc(ctx, d, inputs, state, limit)
+	return Compile(d).run(ctx, inputs, state, limit, start)
+}
+
+// Run executes the program once, exactly as the package-level Run executes
+// the description it was compiled from.
+func (p *Program) Run(ctx context.Context, inputs []uint64, state *State, limit int) (*Result, error) {
+	return p.run(ctx, inputs, state, limit, time.Now())
+}
+
+// run executes p and records the run in the process metrics registry,
+// timed from start.
+func (p *Program) run(ctx context.Context, inputs []uint64, state *State, limit int, start time.Time) (*Result, error) {
+	res, err := p.exec(ctx, inputs, state, limit)
 	r := obs.Default()
 	if err != nil {
-		r.Inc("interp.run.err", d.Name)
+		r.Inc("interp.run.err", p.name)
 	} else {
-		r.Inc("interp.run", d.Name)
-		r.Observe("interp.steps", d.Name, uint64(res.Steps))
+		r.Inc("interp.run", p.name)
+		r.Observe("interp.steps", p.name, uint64(res.Steps))
 	}
-	r.ObserveSince("interp.run.ns", d.Name, start)
+	r.ObserveSince("interp.run.ns", p.name, start)
 	return res, err
 }
 
-func runDesc(ctx context.Context, d *isps.Description, inputs []uint64, state *State, limit int) (*Result, error) {
+func (p *Program) exec(ctx context.Context, inputs []uint64, state *State, limit int) (*Result, error) {
 	if limit <= 0 {
 		limit = DefaultStepLimit
 	}
@@ -155,257 +171,105 @@ func runDesc(ctx context.Context, d *isps.Description, inputs []uint64, state *S
 			limit = 1
 		}
 	}
-	r := d.Routine()
-	if r == nil {
-		return nil, fmt.Errorf("interp: description %s has no routine", d.Name)
+	if p.body == nil {
+		return nil, fmt.Errorf("interp: description %s has no routine", p.name)
 	}
-	ex := &execer{
-		desc:   d,
-		widths: map[string]int{},
-		funcs:  map[string]*isps.FuncDecl{},
-		state:  state,
-		inputs: inputs,
-		limit:  limit,
-		ctx:    ctx,
+	m := &machine{p: p, ctx: ctx, state: state, inputs: inputs, limit: limit}
+	if n := len(p.regs); n <= len(m.regBuf) {
+		m.regs = m.regBuf[:n]
+	} else {
+		m.regs = make([]uint64, n)
 	}
-	for _, reg := range d.Regs() {
-		ex.widths[reg.Name] = reg.Width
+	if state.Regs != nil {
+		for i, name := range p.regs {
+			m.regs[i] = state.Regs[name]
+		}
+		m.written = make([]bool, len(p.regs))
 	}
-	for _, f := range d.Funcs() {
-		ex.funcs[f.Name] = f
-		ex.widths[f.Name] = f.Width
+	st := p.body(m)
+	// Assigned registers reach the state even when the run failed part
+	// way, as they would have if every assignment wrote it directly.
+	for i, w := range m.written {
+		if w {
+			state.Regs[p.regs[i]] = m.regs[i]
+		}
 	}
-	if err := ex.block(r.Body); err != nil {
-		return nil, err
+	switch st {
+	case exit:
+		return nil, errExit
+	case fail:
+		return nil, m.err
 	}
-	return &Result{Outputs: ex.outputs, Steps: ex.steps}, nil
+	return &Result{Outputs: m.outputs, Steps: m.steps}, nil
 }
 
-func mask(v uint64, width int) uint64 {
-	if width <= 0 || width >= 64 {
-		return v
-	}
-	return v & ((1 << uint(width)) - 1)
+// machine is the mutable part of one run of a Program.
+type machine struct {
+	p     *Program
+	ctx   context.Context
+	state *State
+	regs  []uint64 // by slot
+	// written marks the slots assigned during the run; nil when the
+	// state's registers are not observed.
+	written []bool
+	inputs  []uint64
+	nextIn  int
+	outputs []uint64
+	steps   int
+	limit   int
+	depth   int
+	err     error // set when a closure returns fail
+	// regBuf backs regs when the program has few registers, as most do,
+	// saving an allocation per run.
+	regBuf [16]uint64
 }
 
-func (ex *execer) setReg(name string, v uint64) {
-	ex.state.Regs[name] = mask(v, ex.widths[name])
+// status is how a statement or expression finished.
+type status uint8
+
+const (
+	next status = iota // completed normally
+	exit               // exit_when fired: unwinds to the innermost repeat
+	fail               // failed with machine.err
+)
+
+func (m *machine) fail(err error) status {
+	m.err = err
+	return fail
 }
 
-func (ex *execer) block(b *isps.Block) error {
-	for _, s := range b.Stmts {
-		if err := ex.stmt(s); err != nil {
-			return err
-		}
+// step counts one statement against the budget, and polls the context
+// every ctxCheckMask+1 statements so a deadline or cancellation stops a
+// runaway description promptly without taxing every statement.
+func (m *machine) step() status {
+	m.steps++
+	if m.steps > m.limit || m.steps&ctxCheckMask == 0 {
+		return m.checkStep()
 	}
-	return nil
+	return next
 }
 
-var errExit = errors.New("interp: exit_when outside of repeat loop")
-
-func (ex *execer) stmt(s isps.Stmt) error {
-	ex.steps++
-	if ex.steps > ex.limit {
-		return ErrStepLimit
+// checkStep is step's slow path, kept out of line so step inlines.
+func (m *machine) checkStep() status {
+	if m.steps > m.limit {
+		return m.fail(ErrStepLimit)
 	}
-	if ex.steps&ctxCheckMask == 0 {
-		if err := ex.ctx.Err(); err != nil {
-			return fmt.Errorf("interp: %s interrupted after %d steps: %w", ex.desc.Name, ex.steps, err)
-		}
+	if err := m.ctx.Err(); err != nil {
+		return m.fail(fmt.Errorf("interp: %s interrupted after %d steps: %w", m.p.name, m.steps, err))
 	}
-	switch st := s.(type) {
-	case *isps.AssignStmt:
-		v, err := ex.expr(st.RHS)
-		if err != nil {
-			return err
-		}
-		switch lhs := st.LHS.(type) {
-		case *isps.Ident:
-			ex.setReg(lhs.Name, v)
-		case *isps.Mem:
-			addr, err := ex.expr(lhs.Addr)
-			if err != nil {
-				return err
-			}
-			ex.state.Mem[addr] = byte(v)
-		default:
-			return fmt.Errorf("interp: bad assignment target %T", st.LHS)
-		}
-		return nil
-	case *isps.IfStmt:
-		c, err := ex.expr(st.Cond)
-		if err != nil {
-			return err
-		}
-		if c != 0 {
-			return ex.block(st.Then)
-		}
-		return ex.block(st.Else)
-	case *isps.RepeatStmt:
-		for {
-			err := ex.block(st.Body)
-			if err == nil {
-				continue
-			}
-			var sig *exitWrap
-			if errors.As(err, &sig) {
-				return nil
-			}
-			return err
-		}
-	case *isps.ExitWhenStmt:
-		c, err := ex.expr(st.Cond)
-		if err != nil {
-			return err
-		}
-		if c != 0 {
-			return &exitWrap{}
-		}
-		return nil
-	case *isps.AssertStmt:
-		c, err := ex.expr(st.Cond)
-		if err != nil {
-			return err
-		}
-		if c == 0 {
-			return &AssertError{Cond: isps.ExprString(st.Cond)}
-		}
-		return nil
-	case *isps.InputStmt:
-		for _, name := range st.Names {
-			if ex.nextIn >= len(ex.inputs) {
-				return fmt.Errorf("interp: %s: input(%s) exhausted the %d supplied operand values",
-					ex.desc.Name, name, len(ex.inputs))
-			}
-			ex.setReg(name, ex.inputs[ex.nextIn])
-			ex.nextIn++
-		}
-		return nil
-	case *isps.OutputStmt:
-		for _, e := range st.Exprs {
-			v, err := ex.expr(e)
-			if err != nil {
-				return err
-			}
-			ex.outputs = append(ex.outputs, v)
-		}
-		return nil
-	}
-	return fmt.Errorf("interp: unknown statement type %T", s)
+	return next
 }
 
-// exitWrap carries the exit_when control transfer up to the innermost
-// repeat. It implements error so it can flow through the ordinary return
-// path without a parallel plumbing mechanism.
-type exitWrap struct{}
-
-func (*exitWrap) Error() string { return errExit.Error() }
-
-func truth(v uint64) uint64 {
-	if v != 0 {
-		return 1
+func (m *machine) set(slot int, v uint64) {
+	m.regs[slot] = v
+	if m.written != nil {
+		m.written[slot] = true
 	}
-	return 0
 }
 
-func (ex *execer) expr(e isps.Expr) (uint64, error) {
-	switch x := e.(type) {
-	case *isps.Num:
-		return uint64(x.Val), nil
-	case *isps.Ident:
-		return ex.state.Regs[x.Name], nil
-	case *isps.Mem:
-		addr, err := ex.expr(x.Addr)
-		if err != nil {
-			return 0, err
-		}
-		return uint64(ex.state.Mem[addr]), nil
-	case *isps.Call:
-		return ex.call(x.Name)
-	case *isps.Un:
-		v, err := ex.expr(x.X)
-		if err != nil {
-			return 0, err
-		}
-		switch x.Op {
-		case isps.OpNot:
-			return 1 - truth(v), nil
-		case isps.OpNeg:
-			return -v, nil
-		}
-		return 0, fmt.Errorf("interp: unknown unary operator %s", x.Op)
-	case *isps.Bin:
-		a, err := ex.expr(x.X)
-		if err != nil {
-			return 0, err
-		}
-		b, err := ex.expr(x.Y)
-		if err != nil {
-			return 0, err
-		}
-		switch x.Op {
-		case isps.OpAdd:
-			return a + b, nil
-		case isps.OpSub:
-			return a - b, nil
-		case isps.OpMul:
-			return a * b, nil
-		case isps.OpDiv:
-			if b == 0 {
-				return 0, fmt.Errorf("interp: division by zero in %s", ex.desc.Name)
-			}
-			return a / b, nil
-		case isps.OpEq:
-			return boolVal(a == b), nil
-		case isps.OpNe:
-			return boolVal(a != b), nil
-		case isps.OpLt:
-			return boolVal(a < b), nil
-		case isps.OpGt:
-			return boolVal(a > b), nil
-		case isps.OpLe:
-			return boolVal(a <= b), nil
-		case isps.OpGe:
-			return boolVal(a >= b), nil
-		case isps.OpAnd:
-			return truth(a) & truth(b), nil
-		case isps.OpOr:
-			return truth(a) | truth(b), nil
-		case isps.OpXor:
-			return truth(a) ^ truth(b), nil
-		}
-		return 0, fmt.Errorf("interp: unknown binary operator %s", x.Op)
+func (m *machine) store(addr uint64, v byte) {
+	if m.state.Mem == nil {
+		m.state.Mem = map[uint64]byte{}
 	}
-	return 0, fmt.Errorf("interp: unknown expression type %T", e)
-}
-
-func boolVal(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-const maxCallDepth = 64
-
-func (ex *execer) call(name string) (uint64, error) {
-	f, ok := ex.funcs[name]
-	if !ok {
-		return 0, fmt.Errorf("interp: call of undeclared function %s()", name)
-	}
-	if ex.depth >= maxCallDepth {
-		return 0, fmt.Errorf("%w at %s()", ErrCallDepth, name)
-	}
-	ex.depth++
-	err := ex.block(f.Body)
-	ex.depth--
-	if err != nil {
-		var sig *exitWrap
-		if errors.As(err, &sig) {
-			return 0, fmt.Errorf("interp: exit_when escaped function %s()", name)
-		}
-		return 0, err
-	}
-	// The function's value is whatever was last assigned to its own name.
-	return ex.state.Regs[name], nil
+	m.state.Mem[addr] = v
 }

@@ -484,10 +484,19 @@ func TestStateClone(t *testing.T) {
 	st := NewState()
 	st.Regs["a"] = 1
 	st.Mem[5] = 9
+	st.Base = map[uint64]byte{5: 1, 6: 7}
 	c := st.Clone()
 	c.Regs["a"] = 2
 	c.Mem[5] = 8
 	if st.Regs["a"] != 1 || st.Mem[5] != 9 {
 		t.Error("Clone shares storage with original")
+	}
+	// The read-only base is shared; reads fall back Mem, Base, 0.
+	if c.Load(5) != 8 || c.Load(6) != 7 || c.Load(7) != 0 || st.Load(5) != 9 {
+		t.Errorf("Load through the overlay: clone %d %d %d, original %d", c.Load(5), c.Load(6), c.Load(7), st.Load(5))
+	}
+	c.Base[6] = 3
+	if st.Load(6) != 3 {
+		t.Error("Clone copied the base image instead of sharing it")
 	}
 }

@@ -187,7 +187,12 @@ func TrXlate() *Analysis {
 			n := 1 + rng.Intn(10) // tr translates at least one byte
 			base := uint64(512 + rng.Intn(32))
 			table := uint64(1024)
-			mem := stringsMem(base, randBytes(rng, n))
+			// Size the image for the string and the table up front: the
+			// table fill would otherwise regrow the map several times.
+			mem := make(map[uint64]byte, n+256)
+			for i, c := range randBytes(rng, n) {
+				mem[base+uint64(i)] = c
+			}
 			for i := 0; i < 256; i++ {
 				mem[table+uint64(i)] = byte(rng.Intn(256))
 			}

@@ -248,9 +248,9 @@ func sinkToLoopBottom(s *core.Session, side core.Side, from int) error {
 	}
 }
 
-// stringsMem writes a string into a fresh memory image.
+// stringsMem writes a string into a fresh memory image sized for it.
 func stringsMem(addr uint64, content []byte) map[uint64]byte {
-	m := map[uint64]byte{}
+	m := make(map[uint64]byte, len(content))
 	for i, b := range content {
 		m[addr+uint64(i)] = b
 	}
