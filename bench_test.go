@@ -9,6 +9,7 @@ package extra
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -19,8 +20,11 @@ import (
 	"extra/internal/catalog"
 	"extra/internal/codegen"
 	"extra/internal/core"
+	"extra/internal/fault"
 	"extra/internal/hll"
 	"extra/internal/isps"
+	"extra/internal/langops"
+	"extra/internal/machines"
 	"extra/internal/obs"
 	"extra/internal/proofs"
 	"extra/internal/server"
@@ -130,6 +134,25 @@ func BenchmarkAutoSearchLadder(b *testing.B) {
 		steps = n
 	}
 	b.ReportMetric(float64(steps), "steps")
+}
+
+// BenchmarkAutoSearchExhaust measures one discovery candidate whose search
+// runs out of budget on every rung: the 8086 movsb instruction against
+// Rigel index under the sweep's default ladder. Every enumerated candidate
+// ends this way at stock budgets, so this is the sweep's per-candidate
+// cost. The search charges each candidate to the budget as it probes it,
+// so a change that expands states the budget never admits shows up here as
+// allocations (ci.sh gates them).
+func BenchmarkAutoSearchExhaust(b *testing.B) {
+	op, ins := langops.Get("index"), machines.Get("movsb")
+	ladder := core.AutoLadder(3, 1000, 2)
+	for i := 0; i < b.N; i++ {
+		_, err := core.AutoAnalyze(context.Background(), core.AutoSpec{Op: op, Ins: ins, Ladder: ladder})
+		var be *fault.BudgetError
+		if !errors.As(err, &be) {
+			b.Fatalf("want the ladder's budget exhaustion, got %v", err)
+		}
+	}
 }
 
 // BenchmarkBatchAnalyzer measures the concurrent batch analyzer over the

@@ -72,6 +72,23 @@ test -n "$VAL_ALLOCS"
 test "$VAL_ALLOCS" -le 3281
 rm -f "$BENCH_VAL"
 
+# Auto-search allocation gates. The search charges each candidate to its
+# state budget as it probes it and stops at the goal or the budget, so its
+# allocations are deterministic here to a few dozen. Both rows are gated at
+# the most the serial search loop measured in 9 runs when it landed, + 1%
+# (ladder 6,638 -> <= 6704, exhaust 922,432 -> <= 931656): a change that
+# goes back to expanding a whole level before charging the budget fails
+# here (the level-at-a-time search took 7,688 and 1,439,982).
+BENCH_AUTO=$(mktemp)
+go test -run '^$' -bench 'BenchmarkAutoSearchLadder$|BenchmarkAutoSearchExhaust$' -benchmem -benchtime 10x -count 1 -cpu 1 . | tee "$BENCH_AUTO"
+LADDER_ALLOCS=$(awk '$1 ~ /BenchmarkAutoSearchLadder/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$BENCH_AUTO")
+EXHAUST_ALLOCS=$(awk '$1 ~ /BenchmarkAutoSearchExhaust/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$BENCH_AUTO")
+test -n "$LADDER_ALLOCS"
+test -n "$EXHAUST_ALLOCS"
+test "$LADDER_ALLOCS" -le 6704
+test "$EXHAUST_ALLOCS" -le 931656
+rm -f "$BENCH_AUTO"
+
 # Serve smoke: boot the real binary, run one analysis over HTTP, scrape
 # /metrics in both encodings (JSON default, Prometheus text exposition via
 # content negotiation), check the response is trace-stamped, then SIGTERM

@@ -119,11 +119,9 @@ func run(args []string) error {
 		sub := args[0]
 		fs := flag.NewFlagSet(sub, flag.ContinueOnError)
 		cacheDir := fs.String("cache-dir", "", "serve warm results from (and persist cold ones to) this cache `directory`")
-		checkHashes := fs.Bool("check-hashes", false, "verify every auto-search state digest against its full state key (collision check; slower)")
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
-		core.SetHashCheck(*checkHashes)
 		if fs.NArg() != 1 {
 			return fmt.Errorf("usage: extra %s [-cache-dir DIR] INSTRUCTION/OPERATOR (e.g. scasb/index)", sub)
 		}
@@ -844,11 +842,9 @@ func batchCmd(ctx context.Context, args []string) error {
 	asJSONL := fs.String("jsonl", "", "journal rows to `file` as crash-safe JSONL (\"-\" = stdout, not crash-safe)")
 	resume := fs.String("resume", "", "skip rows already journaled in `file` (a previous -jsonl run)")
 	cacheDir := fs.String("cache-dir", "", "warm-start from (and persist results to) the content-addressed cache in `directory`")
-	checkHashes := fs.Bool("check-hashes", false, "verify every auto-search state digest against its full state key (collision check; slower)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	core.SetHashCheck(*checkHashes)
 	if *asJSON != "" && *asJSONL != "" {
 		return fmt.Errorf("-json and -jsonl are mutually exclusive")
 	}
@@ -1032,7 +1028,6 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 	machinesCSV := fs.String("machines", "", "restrict the sweep to these machine or instruction `names` (comma-separated)")
 	operatorsCSV := fs.String("operators", "", "restrict the sweep to these language, operation, or operator `names` (comma-separated)")
 	injectPanic := fs.String("inject-panic", "", "arm a deterministic panic at candidate `INS/OP` every attempt (chaos testing)")
-	searchWorkers := fs.Int("search-workers", 1, "auto-search frontier pool width per candidate")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -1062,17 +1057,16 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 	fmt.Fprintf(os.Stderr, "discover: run trace %s\n", runTrace)
 	return withTracer(traceFile, func(tr *obs.Tracer) error {
 		s, err := discover.New(discover.Config{
-			Machines:      splitCSV(*machinesCSV),
-			Operators:     splitCSV(*operatorsCSV),
-			Dir:           *dir,
-			Jobs:          *jobs,
-			Ladder:        core.AutoLadder(*depth, *budget, *rungs),
-			SearchWorkers: *searchWorkers,
-			Attempts:      *attempts,
-			EachTimeout:   *eachTimeout,
-			Resume:        *resume,
-			Cache:         ch,
-			Tracer:        tr,
+			Machines:    splitCSV(*machinesCSV),
+			Operators:   splitCSV(*operatorsCSV),
+			Dir:         *dir,
+			Jobs:        *jobs,
+			Ladder:      core.AutoLadder(*depth, *budget, *rungs),
+			Attempts:    *attempts,
+			EachTimeout: *eachTimeout,
+			Resume:      *resume,
+			Cache:       ch,
+			Tracer:      tr,
 		})
 		if err != nil {
 			return err

@@ -87,6 +87,10 @@ func TestCommandErrors(t *testing.T) {
 		{"serve", "-addr", "127.0.0.1:99999"},
 		// The sweep claims each candidate once: no leases, so no -lease-ttl.
 		{"discover", "-lease-ttl", "1s", "-dir", sweepDir},
+		// The search runs serially and has no collision-check flag.
+		{"discover", "-search-workers", "2", "-dir", sweepDir},
+		{"batch", "-check-hashes"},
+		{"analyze", "-check-hashes", "scasb/index"},
 		{"gateway", "-workers", "3"},              // no shard gateway: an unknown command
 		{"analyze", "scasb/index", "--timeout"},   // missing duration as final arg
 		{"analyze", "scasb/index", "--timeout=0"}, // zero timeout is rejected

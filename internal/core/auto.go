@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"extra/internal/equiv"
 	"extra/internal/fault"
@@ -24,23 +21,27 @@ import (
 // a handful of semantics-preserving rewrites — and those can be found by
 // bounded search instead of a human.
 //
-// The search is a breadth-first frontier expansion built for throughput:
+// The search is one breadth-first loop, bounded twice: by maxDepth levels
+// and by budget candidates consumed. Frontier states are expanded in order,
+// and each of a state's candidates is charged to the budget before anything
+// else is done with it, so a search that runs out of budget has paid for
+// exactly budget candidates (search cost = states × cost per state; the
+// budget caps the states). Per candidate:
 //
 //   - probe-result reuse: enumerating a state's candidates already applies
 //     each transformation once; the resulting description is kept on the
-//     candidate, so a successor state costs zero additional applications
-//     (the old search applied everything twice — once to probe, once to
-//     expand).
+//     candidate, so a successor state costs zero additional applications.
 //   - hashed visited set: states are deduplicated by a 128-bit structural
 //     digest of the description pair (isps.HashPair) instead of two full
 //     pretty-printed sources per state.
-//   - parallel frontier expansion: each depth level is expanded across a
-//     worker pool (Session.AutoWorkers, default GOMAXPROCS) over a sharded
-//     visited set. Results merge in the deterministic (state, transform,
-//     path) candidate order before seeding the next frontier, so the
-//     parallel search explores, dedups, and answers byte-identically to
-//     the serial one. Descriptions are immutable once built, which makes
-//     sharing them across workers race-free.
+//   - early exit: the first new state in common form ends the search, and
+//     its trail is replayed through the session.
+//
+// Candidates are consumed in (state, transformation, path) order, so a
+// search is deterministic: the same pair and bounds give the same trail,
+// explored count and budget error on every run. The search runs on the
+// caller's goroutine; parallelism lives one level up, across candidates and
+// analyses (batch.Pool).
 
 // autoMoves are the argument-free semantics-preserving transformations the
 // search may apply. Argument-bearing transformations (augments, operand
@@ -100,31 +101,11 @@ func (st *autoState) trail() []autoStep {
 	return out
 }
 
-// expCand is a candidate expanded by a frontier worker: the successor state
-// descriptions (built from the reused probe outcome), their pair digest,
-// and whether the successor reaches common form. order is the candidate's
-// global deterministic position in the level (see visitedSet).
-type expCand struct {
-	autoCand
-	newOp, newIns *isps.Description
-	digest        isps.Digest
-	goal          bool
-	seen          bool
-	order         uint64
-}
-
-// autoHashCheck enables the visited set's hash-collision check mode (every
+// autoHashCheck turns on the visited set's hash-collision check mode (every
 // digest is verified against the formatted state key it stands for). The
 // mode retains strings and exists for tests; production searches leave it
 // off.
-var autoHashCheck atomic.Bool
-
-// SetHashCheck toggles the auto-search visited set's hash-collision check
-// mode process-wide (the `-check-hashes` flag on `extra analyze`/`batch`).
-// With it on, every accepted digest is verified against the full formatted
-// state key, so a 128-bit collision surfaces as a hard error instead of a
-// silently pruned branch.
-func SetHashCheck(on bool) { autoHashCheck.Store(on) }
+var autoHashCheck bool
 
 // AutoComplete searches for a sequence of argument-free preserving
 // transformations that brings the session's two descriptions into common
@@ -207,47 +188,23 @@ func (s *Session) AutoCompleteRetry(ctx context.Context, ladder []AutoRung) (int
 	return 0, last
 }
 
-// autoWorkers resolves the worker-pool width: Session.AutoWorkers when
-// positive, GOMAXPROCS otherwise.
-func (s *Session) autoWorkers() int {
-	if s.AutoWorkers > 0 {
-		return s.AutoWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rungs int) (int, error) {
 	if _, err := equiv.CommonForm(s.Op, s.Ins); err == nil {
 		return 0, nil
 	}
-	workers := s.autoWorkers()
-	s.Metrics.Set("auto.parallel.workers", "configured", int64(workers))
-	vs := newVisitedSet(autoHashCheck.Load())
-	start := &autoState{op: s.Op, ins: s.Ins}
-	startDigest := isps.HashPair(s.Op, s.Ins)
-	vs.note(startDigest, s.Op, s.Ins)
-	vs.commit(startDigest)
-	frontier := []*autoState{start}
+	vs := newVisitedSet(autoHashCheck)
+	if _, err := vs.add(isps.HashPair(s.Op, s.Ins), s.Op, s.Ins); err != nil {
+		return 0, err
+	}
+	frontier := []*autoState{{op: s.Op, ins: s.Ins}}
 	explored := 0
 	for depth := 0; depth < maxDepth && len(frontier) > 0; depth++ {
-		if ctx != nil {
+		var next []*autoState
+		for _, st := range frontier {
 			if err := ctx.Err(); err != nil {
 				return 0, fmt.Errorf("core: auto search after %d states: %w", explored, err)
 			}
-		}
-		s.Metrics.Inc("auto.parallel.levels", "expanded")
-		s.Metrics.Add("auto.parallel.states", "expanded", uint64(len(frontier)))
-		expanded, err := s.expandFrontier(ctx, frontier, vs, workers)
-		if err != nil {
-			return 0, fmt.Errorf("core: auto search after %d states: %w", explored, err)
-		}
-		// Deterministic merge: candidates are consumed in (state, transform,
-		// path) order — exactly the order a serial search would probe them —
-		// so budget accounting, dedup winners, the goal choice, and the next
-		// frontier are identical at every worker count.
-		var next []*autoState
-		for si, cands := range expanded {
-			for _, cand := range cands {
+			for _, cand := range s.autoCandidates(st.op, st.ins) {
 				if explored++; explored > budget {
 					return 0, &fault.BudgetError{
 						Op: "auto-search", Depth: maxDepth, Budget: budget,
@@ -256,21 +213,28 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 					}
 				}
 				s.Metrics.Inc("auto.explored", cand.xform)
-				if !vs.accept(cand.digest, cand.order) {
-					continue // seen in an earlier level, or a within-level duplicate
+				op, ins := st.op, st.ins
+				if cand.side == OpSide {
+					op = cand.out.Desc
+				} else {
+					ins = cand.out.Desc
 				}
-				// Intern only merge-accepted states: rejected candidates
-				// never pay the canonicalization walk, and accepted ones
-				// share structure with their frontier parents so the next
-				// level's digests and Equal checks answer from memos.
-				st := &autoState{op: isps.InternDesc(cand.newOp), ins: isps.InternDesc(cand.newIns), parent: frontier[si], step: cand.autoStep}
-				if cand.goal {
-					if cerr := vs.err(); cerr != nil {
-						return 0, cerr
-					}
+				fresh, err := vs.add(isps.HashPair(op, ins), op, ins)
+				if err != nil {
+					return 0, err
+				}
+				if !fresh {
+					continue // seen earlier in this level or an earlier one
+				}
+				// Intern only new states: duplicates never pay the
+				// canonicalization walk, and new ones share structure with
+				// their parents so the next level's digests and Equal checks
+				// answer from memos.
+				succ := &autoState{op: isps.InternDesc(op), ins: isps.InternDesc(ins), parent: st, step: cand.autoStep}
+				if _, err := equiv.CommonForm(succ.op, succ.ins); err == nil {
 					// Replay the trail through the session so every step is
 					// validated and recorded as usual.
-					trail := st.trail()
+					trail := succ.trail()
 					for _, mv := range trail {
 						if err := s.Apply(mv.side, mv.xform, mv.at, transform.Args{"dir": "down"}); err != nil {
 							return 0, fmt.Errorf("core: auto replay failed at %s: %v", mv.xform, err)
@@ -278,16 +242,13 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 					}
 					return len(trail), nil
 				}
-				next = append(next, st)
+				next = append(next, succ)
 			}
-		}
-		if cerr := vs.err(); cerr != nil {
-			return 0, cerr
 		}
 		if s.Tracer.Enabled() {
 			s.Tracer.Event("auto.level", map[string]any{
 				"depth": depth, "frontier": len(frontier), "next": len(next),
-				"explored": explored, "visited": vs.size(), "workers": workers,
+				"explored": explored, "visited": vs.size(),
 			})
 		}
 		frontier = next
@@ -297,92 +258,6 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 		Rung: rung, Rungs: rungs,
 		Reason: "no completion found within the depth bound",
 	}
-}
-
-// expandFrontier expands every state of the current level across the worker
-// pool and returns the per-state candidate lists in frontier order. Workers
-// propose successor digests into the sharded visited set (minimum candidate
-// order wins, see visitedSet) and pre-compute the goal check; nothing is
-// committed here, so the merge phase stays the single decision point.
-func (s *Session) expandFrontier(ctx context.Context, frontier []*autoState, vs *visitedSet, workers int) ([][]expCand, error) {
-	results := make([][]expCand, len(frontier))
-	if workers > len(frontier) {
-		workers = len(frontier)
-	}
-	if workers <= 1 {
-		for i, st := range frontier {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			results[i] = s.expandState(st, i, vs)
-		}
-		return results, nil
-	}
-	var (
-		nextIdx  atomic.Int64
-		ctxErr   atomic.Value
-		canceled atomic.Bool
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(nextIdx.Add(1)) - 1
-				if i >= len(frontier) || canceled.Load() {
-					return
-				}
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						ctxErr.Store(err)
-						canceled.Store(true)
-						return
-					}
-				}
-				results[i] = s.expandState(frontier[i], i, vs)
-			}
-		}()
-	}
-	wg.Wait()
-	if err, ok := ctxErr.Load().(error); ok && err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// expandState enumerates one state's applicable candidates (reusing each
-// probe's outcome as the successor description), digests and proposes each
-// successor, and checks unseen successors for common form.
-func (s *Session) expandState(st *autoState, stateIdx int, vs *visitedSet) []expCand {
-	cands := s.autoCandidates(st.op, st.ins)
-	out := make([]expCand, 0, len(cands))
-	for ci, cand := range cands {
-		newOp, newIns := st.op, st.ins
-		if cand.side == OpSide {
-			newOp = cand.out.Desc
-		} else {
-			newIns = cand.out.Desc
-		}
-		// Candidate order keys are (state, candidate) lexicographic and
-		// start at 1; 0 is the visited set's committed sentinel.
-		order := uint64(stateIdx)<<32 | uint64(ci+1)
-		digest := isps.HashPair(newOp, newIns)
-		vs.note(digest, newOp, newIns)
-		seen := vs.propose(digest, order)
-		ec := expCand{
-			autoCand: cand, newOp: newOp, newIns: newIns,
-			digest: digest, seen: seen, order: order,
-		}
-		if !seen {
-			_, err := equiv.CommonForm(newOp, newIns)
-			ec.goal = err == nil
-		}
-		out = append(out, ec)
-	}
-	return out
 }
 
 // nodeKind classifies a node for the candidate prefilter.

@@ -22,7 +22,8 @@ type AutoSpec struct {
 	Op, Ins *isps.Description
 	// Ladder is the escalating (depth, budget) retry ladder; see AutoLadder.
 	Ladder []AutoRung
-	// Workers is the auto-search frontier pool width (0 = GOMAXPROCS).
+	// Workers is ignored: the auto-search runs serially on the caller's
+	// goroutine. The field stays so existing callers build.
 	Workers int
 	// Tracer and Metrics receive the session's events and counters; nil
 	// Tracer disables tracing, nil Metrics falls back to the process
@@ -39,9 +40,8 @@ type AutoSpec struct {
 // arguments, augments, coding constraints) ends in the ladder's final
 // *fault.BudgetError; a hostile description ends in whatever typed fault
 // the engine's recovery boundaries produce. Deterministic for a fixed spec:
-// the parallel frontier search explores and answers identically at every
-// worker count, so a sweep can be killed, resumed, and re-verified
-// byte-for-byte.
+// the search consumes candidates in a fixed order, so a sweep can be
+// killed, resumed, and re-verified byte-for-byte.
 func AutoAnalyze(ctx context.Context, spec AutoSpec) (*Binding, error) {
 	s, err := NewSession(spec.Op, spec.Ins)
 	if err != nil {
@@ -51,7 +51,6 @@ func AutoAnalyze(ctx context.Context, spec AutoSpec) (*Binding, error) {
 	s.Instruction = spec.Instruction
 	s.Language = spec.Language
 	s.Operation = spec.Operation
-	s.AutoWorkers = spec.Workers
 	s.Tracer = spec.Tracer
 	if spec.Metrics != nil {
 		s.Metrics = spec.Metrics

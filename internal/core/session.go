@@ -82,10 +82,8 @@ type Session struct {
 	// future-work mode); classic EXTRA rejects them.
 	Extended bool
 
-	// AutoWorkers is the worker-pool width of the auto-search's parallel
-	// frontier expansion; 0 (the default) means GOMAXPROCS. The search's
-	// results are deterministic at every width — 1 forces the serial
-	// reference behavior.
+	// AutoWorkers is ignored: the auto-search runs serially on the
+	// caller's goroutine. The field stays so existing callers build.
 	AutoWorkers int
 
 	// Tracer receives structured events for every step (application

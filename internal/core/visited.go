@@ -2,152 +2,48 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"extra/internal/isps"
 )
 
-// The auto-search's visited set. States are keyed by the 128-bit structural
-// digest of the (operator, instruction) description pair (isps.HashPair):
-// no pretty-printing, no retained strings. The set is sharded so that the
-// parallel frontier workers can propose candidate states concurrently; the
-// deterministic merge phase then commits winners serially.
+// visitedSet is the auto-search's set of admitted states, keyed by the
+// 128-bit structural digest of the (operator, instruction) description pair
+// (isps.HashPair): no pretty-printing, no retained strings.
 //
-// Each entry carries the proposing candidate's global order key (its
-// deterministic position in the level's merge order). Workers take the
-// minimum order per digest, so when two candidates of the same level reach
-// the same state, the one the serial search would have seen first wins —
-// regardless of which worker got there first. Committed entries (the start
-// state and every state accepted into a frontier) use the reserved order 0.
-
-const visitedShards = 32
-
-// orderCommitted marks a digest as permanently visited. Candidate order
-// keys start at 1, so 0 is free to be the sentinel.
-const orderCommitted uint64 = 0
-
-type visitedShard struct {
-	mu sync.Mutex
-	m  map[isps.Digest]uint64
-}
-
+// In collision-check mode (autoHashCheck) every digest also maps back to the
+// full formatted state key it stands for, and a digest met with two
+// different keys is a hard error instead of a silently pruned branch. The
+// mode retains strings by design; production searches leave it off.
 type visitedSet struct {
-	shards [visitedShards]visitedShard
-
-	// checkMu/checkKeys implement the collision-check mode used by tests:
-	// every digest is mapped back to the full formatted state key (the
-	// pre-hashing visited key), and a digest seen with two different keys
-	// is reported through collisionErr. The mode retains strings by
-	// design; production searches leave it off.
-	check        bool
-	checkMu      sync.Mutex
-	checkKeys    map[isps.Digest]string
-	collisionErr error
+	seen map[isps.Digest]struct{}
+	keys map[isps.Digest]string // collision-check mode only
 }
 
 func newVisitedSet(check bool) *visitedSet {
-	vs := &visitedSet{}
-	for i := range vs.shards {
-		vs.shards[i].m = make(map[isps.Digest]uint64)
-	}
+	vs := &visitedSet{seen: map[isps.Digest]struct{}{}}
 	if check {
-		vs.check = true
-		vs.checkKeys = make(map[isps.Digest]string)
+		vs.keys = map[isps.Digest]string{}
 	}
 	return vs
 }
 
-func (vs *visitedSet) shard(d isps.Digest) *visitedShard {
-	return &vs.shards[d.Lo%visitedShards]
-}
-
-// commit marks d permanently visited (the start state, and every candidate
-// the merge phase accepts).
-func (vs *visitedSet) commit(d isps.Digest) {
-	s := vs.shard(d)
-	s.mu.Lock()
-	s.m[d] = orderCommitted
-	s.mu.Unlock()
-}
-
-// propose records a candidate state from a frontier worker under its
-// deterministic order key (>= 1), keeping the minimum order per digest. It
-// reports whether the digest was already committed in an earlier level, so
-// the worker can skip the goal check for a state the search has seen.
-func (vs *visitedSet) propose(d isps.Digest, order uint64) (alreadyVisited bool) {
-	s := vs.shard(d)
-	s.mu.Lock()
-	cur, ok := s.m[d]
-	switch {
-	case ok && cur == orderCommitted:
-		alreadyVisited = true
-	case !ok || order < cur:
-		s.m[d] = order
-	}
-	s.mu.Unlock()
-	return alreadyVisited
-}
-
-// accept is called by the serial merge phase, in deterministic candidate
-// order. It commits and returns true exactly when this candidate is the
-// level's winner for its digest: not committed before, and holding the
-// minimum proposed order. Losers (within-level duplicates) and states
-// already visited in earlier levels return false.
-func (vs *visitedSet) accept(d isps.Digest, order uint64) bool {
-	s := vs.shard(d)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, ok := s.m[d]
-	if !ok {
-		// Unproposed digests cannot reach accept; treat defensively as new.
-		s.m[d] = orderCommitted
-		return true
-	}
-	if cur != order {
-		return false // committed earlier, or lost to a lower-order duplicate
-	}
-	s.m[d] = orderCommitted
-	return true
-}
-
-// size reports the number of distinct states in the set.
-func (vs *visitedSet) size() int {
-	n := 0
-	for i := range vs.shards {
-		s := &vs.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// note verifies a digest against the formatted state key in collision-check
-// mode; outside the mode it is a no-op. A 128-bit collision — two distinct
-// formatted states with one digest — is recorded once and surfaced as the
-// search's error.
-func (vs *visitedSet) note(d isps.Digest, op, ins *isps.Description) {
-	if !vs.check {
-		return
-	}
-	key := isps.Format(op) + "\x00" + isps.Format(ins)
-	vs.checkMu.Lock()
-	defer vs.checkMu.Unlock()
-	if prev, ok := vs.checkKeys[d]; ok {
-		if prev != key && vs.collisionErr == nil {
-			vs.collisionErr = fmt.Errorf("core: 128-bit state hash collision on digest %016x%016x", d.Hi, d.Lo)
+// add admits the state (op, ins) with digest d and reports whether it was
+// new. The error is a 128-bit collision found by the check mode.
+func (vs *visitedSet) add(d isps.Digest, op, ins *isps.Description) (bool, error) {
+	if vs.keys != nil {
+		key := isps.Format(op) + "\x00" + isps.Format(ins)
+		prev, ok := vs.keys[d]
+		if ok && prev != key {
+			return false, fmt.Errorf("core: 128-bit state hash collision on digest %016x%016x", d.Hi, d.Lo)
 		}
-		return
+		vs.keys[d] = key
 	}
-	vs.checkKeys[d] = key
+	if _, ok := vs.seen[d]; ok {
+		return false, nil
+	}
+	vs.seen[d] = struct{}{}
+	return true, nil
 }
 
-// err reports a collision detected by the check mode, nil otherwise.
-func (vs *visitedSet) err() error {
-	if !vs.check {
-		return nil
-	}
-	vs.checkMu.Lock()
-	defer vs.checkMu.Unlock()
-	return vs.collisionErr
-}
+// size reports the number of admitted states.
+func (vs *visitedSet) size() int { return len(vs.seen) }

@@ -12,13 +12,13 @@
 // the candidates run on the batch worker pool, each claimed exactly once. A
 // -resume run replays the WAL (first row per candidate wins) and produces a
 // report byte-identical — modulo wall-clock fields — to an uninterrupted
-// run, because the search itself is deterministic at every worker count. A
-// candidate that keeps faulting (panic, timeout — not a clean budget
-// exhaustion, which is a *result*) is quarantined with its underlying fault
-// class rather than wedging the sweep ("poison" in the fault taxonomy), and
-// lands in a dead-letter file written from the WAL's rows at the end of the
-// run. Cross-run dedup rides the content-addressed cache: rows are keyed by
-// the description pair's structural digest salted with the search
+// run, because the search itself is deterministic. A candidate that keeps
+// faulting (panic, timeout — not a clean budget exhaustion, which is a
+// *result*) is quarantined with its underlying fault class rather than
+// wedging the sweep ("poison" in the fault taxonomy), and lands in a
+// dead-letter file written from the WAL's rows at the end of the run.
+// Cross-run dedup rides the content-addressed cache: rows are keyed by the
+// description pair's structural digest salted with the search
 // configuration, so a warm cache directory skips candidates any previous
 // sweep — even a differently filtered one — already answered.
 package discover
@@ -161,9 +161,6 @@ type Config struct {
 	// Ladder is the per-candidate escalating (depth, budget) retry ladder;
 	// nil means core.AutoLadder(3, 1000, 2).
 	Ladder []core.AutoRung
-	// SearchWorkers is the auto-search frontier pool width per candidate
-	// (0 = 1: the sweep parallelizes across candidates, not within them).
-	SearchWorkers int
 	// Attempts is how many faulting runs a candidate gets before it is
 	// quarantined as poison (default 2). A budget exhaustion is a clean
 	// negative result, not a fault, and is never retried.
@@ -213,9 +210,6 @@ func New(cfg Config) (*Sweep, error) {
 	}
 	if len(cfg.Ladder) == 0 {
 		cfg.Ladder = core.AutoLadder(3, 1000, 2)
-	}
-	if cfg.SearchWorkers <= 0 {
-		cfg.SearchWorkers = 1
 	}
 	cands := cfg.Candidates
 	if cands == nil {
@@ -551,7 +545,6 @@ func (s *Sweep) attempt(ctx context.Context, c Candidate, op, ins *isps.Descript
 		Op:          op,
 		Ins:         ins,
 		Ladder:      s.cfg.Ladder,
-		Workers:     s.cfg.SearchWorkers,
 		Tracer:      s.cfg.Tracer,
 		Metrics:     s.cfg.Metrics,
 	})

@@ -3,8 +3,11 @@ package discover
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +17,7 @@ import (
 	"extra/internal/batch"
 	"extra/internal/cache"
 	"extra/internal/core"
+	"extra/internal/fault"
 	"extra/internal/fault/inject"
 	"extra/internal/langops"
 	"extra/internal/machines"
@@ -383,5 +387,40 @@ func TestSweepCacheSkipsAcrossRuns(t *testing.T) {
 	runSweep(t, other)
 	if n := other.Metrics.Total("discover.cached"); n != 0 {
 		t.Fatalf("differently configured run served %d stale cache rows", n)
+	}
+}
+
+// TestSearchVerdictsPinned runs every enumerated candidate through the
+// bounded auto-search and folds each verdict — key, outcome, steps or the
+// budget error's fields, and the auto.explored count — into one SHA-256.
+// The digest was recorded from the level-at-a-time search the serial loop
+// replaced, so a change that moves any candidate's answer, or how far its
+// search got, fails here. The ladder is small enough to keep the test cheap
+// under -race.
+func TestSearchVerdictsPinned(t *testing.T) {
+	const want = "dc2d88c489abf0c55688ef6b3a4fe40a0cc10c4be792b518c878982194159a30"
+	ladder := core.AutoLadder(2, 25, 2)
+	h := sha256.New()
+	for _, c := range Enumerate(nil, nil) {
+		op, ins, err := c.Descs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		b, err := core.AutoAnalyze(context.Background(), core.AutoSpec{Op: op, Ins: ins, Ladder: ladder, Metrics: reg})
+		var be *fault.BudgetError
+		switch {
+		case err == nil:
+			fmt.Fprintf(h, "%s|found|%d", c.Key(), b.Steps)
+		case errors.As(err, &be):
+			fmt.Fprintf(h, "%s|budget|%s|%d|%d|%d|%d|%d|%s", c.Key(),
+				be.Op, be.Depth, be.Budget, be.Explored, be.Rung, be.Rungs, be.Reason)
+		default:
+			fmt.Fprintf(h, "%s|error|%v", c.Key(), err)
+		}
+		fmt.Fprintf(h, "|%d\n", reg.Total("auto.explored"))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("verdict digest = %s, want %s", got, want)
 	}
 }

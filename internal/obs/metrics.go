@@ -20,71 +20,24 @@ type key struct {
 	Label  string
 }
 
-// Rolling-window geometry: every histogram additionally maintains a ring
-// of winSlots sub-histograms, each covering winSlotDur of wall time, so a
-// snapshot can report quantiles over roughly the last minute as well as
-// over the process lifetime. A slot is recycled in place when its epoch
-// (now / winSlotDur) comes around again.
-const (
-	winSlots   = 6
-	winSlotDur = 10 * time.Second
-)
-
-// WindowSeconds is the rolling-window width snapshots report over.
-const WindowSeconds = int(winSlots * winSlotDur / time.Second)
-
-// winSlot is one time slice of a histogram's rolling window. epoch tags
-// which winSlotDur interval the counts belong to; readers ignore slots
-// whose epoch has fallen out of the window.
-type winSlot struct {
-	mu      sync.Mutex // serializes recycling only; observers use atomics
-	epoch   atomic.Int64
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	buckets [65]atomic.Uint64
-}
-
-// reset recycles the slot for a new epoch. Double-checked under the slot
-// mutex so concurrent observers recycle once; an observation racing the
-// wipe can be lost or land in the fresh epoch, which is acceptable for a
-// rolling approximation (the cumulative histogram never loses it).
-func (s *winSlot) reset(epoch int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.epoch.Load() == epoch {
-		return
-	}
-	s.count.Store(0)
-	s.sum.Store(0)
-	for i := range s.buckets {
-		s.buckets[i].Store(0)
-	}
-	s.epoch.Store(epoch)
-}
-
-// histogram accumulates observations into power-of-two buckets, both
-// cumulatively and into the rolling window ring. All hot-path fields are
-// manipulated atomically so concurrent observers never block each other
-// once the series exists.
+// histogram accumulates observations into power-of-two buckets. All
+// hot-path fields are manipulated atomically so concurrent observers never
+// block each other once the series exists.
 type histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64
 	min     atomic.Uint64 // stores math.MaxUint64 until the first observation
 	max     atomic.Uint64
 	buckets [65]atomic.Uint64 // bucket i counts values with bit length i
-	slots   [winSlots]winSlot
 }
 
 func newHistogram() *histogram {
 	h := &histogram{}
 	h.min.Store(math.MaxUint64)
-	for i := range h.slots {
-		h.slots[i].epoch.Store(-1)
-	}
 	return h
 }
 
-func (h *histogram) observe(v uint64, epoch int64) {
+func (h *histogram) observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
@@ -100,13 +53,6 @@ func (h *histogram) observe(v uint64, epoch int64) {
 			break
 		}
 	}
-	s := &h.slots[epoch%winSlots]
-	if s.epoch.Load() != epoch {
-		s.reset(epoch)
-	}
-	s.count.Add(1)
-	s.sum.Add(v)
-	s.buckets[bits.Len64(v)].Add(1)
 }
 
 // Registry is a concurrency-safe set of counters, gauges, and histograms.
@@ -116,21 +62,6 @@ type Registry struct {
 	counters map[key]*atomic.Uint64
 	gauges   map[key]*atomic.Int64
 	hists    map[key]*histogram
-	// now substitutes the wall clock for rolling-window tests; nil means
-	// time.Now.
-	now func() time.Time
-}
-
-func (r *Registry) clock() time.Time {
-	if r.now != nil {
-		return r.now()
-	}
-	return time.Now()
-}
-
-// epoch returns the rolling-window slot epoch for the current time.
-func (r *Registry) epoch() int64 {
-	return r.clock().UnixNano() / int64(winSlotDur)
 }
 
 // NewRegistry returns an empty registry.
@@ -280,7 +211,7 @@ func (r *Registry) Observe(metric, label string, v uint64) {
 		}
 		r.mu.Unlock()
 	}
-	h.observe(v, r.epoch())
+	h.observe(v)
 }
 
 // ObserveSince records the nanoseconds elapsed since start.
@@ -327,16 +258,6 @@ type Quantiles struct {
 	P999 uint64 `json:"p999"`
 }
 
-// WindowSnap is the rolling-window view of a histogram: the same stats and
-// quantile estimates restricted to roughly the last WindowSeconds.
-type WindowSnap struct {
-	Seconds int     `json:"seconds"`
-	Count   uint64  `json:"count"`
-	Sum     uint64  `json:"sum"`
-	Mean    float64 `json:"mean"`
-	Quantiles
-}
-
 // HistSnap is one histogram series in a snapshot. Buckets maps the
 // exclusive power-of-two upper bound ("<2^k") to its count, omitting empty
 // buckets.
@@ -349,7 +270,6 @@ type HistSnap struct {
 	Max    uint64  `json:"max"`
 	Mean   float64 `json:"mean"`
 	Quantiles
-	Window  *WindowSnap `json:"window,omitempty"`
 	Buckets []struct {
 		Le    string `json:"le"`
 		Count uint64 `json:"count"`
@@ -382,7 +302,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, g := range r.gauges {
 		snap.Gauges = append(snap.Gauges, GaugeSnap{k.Metric, k.Label, g.Load()})
 	}
-	epoch := r.epoch()
 	for k, h := range r.hists {
 		hs := HistSnap{Metric: k.Metric, Label: k.Label,
 			Count: h.count.Load(), Sum: h.sum.Load(), Min: h.min.Load(), Max: h.max.Load()}
@@ -402,9 +321,6 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		}
 		hs.Quantiles = quantiles(&counts, hs.Count, hs.Min, hs.Max)
-		if win, ok := h.window(epoch); ok {
-			hs.Window = win
-		}
 		snap.Histograms = append(snap.Histograms, hs)
 	}
 	sort.Slice(snap.Counters, func(i, j int) bool {
@@ -419,39 +335,8 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// window folds the histogram's live slots (epoch within the last winSlots
-// intervals ending at now) into one WindowSnap. ok is false when the
-// window holds no observations.
-func (h *histogram) window(now int64) (*WindowSnap, bool) {
-	var (
-		counts [65]uint64
-		count  uint64
-		sum    uint64
-	)
-	for i := range h.slots {
-		s := &h.slots[i]
-		e := s.epoch.Load()
-		if e < 0 || e <= now-winSlots || e > now {
-			continue
-		}
-		count += s.count.Load()
-		sum += s.sum.Load()
-		for b := range s.buckets {
-			counts[b] += s.buckets[b].Load()
-		}
-	}
-	if count == 0 {
-		return nil, false
-	}
-	win := &WindowSnap{Seconds: WindowSeconds, Count: count, Sum: sum,
-		Mean: float64(sum) / float64(count)}
-	win.Quantiles = quantiles(&counts, count, 0, math.MaxUint64)
-	return win, true
-}
-
-// quantiles estimates p50/p90/p99/p999 from power-of-two bucket counts.
-// min/max clamp the extreme estimates when the caller tracks them
-// (cumulative histograms do; windows pass the full range).
+// quantiles estimates p50/p90/p99/p999 from power-of-two bucket counts;
+// the histogram's min/max clamp the extreme estimates.
 func quantiles(counts *[65]uint64, total, min, max uint64) Quantiles {
 	return Quantiles{
 		P50:  quantile(counts, total, 0.50, min, max),

@@ -20,8 +20,7 @@ import (
 //   - counters -> counter families;
 //   - gauges -> gauge families;
 //   - histograms -> summary families: {quantile="0.5|0.9|0.99|0.999"}
-//     series plus _sum and _count, with _min/_max as companion gauges and
-//     the rolling window as a separate _window summary family.
+//     series plus _sum and _count, with _min/_max as companion gauges.
 
 // PromName mangles a registry metric name into a legal Prometheus metric
 // name (see the package rules above).
@@ -102,7 +101,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	}
 	// All series of one family must stay contiguous, so each run of
 	// histogram snapshots sharing a metric (they arrive sorted) is emitted
-	// family by family: summary, then _min, _max, and _window companions.
+	// family by family: summary, then the _min and _max companions.
 	for i := 0; i < len(snap.Histograms); {
 		j := i
 		for j < len(snap.Histograms) && snap.Histograms[j].Metric == snap.Histograms[i].Metric {
@@ -123,22 +122,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		header(name+"_max", "gauge")
 		for _, h := range run {
 			promSeries(bw, name+"_max", h.Label, "", h.Max)
-		}
-		windowed := false
-		for _, h := range run {
-			if h.Window != nil {
-				windowed = true
-			}
-		}
-		if windowed {
-			header(name+"_window", "summary")
-			for _, h := range run {
-				if win := h.Window; win != nil {
-					quantileSeries(name+"_window", h.Label, win.Quantiles)
-					promSeries(bw, name+"_window_sum", h.Label, "", win.Sum)
-					promSeries(bw, name+"_window_count", h.Label, "", win.Count)
-				}
-			}
 		}
 		i = j
 	}

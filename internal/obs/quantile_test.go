@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // refQuantile is the nearest-rank quantile over the exact sorted samples —
@@ -145,58 +144,6 @@ func TestQuantileSingleObservation(t *testing.T) {
 	}
 }
 
-// TestWindowRollsOver drives the rolling window with a fake clock: recent
-// observations appear in the window snapshot, and observations older than
-// WindowSeconds age out while the all-time stats keep them.
-func TestWindowRollsOver(t *testing.T) {
-	r := NewRegistry()
-	now := time.Unix(1_000_000, 0)
-	r.now = func() time.Time { return now }
-
-	for i := 0; i < 100; i++ {
-		r.Observe("lat", "", 1000)
-	}
-	hs := r.Snapshot().Histograms[0]
-	if hs.Window == nil {
-		t.Fatal("fresh observations missing from the window")
-	}
-	if hs.Window.Count != 100 {
-		t.Errorf("window count %d, want 100", hs.Window.Count)
-	}
-	if hs.Window.Seconds != WindowSeconds {
-		t.Errorf("window covers %ds, want %ds", hs.Window.Seconds, WindowSeconds)
-	}
-
-	// Advance past the window: the old observations age out of the window
-	// but stay in the cumulative stats.
-	now = now.Add(time.Duration(WindowSeconds+11) * time.Second)
-	for i := 0; i < 5; i++ {
-		r.Observe("lat", "", 2000)
-	}
-	hs = r.Snapshot().Histograms[0]
-	if hs.Count != 105 {
-		t.Errorf("cumulative count %d, want 105", hs.Count)
-	}
-	if hs.Window == nil {
-		t.Fatal("window empty despite fresh observations")
-	}
-	if hs.Window.Count != 5 {
-		t.Errorf("window count %d after rollover, want 5 (old slots must age out)", hs.Window.Count)
-	}
-	// The window estimate is bucketed: it must land in 2000's bucket
-	// ([1024, 2047]) — and decisively not in the aged-out 1000s' bucket.
-	if bucketOf(hs.Window.P50) != bucketOf(2000) {
-		t.Errorf("window p50 %d is outside 2000's bucket — stale slots leaked into the window", hs.Window.P50)
-	}
-
-	// A fully idle window disappears from the snapshot.
-	now = now.Add(time.Duration(WindowSeconds+11) * time.Second)
-	hs = r.Snapshot().Histograms[0]
-	if hs.Window != nil {
-		t.Errorf("idle window still present: %+v", hs.Window)
-	}
-}
-
 // TestPromExposition pins the Prometheus text encoding: mangled names, TYPE
 // headers, quantile series, and family contiguity (every line of a family
 // adjacent — Prometheus parsers reject interleaved families).
@@ -223,7 +170,6 @@ func TestPromExposition(t *testing.T) {
 		`server_latency_ns_sum{label="/analyze"}`,
 		`server_latency_ns_count{label="/analyze"} 100`,
 		"# TYPE server_latency_ns_min gauge",
-		"# TYPE server_latency_ns_window summary",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition lacks %q:\n%s", want, out)

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"extra/internal/batch"
-	"extra/internal/obs"
 )
 
 func faultRes(outcome string) batch.Result {
@@ -120,68 +118,5 @@ func TestBreakerFailedProbeRestartsCooldown(t *testing.T) {
 	}
 	if _, open := b.admit(probeAt.Add(cooldown+time.Millisecond), cooldown); open {
 		t.Fatal("no probe after the restarted cooldown")
-	}
-}
-
-// TestBreakerSetBounded: 10k distinct junk keys cannot grow the table past
-// its bound; evictions prefer idle breakers and are counted.
-func TestBreakerSetBounded(t *testing.T) {
-	m := obs.NewRegistry()
-	bs := &breakerSet{max: 64, metrics: m}
-	for i := 0; i < 10000; i++ {
-		bs.get(fmt.Sprintf("junk/%d", i))
-	}
-	if got := bs.len(); got > 64 {
-		t.Fatalf("breaker table holds %d entries past its 64-entry bound", got)
-	}
-	if got := m.Total("server.breaker_evict"); got != 10000-64 {
-		t.Errorf("server.breaker_evict total = %d, want %d", got, 10000-64)
-	}
-	if m.Counter("server.breaker_evict", "idle") != 10000-64 {
-		t.Error("evictions of closed idle breakers not labeled idle")
-	}
-
-	// An open breaker is the last to go: with one tripped entry and the rest
-	// idle, churning fresh keys evicts around it.
-	trippedKey := "junk/9999"
-	tb := bs.get(trippedKey)
-	tb.record(faultRes("panic"), 1, time.Now())
-	if !tb.open {
-		t.Fatal("breaker did not trip")
-	}
-	for i := 0; i < 200; i++ {
-		bs.get(fmt.Sprintf("churn/%d", i))
-	}
-	bs.mu.Lock()
-	_, kept := bs.m[trippedKey]
-	bs.mu.Unlock()
-	if !kept {
-		t.Error("an open breaker was evicted while idle ones remained")
-	}
-
-	// The default bound applies when the config does not set one.
-	def := &breakerSet{metrics: m}
-	for i := 0; i < 2000; i++ {
-		def.get(fmt.Sprintf("d/%d", i))
-	}
-	if got := def.len(); got != defaultBreakerMax {
-		t.Errorf("default-bounded table holds %d entries, want %d", got, defaultBreakerMax)
-	}
-}
-
-// TestBreakerSetAllOpenStillBounded: when every breaker is open (no idle
-// victim), the least-recently-used one is evicted anyway — the bound wins.
-func TestBreakerSetAllOpenStillBounded(t *testing.T) {
-	m := obs.NewRegistry()
-	bs := &breakerSet{max: 8, metrics: m}
-	for i := 0; i < 32; i++ {
-		b := bs.get(fmt.Sprintf("open/%d", i))
-		b.record(faultRes("panic"), 1, time.Now())
-	}
-	if got := bs.len(); got > 8 {
-		t.Fatalf("all-open table holds %d entries past its 8-entry bound", got)
-	}
-	if m.Counter("server.breaker_evict", "open") == 0 {
-		t.Error("forced evictions of open breakers not labeled open")
 	}
 }

@@ -74,10 +74,6 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker serves its cached
 	// failure before letting one probe through. 0 means 30s.
 	BreakerCooldown time.Duration
-	// BreakerMax bounds the breaker table: past it, least-recently-used
-	// closed idle breakers are evicted (server.breaker_evict), so arbitrary
-	// request keys cannot grow the table without limit. 0 means 1024.
-	BreakerMax int
 	// Cache, when non-nil, serves warm analysis rows content-addressed by
 	// the (operator, instruction) description digest — consulted before
 	// admission, so warm hits and coalesced duplicates never occupy a
@@ -150,7 +146,10 @@ type Server struct {
 	workers  chan struct{}
 	inSystem atomic.Int64 // requests admitted (waiting + running)
 	draining atomic.Bool
-	breakers breakerSet
+	// breakers holds one circuit breaker per catalog machine/instruction.
+	// Requests outside the catalog are refused before any breaker is
+	// touched, so the table is built once in New and read without a lock.
+	breakers map[string]*breaker
 	// avgServiceNS is an exponentially-weighted moving average of observed
 	// analysis service times, feeding the Retry-After estimate on shed.
 	avgServiceNS atomic.Int64
@@ -165,13 +164,15 @@ func New(cfg Config) *Server {
 		catalog = append(proofs.Table2(), proofs.Extensions()...)
 	}
 	byPair := make(map[string]*proofs.Analysis, len(catalog))
+	breakers := map[string]*breaker{}
 	for _, a := range catalog {
 		byPair[a.Instruction+"/"+a.Operator] = a
+		if key := a.Machine + "/" + a.Instruction; breakers[key] == nil {
+			breakers[key] = &breaker{}
+		}
 	}
-	s := &Server{cfg: cfg, catalog: catalog, byPair: byPair}
+	s := &Server{cfg: cfg, catalog: catalog, byPair: byPair, breakers: breakers}
 	s.workers = make(chan struct{}, workerCount(cfg.Jobs))
-	s.breakers.max = cfg.BreakerMax
-	s.breakers.metrics = s.metrics()
 	s.workCtx, s.workStop = context.WithCancel(context.Background())
 	return s
 }
@@ -435,7 +436,7 @@ func (s *Server) runPair(ctx context.Context, a *proofs.Analysis) (batch.Result,
 	threshold := s.cfg.breakerThreshold()
 	var br *breaker
 	if threshold > 0 {
-		br = s.breakers.get(key)
+		br = s.breakers[key]
 		if cached, open := br.admit(time.Now(), s.cfg.breakerCooldown()); open {
 			m.Inc("server.breaker_fastpath", key)
 			tr.Event("server.breaker", map[string]any{"pair": key, "decision": "fastpath"})
@@ -481,7 +482,7 @@ func (s *Server) writeResult(w http.ResponseWriter, req *http.Request, res batch
 		// arriving late in the cooldown should come back for the probe, not
 		// a whole cooldown later.
 		retry := s.cfg.breakerCooldown()
-		if br := s.breakers.peek(res.Machine + "/" + res.Instruction); br != nil {
+		if br := s.breakers[res.Machine+"/"+res.Instruction]; br != nil {
 			retry = br.remaining(time.Now(), s.cfg.breakerCooldown())
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)+1))
@@ -668,7 +669,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 			if _, warm := completed[batch.AnalysisKey(a)]; warm {
 				continue // a content-addressed success outranks a cached failure
 			}
-			br := s.breakers.get(a.Machine + "/" + a.Instruction)
+			br := s.breakers[a.Machine+"/"+a.Instruction]
 			if cached, open := br.admit(now, s.cfg.breakerCooldown()); open {
 				m.Inc("server.breaker_fastpath", a.Machine+"/"+a.Instruction)
 				completed[batch.AnalysisKey(a)] = cached
@@ -686,7 +687,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		OnResult: func(res batch.Result) {
 			if threshold > 0 {
 				key := res.Machine + "/" + res.Instruction
-				if s.breakers.get(key).record(res, threshold, time.Now()) {
+				if s.breakers[key].record(res, threshold, time.Now()) {
 					m.Inc("server.breaker_trip", key)
 				}
 			}

@@ -269,7 +269,7 @@ func TestBreakerRetryAfterRemainingCooldown(t *testing.T) {
 		t.Fatalf("freshly opened: Retry-After = %ds, want ~%v", got, cooldown)
 	}
 	backdate := func(age time.Duration) {
-		br := s.breakers.peek(key)
+		br := s.breakers[key]
 		if br == nil {
 			t.Fatal("no breaker for the tripped pair")
 		}
