@@ -255,8 +255,7 @@ func usage(w io.Writer) {
                             latency percentiles split warm/cold/coalesced
                             (-url URL or in-process server; -concurrency N,
                              -rate R open-loop req/s, -duration D, -requests N,
-                             -warm-frac F, -pairs A/B,C/D, -seed N, -json FILE,
-                             -bench prints go-bench lines for cmd/benchjson;
+                             -warm-frac F, -pairs A/B,C/D, -seed N, -json FILE;
                              -slo-max-5xx N and -slo-warm-p99-lt-cold-p50
                              turn the run into a CI gate)
 
@@ -1004,11 +1003,6 @@ func batchCmd(ctx context.Context, args []string) error {
 	return nil
 }
 
-// serveCmd runs the analysis service until SIGINT/SIGTERM, then drains.
-// `-journal FILE` appends every served analysis row to the same crash-safe
-// JSONL journal the batch command uses; `--trace FILE` streams every
-// request's span tree (ingress, admission, cache, engine — all stamped with
-// the request's trace ID) as JSON lines.
 // discoverCmd runs the durable discovery sweep: the unproven instruction x
 // operator cross-product, a crash-safe work-list journal under -dir, and a
 // report ranking whatever the bounded auto-search proves by simulated cycle
@@ -1170,6 +1164,11 @@ func splitCSV(s string) []string {
 	return out
 }
 
+// serveCmd runs the analysis service until SIGINT/SIGTERM, then drains.
+// `-journal FILE` appends every served analysis row to the same crash-safe
+// JSONL journal the batch command uses; `--trace FILE` streams every
+// request's span tree (ingress, admission, cache, engine — all stamped with
+// the request's trace ID) as JSON lines.
 func serveCmd(ctx context.Context, traceFile string, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8372", "listen `address` (host:port; port 0 picks a free port)")
@@ -1264,13 +1263,12 @@ func loadgenCmd(ctx context.Context, args []string) error {
 	rate := fs.Float64("rate", 0, "open-loop request rate per second (0 = closed loop)")
 	duration := fs.Duration("duration", 5*time.Second, "measured-phase length")
 	requests := fs.Int("requests", 0, "total request bound (0 = duration-bound)")
-	warmFrac := fs.Float64("warm-frac", 0.8, "fraction of requests aimed at the pre-warmed hot pair set")
+	warmFrac := fs.Float64("warm-frac", 0.8, "fraction of requests aimed at the pre-warmed hot pair (the first target)")
 	pairsFlag := fs.String("pairs", "", "comma-separated INSTRUCTION/OPERATOR targets (empty = full proof catalog)")
 	seed := fs.Int64("seed", 1, "target-selection RNG seed (deterministic request mix)")
-	prewarm := fs.Bool("prewarm", true, "issue one unmeasured request per hot pair before measuring")
+	prewarm := fs.Bool("prewarm", true, "issue one unmeasured request for the hot pair before measuring")
 	validate := fs.Int("validate", 0, "in-process server only: differential-validation inputs per served analysis (0 = off)")
 	jsonOut := fs.String("json", "", "write the report JSON to `file` (\"-\" = stdout)")
-	bench := fs.Bool("bench", false, "print go-test-bench result lines (pipe into cmd/benchjson)")
 	sloMax5xx := fs.Int("slo-max-5xx", -1, "gate: fail when more than `N` 5xx responses (-1 = no gate)")
 	sloWarmCold := fs.Bool("slo-warm-p99-lt-cold-p50", false, "gate: fail unless warm-hit p99 < cold-miss p50")
 	if err := fs.Parse(args); err != nil {
@@ -1335,7 +1333,7 @@ func loadgenCmd(ctx context.Context, args []string) error {
 		}
 		verdict = rep.Evaluate(slo)
 	}
-	if err := writeLoadgenReport(rep, *jsonOut, *bench); err != nil {
+	if err := writeLoadgenReport(rep, *jsonOut); err != nil {
 		return err
 	}
 	if gated && !verdict.Pass {
@@ -1344,10 +1342,9 @@ func loadgenCmd(ctx context.Context, args []string) error {
 	return nil
 }
 
-// writeLoadgenReport emits the report: JSON to -json's target, bench lines
-// to stdout under -bench, and a human summary to stderr so it never
-// corrupts a piped report.
-func writeLoadgenReport(rep *loadgen.Report, jsonOut string, bench bool) error {
+// writeLoadgenReport emits the report: JSON to -json's target and a human
+// summary to stderr so it never corrupts a piped report.
+func writeLoadgenReport(rep *loadgen.Report, jsonOut string) error {
 	if jsonOut != "" {
 		w := io.Writer(os.Stdout)
 		if jsonOut != "-" {
@@ -1361,11 +1358,6 @@ func writeLoadgenReport(rep *loadgen.Report, jsonOut string, bench bool) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-	}
-	if bench {
-		if err := rep.WriteBench(os.Stdout, "Serve"); err != nil {
 			return err
 		}
 	}

@@ -92,6 +92,7 @@ func TestCommandErrors(t *testing.T) {
 		{"batch", "-check-hashes"},
 		{"analyze", "-check-hashes", "scasb/index"},
 		{"gateway", "-workers", "3"},              // no shard gateway: an unknown command
+		{"loadgen", "-bench"},                     // no go-bench lines: ci.sh reads the benchmarks' own output
 		{"analyze", "scasb/index", "--timeout"},   // missing duration as final arg
 		{"analyze", "scasb/index", "--timeout=0"}, // zero timeout is rejected
 	}

@@ -34,17 +34,12 @@ import (
 type Config struct {
 	// BaseURL is the target service root, e.g. "http://127.0.0.1:8372".
 	BaseURL string
-	// Client issues the requests; nil means a dedicated client with a
-	// 2-minute timeout (an analysis can legitimately take that long cold).
-	Client *http.Client
 	// Pairs are the /analyze targets ("INSTRUCTION/OPERATOR"). Requests
 	// rotate over them; must be non-empty.
 	Pairs []string
-	// HotPairs, when non-empty, is the pre-warmed subset that WarmFrac
-	// steers traffic toward; empty means Pairs[0:1].
-	HotPairs []string
-	// WarmFrac is the probability a request targets a hot pair instead of
-	// rotating through the full list (0 = pure rotation, 1 = hot only).
+	// WarmFrac is the probability a request targets the hot pair, Pairs[0],
+	// instead of rotating through the full list (0 = pure rotation, 1 = hot
+	// only).
 	WarmFrac float64
 	// Concurrency is the worker count (closed loop) or the drain pool size
 	// (open loop). 0 means 8.
@@ -57,7 +52,7 @@ type Config struct {
 	// Requests bounds the total measured request count. 0 means Duration
 	// bounds it; both zero is a config error.
 	Requests int
-	// Prewarm issues one unmeasured request per hot pair before the
+	// Prewarm issues one unmeasured request for the hot pair before the
 	// measured phase, so "warm" means warm from the first sample.
 	Prewarm bool
 	// Seed makes target selection deterministic; 0 means 1.
@@ -69,20 +64,6 @@ func (c *Config) concurrency() int {
 		return c.Concurrency
 	}
 	return 8
-}
-
-func (c *Config) hot() []string {
-	if len(c.HotPairs) > 0 {
-		return c.HotPairs
-	}
-	return c.Pairs[:1]
-}
-
-func (c *Config) client() *http.Client {
-	if c.Client != nil {
-		return c.Client
-	}
-	return &http.Client{Timeout: 2 * time.Minute}
 }
 
 // LatencyStats summarizes one latency sample set in nanoseconds. The
@@ -160,16 +141,13 @@ type Report struct {
 
 // SLO is a latency/error objective the report can be gated on.
 type SLO struct {
-	// Max5xx is the tolerated 5xx response count (0 = none).
+	// Max5xx is the tolerated 5xx response count (0 = none). Any transport
+	// error is a violation.
 	Max5xx int
-	// MaxErrors is the tolerated transport-error count (0 = none).
-	MaxErrors int
 	// WarmP99LTColdP50 requires warm-hit p99 below cold-miss p50 — the
 	// "the cache is actually doing its job" invariant. Skipped (with a
 	// violation) when either bucket has no samples.
 	WarmP99LTColdP50 bool
-	// MaxWarmP99 bounds the warm p99 absolutely when positive.
-	MaxWarmP99 time.Duration
 }
 
 // SLOResult is the gate verdict: Pass and the specific violations.
@@ -185,8 +163,8 @@ func (r *Report) Evaluate(slo SLO) SLOResult {
 	if r.Server5xx > slo.Max5xx {
 		v = append(v, fmt.Sprintf("%d 5xx responses (tolerated %d)", r.Server5xx, slo.Max5xx))
 	}
-	if r.Errors > slo.MaxErrors {
-		v = append(v, fmt.Sprintf("%d transport errors (tolerated %d)", r.Errors, slo.MaxErrors))
+	if r.Errors > 0 {
+		v = append(v, fmt.Sprintf("%d transport errors", r.Errors))
 	}
 	if slo.WarmP99LTColdP50 {
 		switch {
@@ -199,46 +177,9 @@ func (r *Report) Evaluate(slo SLO) SLOResult {
 				time.Duration(r.Warm.P99NS), time.Duration(r.Cold.P50NS)))
 		}
 	}
-	if slo.MaxWarmP99 > 0 && time.Duration(r.Warm.P99NS) > slo.MaxWarmP99 {
-		v = append(v, fmt.Sprintf("warm p99 %v > %v", time.Duration(r.Warm.P99NS), slo.MaxWarmP99))
-	}
 	res := SLOResult{Pass: len(v) == 0, Violations: v}
 	r.SLO = &res
 	return res
-}
-
-// WriteBench writes the report as `go test -bench`-style result lines, so
-// the numbers flow through cmd/benchjson into a committed BENCH file:
-//
-//	BenchmarkServeWarm 100 12345 p50-ns 23456 p99-ns
-//
-// The first numeric column (the "iteration count") is the bucket's sample
-// count, which is what it genuinely is.
-func (r *Report) WriteBench(w io.Writer, prefix string) error {
-	row := func(name string, s LatencyStats) error {
-		if s.Count == 0 {
-			return nil
-		}
-		_, err := fmt.Fprintf(w, "Benchmark%s%s %d %d p50-ns %d p90-ns %d p99-ns %d max-ns\n",
-			prefix, name, s.Count, s.P50NS, s.P90NS, s.P99NS, s.MaxNS)
-		return err
-	}
-	if err := row("Warm", r.Warm); err != nil {
-		return err
-	}
-	if err := row("Cold", r.Cold); err != nil {
-		return err
-	}
-	if err := row("Coalesced", r.Coalesced); err != nil {
-		return err
-	}
-	if r.Overall.Count > 0 {
-		if _, err := fmt.Fprintf(w, "Benchmark%sOverall %d %d p50-ns %d p99-ns %.1f rps\n",
-			prefix, r.Overall.Count, r.Overall.P50NS, r.Overall.P99NS, r.ThroughputRPS); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // sample is one measured request.
@@ -275,14 +216,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Duration <= 0 && cfg.Requests <= 0 {
 		return nil, errors.New("loadgen: need a Duration or a Requests bound")
 	}
-	client := cfg.client()
+	// A cold analysis can legitimately take minutes.
+	client := &http.Client{Timeout: 2 * time.Minute}
 	if cfg.Prewarm {
-		for _, p := range cfg.hot() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			doRequest(ctx, client, cfg.BaseURL, p) // unmeasured
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		doRequest(ctx, client, cfg.BaseURL, cfg.Pairs[0]) // unmeasured
 	}
 	runCtx := ctx
 	if cfg.Duration > 0 {
@@ -403,11 +343,11 @@ func workerRNG(seed int64, worker int) *rand.Rand {
 }
 
 // pick selects the next request target: WarmFrac steers toward the hot
-// set, the rest rotates uniformly over the full pair list.
+// pair, the rest rotates uniformly over the full pair list.
 func pick(rng *rand.Rand, cfg *Config) string {
 	if cfg.WarmFrac > 0 && rng.Float64() < cfg.WarmFrac {
-		hot := cfg.hot()
-		return hot[rng.Intn(len(hot))]
+		rng.Int31() // the draw rng.Intn(1) takes; seeded request sequences depend on it
+		return cfg.Pairs[0]
 	}
 	return cfg.Pairs[rng.Intn(len(cfg.Pairs))]
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 )
@@ -88,36 +87,8 @@ func TestSLOEvaluate(t *testing.T) {
 	if v := empty.Evaluate(SLO{WarmP99LTColdP50: true}); v.Pass {
 		t.Error("no samples must not silently pass the warm/cold gate")
 	}
-}
-
-// TestWriteBench: the emitted lines satisfy cmd/benchjson's input contract
-// (Benchmark prefix, integer second field, value/unit pairs).
-func TestWriteBench(t *testing.T) {
-	rep := &Report{
-		ThroughputRPS: 123.4,
-		Overall:       LatencyStats{Count: 110, P50NS: 100, P99NS: 900, MaxNS: 1000},
-		Warm:          LatencyStats{Count: 100, P50NS: 50, P90NS: 80, P99NS: 90, MaxNS: 95},
-		Cold:          LatencyStats{Count: 10, P50NS: 5000, P90NS: 8000, P99NS: 9000, MaxNS: 9500},
-	}
-	var sb strings.Builder
-	if err := rep.WriteBench(&sb, "Serve"); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d bench lines, want 3 (coalesced empty → skipped):\n%s", len(lines), sb.String())
-	}
-	for _, line := range lines {
-		f := strings.Fields(line)
-		if !strings.HasPrefix(f[0], "Benchmark") {
-			t.Errorf("line %q lacks the Benchmark prefix", line)
-		}
-		if len(f) < 4 || len(f)%2 != 0 {
-			t.Errorf("line %q is not name + count + value/unit pairs", line)
-		}
-	}
-	if !strings.Contains(sb.String(), "BenchmarkServeWarm 100 50 p50-ns") {
-		t.Errorf("warm line malformed:\n%s", sb.String())
+	if v := (&Report{Errors: 1}).Evaluate(SLO{}); v.Pass {
+		t.Error("a transport error must violate every SLO")
 	}
 }
 

@@ -15,7 +15,6 @@
 package obs
 
 import (
-	"expvar"
 	"sync"
 	"sync/atomic"
 )
@@ -56,12 +55,3 @@ func Trace() *Tracer { return defaultTracer.Load() }
 // SetTrace swaps the process-wide tracer and returns the previous one.
 // Pass nil to disable.
 func SetTrace(t *Tracer) *Tracer { return defaultTracer.Swap(t) }
-
-// init publishes the default registry's snapshot under expvar, so any
-// process that imports the pipeline and serves http/pprof also serves its
-// metrics at /debug/vars.
-func init() {
-	expvar.Publish("extra_metrics", expvar.Func(func() any {
-		return Default().Snapshot()
-	}))
-}

@@ -158,7 +158,7 @@ func TestWorkloadUnknownClass(t *testing.T) {
 }
 
 // BenchmarkSynth measures one binding's full enumerate-verify-rank cycle;
-// ci turns this into BENCH_PR10.json.
+// ci.sh gates its allocations.
 func BenchmarkSynth(b *testing.B) {
 	cfg := Config{Seed: 1, Bindings: []string{"VAX-11/movc3/sassign"}}
 	b.ReportAllocs()
