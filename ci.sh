@@ -111,6 +111,13 @@ rm -f "$BENCH"
 # content negotiation), check the response is trace-stamped, then SIGTERM
 # and require a clean (exit 0) graceful drain.
 go build -o /tmp/extra_ci ./cmd/extra
+# An out-of-range flag is refused before the server listens: exit 1 within
+# 10 s and no "serving on" line.
+BAD_LOG=$(mktemp)
+BAD_RC=0
+timeout 10 /tmp/extra_ci serve -addr 127.0.0.1:0 -request-timeout -1s >"$BAD_LOG" 2>&1 || BAD_RC=$?
+if [ "$BAD_RC" -ne 1 ] || grep -q '^serving on' "$BAD_LOG"; then exit 1; fi
+rm -f "$BAD_LOG"
 SERVE_LOG=$(mktemp)
 /tmp/extra_ci serve -addr 127.0.0.1:0 >"$SERVE_LOG" &
 SERVE_PID=$!

@@ -132,7 +132,7 @@ func TestDiscoverResumeRejectsFlagDrift(t *testing.T) {
 	if err := run(strings.Fields("discover -dir " + dir + " -jobs 2 " + discoverFlags)); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	err := run(strings.Fields("discover -dir " + dir + " -jobs 2 -resume -attempts 7 " + discoverFlags))
+	err := run(strings.Fields("discover -dir " + dir + " -jobs 2 -resume -each-timeout 7s " + discoverFlags))
 	if err == nil {
 		t.Fatal("resume with drifted flags succeeded; want a config-fingerprint rejection")
 	}

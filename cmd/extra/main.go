@@ -204,7 +204,6 @@ func usage(w io.Writer) {
                              exported as {label="..."})
   extra batch               run the full proof catalog concurrently
                             (-jobs N, -validate N, -each-timeout D,
-                             -retries N re-runs timeout/panic rows,
                              -json FILE | -jsonl FILE atomic reports ("-" = stdout),
                              -jsonl journals crash-safe; -resume FILE skips
                              rows journaled by a killed run;
@@ -217,10 +216,9 @@ func usage(w io.Writer) {
                             (-dir DIR holds queue.jsonl + poison.jsonl +
                              report.json; -resume continues a killed sweep
                              byte-identically; -jobs N, -depth D, -budget B,
-                             -rungs R shape the search ladder; -attempts N
-                             faulting runs before a candidate is quarantined
-                             to the poison.jsonl dead-letter;
-                             -each-timeout D;
+                             -rungs R shape the search ladder; a candidate
+                             whose run faults is quarantined to the
+                             poison.jsonl dead-letter; -each-timeout D;
                              -machines CSV, -operators CSV filter the
                              cross-product; -cache-dir DIR dedups candidates
                              across runs via the content-addressed cache;
@@ -772,8 +770,8 @@ func faultDrill(ctx context.Context) error {
 // stats report always carries its counters: a two-candidate sweep in a
 // throwaway directory — one auto-provable pair labeled as the movsb/sassign
 // emitter site (discover.found plus a real discover.savings.cycles gauge
-// from the simulator) and one candidate armed to panic on every attempt
-// (discover.poison, quarantined to the dead-letter file).
+// from the simulator) and one candidate armed to panic (discover.poison,
+// quarantined to the dead-letter file).
 func discoveryDrill(ctx context.Context) error {
 	dir, err := os.MkdirTemp("", "extra-discover-drill-")
 	if err != nil {
@@ -836,7 +834,6 @@ func batchCmd(ctx context.Context, args []string) error {
 	jobs := fs.Int("jobs", 0, "worker count (0 = GOMAXPROCS)")
 	validate := fs.Int("validate", 0, "differential-validation inputs per analysis (0 = off)")
 	eachTimeout := fs.Duration("each-timeout", 0, "per-analysis timeout (0 = none)")
-	retries := fs.Int("retries", 0, "re-run timeout/panic rows up to `N` times with doubled budget")
 	asJSON := fs.String("json", "", "write one JSON document (rows + summary) atomically to `file` (\"-\" = stdout)")
 	asJSONL := fs.String("jsonl", "", "journal rows to `file` as crash-safe JSONL (\"-\" = stdout, not crash-safe)")
 	resume := fs.String("resume", "", "skip rows already journaled in `file` (a previous -jsonl run)")
@@ -844,11 +841,11 @@ func batchCmd(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkRanges(fs, map[string]int{"jobs": 0, "validate": 0}); err != nil {
+		return err
+	}
 	if *asJSON != "" && *asJSONL != "" {
 		return fmt.Errorf("-json and -jsonl are mutually exclusive")
-	}
-	if *retries < 0 {
-		return fmt.Errorf("-retries must be >= 0, got %d", *retries)
 	}
 	// Every batch run gets a trace ID, stamped onto each row it executes —
 	// the handle that joins a journal row or report row back to this run.
@@ -857,22 +854,22 @@ func batchCmd(ctx context.Context, args []string) error {
 	fmt.Fprintf(os.Stderr, "batch: run trace %s\n", runTrace)
 	catalog := append(proofs.Table2(), proofs.Extensions()...)
 	// The run-config fingerprint covers every input that changes what a row
-	// means: the validation count and retry ladder (they land in row fields)
-	// and the catalog itself (a row set from an older catalog must not be
-	// silently mixed into a newer one on resume).
-	cfgParts := []string{"batch", "validate=" + strconv.Itoa(*validate), "retries=" + strconv.Itoa(*retries)}
+	// means: the validation count (it lands in row fields) and the catalog
+	// itself (a row set from an older catalog must not be silently mixed
+	// into a newer one on resume).
+	cfgParts := []string{"batch", "validate=" + strconv.Itoa(*validate)}
 	for _, a := range catalog {
 		cfgParts = append(cfgParts, batch.AnalysisKey(a))
 	}
 	runConfig := batch.ConfigDigest(cfgParts...)
-	r := &batch.Runner{Jobs: *jobs, Validate: *validate, EachTimeout: *eachTimeout, Retries: *retries}
+	r := &batch.Runner{Jobs: *jobs, Validate: *validate, EachTimeout: *eachTimeout}
 	if *resume != "" {
 		prior, priorConfig, err := batch.ReadJournal[batch.Result](*resume)
 		if err != nil {
 			return fmt.Errorf("-resume: %v", err)
 		}
 		if priorConfig != "" && priorConfig != runConfig {
-			return fmt.Errorf("-resume: journal %s was written under config %s, this run is %s (different -validate/-retries/catalog); resume with matching flags or start fresh", *resume, priorConfig, runConfig)
+			return fmt.Errorf("-resume: journal %s was written under config %s, this run is %s (different -validate/catalog); resume with matching flags or start fresh", *resume, priorConfig, runConfig)
 		}
 		r.Completed = batch.CompletedFrom(prior)
 	}
@@ -1006,8 +1003,8 @@ func batchCmd(ctx context.Context, args []string) error {
 // discoverCmd runs the durable discovery sweep: the unproven instruction x
 // operator cross-product, a crash-safe work-list journal under -dir, and a
 // report ranking whatever the bounded auto-search proves by simulated cycle
-// savings. A killed sweep resumes with -resume; repeatedly faulting
-// candidates land in -dir/poison.jsonl instead of wedging the run.
+// savings. A killed sweep resumes with -resume; a candidate whose run
+// faults lands in -dir/poison.jsonl instead of wedging the run.
 func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 	fs := flag.NewFlagSet("discover", flag.ContinueOnError)
 	dir := fs.String("dir", "", "durable sweep `directory`: queue.jsonl (WAL), poison.jsonl (dead-letter), report.json")
@@ -1015,14 +1012,16 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 	depth := fs.Int("depth", 3, "auto-search ladder: first rung's max depth")
 	budget := fs.Int("budget", 1000, "auto-search ladder: first rung's state budget")
 	rungs := fs.Int("rungs", 2, "auto-search ladder rungs (each doubles depth and quadruples budget)")
-	attempts := fs.Int("attempts", 2, "faulting attempts per candidate before it is quarantined as poison")
-	eachTimeout := fs.Duration("each-timeout", 0, "per-attempt deadline (0 = none)")
+	eachTimeout := fs.Duration("each-timeout", 0, "per-candidate deadline (0 = none)")
 	resume := fs.Bool("resume", false, "replay -dir's WAL and continue the interrupted sweep")
 	cacheDir := fs.String("cache-dir", "", "dedup candidates across runs via the content-addressed cache in `directory`")
 	machinesCSV := fs.String("machines", "", "restrict the sweep to these machine or instruction `names` (comma-separated)")
 	operatorsCSV := fs.String("operators", "", "restrict the sweep to these language, operation, or operator `names` (comma-separated)")
-	injectPanic := fs.String("inject-panic", "", "arm a deterministic panic at candidate `INS/OP` every attempt (chaos testing)")
+	injectPanic := fs.String("inject-panic", "", "arm a deterministic panic at candidate `INS/OP`, quarantining it as poison (chaos testing)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkRanges(fs, map[string]int{"jobs": 0, "depth": 1, "budget": 1, "rungs": 1}); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
@@ -1056,7 +1055,6 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 			Dir:         *dir,
 			Jobs:        *jobs,
 			Ladder:      core.AutoLadder(*depth, *budget, *rungs),
-			Attempts:    *attempts,
 			EachTimeout: *eachTimeout,
 			Resume:      *resume,
 			Cache:       ch,
@@ -1151,6 +1149,32 @@ func synthCmd(ctx context.Context, traceFile string, args []string) error {
 	})
 }
 
+// checkRanges refuses out-of-range numeric flags before a command does any
+// work or listens: each int flag named in floor must be at least its bound,
+// and no duration flag may be negative. An int flag left out of floor
+// (serve's -cache-entries, whose negative value means disk tier only) is
+// not checked.
+func checkRanges(fs *flag.FlagSet, floor map[string]int) error {
+	var err error
+	fs.VisitAll(func(f *flag.Flag) {
+		g, ok := f.Value.(flag.Getter)
+		if err != nil || !ok {
+			return
+		}
+		switch v := g.Get().(type) {
+		case time.Duration:
+			if v < 0 {
+				err = fmt.Errorf("-%s must not be negative, got %v", f.Name, v)
+			}
+		case int:
+			if lo, ok := floor[f.Name]; ok && v < lo {
+				err = fmt.Errorf("-%s must be >= %d, got %d", f.Name, lo, v)
+			}
+		}
+	})
+	return err
+}
+
 func splitCSV(s string) []string {
 	if s == "" {
 		return nil
@@ -1182,6 +1206,9 @@ func serveCmd(ctx context.Context, traceFile string, args []string) error {
 	cacheEntries := fs.Int("cache-entries", 0, "in-memory result-cache entries (0 = 512, negative = disk tier only)")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serve mux")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkRanges(fs, map[string]int{"queue": 0, "jobs": 0, "validate": 0}); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {

@@ -49,6 +49,8 @@ func TestCommandsRun(t *testing.T) {
 		{"batch"},
 		{"batch", "-jobs", "4", "-jsonl", "-"},
 		{"batch", "-jobs", "2", "-validate", "3", "-json", "-"},
+		// A negative -cache-entries means disk tier only, not a range error.
+		{"serve", "-addr", "127.0.0.1:0", "-cache-entries", "-1", "--timeout", "1s"},
 	}
 	for _, args := range cases {
 		if err := run(args); err != nil {
@@ -58,7 +60,18 @@ func TestCommandsRun(t *testing.T) {
 }
 
 func TestCommandErrors(t *testing.T) {
-	sweepDir := t.TempDir()
+	// sweep builds a small discover command over a fresh directory, so a
+	// row that is wrongly accepted runs a short sweep and reports no error
+	// rather than tripping over an earlier row's journal.
+	sweep := func(flags ...string) []string {
+		return append(append([]string{"discover"}, flags...),
+			"-dir", t.TempDir(), "-machines", "VAX-11", "-operators", "Pascal")
+	}
+	// serve is bounded by --timeout, so a wrongly accepted row drains and
+	// reports no error instead of serving forever.
+	serve := func(flags ...string) []string {
+		return append(append([]string{"serve", "-addr", "127.0.0.1:0"}, flags...), "--timeout", "5s")
+	}
 	cases := [][]string{
 		{}, // no command: usage goes to stderr and the exit code is nonzero
 		{"bogus"},
@@ -78,17 +91,29 @@ func TestCommandErrors(t *testing.T) {
 		{"batch", "-bogusflag"},
 		{"batch", "-json", "-", "-jsonl", "-"}, // mutually exclusive report forms
 		{"batch", "-jsonl"},                    // -jsonl now needs a file argument
-		{"batch", "-retries", "-1"},
+		{"batch", "-retries", "1"},             // one run per analysis: no retry ladder
+		{"batch", "-jobs", "-1"},
+		{"batch", "-validate", "-1"},
+		{"batch", "-each-timeout", "-1s"},
 		{"batch", "-each-timeout", "1ns"}, // every analysis times out
 		{"serve", "-bogusflag"},
 		{"serve", "-addr"},             // missing value
 		{"serve", "positional"},        // serve takes no positional args
 		{"serve", "-addr", "nonsense"}, // no host:port shape
 		{"serve", "-addr", "127.0.0.1:99999"},
+		serve("-request-timeout", "-1s"),
+		serve("-queue", "-1"),
+		serve("-validate", "-1"),
+		sweep("-attempts", "2"), // one run per candidate: no attempt count
+		sweep("-depth", "-1"),
+		sweep("-budget", "0"),
+		sweep("-rungs", "-5"),
+		sweep("-jobs", "-1"),
+		sweep("-each-timeout", "-1s"),
 		// The sweep claims each candidate once: no leases, so no -lease-ttl.
-		{"discover", "-lease-ttl", "1s", "-dir", sweepDir},
+		sweep("-lease-ttl", "1s"),
 		// The search runs serially and has no collision-check flag.
-		{"discover", "-search-workers", "2", "-dir", sweepDir},
+		sweep("-search-workers", "2"),
 		{"batch", "-check-hashes"},
 		{"analyze", "-check-hashes", "scasb/index"},
 		{"gateway", "-workers", "3"},              // no shard gateway: an unknown command

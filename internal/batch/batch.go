@@ -61,16 +61,9 @@ type Runner struct {
 	// EachTimeout, when positive, bounds every single analysis; the batch
 	// context bounds the whole run either way.
 	EachTimeout time.Duration
-	// Retries re-runs rows whose outcome classified "timeout" or "panic" up
-	// to this many more times, doubling EachTimeout per attempt — the batch
-	// analog of core.AutoCompleteRetry's escalating rung ladder. Each retry
-	// counts batch.retried; a retried row that ends "ok" counts
-	// batch.recovered.
-	Retries int
 	// Completed maps Result.Key() to rows finished elsewhere — a resumed
-	// journal, a tripped circuit breaker's cached failure. Matching catalog
-	// rows are copied into the report without running, counted
-	// batch.skipped, and never reach OnResult.
+	// journal, a cache hit. Matching catalog rows are copied into the report
+	// without running, counted batch.skipped, and never reach OnResult.
 	Completed map[string]Result
 	// OnResult observes each freshly-executed row as it completes, in
 	// completion order (the journaling hook). Calls are serialized by the
@@ -102,14 +95,14 @@ func (r *Runner) metrics() *obs.Registry {
 	return obs.Default()
 }
 
-// Run executes every analysis and returns one Result per analysis, in input
-// order. Rows whose key appears in Completed are copied from there without
-// running. Worker goroutines claim the remaining analyses off a shared
-// cursor (see Pool). A canceled context does not stop the claiming: every
-// remaining analysis runs under it and reports "canceled", so Run still
-// returns one row per analysis. After the first pass, timeout/panic rows
-// climb the Retries ladder. Run never returns an error: failures are rows,
-// not aborts.
+// Run executes every analysis once and returns one Result per analysis, in
+// input order. Rows whose key appears in Completed are copied from there
+// without running. Worker goroutines claim the remaining analyses off a
+// shared cursor (see Pool); executed rows fan out through OnResult and
+// OnBound (serialized) in completion order. A canceled context does not stop
+// the claiming: every remaining analysis runs under it and reports
+// "canceled", so Run still returns one row per analysis. Run never returns
+// an error: failures are rows, not aborts.
 func (r *Runner) Run(ctx context.Context, analyses []*proofs.Analysis) []Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -125,52 +118,15 @@ func (r *Runner) Run(ctx context.Context, analyses []*proofs.Analysis) []Result 
 		}
 		pending = append(pending, i)
 	}
-	r.runIndices(ctx, r, analyses, pending, results)
-	for attempt := 1; attempt <= r.Retries && ctx.Err() == nil; attempt++ {
-		var retry []int
-		for _, i := range pending {
-			if o := results[i].Outcome; o == "timeout" || o == "panic" {
-				retry = append(retry, i)
-			}
-		}
-		if len(retry) == 0 {
-			break
-		}
-		// The escalated rung: same runner, wider per-analysis budget —
-		// EachTimeout doubles per attempt, mirroring core.AutoLadder.
-		rung := *r
-		rung.EachTimeout = r.EachTimeout << attempt
-		for _, i := range retry {
-			m.Inc("batch.retried", results[i].Pair())
-		}
-		before := make(map[int]string, len(retry))
-		for _, i := range retry {
-			before[i] = results[i].Outcome
-		}
-		r.runIndices(ctx, &rung, analyses, retry, results)
-		for _, i := range retry {
-			if results[i].Outcome == "ok" && before[i] != "ok" {
-				m.Inc("batch.recovered", results[i].Pair())
-			}
-		}
+	if len(pending) == 0 {
+		return results
 	}
-	return results
-}
-
-// runIndices runs the given result indices on the worker pool, using cfg's
-// per-analysis settings. Completed rows land in results and fan out
-// through OnResult (serialized) in completion order.
-func (r *Runner) runIndices(ctx context.Context, cfg *Runner, analyses []*proofs.Analysis, idxs []int, results []Result) {
-	if len(idxs) == 0 {
-		return
-	}
-	m := r.metrics()
-	jobs := min(r.jobs(), len(idxs))
+	jobs := min(r.jobs(), len(pending))
 	m.Set("batch.jobs", "configured", int64(jobs))
 	var reportMu sync.Mutex
-	Pool(jobs, len(idxs), func(n int) error {
-		i := idxs[n]
-		res, bound := cfg.RunOneBound(ctx, analyses[i])
+	Pool(jobs, len(pending), func(n int) error {
+		i := pending[n]
+		res, bound := r.RunOneBound(ctx, analyses[i])
 		results[i] = res
 		m.Inc("batch.outcome", res.Outcome)
 		if r.OnResult != nil || r.OnBound != nil {
@@ -185,6 +141,7 @@ func (r *Runner) runIndices(ctx context.Context, cfg *Runner, analyses []*proofs
 		}
 		return nil
 	})
+	return results
 }
 
 // Pool calls work(i) for every i in [0, n) on at most jobs goroutines

@@ -203,7 +203,7 @@ func (j *Journal) Close() error {
 // via WriteFileAtomic, closing the append handle first. A batch run that
 // finished (rather than being killed) calls this so the journal file doubles
 // as the final JSONL report: same bytes as an uninterrupted run, with
-// completion-order and superseded (retried, resumed) rows compacted away.
+// completion-order and superseded rows compacted away.
 // The WriteHeader digest stays the first line, so a later -resume under
 // different flags is still refused.
 func (j *Journal) Rewrite(results []Result) error {
@@ -266,7 +266,8 @@ func ReadJournal[R any](path string) (rows []R, config string, err error) {
 }
 
 // CompletedFrom builds the Runner.Completed skip set from journaled rows:
-// last row per key wins (a retried row supersedes its first attempt), and
+// last row per key wins (a serve journal holds one row per request, so a
+// pair can repeat), and
 // "canceled" rows are dropped — a row that was cut by the dying run's
 // context must re-run on resume.
 func CompletedFrom(rows []Result) map[string]Result {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"extra/internal/core"
 	"extra/internal/obs"
@@ -123,17 +122,17 @@ func TestJournalMissingFile(t *testing.T) {
 // they must re-run on resume.
 func TestCompletedFrom(t *testing.T) {
 	a := Result{Machine: "m", Instruction: "i", Language: "l", Operation: "o", Operator: "p", Outcome: "panic"}
-	aRetried := a
-	aRetried.Outcome = "ok"
+	aAgain := a
+	aAgain.Outcome = "ok"
 	b := Result{Machine: "m", Instruction: "j", Language: "l", Operation: "o", Operator: "q", Outcome: "ok"}
 	bCanceled := b
 	bCanceled.Outcome = "canceled"
-	done := CompletedFrom([]Result{a, b, aRetried, bCanceled})
+	done := CompletedFrom([]Result{a, b, aAgain, bCanceled})
 	if len(done) != 1 {
 		t.Fatalf("%d completed keys, want 1 (canceled dropped, duplicate collapsed): %v", len(done), done)
 	}
 	if got := done[a.Key()]; got.Outcome != "ok" {
-		t.Errorf("key %s: outcome %s, want the later retried row to win", a.Key(), got.Outcome)
+		t.Errorf("key %s: outcome %s, want the later row to win", a.Key(), got.Outcome)
 	}
 }
 
@@ -277,79 +276,6 @@ func TestRunnerCompletedSkips(t *testing.T) {
 	}
 }
 
-// TestRunnerRetryRecovers: a row that panics once and then succeeds is
-// retried by the ladder and recovered, with the metrics to show for it.
-func TestRunnerRetryRecovers(t *testing.T) {
-	flaky := proofs.Movc3PC2()
-	orig := flaky.Script
-	calls := 0
-	flaky.Script = func(s *core.Session) error {
-		calls++
-		if calls == 1 {
-			panic("first attempt dies")
-		}
-		return orig(s)
-	}
-	m := obs.NewRegistry()
-	r := &Runner{Jobs: 1, Retries: 2, Metrics: m}
-	results := r.Run(context.Background(), []*proofs.Analysis{flaky})
-	if results[0].Outcome != "ok" {
-		t.Fatalf("outcome %s (%s), want ok after retry", results[0].Outcome, results[0].Error)
-	}
-	if got := m.Counter("batch.retried", results[0].Pair()); got != 1 {
-		t.Errorf("batch.retried = %d, want 1", got)
-	}
-	if got := m.Counter("batch.recovered", results[0].Pair()); got != 1 {
-		t.Errorf("batch.recovered = %d, want 1", got)
-	}
-}
-
-// TestRunnerRetryExhausts: a row that always panics stays a panic row after
-// every rung, and nothing counts as recovered.
-func TestRunnerRetryExhausts(t *testing.T) {
-	dead := proofs.Movc3PC2()
-	dead.Script = func(s *core.Session) error { panic("always") }
-	m := obs.NewRegistry()
-	r := &Runner{Jobs: 1, Retries: 2, Metrics: m}
-	results := r.Run(context.Background(), []*proofs.Analysis{dead})
-	if results[0].Outcome != "panic" {
-		t.Fatalf("outcome %s, want panic after exhausted retries", results[0].Outcome)
-	}
-	if got := m.Counter("batch.retried", results[0].Pair()); got != 2 {
-		t.Errorf("batch.retried = %d, want 2", got)
-	}
-	if got := m.Counter("batch.recovered", results[0].Pair()); got != 0 {
-		t.Errorf("batch.recovered = %d, want 0", got)
-	}
-}
-
-// TestRunnerRetryEscalatesTimeout: with an EachTimeout too small for the
-// analysis, the doubled rungs eventually leave room and the row recovers —
-// the batch analog of the auto-search retry ladder.
-func TestRunnerRetryEscalatesTimeout(t *testing.T) {
-	slow := proofs.Movc3PC2()
-	orig := slow.Script
-	calls := 0
-	slow.Script = func(s *core.Session) error {
-		calls++
-		if calls < 3 {
-			// Burn the rung's budget: the first two attempts sleep past
-			// their deadlines, the third runs clean under the 4x budget.
-			time.Sleep(40 * time.Millisecond)
-		}
-		return orig(s)
-	}
-	m := obs.NewRegistry()
-	r := &Runner{Jobs: 1, EachTimeout: 10 * time.Millisecond, Retries: 2, Metrics: m}
-	results := r.Run(context.Background(), []*proofs.Analysis{slow})
-	if results[0].Outcome != "ok" {
-		t.Fatalf("outcome %s (%s), want ok once the ladder escalates past the sleep", results[0].Outcome, results[0].Error)
-	}
-	if got := m.Counter("batch.recovered", results[0].Pair()); got != 1 {
-		t.Errorf("batch.recovered = %d, want 1", got)
-	}
-}
-
 // TestJournalHeaderRoundTrip: WriteHeader stamps the config fingerprint,
 // ReadJournal surfaces it and skips it, and the data rows are unaffected.
 func TestJournalHeaderRoundTrip(t *testing.T) {
@@ -358,7 +284,7 @@ func TestJournalHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ConfigDigest("validate=8", "retries=1")
+	cfg := ConfigDigest("batch", "validate=8")
 	if err := j.WriteHeader(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,9 @@
 //     (*fault.CorruptBindingError), removed, and treated as misses — never
 //     served and never an error to the caller.
 //
-// Only rows whose Outcome is "ok" are cached: failures are the circuit
-// breaker's department (a cached failure has a cooldown; a cached success is
-// content-addressed and lives until evicted). Stored rows have DurationMS
+// By default only rows whose Outcome is "ok" are cached: a cached failure
+// could never heal, while a cached success is content-addressed and lives
+// until evicted. Stored rows have DurationMS
 // zeroed, so a warm hit reports the (near-zero) serve cost rather than
 // re-claiming the cold run's cost; every other byte of a warm row is
 // identical to the cold run that produced it.
@@ -115,8 +115,8 @@ type Config struct {
 	// JSON file per key under this directory (created if needed).
 	Dir string
 	// KeepFailures caches rows whatever their outcome. The default (false)
-	// keeps the serving-path contract — only "ok" rows are cached, failures
-	// are the circuit breaker's department — but a discovery sweep opts in:
+	// keeps the serving-path contract — only "ok" rows are cached, so a
+	// failure re-runs on the next request — but a discovery sweep opts in:
 	// its negative results ("failed", "poison") are deterministic under a
 	// fixed search configuration (which the Key's Salt carries), and they
 	// are precisely the expensive rows a re-launched sweep must not redo.
@@ -297,9 +297,9 @@ func (c *Cache) Get(k Key) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Put stores an entry in both tiers. Only "ok" rows are cacheable — a
-// failure row is dropped silently (cache a failure and you can never heal;
-// the circuit breaker caches failures *with* a cooldown). The stored row's
+// Put stores an entry in both tiers. Only "ok" rows are cacheable unless
+// KeepFailures is set — a failure row is dropped silently (cache a failure
+// and you can never heal). The stored row's
 // DurationMS and Trace are zeroed: a warm hit reports its own serve cost
 // and belongs to the *serving* request's trace, not the producing one's.
 func (c *Cache) Put(k Key, ent Entry) {

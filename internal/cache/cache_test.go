@@ -96,7 +96,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 	bad.Result.Outcome = "panic"
 	c.Put(testKey(2), bad)
 	if _, ok := c.Get(testKey(2)); ok {
-		t.Error("a failure row was cached; failures belong to the circuit breaker")
+		t.Error("a failure row was cached; a failure must re-run, not be served warm")
 	}
 	if m.Counter("cache.hit", "mem") == 0 {
 		t.Error("memory hit not counted")

@@ -12,10 +12,10 @@
 // the candidates run on the batch worker pool, each claimed exactly once. A
 // -resume run replays the WAL (first row per candidate wins) and produces a
 // report byte-identical — modulo wall-clock fields — to an uninterrupted
-// run, because the search itself is deterministic. A candidate that keeps
-// faulting (panic, timeout — not a clean budget exhaustion, which is a
-// *result*) is quarantined with its underlying fault class rather than
-// wedging the sweep ("poison" in the fault taxonomy), and lands in a
+// run, because the search itself is deterministic. A candidate whose run
+// faults (panic, timeout — not a clean budget exhaustion, which is a
+// *result*) is quarantined at once with its underlying fault class rather
+// than wedging the sweep ("poison" in the fault taxonomy), and lands in a
 // dead-letter file written from the WAL's rows at the end of the run.
 // Cross-run dedup rides the content-addressed cache: rows are keyed by the
 // description pair's structural digest salted with the search
@@ -161,11 +161,7 @@ type Config struct {
 	// Ladder is the per-candidate escalating (depth, budget) retry ladder;
 	// nil means core.AutoLadder(3, 1000, 2).
 	Ladder []core.AutoRung
-	// Attempts is how many faulting runs a candidate gets before it is
-	// quarantined as poison (default 2). A budget exhaustion is a clean
-	// negative result, not a fault, and is never retried.
-	Attempts int
-	// EachTimeout bounds each attempt (0 = no per-attempt deadline).
+	// EachTimeout bounds each candidate's run (0 = no deadline).
 	EachTimeout time.Duration
 	// LeaseTTL is ignored. Each candidate is claimed exactly once per run, so
 	// there is no claim to expire; the field stays so existing callers build.
@@ -204,9 +200,6 @@ func New(cfg Config) (*Sweep, error) {
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("discover: %w", err)
-	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 2
 	}
 	if len(cfg.Ladder) == 0 {
 		cfg.Ladder = core.AutoLadder(3, 1000, 2)
@@ -264,7 +257,7 @@ func (s *Sweep) openWAL(path string) error {
 			return fmt.Errorf("discover: %w", err)
 		}
 		if config != "" && config != s.digest {
-			return fmt.Errorf("discover: journal %s was written under config %s, this run is %s (different candidate set, ladder, attempts, or timeout); resume with matching flags or start fresh", path, config, s.digest)
+			return fmt.Errorf("discover: journal %s was written under config %s, this run is %s (different candidate set, ladder, or timeout); resume with matching flags or start fresh", path, config, s.digest)
 		}
 		for _, r := range rows {
 			i, known := byKey[r.Key()]
@@ -292,10 +285,7 @@ func (s *Sweep) openWAL(path string) error {
 
 // searchConfigParts lists every knob that changes a candidate's row.
 func searchConfigParts(cfg Config) []string {
-	parts := []string{
-		"attempts=" + strconv.Itoa(cfg.Attempts),
-		"each-timeout=" + cfg.EachTimeout.String(),
-	}
+	parts := []string{"each-timeout=" + cfg.EachTimeout.String()}
 	for _, r := range cfg.Ladder {
 		parts = append(parts, fmt.Sprintf("rung=%d/%d", r.MaxDepth, r.Budget))
 	}
@@ -444,16 +434,16 @@ func batchRow(r Result) batch.Result {
 }
 
 // InjectPoint is the deterministic fault-injection seam crossed once per
-// candidate attempt; arm it with inject.Fault{Every: 1} to make a candidate
+// candidate run; arm it with inject.Fault{Every: 1} to make a candidate
 // reliably poisonous.
 func InjectPoint(c Candidate) string { return "discover.candidate:" + c.Pair() }
 
-// runCandidate attacks one candidate with the retry ladder, classifying the
-// terminal error: success → "found" (with cycle savings), budget exhaustion
-// → "failed" (a clean negative result), cancellation → "canceled" (not a
-// result), anything else — panic, timeout, hostile description — retries up
-// to Attempts times and then quarantines as "poison" carrying the
-// underlying fault class.
+// runCandidate attacks one candidate with the search ladder once,
+// classifying the terminal error: success → "found" (with cycle savings),
+// budget exhaustion → "failed" (a clean negative result), cancellation →
+// "canceled" (not a result), anything else — panic, timeout, hostile
+// description — quarantines as "poison" carrying the underlying fault class.
+// The engine is deterministic, so a fault would recur: there is no retry.
 func (s *Sweep) runCandidate(ctx context.Context, c Candidate) (res Result) {
 	start := time.Now()
 	res = Result{
@@ -471,56 +461,32 @@ func (s *Sweep) runCandidate(ctx context.Context, c Candidate) (res Result) {
 	}()
 
 	op, ins, err := c.Descs()
-	if err != nil {
-		// A candidate whose descriptions do not even resolve can never
-		// succeed: straight to quarantine, no retries.
-		perr := &fault.PoisonError{Key: c.Key(), Attempts: 1, Last: err}
-		res.Outcome = "poison"
-		res.Class = fault.Classify(err)
-		res.Error = perr.Error()
+	var b *core.Binding
+	if err == nil {
+		b, err = s.attempt(ctx, c, op, ins)
+	}
+	res.Class = fault.Classify(err)
+	switch {
+	case err == nil:
+		res.Outcome = "found"
+		res.Steps = b.Steps
+		res.Elementary = b.Elementary
+		evalSavings(c, b, &res)
 		return res
+	case res.Class == "budget":
+		// The ladder ran dry: a clean, deterministic negative result.
+		res.Outcome = "failed"
+	case res.Class == "canceled", res.Class == "timeout" && ctx.Err() != nil:
+		// Canceled, or the sweep shutting down rather than the candidate
+		// timing out: not a result.
+		res.Outcome = "canceled"
+		res.Class = "canceled"
+	default:
+		// A description that does not resolve, a panic, a timeout.
+		res.Outcome = "poison"
+		err = &fault.PoisonError{Key: c.Key(), Last: err}
 	}
-
-	var last error
-	for attempt := 1; attempt <= s.cfg.Attempts; attempt++ {
-		b, err := s.attempt(ctx, c, op, ins)
-		if err == nil {
-			res.Outcome = "found"
-			res.Class = "ok"
-			res.Steps = b.Steps
-			res.Elementary = b.Elementary
-			evalSavings(c, b, &res)
-			return res
-		}
-		switch class := fault.Classify(err); class {
-		case "budget":
-			// The ladder ran dry: a clean, deterministic negative result.
-			res.Outcome = "failed"
-			res.Class = class
-			res.Error = err.Error()
-			return res
-		case "canceled":
-			res.Outcome = "canceled"
-			res.Class = class
-			res.Error = err.Error()
-			return res
-		case "timeout":
-			if ctx.Err() != nil {
-				// The sweep is shutting down, not the candidate timing out.
-				res.Outcome = "canceled"
-				res.Class = "canceled"
-				res.Error = err.Error()
-				return res
-			}
-			last = err
-		default:
-			last = err
-		}
-	}
-	perr := &fault.PoisonError{Key: c.Key(), Attempts: s.cfg.Attempts, Last: last}
-	res.Outcome = "poison"
-	res.Class = fault.Classify(last)
-	res.Error = perr.Error()
+	res.Error = err.Error()
 	return res
 }
 

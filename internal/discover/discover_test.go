@@ -91,7 +91,6 @@ func testConfig(t *testing.T, dir string) Config {
 		Dir:        dir,
 		Jobs:       2,
 		Ladder:     []core.AutoRung{{MaxDepth: 3, Budget: 50000}},
-		Attempts:   2,
 		Metrics:    obs.NewRegistry(),
 	}
 }
@@ -224,11 +223,11 @@ func TestSweepFindsAndFails(t *testing.T) {
 }
 
 // TestSweepRowDuration pins duration_ms on engine-run rows: a candidate
-// whose every attempt is cut by EachTimeout is quarantined after Attempts
-// runs, so its row must record at least Attempts × EachTimeout.
+// whose run is cut by EachTimeout is quarantined, so its row must record at
+// least EachTimeout.
 func TestSweepRowDuration(t *testing.T) {
 	cfg := testConfig(t, t.TempDir())
-	// A real unproven pair under a budget no attempt can spend in time.
+	// A real unproven pair under a budget no run can spend in time.
 	cfg.Candidates = Enumerate([]string{"VAX-11"}, []string{"Pascal"})[:1]
 	cfg.Ladder = []core.AutoRung{{MaxDepth: 12, Budget: 1 << 30}}
 	cfg.EachTimeout = 30 * time.Millisecond
@@ -236,9 +235,8 @@ func TestSweepRowDuration(t *testing.T) {
 	if len(rep.Rows) != 1 || rep.Rows[0].Outcome != "poison" || rep.Rows[0].Class != "timeout" {
 		t.Fatalf("rows: %+v, want one poison row of class timeout", rep.Rows)
 	}
-	floor := int64(cfg.Attempts) * cfg.EachTimeout.Milliseconds()
-	if got := rep.Rows[0].DurationMS; got < floor {
-		t.Fatalf("duration_ms = %d, want >= %d (%d attempts of %v)", got, floor, cfg.Attempts, cfg.EachTimeout)
+	if got, floor := rep.Rows[0].DurationMS, cfg.EachTimeout.Milliseconds(); got < floor {
+		t.Fatalf("duration_ms = %d, want >= %d (one run cut at %v)", got, floor, cfg.EachTimeout)
 	}
 }
 
@@ -261,7 +259,7 @@ func TestSweepPoisonQuarantine(t *testing.T) {
 	if row.Class != "panic" {
 		t.Fatalf("poison row class: %q, want panic (the underlying fault)", row.Class)
 	}
-	if !strings.Contains(row.Error, "quarantined after 2 faulting attempts") {
+	if !strings.Contains(row.Error, "fault: "+row.Key()+" quarantined (last: ") {
 		t.Fatalf("poison row error: %q", row.Error)
 	}
 	if cfg.Metrics.Total("discover.poison") != 1 {
@@ -278,6 +276,32 @@ func TestSweepPoisonQuarantine(t *testing.T) {
 	}
 	if dl.Instruction != "tstblt" || dl.Class != "panic" {
 		t.Fatalf("dead letter: %+v", dl)
+	}
+}
+
+// TestSweepFaultOnceQuarantines: a candidate runs once and is quarantined on
+// its first fault. The armed fault fires on the first crossing only, so a
+// second run of tstblt would answer "found".
+func TestSweepFaultOnceQuarantines(t *testing.T) {
+	cfg := testConfig(t, t.TempDir())
+	c := cfg.Candidates[0]
+	point := InjectPoint(c)
+	in := inject.New(1)
+	in.Arm(inject.Fault{Point: point, Every: 0})
+	defer inject.Activate(in)()
+
+	rep := runSweep(t, cfg)
+	var row Result
+	for _, r := range rep.Rows {
+		if r.Key() == c.Key() {
+			row = r
+		}
+	}
+	if row.Outcome != "poison" || row.Class != "panic" {
+		t.Fatalf("%s: outcome %q class %q, want poison/panic", c.Key(), row.Outcome, row.Class)
+	}
+	if n := in.Crossings(point); n != 1 {
+		t.Fatalf("%s crossed the injection point %d times, want 1 (one run)", c.Key(), n)
 	}
 }
 
@@ -339,7 +363,7 @@ func TestSweepResumeRejectsConfigMismatch(t *testing.T) {
 	cfg := testConfig(t, t.TempDir())
 	runSweep(t, cfg)
 	cfg.Resume = true
-	cfg.Attempts = 5 // a different search configuration
+	cfg.EachTimeout = 7 * time.Second // a different search configuration
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "config") {
 		t.Fatalf("resume under a different config: err = %v, want fingerprint mismatch", err)
 	}
@@ -382,7 +406,7 @@ func TestSweepCacheSkipsAcrossRuns(t *testing.T) {
 	// A different search configuration must not be served stale rows: the
 	// salt partitions the keyspace.
 	other := testConfig(t, t.TempDir())
-	other.Attempts = 5
+	other.EachTimeout = 7 * time.Second
 	other.Cache = mkCache(other.Metrics)
 	runSweep(t, other)
 	if n := other.Metrics.Total("discover.cached"); n != 0 {

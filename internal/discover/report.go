@@ -21,7 +21,7 @@ type Result struct {
 	Operator    string `json:"operator"`
 	// Outcome: "found" (the auto-search proved the pair), "failed" (the
 	// ladder's budget ran dry — a clean negative), "poison" (quarantined
-	// after repeated faults). "canceled" rows are never journaled.
+	// on a fault). "canceled" rows are never journaled.
 	Outcome string `json:"outcome"`
 	// Class is fault.Classify of the terminal error ("ok" for found rows;
 	// the underlying fault class — "panic", "timeout" — for poison rows).

@@ -122,48 +122,28 @@ func (e *CorruptBindingError) Error() string {
 
 func (e *CorruptBindingError) Unwrap() error { return e.Err }
 
-// CircuitError reports a request short-circuited by an open circuit
-// breaker: the (machine, instruction) pair has produced Fails consecutive
-// panic/budget faults, so the caller is being served the breaker's cached
-// failure instead of re-running a request that is overwhelmingly likely to
-// burn its whole budget again.
-type CircuitError struct {
-	// Pair is the breaker key, "machine/instruction".
-	Pair string
-	// Fails is the consecutive-fault count that tripped the breaker.
-	Fails int
-	// Last describes the fault that tripped it.
-	Last string
-}
-
-func (e *CircuitError) Error() string {
-	return fmt.Sprintf("fault: circuit open for %s after %d consecutive faults (last: %s)", e.Pair, e.Fails, e.Last)
-}
-
-// PoisonError reports a work item quarantined by a sweep driver: every
-// attempt across the escalating retry ladder ended in a fault (panic,
-// timeout, a non-budget failure), so the item was moved to a dead-letter
-// journal instead of being retried forever — one pathological candidate
-// must not wedge or starve a multi-hour sweep. Last is the final attempt's
-// fault; Classify(Unwrap()) names the underlying class.
+// PoisonError reports a work item quarantined by a sweep driver: its run
+// ended in a fault (panic, timeout, a non-budget failure), so the item was
+// moved to a dead-letter journal — one pathological candidate must not
+// wedge or starve a multi-hour sweep. The engine is deterministic, so a
+// fault recurs and the item is not re-run. Last is the run's fault;
+// Classify(Unwrap()) names the underlying class.
 type PoisonError struct {
 	// Key identifies the quarantined item, e.g. "machine|instruction|...".
 	Key string
-	// Attempts is how many times the item was tried before quarantine.
-	Attempts int
-	// Last is the fault of the final attempt.
+	// Last is the fault that quarantined the item.
 	Last error
 }
 
 func (e *PoisonError) Error() string {
-	return fmt.Sprintf("fault: %s quarantined after %d faulting attempts (last: %v)", e.Key, e.Attempts, e.Last)
+	return fmt.Sprintf("fault: %s quarantined (last: %v)", e.Key, e.Last)
 }
 
 func (e *PoisonError) Unwrap() error { return e.Last }
 
 // Classify maps an error to a small stable label set for metrics and trace
 // attributes: "ok", "poison", "path", "panic", "budget", "corrupt-binding",
-// "circuit-open", "timeout", "canceled", or "other".
+// "timeout", "canceled", or "other".
 func Classify(err error) string {
 	if err == nil {
 		return "ok"
@@ -185,7 +165,6 @@ func Classify(err error) string {
 		panicErr   *PanicError
 		budgetErr  *BudgetError
 		bindingErr *CorruptBindingError
-		circuitErr *CircuitError
 	)
 	switch {
 	case errors.As(err, &pathErr):
@@ -196,8 +175,6 @@ func Classify(err error) string {
 		return "budget"
 	case errors.As(err, &bindingErr):
 		return "corrupt-binding"
-	case errors.As(err, &circuitErr):
-		return "circuit-open"
 	}
 	return "other"
 }

@@ -70,8 +70,7 @@ func TestClassify(t *testing.T) {
 		{&PathError{Xform: "x", Err: &PanicError{Op: "x"}}, "path"}, // path wins over wrapped panic
 		{&BudgetError{Op: "auto"}, "budget"},
 		{&CorruptBindingError{Binding: "b", Field: "f", Err: errors.New("bad")}, "corrupt-binding"},
-		{&CircuitError{Pair: "VAX-11/movc3", Fails: 5, Last: "boom"}, "circuit-open"},
-		{fmt.Errorf("wrap: %w", &CircuitError{Pair: "p", Fails: 1}), "circuit-open"},
+		{&PoisonError{Key: "k", Last: &PanicError{Op: "x"}}, "poison"}, // poison wins over its wrapped fault
 		{errors.New("misc"), "other"},
 	}
 	for _, c := range cases {
@@ -89,14 +88,6 @@ func TestBudgetErrorMessage(t *testing.T) {
 	r := &BudgetError{Op: "auto-search", Depth: 2, Budget: 100, Explored: 100, Rung: 1, Rungs: 3, Reason: "x"}
 	if !strings.Contains(r.Error(), "rung 2/3") {
 		t.Errorf("ladder position missing: %v", r)
-	}
-}
-
-func TestCircuitErrorMessage(t *testing.T) {
-	e := &CircuitError{Pair: "VAX-11/movc3", Fails: 5, Last: "panic: boom"}
-	msg := e.Error()
-	if !strings.Contains(msg, "VAX-11/movc3") || !strings.Contains(msg, "5") || !strings.Contains(msg, "panic: boom") {
-		t.Errorf("message lacks pair/count/cause: %v", msg)
 	}
 }
 

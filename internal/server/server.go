@@ -13,13 +13,11 @@
 // unboundedly. A content-addressed result cache (internal/cache) is
 // consulted *before* admission: a warm hit — or a request coalesced onto an
 // identical in-flight one — is served without ever occupying a worker slot.
-// Every cold request runs behind the batch runner's fault boundary with its
-// deadline threaded into the engine's cancellation plumbing (interp.Run,
-// AutoComplete). A per-(machine, instruction) circuit breaker trips after
-// repeated panic/budget faults and demotes the pair to a cached-failure fast
-// path until a cooldown probe genuinely succeeds. Shutdown is graceful:
-// cancelling the Run context stops admission, drains in-flight work under
-// DrainTimeout, then hard-cancels whatever remains.
+// Every cold request is one engine run behind the batch runner's fault
+// boundary, with its deadline threaded into the engine's cancellation
+// plumbing (interp.Run, AutoComplete). Shutdown is graceful: cancelling the
+// Run context stops admission, drains in-flight work under DrainTimeout,
+// then hard-cancels whatever remains.
 package server
 
 import (
@@ -68,12 +66,6 @@ type Config struct {
 	// Validate, when positive, differentially validates every served
 	// binding on that many random inputs.
 	Validate int
-	// BreakerThreshold is the consecutive panic/budget fault count that
-	// trips a pair's circuit breaker. 0 means 5; negative disables.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker serves its cached
-	// failure before letting one probe through. 0 means 30s.
-	BreakerCooldown time.Duration
 	// Cache, when non-nil, serves warm analysis rows content-addressed by
 	// the (operator, instruction) description digest — consulted before
 	// admission, so warm hits and coalesced duplicates never occupy a
@@ -124,20 +116,6 @@ func (c *Config) requestTimeout() time.Duration {
 	return c.RequestTimeout
 }
 
-func (c *Config) breakerThreshold() int {
-	if c.BreakerThreshold == 0 {
-		return 5
-	}
-	return c.BreakerThreshold
-}
-
-func (c *Config) breakerCooldown() time.Duration {
-	if c.BreakerCooldown == 0 {
-		return 30 * time.Second
-	}
-	return c.BreakerCooldown
-}
-
 // Server is the analysis service. Create with New, serve with Run.
 type Server struct {
 	cfg      Config
@@ -146,10 +124,6 @@ type Server struct {
 	workers  chan struct{}
 	inSystem atomic.Int64 // requests admitted (waiting + running)
 	draining atomic.Bool
-	// breakers holds one circuit breaker per catalog machine/instruction.
-	// Requests outside the catalog are refused before any breaker is
-	// touched, so the table is built once in New and read without a lock.
-	breakers map[string]*breaker
 	// avgServiceNS is an exponentially-weighted moving average of observed
 	// analysis service times, feeding the Retry-After estimate on shed.
 	avgServiceNS atomic.Int64
@@ -164,14 +138,10 @@ func New(cfg Config) *Server {
 		catalog = append(proofs.Table2(), proofs.Extensions()...)
 	}
 	byPair := make(map[string]*proofs.Analysis, len(catalog))
-	breakers := map[string]*breaker{}
 	for _, a := range catalog {
 		byPair[a.Instruction+"/"+a.Operator] = a
-		if key := a.Machine + "/" + a.Instruction; breakers[key] == nil {
-			breakers[key] = &breaker{}
-		}
 	}
-	s := &Server{cfg: cfg, catalog: catalog, byPair: byPair, breakers: breakers}
+	s := &Server{cfg: cfg, catalog: catalog, byPair: byPair}
 	s.workers = make(chan struct{}, workerCount(cfg.Jobs))
 	s.workCtx, s.workStop = context.WithCancel(context.Background())
 	return s
@@ -403,7 +373,7 @@ func statusFor(outcome string) int {
 		return http.StatusOK
 	case "timeout":
 		return http.StatusGatewayTimeout
-	case "canceled", "circuit-open":
+	case "canceled":
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
@@ -419,29 +389,17 @@ func (s *Server) report(res batch.Result) {
 	s.cfg.OnResult(res)
 }
 
-// runPair executes one analysis through the breaker and the batch fault
-// boundary, recording the outcome on the pair's breaker, the service-time
-// average, and the per-(machine, instruction) service histogram. The engine
-// run is bounded by a server.engine span on the request's tracer, so every
-// span the analysis emits nests under the request's trace. The binding comes
-// back alongside the row (nil unless "ok") so the caller can cache the full
-// analysis product.
+// runPair executes one analysis behind the batch fault boundary, recording
+// the service-time average and the per-(machine, instruction) service
+// histogram. The engine run is bounded by a server.engine span on the
+// request's tracer, so every span the analysis emits nests under the
+// request's trace. The binding comes back alongside the row (nil unless
+// "ok") so the caller can cache the full analysis product.
 func (s *Server) runPair(ctx context.Context, a *proofs.Analysis) (batch.Result, *core.Binding) {
 	m := s.metrics()
 	tr := obs.TracerFrom(ctx)
 	if tr == nil {
 		tr = s.cfg.Tracer
-	}
-	key := a.Machine + "/" + a.Instruction
-	threshold := s.cfg.breakerThreshold()
-	var br *breaker
-	if threshold > 0 {
-		br = s.breakers[key]
-		if cached, open := br.admit(time.Now(), s.cfg.breakerCooldown()); open {
-			m.Inc("server.breaker_fastpath", key)
-			tr.Event("server.breaker", map[string]any{"pair": key, "decision": "fastpath"})
-			return cached, nil
-		}
 	}
 	// A per-call runner, so the engine runs under the request's derived
 	// tracer: its spans carry this request's trace ID, not the root's.
@@ -457,36 +415,20 @@ func (s *Server) runPair(ctx context.Context, a *proofs.Analysis) (batch.Result,
 		sp.End(map[string]any{"outcome": res.Outcome})
 	}
 	s.observeService(elapsed)
-	m.Observe("server.service.ns", key, uint64(elapsed))
-	if br != nil {
-		if br.record(res, threshold, time.Now()) {
-			m.Inc("server.breaker_trip", key)
-		}
-	}
+	m.Observe("server.service.ns", a.Machine+"/"+a.Instruction, uint64(elapsed))
 	s.report(res)
 	return res, bound
 }
 
 // writeResult serializes one analysis row with its outcome-derived status.
-// A row without a trace ID — a warm cache hit, a breaker's cached failure —
-// is stamped with the *serving* request's ID, so the response body always
-// joins against the trace the response headers name.
+// A row without a trace ID — a warm cache hit — is stamped with the
+// *serving* request's ID, so the response body always joins against the
+// trace the response headers name.
 func (s *Server) writeResult(w http.ResponseWriter, req *http.Request, res batch.Result) {
 	if res.Trace == "" {
 		res.Trace = obs.TraceIDFrom(req.Context())
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	if res.Outcome == "circuit-open" {
-		// An honest Retry-After: the cooldown actually left on this pair's
-		// breaker (floor 1s), not the full configured cooldown — a client
-		// arriving late in the cooldown should come back for the probe, not
-		// a whole cooldown later.
-		retry := s.cfg.breakerCooldown()
-		if br := s.breakers[res.Machine+"/"+res.Instruction]; br != nil {
-			retry = br.remaining(time.Now(), s.cfg.breakerCooldown())
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)+1))
-	}
 	w.WriteHeader(statusFor(res.Outcome))
 	json.NewEncoder(w).Encode(&res)
 }
@@ -591,6 +533,11 @@ func (s *Server) analyzeCached(w http.ResponseWriter, req *http.Request, a *proo
 	}
 }
 
+// maxBatchBody caps a POST /batch body. The body is read before admission,
+// so without a cap every concurrent request could buffer any amount; the
+// whole catalog's pair list is under 1 KiB.
+const maxBatchBody = 1 << 20
+
 // batchRequest is the POST /batch body. Every field is optional: the zero
 // request runs the full catalog with the server's defaults.
 type batchRequest struct {
@@ -605,18 +552,21 @@ type batchRequest struct {
 // handleBatch runs a catalog subset through the concurrent batch runner and
 // returns the full JSON report (rows + summary). The request occupies one
 // admission slot; within it the batch multiplexes the configured job count.
-// Open circuit breakers contribute their cached failures through the
-// runner's Completed fast path instead of re-running.
 func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
-	m := s.metrics()
-	m.Inc("server.requests", "/batch")
+	s.metrics().Inc("server.requests", "/batch")
 	if req.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var breq batchRequest
-	if err := json.NewDecoder(req.Body).Decode(&breq); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	body := http.MaxBytesReader(w, req.Body, maxBatchBody)
+	if err := json.NewDecoder(body).Decode(&breq); err != nil && !errors.Is(err, io.EOF) {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "bad request body: "+err.Error())
 		return
 	}
 	analyses := s.catalog
@@ -645,10 +595,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		validate = breq.Validate
 	}
 
-	// Warm rows are collected before admission: cache hits (and open
-	// breakers' cached failures) become the runner's Completed skip set, and
-	// a fully-warm batch is served without occupying a worker slot at all.
-	threshold := s.cfg.breakerThreshold()
+	// Warm rows are collected before admission: cache hits become the
+	// runner's Completed skip set, and a fully-warm batch is served without
+	// occupying a worker slot at all.
 	completed := map[string]batch.Result{}
 	keys := map[string]cache.Key{}
 	if s.cfg.Cache != nil {
@@ -663,19 +612,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 	}
-	if threshold > 0 {
-		now := time.Now()
-		for _, a := range analyses {
-			if _, warm := completed[batch.AnalysisKey(a)]; warm {
-				continue // a content-addressed success outranks a cached failure
-			}
-			br := s.breakers[a.Machine+"/"+a.Instruction]
-			if cached, open := br.admit(now, s.cfg.breakerCooldown()); open {
-				m.Inc("server.breaker_fastpath", a.Machine+"/"+a.Instruction)
-				completed[batch.AnalysisKey(a)] = cached
-			}
-		}
-	}
 	tr := obs.TracerFrom(req.Context())
 	if tr == nil {
 		tr = s.cfg.Tracer
@@ -684,15 +620,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		Jobs: cap(s.workers), Validate: validate, EachTimeout: each,
 		Completed: completed,
 		Tracer:    tr, Metrics: s.cfg.Metrics,
-		OnResult: func(res batch.Result) {
-			if threshold > 0 {
-				key := res.Machine + "/" + res.Instruction
-				if s.breakers[key].record(res, threshold, time.Now()) {
-					m.Inc("server.breaker_trip", key)
-				}
-			}
-			s.report(res)
-		},
+		OnResult: s.report,
 		OnBound: func(res batch.Result, bound *core.Binding) {
 			k, cacheable := keys[res.Key()]
 			if !cacheable || s.cfg.Cache == nil {

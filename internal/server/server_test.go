@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -105,6 +104,31 @@ func TestAnalyzeTimeout(t *testing.T) {
 	status, res := getResult(t, ts.Client(), ts.URL+"/analyze?pair=scasb/index&timeout=1ns")
 	if status != http.StatusGatewayTimeout || res.Outcome != "timeout" {
 		t.Fatalf("status %d outcome %s, want 504/timeout", status, res.Outcome)
+	}
+}
+
+// TestAnalyzePanicRunsEveryRequest: a panicking pair answers 500 with its
+// panic row on every request, and every request is one fresh engine run —
+// a failure is never served from memory.
+func TestAnalyzePanicRunsEveryRequest(t *testing.T) {
+	a := proofs.Movc3PC2()
+	var runs atomic.Int64
+	a.Script = func(*core.Session) error {
+		runs.Add(1)
+		panic("injected fault")
+	}
+	s := New(Config{Catalog: []*proofs.Analysis{a}, Metrics: obs.NewRegistry()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	url := ts.URL + "/analyze?pair=" + a.Instruction + "/" + a.Operator
+	const n = 6
+	for i := 0; i < n; i++ {
+		if status, res := getResult(t, ts.Client(), url); status != http.StatusInternalServerError || res.Outcome != "panic" {
+			t.Fatalf("request %d: status %d outcome %s, want 500/panic", i, status, res.Outcome)
+		}
+	}
+	if got := runs.Load(); got != n {
+		t.Fatalf("%d requests ran the analysis %d times, want one run each", n, got)
 	}
 }
 
@@ -229,140 +253,6 @@ func TestAdmissionShedding(t *testing.T) {
 	}
 }
 
-// TestBreakerRetryAfterRemainingCooldown: an open breaker's 503 advertises
-// the cooldown actually left, not the full configured cooldown — a client
-// arriving late in the window is told to come back for the probe, floored
-// at 1s.
-func TestBreakerRetryAfterRemainingCooldown(t *testing.T) {
-	a := proofs.Movc3PC2()
-	a.Script = func(*core.Session) error { panic("injected fault") }
-	const cooldown = 100 * time.Second
-	s := New(Config{
-		Catalog: []*proofs.Analysis{a}, Metrics: obs.NewRegistry(),
-		BreakerThreshold: 1, BreakerCooldown: cooldown,
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	url := fmt.Sprintf("%s/analyze?pair=%s/%s", ts.URL, a.Instruction, a.Operator)
-	if status, res := getResult(t, ts.Client(), url); status != http.StatusInternalServerError {
-		t.Fatalf("tripping fault: status %d outcome %s", status, res.Outcome)
-	}
-	retryAfter := func() int {
-		t.Helper()
-		resp, err := ts.Client().Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("open breaker: status %d, want 503", resp.StatusCode)
-		}
-		n, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-		if err != nil {
-			t.Fatalf("Retry-After %q is not an integer", resp.Header.Get("Retry-After"))
-		}
-		return n
-	}
-	key := a.Machine + "/" + a.Instruction
-	if got := retryAfter(); got < 95 || got > 101 {
-		t.Fatalf("freshly opened: Retry-After = %ds, want ~%v", got, cooldown)
-	}
-	backdate := func(age time.Duration) {
-		br := s.breakers[key]
-		if br == nil {
-			t.Fatal("no breaker for the tripped pair")
-		}
-		br.mu.Lock()
-		br.openedAt = time.Now().Add(-age)
-		br.mu.Unlock()
-	}
-	backdate(70 * time.Second)
-	if got := retryAfter(); got < 28 || got > 32 {
-		t.Fatalf("70s into the cooldown: Retry-After = %ds, want ~30s remaining", got)
-	}
-	backdate(cooldown - 300*time.Millisecond)
-	if got := retryAfter(); got != 1 {
-		t.Fatalf("300ms before the probe: Retry-After = %ds, want the 1s floor", got)
-	}
-}
-
-// TestBreakerTripAndRecover: repeated panics trip the pair's breaker, open
-// requests take the cached-failure fast path with 503 + Retry-After, and
-// after the cooldown a successful probe closes it again.
-func TestBreakerTripAndRecover(t *testing.T) {
-	a := proofs.Movc3PC2()
-	orig := a.Script
-	var failing atomic.Bool
-	failing.Store(true)
-	var runs atomic.Int64
-	a.Script = func(s *core.Session) error {
-		runs.Add(1)
-		if failing.Load() {
-			panic("injected fault")
-		}
-		return orig(s)
-	}
-	m := obs.NewRegistry()
-	s := New(Config{
-		Catalog: []*proofs.Analysis{a}, Metrics: m,
-		BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	url := fmt.Sprintf("%s/analyze?pair=%s/%s", ts.URL, a.Instruction, a.Operator)
-
-	// Two consecutive panics trip the breaker.
-	for i := 0; i < 2; i++ {
-		status, res := getResult(t, ts.Client(), url)
-		if status != http.StatusInternalServerError || res.Outcome != "panic" {
-			t.Fatalf("fault %d: status %d outcome %s, want 500/panic", i, status, res.Outcome)
-		}
-	}
-	key := a.Machine + "/" + a.Instruction
-	if m.Counter("server.breaker_trip", key) != 1 {
-		t.Fatalf("breaker did not trip after %d faults", 2)
-	}
-
-	// Open: the cached failure is served without executing the script.
-	before := runs.Load()
-	resp, err := ts.Client().Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res batch.Result
-	json.NewDecoder(resp.Body).Decode(&res)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || res.Outcome != "circuit-open" {
-		t.Fatalf("open breaker: status %d outcome %s, want 503/circuit-open", resp.StatusCode, res.Outcome)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("circuit-open response lacks a Retry-After header")
-	}
-	if runs.Load() != before {
-		t.Error("open breaker still executed the analysis")
-	}
-	if !strings.Contains(res.Error, "circuit open") {
-		t.Errorf("cached failure error %q does not explain the breaker", res.Error)
-	}
-	if m.Counter("server.breaker_fastpath", key) == 0 {
-		t.Error("fast path not counted in server.breaker_fastpath")
-	}
-
-	// Heal the pair, wait out the cooldown: the half-open probe succeeds and
-	// the breaker closes for good.
-	failing.Store(false)
-	time.Sleep(60 * time.Millisecond)
-	status, probe := getResult(t, ts.Client(), url)
-	if status != http.StatusOK || probe.Outcome != "ok" {
-		t.Fatalf("half-open probe: status %d outcome %s (%s), want 200/ok", status, probe.Outcome, probe.Error)
-	}
-	status, after := getResult(t, ts.Client(), url)
-	if status != http.StatusOK || after.Outcome != "ok" {
-		t.Fatalf("closed breaker: status %d outcome %s, want 200/ok", status, after.Outcome)
-	}
-}
-
 // TestBatchEndpoint: a pairs subset comes back as the standard batch report,
 // and an unknown pair in the subset is a 400 before any work runs.
 func TestBatchEndpoint(t *testing.T) {
@@ -405,6 +295,30 @@ func TestBatchEndpoint(t *testing.T) {
 	get.Body.Close()
 	if get.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /batch: status %d, want 405", get.StatusCode)
+	}
+}
+
+// TestBatchBodyCapped: a /batch body past maxBatchBody is refused with 413
+// before any analysis runs. The body is decoded before admission, so an
+// uncapped body would let every concurrent request buffer any amount.
+func TestBatchBodyCapped(t *testing.T) {
+	var rows atomic.Int64
+	s := New(Config{Metrics: obs.NewRegistry(), OnResult: func(batch.Result) { rows.Add(1) }})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"pairs":["scasb/index"]` + strings.Repeat(" ", 2<<20) + `}`
+	resp, err := ts.Client().Post(ts.URL+"/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB /batch body: status %d, want 413", resp.StatusCode)
+	}
+	if n := rows.Load(); n != 0 {
+		t.Errorf("an oversized /batch body still ran %d analyses", n)
 	}
 }
 
