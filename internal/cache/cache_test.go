@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"extra/internal/batch"
+	"extra/internal/langops"
+	"extra/internal/machines"
 	"extra/internal/obs"
 	"extra/internal/proofs"
 )
@@ -33,11 +35,27 @@ func testKey(i int) Key {
 
 // TestKeyForContentAddressing: a catalog analysis resolves to a stable key;
 // distinct catalog pairs resolve to distinct keys; an analysis whose
-// descriptions are not in the corpora is simply uncacheable.
+// descriptions are not in the corpora is simply uncacheable. The corpora
+// are parsed and interned once per process, so after the first call a key
+// costs no parse and no allocation (every warm serve request computes
+// one), and the first calls may race (run under -race in CI).
 func TestKeyForContentAddressing(t *testing.T) {
 	catalog := append(proofs.Table2(), proofs.Extensions()...)
+	concurrent := make([][]Key, 4)
+	var wg sync.WaitGroup
+	for g := range concurrent {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, a := range catalog {
+				k, _ := KeyFor(a, 300)
+				concurrent[g] = append(concurrent[g], k)
+			}
+		}(g)
+	}
+	wg.Wait()
 	seen := map[Key]string{}
-	for _, a := range catalog {
+	for i, a := range catalog {
 		k1, ok1 := KeyFor(a, 300)
 		k2, ok2 := KeyFor(a, 300)
 		if !ok1 || !ok2 {
@@ -46,11 +64,22 @@ func TestKeyForContentAddressing(t *testing.T) {
 		if k1 != k2 {
 			t.Fatalf("%s/%s: key not stable across calls", a.Instruction, a.Operator)
 		}
+		for g := range concurrent {
+			if concurrent[g][i] != k1 {
+				t.Fatalf("%s/%s: goroutine %d computed a different key", a.Instruction, a.Operator, g)
+			}
+		}
 		pair := a.Instruction + "/" + a.Operator
 		if prev, dup := seen[k1]; dup {
 			t.Fatalf("key collision: %s and %s share %v", prev, pair, k1)
 		}
 		seen[k1] = pair
+		if allocs := testing.AllocsPerRun(20, func() { KeyFor(a, 300) }); allocs != 0 {
+			t.Errorf("%s: KeyFor allocates %.0f objects per call; a key must cost no parse", pair, allocs)
+		}
+		if langops.Get(a.Operator) != langops.Get(a.Operator) || machines.Get(a.Instruction) != machines.Get(a.Instruction) {
+			t.Errorf("%s: the corpora returned a different tree on a repeat lookup", pair)
+		}
 	}
 	// The options are part of the key: a different validation count or
 	// extended flag is a different row.

@@ -309,11 +309,10 @@ func (s *Session) Apply(side Side, name string, at isps.Path, args transform.Arg
 		return err
 	}
 	s.noteApply(side, name, at, dur, outcomeApplied, out.Note)
-	// Commit the interned tree. Persistent transforms hand back a spine
-	// rebuild over the (already interned) previous state, so interning here
-	// re-freezes only the spine; clone-based transforms pay one full intern
-	// walk. Variant fields alias the canonical tree — immutability makes the
-	// old defensive clones redundant.
+	// Commit the interned tree. Every transform hands back spine rebuilds
+	// over the (already interned) previous state, so interning here
+	// re-freezes only the rebuilt spines. Variant fields alias the canonical
+	// tree — immutability makes the old defensive clones redundant.
 	nd := isps.InternDesc(out.Desc)
 	if side == OpSide {
 		s.Op = nd

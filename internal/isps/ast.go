@@ -14,8 +14,8 @@
 // subtrees become the same pointer, with the 128-bit structural digest
 // memoized on the node. Interned nodes are immutable — SetChild refuses
 // with ErrFrozen — and edits go through the persistent-update API
-// (ReplaceAt, SpliceAt), which rebuilds only the spine above the edit and
-// shares everything else.
+// (ReplaceAt, SpliceAtDesc, Rewrite), which rebuilds only the spines above
+// the edits and shares everything else.
 package isps
 
 import "fmt"

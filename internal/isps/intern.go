@@ -11,12 +11,13 @@ import "sync"
 //   - the visited set and cache key cost a field read, and
 //   - ReplaceAt shares every subtree off the edited spine.
 //
-// The table is sharded to keep lock contention off the parallel frontier
-// expansion, and each shard is bounded: when it fills, the shard map is
-// dropped and restarted. Dropping entries is safe — nodes already handed
-// out stay frozen and valid; later interns of equal trees merely mint a
-// fresh canonical pointer, losing sharing but never correctness (Equal
-// falls back to structural comparison when pointers differ).
+// The table is sharded to keep lock contention off concurrent sessions
+// (batch and discover workers, concurrent serve requests), and each shard
+// is bounded: when it fills, the shard map is dropped and restarted.
+// Dropping entries is safe — nodes already handed out stay frozen and
+// valid; later interns of equal trees merely mint a fresh canonical
+// pointer, losing sharing but never correctness (Equal falls back to
+// structural comparison when pointers differ).
 
 const (
 	internShards   = 64

@@ -2,6 +2,7 @@ package isps_test
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -147,6 +148,49 @@ func TestSpliceAtDesc(t *testing.T) {
 	}
 	if _, err := d.SpliceAtDesc(bodyPath, 0, before+5); err == nil {
 		t.Error("over-long deletion accepted")
+	}
+}
+
+// TestRewritePersistent: Rewrite replaces what fn matches without
+// descending into replacements, rebuilds only the spines above them, and
+// hands back its input when nothing matched.
+func TestRewritePersistent(t *testing.T) {
+	d := isps.InternDesc(isps.MustParse(internSrc))
+	same, err := isps.Rewrite(d, func(isps.Node) (isps.Node, bool) { return nil, false })
+	if err != nil || same != isps.Node(d) {
+		t.Fatalf("a rewrite that matches nothing must return its input: %v", err)
+	}
+	if len(d.Inputs()) == 0 {
+		t.Fatal("test description has no inputs")
+	}
+	v := d.Inputs()[0]
+	want := isps.Format(d)
+	hits := 0
+	out, err := isps.Rewrite(d, func(n isps.Node) (isps.Node, bool) {
+		if id, ok := n.(*isps.Ident); ok && id.Name == v {
+			hits++
+			// The replacement mentions v again; it must not be re-visited.
+			return &isps.Bin{Op: isps.OpAdd, X: &isps.Ident{Name: v}, Y: &isps.Num{Val: 0}}, true
+		}
+		return nil, false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits == 0 {
+		t.Fatalf("%s is never read in the test description", v)
+	}
+	if isps.Format(d) != want {
+		t.Error("Rewrite wrote through to its interned input")
+	}
+	nd := out.(*isps.Description)
+	if n := strings.Count(isps.Format(nd), v+" + 0"); n != hits {
+		t.Errorf("%d of %d replacements landed", n, hits)
+	}
+	// The input statement names v only as an operand, not as an Ident, so
+	// it is off every rebuilt spine and must be shared.
+	if nd.Routine().Body.Stmts[0] != d.Routine().Body.Stmts[0] {
+		t.Error("an unchanged statement was copied instead of shared")
 	}
 }
 

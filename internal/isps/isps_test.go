@@ -143,7 +143,6 @@ func TestExprPrecedence(t *testing.T) {
 
 func TestPathResolveReplace(t *testing.T) {
 	d := MustParse(scasbSrc)
-	rt := d.Routine()
 	// Find the output statement.
 	p, ok := Find(d, func(n Node) bool { _, is := n.(*OutputStmt); return is })
 	if !ok {
@@ -157,20 +156,19 @@ func TestPathResolveReplace(t *testing.T) {
 	if len(out.Exprs) != 3 {
 		t.Fatalf("output arity = %d", len(out.Exprs))
 	}
-	// Replace it and verify the clone is unaffected.
-	clone := d.CloneDesc()
-	if err := Replace(d, p, &OutputStmt{Exprs: []Expr{&Num{Val: 7}}}); err != nil {
-		t.Fatalf("Replace: %v", err)
+	// Replace it and verify the original is unaffected.
+	nd, err := d.ReplaceAtDesc(p, &OutputStmt{Exprs: []Expr{&Num{Val: 7}}})
+	if err != nil {
+		t.Fatalf("ReplaceAtDesc: %v", err)
 	}
-	n2, _ := Resolve(d, p)
+	n2, _ := Resolve(nd, p)
 	if len(n2.(*OutputStmt).Exprs) != 1 {
 		t.Error("replace did not take effect")
 	}
-	nc, _ := Resolve(clone, p)
+	nc, _ := Resolve(d, p)
 	if len(nc.(*OutputStmt).Exprs) != 3 {
-		t.Error("clone shares structure with original")
+		t.Error("replace wrote through to the original")
 	}
-	_ = rt
 }
 
 func TestPathStringParse(t *testing.T) {
@@ -193,27 +191,28 @@ func TestInsertRemoveStmt(t *testing.T) {
 	d := MustParse(scasbSrc)
 	// Routine body path: section 2, decl 0, child 0 (body).
 	bodyPath := Path{2, 0, 0}
-	n, err := Resolve(d, bodyPath)
-	if err != nil {
-		t.Fatalf("Resolve body: %v", err)
-	}
-	body := n.(*Block)
-	nstmts := len(body.Stmts)
+	nstmts := len(d.Routine().Body.Stmts)
 	stmt := &AssignStmt{LHS: &Ident{Name: "zf"}, RHS: &Num{Val: 0}}
-	if err := InsertStmt(d, bodyPath, 1, stmt); err != nil {
-		t.Fatalf("InsertStmt: %v", err)
+	ins, err := d.SpliceAtDesc(bodyPath, 1, 0, stmt)
+	if err != nil {
+		t.Fatalf("insert: %v", err)
 	}
+	body := ins.Routine().Body
 	if len(body.Stmts) != nstmts+1 {
 		t.Fatalf("insert did not grow block")
 	}
 	if body.Stmts[1] != stmt {
 		t.Error("stmt not at index 1")
 	}
-	if err := RemoveStmt(d, bodyPath, 1); err != nil {
-		t.Fatalf("RemoveStmt: %v", err)
+	rem, err := ins.SpliceAtDesc(bodyPath, 1, 1)
+	if err != nil {
+		t.Fatalf("remove: %v", err)
 	}
-	if len(body.Stmts) != nstmts {
-		t.Error("remove did not shrink block")
+	if !Equal(rem, d) {
+		t.Error("remove did not undo the insert")
+	}
+	if len(d.Routine().Body.Stmts) != nstmts || len(body.Stmts) != nstmts+1 {
+		t.Error("splices wrote through to their inputs")
 	}
 }
 

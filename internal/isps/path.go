@@ -87,64 +87,6 @@ func Resolve(root Node, p Path) (Node, error) {
 	return n, nil
 }
 
-// Replace substitutes the node at path p with repl, mutating root in place.
-// Replacing the root itself (empty path) is not supported. Kind mismatches
-// and frozen (interned) parents surface as the typed *NodeError values
-// SetChild returns; callers must not use Replace on interned trees — use
-// ReplaceAt, which rebuilds the spine persistently instead.
-func Replace(root Node, p Path, repl Node) error {
-	if len(p) == 0 {
-		return fmt.Errorf("isps: cannot replace the root node")
-	}
-	parent, err := Resolve(root, p[:len(p)-1])
-	if err != nil {
-		return err
-	}
-	i := p[len(p)-1]
-	if i < 0 || i >= parent.NumChildren() {
-		return fmt.Errorf("isps: path %s: index %d out of range in %T", p, i, parent)
-	}
-	return parent.SetChild(i, repl)
-}
-
-// InsertStmt inserts stmt into the block addressed by blockPath at index i,
-// mutating root in place.
-func InsertStmt(root Node, blockPath Path, i int, stmt Stmt) error {
-	n, err := Resolve(root, blockPath)
-	if err != nil {
-		return err
-	}
-	blk, ok := n.(*Block)
-	if !ok {
-		return fmt.Errorf("isps: path %s addresses %T, not a block", blockPath, n)
-	}
-	if i < 0 || i > len(blk.Stmts) {
-		return fmt.Errorf("isps: insert index %d out of range (block has %d statements)", i, len(blk.Stmts))
-	}
-	blk.Stmts = append(blk.Stmts, nil)
-	copy(blk.Stmts[i+1:], blk.Stmts[i:])
-	blk.Stmts[i] = stmt
-	return nil
-}
-
-// RemoveStmt removes the statement at index i of the block addressed by
-// blockPath, mutating root in place.
-func RemoveStmt(root Node, blockPath Path, i int) error {
-	n, err := Resolve(root, blockPath)
-	if err != nil {
-		return err
-	}
-	blk, ok := n.(*Block)
-	if !ok {
-		return fmt.Errorf("isps: path %s addresses %T, not a block", blockPath, n)
-	}
-	if i < 0 || i >= len(blk.Stmts) {
-		return fmt.Errorf("isps: remove index %d out of range (block has %d statements)", i, len(blk.Stmts))
-	}
-	blk.Stmts = append(blk.Stmts[:i], blk.Stmts[i+1:]...)
-	return nil
-}
-
 // Walk calls fn for every node in pre-order, passing the node and its path
 // from root. If fn returns false the node's children are skipped.
 //

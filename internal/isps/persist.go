@@ -5,8 +5,10 @@ import "fmt"
 // Persistent updates: rebuild only the spine from the root to an edit
 // point, sharing every off-spine subtree with the original. On an interned
 // description a spine rebuild plus re-interning costs O(depth) node copies
-// and O(depth) shallow hash folds, replacing the full-tree CloneDesc the
-// transformation library used to pay per rewrite.
+// and O(depth) shallow hash folds per edit point. Every transformation
+// builds its result this way (ReplaceAtDesc, SpliceAtDesc, or Rewrite for
+// whole-subtree substitutions), so no rewrite copies or re-interns the
+// parts of a description it leaves alone.
 
 // shallowCopy returns a mutable copy of n sharing n's children. Slice
 // headers are copied (fresh backing arrays) so that SetChild on the copy
@@ -60,7 +62,7 @@ func shallowCopy(n Node) Node {
 // repl. The original tree is never mutated: the spine from the root down to
 // p is shallow-copied and everything off the spine is shared. An empty path
 // returns repl itself. Kind mismatches (a statement where an expression
-// goes) surface as *NodeError values from SetChild, exactly like Replace.
+// goes) surface as the *NodeError values SetChild returns.
 func ReplaceAt(root Node, p Path, repl Node) (Node, error) {
 	if len(p) == 0 {
 		return repl, nil
@@ -124,4 +126,39 @@ func (d *Description) SpliceAtDesc(blockPath Path, idx, del int, repl ...Stmt) (
 	out = append(out, repl...)
 	out = append(out, blk.Stmts[idx+del:]...)
 	return d.ReplaceAtDesc(blockPath, &Block{Stmts: out})
+}
+
+// Rewrite returns root with every node for which fn reports a replacement
+// swapped for that replacement. fn sees nodes in pre-order; the walk does
+// not descend into a replaced node or into its replacement, so a
+// replacement may mention what it replaces. The ancestors of each
+// replacement are rebuilt bottom-up as shallow copies sharing every
+// unchanged child, and a subtree with nothing replaced comes back as the
+// same pointer, root included. root is never mutated, so it may be
+// interned. Kind mismatches surface as *NodeError values from SetChild.
+func Rewrite(root Node, fn func(Node) (Node, bool)) (Node, error) {
+	if repl, ok := fn(root); ok {
+		return repl, nil
+	}
+	var cp Node
+	for i := 0; i < root.NumChildren(); i++ {
+		c := root.Child(i)
+		nc, err := Rewrite(c, fn)
+		if err != nil {
+			return nil, err
+		}
+		if nc == c {
+			continue
+		}
+		if cp == nil {
+			cp = shallowCopy(root)
+		}
+		if err := cp.SetChild(i, nc); err != nil {
+			return nil, err
+		}
+	}
+	if cp == nil {
+		return root, nil
+	}
+	return cp, nil
 }

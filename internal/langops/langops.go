@@ -12,7 +12,11 @@
 // writing descriptions.
 package langops
 
-import "extra/internal/isps"
+import (
+	"sync"
+
+	"extra/internal/isps"
+)
 
 // Entry identifies one operator description in the corpus.
 type Entry struct {
@@ -38,18 +42,23 @@ func All() []Entry {
 	}
 }
 
-// Get returns the named operator's description, parsed and interned: the
-// result is an immutable hash-consed tree (repeat calls return the same
-// canonical pointer while the interner retains it), so digests of catalog
-// descriptions are memoized. Callers that need a mutable tree must
-// CloneDesc it.
+var (
+	corpusOnce sync.Once
+	corpus     map[string]*isps.Description
+)
+
+// Get returns the named operator's description, or nil for a name not in
+// the corpus. The corpus is parsed and interned once per process, on first
+// use, so every call returns the same immutable hash-consed tree and its
+// digest is a memo read. Callers that need a mutable tree must CloneDesc it.
 func Get(name string) *isps.Description {
-	for _, e := range All() {
-		if e.Name == name {
-			return isps.InternDesc(isps.MustParse(e.Source))
+	corpusOnce.Do(func() {
+		corpus = make(map[string]*isps.Description)
+		for _, e := range All() {
+			corpus[e.Name] = isps.InternDesc(isps.MustParse(e.Source))
 		}
-	}
-	return nil
+	})
+	return corpus[name]
 }
 
 // RigelIndexSrc is the Rigel index operator, figure 2 of the paper: search

@@ -13,7 +13,11 @@
 // style.
 package machines
 
-import "extra/internal/isps"
+import (
+	"sync"
+
+	"extra/internal/isps"
+)
 
 // Entry identifies one instruction description in the corpus.
 type Entry struct {
@@ -41,18 +45,24 @@ func All() []Entry {
 	}
 }
 
-// Get returns the named instruction's description, parsed and interned: the
-// result is an immutable hash-consed tree (repeat calls return the same
-// canonical pointer while the interner retains it), so digests of catalog
-// descriptions are memoized. Callers that need a mutable tree must
+var (
+	corpusOnce sync.Once
+	corpus     map[string]*isps.Description
+)
+
+// Get returns the named instruction's description, or nil for a name not
+// in the corpus. The corpus is parsed and interned once per process, on
+// first use, so every call returns the same immutable hash-consed tree and
+// its digest is a memo read. Callers that need a mutable tree must
 // CloneDesc it.
 func Get(instruction string) *isps.Description {
-	for _, e := range All() {
-		if e.Instruction == instruction {
-			return isps.InternDesc(isps.MustParse(e.Source))
+	corpusOnce.Do(func() {
+		corpus = make(map[string]*isps.Description)
+		for _, e := range All() {
+			corpus[e.Instruction] = isps.InternDesc(isps.MustParse(e.Source))
 		}
-	}
-	return nil
+	})
+	return corpus[instruction]
 }
 
 // ScasbSrc is the Intel 8086 scasb instruction, figure 3 of the paper.

@@ -19,7 +19,6 @@ func init() {
 			"width for a fresh temporary target (figure 5's `temp <- di`).",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 			const name = "augment.prologue"
-			c := d.CloneDesc()
 			src, err := args.Str("stmt")
 			if err != nil {
 				return nil, err
@@ -32,25 +31,24 @@ func init() {
 			if !ok {
 				return nil, errPrecond(name, "prologue augments are assignments; got %T", stmt)
 			}
-			body, idx, in, err := inputStmtInfo(c)
+			bodyPath, idx, in, err := inputStmtInfo(d)
 			if err != nil {
 				return nil, err
 			}
 			var adaptor *InputAdaptor
+			decl, width := "", 0
 			if lhs, isIdent := asn.LHS.(*isps.Ident); isIdent {
-				if decl := args["decl"]; decl != "" {
+				if decl = args["decl"]; decl != "" {
 					if decl != lhs.Name {
 						return nil, errPrecond(name, "decl %q does not match the augment target %q", decl, lhs.Name)
 					}
-					if isps.FreshName(c, decl) != decl {
+					if isps.FreshName(d, decl) != decl {
 						return nil, errPrecond(name, "temporary %q is already in use", decl)
 					}
-					width := 0
 					if w, werr := args.Int("width"); werr == nil {
 						width = w
 					}
-					addRegDecl(c, decl, width, "new temporary")
-				} else if c.Reg(lhs.Name) == nil {
+				} else if d.Reg(lhs.Name) == nil {
 					return nil, errPrecond(name, "augment target %s is undeclared; pass decl/width to allocate it", lhs.Name)
 				}
 				// If the target is an input operand, the augment replaces
@@ -61,7 +59,6 @@ func init() {
 						if !isNum {
 							return nil, errPrecond(name, "augment reinitializes operand %s with a non-constant", lhs.Name)
 						}
-						in.Names = append(in.Names[:i], in.Names[i+1:]...)
 						adaptor = &InputAdaptor{Removed: lhs.Name, RemovedPos: i, RemovedVal: uint64(rhsNum.Val)}
 						break
 					}
@@ -69,6 +66,7 @@ func init() {
 			}
 			// Insert after input and after any earlier prologue statements
 			// (assignments directly following input).
+			body := d.Routine().Body
 			pos := idx + 1
 			for pos < len(body.Stmts) {
 				if _, isAssign := body.Stmts[pos].(*isps.AssignStmt); isAssign {
@@ -77,9 +75,18 @@ func init() {
 				}
 				break
 			}
-			body.Stmts = insertAt(body.Stmts, pos, stmt)
+			nd, err := d.SpliceAtDesc(bodyPath, pos, 0, stmt)
+			if err == nil && adaptor != nil {
+				nd, err = nd.ReplaceAtDesc(bodyPath.Child(idx), &isps.InputStmt{Names: without(in.Names, adaptor.RemovedPos)})
+			}
+			if err == nil && decl != "" {
+				nd, err = withRegDecl(nd, decl, width, "new temporary")
+			}
+			if err != nil {
+				return nil, err
+			}
 			return &Outcome{
-				Desc:     c,
+				Desc:     nd,
 				Prologue: []isps.Stmt{stmt.Clone().(isps.Stmt)},
 				Adaptor:  adaptor,
 				Note:     "prologue augment: " + src,
@@ -98,8 +105,7 @@ func init() {
 			"replacement statements; empty to drop the outputs).",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 			const name = "augment.epilogue"
-			c := d.CloneDesc()
-			_, body, err := routineBody(c)
+			bodyPath, body, err := routineBody(d)
 			if err != nil {
 				return nil, err
 			}
@@ -129,10 +135,10 @@ func init() {
 				}
 			}
 			removed := out.Clone().(*isps.OutputStmt)
-			rest := append([]isps.Stmt{}, body.Stmts[:outIdx]...)
-			rest = append(rest, repl...)
-			rest = append(rest, body.Stmts[outIdx+1:]...)
-			body.Stmts = rest
+			nd, err := d.SpliceAtDesc(bodyPath, outIdx, 1, repl...)
+			if err != nil {
+				return nil, err
+			}
 			cloned := make([]isps.Stmt, len(repl))
 			for i, s := range repl {
 				cloned[i] = s.Clone().(isps.Stmt)
@@ -142,7 +148,7 @@ func init() {
 				note = "dropped instruction outputs (operator produces no value)"
 			}
 			return &Outcome{
-				Desc:           c,
+				Desc:           nd,
 				Epilogue:       cloned,
 				RemovedOutputs: removed.Exprs,
 				Note:           note,

@@ -19,7 +19,6 @@ func init() {
 			"cld, rf = 1 via the rep prefix). Args: operand, value.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 			const name = "constraint.fix"
-			c := d.CloneDesc()
 			op, err := args.Str("operand")
 			if err != nil {
 				return nil, err
@@ -28,7 +27,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			body, idx, in, err := inputStmtInfo(c)
+			bodyPath, idx, in, err := inputStmtInfo(d)
 			if err != nil {
 				return nil, err
 			}
@@ -42,13 +41,14 @@ func init() {
 			if pos < 0 {
 				return nil, errPrecond(name, "%s is not an input operand", op)
 			}
-			in.Names = append(in.Names[:pos], in.Names[pos+1:]...)
-			body.Stmts = insertAt(body.Stmts, idx+1, &isps.AssignStmt{
-				LHS: &isps.Ident{Name: op},
-				RHS: &isps.Num{Val: int64(val)},
-			})
+			nd, err := d.SpliceAtDesc(bodyPath, idx, 1,
+				&isps.InputStmt{Names: without(in.Names, pos)},
+				&isps.AssignStmt{LHS: &isps.Ident{Name: op}, RHS: &isps.Num{Val: int64(val)}})
+			if err != nil {
+				return nil, err
+			}
 			return &Outcome{
-				Desc: c,
+				Desc: nd,
 				Constraints: []constraint.Constraint{
 					constraint.NewValue(op, uint64(val), "operand fixed by simplification"),
 				},
@@ -71,7 +71,6 @@ func init() {
 			"description. Args: operand, abstract (fresh), delta.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 			const name = "constraint.offset"
-			c := d.CloneDesc()
 			op, err := args.Str("operand")
 			if err != nil {
 				return nil, err
@@ -87,10 +86,10 @@ func init() {
 			if delta == 0 {
 				return nil, errPrecond(name, "a zero delta is not a coding constraint")
 			}
-			if isps.FreshName(c, abs) != abs {
+			if isps.FreshName(d, abs) != abs {
 				return nil, errPrecond(name, "abstract name %q is already in use", abs)
 			}
-			body, idx, in, err := inputStmtInfo(c)
+			bodyPath, idx, in, err := inputStmtInfo(d)
 			if err != nil {
 				return nil, err
 			}
@@ -104,20 +103,26 @@ func init() {
 			if pos < 0 {
 				return nil, errPrecond(name, "%s is not an input operand", op)
 			}
-			in.Names[pos] = abs
+			names := append([]string(nil), in.Names...)
+			names[pos] = abs
 			opKind, amount := isps.OpAdd, int64(delta)
 			if delta < 0 {
 				opKind, amount = isps.OpSub, int64(-delta)
 			}
-			body.Stmts = insertAt(body.Stmts, idx+1, &isps.AssignStmt{
+			nd, err := d.SpliceAtDesc(bodyPath, idx, 1, &isps.InputStmt{Names: names}, &isps.AssignStmt{
 				LHS: &isps.Ident{Name: op},
 				RHS: &isps.Bin{Op: opKind, X: &isps.Ident{Name: abs}, Y: &isps.Num{Val: amount}},
 			})
+			if err == nil {
+				nd, err = withRegDecl(nd, abs, 0, "abstract (unencoded) value of "+op)
+			}
+			if err != nil {
+				return nil, err
+			}
 			width := 0
-			if r := c.Reg(op); r != nil {
+			if r := d.Reg(op); r != nil {
 				width = r.Width
 			}
-			addRegDecl(c, abs, 0, "abstract (unencoded) value of "+op)
 			// The encoded value abstract+delta must fit the operand's field.
 			var cons []constraint.Constraint
 			cons = append(cons, constraint.NewOffset(abs, int64(delta),
@@ -129,7 +134,7 @@ func init() {
 					fmt.Sprintf("%s%+d must fit the %d-bit %s field", abs, delta, width, op)))
 			}
 			return &Outcome{
-				Desc:        c,
+				Desc:        nd,
 				Constraints: cons,
 				Adaptor:     &InputAdaptor{Removed: op, RemovedPos: pos, Delta: int64(delta), Reencoded: true},
 				Note:        fmt.Sprintf("re-encoded operand %s as %s%+d", op, abs, delta),
@@ -145,7 +150,6 @@ func init() {
 			"assertion after the input statement. Args: operand, min, max.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 			const name = "constraint.assert.range"
-			c := d.CloneDesc()
 			op, err := args.Str("operand")
 			if err != nil {
 				return nil, err
@@ -158,7 +162,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			body, idx, in, err := inputStmtInfo(c)
+			bodyPath, idx, in, err := inputStmtInfo(d)
 			if err != nil {
 				return nil, err
 			}
@@ -175,9 +179,12 @@ func init() {
 				X: &isps.Bin{Op: isps.OpGe, X: &isps.Ident{Name: op}, Y: &isps.Num{Val: int64(min)}},
 				Y: &isps.Bin{Op: isps.OpLe, X: &isps.Ident{Name: op}, Y: &isps.Num{Val: int64(max)}},
 			}
-			body.Stmts = insertAt(body.Stmts, idx+1, &isps.AssertStmt{Cond: cond})
+			nd, err := d.SpliceAtDesc(bodyPath, idx+1, 0, &isps.AssertStmt{Cond: cond})
+			if err != nil {
+				return nil, err
+			}
 			return &Outcome{
-				Desc: c,
+				Desc: nd,
 				Constraints: []constraint.Constraint{
 					constraint.NewRange(op, uint64(min), uint64(max), "asserted operand range"),
 				},
@@ -196,7 +203,6 @@ func init() {
 			"sessions accept the resulting constraint. Args: pred.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 			const name = "constraint.assert.pred"
-			c := d.CloneDesc()
 			pred, err := args.Str("pred")
 			if err != nil {
 				return nil, err
@@ -205,13 +211,16 @@ func init() {
 			if err != nil {
 				return nil, errPrecond(name, "bad predicate: %v", err)
 			}
-			body, idx, _, err := inputStmtInfo(c)
+			bodyPath, idx, _, err := inputStmtInfo(d)
 			if err != nil {
 				return nil, err
 			}
-			body.Stmts = insertAt(body.Stmts, idx+1, &isps.AssertStmt{Cond: cond})
+			nd, err := d.SpliceAtDesc(bodyPath, idx+1, 0, &isps.AssertStmt{Cond: cond})
+			if err != nil {
+				return nil, err
+			}
 			return &Outcome{
-				Desc: c,
+				Desc: nd,
 				Constraints: []constraint.Constraint{
 					constraint.NewPredicate(pred, "asserted source-language property"),
 				},
@@ -231,7 +240,6 @@ func init() {
 			"(comma-separated permutation of the current operand names).",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 			const name = "input.reorder"
-			c := d.CloneDesc()
 			orderStr, err := args.Str("order")
 			if err != nil {
 				return nil, err
@@ -240,7 +248,7 @@ func init() {
 			for _, part := range splitComma(orderStr) {
 				order = append(order, part)
 			}
-			_, _, in, err := inputStmtInfo(c)
+			bodyPath, idx, in, err := inputStmtInfo(d)
 			if err != nil {
 				return nil, err
 			}
@@ -263,9 +271,12 @@ func init() {
 				used[pos] = true
 				perm[i] = pos
 			}
-			in.Names = append([]string(nil), order...)
+			nd, err := d.ReplaceAtDesc(bodyPath.Child(idx), &isps.InputStmt{Names: order})
+			if err != nil {
+				return nil, err
+			}
 			return &Outcome{
-				Desc:    c,
+				Desc:    nd,
 				Adaptor: &InputAdaptor{Perm: perm},
 				Note:    "reordered operands to (" + orderStr + ")",
 			}, nil
@@ -280,8 +291,7 @@ func init() {
 			"recorded as a constraint of the analysis; the session verifies " +
 			"this, the transformation only removes the statement.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
-			c := d.CloneDesc()
-			blk, parentPath, idx, err := resolveStmtIndex(c, at)
+			blk, parentPath, idx, err := resolveStmtIndex(d, at)
 			if err != nil {
 				return nil, err
 			}
@@ -289,10 +299,11 @@ func init() {
 			if !ok {
 				return nil, errPrecond("constraint.assert.remove", "path %s is not an assertion", at)
 			}
-			if err := isps.RemoveStmt(c, parentPath, idx); err != nil {
+			nd, err := d.SpliceAtDesc(parentPath, idx, 1)
+			if err != nil {
 				return nil, err
 			}
-			return &Outcome{Desc: c, Note: "removed assertion " + isps.ExprString(as.Cond)}, nil
+			return &Outcome{Desc: nd, Note: "removed assertion " + isps.ExprString(as.Cond)}, nil
 		},
 	})
 }

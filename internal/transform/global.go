@@ -55,29 +55,47 @@ func topLevelDef(d *isps.Description, v string) (int, *isps.AssignStmt, error) {
 	return defIdx, def, nil
 }
 
-// substituteAfter replaces uses of v with repl in routine statements after
-// index defIdx and in all function bodies, returning the replacement count.
-func substituteAfter(d *isps.Description, defIdx int, v string, repl isps.Expr) (int, error) {
-	_, body, err := routineBody(d)
+// propagate returns d with the uses of v replaced by repl in the routine
+// statements after index defIdx and in all function bodies, and the
+// replacement count.
+func propagate(d *isps.Description, defIdx int, v string, repl isps.Expr) (*isps.Description, int, error) {
+	bodyPath, body, err := routineBody(d)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	total := 0
-	for i := defIdx + 1; i < len(body.Stmts); i++ {
-		n := substituteIdent(body.Stmts[i], v, repl)
-		if n < 0 {
-			return 0, fmt.Errorf("%s appears as an assignment target after its definition", v)
+	stmts := append([]isps.Stmt(nil), body.Stmts...)
+	for i := defIdx + 1; i < len(stmts); i++ {
+		s, n, ok := substitute(stmts[i], v, repl)
+		if !ok {
+			return nil, 0, fmt.Errorf("%s appears as an assignment target after its definition", v)
 		}
+		stmts[i] = s.(isps.Stmt)
 		total += n
 	}
-	for _, f := range d.Funcs() {
-		n := substituteIdent(f.Body, v, repl)
-		if n < 0 {
-			return 0, fmt.Errorf("%s appears as an assignment target inside function %s", v, f.Name)
-		}
-		total += n
+	nd, err := d.ReplaceAtDesc(bodyPath, &isps.Block{Stmts: stmts})
+	if err != nil {
+		return nil, 0, err
 	}
-	return total, nil
+	for si, sec := range d.Sections {
+		for di, dec := range sec.Decls {
+			f, ok := dec.(*isps.FuncDecl)
+			if !ok {
+				continue
+			}
+			nb, n, ok := substitute(f.Body, v, repl)
+			if !ok {
+				return nil, 0, fmt.Errorf("%s appears as an assignment target inside function %s", v, f.Name)
+			}
+			if n > 0 {
+				if nd, err = nd.ReplaceAtDesc(isps.Path{si, di, 0}, nb); err != nil {
+					return nil, 0, err
+				}
+			}
+			total += n
+		}
+	}
+	return nd, total, nil
 }
 
 func init() {
@@ -91,12 +109,11 @@ func init() {
 			"come after the definition). The definition itself remains for " +
 			"global.dead.assign to collect. Args: var.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
-			c := d.CloneDesc()
 			v, err := args.Str("var")
 			if err != nil {
 				return nil, err
 			}
-			defIdx, def, err := topLevelDef(c, v)
+			defIdx, def, err := topLevelDef(d, v)
 			if err != nil {
 				return nil, errPrecond("global.const.prop", "%v", err)
 			}
@@ -104,11 +121,11 @@ func init() {
 			if !ok {
 				return nil, errPrecond("global.const.prop", "%s's definition is not a constant", v)
 			}
-			n, err := substituteAfter(c, defIdx, v, num)
+			nd, n, err := propagate(d, defIdx, v, num)
 			if err != nil {
 				return nil, errPrecond("global.const.prop", "%v", err)
 			}
-			return &Outcome{Desc: c, Rewrites: n,
+			return &Outcome{Desc: nd, Rewrites: n,
 				Note: fmt.Sprintf("propagated %s = %d to %d uses", v, num.Val, n)}, nil
 		},
 	})
@@ -121,12 +138,11 @@ func init() {
 			"(w a register never written after that point) replaces every " +
 			"later use of v by w. Args: var.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
-			c := d.CloneDesc()
 			v, err := args.Str("var")
 			if err != nil {
 				return nil, err
 			}
-			defIdx, def, err := topLevelDef(c, v)
+			defIdx, def, err := topLevelDef(d, v)
 			if err != nil {
 				return nil, errPrecond("global.copy.prop", "%v", err)
 			}
@@ -135,32 +151,32 @@ func init() {
 				return nil, errPrecond("global.copy.prop", "%s's definition is not a plain copy", v)
 			}
 			// w must not be written after the copy, anywhere.
-			_, body, err := routineBody(c)
+			_, body, err := routineBody(d)
 			if err != nil {
 				return nil, err
 			}
-			funcs := dataflow.FuncMap(c)
+			funcs := dataflow.FuncMap(d)
 			for i := defIdx + 1; i < len(body.Stmts); i++ {
 				if dataflow.MayDefine(body.Stmts[i], w.Name, funcs) {
 					return nil, errPrecond("global.copy.prop", "%s is written after the copy; v and w diverge", w.Name)
 				}
 			}
-			for _, f := range c.Funcs() {
+			for _, f := range d.Funcs() {
 				if dataflow.MayDefine(f.Body, w.Name, funcs) {
 					return nil, errPrecond("global.copy.prop", "function %s writes %s", f.Name, w.Name)
 				}
 			}
 			// The copied-from register must also have the same width or
 			// wider truncation behaviour; identical widths keep it simple.
-			rv, rw := c.Reg(v), c.Reg(w.Name)
+			rv, rw := d.Reg(v), d.Reg(w.Name)
 			if rv != nil && rw != nil && rv.Width != 0 && rv.Width != rw.Width {
 				return nil, errPrecond("global.copy.prop", "widths of %s and %s differ; the copy truncates", v, w.Name)
 			}
-			n, err := substituteAfter(c, defIdx, v, w)
+			nd, n, err := propagate(d, defIdx, v, w)
 			if err != nil {
 				return nil, errPrecond("global.copy.prop", "%v", err)
 			}
-			return &Outcome{Desc: c, Rewrites: n,
+			return &Outcome{Desc: nd, Rewrites: n,
 				Note: fmt.Sprintf("propagated copy %s = %s to %d uses", v, w.Name, n)}, nil
 		},
 	})
@@ -172,8 +188,7 @@ func init() {
 		Doc: "Delete an assignment whose register target is never read " +
 			"afterwards; the right-hand side must be call free.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
-			c := d.CloneDesc()
-			blk, parentPath, idx, err := resolveStmtIndex(c, at)
+			blk, parentPath, idx, err := resolveStmtIndex(d, at)
 			if err != nil {
 				return nil, err
 			}
@@ -188,7 +203,7 @@ func init() {
 			if dataflow.HasCalls(asn.RHS) {
 				return nil, errPrecond("global.dead.assign", "right-hand side has side effects")
 			}
-			live, err := liveAfterStmt(c, at, lhs.Name)
+			live, err := liveAfterStmt(d, at, lhs.Name)
 			if err != nil {
 				// The statement may sit inside a function body; functions
 				// have no CFG of their own, so refuse.
@@ -197,10 +212,11 @@ func init() {
 			if live {
 				return nil, errPrecond("global.dead.assign", "%s is live after the assignment", lhs.Name)
 			}
-			if err := isps.RemoveStmt(c, parentPath, idx); err != nil {
+			nd, err := d.SpliceAtDesc(parentPath, idx, 1)
+			if err != nil {
 				return nil, err
 			}
-			return &Outcome{Desc: c, Note: "deleted dead assignment to " + lhs.Name}, nil
+			return &Outcome{Desc: nd, Note: "deleted dead assignment to " + lhs.Name}, nil
 		},
 	})
 
@@ -210,19 +226,21 @@ func init() {
 		Effect:   Preserving,
 		Doc:      "Delete the declaration of a register that occurs nowhere in the description. Args: var.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
-			c := d.CloneDesc()
 			v, err := args.Str("var")
 			if err != nil {
 				return nil, err
 			}
-			if c.Reg(v) == nil {
+			if d.Reg(v) == nil {
 				return nil, errPrecond("global.dead.decl", "%s is not a declared register", v)
 			}
-			if usedAnywhere(c, v) {
+			if usedAnywhere(d, v) {
 				return nil, errPrecond("global.dead.decl", "%s is still used", v)
 			}
-			removeRegDecl(c, v)
-			return &Outcome{Desc: c, Note: "deleted unused declaration of " + v}, nil
+			nd, err := withoutRegDecl(d, v)
+			if err != nil {
+				return nil, err
+			}
+			return &Outcome{Desc: nd, Note: "deleted unused declaration of " + v}, nil
 		},
 	})
 
@@ -232,7 +250,6 @@ func init() {
 		Effect:   Preserving,
 		Doc:      "Rename a register throughout the description. Args: from, to (fresh).",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
-			c := d.CloneDesc()
 			from, err := args.Str("from")
 			if err != nil {
 				return nil, err
@@ -241,16 +258,50 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if isps.FreshName(c, to) != to {
+			if isps.FreshName(d, to) != to {
 				return nil, errPrecond("global.rename", "name %q is already in use", to)
 			}
-			reg := c.Reg(from)
+			si, di, reg := regDeclAt(d, from)
 			if reg == nil {
 				return nil, errPrecond("global.rename", "%s is not a declared register", from)
 			}
-			reg.Name = to
-			renameEverywhere(c, from, to)
-			return &Outcome{Desc: c, Note: fmt.Sprintf("renamed %s to %s", from, to)}, nil
+			// Idents, calls and input operands are renamed; declaration
+			// names are not, except the register's own.
+			renamed, err := isps.Rewrite(d, func(n isps.Node) (isps.Node, bool) {
+				switch x := n.(type) {
+				case *isps.Ident:
+					if x.Name == from {
+						return &isps.Ident{Name: to}, true
+					}
+				case *isps.Call:
+					if x.Name == from {
+						return &isps.Call{Name: to}, true
+					}
+				case *isps.InputStmt:
+					var names []string
+					for i, nm := range x.Names {
+						if nm == from {
+							if names == nil {
+								names = append([]string(nil), x.Names...)
+							}
+							names[i] = to
+						}
+					}
+					if names != nil {
+						return &isps.InputStmt{Names: names}, true
+					}
+				}
+				return nil, false
+			})
+			if err != nil {
+				return nil, err
+			}
+			nd, err := spliceDecls(renamed.(*isps.Description), si, di, 1,
+				&isps.RegDecl{Name: to, Width: reg.Width, Comment: reg.Comment})
+			if err != nil {
+				return nil, err
+			}
+			return &Outcome{Desc: nd, Note: fmt.Sprintf("renamed %s to %s", from, to)}, nil
 		},
 	})
 
@@ -264,7 +315,6 @@ func init() {
 			"zero-flag (set on equality) with a mismatch witness. " +
 			"Args: flag, to (fresh).",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
-			c := d.CloneDesc()
 			f, err := args.Str("flag")
 			if err != nil {
 				return nil, err
@@ -273,21 +323,21 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if isps.FreshName(c, g) != g {
+			if isps.FreshName(d, g) != g {
 				return nil, errPrecond("global.flag.invert", "name %q is already in use", g)
 			}
-			reg := c.Reg(f)
+			si, di, reg := regDeclAt(d, f)
 			if reg == nil {
 				return nil, errPrecond("global.flag.invert", "%s is not a declared register", f)
 			}
-			for _, in := range c.Inputs() {
+			for _, in := range d.Inputs() {
 				if in == f {
 					return nil, errPrecond("global.flag.invert", "%s is an input operand; fix or augment it first", f)
 				}
 			}
 			// Every assignment must set a constant 0 or 1.
 			okAll := true
-			isps.Walk(c, func(n isps.Node, _ isps.Path) bool {
+			isps.Walk(d, func(n isps.Node, _ isps.Path) bool {
 				if a, isAsn := n.(*isps.AssignStmt); isAsn {
 					if id, isID := a.LHS.(*isps.Ident); isID && id.Name == f {
 						if v, isNum := numVal(a.RHS); !isNum || (v != 0 && v != 1) {
@@ -300,42 +350,33 @@ func init() {
 			if !okAll {
 				return nil, errPrecond("global.flag.invert", "%s is assigned a non-constant value", f)
 			}
-			// Invert assignments, wrap reads. The walk runs over this
-			// transform's own clone, so SetChild cannot fail; surface an
-			// error anyway rather than silently dropping an edit.
-			var recErr error
-			var rec func(n isps.Node)
-			rec = func(n isps.Node) {
-				for i := 0; i < n.NumChildren() && recErr == nil; i++ {
-					ch := n.Child(i)
-					if id, isID := ch.(*isps.Ident); isID && id.Name == f {
-						if a, isAsn := n.(*isps.AssignStmt); isAsn && i == 0 {
-							// assignment target: rename and invert value
-							a.LHS = &isps.Ident{Name: g}
-							v, _ := numVal(a.RHS)
-							a.RHS = &isps.Num{Val: 1 - v}
-							continue
-						}
-						recErr = n.SetChild(i, &isps.Un{Op: isps.OpNot, X: &isps.Ident{Name: g}})
-						continue
-					}
-					rec(ch)
-				}
-			}
-			rec(c)
-			if recErr != nil {
-				return nil, recErr
-			}
+			// Invert assignments, wrap reads.
 			edits := 0
-			isps.Walk(c, func(n isps.Node, _ isps.Path) bool {
-				if id, ok := n.(*isps.Ident); ok && id.Name == g {
-					edits++
+			inverted, err := isps.Rewrite(d, func(n isps.Node) (isps.Node, bool) {
+				switch x := n.(type) {
+				case *isps.AssignStmt:
+					if id, isID := x.LHS.(*isps.Ident); isID && id.Name == f {
+						edits++
+						v, _ := numVal(x.RHS)
+						return &isps.AssignStmt{LHS: &isps.Ident{Name: g}, RHS: &isps.Num{Val: 1 - v}}, true
+					}
+				case *isps.Ident:
+					if x.Name == f {
+						edits++
+						return &isps.Un{Op: isps.OpNot, X: &isps.Ident{Name: g}}, true
+					}
 				}
-				return true
+				return nil, false
 			})
-			reg.Name = g
-			reg.Comment = "complement of the original flag"
-			return &Outcome{Desc: c, Rewrites: edits,
+			if err != nil {
+				return nil, err
+			}
+			nd, err := spliceDecls(inverted.(*isps.Description), si, di, 1,
+				&isps.RegDecl{Name: g, Width: reg.Width, Comment: "complement of the original flag"})
+			if err != nil {
+				return nil, err
+			}
+			return &Outcome{Desc: nd, Rewrites: edits,
 				Note: fmt.Sprintf("replaced flag %s by its complement %s", f, g)}, nil
 		},
 	})
@@ -364,28 +405,4 @@ func mayAssign(n isps.Node, v string) bool {
 		return !found
 	})
 	return found
-}
-
-// renameEverywhere renames idents, calls, input operands and assignment
-// targets from -> to across the whole description.
-func renameEverywhere(d *isps.Description, from, to string) {
-	isps.Walk(d, func(n isps.Node, _ isps.Path) bool {
-		switch x := n.(type) {
-		case *isps.Ident:
-			if x.Name == from {
-				x.Name = to
-			}
-		case *isps.Call:
-			if x.Name == from {
-				x.Name = to
-			}
-		case *isps.InputStmt:
-			for i, nm := range x.Names {
-				if nm == from {
-					x.Names[i] = to
-				}
-			}
-		}
-		return true
-	})
 }

@@ -723,21 +723,3 @@ func foldIfConst(d *isps.Description, at isps.Path, wantTrue bool) (*Outcome, er
 	}
 	return &Outcome{Desc: nd, Note: "folded constant conditional"}, nil
 }
-
-// spliceStmts replaces the statement at blk[idx] with the given sequence.
-func spliceStmts(root isps.Node, blockPath isps.Path, idx int, stmts []isps.Stmt) error {
-	n, err := isps.Resolve(root, blockPath)
-	if err != nil {
-		return err
-	}
-	blk, ok := n.(*isps.Block)
-	if !ok {
-		return fmt.Errorf("transform: path %s is not a block", blockPath)
-	}
-	out := make([]isps.Stmt, 0, len(blk.Stmts)-1+len(stmts))
-	out = append(out, blk.Stmts[:idx]...)
-	out = append(out, stmts...)
-	out = append(out, blk.Stmts[idx+1:]...)
-	blk.Stmts = out
-	return nil
-}

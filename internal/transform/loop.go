@@ -204,20 +204,19 @@ func init() {
 			"exits, so the post-loop test discriminates the exit cause. " +
 			"Args: flag (fresh name). Path addresses the exit_when.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
-			c := d.CloneDesc()
 			flag, err := args.Str("flag")
 			if err != nil {
 				return nil, err
 			}
-			if isps.FreshName(c, flag) != flag {
+			if isps.FreshName(d, flag) != flag {
 				return nil, errPrecond("loop.exit.witness", "flag name %q is already in use", flag)
 			}
 			// at addresses the exit_when; derive the loop.
-			loopPath, err := enclosingLoop(c, at)
+			loopPath, err := enclosingLoop(d, at)
 			if err != nil {
 				return nil, err
 			}
-			sh, err := analyzeLoop(c, loopPath)
+			sh, err := analyzeLoop(d, loopPath)
 			if err != nil {
 				return nil, err
 			}
@@ -239,7 +238,7 @@ func init() {
 			if !ok {
 				return nil, errPrecond("loop.exit.witness", "statement after the loop is not a conditional")
 			}
-			funcs := dataflow.FuncMap(c)
+			funcs := dataflow.FuncMap(d)
 			e1cond := sh.body.Stmts[0].(*isps.ExitWhenStmt).Cond
 			if !isps.Equal(postIf.Cond, e1cond) {
 				return nil, errPrecond("loop.exit.witness", "post-loop conditional %s does not test the first exit's condition %s",
@@ -253,29 +252,32 @@ func init() {
 					return nil, errPrecond("loop.exit.witness", "%s (used by the first exit's condition) is written between the exits", v)
 				}
 			}
-			// Rewrite: replace the exit with setter + flag exit.
+			// Rewrite: replace the exit with setter + flag exit, clear the
+			// flag before the loop, and make the post-loop conditional test
+			// the flag with its arms swapped.
 			setter := &isps.IfStmt{
 				Cond: ex.Cond,
 				Then: &isps.Block{Stmts: []isps.Stmt{&isps.AssignStmt{LHS: &isps.Ident{Name: flag}, RHS: &isps.Num{Val: 1}}}},
 				Else: &isps.Block{Stmts: []isps.Stmt{&isps.AssignStmt{LHS: &isps.Ident{Name: flag}, RHS: &isps.Num{Val: 0}}}},
 			}
 			newExit := &isps.ExitWhenStmt{Cond: &isps.Ident{Name: flag}}
-			if err := spliceStmts(c, append(loopPath, 0), e2, []isps.Stmt{setter, newExit}); err != nil {
+			body := make([]isps.Stmt, 0, len(sh.body.Stmts)+1)
+			body = append(body, sh.body.Stmts[:e2]...)
+			body = append(body, setter, newExit)
+			body = append(body, sh.body.Stmts[e2+1:]...)
+			nd, err := d.SpliceAtDesc(sh.blkPath, sh.idx, 2,
+				&isps.AssignStmt{LHS: &isps.Ident{Name: flag}, RHS: &isps.Num{Val: 0}},
+				&isps.RepeatStmt{Body: &isps.Block{Stmts: body}},
+				&isps.IfStmt{Cond: &isps.Ident{Name: flag}, Then: postIf.Else, Else: postIf.Then})
+			if err == nil {
+				nd, err = withRegDecl(nd, flag, 1, "exit witness flag")
+			}
+			if err != nil {
 				return nil, err
 			}
-			// Clear the flag before the loop.
-			if err := isps.InsertStmt(c, sh.blkPath, sh.idx, &isps.AssignStmt{
-				LHS: &isps.Ident{Name: flag}, RHS: &isps.Num{Val: 0},
-			}); err != nil {
-				return nil, err
-			}
-			// Rewrite the post-loop conditional: test the flag, swap arms.
-			postIf.Cond = &isps.Ident{Name: flag}
-			postIf.Then, postIf.Else = postIf.Else, postIf.Then
-			addRegDecl(c, flag, 1, "exit witness flag")
 			// Four elementary edits: the setter, the new exit, the clear,
 			// and the post-loop rewrite.
-			return &Outcome{Desc: c, Rewrites: 4, Note: "introduced exit witness flag " + flag}, nil
+			return &Outcome{Desc: nd, Rewrites: 4, Note: "introduced exit witness flag " + flag}, nil
 		},
 	})
 

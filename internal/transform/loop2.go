@@ -39,8 +39,7 @@ func stepAssign(s isps.Stmt) (string, int64, bool) {
 
 func applyMoveIncrement(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 	const name = "loop.move.increment"
-	c := d.CloneDesc()
-	blk, _, idx, err := resolveStmtIndex(c, at)
+	blk, _, idx, err := resolveStmtIndex(d, at)
 	if err != nil {
 		return nil, err
 	}
@@ -69,15 +68,16 @@ func applyMoveIncrement(d *isps.Description, at isps.Path, args Args) (*Outcome,
 	if dataflow.UsesName(ex.Cond, v) {
 		return nil, errPrecond(name, "exit condition reads %s", v)
 	}
-	loopPath, err := enclosingLoop(c, at)
+	loopPath, err := enclosingLoop(d, at)
 	if err != nil {
 		return nil, err
 	}
-	sh, err := analyzeLoop(c, loopPath)
+	sh, err := analyzeLoop(d, loopPath)
 	if err != nil {
 		return nil, err
 	}
-	// The step statement must live at the top level of the loop body.
+	// The step statement must live at the top level of the loop body, so
+	// blk is the loop's body.
 	if len(at) != len(loopPath)+2 {
 		return nil, errPrecond(name, "step assignment is not a top-level loop statement")
 	}
@@ -92,7 +92,7 @@ func applyMoveIncrement(d *isps.Description, at isps.Path, args Args) (*Outcome,
 	if dataflow.UsesName(postIf.Cond, v) {
 		return nil, errPrecond(name, "post-loop condition reads %s", v)
 	}
-	branch, err := exitBranch(c, sh, e2, postIf)
+	branch, err := exitBranch(d, sh, e2, postIf)
 	if err != nil {
 		return nil, errPrecond(name, "cannot attribute post-loop branches to exits: %v", err)
 	}
@@ -103,13 +103,10 @@ func applyMoveIncrement(d *isps.Description, at isps.Path, args Args) (*Outcome,
 			return nil, errPrecond(name, "%s is used after the post-loop conditional", v)
 		}
 	}
-	otherBranch := postIf.Else
 	ownBranch := postIf.Then
 	if branch == 2 {
 		ownBranch = postIf.Else
-		otherBranch = postIf.Then
 	}
-	_ = otherBranch
 	// Compensate uses of v in the branch owned by the crossed exit:
 	// moving the step after the exit (down) leaves v one step behind at
 	// that exit, so uses become v + step; moving it before (up) puts v one
@@ -125,16 +122,27 @@ func applyMoveIncrement(d *isps.Description, at isps.Path, args Args) (*Outcome,
 		amount = -delta
 	}
 	repl := &isps.Bin{Op: op, X: &isps.Ident{Name: v}, Y: &isps.Num{Val: amount}}
-	if n := substituteIdent(ownBranch, v, repl); n < 0 {
+	own, _, ok := substitute(ownBranch, v, repl)
+	if !ok {
 		return nil, errPrecond(name, "%s is assigned in the post-loop branch; cannot compensate", v)
 	}
-	blk.Stmts[idx], blk.Stmts[exitIdx] = blk.Stmts[exitIdx], blk.Stmts[idx]
-	return &Outcome{Desc: c, Note: fmt.Sprintf("moved step of %s %s across exit, compensating the exit's branch", v, dir)}, nil
+	newIf := &isps.IfStmt{Cond: postIf.Cond, Then: postIf.Then, Else: postIf.Else}
+	if branch == 2 {
+		newIf.Else = own.(*isps.Block)
+	} else {
+		newIf.Then = own.(*isps.Block)
+	}
+	body := append([]isps.Stmt(nil), blk.Stmts...)
+	body[idx], body[exitIdx] = body[exitIdx], body[idx]
+	nd, err := d.SpliceAtDesc(sh.blkPath, sh.idx, 2, &isps.RepeatStmt{Body: &isps.Block{Stmts: body}}, newIf)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Desc: nd, Note: fmt.Sprintf("moved step of %s %s across exit, compensating the exit's branch", v, dir)}, nil
 }
 
 func applyCountdownIntro(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 	const name = "loop.countdown.intro"
-	c := d.CloneDesc()
 	iName, err := args.Str("i")
 	if err != nil {
 		return nil, err
@@ -151,14 +159,14 @@ func applyCountdownIntro(d *isps.Description, at isps.Path, args Args) (*Outcome
 	// of introducing a fresh counter; it needs a stronger precondition, as
 	// every use of n must be one of the rewritten limit tests.
 	inPlace := lenName == nName
-	if !inPlace && isps.FreshName(c, lenName) != lenName {
+	if !inPlace && isps.FreshName(d, lenName) != lenName {
 		return nil, errPrecond(name, "counter name %q is already in use", lenName)
 	}
-	sh, err := analyzeLoop(c, at)
+	sh, err := analyzeLoop(d, at)
 	if err != nil {
 		return nil, err
 	}
-	funcs := dataflow.FuncMap(c)
+	funcs := dataflow.FuncMap(d)
 	isLimitTest := func(e isps.Expr) bool {
 		b, ok := e.(*isps.Bin)
 		if !ok || b.Op != isps.OpEq {
@@ -232,8 +240,8 @@ func applyCountdownIntro(d *isps.Description, at isps.Path, args Args) (*Outcome
 				allowed++
 			}
 		}
-		uses := countIdent(c.Routine().Body, nName)
-		for _, f := range c.Funcs() {
+		uses := countIdent(d.Routine().Body, nName)
+		for _, f := range d.Funcs() {
 			uses += countIdent(f.Body, nName)
 		}
 		if uses != allowed {
@@ -244,48 +252,53 @@ func applyCountdownIntro(d *isps.Description, at isps.Path, args Args) (*Outcome
 	// condition; then (fresh mode) insert len <- n after i's init; finally
 	// rewrite the post-loop conditional if it tests the limit.
 	width := 0
-	if r := c.Reg(nName); r != nil {
+	if r := d.Reg(nName); r != nil {
 		width = r.Width
 	}
-	sh.body.Stmts = insertAt(sh.body.Stmts, stepIdx+1, &isps.AssignStmt{
-		LHS: &isps.Ident{Name: lenName},
-		RHS: &isps.Bin{Op: isps.OpSub, X: &isps.Ident{Name: lenName}, Y: &isps.Num{Val: 1}},
-	})
-	if exitAt > stepIdx {
-		exitAt++
-	}
-	sh.body.Stmts[exitAt] = &isps.ExitWhenStmt{
-		Cond: &isps.Bin{Op: isps.OpEq, X: &isps.Ident{Name: lenName}, Y: &isps.Num{Val: 0}},
-	}
-	loopIdx := sh.idx
-	if !inPlace {
-		sh.blk.Stmts = insertAt(sh.blk.Stmts, init+1, &isps.AssignStmt{
-			LHS: &isps.Ident{Name: lenName},
-			RHS: &isps.Ident{Name: nName},
-		})
-		loopIdx = sh.idx + 1 // the insert shifted the loop down by one
-	}
-	if loopIdx+1 < len(sh.blk.Stmts) {
-		if postIf, ok := sh.blk.Stmts[loopIdx+1].(*isps.IfStmt); ok && isLimitTest(postIf.Cond) {
-			postIf.Cond = &isps.Bin{Op: isps.OpEq, X: &isps.Ident{Name: lenName}, Y: &isps.Num{Val: 0}}
+	lenZero := &isps.Bin{Op: isps.OpEq, X: &isps.Ident{Name: lenName}, Y: &isps.Num{Val: 0}}
+	body := make([]isps.Stmt, 0, len(sh.body.Stmts)+1)
+	for i, st := range sh.body.Stmts {
+		if i == exitAt {
+			st = &isps.ExitWhenStmt{Cond: lenZero}
+		}
+		body = append(body, st)
+		if i == stepIdx {
+			body = append(body, &isps.AssignStmt{
+				LHS: &isps.Ident{Name: lenName},
+				RHS: &isps.Bin{Op: isps.OpSub, X: &isps.Ident{Name: lenName}, Y: &isps.Num{Val: 1}},
+			})
 		}
 	}
-	if !inPlace {
-		addRegDecl(c, lenName, width, "countdown paired with "+iName)
+	blk := make([]isps.Stmt, 0, len(sh.blk.Stmts)+1)
+	for i, st := range sh.blk.Stmts {
+		switch i {
+		case sh.idx:
+			st = &isps.RepeatStmt{Body: &isps.Block{Stmts: body}}
+		case sh.idx + 1:
+			if postIf, ok := st.(*isps.IfStmt); ok && isLimitTest(postIf.Cond) {
+				st = &isps.IfStmt{Cond: lenZero, Then: postIf.Then, Else: postIf.Else}
+			}
+		}
+		blk = append(blk, st)
+		if i == init && !inPlace {
+			blk = append(blk, &isps.AssignStmt{
+				LHS: &isps.Ident{Name: lenName},
+				RHS: &isps.Ident{Name: nName},
+			})
+		}
 	}
-	return &Outcome{Desc: c, Note: fmt.Sprintf("introduced countdown %s = %s - %s", lenName, nName, iName)}, nil
-}
-
-func insertAt(stmts []isps.Stmt, i int, s isps.Stmt) []isps.Stmt {
-	stmts = append(stmts, nil)
-	copy(stmts[i+1:], stmts[i:])
-	stmts[i] = s
-	return stmts
+	nd, err := d.ReplaceAtDesc(sh.blkPath, &isps.Block{Stmts: blk})
+	if err == nil && !inPlace {
+		nd, err = withRegDecl(nd, lenName, width, "countdown paired with "+iName)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Desc: nd, Note: fmt.Sprintf("introduced countdown %s = %s - %s", lenName, nName, iName)}, nil
 }
 
 func applyInductionIndex(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 	const name = "loop.induction.index"
-	c := d.CloneDesc()
 	pName, err := args.Str("p")
 	if err != nil {
 		return nil, err
@@ -294,14 +307,14 @@ func applyInductionIndex(d *isps.Description, at isps.Path, args Args) (*Outcome
 	if err != nil {
 		return nil, err
 	}
-	if isps.FreshName(c, iName) != iName {
+	if isps.FreshName(d, iName) != iName {
 		return nil, errPrecond(name, "index name %q is already in use", iName)
 	}
-	sh, err := analyzeLoop(c, at)
+	sh, err := analyzeLoop(d, at)
 	if err != nil {
 		return nil, err
 	}
-	funcs := dataflow.FuncMap(c)
+	funcs := dataflow.FuncMap(d)
 	// The loop must contain the only non-input definition of p in the
 	// routine, and it must be a single top-level `p <- p + 1`.
 	stepIdx := -1
@@ -318,7 +331,7 @@ func applyInductionIndex(d *isps.Description, at isps.Path, args Args) (*Outcome
 	if stepIdx < 0 {
 		return nil, errPrecond(name, "%s is not stepped in the loop", pName)
 	}
-	_, body, err := routineBody(c)
+	_, body, err := routineBody(d)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +349,7 @@ func applyInductionIndex(d *isps.Description, at isps.Path, args Args) (*Outcome
 		return nil, errPrecond(name, "%s is assigned %d times in the routine; only the in-loop step is allowed", pName, defs)
 	}
 	// Functions must not touch p either (inline calls first).
-	for _, f := range c.Funcs() {
+	for _, f := range d.Funcs() {
 		if dataflow.MayDefine(f.Body, pName, funcs) {
 			return nil, errPrecond(name, "function %s writes %s; inline it first", f.Name, pName)
 		}
@@ -344,35 +357,43 @@ func applyInductionIndex(d *isps.Description, at isps.Path, args Args) (*Outcome
 	width := 0
 	if w, werr := args.Int("width"); werr == nil {
 		width = w
-	} else if r := c.Reg(pName); r != nil {
+	} else if r := d.Reg(pName); r != nil {
 		width = r.Width
 	}
 	// Replace the step with the index step, then substitute p -> (p + i)
 	// in the loop body and everything after the loop in its block.
-	sh.body.Stmts[stepIdx] = &isps.AssignStmt{
+	loopBody := append([]isps.Stmt(nil), sh.body.Stmts...)
+	loopBody[stepIdx] = &isps.AssignStmt{
 		LHS: &isps.Ident{Name: iName},
 		RHS: &isps.Bin{Op: isps.OpAdd, X: &isps.Ident{Name: iName}, Y: &isps.Num{Val: 1}},
 	}
 	repl := &isps.Bin{Op: isps.OpAdd, X: &isps.Ident{Name: pName}, Y: &isps.Ident{Name: iName}}
 	edits := 2 // the replaced step and the inserted initialization
-	n := substituteIdent(sh.body, pName, repl)
-	if n < 0 {
+	newLoop, n, ok := substitute(&isps.RepeatStmt{Body: &isps.Block{Stmts: loopBody}}, pName, repl)
+	if !ok {
 		return nil, errPrecond(name, "%s appears as an assignment target after the step removal", pName)
 	}
 	edits += n
-	for i := sh.idx + 1; i < len(sh.blk.Stmts); i++ {
-		n := substituteIdent(sh.blk.Stmts[i], pName, repl)
-		if n < 0 {
+	blk := make([]isps.Stmt, 0, len(sh.blk.Stmts)+1)
+	blk = append(blk, sh.blk.Stmts[:sh.idx]...)
+	blk = append(blk, &isps.AssignStmt{LHS: &isps.Ident{Name: iName}, RHS: &isps.Num{Val: 0}}, newLoop.(isps.Stmt))
+	for _, st := range sh.blk.Stmts[sh.idx+1:] {
+		ns, n, ok := substitute(st, pName, repl)
+		if !ok {
 			return nil, errPrecond(name, "%s appears as an assignment target after the loop", pName)
 		}
 		edits += n
+		blk = append(blk, ns.(isps.Stmt))
 	}
-	sh.blk.Stmts = insertAt(sh.blk.Stmts, sh.idx, &isps.AssignStmt{
-		LHS: &isps.Ident{Name: iName}, RHS: &isps.Num{Val: 0},
-	})
-	addRegDecl(c, iName, width, "index induction variable for "+pName)
+	nd, err := d.ReplaceAtDesc(sh.blkPath, &isps.Block{Stmts: blk})
+	if err == nil {
+		nd, err = withRegDecl(nd, iName, width, "index induction variable for "+pName)
+	}
+	if err != nil {
+		return nil, err
+	}
 	return &Outcome{
-		Desc:     c,
+		Desc:     nd,
 		Rewrites: edits,
 		Note:     fmt.Sprintf("rewrote pointer %s as %s + %s (assumes the string does not wrap the address space)", pName, pName, iName),
 	}, nil
@@ -380,7 +401,6 @@ func applyInductionIndex(d *isps.Description, at isps.Path, args Args) (*Outcome
 
 func applyInductionMerge(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 	const name = "loop.induction.merge"
-	c := d.CloneDesc()
 	keep, err := args.Str("keep")
 	if err != nil {
 		return nil, err
@@ -389,12 +409,12 @@ func applyInductionMerge(d *isps.Description, at isps.Path, args Args) (*Outcome
 	if err != nil {
 		return nil, err
 	}
-	sh, err := analyzeLoop(c, at)
+	sh, err := analyzeLoop(d, at)
 	if err != nil {
 		return nil, err
 	}
-	funcs := dataflow.FuncMap(c)
-	for _, in := range c.Inputs() {
+	funcs := dataflow.FuncMap(d)
+	for _, in := range d.Inputs() {
 		if in == drop {
 			return nil, errPrecond(name, "%s is an input operand and cannot be merged away", drop)
 		}
@@ -461,26 +481,31 @@ func applyInductionMerge(d *isps.Description, at isps.Path, args Args) (*Outcome
 		return nil, errPrecond(name, "initial values differ: %d vs %d", kval, dval)
 	}
 	// Rewrite: delete drop's step and init, substitute drop -> keep in the
-	// loop and everything after it.
+	// loop and everything after it. Renaming to an identifier cannot fail.
 	edits := 2 // the deleted step and initialization
-	sh.body.Stmts = append(sh.body.Stmts[:di], sh.body.Stmts[di+1:]...)
-	n := substituteIdent(sh.body, drop, &isps.Ident{Name: keep})
-	if n < 0 {
-		return nil, errPrecond(name, "substitution failed in loop body")
-	}
+	kept := &isps.Ident{Name: keep}
+	loopBody := make([]isps.Stmt, 0, len(sh.body.Stmts)-1)
+	loopBody = append(loopBody, sh.body.Stmts[:di]...)
+	loopBody = append(loopBody, sh.body.Stmts[di+1:]...)
+	newLoop, n, _ := substitute(&isps.RepeatStmt{Body: &isps.Block{Stmts: loopBody}}, drop, kept)
 	edits += n
-	for i := sh.idx + 1; i < len(sh.blk.Stmts); i++ {
-		n := substituteIdent(sh.blk.Stmts[i], drop, &isps.Ident{Name: keep})
-		if n < 0 {
-			return nil, errPrecond(name, "substitution failed after the loop")
-		}
+	blk := make([]isps.Stmt, 0, len(sh.blk.Stmts)-1)
+	blk = append(blk, sh.blk.Stmts[:dInitIdx]...)
+	blk = append(blk, sh.blk.Stmts[dInitIdx+1:sh.idx]...)
+	blk = append(blk, newLoop.(isps.Stmt))
+	for _, st := range sh.blk.Stmts[sh.idx+1:] {
+		ns, n, _ := substitute(st, drop, kept)
 		edits += n
+		blk = append(blk, ns.(isps.Stmt))
 	}
-	sh.blk.Stmts = append(sh.blk.Stmts[:dInitIdx], sh.blk.Stmts[dInitIdx+1:]...)
-	if !dataflow.UsesName(c, drop) {
-		removeRegDecl(c, drop)
+	nd, err := d.ReplaceAtDesc(sh.blkPath, &isps.Block{Stmts: blk})
+	if err == nil && !dataflow.UsesName(nd, drop) {
+		nd, err = withoutRegDecl(nd, drop)
 	}
-	return &Outcome{Desc: c, Rewrites: edits,
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Desc: nd, Rewrites: edits,
 		Note: fmt.Sprintf("merged induction variable %s into %s", drop, keep)}, nil
 }
 
@@ -543,7 +568,6 @@ func applyRotateGuarded(d *isps.Description, at isps.Path, args Args) (*Outcome,
 
 func applyDoWhileCount(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 	const name = "loop.dowhile.count"
-	c := d.CloneDesc()
 	kName, err := args.Str("k")
 	if err != nil {
 		return nil, err
@@ -552,11 +576,11 @@ func applyDoWhileCount(d *isps.Description, at isps.Path, args Args) (*Outcome, 
 	if err != nil {
 		return nil, err
 	}
-	sh, err := analyzeLoop(c, at)
+	sh, err := analyzeLoop(d, at)
 	if err != nil {
 		return nil, err
 	}
-	funcs := dataflow.FuncMap(c)
+	funcs := dataflow.FuncMap(d)
 	nb := len(sh.body.Stmts)
 	if nb < 2 {
 		return nil, errPrecond(name, "loop body too short")
@@ -594,7 +618,7 @@ func applyDoWhileCount(d *isps.Description, at isps.Path, args Args) (*Outcome, 
 	}
 	// k and n dead after the loop.
 	for _, v := range []string{kName, nName} {
-		live, lerr := liveAtLoopExit(c, sh.loopPath, v)
+		live, lerr := liveAtLoopExit(d, sh.loopPath, v)
 		if lerr != nil {
 			return nil, lerr
 		}
@@ -603,7 +627,7 @@ func applyDoWhileCount(d *isps.Description, at isps.Path, args Args) (*Outcome, 
 		}
 	}
 	kWidth := 64
-	if r := c.Reg(kName); r != nil && r.Width > 0 {
+	if r := d.Reg(kName); r != nil && r.Width > 0 {
 		kWidth = r.Width
 	}
 	// Rewrite: drop the preload, re-shape the loop to a top test over n.
@@ -614,10 +638,12 @@ func applyDoWhileCount(d *isps.Description, at isps.Path, args Args) (*Outcome, 
 		LHS: &isps.Ident{Name: nName},
 		RHS: &isps.Bin{Op: isps.OpSub, X: &isps.Ident{Name: nName}, Y: &isps.Num{Val: 1}},
 	})
-	sh.loop.Body = &isps.Block{Stmts: newBody}
-	sh.blk.Stmts = append(sh.blk.Stmts[:sh.idx-1], sh.blk.Stmts[sh.idx:]...)
-	if !dataflow.UsesName(c, kName) {
-		removeRegDecl(c, kName)
+	nd, err := d.SpliceAtDesc(sh.blkPath, sh.idx-1, 2, &isps.RepeatStmt{Body: &isps.Block{Stmts: newBody}})
+	if err == nil && !dataflow.UsesName(nd, kName) {
+		nd, err = withoutRegDecl(nd, kName)
+	}
+	if err != nil {
+		return nil, err
 	}
 	max := uint64(1) << uint(kWidth)
 	if kWidth >= 64 {
@@ -626,7 +652,7 @@ func applyDoWhileCount(d *isps.Description, at isps.Path, args Args) (*Outcome, 
 	cons := constraint.NewRange(nName, 1, max,
 		fmt.Sprintf("the counted loop runs %s times only when %s >= 1, and %s - 1 must fit the %d-bit count field", nName, nName, nName, kWidth))
 	return &Outcome{
-		Desc:        c,
+		Desc:        nd,
 		Constraints: []constraint.Constraint{cons},
 		Note:        fmt.Sprintf("converted k+1-times bottom-test loop into %s-times top-test loop", nName),
 	}, nil
@@ -634,7 +660,6 @@ func applyDoWhileCount(d *isps.Description, at isps.Path, args Args) (*Outcome, 
 
 func applyReverseCopy(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 	const name = "loop.reverse.copy"
-	c := d.CloneDesc()
 	lenName, err := args.Str("len")
 	if err != nil {
 		return nil, err
@@ -647,7 +672,7 @@ func applyReverseCopy(d *isps.Description, at isps.Path, args Args) (*Outcome, e
 	if err != nil {
 		return nil, err
 	}
-	blk, parentPath, idx, err := resolveStmtIndex(c, at)
+	blk, parentPath, idx, err := resolveStmtIndex(d, at)
 	if err != nil {
 		return nil, err
 	}
@@ -690,15 +715,15 @@ func applyReverseCopy(d *isps.Description, at isps.Path, args Args) (*Outcome, e
 	}
 	// The final pointer values differ between directions, so they must be
 	// dead after the conditional.
-	_, body, err := routineBody(c)
+	_, body, err := routineBody(d)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := bodyRelative(c, at)
+	rel, err := bodyRelative(d, at)
 	if err != nil {
 		return nil, err
 	}
-	g := dataflow.BuildCFG(body, dataflow.FuncMap(c))
+	g := dataflow.BuildCFG(body, dataflow.FuncMap(d))
 	live := g.Liveness()
 	for _, v := range []string{srcName, dstName} {
 		isLive, lerr := live.LiveAtStmtExit(rel, v)
@@ -709,14 +734,15 @@ func applyReverseCopy(d *isps.Description, at isps.Path, args Args) (*Outcome, e
 			return nil, errPrecond(name, "%s is live after the copy; the directions leave different values", v)
 		}
 	}
-	if err := spliceStmts(c, parentPath, idx, forward); err != nil {
+	nd, err := d.SpliceAtDesc(parentPath, idx, 1, forward...)
+	if err != nil {
 		return nil, err
 	}
 	pred := fmt.Sprintf("(%[2]s + %[1]s <= %[3]s) or (%[3]s + %[1]s <= %[2]s)", lenName, srcName, dstName)
 	cons := constraint.NewPredicate(pred,
 		"the forward and backward copies agree only when the strings do not overlap (paper section 4.3)")
 	return &Outcome{
-		Desc:        c,
+		Desc:        nd,
 		Constraints: []constraint.Constraint{cons},
 		Note:        "collapsed overlap-guarded copy to the forward loop under a no-overlap predicate",
 	}, nil

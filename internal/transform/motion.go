@@ -112,8 +112,7 @@ func init() {
 			"evaluation order cannot be observed. Args: temp (fresh name), " +
 			"width (bits, 0 for integer).",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
-			c := d.CloneDesc()
-			e, err := resolveExpr(c, at)
+			e, err := resolveExpr(d, at)
 			if err != nil {
 				return nil, err
 			}
@@ -125,16 +124,16 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if isps.FreshName(c, tempName) != tempName {
+			if isps.FreshName(d, tempName) != tempName {
 				return nil, errPrecond("move.hoist.expr", "temporary name %q is already in use", tempName)
 			}
 			// Find the containing statement: the longest prefix of the path
 			// addressing a Stmt.
-			stmtPath, err := containingStmt(c, at)
+			stmtPath, err := containingStmt(d, at)
 			if err != nil {
 				return nil, err
 			}
-			stmt, err := isps.Resolve(c, stmtPath)
+			stmt, err := isps.Resolve(d, stmtPath)
 			if err != nil {
 				return nil, err
 			}
@@ -165,22 +164,24 @@ func init() {
 			if dataflow.HasCalls(e) {
 				return nil, errPrecond("move.hoist.expr", "expression itself has calls")
 			}
-			if need := valueWidth(e, c); width != 0 && width < need {
+			if need := valueWidth(e, d); width != 0 && width < need {
 				return nil, errPrecond("move.hoist.expr",
 					"a %d-bit temporary would truncate the expression (its value needs %d bits)", width, need)
 			}
 			blockPath, idx := stmtPath.Parent()
-			if err := isps.Replace(c, at, &isps.Ident{Name: tempName}); err != nil {
+			rewritten, err := isps.ReplaceAt(stmt, at[len(stmtPath):], &isps.Ident{Name: tempName})
+			if err != nil {
 				return nil, err
 			}
-			if err := isps.InsertStmt(c, blockPath, idx, &isps.AssignStmt{
-				LHS: &isps.Ident{Name: tempName},
-				RHS: e,
-			}); err != nil {
+			nd, err := d.SpliceAtDesc(blockPath, idx, 1,
+				&isps.AssignStmt{LHS: &isps.Ident{Name: tempName}, RHS: e}, rewritten.(isps.Stmt))
+			if err == nil {
+				nd, err = withRegDecl(nd, tempName, width, "hoisted subexpression")
+			}
+			if err != nil {
 				return nil, err
 			}
-			addRegDecl(c, tempName, width, "hoisted subexpression")
-			return &Outcome{Desc: c, Note: "hoisted " + isps.ExprString(e) + " into " + tempName}, nil
+			return &Outcome{Desc: nd, Note: "hoisted " + isps.ExprString(e) + " into " + tempName}, nil
 		},
 	})
 
@@ -191,8 +192,7 @@ func init() {
 		Doc: "Move a statement into both branches of the immediately " +
 			"following conditional, when it is independent of the condition.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
-			c := d.CloneDesc()
-			blk, _, idx, err := resolveStmtIndex(c, at)
+			blk, parentPath, idx, err := resolveStmtIndex(d, at)
 			if err != nil {
 				return nil, err
 			}
@@ -207,8 +207,8 @@ func init() {
 			if _, isExit := s.(*isps.ExitWhenStmt); isExit {
 				return nil, errPrecond("move.dup.into.if", "cannot move an exit_when")
 			}
-			eff := dataflow.NodeEffects(s, dataflow.FuncMap(c))
-			condEff := dataflow.NodeEffects(ifs.Cond, dataflow.FuncMap(c))
+			eff := dataflow.NodeEffects(s, dataflow.FuncMap(d))
+			condEff := dataflow.NodeEffects(ifs.Cond, dataflow.FuncMap(d))
 			for k := range eff.MayDef {
 				if condEff.MayUse[k] || condEff.MayDef[k] {
 					return nil, errPrecond("move.dup.into.if", "statement writes %s, which the condition touches", k)
@@ -219,10 +219,16 @@ func init() {
 					return nil, errPrecond("move.dup.into.if", "condition writes %s, which the statement touches", k)
 				}
 			}
-			ifs.Then.Stmts = append([]isps.Stmt{s.Clone().(isps.Stmt)}, ifs.Then.Stmts...)
-			ifs.Else.Stmts = append([]isps.Stmt{s.Clone().(isps.Stmt)}, ifs.Else.Stmts...)
-			blk.Stmts = append(blk.Stmts[:idx], blk.Stmts[idx+1:]...)
-			return &Outcome{Desc: c, Note: "duplicated statement into both branches"}, nil
+			dup := &isps.IfStmt{
+				Cond: ifs.Cond,
+				Then: &isps.Block{Stmts: append([]isps.Stmt{s}, ifs.Then.Stmts...)},
+				Else: &isps.Block{Stmts: append([]isps.Stmt{s}, ifs.Else.Stmts...)},
+			}
+			nd, err := d.SpliceAtDesc(parentPath, idx, 2, dup)
+			if err != nil {
+				return nil, err
+			}
+			return &Outcome{Desc: nd, Note: "duplicated statement into both branches"}, nil
 		},
 	})
 }

@@ -11,9 +11,12 @@ import (
 // arguments: none may panic, and whatever succeeds must produce a valid
 // description. This is the library's "no crashes on bad cursor positions"
 // net — the paper's interactive EXTRA faced arbitrary user cursor
-// placement.
+// placement. It runs on the parsed tree and on its interned form, and
+// every application, successful or not, must leave its input exactly as
+// it was: transformations build their results persistently, and a direct
+// field write would corrupt the canonical tree every session shares.
 func TestEveryTransformationRejectsGracefully(t *testing.T) {
-	d := parse(t, "a: integer, f<>, k<7:0>,",
+	parsed := parse(t, "a: integer, f<>, k<7:0>,",
 		`input (a, f, k);
 if f then a <- a + 1; else a <- 0; end_if;
 repeat
@@ -22,11 +25,6 @@ Mb[a + k] <- 1;
 k <- k - 1;
 end_repeat;
 output (a);`)
-	var paths []isps.Path
-	isps.Walk(d, func(n isps.Node, p isps.Path) bool {
-		paths = append(paths, append(isps.Path(nil), p...))
-		return true
-	})
 	argSets := []Args{
 		nil,
 		{"dir": "up"},
@@ -38,23 +36,35 @@ output (a);`)
 			"order": "a,f,k", "func": "a", "src": "a", "dst": "f"},
 		{"value": "not-a-number", "width": "x", "delta": "y"},
 	}
-	for _, tr := range All() {
-		for _, p := range paths {
-			for _, args := range argSets {
-				out, err := func() (o *Outcome, err error) {
-					defer func() {
-						if r := recover(); r != nil {
-							t.Fatalf("%s at %s with %v panicked: %v", tr.Name, p, args, r)
-						}
+	for _, d := range []*isps.Description{parsed, isps.InternDesc(parsed)} {
+		want := isps.Format(d)
+		var paths []isps.Path
+		isps.Walk(d, func(n isps.Node, p isps.Path) bool {
+			paths = append(paths, append(isps.Path(nil), p...))
+			return true
+		})
+		for _, tr := range All() {
+			for _, p := range paths {
+				for _, args := range argSets {
+					out, err := func() (o *Outcome, err error) {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Fatalf("%s at %s with %v panicked: %v", tr.Name, p, args, r)
+							}
+						}()
+						return tr.Apply(d, p, args)
 					}()
-					return tr.Apply(d, p, args)
-				}()
-				if err != nil {
-					continue
-				}
-				if verr := isps.Validate(out.Desc); verr != nil {
-					t.Errorf("%s at %s with %v produced an invalid description: %v",
-						tr.Name, p, args, verr)
+					if got := isps.Format(d); got != want {
+						t.Fatalf("%s at %s with %v (interned: %v) wrote through to its input:\n%s\nwant:\n%s",
+							tr.Name, p, args, isps.Interned(d), got, want)
+					}
+					if err != nil {
+						continue
+					}
+					if verr := isps.Validate(out.Desc); verr != nil {
+						t.Errorf("%s at %s with %v produced an invalid description: %v",
+							tr.Name, p, args, verr)
+					}
 				}
 			}
 		}

@@ -79,15 +79,14 @@ func init() {
 			"statement (its leftmost call is inlined). Args: temp (fresh).",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
 			const name = "routine.inline"
-			c := d.CloneDesc()
 			tempName, err := args.Str("temp")
 			if err != nil {
 				return nil, err
 			}
-			if isps.FreshName(c, tempName) != tempName {
+			if isps.FreshName(d, tempName) != tempName {
 				return nil, errPrecond(name, "temporary name %q is already in use", tempName)
 			}
-			blk, parentPath, idx, err := resolveStmtIndex(c, at)
+			blk, parentPath, idx, err := resolveStmtIndex(d, at)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +110,7 @@ func init() {
 			if _, isIf := stmt.(*isps.IfStmt); isIf && (len(relPath) == 0 || relPath[0] != 0) {
 				return nil, errPrecond(name, "call is not in the conditional's condition")
 			}
-			f := c.Func(call.Name)
+			f := d.Func(call.Name)
 			if f == nil {
 				return nil, errPrecond(name, "no function %s()", call.Name)
 			}
@@ -132,7 +131,7 @@ func init() {
 				return nil, errPrecond(name, "function %s assigns its value %d times, want 1", f.Name, retAssigns)
 			}
 			// Nothing evaluated before the call may be written by the callee.
-			funcs := dataflow.FuncMap(c)
+			funcs := dataflow.FuncMap(d)
 			pre := readsBeforeCall(stmt, relPath)
 			calleeEff := dataflow.NodeEffects(f.Body, funcs)
 			for r := range pre {
@@ -141,31 +140,26 @@ func init() {
 				}
 			}
 			// Build the inlined body: callee statements with the return slot
-			// renamed to the temporary.
-			var inlined []isps.Stmt
+			// renamed to the temporary, then the statement with the call
+			// replaced by the temporary.
+			temp := &isps.Ident{Name: tempName}
+			inlined := make([]isps.Stmt, 0, len(f.Body.Stmts)+1)
 			for _, s := range f.Body.Stmts {
-				cp := s.Clone().(isps.Stmt)
-				renameEverywhere2(cp, f.Name, tempName)
-				inlined = append(inlined, cp)
+				cp, _, _ := substitute(s, f.Name, temp)
+				inlined = append(inlined, cp.(isps.Stmt))
 			}
-			// Replace the call with the temporary.
-			full := append(append(isps.Path(nil), at...), relPath...)
-			if err := isps.Replace(c, full, &isps.Ident{Name: tempName}); err != nil {
-				return nil, err
-			}
-			// Insert the body before the statement.
-			n, err := isps.Resolve(c, parentPath)
+			replaced, err := isps.ReplaceAt(stmt, relPath, temp)
 			if err != nil {
 				return nil, err
 			}
-			host := n.(*isps.Block)
-			out := make([]isps.Stmt, 0, len(host.Stmts)+len(inlined))
-			out = append(out, host.Stmts[:idx]...)
-			out = append(out, inlined...)
-			out = append(out, host.Stmts[idx:]...)
-			host.Stmts = out
-			addRegDecl(c, tempName, f.Width, "inlined value of "+f.Name+"()")
-			return &Outcome{Desc: c, Rewrites: len(inlined) + 1,
+			nd, err := d.SpliceAtDesc(parentPath, idx, 1, append(inlined, replaced.(isps.Stmt))...)
+			if err == nil {
+				nd, err = withRegDecl(nd, tempName, f.Width, "inlined value of "+f.Name+"()")
+			}
+			if err != nil {
+				return nil, err
+			}
+			return &Outcome{Desc: nd, Rewrites: len(inlined) + 1,
 				Note: fmt.Sprintf("inlined %s() into %s", f.Name, tempName)}, nil
 		},
 	})
@@ -176,16 +170,15 @@ func init() {
 		Effect:   Preserving,
 		Doc:      "Delete a function that is no longer called anywhere. Args: func.",
 		Apply: func(d *isps.Description, at isps.Path, args Args) (*Outcome, error) {
-			c := d.CloneDesc()
 			fname, err := args.Str("func")
 			if err != nil {
 				return nil, err
 			}
-			if c.Func(fname) == nil {
+			if d.Func(fname) == nil {
 				return nil, errPrecond("routine.remove", "no function %s()", fname)
 			}
 			called := false
-			isps.Walk(c, func(n isps.Node, _ isps.Path) bool {
+			isps.Walk(d, func(n isps.Node, _ isps.Path) bool {
 				if call, ok := n.(*isps.Call); ok && call.Name == fname {
 					called = true
 				}
@@ -194,26 +187,18 @@ func init() {
 			if called {
 				return nil, errPrecond("routine.remove", "%s() is still called", fname)
 			}
-			for _, s := range c.Sections {
-				for i, dec := range s.Decls {
+			for si, s := range d.Sections {
+				for di, dec := range s.Decls {
 					if f, ok := dec.(*isps.FuncDecl); ok && f.Name == fname {
-						s.Decls = append(s.Decls[:i], s.Decls[i+1:]...)
-						return &Outcome{Desc: c, Note: "removed unused function " + fname}, nil
+						nd, err := spliceDecls(d, si, di, 1)
+						if err != nil {
+							return nil, err
+						}
+						return &Outcome{Desc: nd, Note: "removed unused function " + fname}, nil
 					}
 				}
 			}
 			return nil, errPrecond("routine.remove", "declaration of %s not found", fname)
 		},
-	})
-}
-
-// renameEverywhere2 renames idents and assignment targets within a subtree
-// (used for the inlined callee's return slot).
-func renameEverywhere2(n isps.Node, from, to string) {
-	isps.Walk(n, func(m isps.Node, _ isps.Path) bool {
-		if id, ok := m.(*isps.Ident); ok && id.Name == from {
-			id.Name = to
-		}
-		return true
 	})
 }

@@ -342,40 +342,29 @@ func pureExpr(e isps.Expr) bool {
 	return !dataflow.HasCalls(e)
 }
 
-// substituteIdent replaces every use of Ident(name) under root with a clone
-// of repl in a single pass (replacements are not re-visited, so repl may
-// itself mention name). Assignment left-hand sides are rewritten only when
-// repl is itself an identifier; a non-lvalue replacement hitting an LHS
-// occurrence is an error (-1). Input statements and declarations are left
-// alone.
-func substituteIdent(root isps.Node, name string, repl isps.Expr) int {
+// substitute returns root with every use of Ident(name) under it replaced
+// by repl, and the number of replacements; replacements are not re-visited,
+// so repl may itself mention name. Input statements and declarations are
+// left alone. ok is false, and nothing is built, when name is an assignment
+// target under root and repl is not an identifier to rename it to. root is
+// never mutated: unchanged subtrees are shared, and an unchanged root comes
+// back as itself.
+func substitute(root isps.Node, name string, repl isps.Expr) (isps.Node, int, bool) {
+	if _, isIdent := repl.(*isps.Ident); !isIdent && mayAssign(root, name) {
+		return nil, 0, false
+	}
 	total := 0
-	var rec func(n isps.Node) bool
-	rec = func(n isps.Node) bool {
-		for i := 0; i < n.NumChildren(); i++ {
-			c := n.Child(i)
-			if id, ok := c.(*isps.Ident); ok && id.Name == name {
-				if _, isAssign := n.(*isps.AssignStmt); isAssign && i == 0 {
-					if _, isIdent := repl.(*isps.Ident); !isIdent {
-						return false
-					}
-				}
-				if err := n.SetChild(i, repl.Clone()); err != nil {
-					return false
-				}
-				total++
-				continue
-			}
-			if !rec(c) {
-				return false
-			}
+	out, err := isps.Rewrite(root, func(n isps.Node) (isps.Node, bool) {
+		if id, ok := n.(*isps.Ident); ok && id.Name == name {
+			total++
+			return repl, true
 		}
-		return true
+		return nil, false
+	})
+	if err != nil {
+		return nil, 0, false
 	}
-	if !rec(root) {
-		return -1
-	}
-	return total
+	return out, total, true
 }
 
 // countIdent counts occurrences of Ident(name) under root.
@@ -390,43 +379,73 @@ func countIdent(root isps.Node, name string) int {
 	return n
 }
 
-// addRegDecl declares a new register in the description's STATE section (or
-// the first section when none is named STATE), with a comment.
-func addRegDecl(d *isps.Description, name string, width int, comment string) {
-	target := d.Sections[0]
-	for _, s := range d.Sections {
+// spliceDecls returns d with the declarations [di, di+del) of section si
+// replaced by add, sharing everything else.
+func spliceDecls(d *isps.Description, si, di, del int, add ...isps.Decl) (*isps.Description, error) {
+	s := d.Sections[si]
+	decls := make([]isps.Decl, 0, len(s.Decls)-del+len(add))
+	decls = append(decls, s.Decls[:di]...)
+	decls = append(decls, add...)
+	decls = append(decls, s.Decls[di+del:]...)
+	return d.ReplaceAtDesc(isps.Path{si}, &isps.Section{Name: s.Name, Decls: decls})
+}
+
+// withRegDecl returns d with a new register declared at the end of its
+// STATE section (or of the first section when none is named STATE).
+func withRegDecl(d *isps.Description, name string, width int, comment string) (*isps.Description, error) {
+	si := 0
+	for i, s := range d.Sections {
 		if s.Name == "STATE" {
-			target = s
+			si = i
 			break
 		}
 	}
-	target.Decls = append(target.Decls, &isps.RegDecl{Name: name, Width: width, Comment: comment})
+	return spliceDecls(d, si, len(d.Sections[si].Decls), 0,
+		&isps.RegDecl{Name: name, Width: width, Comment: comment})
 }
 
-// removeRegDecl deletes the named register declaration; it reports whether
-// a declaration was removed.
-func removeRegDecl(d *isps.Description, name string) bool {
-	for _, s := range d.Sections {
-		for i, dec := range s.Decls {
+// regDeclAt locates the first declaration of the named register: its
+// section and declaration indices and the declaration, nil when there is
+// none.
+func regDeclAt(d *isps.Description, name string) (si, di int, r *isps.RegDecl) {
+	for si, s := range d.Sections {
+		for di, dec := range s.Decls {
 			if r, ok := dec.(*isps.RegDecl); ok && r.Name == name {
-				s.Decls = append(s.Decls[:i], s.Decls[i+1:]...)
-				return true
+				return si, di, r
 			}
 		}
 	}
-	return false
+	return 0, 0, nil
 }
 
-// inputStmtInfo locates the routine's input statement: its block, index and
-// the statement itself.
-func inputStmtInfo(d *isps.Description) (*isps.Block, int, *isps.InputStmt, error) {
-	_, body, err := routineBody(d)
+// withoutRegDecl returns d without the named register's declaration (d
+// itself when there is none).
+func withoutRegDecl(d *isps.Description, name string) (*isps.Description, error) {
+	si, di, r := regDeclAt(d, name)
+	if r == nil {
+		return d, nil
+	}
+	return spliceDecls(d, si, di, 1)
+}
+
+// without returns a copy of names with the element at i removed; names
+// itself (which may belong to an interned statement) is left alone.
+func without(names []string, i int) []string {
+	out := make([]string, 0, len(names)-1)
+	out = append(out, names[:i]...)
+	return append(out, names[i+1:]...)
+}
+
+// inputStmtInfo locates the routine's input statement: the path of its
+// block, its index there and the statement itself.
+func inputStmtInfo(d *isps.Description) (isps.Path, int, *isps.InputStmt, error) {
+	bodyPath, body, err := routineBody(d)
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	for i, s := range body.Stmts {
 		if in, ok := s.(*isps.InputStmt); ok {
-			return body, i, in, nil
+			return bodyPath, i, in, nil
 		}
 	}
 	return nil, 0, nil, fmt.Errorf("transform: %s has no input statement", d.Name)
