@@ -3,6 +3,17 @@
 # The observability layer (internal/obs) is exercised concurrently from
 # analyses, validation, and the code generators, so -race is load-bearing.
 set -eux
+# The CLI binary lives in a private directory, so two CI runs on one host
+# never overwrite each other's binary; the EXIT trap removes it and stops
+# the serve-smoke server if a stage fails while that server runs.
+CI_TMP=$(mktemp -d)
+SERVE_PID=""
+cleanup() {
+  if [ -n "$SERVE_PID" ]; then kill "$SERVE_PID" 2>/dev/null || true; fi
+  rm -rf "$CI_TMP"
+}
+trap cleanup EXIT
+EXTRA="$CI_TMP/extra"
 go vet ./...
 test -z "$(gofmt -l .)"
 go build ./...
@@ -118,16 +129,16 @@ rm -f "$BENCH"
 # /metrics in both encodings (JSON default, Prometheus text exposition via
 # content negotiation), check the response is trace-stamped, then SIGTERM
 # and require a clean (exit 0) graceful drain.
-go build -o /tmp/extra_ci ./cmd/extra
+go build -o "$EXTRA" ./cmd/extra
 # An out-of-range flag is refused before the server listens: exit 1 within
 # 10 s and no "serving on" line.
 BAD_LOG=$(mktemp)
 BAD_RC=0
-timeout 10 /tmp/extra_ci serve -addr 127.0.0.1:0 -request-timeout -1s >"$BAD_LOG" 2>&1 || BAD_RC=$?
+timeout 10 "$EXTRA" serve -addr 127.0.0.1:0 -request-timeout -1s >"$BAD_LOG" 2>&1 || BAD_RC=$?
 if [ "$BAD_RC" -ne 1 ] || grep -q '^serving on' "$BAD_LOG"; then exit 1; fi
 rm -f "$BAD_LOG"
 SERVE_LOG=$(mktemp)
-/tmp/extra_ci serve -addr 127.0.0.1:0 >"$SERVE_LOG" &
+"$EXTRA" serve -addr 127.0.0.1:0 >"$SERVE_LOG" &
 SERVE_PID=$!
 ADDR=""
 for _ in $(seq 1 100); do
@@ -136,18 +147,19 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 test -n "$ADDR"
-curl -fsSi -X POST "http://$ADDR/analyze?pair=scasb/index" | tee /tmp/extra_ci_analyze | grep -q '"outcome": *"ok"'
-grep -qi '^X-Trace-Id: ' /tmp/extra_ci_analyze
+curl -fsSi -X POST "http://$ADDR/analyze?pair=scasb/index" | tee "$CI_TMP/analyze" | grep -q '"outcome": *"ok"'
+grep -qi '^X-Trace-Id: ' "$CI_TMP/analyze"
 curl -fsS "http://$ADDR/metrics" | grep -q '"server.requests"'
 PROM=$(mktemp)
 curl -fsS "http://$ADDR/metrics?format=prom" >"$PROM"
 grep -q '^# TYPE server_requests counter' "$PROM"
 grep -q '^server_latency_ns{label="/analyze",quantile="0.99"}' "$PROM"
 grep -q '^runtime_goroutines' "$PROM"
-rm -f "$PROM" /tmp/extra_ci_analyze
+rm -f "$PROM"
 curl -fsS "http://$ADDR/readyz" | grep -q ready
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
+SERVE_PID=""
 grep -q 'drained:' "$SERVE_LOG"
 rm -f "$SERVE_LOG"
 
@@ -157,7 +169,7 @@ rm -f "$SERVE_LOG"
 # cheaper than the engine). Serial (-concurrency 1): this is an unloaded
 # latency probe, not a saturation test — on a small CI box extra workers
 # only measure CPU starvation behind the validation runs, not the service.
-/tmp/extra_ci loadgen -requests 300 -duration 60s -concurrency 1 \
+"$EXTRA" loadgen -requests 300 -duration 60s -concurrency 1 \
   -warm-frac 0.8 -seed 1 -validate 2000 \
   -slo-max-5xx 0 -slo-warm-p99-lt-cold-p50
 
@@ -165,8 +177,8 @@ rm -f "$SERVE_LOG"
 # cache; a second run over the same directory must be served >=90% from it
 # (here: fully) and must produce a byte-identical report modulo durations.
 CACHE_DIR=$(mktemp -d)
-/tmp/extra_ci batch -jobs 2 -validate 50 -cache-dir "$CACHE_DIR/store" -json "$CACHE_DIR/cold.json" 2>"$CACHE_DIR/cold.err"
-/tmp/extra_ci batch -jobs 2 -validate 50 -cache-dir "$CACHE_DIR/store" -json "$CACHE_DIR/warm.json" 2>"$CACHE_DIR/warm.err"
+"$EXTRA" batch -jobs 2 -validate 50 -cache-dir "$CACHE_DIR/store" -json "$CACHE_DIR/cold.json" 2>"$CACHE_DIR/cold.err"
+"$EXTRA" batch -jobs 2 -validate 50 -cache-dir "$CACHE_DIR/store" -json "$CACHE_DIR/warm.json" 2>"$CACHE_DIR/warm.err"
 cat "$CACHE_DIR/warm.err"
 HITS=$(sed -n 's/^cache: \([0-9][0-9]*\) hits.*/\1/p' "$CACHE_DIR/warm.err")
 MISSES=$(sed -n 's/^cache: .* \([0-9][0-9]*\) misses$/\1/p' "$CACHE_DIR/warm.err")
@@ -182,8 +194,8 @@ rm -rf "$CACHE_DIR"
 # it, and require the final report byte-identical (modulo durations) to an
 # uninterrupted run.
 CKPT_DIR=$(mktemp -d)
-/tmp/extra_ci batch -jobs 2 -validate 2000 -jsonl "$CKPT_DIR/ref.jsonl"
-/tmp/extra_ci batch -jobs 1 -validate 2000 -jsonl "$CKPT_DIR/journal.jsonl" &
+"$EXTRA" batch -jobs 2 -validate 2000 -jsonl "$CKPT_DIR/ref.jsonl"
+"$EXTRA" batch -jobs 1 -validate 2000 -jsonl "$CKPT_DIR/journal.jsonl" &
 BATCH_PID=$!
 for _ in $(seq 1 200); do
   if [ "$(grep -c . "$CKPT_DIR/journal.jsonl" 2>/dev/null || echo 0)" -ge 3 ]; then break; fi
@@ -193,7 +205,7 @@ kill -9 "$BATCH_PID"
 wait "$BATCH_PID" || true
 PARTIAL=$(grep -c . "$CKPT_DIR/journal.jsonl")
 test "$PARTIAL" -ge 3
-/tmp/extra_ci batch -jobs 2 -validate 2000 -jsonl "$CKPT_DIR/journal.jsonl" -resume "$CKPT_DIR/journal.jsonl"
+"$EXTRA" batch -jobs 2 -validate 2000 -jsonl "$CKPT_DIR/journal.jsonl" -resume "$CKPT_DIR/journal.jsonl"
 normalize "$CKPT_DIR/ref.jsonl" > "$CKPT_DIR/ref.norm"
 normalize "$CKPT_DIR/journal.jsonl" > "$CKPT_DIR/journal.norm"
 diff "$CKPT_DIR/ref.norm" "$CKPT_DIR/journal.norm"
@@ -207,8 +219,8 @@ rm -rf "$CKPT_DIR"
 # byte-identical (modulo durations and trace IDs) to an uninterrupted run.
 DISC_DIR=$(mktemp -d)
 DISC_FLAGS="-machines VAX-11 -operators Pascal -depth 3 -budget 2000 -rungs 2 -inject-panic locc/sassign"
-/tmp/extra_ci discover -dir "$DISC_DIR/ref" -jobs 2 $DISC_FLAGS 2>"$DISC_DIR/ref.err"
-/tmp/extra_ci discover -dir "$DISC_DIR/sweep" -jobs 1 $DISC_FLAGS 2>"$DISC_DIR/kill.err" &
+"$EXTRA" discover -dir "$DISC_DIR/ref" -jobs 2 $DISC_FLAGS 2>"$DISC_DIR/ref.err"
+"$EXTRA" discover -dir "$DISC_DIR/sweep" -jobs 1 $DISC_FLAGS 2>"$DISC_DIR/kill.err" &
 DISC_PID=$!
 for _ in $(seq 1 200); do
   if [ "$(grep -c . "$DISC_DIR/sweep/queue.jsonl" 2>/dev/null || echo 0)" -ge 4 ]; then break; fi
@@ -217,7 +229,7 @@ done
 kill -9 "$DISC_PID"
 wait "$DISC_PID" || true
 test "$(grep -c . "$DISC_DIR/sweep/queue.jsonl")" -ge 4
-/tmp/extra_ci discover -dir "$DISC_DIR/sweep" -jobs 2 -resume $DISC_FLAGS 2>"$DISC_DIR/resume.err"
+"$EXTRA" discover -dir "$DISC_DIR/sweep" -jobs 2 -resume $DISC_FLAGS 2>"$DISC_DIR/resume.err"
 cat "$DISC_DIR/resume.err"
 grep -Eq 'discover: summary .*resumed=[1-9]' "$DISC_DIR/resume.err"
 grep -q '"poison": 1' "$DISC_DIR/sweep/report.json"
@@ -238,13 +250,12 @@ rm -rf "$DISC_DIR"
 # modulo durations and trace IDs.
 SYNTH_DIR=$(mktemp -d)
 SYNTH_BINDINGS='Intel 8086/scasb/index,VAX-11/movc3/sassign,IBM 370/mvc/sassign'
-/tmp/extra_ci synth -seed 1 -bindings "$SYNTH_BINDINGS" -json "$SYNTH_DIR/a.json" >"$SYNTH_DIR/a.txt"
+"$EXTRA" synth -seed 1 -bindings "$SYNTH_BINDINGS" -json "$SYNTH_DIR/a.json" >"$SYNTH_DIR/a.txt"
 grep -q 'no divergences' "$SYNTH_DIR/a.txt"
 grep '"verified":' "$SYNTH_DIR/a.json" | awk '{ n = $2 + 0; if (n < 5) exit 1 }'
 test "$(grep -c '"key":' "$SYNTH_DIR/a.json")" -eq 3
-/tmp/extra_ci synth -seed 1 -bindings "$SYNTH_BINDINGS" -json "$SYNTH_DIR/b.json" >/dev/null
+"$EXTRA" synth -seed 1 -bindings "$SYNTH_BINDINGS" -json "$SYNTH_DIR/b.json" >/dev/null
 normalize "$SYNTH_DIR/a.json" > "$SYNTH_DIR/a.norm"
 normalize "$SYNTH_DIR/b.json" > "$SYNTH_DIR/b.norm"
 diff "$SYNTH_DIR/a.norm" "$SYNTH_DIR/b.norm"
 rm -rf "$SYNTH_DIR"
-rm -f /tmp/extra_ci

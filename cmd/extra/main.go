@@ -116,28 +116,11 @@ func run(args []string) error {
 		}
 		return figure(ctx, args[1])
 	case "analyze", "trace":
-		sub := args[0]
-		fs := flag.NewFlagSet(sub, flag.ContinueOnError)
-		cacheDir := fs.String("cache-dir", "", "serve warm results from (and persist cold ones to) this cache `directory`")
-		if err := fs.Parse(args[1:]); err != nil {
-			return err
-		}
-		if fs.NArg() != 1 {
-			return fmt.Errorf("usage: extra %s [-cache-dir DIR] INSTRUCTION/OPERATOR (e.g. scasb/index)", sub)
-		}
-		if *cacheDir != "" && sub == "trace" {
-			return fmt.Errorf("-cache-dir is not supported by trace: a step trace replays the engine, which is exactly what the cache skips")
-		}
-		var ch *cache.Cache
-		if *cacheDir != "" {
-			c, err := cache.New(cache.Config{Dir: *cacheDir})
-			if err != nil {
-				return err
-			}
-			ch = c
+		if len(args) != 2 {
+			return fmt.Errorf("usage: extra %s INSTRUCTION/OPERATOR (e.g. scasb/index)", args[0])
 		}
 		return withTracer(traceFile, func(tr *obs.Tracer) error {
-			return analyze(ctx, fs.Arg(0), sub == "trace", tr, ch)
+			return analyze(ctx, args[1], args[0] == "trace", tr)
 		})
 	case "stats":
 		return stats(ctx, args[1:])
@@ -187,8 +170,6 @@ func usage(w io.Writer) {
   extra table2              Table 2: run all eleven analyses
   extra fig N               figures 1-5
   extra analyze INS/OP      run one analysis, print the binding
-                            (-cache-dir DIR serves warm results from — and
-                             persists cold ones to — a persistent cache)
   extra trace INS/OP        run one analysis, print every step
   extra failures            the paper's failure cases
   extra extensions          beyond-paper analyses (extended mode)
@@ -220,10 +201,8 @@ func usage(w io.Writer) {
                              whose run faults is quarantined to the
                              poison.jsonl dead-letter; -each-timeout D;
                              -machines CSV, -operators CSV filter the
-                             cross-product; -cache-dir DIR dedups candidates
-                             across runs via the content-addressed cache;
-                             -inject-panic INS/OP arms a deterministic
-                             poison candidate for chaos drills)
+                             cross-product; -inject-panic INS/OP arms a
+                             deterministic poison candidate for chaos drills)
   extra synth               inverse mode: expand each proven binding's
                             generated code through semantics-preserving
                             gadgets, verify every variant by differential
@@ -243,7 +222,7 @@ func usage(w io.Writer) {
                              -request-timeout D, -journal FILE,
                              -cache-dir DIR, -cache-entries N,
                              -pprof mounts /debug/pprof/;
-                             endpoints: /analyze /batch /healthz /readyz /metrics;
+                             endpoints: /analyze /healthz /readyz /metrics;
                              /metrics is JSON by default, Prometheus text
                              exposition with ?format=prom or Accept: text/plain;
                              every request gets a trace ID — minted, or honored
@@ -462,29 +441,10 @@ func findAnalysis(pair string) (*proofs.Analysis, error) {
 	return nil, fmt.Errorf("no analysis %s (try: extra table2)", pair)
 }
 
-// analyzeValidate is the differential-validation input count the analyze
-// command always runs (and therefore the count its cache keys carry).
-const analyzeValidate = 300
-
-func analyze(ctx context.Context, pair string, trace bool, tr *obs.Tracer, ch *cache.Cache) error {
+func analyze(ctx context.Context, pair string, trace bool, tr *obs.Tracer) error {
 	a, err := findAnalysis(pair)
 	if err != nil {
 		return err
-	}
-	key, cacheable := cache.KeyFor(a, analyzeValidate)
-	if ch != nil && cacheable && !trace {
-		if ent, ok := ch.Get(key); ok && len(ent.Binding) > 0 {
-			var b core.Binding
-			if uerr := json.Unmarshal(ent.Binding, &b); uerr == nil {
-				// The compiler-interface document does not carry the
-				// elementary count; restore it from the cached row so the
-				// warm description matches the cold one byte for byte.
-				b.Elementary = ent.Result.Elementary
-				fmt.Print(b.Describe())
-				fmt.Printf("differential validation: operator and customized instruction agree on %d random inputs\n", ent.Result.Validated)
-				return nil
-			}
-		}
 	}
 	s, b, err := a.RunCtx(ctx, tr)
 	if err != nil {
@@ -501,23 +461,11 @@ func analyze(ctx context.Context, pair string, trace bool, tr *obs.Tracer, ch *c
 		fmt.Println()
 	}
 	fmt.Print(b.Describe())
-	n, err := core.ValidateBindingCtx(ctx, b, a.Gen, analyzeValidate, 1, tr)
+	n, err := core.ValidateBindingCtx(ctx, b, a.Gen, 300, 1, tr)
 	if err != nil {
 		return fmt.Errorf("differential validation FAILED: %v", err)
 	}
 	fmt.Printf("differential validation: operator and customized instruction agree on %d random inputs\n", n)
-	if ch != nil && cacheable && !trace {
-		ent := cache.Entry{Result: batch.Result{
-			Machine: a.Machine, Instruction: a.Instruction,
-			Language: a.Language, Operation: a.Operation,
-			Operator: a.Operator, Extended: a.Extended,
-			Outcome: "ok", Steps: b.Steps, Elementary: b.Elementary, Validated: n,
-		}}
-		if raw, merr := json.Marshal(b); merr == nil {
-			ent.Binding = raw
-		}
-		ch.Put(key, ent)
-	}
 	return nil
 }
 
@@ -876,7 +824,7 @@ func batchCmd(ctx context.Context, args []string) error {
 	// The content-addressed cache warm-starts the run: rows whose resolved
 	// description pair (and options) already persist under -cache-dir join the
 	// Completed skip set, and every freshly-executed "ok" row is written back
-	// with its binding for the next run.
+	// for the next run.
 	var (
 		ch        *cache.Cache
 		cacheKeys map[string]cache.Key
@@ -902,28 +850,14 @@ func batchCmd(ctx context.Context, args []string) error {
 			if _, done := r.Completed[ak]; done {
 				continue
 			}
-			if ent, ok := ch.Get(k); ok {
+			if res, ok := ch.Get(k); ok {
 				// Cache-served rows are re-stamped with this run's trace —
 				// the row joins against the run that served it, exactly as
 				// the server re-stamps warm responses.
-				res := ent.Result
 				res.Trace = runTrace
 				r.Completed[ak] = res
 				cacheHits++
 			}
-		}
-		r.OnBound = func(res batch.Result, bound *core.Binding) {
-			k, ok := cacheKeys[res.Key()]
-			if !ok {
-				return
-			}
-			ent := cache.Entry{Result: res}
-			if bound != nil {
-				if raw, merr := json.Marshal(bound); merr == nil {
-					ent.Binding = raw
-				}
-			}
-			ch.Put(k, ent)
 		}
 	}
 	var journal *batch.Journal
@@ -937,13 +871,16 @@ func batchCmd(ctx context.Context, args []string) error {
 			return err
 		}
 		journal = j
-		r.OnResult = func(res batch.Result) {
-			if res.Outcome == "canceled" {
-				return // a canceled row must re-run on resume, not be skipped
-			}
-			if aerr := journal.Append(res); aerr != nil {
-				fmt.Fprintf(os.Stderr, "extra: journal %s: %v\n", *asJSONL, aerr)
-			}
+	}
+	r.OnResult = func(res batch.Result) {
+		if k, ok := cacheKeys[res.Key()]; ok {
+			ch.Put(k, res)
+		}
+		if journal == nil || res.Outcome == "canceled" {
+			return // a canceled row must re-run on resume, not be skipped
+		}
+		if aerr := journal.Append(res); aerr != nil {
+			fmt.Fprintf(os.Stderr, "extra: journal %s: %v\n", *asJSONL, aerr)
 		}
 	}
 	results := r.Run(ctx, catalog)
@@ -1014,7 +951,6 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 	rungs := fs.Int("rungs", 2, "auto-search ladder rungs (each doubles depth and quadruples budget)")
 	eachTimeout := fs.Duration("each-timeout", 0, "per-candidate deadline (0 = none)")
 	resume := fs.Bool("resume", false, "replay -dir's WAL and continue the interrupted sweep")
-	cacheDir := fs.String("cache-dir", "", "dedup candidates across runs via the content-addressed cache in `directory`")
 	machinesCSV := fs.String("machines", "", "restrict the sweep to these machine or instruction `names` (comma-separated)")
 	operatorsCSV := fs.String("operators", "", "restrict the sweep to these language, operation, or operator `names` (comma-separated)")
 	injectPanic := fs.String("inject-panic", "", "arm a deterministic panic at candidate `INS/OP`, quarantining it as poison (chaos testing)")
@@ -1035,16 +971,6 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 		in.Arm(inject.Fault{Point: "discover.candidate:" + *injectPanic, Every: 1})
 		defer inject.Activate(in)()
 	}
-	var ch *cache.Cache
-	if *cacheDir != "" {
-		// KeepFailures: a sweep's negative rows are deterministic under this
-		// configuration and are exactly the rows a re-launch must not redo.
-		c, err := cache.New(cache.Config{Dir: *cacheDir, KeepFailures: true})
-		if err != nil {
-			return err
-		}
-		ch = c
-	}
 	runTrace := obs.NewTraceID()
 	ctx = obs.WithTraceID(ctx, runTrace)
 	fmt.Fprintf(os.Stderr, "discover: run trace %s\n", runTrace)
@@ -1057,7 +983,6 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 			Ladder:      core.AutoLadder(*depth, *budget, *rungs),
 			EachTimeout: *eachTimeout,
 			Resume:      *resume,
-			Cache:       ch,
 			Tracer:      tr,
 		})
 		if err != nil {
@@ -1073,9 +998,9 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 			return err
 		}
 		m := obs.Default()
-		fmt.Fprintf(os.Stderr, "discover: summary found=%d failed=%d poison=%d resumed=%d cached=%d\n",
+		fmt.Fprintf(os.Stderr, "discover: summary found=%d failed=%d poison=%d resumed=%d\n",
 			m.Total("discover.found"), m.Total("discover.failed"), m.Total("discover.poison"),
-			m.Total("discover.resumed"), m.Total("discover.cached"))
+			m.Total("discover.resumed"))
 		rep.Render(os.Stdout)
 		fmt.Fprintf(os.Stderr, "discover: report written to %s\n", filepath.Join(*dir, "report.json"))
 		return nil

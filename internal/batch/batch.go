@@ -66,14 +66,10 @@ type Runner struct {
 	// without running, counted batch.skipped, and never reach OnResult.
 	Completed map[string]Result
 	// OnResult observes each freshly-executed row as it completes, in
-	// completion order (the journaling hook). Calls are serialized by the
-	// Runner; OnResult itself need not be concurrency-safe.
+	// completion order (the journaling and caching hook). Calls are
+	// serialized by the Runner; OnResult itself need not be
+	// concurrency-safe.
 	OnResult func(Result)
-	// OnBound observes each freshly-executed row together with its finished
-	// binding — nil unless the row ended "ok". This is the caching hook: the
-	// binding is the compiler-interface document a warm consumer wants
-	// without re-running the engine. Calls are serialized with OnResult.
-	OnBound func(Result, *core.Binding)
 	// Tracer observes every analysis (nil-safe). Metrics counts outcomes
 	// under batch.outcome and durations under batch.duration_ms; nil means
 	// the process default registry.
@@ -98,8 +94,8 @@ func (r *Runner) metrics() *obs.Registry {
 // Run executes every analysis once and returns one Result per analysis, in
 // input order. Rows whose key appears in Completed are copied from there
 // without running. Worker goroutines claim the remaining analyses off a
-// shared cursor (see Pool); executed rows fan out through OnResult and
-// OnBound (serialized) in completion order. A canceled context does not stop
+// shared cursor (see Pool); executed rows fan out through OnResult
+// (serialized) in completion order. A canceled context does not stop
 // the claiming: every remaining analysis runs under it and reports
 // "canceled", so Run still returns one row per analysis. Run never returns
 // an error: failures are rows, not aborts.
@@ -126,18 +122,13 @@ func (r *Runner) Run(ctx context.Context, analyses []*proofs.Analysis) []Result 
 	var reportMu sync.Mutex
 	Pool(jobs, len(pending), func(n int) error {
 		i := pending[n]
-		res, bound := r.RunOneBound(ctx, analyses[i])
+		res, _ := r.RunOneBound(ctx, analyses[i])
 		results[i] = res
 		m.Inc("batch.outcome", res.Outcome)
-		if r.OnResult != nil || r.OnBound != nil {
+		if r.OnResult != nil {
 			reportMu.Lock()
 			defer reportMu.Unlock()
-			if r.OnResult != nil {
-				r.OnResult(res)
-			}
-			if r.OnBound != nil {
-				r.OnBound(res, bound)
-			}
+			r.OnResult(res)
 		}
 		return nil
 	})
@@ -187,9 +178,8 @@ func Pool(jobs, n int, work func(i int) error) error {
 // panic out of a script or the engine becomes a *fault.PanicError
 // classified into the row, never a crashed process. The analysis server
 // serves /analyze through exactly this boundary. It also returns the
-// finished binding when the analysis ended "ok" (nil otherwise): for
-// callers that persist the result, like the analysis cache, the binding
-// IS the product worth keeping.
+// finished binding when the analysis ended "ok" (nil otherwise), for
+// callers that go on to use it.
 func (r *Runner) RunOneBound(ctx context.Context, a *proofs.Analysis) (Result, *core.Binding) {
 	res := Result{
 		Machine: a.Machine, Instruction: a.Instruction,

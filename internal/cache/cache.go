@@ -1,15 +1,16 @@
 // Package cache is the content-addressed analysis-result cache of the EXTRA
 // pipeline. The paper's economics motivate it directly: an exotic-instruction
 // analysis is expensive (a proof script or a bounded search over thousands of
-// candidate states) while its result — the binding handed to the retargetable
-// code generator — is small and reusable. Bik's state-space-search note makes
-// the same move for instruction sequences: search once, hard-wire the found
-// answer, reuse it forever. The cache keys on *content*, not names: the
-// 128-bit structural digest (isps.HashPair) of the resolved operator and
-// instruction descriptions, combined with the analysis options that change
-// the observable row (validation input count, extended mode). Rename a
-// description and the key survives; edit one character of its body and the
-// key — correctly — changes, so invalidation is automatic.
+// candidate states) while its answer — the report row of the binding handed
+// to the retargetable code generator — is small and reusable. Bik's
+// state-space-search note makes the same move for instruction sequences:
+// search once, hard-wire the found answer, reuse it forever. The cache keys
+// on *content*, not names: the 128-bit structural digest (isps.HashPair) of
+// the resolved operator and instruction descriptions, combined with the
+// analysis options that change the observable row (validation input count,
+// extended mode). Rename a description and the key survives; edit one
+// character of its body and the key — correctly — changes, so invalidation
+// is automatic.
 //
 // Two tiers:
 //
@@ -23,9 +24,9 @@
 //     (*fault.CorruptBindingError), removed, and treated as misses — never
 //     served and never an error to the caller.
 //
-// By default only rows whose Outcome is "ok" are cached: a cached failure
-// could never heal, while a cached success is content-addressed and lives
-// until evicted. Stored rows have DurationMS
+// An entry is one report row (batch.Result), and only rows whose Outcome is
+// "ok" are cached: a cached failure could never heal, while a cached success
+// is content-addressed and lives until evicted. Stored rows have DurationMS
 // zeroed, so a warm hit reports the (near-zero) serve cost rather than
 // re-claiming the cold run's cost; every other byte of a warm row is
 // identical to the cold run that produced it.
@@ -59,13 +60,6 @@ type Key struct {
 	Validate int
 	// Extended marks extended-mode analyses (predicate constraints).
 	Extended bool
-	// Salt partitions key spaces that share description digests but not
-	// semantics: a discovery sweep folds its search configuration (ladder
-	// depth/budget, attempt count) in here, so a row produced under a small
-	// budget is never served to a sweep running a larger one. Zero — the
-	// proof-catalog key space — leaves filenames and existing entries
-	// untouched.
-	Salt uint64
 }
 
 // KeyFor resolves the analysis' operator and instruction descriptions from
@@ -83,28 +77,6 @@ func KeyFor(a *proofs.Analysis, validate int) (Key, bool) {
 	return Key{Digest: isps.HashPair(op, ins), Validate: validate, Extended: a.Extended}, true
 }
 
-// KeyForPair digests an explicit description pair into a cache key, for
-// callers whose work items are not proof-catalog analyses — the discovery
-// sweep keys on the exact (operator, instruction) trees it searches over,
-// salted with its search configuration. Both descriptions must be non-nil.
-func KeyForPair(op, ins *isps.Description, validate int, extended bool, salt uint64) Key {
-	return Key{Digest: isps.HashPair(op, ins), Validate: validate, Extended: extended, Salt: salt}
-}
-
-// Entry is one cached analysis result: the report row, plus (when the
-// producer had it in hand) the binding serialized as the compiler-interface
-// document, so a warm consumer can reconstruct the full analysis product
-// without re-running the engine.
-type Entry struct {
-	Result  batch.Result    `json:"result"`
-	Binding json.RawMessage `json:"binding,omitempty"`
-	// Sweep carries a producer-specific row alongside the batch-shaped one:
-	// the discovery sweep stores its full report row (savings, fault class,
-	// attempt count) here so a warm hit reconstructs it exactly. Opaque to
-	// the cache; covered by the envelope checksum like everything else.
-	Sweep json.RawMessage `json:"sweep,omitempty"`
-}
-
 // Config parameterizes a Cache.
 type Config struct {
 	// Entries bounds the in-memory tier; past it, least-recently-used
@@ -114,13 +86,6 @@ type Config struct {
 	// Dir, when non-empty, enables the persistent tier: one self-checksummed
 	// JSON file per key under this directory (created if needed).
 	Dir string
-	// KeepFailures caches rows whatever their outcome. The default (false)
-	// keeps the serving-path contract — only "ok" rows are cached, so a
-	// failure re-runs on the next request — but a discovery sweep opts in:
-	// its negative results ("failed", "poison") are deterministic under a
-	// fixed search configuration (which the Key's Salt carries), and they
-	// are precisely the expensive rows a re-launched sweep must not redo.
-	KeepFailures bool
 	// Metrics receives the cache.* series; nil means the process default.
 	Metrics *obs.Registry
 }
@@ -201,7 +166,7 @@ type shard struct {
 // node is one memory-tier entry on its shard's intrusive LRU list.
 type node struct {
 	key        Key
-	ent        Entry
+	row        batch.Result
 	size       int64
 	prev, next *node
 }
@@ -209,7 +174,7 @@ type node struct {
 // flight is one in-progress computation other callers can wait on.
 type flight struct {
 	done chan struct{}
-	ent  Entry
+	row  batch.Result
 	ok   bool
 }
 
@@ -268,48 +233,58 @@ func (c *Cache) shardFor(k Key) *shard {
 // (promoting a disk hit into memory). Counters: cache.hit{mem,disk} and
 // cache.miss; per-tier lookup latencies land in cache.lookup.ns{mem,disk}
 // so /metrics can attribute where cache time goes.
-func (c *Cache) Get(k Key) (Entry, bool) {
+func (c *Cache) Get(k Key) (batch.Result, bool) {
 	if c == nil {
-		return Entry{}, false
+		return batch.Result{}, false
 	}
 	start := time.Now()
 	sh := c.shardFor(k)
 	sh.mu.Lock()
-	ent, ok := sh.peek(k)
+	row, ok := sh.peek(k)
 	sh.mu.Unlock()
 	m := c.metrics()
 	m.ObserveSince("cache.lookup.ns", "mem", start)
 	if ok {
 		m.Inc("cache.hit", "mem")
-		return ent, true
+		return row, true
 	}
-	if c.cfg.Dir != "" {
-		diskStart := time.Now()
-		ent, ok := c.diskGet(k)
-		m.ObserveSince("cache.lookup.ns", "disk", diskStart)
-		if ok {
-			m.Inc("cache.hit", "disk")
-			c.memPut(k, ent)
-			return ent, true
-		}
+	if row, ok := c.diskHit(k); ok {
+		return row, true
 	}
 	m.Inc("cache.miss", "")
-	return Entry{}, false
+	return batch.Result{}, false
 }
 
-// Put stores an entry in both tiers. Only "ok" rows are cacheable unless
-// KeepFailures is set — a failure row is dropped silently (cache a failure
-// and you can never heal). The stored row's
-// DurationMS and Trace are zeroed: a warm hit reports its own serve cost
-// and belongs to the *serving* request's trace, not the producing one's.
-func (c *Cache) Put(k Key, ent Entry) {
-	if c == nil || (ent.Result.Outcome != "ok" && !c.cfg.KeepFailures) {
+// diskHit consults the persistent tier, when configured, and promotes a hit
+// into the memory tier.
+func (c *Cache) diskHit(k Key) (batch.Result, bool) {
+	if c.cfg.Dir == "" {
+		return batch.Result{}, false
+	}
+	m := c.metrics()
+	start := time.Now()
+	row, ok := c.diskGet(k)
+	m.ObserveSince("cache.lookup.ns", "disk", start)
+	if ok {
+		m.Inc("cache.hit", "disk")
+		c.memPut(k, row)
+	}
+	return row, ok
+}
+
+// Put stores a row in both tiers. Only "ok" rows are cacheable — a failure
+// row is dropped silently (cache a failure and you can never heal). The
+// stored row's DurationMS and Trace are zeroed: a warm hit reports its own
+// serve cost and belongs to the *serving* request's trace, not the
+// producing one's.
+func (c *Cache) Put(k Key, row batch.Result) {
+	if c == nil || row.Outcome != "ok" {
 		return
 	}
-	ent.Result.DurationMS = 0
-	ent.Result.Trace = ""
-	c.memPut(k, ent)
-	c.diskPut(k, ent)
+	row.DurationMS = 0
+	row.Trace = ""
+	c.memPut(k, row)
+	c.diskPut(k, row)
 }
 
 // Do coalesces concurrent identical computations. The first caller for a key
@@ -317,8 +292,8 @@ func (c *Cache) Put(k Key, ent Entry) {
 // for the same key waits for the leader's answer instead of running its own
 // (cache.coalesced). The leader's "ok" row is inserted into the cache.
 //
-// Returns (entry, outcome, err):
-//   - err == nil: entry is valid; outcome reports how it was answered —
+// Returns (row, outcome, err):
+//   - err == nil: row is valid; outcome reports how it was answered —
 //     OutcomeHitMem/OutcomeHitDisk from the cache, OutcomeCoalesced from
 //     another caller's run, OutcomeMiss from this caller's own fn;
 //   - err == ErrNoResult: fn declined to produce a result — on OutcomeMiss
@@ -327,24 +302,24 @@ func (c *Cache) Put(k Key, ent Entry) {
 //     itself;
 //   - other err: ctx ended while waiting on another caller's run.
 //
-// fn returns (entry, true) on production, (zero, false) to decline.
-func (c *Cache) Do(ctx context.Context, k Key, fn func() (Entry, bool)) (Entry, Outcome, error) {
+// fn returns (row, true) on production, (zero, false) to decline.
+func (c *Cache) Do(ctx context.Context, k Key, fn func() (batch.Result, bool)) (batch.Result, Outcome, error) {
 	if c == nil {
-		ent, ok := fn()
+		row, ok := fn()
 		if !ok {
-			return Entry{}, OutcomeMiss, ErrNoResult
+			return batch.Result{}, OutcomeMiss, ErrNoResult
 		}
-		return ent, OutcomeMiss, nil
+		return row, OutcomeMiss, nil
 	}
 	m := c.metrics()
 	start := time.Now()
 	sh := c.shardFor(k)
 	sh.mu.Lock()
-	if ent, ok := sh.peek(k); ok {
+	if row, ok := sh.peek(k); ok {
 		sh.mu.Unlock()
 		m.ObserveSince("cache.lookup.ns", "mem", start)
 		m.Inc("cache.hit", "mem")
-		return ent, OutcomeHitMem, nil
+		return row, OutcomeHitMem, nil
 	}
 	if f, ok := sh.flights[k]; ok {
 		sh.mu.Unlock()
@@ -352,11 +327,11 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (Entry, bool)) (Entry, 
 		select {
 		case <-f.done:
 			if !f.ok {
-				return Entry{}, OutcomeCoalesced, ErrNoResult
+				return batch.Result{}, OutcomeCoalesced, ErrNoResult
 			}
-			return f.ent, OutcomeCoalesced, nil
+			return f.row, OutcomeCoalesced, nil
 		case <-ctx.Done():
-			return Entry{}, OutcomeCoalesced, ctx.Err()
+			return batch.Result{}, OutcomeCoalesced, ctx.Err()
 		}
 	}
 	f := &flight{done: make(chan struct{})}
@@ -369,61 +344,53 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (Entry, bool)) (Entry, 
 		close(f.done)
 	}()
 	// The leader still gets the persistent tier before paying for fn.
-	if c.cfg.Dir != "" {
-		diskStart := time.Now()
-		ent, ok := c.diskGet(k)
-		m.ObserveSince("cache.lookup.ns", "disk", diskStart)
-		if ok {
-			m.Inc("cache.hit", "disk")
-			c.memPut(k, ent)
-			f.ent, f.ok = ent, true
-			return ent, OutcomeHitDisk, nil
-		}
+	if row, ok := c.diskHit(k); ok {
+		f.row, f.ok = row, true
+		return row, OutcomeHitDisk, nil
 	}
 	m.Inc("cache.miss", "")
-	ent, ok := fn()
+	row, ok := fn()
 	if !ok {
-		return Entry{}, OutcomeMiss, ErrNoResult
+		return batch.Result{}, OutcomeMiss, ErrNoResult
 	}
-	if ent.Result.Outcome == "ok" || c.cfg.KeepFailures {
-		ent.Result.DurationMS = 0
-		ent.Result.Trace = ""
-		c.memPut(k, ent)
-		c.diskPut(k, ent)
+	if row.Outcome == "ok" {
+		// The leader and its waiters get the row as stored.
+		row.DurationMS, row.Trace = 0, ""
+		c.Put(k, row)
 	}
-	f.ent, f.ok = ent, true
-	return ent, OutcomeMiss, nil
+	f.row, f.ok = row, true
+	return row, OutcomeMiss, nil
 }
 
-// peek returns the shard's entry for k, refreshing its LRU position. The
+// peek returns the shard's row for k, refreshing its LRU position. The
 // shard mutex must be held.
-func (sh *shard) peek(k Key) (Entry, bool) {
+func (sh *shard) peek(k Key) (batch.Result, bool) {
 	n, ok := sh.entries[k]
 	if !ok {
-		return Entry{}, false
+		return batch.Result{}, false
 	}
 	sh.moveToFront(n)
-	return n.ent, true
+	return n.row, true
 }
 
-// memPut inserts (or refreshes) an entry in the memory tier, evicting from
+// memPut inserts (or refreshes) a row in the memory tier, evicting from
 // the shard's LRU tail past capacity.
-func (c *Cache) memPut(k Key, ent Entry) {
+func (c *Cache) memPut(k Key, row batch.Result) {
 	if c.perShard == 0 {
 		return
 	}
-	size := entrySize(ent)
+	size := rowSize(row)
 	sh := c.shardFor(k)
 	sh.mu.Lock()
 	if n, ok := sh.entries[k]; ok {
 		c.memBytes.Add(size - n.size)
-		n.ent, n.size = ent, size
+		n.row, n.size = row, size
 		sh.moveToFront(n)
 		sh.mu.Unlock()
 		c.publishGauges()
 		return
 	}
-	n := &node{key: k, ent: ent, size: size}
+	n := &node{key: k, row: row, size: size}
 	sh.entries[k] = n
 	sh.pushFront(n)
 	c.memEntries.Add(1)
@@ -444,10 +411,9 @@ func (c *Cache) memPut(k Key, ent Entry) {
 	c.publishGauges()
 }
 
-// entrySize approximates an entry's footprint as its serialized length —
-// the same bytes the persistent tier stores.
-func entrySize(ent Entry) int64 {
-	data, err := json.Marshal(&ent)
+// rowSize approximates a row's footprint as its serialized length.
+func rowSize(row batch.Result) int64 {
+	data, err := json.Marshal(&row)
 	if err != nil {
 		return 0
 	}

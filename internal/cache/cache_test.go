@@ -19,11 +19,11 @@ import (
 	"extra/internal/proofs"
 )
 
-func okEntry(pair string) Entry {
-	return Entry{Result: batch.Result{
+func okRow(pair string) batch.Result {
+	return batch.Result{
 		Machine: "m", Instruction: pair, Language: "l", Operation: "o",
 		Operator: "op", Outcome: "ok", Steps: 7, Elementary: 3, Validated: 5,
-	}}
+	}
 }
 
 func testKey(i int) Key {
@@ -106,23 +106,23 @@ func TestGetPutRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := testKey(1)
-	ent := okEntry("scasb")
-	ent.Result.DurationMS = 1234
-	c.Put(k, ent)
+	row := okRow("scasb")
+	row.DurationMS = 1234
+	c.Put(k, row)
 	got, ok := c.Get(k)
 	if !ok {
 		t.Fatal("stored entry missed")
 	}
-	if got.Result.DurationMS != 0 {
-		t.Errorf("stored DurationMS = %d, want 0 (a warm hit reports its own cost)", got.Result.DurationMS)
+	if got.DurationMS != 0 {
+		t.Errorf("stored DurationMS = %d, want 0 (a warm hit reports its own cost)", got.DurationMS)
 	}
-	want := ent.Result
+	want := row
 	want.DurationMS = 0
-	if got.Result != want {
-		t.Errorf("round trip mutated the row: got %+v want %+v", got.Result, want)
+	if got != want {
+		t.Errorf("round trip mutated the row: got %+v want %+v", got, want)
 	}
-	bad := okEntry("movc3")
-	bad.Result.Outcome = "panic"
+	bad := okRow("movc3")
+	bad.Outcome = "panic"
 	c.Put(testKey(2), bad)
 	if _, ok := c.Get(testKey(2)); ok {
 		t.Error("a failure row was cached; a failure must re-run, not be served warm")
@@ -141,16 +141,16 @@ func TestNilCache(t *testing.T) {
 	if _, ok := c.Get(testKey(1)); ok {
 		t.Error("nil cache hit")
 	}
-	c.Put(testKey(1), okEntry("x"))
+	c.Put(testKey(1), okRow("x"))
 	if c.Len() != 0 {
 		t.Error("nil cache has entries")
 	}
 	ran := false
-	ent, out, err := c.Do(context.Background(), testKey(1), func() (Entry, bool) {
+	row, out, err := c.Do(context.Background(), testKey(1), func() (batch.Result, bool) {
 		ran = true
-		return okEntry("x"), true
+		return okRow("x"), true
 	})
-	if !ran || out != OutcomeMiss || err != nil || ent.Result.Outcome != "ok" {
+	if !ran || out != OutcomeMiss || err != nil || row.Outcome != "ok" {
 		t.Errorf("nil-cache Do: ran=%v outcome=%v err=%v", ran, out, err)
 	}
 }
@@ -164,7 +164,7 @@ func TestMemoryLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		c.Put(testKey(i), okEntry(fmt.Sprint(i)))
+		c.Put(testKey(i), okRow(fmt.Sprint(i)))
 	}
 	if n := c.Len(); n > 16 {
 		t.Errorf("cache holds %d entries past its 16-entry bound", n)
@@ -184,7 +184,7 @@ func TestMemoryLRUEviction(t *testing.T) {
 
 // TestDogpileSingleflight is the -race coalescing test: N concurrent Do
 // calls for one key cost exactly one fn run; every other caller waits and
-// gets the leader's entry.
+// gets the leader's row.
 func TestDogpileSingleflight(t *testing.T) {
 	const n = 16
 	m := obs.NewRegistry()
@@ -196,11 +196,11 @@ func TestDogpileSingleflight(t *testing.T) {
 	var runs atomic.Int64
 	gate := make(chan struct{})
 	started := make(chan struct{}, n)
-	fn := func() (Entry, bool) {
+	fn := func() (batch.Result, bool) {
 		started <- struct{}{}
 		runs.Add(1)
 		<-gate
-		return okEntry("locc"), true
+		return okRow("locc"), true
 	}
 	var wg sync.WaitGroup
 	var shares atomic.Int64
@@ -208,13 +208,13 @@ func TestDogpileSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ent, out, err := c.Do(context.Background(), k, fn)
+			row, out, err := c.Do(context.Background(), k, fn)
 			if err != nil {
 				t.Errorf("Do: %v", err)
 				return
 			}
-			if ent.Result.Outcome != "ok" {
-				t.Errorf("Do returned outcome %q", ent.Result.Outcome)
+			if row.Outcome != "ok" {
+				t.Errorf("Do returned outcome %q", row.Outcome)
 			}
 			if out == OutcomeCoalesced {
 				shares.Add(1)
@@ -240,9 +240,9 @@ func TestDogpileSingleflight(t *testing.T) {
 		t.Errorf("cache.coalesced = %d, want %d", got, n-1)
 	}
 	// The flight's product is now cached: one more Do is a plain hit.
-	if _, out, err := c.Do(context.Background(), k, func() (Entry, bool) {
+	if _, out, err := c.Do(context.Background(), k, func() (batch.Result, bool) {
 		t.Error("fn ran for a cached key")
-		return Entry{}, false
+		return batch.Result{}, false
 	}); err != nil || out != OutcomeHitMem {
 		t.Errorf("post-flight Do: outcome=%v err=%v", out, err)
 	}
@@ -256,13 +256,13 @@ func TestDoDecline(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := testKey(7)
-	_, out, derr := c.Do(context.Background(), k, func() (Entry, bool) { return Entry{}, false })
+	_, out, derr := c.Do(context.Background(), k, func() (batch.Result, bool) { return batch.Result{}, false })
 	if !errors.Is(derr, ErrNoResult) || out.Shared() {
 		t.Errorf("declining leader: outcome=%v err=%v, want ErrNoResult/miss", out, derr)
 	}
 	// A declined flight must not poison the key: the next Do runs fn.
-	ent, out, derr := c.Do(context.Background(), k, func() (Entry, bool) { return okEntry("x"), true })
-	if derr != nil || out != OutcomeMiss || ent.Result.Outcome != "ok" {
+	row, out, derr := c.Do(context.Background(), k, func() (batch.Result, bool) { return okRow("x"), true })
+	if derr != nil || out != OutcomeMiss || row.Outcome != "ok" {
 		t.Errorf("Do after a declined flight: outcome=%v err=%v", out, derr)
 	}
 }
@@ -277,15 +277,15 @@ func TestDoWaiterCanceled(t *testing.T) {
 	k := testKey(8)
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	go c.Do(context.Background(), k, func() (Entry, bool) {
+	go c.Do(context.Background(), k, func() (batch.Result, bool) {
 		close(started)
 		<-gate
-		return okEntry("x"), true
+		return okRow("x"), true
 	})
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, derr := c.Do(ctx, k, func() (Entry, bool) { return okEntry("x"), true })
+	_, _, derr := c.Do(ctx, k, func() (batch.Result, bool) { return okRow("x"), true })
 	if !errors.Is(derr, context.Canceled) {
 		t.Errorf("canceled waiter got %v, want context.Canceled", derr)
 	}
@@ -302,8 +302,7 @@ func TestDiskPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := testKey(3)
-	want := okEntry("mvc")
-	want.Binding = json.RawMessage(`{"instruction":"mvc"}`)
+	want := okRow("mvc")
 	c1.Put(k, want)
 
 	m2 := obs.NewRegistry()
@@ -315,8 +314,8 @@ func TestDiskPersistence(t *testing.T) {
 	if !ok {
 		t.Fatal("persistent entry missed after restart")
 	}
-	if got.Result != want.Result || string(got.Binding) != string(want.Binding) {
-		t.Errorf("persistent round trip mutated the entry: %+v", got)
+	if got != want {
+		t.Errorf("persistent round trip mutated the row: %+v", got)
 	}
 	if m2.Counter("cache.hit", "disk") != 1 {
 		t.Error("disk hit not counted")
@@ -359,7 +358,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 			k := testKey(4)
-			c.Put(k, okEntry("cmc"))
+			c.Put(k, okRow("cmc"))
 			files, err := filepath.Glob(filepath.Join(dir, "*.json"))
 			if err != nil || len(files) != 1 {
 				t.Fatalf("want exactly one cache file, got %v (%v)", files, err)
@@ -388,7 +387,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 				t.Error("corrupt entry not removed; it would keep tripping")
 			}
 			// The slot heals: a rewrite serves warm again.
-			c2.Put(k, okEntry("cmc"))
+			c2.Put(k, okRow("cmc"))
 			m3 := obs.NewRegistry()
 			c3, err := New(Config{Dir: dir, Metrics: m3})
 			if err != nil {
@@ -401,66 +400,36 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	}
 }
 
-// TestForgedOutcomeRejected: an on-disk entry whose payload checksums
-// correctly but claims a non-ok outcome is still refused — the disk tier
-// only ever serves successes.
+// TestNonOKEntryNotServedByDefault: an on-disk entry whose payload checksums
+// correctly but carries any outcome other than "ok" — a forged failure, or
+// no outcome at all — is corruption, since only "ok" rows are ever stored:
+// counted, deleted, and served as a miss.
 func TestNonOKEntryNotServedByDefault(t *testing.T) {
-	dir := t.TempDir()
-	m := obs.NewRegistry()
-	c, err := New(Config{Dir: dir, Metrics: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := testKey(5)
-	ent := okEntry("slt")
-	ent.Result.Outcome = "panic"
-	payload, _ := json.Marshal(&ent)
-	env := envelope{Sum: checksum(payload), Entry: payload}
-	data, _ := json.Marshal(&env)
-	path := filepath.Join(dir, k.filename())
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A default cache misses on the non-ok row — but the entry belongs to a
-	// KeepFailures producer (a discovery sweep), so it is intact on disk,
-	// not corruption to delete.
-	if _, ok := c.Get(k); ok {
-		t.Fatal("non-ok on-disk row served as a hit")
-	}
-	if m.Counter("cache.corrupt", "corrupt-binding") != 0 {
-		t.Error("intact non-ok entry counted as corruption")
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("intact non-ok entry deleted: %v", err)
-	}
-	// A KeepFailures cache over the same directory serves it.
-	kc, err := New(Config{Dir: dir, KeepFailures: true, Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := kc.Get(k)
-	if !ok || got.Result.Outcome != "panic" {
-		t.Fatalf("KeepFailures cache: ok=%v outcome=%q, want the persisted failure row", ok, got.Result.Outcome)
-	}
-	// A missing outcome is still corruption (fresh cache: the hit above
-	// promoted the row into kc's memory tier).
-	bad := okEntry("slt")
-	bad.Result.Outcome = ""
-	payload, _ = json.Marshal(&bad)
-	env = envelope{Sum: checksum(payload), Entry: payload}
-	data, _ = json.Marshal(&env)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	kc2, err := New(Config{Dir: dir, KeepFailures: true, Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := kc2.Get(k); ok {
-		t.Fatal("outcome-less entry served")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("corrupt outcome-less entry not removed")
+	for _, outcome := range []string{"panic", ""} {
+		dir := t.TempDir()
+		m := obs.NewRegistry()
+		c, err := New(Config{Dir: dir, Metrics: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := testKey(5)
+		row := okRow("slt")
+		row.Outcome = outcome
+		body, _ := json.Marshal(&payload{Result: row})
+		data, _ := json.Marshal(&envelope{Sum: checksum(body), Entry: body})
+		path := filepath.Join(dir, k.filename())
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("outcome %q: on-disk row served as a hit", outcome)
+		}
+		if got := m.Counter("cache.corrupt", "corrupt-binding"); got != 1 {
+			t.Errorf("outcome %q: cache.corrupt{corrupt-binding} = %d, want 1", outcome, got)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("outcome %q: corrupt entry not removed", outcome)
+		}
 	}
 }
 
@@ -473,16 +442,16 @@ func TestDoServesDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := testKey(6)
-	c1.Put(k, okEntry("bls"))
+	c1.Put(k, okRow("bls"))
 	c2, err := New(Config{Dir: dir, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent, out, derr := c2.Do(context.Background(), k, func() (Entry, bool) {
+	row, out, derr := c2.Do(context.Background(), k, func() (batch.Result, bool) {
 		t.Error("fn ran despite a persistent entry")
-		return Entry{}, false
+		return batch.Result{}, false
 	})
-	if derr != nil || out != OutcomeHitDisk || ent.Result.Outcome != "ok" {
+	if derr != nil || out != OutcomeHitDisk || row.Outcome != "ok" {
 		t.Errorf("disk-tier Do: outcome=%v err=%v", out, derr)
 	}
 }

@@ -24,7 +24,7 @@ import (
 )
 
 // envelope is the on-disk entry format. Sum is the FNV-1a 64-bit hash of
-// the raw Entry bytes, so any corruption of the payload — truncation,
+// the raw payload bytes, so any corruption of the payload — truncation,
 // bit rot, a concatenated torn write — is caught without trusting the
 // payload to describe itself.
 type envelope struct {
@@ -32,18 +32,20 @@ type envelope struct {
 	Entry json.RawMessage `json:"entry"`
 }
 
+// payload is the checksummed body of an entry: the report row. Directories
+// written when entries also carried a serialized binding stay readable —
+// the checksum covers whatever fields the file holds, and decoding ignores
+// all but the row.
+type payload struct {
+	Result batch.Result `json:"result"`
+}
+
 // filename renders the key as a filesystem-safe, content-addressed name:
-// the digest in hex plus the option fields that distinguish rows. A salted
-// key (a discovery sweep's search-configuration partition) carries its salt
-// as an extra suffix; unsalted keys keep the historical name, so existing
-// cache directories stay warm.
+// the digest in hex plus the option fields that distinguish rows.
 func (k Key) filename() string {
 	ext := 0
 	if k.Extended {
 		ext = 1
-	}
-	if k.Salt != 0 {
-		return fmt.Sprintf("%016x%016x-v%d-e%d-s%016x.json", k.Digest.Hi, k.Digest.Lo, k.Validate, ext, k.Salt)
 	}
 	return fmt.Sprintf("%016x%016x-v%d-e%d.json", k.Digest.Hi, k.Digest.Lo, k.Validate, ext)
 }
@@ -80,55 +82,48 @@ func (c *Cache) initDir() error {
 // diskGet loads and verifies one persistent entry. Any failure past "file
 // does not exist" is a corrupt entry: counted, classified, removed, and
 // reported as a miss.
-func (c *Cache) diskGet(k Key) (Entry, bool) {
-	if c.cfg.Dir == "" {
-		return Entry{}, false
-	}
+func (c *Cache) diskGet(k Key) (batch.Result, bool) {
 	path := filepath.Join(c.cfg.Dir, k.filename())
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
 			c.corrupt(k, path, err)
 		}
-		return Entry{}, false
+		return batch.Result{}, false
 	}
-	ent, err := decodeEnvelope(data)
+	row, err := decodeEnvelope(data)
 	if err != nil {
 		c.corrupt(k, path, err)
-		return Entry{}, false
+		return batch.Result{}, false
 	}
-	if ent.Result.Outcome != "ok" && !c.cfg.KeepFailures {
-		// A negative row persisted by a KeepFailures producer (a discovery
-		// sweep). It is intact, just not this cache's to serve — or delete.
-		return Entry{}, false
-	}
-	return ent, true
+	return row, true
 }
 
 // decodeEnvelope parses and checksum-verifies an on-disk entry. The payload
 // is compacted before hashing, so the check is over JSON content, not
 // whitespace: the indented form the encoder writes and the compact form the
-// checksum was computed over verify identically.
-func decodeEnvelope(data []byte) (Entry, error) {
+// checksum was computed over verify identically. Only "ok" rows are ever
+// stored, so a row with any other outcome is as corrupt as a bad checksum.
+func decodeEnvelope(data []byte) (batch.Result, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return Entry{}, fmt.Errorf("unparseable envelope: %w", err)
+		return batch.Result{}, fmt.Errorf("unparseable envelope: %w", err)
 	}
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, env.Entry); err != nil {
-		return Entry{}, fmt.Errorf("unparseable entry payload: %w", err)
+		return batch.Result{}, fmt.Errorf("unparseable entry payload: %w", err)
 	}
 	if got := checksum(compact.Bytes()); got != env.Sum {
-		return Entry{}, fmt.Errorf("checksum mismatch: file says %s, content is %s", env.Sum, got)
+		return batch.Result{}, fmt.Errorf("checksum mismatch: file says %s, content is %s", env.Sum, got)
 	}
-	var ent Entry
-	if err := json.Unmarshal(env.Entry, &ent); err != nil {
-		return Entry{}, fmt.Errorf("unparseable entry: %w", err)
+	var p payload
+	if err := json.Unmarshal(env.Entry, &p); err != nil {
+		return batch.Result{}, fmt.Errorf("unparseable entry: %w", err)
 	}
-	if ent.Result.Outcome == "" {
-		return Entry{}, fmt.Errorf("missing outcome in a cache entry")
+	if p.Result.Outcome != "ok" {
+		return batch.Result{}, fmt.Errorf("cache entry has outcome %q, want \"ok\"", p.Result.Outcome)
 	}
-	return ent, nil
+	return p.Result, nil
 }
 
 // corrupt handles a bad persistent entry: count it under its fault
@@ -151,24 +146,21 @@ func (c *Cache) corrupt(k Key, path string, err error) {
 // diskPut persists one entry atomically. Write failures are recorded
 // (cache.write_error) but never surfaced: the memory tier already has the
 // entry and the next run simply re-produces the file.
-func (c *Cache) diskPut(k Key, ent Entry) {
+func (c *Cache) diskPut(k Key, row batch.Result) {
 	if c.cfg.Dir == "" {
 		return
 	}
-	payload, err := json.Marshal(&ent)
+	body, err := json.Marshal(&payload{Result: row})
 	if err != nil {
 		c.metrics().Inc("cache.write_error", "")
 		return
 	}
-	env := envelope{Sum: checksum(payload), Entry: payload}
+	env := envelope{Sum: checksum(body), Entry: body}
 	path := filepath.Join(c.cfg.Dir, k.filename())
 	var prevSize int64 = -1
 	if info, err := os.Stat(path); err == nil {
 		prevSize = info.Size()
 	}
-	// Compact on purpose: an encoder with indentation would reformat the
-	// nested raw payload, and the entry's bytes — the binding document in
-	// particular — must round-trip exactly as the producer marshaled them.
 	werr := batch.WriteFileAtomic(path, func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(&env)
 	})

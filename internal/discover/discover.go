@@ -17,10 +17,6 @@
 // *result*) is quarantined at once with its underlying fault class rather
 // than wedging the sweep ("poison" in the fault taxonomy), and lands in a
 // dead-letter file written from the WAL's rows at the end of the run.
-// Cross-run dedup rides the content-addressed cache: rows are keyed by the
-// description pair's structural digest salted with the search
-// configuration, so a warm cache directory skips candidates any previous
-// sweep — even a differently filtered one — already answered.
 package discover
 
 import (
@@ -31,12 +27,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	"extra/internal/batch"
-	"extra/internal/cache"
 	"extra/internal/core"
 	"extra/internal/fault"
 	"extra/internal/fault/inject"
@@ -168,11 +162,6 @@ type Config struct {
 	LeaseTTL time.Duration
 	// Resume continues an interrupted sweep from Dir's WAL.
 	Resume bool
-	// Cache, when non-nil, provides cross-run dedup: rows keyed by the
-	// description-pair digest salted with the search configuration. The
-	// cache must have been built with KeepFailures (negative rows are the
-	// expensive ones).
-	Cache *cache.Cache
 	// Tracer and Metrics receive spans and the discover.* counters; nil
 	// Metrics means the process default.
 	Tracer  *obs.Tracer
@@ -184,7 +173,6 @@ type Sweep struct {
 	cfg    Config
 	cands  []Candidate
 	digest string
-	salt   uint64
 	wal    *batch.Journal
 	// rows[i] is candidate i's answer, nil until it has one; each index is
 	// written by the one worker that claimed it.
@@ -213,22 +201,17 @@ func New(cfg Config) (*Sweep, error) {
 	}
 	s := &Sweep{cfg: cfg, cands: cands}
 
-	// Two fingerprints. The salt covers only the search configuration —
-	// cache entries are shared across differently filtered sweeps. The WAL
-	// digest adds the candidate set: a resume must face the exact same
-	// work-list or its carried-over rows are meaningless.
-	saltParts := searchConfigParts(cfg)
-	saltHex := batch.ConfigDigest(saltParts...)
-	salt, err := strconv.ParseUint(saltHex, 16, 64)
-	if err != nil {
-		return nil, fmt.Errorf("discover: %w", err)
+	// The WAL digest covers the search configuration and the candidate set:
+	// a resume must face the exact same work-list or its carried-over rows
+	// are meaningless.
+	parts := []string{"discover", "each-timeout=" + cfg.EachTimeout.String()}
+	for _, r := range cfg.Ladder {
+		parts = append(parts, fmt.Sprintf("rung=%d/%d", r.MaxDepth, r.Budget))
 	}
-	s.salt = salt
-	walParts := append([]string{"discover"}, saltParts...)
 	for _, c := range cands {
-		walParts = append(walParts, c.Key())
+		parts = append(parts, c.Key())
 	}
-	s.digest = batch.ConfigDigest(walParts...)
+	s.digest = batch.ConfigDigest(parts...)
 
 	if err := s.openWAL(filepath.Join(cfg.Dir, "queue.jsonl")); err != nil {
 		return nil, err
@@ -281,15 +264,6 @@ func (s *Sweep) openWAL(path string) error {
 	s.wal = wal
 	s.metrics().Add("discover.resumed", "", uint64(s.resumed))
 	return nil
-}
-
-// searchConfigParts lists every knob that changes a candidate's row.
-func searchConfigParts(cfg Config) []string {
-	parts := []string{"each-timeout=" + cfg.EachTimeout.String()}
-	for _, r := range cfg.Ladder {
-		parts = append(parts, fmt.Sprintf("rung=%d/%d", r.MaxDepth, r.Budget))
-	}
-	return parts
 }
 
 // ConfigDigest is the run-configuration fingerprint stamped into the WAL
@@ -352,9 +326,9 @@ func (s *Sweep) Close() error {
 	return err
 }
 
-// settle answers candidate i (cache or engine) and journals the row.
+// settle answers candidate i and journals the row.
 func (s *Sweep) settle(ctx context.Context, i int) error {
-	res, fromCache := s.resolve(ctx, s.cands[i])
+	res := s.runCandidate(ctx, s.cands[i])
 	if res.Outcome == "canceled" {
 		// Not journaled: the candidate's work was cut short, so the row is
 		// not a result, and the candidate re-runs on resume.
@@ -369,68 +343,10 @@ func (s *Sweep) settle(ctx context.Context, i int) error {
 	s.rows[i] = &res
 	m := s.metrics()
 	m.Inc("discover."+res.Outcome, res.Pair())
-	if fromCache {
-		m.Inc("discover.cached", res.Pair())
-	}
 	if res.Outcome == "found" && res.SavingsCycles > 0 {
 		m.SetMax("discover.savings.cycles", res.Machine+"/"+res.Pair(), res.SavingsCycles)
 	}
 	return nil
-}
-
-// resolve answers one candidate: from the cross-run cache when warm, from
-// the engine otherwise (and then teaches the cache).
-func (s *Sweep) resolve(ctx context.Context, c Candidate) (Result, bool) {
-	key, keyOK := s.cacheKey(c)
-	if keyOK && s.cfg.Cache != nil {
-		if ent, hit := s.cfg.Cache.Get(key); hit && len(ent.Sweep) > 0 {
-			var r Result
-			if json.Unmarshal(ent.Sweep, &r) == nil && r.Key() == c.Key() {
-				// The cached row is the cold run's, re-stamped with this
-				// run's trace; DurationMS stays 0 — the serve cost, not a
-				// re-claim of the cold cost.
-				r.Trace = obs.TraceIDFrom(ctx)
-				return r, true
-			}
-		}
-	}
-	res := s.runCandidate(ctx, c)
-	if keyOK && s.cfg.Cache != nil && res.Outcome != "canceled" {
-		stored := res
-		stored.DurationMS = 0
-		stored.Trace = ""
-		if raw, err := json.Marshal(&stored); err == nil {
-			s.cfg.Cache.Put(key, cache.Entry{Result: batchRow(stored), Sweep: raw})
-		}
-	}
-	return res, false
-}
-
-// cacheKey digests the candidate's resolved description pair, salted with
-// the search configuration. ok=false when the descriptions do not resolve —
-// such a candidate is answered (as poison) by runCandidate, not cached.
-func (s *Sweep) cacheKey(c Candidate) (cache.Key, bool) {
-	op, ins, err := c.Descs()
-	if err != nil {
-		return cache.Key{}, false
-	}
-	return cache.KeyForPair(op, ins, 0, false, s.salt), true
-}
-
-// batchRow mirrors a sweep row into the batch report shape the cache
-// envelope carries.
-func batchRow(r Result) batch.Result {
-	return batch.Result{
-		Machine:     r.Machine,
-		Instruction: r.Instruction,
-		Language:    r.Language,
-		Operation:   r.Operation,
-		Operator:    r.Operator,
-		Outcome:     r.Outcome,
-		Error:       r.Error,
-		Steps:       r.Steps,
-		Elementary:  r.Elementary,
-	}
 }
 
 // InjectPoint is the deterministic fault-injection seam crossed once per

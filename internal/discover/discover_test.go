@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"extra/internal/batch"
-	"extra/internal/cache"
 	"extra/internal/core"
 	"extra/internal/fault"
 	"extra/internal/fault/inject"
@@ -374,43 +373,6 @@ func TestSweepRefusesExistingJournalWithoutResume(t *testing.T) {
 	runSweep(t, cfg)
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "-resume") {
 		t.Fatalf("fresh run over an existing journal: err = %v, want refusal", err)
-	}
-}
-
-func TestSweepCacheSkipsAcrossRuns(t *testing.T) {
-	cacheDir := t.TempDir()
-	mkCache := func(m *obs.Registry) *cache.Cache {
-		c, err := cache.New(cache.Config{Dir: cacheDir, KeepFailures: true, Metrics: m})
-		if err != nil {
-			t.Fatalf("cache.New: %v", err)
-		}
-		return c
-	}
-	cold := testConfig(t, t.TempDir())
-	cold.Cache = mkCache(cold.Metrics)
-	coldRep := runSweep(t, cold)
-	if n := cold.Metrics.Total("discover.cached"); n != 0 {
-		t.Fatalf("cold run served %d rows from cache", n)
-	}
-
-	warm := testConfig(t, t.TempDir())
-	warm.Cache = mkCache(warm.Metrics)
-	warmRep := runSweep(t, warm)
-	if n := warm.Metrics.Total("discover.cached"); n != 2 {
-		t.Fatalf("warm run served %d rows from cache, want 2", n)
-	}
-	if normalize(warmRep) != normalize(coldRep) {
-		t.Fatal("warm report differs from cold report")
-	}
-
-	// A different search configuration must not be served stale rows: the
-	// salt partitions the keyspace.
-	other := testConfig(t, t.TempDir())
-	other.EachTimeout = 7 * time.Second
-	other.Cache = mkCache(other.Metrics)
-	runSweep(t, other)
-	if n := other.Metrics.Total("discover.cached"); n != 0 {
-		t.Fatalf("differently configured run served %d stale cache rows", n)
 	}
 }
 

@@ -47,7 +47,7 @@ func seedCache(t *testing.T, c *cache.Cache, a *proofs.Analysis, validate int) b
 		Language: a.Language, Operation: a.Operation, Operator: a.Operator,
 		Outcome: "ok", Steps: 777, Elementary: 11,
 	}
-	c.Put(k, cache.Entry{Result: res})
+	c.Put(k, res)
 	return res
 }
 

@@ -2,7 +2,6 @@
 // crash-safe HTTP+JSON service:
 //
 //	POST /analyze?pair=INS/OP[&timeout=D]   run one analysis, return its row
-//	POST /batch   {"pairs": [...], ...}     run a catalog subset, return the report
 //	GET  /healthz                           liveness (200 while the process runs)
 //	GET  /readyz                            admission state (503 once draining)
 //	GET  /metrics                           the obs registry as deterministic JSON
@@ -25,7 +24,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -36,7 +34,6 @@ import (
 
 	"extra/internal/batch"
 	"extra/internal/cache"
-	"extra/internal/core"
 	"extra/internal/fault"
 	"extra/internal/obs"
 	"extra/internal/proofs"
@@ -74,7 +71,9 @@ type Config struct {
 	// Catalog is the served analysis set; nil means Table2 + Extensions.
 	Catalog []*proofs.Analysis
 	// OnResult observes every executed analysis row (the serve-side
-	// journaling hook); calls are serialized.
+	// journaling hook). Concurrent cold requests call it concurrently, each
+	// from its own handler goroutine, so it must be safe for concurrent use
+	// (batch.Journal.Append is).
 	OnResult func(batch.Result)
 	// Metrics is the registry behind /metrics and the server.* series; nil
 	// means the process default. Tracer observes analyses (nil-safe); per
@@ -119,7 +118,6 @@ func (c *Config) requestTimeout() time.Duration {
 // Server is the analysis service. Create with New, serve with Run.
 type Server struct {
 	cfg      Config
-	catalog  []*proofs.Analysis
 	byPair   map[string]*proofs.Analysis
 	workers  chan struct{}
 	inSystem atomic.Int64 // requests admitted (waiting + running)
@@ -141,7 +139,7 @@ func New(cfg Config) *Server {
 	for _, a := range catalog {
 		byPair[a.Instruction+"/"+a.Operator] = a
 	}
-	s := &Server{cfg: cfg, catalog: catalog, byPair: byPair}
+	s := &Server{cfg: cfg, byPair: byPair}
 	s.workers = make(chan struct{}, workerCount(cfg.Jobs))
 	s.workCtx, s.workStop = context.WithCancel(context.Background())
 	return s
@@ -171,7 +169,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.Handle("/metrics", s.metrics())
 	mux.HandleFunc("/analyze", s.guard("analyze", s.handleAnalyze))
-	mux.HandleFunc("/batch", s.guard("batch", s.handleBatch))
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -380,22 +377,12 @@ func statusFor(outcome string) int {
 	}
 }
 
-// report serializes OnResult fan-out through the runner's own hook
-// machinery so serve-path journaling sees the same contract as batch.
-func (s *Server) report(res batch.Result) {
-	if s.cfg.OnResult == nil {
-		return
-	}
-	s.cfg.OnResult(res)
-}
-
 // runPair executes one analysis behind the batch fault boundary, recording
 // the service-time average and the per-(machine, instruction) service
 // histogram. The engine run is bounded by a server.engine span on the
 // request's tracer, so every span the analysis emits nests under the
-// request's trace. The binding comes back alongside the row (nil unless
-// "ok") so the caller can cache the full analysis product.
-func (s *Server) runPair(ctx context.Context, a *proofs.Analysis) (batch.Result, *core.Binding) {
+// request's trace.
+func (s *Server) runPair(ctx context.Context, a *proofs.Analysis) batch.Result {
 	m := s.metrics()
 	tr := obs.TracerFrom(ctx)
 	if tr == nil {
@@ -409,15 +396,17 @@ func (s *Server) runPair(ctx context.Context, a *proofs.Analysis) (batch.Result,
 		sp = tr.StartSpan("server.engine", map[string]any{"pair": a.Instruction + "/" + a.Operator})
 	}
 	start := time.Now()
-	res, bound := runner.RunOneBound(ctx, a)
+	res, _ := runner.RunOneBound(ctx, a)
 	elapsed := time.Since(start)
 	if tr.Enabled() {
 		sp.End(map[string]any{"outcome": res.Outcome})
 	}
 	s.observeService(elapsed)
 	m.Observe("server.service.ns", a.Machine+"/"+a.Instruction, uint64(elapsed))
-	s.report(res)
-	return res, bound
+	if s.cfg.OnResult != nil {
+		s.cfg.OnResult(res)
+	}
+	return res
 }
 
 // writeResult serializes one analysis row with its outcome-derived status.
@@ -469,8 +458,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 		defer release()
 		ctx, cancel := s.requestContext(req, d)
 		defer cancel()
-		res, _ := s.runPair(ctx, a)
-		return res, true
+		return s.runPair(ctx, a), true
 	}
 	if s.cfg.Cache != nil {
 		if key, cacheable := cache.KeyFor(a, s.cfg.Validate); cacheable {
@@ -495,29 +483,22 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 func (s *Server) analyzeCached(w http.ResponseWriter, req *http.Request, a *proofs.Analysis, key cache.Key, d time.Duration) {
 	m := s.metrics()
 	tr := obs.TracerFrom(req.Context())
-	ent, out, err := s.cfg.Cache.Do(req.Context(), key, func() (cache.Entry, bool) {
+	res, out, err := s.cfg.Cache.Do(req.Context(), key, func() (batch.Result, bool) {
 		release, ok := s.admit(w, req)
 		if !ok {
-			return cache.Entry{}, false
+			return batch.Result{}, false
 		}
 		defer release()
 		ctx, cancel := s.sharedContext(req, d)
 		defer cancel()
-		res, bound := s.runPair(ctx, a)
-		e := cache.Entry{Result: res}
-		if bound != nil {
-			if raw, merr := json.Marshal(bound); merr == nil {
-				e.Binding = raw
-			}
-		}
-		return e, true
+		return s.runPair(ctx, a), true
 	})
 	tr.Event("server.cache", map[string]any{"outcome": out.String()})
 	switch {
 	case err == nil:
 		w.Header().Set("X-Cache", out.String())
-		m.Inc("server.outcome", ent.Result.Outcome)
-		s.writeResult(w, req, ent.Result)
+		m.Inc("server.outcome", res.Outcome)
+		s.writeResult(w, req, res)
 	case errors.Is(err, cache.ErrNoResult) && !out.Shared():
 		// This request was the leader and admission already wrote its 429/503.
 	case errors.Is(err, cache.ErrNoResult):
@@ -531,133 +512,6 @@ func (s *Server) analyzeCached(w http.ResponseWriter, req *http.Request, a *proo
 		m.Inc("server.refused", "client-gone")
 		writeError(w, http.StatusServiceUnavailable, "client went away while coalesced")
 	}
-}
-
-// maxBatchBody caps a POST /batch body. The body is read before admission,
-// so without a cap every concurrent request could buffer any amount; the
-// whole catalog's pair list is under 1 KiB.
-const maxBatchBody = 1 << 20
-
-// batchRequest is the POST /batch body. Every field is optional: the zero
-// request runs the full catalog with the server's defaults.
-type batchRequest struct {
-	// Pairs selects catalog rows ("INSTRUCTION/OPERATOR"); empty means all.
-	Pairs []string `json:"pairs,omitempty"`
-	// Validate overrides the server's per-binding validation input count.
-	Validate int `json:"validate,omitempty"`
-	// Timeout bounds each analysis (Go duration string).
-	Timeout string `json:"timeout,omitempty"`
-}
-
-// handleBatch runs a catalog subset through the concurrent batch runner and
-// returns the full JSON report (rows + summary). The request occupies one
-// admission slot; within it the batch multiplexes the configured job count.
-func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
-	s.metrics().Inc("server.requests", "/batch")
-	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var breq batchRequest
-	body := http.MaxBytesReader(w, req.Body, maxBatchBody)
-	if err := json.NewDecoder(body).Decode(&breq); err != nil && !errors.Is(err, io.EOF) {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, "bad request body: "+err.Error())
-		return
-	}
-	analyses := s.catalog
-	if len(breq.Pairs) > 0 {
-		analyses = make([]*proofs.Analysis, 0, len(breq.Pairs))
-		for _, p := range breq.Pairs {
-			a, ok := s.byPair[p]
-			if !ok {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("no analysis %q in the catalog", p))
-				return
-			}
-			analyses = append(analyses, a)
-		}
-	}
-	var each time.Duration
-	if breq.Timeout != "" {
-		d, err := time.ParseDuration(breq.Timeout)
-		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, "bad timeout (want a positive Go duration)")
-			return
-		}
-		each = d
-	}
-	validate := s.cfg.Validate
-	if breq.Validate > 0 {
-		validate = breq.Validate
-	}
-
-	// Warm rows are collected before admission: cache hits become the
-	// runner's Completed skip set, and a fully-warm batch is served without
-	// occupying a worker slot at all.
-	completed := map[string]batch.Result{}
-	keys := map[string]cache.Key{}
-	if s.cfg.Cache != nil {
-		for _, a := range analyses {
-			k, cacheable := cache.KeyFor(a, validate)
-			if !cacheable {
-				continue
-			}
-			keys[batch.AnalysisKey(a)] = k
-			if ent, hit := s.cfg.Cache.Get(k); hit {
-				completed[batch.AnalysisKey(a)] = ent.Result
-			}
-		}
-	}
-	tr := obs.TracerFrom(req.Context())
-	if tr == nil {
-		tr = s.cfg.Tracer
-	}
-	r := &batch.Runner{
-		Jobs: cap(s.workers), Validate: validate, EachTimeout: each,
-		Completed: completed,
-		Tracer:    tr, Metrics: s.cfg.Metrics,
-		OnResult: s.report,
-		OnBound: func(res batch.Result, bound *core.Binding) {
-			k, cacheable := keys[res.Key()]
-			if !cacheable || s.cfg.Cache == nil {
-				return
-			}
-			e := cache.Entry{Result: res}
-			if bound != nil {
-				if raw, merr := json.Marshal(bound); merr == nil {
-					e.Binding = raw
-				}
-			}
-			s.cfg.Cache.Put(k, e)
-		},
-	}
-	writeReport := func(results []batch.Result) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		batch.WriteJSON(w, results)
-	}
-	if len(completed) == len(analyses) {
-		// Every row is warm: serve the report straight from the skip set.
-		writeReport(r.Run(req.Context(), analyses))
-		return
-	}
-	release, ok := s.admit(w, req)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := s.requestContext(req, 0)
-	defer cancel()
-	start := time.Now()
-	results := r.Run(ctx, analyses)
-	if executed := len(analyses) - len(completed); executed > 0 {
-		// Fold the per-analysis average into the shed estimate.
-		s.observeService(time.Since(start) / time.Duration(executed))
-	}
-	writeReport(results)
 }
 
 // Run listens on cfg.Addr, reports the bound address through ready (which

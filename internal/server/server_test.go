@@ -3,10 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -52,7 +52,7 @@ func getResult(t *testing.T, client *http.Client, url string) (int, batch.Result
 }
 
 // TestAnalyzeEndpoint: the happy path returns the analysis row with a 200,
-// an unknown pair is a 404, and malformed requests are 4xx.
+// an unknown pair or route is a 404, and malformed requests are 4xx.
 func TestAnalyzeEndpoint(t *testing.T) {
 	s := New(Config{Metrics: obs.NewRegistry()})
 	ts := httptest.NewServer(s.Handler())
@@ -85,13 +85,16 @@ func TestAnalyzeEndpoint(t *testing.T) {
 		}
 	}
 
-	resp, err := ts.Client().Post(ts.URL+"/analyze?pair=scasb/index", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("POST /analyze: status %d, want 200", resp.StatusCode)
+	// /analyze is the only work route: POST /batch is a plain 404.
+	for path, want := range map[string]int{"/analyze?pair=scasb/index": http.StatusOK, "/batch": http.StatusNotFound} {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(`{"pairs":["scasb/index"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST %s: status %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 
@@ -253,72 +256,54 @@ func TestAdmissionShedding(t *testing.T) {
 	}
 }
 
-// TestBatchEndpoint: a pairs subset comes back as the standard batch report,
-// and an unknown pair in the subset is a 400 before any work runs.
-func TestBatchEndpoint(t *testing.T) {
-	s := New(Config{Metrics: obs.NewRegistry()})
+// TestOnResultConcurrentJournal: concurrent cold /analyze requests call
+// OnResult concurrently, each from its own handler goroutine, so the hook
+// must be safe for concurrent use. n cold requests held in the engine until
+// all have started, then released together, journal through one
+// batch.Journal (run under -race by CI) and leave n parseable rows.
+func TestOnResultConcurrentJournal(t *testing.T) {
+	const n = 6
+	path := filepath.Join(t.TempDir(), "serve.jsonl")
+	j, err := batch.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, started, unblock := gatedCatalog()
+	s := New(Config{Jobs: n, Catalog: cat, Metrics: obs.NewRegistry(), OnResult: func(res batch.Result) {
+		if err := j.Append(res); err != nil {
+			t.Errorf("journal append: %v", err)
+		}
+	}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-
-	body := strings.NewReader(`{"pairs": ["scasb/index", "locc/indexc"]}`)
-	resp, err := ts.Client().Post(ts.URL+"/batch", "application/json", body)
-	if err != nil {
+	defer unblock()
+	url := ts.URL + "/analyze?pair=" + cat[0].Instruction + "/" + cat[0].Operator
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := ts.Client().Get(url)
+			if err != nil {
+				t.Errorf("cold request: %v", err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("cold request: status %d, want 200", resp.StatusCode)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		<-started
+	}
+	unblock()
+	wg.Wait()
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /batch: status %d, want 200", resp.StatusCode)
-	}
-	var doc struct {
-		Results []batch.Result `json:"results"`
-		Summary map[string]int `json:"summary"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("/batch body is not a report: %v", err)
-	}
-	if len(doc.Results) != 2 || doc.Summary["ok"] != 2 {
-		t.Fatalf("report %+v, want 2 ok rows", doc.Summary)
-	}
-
-	bad, err := ts.Client().Post(ts.URL+"/batch", "application/json", strings.NewReader(`{"pairs": ["no/such"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown pair in /batch: status %d, want 400", bad.StatusCode)
-	}
-	get, err := ts.Client().Get(ts.URL + "/batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	get.Body.Close()
-	if get.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /batch: status %d, want 405", get.StatusCode)
-	}
-}
-
-// TestBatchBodyCapped: a /batch body past maxBatchBody is refused with 413
-// before any analysis runs. The body is decoded before admission, so an
-// uncapped body would let every concurrent request buffer any amount.
-func TestBatchBodyCapped(t *testing.T) {
-	var rows atomic.Int64
-	s := New(Config{Metrics: obs.NewRegistry(), OnResult: func(batch.Result) { rows.Add(1) }})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body := `{"pairs":["scasb/index"]` + strings.Repeat(" ", 2<<20) + `}`
-	resp, err := ts.Client().Post(ts.URL+"/batch", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("2 MiB /batch body: status %d, want 413", resp.StatusCode)
-	}
-	if n := rows.Load(); n != 0 {
-		t.Errorf("an oversized /batch body still ran %d analyses", n)
+	if rows, _, err := batch.ReadJournal[batch.Result](path); err != nil || len(rows) != n {
+		t.Fatalf("journal holds %d parseable rows (%v), want %d", len(rows), err, n)
 	}
 }
 

@@ -152,15 +152,11 @@ func init() {
 			funcs := dataflow.FuncMap(d)
 			sEff := dataflow.NodeEffects(s, funcs)
 			cEff := dataflow.NodeEffects(ifs.Cond, funcs)
-			for k := range sEff.MayDef {
-				if cEff.MayUse[k] || cEff.MayDef[k] {
-					return nil, errPrecond("if.pull.common", "statement writes %s, which the condition touches", k)
-				}
+			if k, ok := firstCommon(sEff.MayDef, cEff.MayUse, cEff.MayDef); ok {
+				return nil, errPrecond("if.pull.common", "statement writes %s, which the condition touches", k)
 			}
-			for k := range cEff.MayDef {
-				if sEff.MayUse[k] || sEff.MayDef[k] {
-					return nil, errPrecond("if.pull.common", "condition writes %s, which the statement touches", k)
-				}
+			if k, ok := firstCommon(cEff.MayDef, sEff.MayUse, sEff.MayDef); ok {
+				return nil, errPrecond("if.pull.common", "condition writes %s, which the statement touches", k)
 			}
 			stripped := &isps.IfStmt{Cond: ifs.Cond,
 				Then: &isps.Block{Stmts: append([]isps.Stmt(nil), ifs.Then.Stmts[1:]...)},

@@ -89,10 +89,8 @@ func exitBranch(d *isps.Description, sh *loopShape, e2 int, postIf *isps.IfStmt)
 		vars := dataflow.NodeEffects(e1cond, funcs).MayUse
 		seg := &isps.Block{Stmts: sh.body.Stmts[1:e2]}
 		eff := dataflow.NodeEffects(seg, funcs).Union(dataflow.NodeEffects(e2cond, funcs))
-		for v := range vars {
-			if eff.MayDef[v] {
-				return 0, fmt.Errorf("variable %s of the first exit's condition is written before exit %d", v, e2)
-			}
+		if v, ok := firstCommon(vars, eff.MayDef); ok {
+			return 0, fmt.Errorf("variable %s of the first exit's condition is written before exit %d", v, e2)
 		}
 		return 2, nil
 	}
@@ -247,10 +245,8 @@ func init() {
 			condVars := dataflow.NodeEffects(e1cond, funcs).MayUse
 			seg := &isps.Block{Stmts: sh.body.Stmts[1:e2]}
 			segEff := dataflow.NodeEffects(seg, funcs).Union(dataflow.NodeEffects(ex.Cond, funcs))
-			for v := range condVars {
-				if segEff.MayDef[v] {
-					return nil, errPrecond("loop.exit.witness", "%s (used by the first exit's condition) is written between the exits", v)
-				}
+			if v, ok := firstCommon(condVars, segEff.MayDef); ok {
+				return nil, errPrecond("loop.exit.witness", "%s (used by the first exit's condition) is written between the exits", v)
 			}
 			// Rewrite: replace the exit with setter + flag exit, clear the
 			// flag before the loop, and make the post-loop conditional test

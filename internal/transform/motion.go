@@ -209,15 +209,11 @@ func init() {
 			}
 			eff := dataflow.NodeEffects(s, dataflow.FuncMap(d))
 			condEff := dataflow.NodeEffects(ifs.Cond, dataflow.FuncMap(d))
-			for k := range eff.MayDef {
-				if condEff.MayUse[k] || condEff.MayDef[k] {
-					return nil, errPrecond("move.dup.into.if", "statement writes %s, which the condition touches", k)
-				}
+			if k, ok := firstCommon(eff.MayDef, condEff.MayUse, condEff.MayDef); ok {
+				return nil, errPrecond("move.dup.into.if", "statement writes %s, which the condition touches", k)
 			}
-			for k := range condEff.MayDef {
-				if eff.MayUse[k] || eff.MayDef[k] {
-					return nil, errPrecond("move.dup.into.if", "condition writes %s, which the statement touches", k)
-				}
+			if k, ok := firstCommon(condEff.MayDef, eff.MayUse, eff.MayDef); ok {
+				return nil, errPrecond("move.dup.into.if", "condition writes %s, which the statement touches", k)
 			}
 			dup := &isps.IfStmt{
 				Cond: ifs.Cond,

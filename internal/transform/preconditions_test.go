@@ -376,3 +376,58 @@ func TestHoistRejectsStoreTarget(t *testing.T) {
 	out := apply(t, d, "move.hoist.expr", paths[1], Args{"temp": "t0", "width": "8"})
 	diffCheck(t, d, out.Desc, 6, 9, nil)
 }
+
+// TestPreconditionMessagesDeterministic: where several variables break a
+// data-flow precondition, the message names the smallest in sorted order,
+// so a trace event or transform.precond.reason label reads the same on
+// every run whatever the map iteration order.
+func TestPreconditionMessagesDeterministic(t *testing.T) {
+	calls := parse(t, "a: integer, b: integer, p: integer, q: integer, x: integer,\n"+
+		"f()<7:0> := begin f <- 0; p <- 1; q <- 1; end", `input (a, b);
+if a = b then input (a, b); output (0); else input (a, b); output (1); end_if;
+output (p + q);
+if f() = 0 then output (p + q); else output (p + q); end_if;
+x <- p + q + f();`)
+	loop := parse(t, "n: integer, m: integer, i: integer, ch: integer,", `input (n, m, ch);
+i <- 0;
+repeat
+exit_when (n + m = 0);
+n <- n - 1;
+m <- m - 1;
+i <- i + 1;
+exit_when (ch = 0);
+end_repeat;
+if n + m = 0 then output (0); else output (i); end_if;`)
+	for _, tc := range []struct {
+		d    *isps.Description
+		name string
+		at   []int // top-level statement index, then a path inside it
+		args Args
+		want string
+	}{
+		{calls, "move.dup.into.if", []int{0}, nil, "statement writes a,"},
+		{calls, "if.pull.common", []int{1}, nil, "statement writes a,"},
+		{calls, "move.dup.into.if", []int{2}, nil, "condition writes p,"},
+		{calls, "if.pull.common", []int{3}, nil, "condition writes p,"},
+		{calls, "routine.inline", []int{4}, Args{"temp": "t0"}, "p is read before the call"},
+		{loop, "loop.move.increment", []int{2, 0, 3}, Args{"dir": "down"}, "variable m of the first exit's"},
+		{loop, "loop.exit.witness", []int{2, 0, 4}, Args{"flag": "fw"}, "m (used by the first exit's"},
+	} {
+		at := findStmt(t, tc.d, func(s isps.Stmt) bool { _, ok := s.(*isps.InputStmt); return ok })
+		at = append(at[:len(at)-1:len(at)-1], tc.at...)
+		msgs := map[string]bool{}
+		for i := 0; i < 50; i++ {
+			if _, err := mustGet(t, tc.name).Apply(tc.d, at, tc.args); err != nil {
+				msgs[err.Error()] = true
+			}
+		}
+		for msg := range msgs {
+			if len(msgs) != 1 || !strings.Contains(msg, tc.want) {
+				t.Errorf("%s at %s: got %d distinct messages over 50 runs, want one naming %q: %q", tc.name, at, len(msgs), tc.want, msg)
+			}
+		}
+		if len(msgs) == 0 {
+			t.Errorf("%s at %s unexpectedly succeeded", tc.name, at)
+		}
+	}
+}

@@ -134,10 +134,8 @@ func init() {
 			funcs := dataflow.FuncMap(d)
 			pre := readsBeforeCall(stmt, relPath)
 			calleeEff := dataflow.NodeEffects(f.Body, funcs)
-			for r := range pre {
-				if calleeEff.MayDef[r] {
-					return nil, errPrecond(name, "%s is read before the call and written by %s()", r, f.Name)
-				}
+			if r, ok := firstCommon(pre, calleeEff.MayDef); ok {
+				return nil, errPrecond(name, "%s is read before the call and written by %s()", r, f.Name)
 			}
 			// Build the inlined body: callee statements with the return slot
 			// renamed to the temporary, then the statement with the call

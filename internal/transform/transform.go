@@ -255,6 +255,21 @@ func errPrecond(name, format string, args ...any) error {
 	return &PrecondError{Xform: name, Msg: fmt.Sprintf(format, args...)}
 }
 
+// firstCommon returns the smallest name of set, in sorted order, that is
+// true in any of in, so a precondition message names the same variable on
+// every run whatever the map iteration order.
+func firstCommon(set map[string]bool, in ...map[string]bool) (string, bool) {
+	first, found := "", false
+	for k := range set {
+		for _, m := range in {
+			if m[k] && (!found || k < first) {
+				first, found = k, true
+			}
+		}
+	}
+	return first, found
+}
+
 // routineBody returns the path of the routine's body block and the block.
 func routineBody(d *isps.Description) (isps.Path, *isps.Block, error) {
 	for si, s := range d.Sections {
