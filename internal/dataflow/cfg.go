@@ -15,8 +15,7 @@ type Graph struct {
 	// representing falling off the end of the routine.
 	Entry, Exit int
 
-	funcs  map[string]*isps.FuncDecl
-	byPath map[string]int
+	funcs map[string]*isps.FuncDecl
 }
 
 // GNode is one node of the control-flow graph.
@@ -36,17 +35,15 @@ type GNode struct {
 	// branches or loop it owns) has completed; -1 for the exit node.
 	Cont int
 	// Eff summarizes what evaluating this node reads/writes. For an if
-	// node this covers only the condition; for a repeat head it is empty.
+	// node this covers only the condition; for a repeat head and the exit
+	// node its sets are nil (empty).
 	Eff Effects
-	// virtual marks repeat-head nodes (their Stmt is the RepeatStmt, but
-	// the node itself evaluates nothing).
-	virtual bool
 }
 
 // BuildCFG constructs the control-flow graph of a routine body. funcs
 // provides call-effect summaries (see FuncMap).
 func BuildCFG(body *isps.Block, funcs map[string]*isps.FuncDecl) *Graph {
-	g := &Graph{funcs: funcs, byPath: map[string]int{}}
+	g := &Graph{funcs: funcs}
 	exit := g.newNode(nil, nil)
 	g.Exit = exit.Index
 	g.Entry = g.buildBlock(body, isps.Path{}, exit.Index, nil)
@@ -54,11 +51,8 @@ func BuildCFG(body *isps.Block, funcs map[string]*isps.FuncDecl) *Graph {
 }
 
 func (g *Graph) newNode(stmt isps.Stmt, path isps.Path) *GNode {
-	n := &GNode{Index: len(g.Nodes), Stmt: stmt, Path: path, ExitCont: -1, Cont: -1, Eff: newEffects()}
+	n := &GNode{Index: len(g.Nodes), Stmt: stmt, Path: path, ExitCont: -1, Cont: -1}
 	g.Nodes = append(g.Nodes, n)
-	if path != nil {
-		g.byPath[path.String()] = n.Index
-	}
 	return n
 }
 
@@ -85,7 +79,6 @@ func (g *Graph) buildStmt(s isps.Stmt, path isps.Path, next int, loopExits []int
 		return n.Index
 	case *isps.RepeatStmt:
 		head := g.newNode(s, path)
-		head.virtual = true
 		head.ExitCont = next
 		head.Cont = next
 		bodyEntry := g.buildBlock(st.Body, path.Child(0), head.Index, append(loopExits, next))
@@ -114,96 +107,79 @@ func (g *Graph) buildStmt(s isps.Stmt, path isps.Path, next int, loopExits []int
 // NodeAt returns the graph node for the statement at the given body-relative
 // path.
 func (g *Graph) NodeAt(path isps.Path) (*GNode, error) {
-	i, ok := g.byPath[path.String()]
-	if !ok {
-		return nil, fmt.Errorf("dataflow: no CFG node at path %s", path)
-	}
-	return g.Nodes[i], nil
-}
-
-// Liveness holds the result of backward live-variable analysis over a CFG.
-type Liveness struct {
-	g       *Graph
-	liveIn  []map[string]bool
-	liveOut []map[string]bool
-}
-
-// Liveness runs live-variable analysis to a fixpoint.
-func (g *Graph) Liveness() *Liveness {
-	l := &Liveness{
-		g:       g,
-		liveIn:  make([]map[string]bool, len(g.Nodes)),
-		liveOut: make([]map[string]bool, len(g.Nodes)),
-	}
-	for i := range g.Nodes {
-		l.liveIn[i] = map[string]bool{}
-		l.liveOut[i] = map[string]bool{}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i := len(g.Nodes) - 1; i >= 0; i-- {
-			n := g.Nodes[i]
-			out := l.liveOut[i]
-			for _, s := range n.Succs {
-				for k := range l.liveIn[s] {
-					if !out[k] {
-						out[k] = true
-						changed = true
-					}
-				}
-			}
-			in := l.liveIn[i]
-			for k := range n.Eff.MayUse {
-				if !in[k] {
-					in[k] = true
-					changed = true
-				}
-			}
-			for k := range out {
-				if !n.Eff.MustDef[k] && !in[k] {
-					in[k] = true
-					changed = true
-				}
-			}
+	for _, n := range g.Nodes {
+		// The exit node's nil path equals the empty path, which addresses
+		// the body, not a statement.
+		if n.Index != g.Exit && n.Path.Equal(path) {
+			return n, nil
 		}
 	}
-	return l
+	return nil, fmt.Errorf("dataflow: no CFG node at path %s", path)
+}
+
+// liveIn reports whether name may be read on some path from node i before
+// a node that must define it: a forward search that succeeds at the first
+// node that may use name and does not continue past one that must define
+// it (a use at a must-def node still counts). For one name this is the
+// least fixpoint of liveIn = MayUse ∪ (liveOut − MustDef). seen marks the
+// nodes already searched; a node seen again cannot reach a use, or the
+// search would have stopped there.
+func (g *Graph) liveIn(i int, name string, seen []bool) bool {
+	if seen[i] {
+		return false
+	}
+	seen[i] = true
+	n := g.Nodes[i]
+	if n.Eff.MayUse[name] {
+		return true
+	}
+	if n.Eff.MustDef[name] {
+		return false
+	}
+	for _, s := range n.Succs {
+		if g.liveIn(s, name, seen) {
+			return true
+		}
+	}
+	return false
 }
 
 // LiveAfter reports whether name may be read after the statement at the
 // given body-relative path executes (along any path).
-func (l *Liveness) LiveAfter(path isps.Path, name string) (bool, error) {
-	n, err := l.g.NodeAt(path)
+func (g *Graph) LiveAfter(path isps.Path, name string) (bool, error) {
+	n, err := g.NodeAt(path)
 	if err != nil {
 		return false, err
 	}
-	return l.liveOut[n.Index][name], nil
+	seen := make([]bool, len(g.Nodes))
+	for _, s := range n.Succs {
+		if g.liveIn(s, name, seen) {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // LiveAtStmtExit reports whether name may be read once the statement at the
 // given body-relative path — including any branches or loop body it owns —
 // has completed.
-func (l *Liveness) LiveAtStmtExit(path isps.Path, name string) (bool, error) {
-	n, err := l.g.NodeAt(path)
+func (g *Graph) LiveAtStmtExit(path isps.Path, name string) (bool, error) {
+	n, err := g.NodeAt(path)
 	if err != nil {
 		return false, err
 	}
-	if n.Cont < 0 {
-		return false, nil
-	}
-	return l.liveIn[n.Cont][name], nil
+	return g.liveIn(n.Cont, name, make([]bool, len(g.Nodes))), nil
 }
 
 // LiveAtLoopExit reports whether name may be read once the repeat loop at
 // the given body-relative path has terminated.
-func (l *Liveness) LiveAtLoopExit(loopPath isps.Path, name string) (bool, error) {
-	n, err := l.g.NodeAt(loopPath)
+func (g *Graph) LiveAtLoopExit(loopPath isps.Path, name string) (bool, error) {
+	n, err := g.NodeAt(loopPath)
 	if err != nil {
 		return false, err
 	}
 	if n.ExitCont < 0 {
 		return false, fmt.Errorf("dataflow: node at %s is not a repeat loop", loopPath)
 	}
-	return l.liveIn[n.ExitCont][name], nil
+	return g.liveIn(n.ExitCont, name, make([]bool, len(g.Nodes))), nil
 }

@@ -127,12 +127,21 @@ func TestIndependent(t *testing.T) {
 }
 
 func TestExitNeverIndependent(t *testing.T) {
-	d := parse(t, "a: integer,",
-		"input (a);\nrepeat\nexit_when (a = 0);\na <- a - 1;\nend_repeat;")
+	d := parse(t, "a: integer, b: integer, c<>,",
+		"input (a, c);\nrepeat\nexit_when (a = 0);\na <- a - 1;\n"+
+			"if c then exit_when (a = 1); end_if;\nb <- 0;\n"+
+			"repeat\nexit_when (a = 2);\na <- a - 1;\nend_repeat;\nend_repeat;")
 	funcs := FuncMap(d)
 	loop := d.Routine().Body.Stmts[1].(*isps.RepeatStmt)
-	if Independent(loop.Body.Stmts[0], loop.Body.Stmts[1], funcs) {
+	s := loop.Body.Stmts
+	if Independent(s[0], s[1], funcs) {
 		t.Error("an exit_when may never be reordered")
+	}
+	if Independent(s[2], s[3], funcs) {
+		t.Error("a conditional holding an exit_when can leave the loop; it may never be reordered")
+	}
+	if !Independent(s[4], s[3], funcs) {
+		t.Error("an exit_when inside a nested repeat leaves only that repeat; b <- 0 is independent of it")
 	}
 }
 
@@ -140,16 +149,15 @@ func TestLivenessStraightLine(t *testing.T) {
 	d := parse(t, "a: integer, b: integer,",
 		"input (a);\nb <- a + 1;\na <- 0;\noutput (b);")
 	g := BuildCFG(d.Routine().Body, FuncMap(d))
-	l := g.Liveness()
 	// After b <- a + 1, a is dead (it is reassigned, then unused).
-	live, err := l.LiveAfter(isps.Path{1}, "a")
+	live, err := g.LiveAfter(isps.Path{1}, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if live {
 		t.Error("a live after its last use")
 	}
-	liveB, _ := l.LiveAfter(isps.Path{1}, "b")
+	liveB, _ := g.LiveAfter(isps.Path{1}, "b")
 	if !liveB {
 		t.Error("b dead despite the output")
 	}
@@ -159,9 +167,8 @@ func TestLivenessThroughLoop(t *testing.T) {
 	d := parse(t, "n: integer, s: integer,",
 		"input (n);\ns <- 0;\nrepeat\nexit_when (n = 0);\ns <- s + 1;\nn <- n - 1;\nend_repeat;\noutput (s);")
 	g := BuildCFG(d.Routine().Body, FuncMap(d))
-	l := g.Liveness()
 	// n is read at the loop top on the back edge: live after its decrement.
-	live, err := l.LiveAfter(isps.Path{2, 0, 2}, "n")
+	live, err := g.LiveAfter(isps.Path{2, 0, 2}, "n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +176,14 @@ func TestLivenessThroughLoop(t *testing.T) {
 		t.Error("n dead after decrement despite the back edge")
 	}
 	// At loop exit, s is live (output) and n is dead.
-	liveN, err := l.LiveAtLoopExit(isps.Path{2}, "n")
+	liveN, err := g.LiveAtLoopExit(isps.Path{2}, "n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if liveN {
 		t.Error("n live at loop exit")
 	}
-	liveS, _ := l.LiveAtLoopExit(isps.Path{2}, "s")
+	liveS, _ := g.LiveAtLoopExit(isps.Path{2}, "s")
 	if !liveS {
 		t.Error("s dead at loop exit despite the output")
 	}
@@ -186,16 +193,15 @@ func TestLiveAtStmtExitOfConditional(t *testing.T) {
 	d := parse(t, "c<>, x: integer,",
 		"input (c);\nif c then x <- 1; else x <- 2; end_if;\noutput (c);")
 	g := BuildCFG(d.Routine().Body, FuncMap(d))
-	l := g.Liveness()
 	// x is used only inside the conditional: dead once it completes.
-	live, err := l.LiveAtStmtExit(isps.Path{1}, "x")
+	live, err := g.LiveAtStmtExit(isps.Path{1}, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if live {
 		t.Error("x live after the whole conditional")
 	}
-	liveC, _ := l.LiveAtStmtExit(isps.Path{1}, "c")
+	liveC, _ := g.LiveAtStmtExit(isps.Path{1}, "c")
 	if !liveC {
 		t.Error("c dead despite the output after the conditional")
 	}
@@ -204,24 +210,18 @@ func TestLiveAtStmtExitOfConditional(t *testing.T) {
 func TestNodeAtUnknownPath(t *testing.T) {
 	d := parse(t, "a: integer,", "input (a);")
 	g := BuildCFG(d.Routine().Body, FuncMap(d))
-	if _, err := g.NodeAt(isps.Path{9}); err == nil {
-		t.Error("NodeAt accepted a bogus path")
+	// The empty path addresses the body itself; it must not match the exit
+	// node's nil path.
+	for _, p := range []isps.Path{{9}, {}} {
+		if _, err := g.NodeAt(p); err == nil {
+			t.Errorf("NodeAt accepted the bogus path %s", p)
+		}
 	}
 }
 
 func TestHelpers(t *testing.T) {
 	d := parse(t, "a: integer, b: integer,", "input (a);\nMb[a] <- 1;\nb <- Mb[a + 1];")
-	funcs := FuncMap(d)
 	s := d.Routine().Body.Stmts
-	if !WritesMemory(s[1], funcs) || WritesMemory(s[2], funcs) {
-		t.Error("WritesMemory misclassifies")
-	}
-	if ReadsMemory(s[1]) {
-		t.Error("a pure store reported as reading memory")
-	}
-	if !ReadsMemory(s[2]) {
-		t.Error("load not reported as reading memory")
-	}
 	if !UsesName(s[2], "a") || UsesName(s[1], "b") {
 		t.Error("UsesName misclassifies")
 	}

@@ -1,6 +1,6 @@
-// Package dataflow computes the def/use, liveness and loop information that
-// the transformation library consults to decide whether a transformation
-// can be applied at a point (paper section 5: "the transformations
+// Package dataflow computes the def/use effects, the control-flow graph and
+// the per-name liveness queries that the transformation library consults to
+// decide whether a transformation can be applied at a point (paper section 5: "the transformations
 // themselves utilize various types of data flow information that is used to
 // determine whether a transformation is valid at a particular point").
 package dataflow
@@ -30,14 +30,6 @@ type Effects struct {
 	MustDef map[string]bool
 }
 
-func newEffects() Effects {
-	return Effects{
-		MayUse:  map[string]bool{},
-		MayDef:  map[string]bool{},
-		MustDef: map[string]bool{},
-	}
-}
-
 // Union merges another effect summary into this one and returns it.
 func (e Effects) Union(o Effects) Effects {
 	for k := range o.MayUse {
@@ -50,34 +42,6 @@ func (e Effects) Union(o Effects) Effects {
 		e.MustDef[k] = true
 	}
 	return e
-}
-
-// seq composes effects of two nodes executed in sequence.
-func (e Effects) seq(o Effects) Effects {
-	return e.Union(o)
-}
-
-// branch composes effects of two alternative nodes: must-defs intersect.
-func branch(a, b Effects) Effects {
-	out := newEffects()
-	for k := range a.MayUse {
-		out.MayUse[k] = true
-	}
-	for k := range b.MayUse {
-		out.MayUse[k] = true
-	}
-	for k := range a.MayDef {
-		out.MayDef[k] = true
-	}
-	for k := range b.MayDef {
-		out.MayDef[k] = true
-	}
-	for k := range a.MustDef {
-		if b.MustDef[k] {
-			out.MustDef[k] = true
-		}
-	}
-	return out
 }
 
 // FuncMap builds the function-name table used for call-effect summaries.
@@ -93,89 +57,98 @@ func FuncMap(d *isps.Description) map[string]*isps.FuncDecl {
 // expression. Function calls contribute the callee's effects plus a use of
 // the callee's own name (its return slot).
 func NodeEffects(n isps.Node, funcs map[string]*isps.FuncDecl) Effects {
+	e := Effects{MayUse: map[string]bool{}, MayDef: map[string]bool{}, MustDef: map[string]bool{}}
+	e.add(n, funcs)
+	return e
+}
+
+// add accumulates n's effects into e's sets. A nil e.MustDef discards
+// must-defs: nothing under a repeat is a definite def.
+func (e Effects) add(n isps.Node, funcs map[string]*isps.FuncDecl) {
 	switch x := n.(type) {
 	case *isps.Ident:
-		e := newEffects()
 		e.MayUse[x.Name] = true
-		return e
-	case *isps.Num:
-		return newEffects()
 	case *isps.Mem:
-		e := NodeEffects(x.Addr, funcs)
+		e.add(x.Addr, funcs)
 		e.MayUse[MemName] = true
-		return e
 	case *isps.Call:
-		e := newEffects()
 		if f, ok := funcs[x.Name]; ok {
-			e = e.Union(NodeEffects(f.Body, funcs))
+			e.add(f.Body, funcs)
 		}
 		// Reading the call's value reads the function's return slot.
 		e.MayUse[x.Name] = true
-		return e
 	case *isps.Un:
-		return NodeEffects(x.X, funcs)
+		e.add(x.X, funcs)
 	case *isps.Bin:
-		return NodeEffects(x.X, funcs).seq(NodeEffects(x.Y, funcs))
+		e.add(x.X, funcs)
+		e.add(x.Y, funcs)
 	case *isps.AssignStmt:
-		e := NodeEffects(x.RHS, funcs)
+		e.add(x.RHS, funcs)
 		switch lhs := x.LHS.(type) {
 		case *isps.Ident:
-			e.MayDef[lhs.Name] = true
-			e.MustDef[lhs.Name] = true
+			e.def(lhs.Name)
 		case *isps.Mem:
-			e = e.seq(NodeEffects(lhs.Addr, funcs))
+			e.add(lhs.Addr, funcs)
 			e.MayDef[MemName] = true
 		}
-		return e
 	case *isps.IfStmt:
-		cond := NodeEffects(x.Cond, funcs)
 		// The condition is always evaluated, so its definite call side
-		// effects stay definite.
-		return cond.seq(branch(NodeEffects(x.Then, funcs), NodeEffects(x.Else, funcs)))
+		// effects stay definite; a branch's must-def is definite only when
+		// the other branch has it too.
+		e.add(x.Cond, funcs)
+		then, els := e, e
+		if e.MustDef != nil {
+			then.MustDef, els.MustDef = map[string]bool{}, map[string]bool{}
+		}
+		then.add(x.Then, funcs)
+		els.add(x.Else, funcs)
+		for k := range then.MustDef {
+			if els.MustDef[k] {
+				e.MustDef[k] = true
+			}
+		}
 	case *isps.RepeatStmt:
-		e := NodeEffects(x.Body, funcs)
 		// A repeat body runs at least once, but an early exit_when can cut
 		// it short, so nothing in it is a definite def.
-		e.MustDef = map[string]bool{}
-		return e
+		body := e
+		body.MustDef = nil
+		body.add(x.Body, funcs)
 	case *isps.ExitWhenStmt:
-		return NodeEffects(x.Cond, funcs)
+		e.add(x.Cond, funcs)
 	case *isps.AssertStmt:
-		return NodeEffects(x.Cond, funcs)
+		e.add(x.Cond, funcs)
 	case *isps.InputStmt:
-		e := newEffects()
 		for _, name := range x.Names {
-			e.MayDef[name] = true
-			e.MustDef[name] = true
+			e.def(name)
 		}
 		e.MayDef[IOName] = true
-		return e
 	case *isps.OutputStmt:
-		e := newEffects()
 		for _, ex := range x.Exprs {
-			e = e.seq(NodeEffects(ex, funcs))
+			e.add(ex, funcs)
 		}
 		e.MayDef[IOName] = true
-		return e
 	case *isps.Block:
-		e := newEffects()
 		for _, s := range x.Stmts {
-			e = e.seq(NodeEffects(s, funcs))
+			e.add(s, funcs)
 		}
-		return e
 	}
-	return newEffects()
+}
+
+// def records a write of name on every path through the node.
+func (e Effects) def(name string) {
+	e.MayDef[name] = true
+	if e.MustDef != nil {
+		e.MustDef[name] = true
+	}
 }
 
 // Independent reports whether two statements may be reordered: neither may
 // write anything the other reads or writes, and neither transfers control
-// (exit_when). Memory and the i/o streams are modeled as pseudo-resources,
-// so two Mb writes, or an Mb write and an Mb read, are never independent.
+// (an exit_when, or a conditional holding one, can leave the loop). Memory
+// and the i/o streams are modeled as pseudo-resources, so two Mb writes, or
+// an Mb write and an Mb read, are never independent.
 func Independent(a, b isps.Stmt, funcs map[string]*isps.FuncDecl) bool {
-	if _, ok := a.(*isps.ExitWhenStmt); ok {
-		return false
-	}
-	if _, ok := b.(*isps.ExitWhenStmt); ok {
+	if exits(a) || exits(b) {
 		return false
 	}
 	ea := NodeEffects(a, funcs)
@@ -191,6 +164,27 @@ func Independent(a, b isps.Stmt, funcs map[string]*isps.FuncDecl) bool {
 		}
 	}
 	return true
+}
+
+// exits reports whether an exit_when in s can leave the loop enclosing s:
+// s is one, or a conditional holds one outside any repeat nested in s.
+func exits(s isps.Stmt) bool {
+	switch x := s.(type) {
+	case *isps.ExitWhenStmt:
+		return true
+	case *isps.IfStmt:
+		return blockExits(x.Then) || blockExits(x.Else)
+	}
+	return false
+}
+
+func blockExits(b *isps.Block) bool {
+	for _, s := range b.Stmts {
+		if exits(s) {
+			return true
+		}
+	}
+	return false
 }
 
 // UsesName reports whether name occurs as an identifier or call under n,
@@ -234,31 +228,4 @@ func HasCalls(n isps.Node) bool {
 		return !found
 	})
 	return found
-}
-
-// ReadsMemory reports whether n contains an Mb read (writes do not count).
-func ReadsMemory(n isps.Node) bool {
-	found := false
-	isps.Walk(n, func(m isps.Node, _ isps.Path) bool {
-		switch x := m.(type) {
-		case *isps.Mem:
-			found = true
-		case *isps.AssignStmt:
-			// The LHS Mem of an assignment is a write; inspect only its
-			// address and the RHS.
-			if lhs, ok := x.LHS.(*isps.Mem); ok {
-				if ReadsMemory(lhs.Addr) || ReadsMemory(x.RHS) {
-					found = true
-				}
-				return false
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// WritesMemory reports whether n contains an Mb write.
-func WritesMemory(n isps.Node, funcs map[string]*isps.FuncDecl) bool {
-	return NodeEffects(n, funcs).MayDef[MemName]
 }

@@ -203,7 +203,11 @@ func init() {
 			if dataflow.HasCalls(asn.RHS) {
 				return nil, errPrecond("global.dead.assign", "right-hand side has side effects")
 			}
-			live, err := liveAfterStmt(d, at, lhs.Name)
+			g, rel, err := routineCFG(d, at)
+			live := false
+			if err == nil {
+				live, err = g.LiveAfter(rel, lhs.Name)
+			}
 			if err != nil {
 				// The statement may sit inside a function body; functions
 				// have no CFG of their own, so refuse.

@@ -617,8 +617,12 @@ func applyDoWhileCount(d *isps.Description, at isps.Path, args Args) (*Outcome, 
 		return nil, errPrecond(name, "statement before the loop is not %s <- %s - 1", kName, nName)
 	}
 	// k and n dead after the loop.
+	g, rel, err := routineCFG(d, sh.loopPath)
+	if err != nil {
+		return nil, err
+	}
 	for _, v := range []string{kName, nName} {
-		live, lerr := liveAtLoopExit(d, sh.loopPath, v)
+		live, lerr := g.LiveAtLoopExit(rel, v)
 		if lerr != nil {
 			return nil, lerr
 		}
@@ -715,18 +719,12 @@ func applyReverseCopy(d *isps.Description, at isps.Path, args Args) (*Outcome, e
 	}
 	// The final pointer values differ between directions, so they must be
 	// dead after the conditional.
-	_, body, err := routineBody(d)
+	g, rel, err := routineCFG(d, at)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := bodyRelative(d, at)
-	if err != nil {
-		return nil, err
-	}
-	g := dataflow.BuildCFG(body, dataflow.FuncMap(d))
-	live := g.Liveness()
 	for _, v := range []string{srcName, dstName} {
-		isLive, lerr := live.LiveAtStmtExit(rel, v)
+		isLive, lerr := g.LiveAtStmtExit(rel, v)
 		if lerr != nil {
 			return nil, lerr
 		}

@@ -84,7 +84,11 @@ func init() {
 			if err != nil {
 				return nil, errPrecond("move.across.exit", "%v", err)
 			}
-			live, err := liveAtLoopExit(d, loopAt, lhs.Name)
+			g, rel, err := routineCFG(d, loopAt)
+			if err != nil {
+				return nil, err
+			}
+			live, err := g.LiveAtLoopExit(rel, lhs.Name)
 			if err != nil {
 				return nil, err
 			}

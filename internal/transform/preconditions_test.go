@@ -338,6 +338,22 @@ end_if;`)
 		Args{"len": "len", "src": "src", "dst": "dst"}, "canonical backward copy")
 }
 
+// TestSwapRejectsNestedExit: a conditional holding an exit_when can leave
+// the loop, so a statement after it may not move above it. Hoisting s <- s + 1
+// above the if would output 1 instead of 0 on (n, c) = (0, 1), and 4 instead
+// of 3 on (3, 1).
+func TestSwapRejectsNestedExit(t *testing.T) {
+	d := parse(t, "n: integer, s: integer, c<>,", `input (n, c);
+repeat
+if c then exit_when (n = 0); end_if;
+s <- s + 1;
+n <- n - 1;
+end_repeat;
+output (s);`)
+	at := findStmt(t, d, func(s isps.Stmt) bool { _, ok := s.(*isps.IfStmt); return ok })
+	mustFail(t, d, "move.swap", at, nil, "not independent")
+}
+
 // TestPreconditionMessagesAreInformative spot-checks that rejections talk
 // about the failing condition, not just "no".
 func TestPreconditionMessagesAreInformative(t *testing.T) {

@@ -282,21 +282,17 @@ func routineBody(d *isps.Description) (isps.Path, *isps.Block, error) {
 	return nil, nil, fmt.Errorf("transform: description %s has no routine", d.Name)
 }
 
-// bodyRelative strips the routine-body prefix from an absolute path.
-func bodyRelative(d *isps.Description, at isps.Path) (isps.Path, error) {
-	bp, _, err := routineBody(d)
+// routineCFG builds the control-flow graph of d's routine body and returns
+// it with the absolute path at made relative to that body.
+func routineCFG(d *isps.Description, at isps.Path) (*dataflow.Graph, isps.Path, error) {
+	bp, body, err := routineBody(d)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if len(at) < len(bp) {
-		return nil, fmt.Errorf("transform: path %s is outside the routine body", at)
+	if len(at) < len(bp) || !bp.Equal(at[:len(bp)]) {
+		return nil, nil, fmt.Errorf("transform: path %s is outside the routine body", at)
 	}
-	for i := range bp {
-		if at[i] != bp[i] {
-			return nil, fmt.Errorf("transform: path %s is outside the routine body", at)
-		}
-	}
-	return append(isps.Path(nil), at[len(bp):]...), nil
+	return dataflow.BuildCFG(body, dataflow.FuncMap(d)), at[len(bp):], nil
 }
 
 // resolveExpr resolves `at` in d and asserts it is an expression.
@@ -487,34 +483,4 @@ func negEquiv(a, b isps.Expr) bool {
 		isps.OpGt: isps.OpLe, isps.OpLe: isps.OpGt,
 	}
 	return comp[x.Op] == y.Op
-}
-
-// liveAtLoopExit runs liveness over the routine and reports whether name
-// may be read once the loop at absolute path loopAt exits.
-func liveAtLoopExit(d *isps.Description, loopAt isps.Path, name string) (bool, error) {
-	_, body, err := routineBody(d)
-	if err != nil {
-		return true, err
-	}
-	rel, err := bodyRelative(d, loopAt)
-	if err != nil {
-		return true, err
-	}
-	g := dataflow.BuildCFG(body, dataflow.FuncMap(d))
-	return g.Liveness().LiveAtLoopExit(rel, name)
-}
-
-// liveAfterStmt reports whether name may be read after the statement at
-// absolute path stmtAt executes.
-func liveAfterStmt(d *isps.Description, stmtAt isps.Path, name string) (bool, error) {
-	_, body, err := routineBody(d)
-	if err != nil {
-		return true, err
-	}
-	rel, err := bodyRelative(d, stmtAt)
-	if err != nil {
-		return true, err
-	}
-	g := dataflow.BuildCFG(body, dataflow.FuncMap(d))
-	return g.Liveness().LiveAfter(rel, name)
 }
