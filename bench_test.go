@@ -232,6 +232,32 @@ func BenchmarkTable2Validation(b *testing.B) {
 	}
 }
 
+// BenchmarkCatalogValidation validates all 17 catalog bindings (Table 2
+// and the extensions) on 100 inputs each, seeded by the binding's index.
+// Unlike scasb/index alone, the catalog writes memory and checks a
+// predicate (movc3/sassign's no-overlap condition), so a per-run
+// allocation on the store or predicate path shows here; ci.sh gates its
+// allocs/op.
+func BenchmarkCatalogValidation(b *testing.B) {
+	all := append(proofs.Table2(), proofs.Extensions()...)
+	binds := make([]*core.Binding, len(all))
+	for i, a := range all {
+		_, bind, err := a.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		binds[i] = bind
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, a := range all {
+			if _, err := core.ValidateBinding(binds[j], a.Gen, 100, int64(j)); err != nil {
+				b.Fatalf("%s/%s: %v", a.Instruction, a.Operator, err)
+			}
+		}
+	}
+}
+
 // BenchmarkFig1ReverseConditional applies the paper's figure 1
 // transformation.
 func BenchmarkFig1ReverseConditional(b *testing.B) {

@@ -75,52 +75,68 @@ bench() {
 # row is gated at <= 39 allocs/op (38 measured; re-parsing both
 # descriptions per key took 760), so a change that parses on the warm path
 # fails here. Every transformation rebuilds only the spines it edits, so a
-# cold step interns only those spines, and a liveness question is one
-# search of the CFG over effect sets filled without a map per AST leaf:
-# the cold row is gated at <= 3521 allocs/op (3,484-3,486 measured; 3,754
-# with an all-names liveness fixpoint, 4,235 with three maps per AST leaf,
-# 4,915 with both, 9,054 with whole-description copies in 25
-# transformations, 18,565 before hash-consing), so a change that brings
-# back any of them on the cold path fails here.
+# cold step interns only those spines, a liveness question is one search
+# of the CFG over effect sets filled without a map per AST leaf, and a
+# failed probe files no precondition message: the cold row is gated at
+# <= 3467 allocs/op (3,430-3,432 measured; 3,484-3,486 with a message
+# filed per failed probe, 3,754 with an all-names liveness fixpoint, 4,235
+# with three maps per AST leaf, 4,915 with both, 9,054 with
+# whole-description copies in 25 transformations, 18,565 before
+# hash-consing), so a change that brings back any of them on the cold
+# path fails here.
 bench -bench 'BenchmarkCacheWarmVsCold' -benchmem -benchtime 20x -count 1 .
 COLD_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/cold' allocs/op "$BENCH")
 WARM_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/warm' allocs/op "$BENCH")
-test "$COLD_ALLOCS" -le 3521
+test "$COLD_ALLOCS" -le 3467
 test "$WARM_ALLOCS" -le 39
 COLD_NS=$(metric '^BenchmarkCacheWarmVsCold/cold' ns/op "$BENCH")
 WARM_NS=$(metric '^BenchmarkCacheWarmVsCold/warm' ns/op "$BENCH")
 test "$COLD_NS" -ge "$((5 * WARM_NS))"
 
 # Validation and interpreter benchmarks. Validation compiles the operator,
-# the variant and every predicate once and runs them over the generator's
-# image as a shared read-only base, so the flagship binding's 300-input
-# validation is gated at <= 3281 allocs/op (the 3,249 it measured when that
-# landed, + 1%; the tree-walking engine it replaced took 12,279): a change
-# that brings back per-input parsing, name tables or image copies fails
-# here. The one-shot interpreter row has no gate beyond running cleanly.
-bench -bench 'BenchmarkTable2Validation$|BenchmarkInterpreter$' -benchmem -benchtime 100x -count 1 -cpu 1 .
+# the variant and every predicate once, runs each on one reused
+# interpreter Runner over the generator's image as a shared read-only
+# base, and counts its runs into the metrics registry once per
+# validation, so a run allocates nothing of its own. The flagship
+# binding's 300-input validation is gated at <= 1468 allocs/op (1,453
+# measured in 10 of 10 runs, + 1%; 3,249 with a machine and a Result per
+# run, 12,279 with the tree-walking engine): a change that brings back
+# per-run machines, per-input parsing, name tables or image copies fails
+# here. scasb/index writes no memory and has no predicate, so the whole
+# catalog (17 bindings, 100 inputs each) is gated too, at <= 10704
+# allocs/op (10,598 measured in 10 of 10 runs, + 1%; 19,644 with a
+# machine and a Result per run and an operand slice, a state, a machine
+# and a Result per predicate check): a per-run allocation on the store or
+# predicate path fails there. The one-shot interpreter row has no gate
+# beyond running cleanly.
+bench -bench 'BenchmarkTable2Validation$|BenchmarkCatalogValidation$|BenchmarkInterpreter$' -benchmem -benchtime 100x -count 1 -cpu 1 .
 VAL_ALLOCS=$(metric '^BenchmarkTable2Validation' allocs/op "$BENCH")
-test "$VAL_ALLOCS" -le 3281
+CATVAL_ALLOCS=$(metric '^BenchmarkCatalogValidation' allocs/op "$BENCH")
+test "$VAL_ALLOCS" -le 1468
+test "$CATVAL_ALLOCS" -le 10704
 
 # Table 2 and auto-search allocation gates. TABLE2_ALLOCS sums the eleven
-# scripted analyses (21,917-21,919 -> <= 22139; 23,247 with an all-names
+# scripted analyses (21,669-21,672 -> <= 21889; 21,917-21,919 with a
+# precondition message filed per failed probe, 23,247 with an all-names
 # liveness fixpoint, 26,967 with three maps per AST leaf in the effect
 # sets, 30,303 with both, 56,842 before the corpora were parsed once and
 # every transformation became a spine rebuild); their step counts are
 # pinned by TestTable2StepCountsGolden. The search charges each candidate
 # to its state budget as it probes it and stops at the goal or the budget,
-# so both search rows are gated too (ladder 4,882-4,883 -> <= 4932,
-# exhaust 527,541-527,545 -> <= 532821): a change that goes back to
-# expanding a whole level before charging the budget fails here (the
-# level-at-a-time search took 7,688 and 1,439,982), and so does one that
-# brings back a map per AST leaf (6,635 and 922,349).
+# and a failed probe files no precondition message, so both search rows
+# are gated too (ladder 4,738 -> <= 4786, exhaust 501,714-501,717 -> <=
+# 506735; 4,882-4,883 and 527,541-527,550 with a message filed per failed
+# probe): a change that goes back to expanding a whole level before
+# charging the budget fails here (the level-at-a-time search took 7,688
+# and 1,439,982), and so does one that brings back a map per AST leaf
+# (6,635 and 922,349) or a filed message per probe.
 bench -bench 'BenchmarkTable2$|BenchmarkAutoSearchLadder$|BenchmarkAutoSearchExhaust$' -benchmem -benchtime 10x -count 1 -cpu 1 .
 TABLE2_ALLOCS=$(metric '^BenchmarkTable2/' allocs/op "$BENCH")
 LADDER_ALLOCS=$(metric '^BenchmarkAutoSearchLadder' allocs/op "$BENCH")
 EXHAUST_ALLOCS=$(metric '^BenchmarkAutoSearchExhaust' allocs/op "$BENCH")
-test "$TABLE2_ALLOCS" -le 22139
-test "$LADDER_ALLOCS" -le 4932
-test "$EXHAUST_ALLOCS" -le 532821
+test "$TABLE2_ALLOCS" -le 21889
+test "$LADDER_ALLOCS" -le 4786
+test "$EXHAUST_ALLOCS" -le 506735
 
 # Synth: one binding's enumerate-verify-rank cycle (6,737 -> <= 6804) and
 # the cross-layer sweeps (13,593 -> <= 13728).

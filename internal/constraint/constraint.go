@@ -151,7 +151,9 @@ func (c Constraint) Satisfied(env map[string]uint64) (bool, error) {
 
 // Compiled is a constraint prepared for checking against many operand
 // environments: a predicate is parsed and compiled once, so each check
-// costs one interpreter run and no parse.
+// costs one interpreter run and no parse. A predicate's checks reuse one
+// interpreter Runner and operand buffer, so a Compiled (and every copy of
+// it) is for one goroutine; compile one per goroutine.
 type Compiled struct {
 	Constraint
 	pred *predicate // Predicate kind only
@@ -182,13 +184,16 @@ func EvalPredicate(pred string, env map[string]uint64) (bool, error) {
 }
 
 // predicate is a predicate expression compiled for evaluation: the operand
-// names it reads, in first-occurrence order, and a program that inputs
-// them and outputs the expression. A predicate that does not compile
-// keeps its error for eval to report.
+// names it reads, in first-occurrence order, and a runner of a program that
+// inputs them and outputs the expression. Every evaluation reuses the
+// runner, the operand buffer vals and the empty state. A predicate that
+// does not compile keeps its error for eval to report.
 type predicate struct {
 	src   string
 	names []string
-	prog  *interp.Program
+	run   *interp.Runner
+	vals  []uint64
+	state interp.State
 	err   error
 }
 
@@ -223,7 +228,8 @@ func compilePredicate(pred string) *predicate {
 	if len(p.names) > 0 {
 		r.Body.Stmts = []isps.Stmt{&isps.InputStmt{Names: p.names}, out}
 	}
-	p.prog = interp.Compile(d)
+	p.run = interp.Compile(d).NewRunner()
+	p.vals = make([]uint64, len(p.names))
 	return p
 }
 
@@ -231,16 +237,16 @@ func (p *predicate) eval(env map[string]uint64) (bool, error) {
 	if p.err != nil {
 		return false, p.err
 	}
-	vals := make([]uint64, len(p.names))
 	for i, n := range p.names {
 		v, ok := env[n]
 		if !ok {
 			return false, fmt.Errorf("constraint: no value for operand %q in predicate %q", n, p.src)
 		}
-		vals[i] = v
+		p.vals[i] = v
 	}
-	// A predicate's registers are its operands; nothing reads them back.
-	res, err := p.prog.Run(context.TODO(), vals, &interp.State{}, 10000)
+	// A predicate's registers are its operands; nothing reads them back,
+	// and an expression writes no memory.
+	res, err := p.run.Run(context.TODO(), p.vals, &p.state, 10000)
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -291,3 +292,42 @@ const autoDrillInsSrc = `blt.instruction := begin
     end_repeat;
   end
 end`
+
+// TestProbesFileNoReason: BenchmarkAutoSearchExhaust's search, on a
+// session with its own registry, counts its failed probes per
+// transformation under transform.precond and files no
+// transform.precond.reason message (a scripted step still does).
+func TestProbesFileNoReason(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, err := AutoAnalyze(context.Background(), AutoSpec{
+		Op: langops.Get("index"), Ins: machines.Get("movsb"), Ladder: AutoLadder(3, 1000, 2), Metrics: reg,
+	})
+	var be *fault.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("want the ladder's budget exhaustion, got %v", err)
+	}
+	reasons := 0
+	precond := map[string]int{}
+	for _, c := range reg.Snapshot().Counters {
+		switch c.Metric {
+		case "transform.precond.reason":
+			reasons++
+		case "transform.precond":
+			if _, err := transform.Get(c.Label); err != nil {
+				t.Errorf("transform.precond series %q names no transformation", c.Label)
+			}
+			precond[c.Label]++
+		}
+	}
+	if reasons > 0 {
+		t.Errorf("the search filed %d transform.precond.reason series", reasons)
+	}
+	if len(precond) == 0 {
+		t.Fatal("the search failed no precondition")
+	}
+	for name, n := range precond {
+		if n > 1 {
+			t.Errorf("%d transform.precond series for %s", n, name)
+		}
+	}
+}

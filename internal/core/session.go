@@ -200,11 +200,12 @@ func (s *Session) noteApply(side Side, name string, at isps.Path, dur time.Durat
 // noteProbe counts a speculative application attempt (tactics and the
 // auto-search probe before committing a step) that failed: metrics only,
 // no trace event — probes are pruned work, not steps. The pruned/explored
-// ratio is the primary tuning signal for search-shaped analyses.
+// ratio is the primary tuning signal for search-shaped analyses. A probe
+// files no transform.precond.reason: its message is built for nothing, and
+// a search's distinct messages would grow the registry without bound.
 func (s *Session) noteProbe(name string, err error) {
-	if pe, ok := transform.AsPrecond(err); ok {
+	if _, ok := transform.AsPrecond(err); ok {
 		s.Metrics.Inc("transform.precond", name)
-		s.Metrics.Inc("transform.precond.reason", truncate(name+": "+pe.Msg, 120))
 	} else {
 		s.Metrics.Inc("transform.error", name)
 	}

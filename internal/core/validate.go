@@ -36,11 +36,13 @@ func ValidateBinding(b *Binding, gen InputGen, rounds int, seed int64) (int, err
 // actually checked, outcome). The context is checked between rounds and
 // inside each interpreter execution, so a deadline interrupts even a single
 // runaway description. Constraint evaluations and interpreter runs are
-// counted in the process metrics registry either way.
+// counted in locals and recorded in the process metrics registry once, when
+// the validation returns, whether it passed, was refuted, failed, was
+// cancelled or panicked: interp.run and interp.run.err per run,
+// constraint.check per check, and one interp.steps sample per description,
+// its mean steps per successful run.
 func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds int, seed int64, tr *obs.Tracer) (n int, err error) {
-	reg := obs.Default()
 	label := b.Instruction + "/" + b.Operation
-	reg.Inc("validate.runs", label)
 	if tr.Enabled() {
 		sp := tr.StartSpan("validate", map[string]any{"binding": label, "rounds": rounds})
 		defer func() {
@@ -53,7 +55,23 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 		}()
 	}
 	// Compile once, run per input: both descriptions and every predicate.
-	op, variant := interp.Compile(b.Operator), interp.Compile(b.Variant)
+	// Each side runs on its own Runner; a run's Result is read before that
+	// side runs again.
+	op := runTally{name: b.Operator.Name, run: interp.Compile(b.Operator).NewRunner()}
+	variant := runTally{name: b.Variant.Name, run: interp.Compile(b.Variant).NewRunner()}
+	var sat, unsat uint64
+	defer func() {
+		reg := obs.Default()
+		reg.Inc("validate.runs", label)
+		if sat > 0 {
+			reg.Add("constraint.check", "sat", sat)
+		}
+		if unsat > 0 {
+			reg.Add("constraint.check", "unsat", unsat)
+		}
+		op.flush(reg)
+		variant.flush(reg)
+	}()
 	checks := make([]constraint.Compiled, len(b.Constraints))
 	for i, c := range b.Constraints {
 		checks[i] = c.Compile()
@@ -91,16 +109,16 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 					continue
 				}
 			}
-			sat, err := c.Satisfied(env)
-			if err != nil {
-				return checked, fmt.Errorf("core: cannot evaluate constraint %s: %v", c, err)
+			holds, cerr := c.Satisfied(env)
+			if cerr != nil {
+				return checked, fmt.Errorf("core: cannot evaluate constraint %s: %v", c, cerr)
 			}
-			if !sat {
-				reg.Inc("constraint.check", "unsat")
+			if !holds {
+				unsat++
 				ok = false
 				break
 			}
-			reg.Inc("constraint.check", "sat")
+			sat++
 		}
 		if !ok {
 			continue
@@ -108,8 +126,8 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 		clear(st1.Mem)
 		clear(st2.Mem)
 		st1.Base, st2.Base = mem, mem
-		r1, err1 := op.Run(ctx, opIn, st1, 0)
-		r2, err2 := variant.Run(ctx, opIn, st2, 0)
+		r1, err1 := op.exec(ctx, opIn, st1)
+		r2, err2 := variant.exec(ctx, opIn, st2)
 		if err1 != nil || err2 != nil {
 			// Wrap the first failure so typed sentinels (ErrStepLimit,
 			// ErrCallDepth, context errors) survive this layer.
@@ -132,6 +150,37 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 		return 0, fmt.Errorf("core: no generated inputs satisfied the binding's constraints")
 	}
 	return checked, nil
+}
+
+// runTally is one side of a validation: its Runner, and the runs and steps
+// it made, counted here and recorded once by flush.
+type runTally struct {
+	name              string
+	run               *interp.Runner
+	runs, errs, steps uint64
+}
+
+func (t *runTally) exec(ctx context.Context, in []uint64, st *interp.State) (*interp.Result, error) {
+	res, err := t.run.Run(ctx, in, st, 0)
+	if err != nil {
+		t.errs++
+	} else {
+		t.runs++
+		t.steps += uint64(res.Steps)
+	}
+	return res, err
+}
+
+// flush records the side's runs and failed runs, and one interp.steps
+// sample: the mean steps of its successful runs.
+func (t *runTally) flush(reg *obs.Registry) {
+	if t.runs > 0 {
+		reg.Add("interp.run", t.name, t.runs)
+		reg.Observe("interp.steps", t.name, t.steps/t.runs)
+	}
+	if t.errs > 0 {
+		reg.Add("interp.run.err", t.name, t.errs)
+	}
 }
 
 // sameWrites reports whether two runs over one base image left the same

@@ -10,7 +10,8 @@ import (
 // description names is a dense slot with its width mask, every call is
 // bound to its function, and every statement and expression is a closure,
 // so a run does no name lookups and builds no per-run tables. A Program is
-// immutable once compiled and safe to run from several goroutines at once.
+// immutable once compiled and safe to run from several goroutines at once;
+// the mutable part of a run lives in a Runner.
 type Program struct {
 	name string
 	regs []string // slot -> register name

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"extra/internal/langops"
 	"extra/internal/machines"
 	"extra/internal/proofs"
+	"extra/internal/transform"
 )
 
 // diffRuns runs d through the compiled engine and through the reference
@@ -56,6 +58,31 @@ func diffRuns(ctx context.Context, d *isps.Description, inputs []uint64, st *int
 		if ovSt.Base[k] != v {
 			return fmt.Sprintf("over a base image: the run wrote Mb[%d] into the base", k)
 		}
+	}
+	return ""
+}
+
+// diffReuse runs p once on a fresh Runner (Program.Run) and once on the
+// reused Runner r, each on its own copy of st, and returns the first
+// difference in error text, outputs, steps, final registers or memory
+// writes.
+func diffReuse(ctx context.Context, p *interp.Program, r *interp.Runner, inputs []uint64, st *interp.State, limit int) string {
+	freshSt, reusedSt := st.Clone(), st.Clone()
+	want, wantErr := p.Run(ctx, inputs, freshSt, limit)
+	got, gotErr := r.Run(ctx, inputs, reusedSt, limit)
+	switch {
+	case fmt.Sprint(wantErr) != fmt.Sprint(gotErr):
+		return fmt.Sprintf("error: fresh %v, reused %v", wantErr, gotErr)
+	case (want == nil) != (got == nil):
+		return fmt.Sprintf("result: fresh %+v, reused %+v", want, got)
+	case want != nil && !slices.Equal(want.Outputs, got.Outputs):
+		return fmt.Sprintf("outputs: fresh %v, reused %v", want.Outputs, got.Outputs)
+	case want != nil && want.Steps != got.Steps:
+		return fmt.Sprintf("steps: fresh %d, reused %d", want.Steps, got.Steps)
+	case !reflect.DeepEqual(freshSt.Regs, reusedSt.Regs):
+		return fmt.Sprintf("final registers: fresh %v, reused %v", freshSt.Regs, reusedSt.Regs)
+	case !maps.Equal(freshSt.Mem, reusedSt.Mem):
+		return fmt.Sprintf("memory writes: fresh %v, reused %v", freshSt.Mem, reusedSt.Mem)
 	}
 	return ""
 }
@@ -158,6 +185,90 @@ func TestCompiledMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunnerReuseMatchesFresh: one Runner per description of the 17
+// catalog bindings runs 200 generated inputs, and every run must equal a
+// fresh Program.Run of the same input. Runs that fail are interleaved with
+// the rest: a step limit of 5, one operand too few, a cancelled context
+// (over operands large enough to pass the context poll) and a failed
+// assertion. Some runs observe registers. Each description gets an assert
+// after its input statement that the register zz, which nothing assigns, is
+// 0: a run that presets zz fails it, and a runner that kept a register
+// slot into the next run that observes no registers fails it there too.
+func TestRunnerReuseMatchesFresh(t *testing.T) {
+	assertZZ, err := transform.Get("constraint.assert.pred")
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	failures := map[string]int{}
+	for _, a := range append(proofs.Table2(), proofs.Extensions()...) {
+		_, b, err := a.Run()
+		if err != nil {
+			t.Fatalf("%s/%s: %v", a.Instruction, a.Operator, err)
+		}
+		for _, d := range []*isps.Description{b.Operator, b.Variant} {
+			out, err := assertZZ.Apply(d, nil, transform.Args{"pred": "zz = 0"})
+			if err != nil {
+				t.Fatalf("%s/%s %s: %v", a.Instruction, a.Operator, d.Name, err)
+			}
+			p := interp.Compile(out.Desc)
+			r := p.NewRunner()
+			rng := rand.New(rand.NewSource(1))
+			for round := 0; round < 200; round++ {
+				in, mem := a.Gen(rng)
+				ctx, limit := context.Background(), 0
+				st := &interp.State{Mem: map[uint64]byte{}, Base: mem}
+				switch round % 8 {
+				case 1:
+					limit = 5
+				case 2:
+					in = in[:len(in)-1]
+				case 3:
+					ctx = canceled
+					for i := range in {
+						in[i] = 5000
+					}
+				case 4:
+					st.Regs = map[string]uint64{"zz": 1}
+				case 6:
+					st.Regs = map[string]uint64{}
+					for _, reg := range out.Desc.Regs() {
+						st.Regs[reg.Name] = uint64(rng.Intn(1 << 10))
+					}
+				}
+				if msg := diffReuse(ctx, p, r, in, st, limit); msg != "" {
+					t.Fatalf("%s/%s %s, round %d, inputs %v: %s", a.Instruction, a.Operator, d.Name, round, in, msg)
+				}
+				if _, err := p.Run(ctx, in, st.Clone(), limit); err != nil {
+					failures[failureKind(err)]++
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"step limit", "operands", "interrupted", "assertion"} {
+		if failures[kind] == 0 {
+			t.Errorf("no run failed by %s (failures: %v)", kind, failures)
+		}
+	}
+}
+
+// failureKind names the way a run failed.
+func failureKind(err error) string {
+	var ae *interp.AssertError
+	switch {
+	case errors.Is(err, interp.ErrStepLimit):
+		return "step limit"
+	case errors.Is(err, context.Canceled):
+		return "interrupted"
+	case errors.As(err, &ae):
+		return "assertion"
+	case strings.Contains(err.Error(), "exhausted the"):
+		return "operands"
+	}
+	return err.Error()
 }
 
 // TestCompiledErrorPaths pins each way a run can fail, or can look as if
@@ -435,7 +546,8 @@ func TestProgramConcurrentRuns(t *testing.T) {
 }
 
 // FuzzInterpReference parses fuzz input as a description and runs it on
-// random inputs, a small memory and a low step limit through both engines.
+// random inputs, a small memory and a low step limit through both engines,
+// then twice through one Runner, each run against a fresh one.
 func FuzzInterpReference(f *testing.F) {
 	for _, e := range machines.All() {
 		f.Add(e.Source, int64(1))
@@ -456,6 +568,13 @@ func FuzzInterpReference(f *testing.F) {
 		st := randomState(rng, d.Regs())
 		if msg := diffRuns(context.Background(), d, inputs, st, 200); msg != "" {
 			t.Fatalf("inputs %v: %s", inputs, msg)
+		}
+		p := interp.Compile(d)
+		r := p.NewRunner()
+		for run := 1; run <= 2; run++ {
+			if msg := diffReuse(context.Background(), p, r, inputs, st, 200); msg != "" {
+				t.Fatalf("inputs %v, run %d on one runner: %s", inputs, run, msg)
+			}
 		}
 	})
 }

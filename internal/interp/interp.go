@@ -19,7 +19,11 @@
 //     the call's value is the last assignment to the function's own name.
 //
 // A description is compiled once into a Program (see Compile) and run
-// once per input; Run does both for a one-shot execution.
+// once per input; Run does both for a one-shot execution. A Runner runs one
+// Program again and again on one reused machine, so a run allocates nothing
+// of its own. The package records no metrics: a caller that wants runs and
+// steps counted counts them from the Results it gets back, as validation
+// does once per validation.
 package interp
 
 import (
@@ -27,11 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"time"
 
 	"extra/internal/fault/inject"
 	"extra/internal/isps"
-	"extra/internal/obs"
 )
 
 // State is a concrete machine state: register values and main memory.
@@ -129,36 +131,44 @@ const maxCallDepth = 64
 // in place. limit bounds the number of executed statements (<= 0 selects
 // DefaultStepLimit). Execution is abandoned (with ctx.Err wrapped in the
 // returned error) shortly after ctx is cancelled or its deadline passes.
-// Runs and executed-statement counts are recorded per description in the
-// process metrics registry. Callers that run one description many times
-// should Compile it once and call Program.Run instead.
+// Callers that run one description many times should Compile it once and
+// run it through a Runner instead.
 func Run(ctx context.Context, d *isps.Description, inputs []uint64, state *State, limit int) (*Result, error) {
-	start := time.Now()
-	return Compile(d).run(ctx, inputs, state, limit, start)
+	return Compile(d).Run(ctx, inputs, state, limit)
 }
 
-// Run executes the program once, exactly as the package-level Run executes
-// the description it was compiled from.
+// Run executes the program once on a fresh Runner, exactly as the
+// package-level Run executes the description it was compiled from. The
+// Result is the caller's to keep.
 func (p *Program) Run(ctx context.Context, inputs []uint64, state *State, limit int) (*Result, error) {
-	return p.run(ctx, inputs, state, limit, time.Now())
+	return p.NewRunner().Run(ctx, inputs, state, limit)
 }
 
-// run executes p and records the run in the process metrics registry,
-// timed from start.
-func (p *Program) run(ctx context.Context, inputs []uint64, state *State, limit int, start time.Time) (*Result, error) {
-	res, err := p.exec(ctx, inputs, state, limit)
-	r := obs.Default()
-	if err != nil {
-		r.Inc("interp.run.err", p.name)
+// Runner runs one Program again and again. It keeps its machine, register
+// slots, output buffer and Result across runs, and every run starts from
+// exactly the state a fresh Runner's first run starts from. A Runner is for
+// one goroutine, and the Result a run returns, Outputs included, is valid
+// only until the Runner's next run.
+type Runner struct {
+	m   machine
+	res Result
+}
+
+// NewRunner returns a Runner for p.
+func (p *Program) NewRunner() *Runner {
+	r := &Runner{m: machine{p: p}}
+	if n := len(p.regs); n <= len(r.m.regBuf) {
+		r.m.regs = r.m.regBuf[:n]
 	} else {
-		r.Inc("interp.run", p.name)
-		r.Observe("interp.steps", p.name, uint64(res.Steps))
+		r.m.regs = make([]uint64, n)
 	}
-	r.ObserveSince("interp.run.ns", p.name, start)
-	return res, err
+	return r
 }
 
-func (p *Program) exec(ctx context.Context, inputs []uint64, state *State, limit int) (*Result, error) {
+// Run executes the program once, as Program.Run does, reusing the Runner's
+// machine.
+func (r *Runner) Run(ctx context.Context, inputs []uint64, state *State, limit int) (*Result, error) {
+	m := &r.m
 	if limit <= 0 {
 		limit = DefaultStepLimit
 	}
@@ -171,27 +181,32 @@ func (p *Program) exec(ctx context.Context, inputs []uint64, state *State, limit
 			limit = 1
 		}
 	}
-	if p.body == nil {
-		return nil, fmt.Errorf("interp: description %s has no routine", p.name)
+	if m.p.body == nil {
+		return nil, fmt.Errorf("interp: description %s has no routine", m.p.name)
 	}
-	m := &machine{p: p, ctx: ctx, state: state, inputs: inputs, limit: limit}
-	if n := len(p.regs); n <= len(m.regBuf) {
-		m.regs = m.regBuf[:n]
-	} else {
-		m.regs = make([]uint64, n)
-	}
+	m.ctx, m.state, m.inputs, m.limit = ctx, state, inputs, limit
+	m.nextIn, m.steps, m.depth, m.err = 0, 0, 0, nil
+	m.outputs = m.outputs[:0]
+	m.written = nil
 	if state.Regs != nil {
-		for i, name := range p.regs {
+		for i, name := range m.p.regs {
 			m.regs[i] = state.Regs[name]
 		}
-		m.written = make([]bool, len(p.regs))
+		if m.writtenBuf == nil {
+			m.writtenBuf = make([]bool, len(m.regs))
+		} else {
+			clear(m.writtenBuf)
+		}
+		m.written = m.writtenBuf
+	} else {
+		clear(m.regs)
 	}
-	st := p.body(m)
+	st := m.p.body(m)
 	// Assigned registers reach the state even when the run failed part
 	// way, as they would have if every assignment wrote it directly.
 	for i, w := range m.written {
 		if w {
-			state.Regs[p.regs[i]] = m.regs[i]
+			state.Regs[m.p.regs[i]] = m.regs[i]
 		}
 	}
 	switch st {
@@ -200,27 +215,30 @@ func (p *Program) exec(ctx context.Context, inputs []uint64, state *State, limit
 	case fail:
 		return nil, m.err
 	}
-	return &Result{Outputs: m.outputs, Steps: m.steps}, nil
+	r.res = Result{Outputs: m.outputs, Steps: m.steps}
+	return &r.res, nil
 }
 
-// machine is the mutable part of one run of a Program.
+// machine is the mutable part of a run of a Program; a Runner resets it at
+// the start of every run.
 type machine struct {
 	p     *Program
 	ctx   context.Context
 	state *State
 	regs  []uint64 // by slot
 	// written marks the slots assigned during the run; nil when the
-	// state's registers are not observed.
-	written []bool
-	inputs  []uint64
-	nextIn  int
-	outputs []uint64
-	steps   int
-	limit   int
-	depth   int
-	err     error // set when a closure returns fail
+	// state's registers are not observed. writtenBuf backs it.
+	written    []bool
+	writtenBuf []bool
+	inputs     []uint64
+	nextIn     int
+	outputs    []uint64
+	steps      int
+	limit      int
+	depth      int
+	err        error // set when a closure returns fail
 	// regBuf backs regs when the program has few registers, as most do,
-	// saving an allocation per run.
+	// saving an allocation per Runner.
 	regBuf [16]uint64
 }
 

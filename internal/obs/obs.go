@@ -2,8 +2,8 @@
 // lightweight structured tracer (spans and events with pluggable sinks) and
 // a concurrency-safe metrics registry (counters, gauges, latency/value
 // histograms). Every layer of the pipeline — the analysis engine (package
-// core), the transformation library, the common-form matcher, the ISPS
-// interpreter, and the code generators — reports into it, so `extra stats`
+// core), the transformation library, the common-form matcher, binding
+// validation, and the code generators — reports into it, so `extra stats`
 // can print where transformation steps, precondition failures, and time go
 // for each analysis; the paper's Table 2 was exactly such an accounting,
 // and every future performance PR needs this baseline.
