@@ -433,6 +433,7 @@ func benchMotivation(b *testing.B, target, src string, exotic bool) {
 		b.Fatal(err)
 	}
 	var cycles uint64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m, err := codegen.Run(tg, compiled, 1<<23)
 		if err != nil {

@@ -106,9 +106,7 @@ func Run(t Target, p *Program, maxSteps int) (*sim.Machine, error) {
 		return nil, err
 	}
 	for _, d := range p.Data {
-		for i, b := range d.Bytes {
-			m.StoreByte(d.At+uint64(i), b)
-		}
+		m.StoreBytes(d.At, d.Bytes)
 	}
 	if err := m.Run(maxSteps); err != nil {
 		return nil, err

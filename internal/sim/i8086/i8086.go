@@ -16,12 +16,22 @@ import (
 	"extra/internal/sim"
 )
 
-// ISA returns the 8086 instruction set simulator.
-func ISA() *sim.ISA {
-	return &sim.ISA{Name: "Intel 8086", Bits: 16, Exec: exec}
-}
+// Slots of the registers the string instructions and xlat use without
+// naming them, in the order of isa.Regs.
+const (
+	cx = iota
+	si
+	di
+	al
+	bx
+)
 
-func exec(m *sim.Machine, in sim.Instr) error {
+var isa = &sim.ISA{Name: "Intel 8086", Bits: 16, Regs: []string{"cx", "si", "di", "al", "bx"}, Exec: exec}
+
+// ISA returns the 8086 instruction set simulator.
+func ISA() *sim.ISA { return isa }
+
+func exec(m *sim.Machine, in *sim.Inst) error {
 	switch in.Mn {
 	case "nop":
 		return nil
@@ -30,7 +40,7 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		m.Halted = true
 		return nil
 	case "out":
-		v, err := m.Val(in.Ops[0])
+		v, err := m.Val(&in.Ops[0])
 		if err != nil {
 			return err
 		}
@@ -44,19 +54,20 @@ func exec(m *sim.Machine, in sim.Instr) error {
 	case "add", "sub", "cmp", "and":
 		return arith(m, in)
 	case "inc", "dec":
-		v := m.Reg[in.Ops[0].Reg]
+		r := in.Ops[0].Slot
+		v := m.Get(r)
 		if in.Mn == "inc" {
 			v++
 		} else {
 			v--
 		}
-		m.SetReg(in.Ops[0].Reg, v)
+		m.Set(r, v)
 		m.ZF = m.Mask(v) == 0
 		m.Cycles += 3
 		return nil
 	case "xlat":
 		// al <- Mb[bx + al]: the 8086 table-translate instruction.
-		m.SetReg("al", uint64(m.LoadByte(m.Reg["bx"]+m.Reg["al"]&0xff)))
+		m.Set(al, uint64(m.LoadByte(m.Get(bx)+m.Get(al)&0xff)))
 		m.Cycles += 11
 		return nil
 	case "cld":
@@ -69,7 +80,7 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		return nil
 	case "jmp":
 		m.Cycles += 15
-		return m.Jump(in.Ops[0].Label)
+		return m.Jump(&in.Ops[0])
 	case "jz", "jnz", "jb", "jae":
 		take := false
 		switch in.Mn {
@@ -84,46 +95,46 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		}
 		if take {
 			m.Cycles += 16
-			return m.Jump(in.Ops[0].Label)
+			return m.Jump(&in.Ops[0])
 		}
 		m.Cycles += 4
 		return nil
 	case "loop":
-		cx := m.Mask(m.Reg["cx"] - 1)
-		m.SetReg("cx", cx)
-		if cx != 0 {
+		n := m.Mask(m.Get(cx) - 1)
+		m.Set(cx, n)
+		if n != 0 {
 			m.Cycles += 17
-			return m.Jump(in.Ops[0].Label)
+			return m.Jump(&in.Ops[0])
 		}
 		m.Cycles += 5
 		return nil
 	case "rep_movsb":
-		n := m.Reg["cx"]
-		for m.Reg["cx"] != 0 {
-			m.StoreByte(m.Reg["di"], m.LoadByte(m.Reg["si"]))
-			m.SetReg("si", step(m, m.Reg["si"]))
-			m.SetReg("di", step(m, m.Reg["di"]))
-			m.SetReg("cx", m.Reg["cx"]-1)
+		n := m.Get(cx)
+		for m.Get(cx) != 0 {
+			m.StoreByte(m.Get(di), m.LoadByte(m.Get(si)))
+			m.Set(si, step(m, m.Get(si)))
+			m.Set(di, step(m, m.Get(di)))
+			m.Set(cx, m.Get(cx)-1)
 		}
 		m.Cycles += 9 + 17*n
 		return nil
 	case "rep_stosb":
-		n := m.Reg["cx"]
-		for m.Reg["cx"] != 0 {
-			m.StoreByte(m.Reg["di"], byte(m.Reg["al"]))
-			m.SetReg("di", step(m, m.Reg["di"]))
-			m.SetReg("cx", m.Reg["cx"]-1)
+		n := m.Get(cx)
+		for m.Get(cx) != 0 {
+			m.StoreByte(m.Get(di), byte(m.Get(al)))
+			m.Set(di, step(m, m.Get(di)))
+			m.Set(cx, m.Get(cx)-1)
 		}
 		m.Cycles += 9 + 10*n
 		return nil
 	case "repne_scasb":
 		reps := uint64(0)
-		for m.Reg["cx"] != 0 {
+		for m.Get(cx) != 0 {
 			reps++
-			m.SetReg("cx", m.Reg["cx"]-1)
-			b := m.LoadByte(m.Reg["di"])
-			m.SetReg("di", step(m, m.Reg["di"]))
-			m.ZF = uint64(b) == m.Reg["al"]&0xff
+			m.Set(cx, m.Get(cx)-1)
+			b := m.LoadByte(m.Get(di))
+			m.Set(di, step(m, m.Get(di)))
+			m.ZF = uint64(b) == m.Get(al)&0xff
 			if m.ZF {
 				break
 			}
@@ -132,13 +143,13 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		return nil
 	case "repe_cmpsb":
 		reps := uint64(0)
-		for m.Reg["cx"] != 0 {
+		for m.Get(cx) != 0 {
 			reps++
-			m.SetReg("cx", m.Reg["cx"]-1)
-			a := m.LoadByte(m.Reg["si"])
-			b := m.LoadByte(m.Reg["di"])
-			m.SetReg("si", step(m, m.Reg["si"]))
-			m.SetReg("di", step(m, m.Reg["di"]))
+			m.Set(cx, m.Get(cx)-1)
+			a := m.LoadByte(m.Get(si))
+			b := m.LoadByte(m.Get(di))
+			m.Set(si, step(m, m.Get(si)))
+			m.Set(di, step(m, m.Get(di)))
 			m.ZF = a == b
 			if !m.ZF {
 				break
@@ -159,20 +170,20 @@ func step(m *sim.Machine, v uint64) uint64 {
 }
 
 // movByte implements mov: register/immediate moves and byte memory access.
-func movByte(m *sim.Machine, in sim.Instr) error {
-	dst, src := in.Ops[0], in.Ops[1]
+func movByte(m *sim.Machine, in *sim.Inst) error {
+	dst, src := &in.Ops[0], &in.Ops[1]
 	switch {
 	case dst.Kind == sim.KReg && src.Kind == sim.KReg:
-		m.SetReg(dst.Reg, m.Reg[src.Reg])
+		m.Set(dst.Slot, m.Get(src.Slot))
 		m.Cycles += 2
 	case dst.Kind == sim.KReg && src.Kind == sim.KImm:
-		m.SetReg(dst.Reg, src.Imm)
+		m.Set(dst.Slot, src.Imm)
 		m.Cycles += 4
 	case dst.Kind == sim.KReg && src.Kind == sim.KMem:
-		m.SetReg(dst.Reg, uint64(m.LoadByte(m.EA(src))))
+		m.Set(dst.Slot, uint64(m.LoadByte(m.EA(src))))
 		m.Cycles += 12
 	case dst.Kind == sim.KMem && src.Kind == sim.KReg:
-		m.StoreByte(m.EA(dst), byte(m.Reg[src.Reg]))
+		m.StoreByte(m.EA(dst), byte(m.Get(src.Slot)))
 		m.Cycles += 13
 	case dst.Kind == sim.KMem && src.Kind == sim.KImm:
 		m.StoreByte(m.EA(dst), byte(src.Imm))
@@ -184,14 +195,14 @@ func movByte(m *sim.Machine, in sim.Instr) error {
 }
 
 // movWord implements 16-bit variable loads and stores.
-func movWord(m *sim.Machine, in sim.Instr) error {
-	dst, src := in.Ops[0], in.Ops[1]
+func movWord(m *sim.Machine, in *sim.Inst) error {
+	dst, src := &in.Ops[0], &in.Ops[1]
 	switch {
 	case dst.Kind == sim.KReg && src.Kind == sim.KMem:
-		m.SetReg(dst.Reg, m.LoadWord(m.EA(src)))
+		m.Set(dst.Slot, m.LoadWord(m.EA(src)))
 		m.Cycles += 12
 	case dst.Kind == sim.KMem && src.Kind == sim.KReg:
-		m.StoreWord(m.EA(dst), m.Reg[src.Reg])
+		m.StoreWord(m.EA(dst), m.Get(src.Slot))
 		m.Cycles += 13
 	default:
 		return fmt.Errorf("i8086: unsupported movw forms %s, %s", dst, src)
@@ -199,9 +210,9 @@ func movWord(m *sim.Machine, in sim.Instr) error {
 	return nil
 }
 
-func arith(m *sim.Machine, in sim.Instr) error {
-	a := m.Reg[in.Ops[0].Reg]
-	b, err := m.Val(in.Ops[1])
+func arith(m *sim.Machine, in *sim.Inst) error {
+	a := m.Get(in.Ops[0].Slot)
+	b, err := m.Val(&in.Ops[1])
 	if err != nil {
 		return err
 	}
@@ -224,7 +235,7 @@ func arith(m *sim.Machine, in sim.Instr) error {
 		m.LF = m.Mask(a) < m.Mask(b)
 	}
 	if in.Mn != "cmp" {
-		m.SetReg(in.Ops[0].Reg, r)
+		m.Set(in.Ops[0].Slot, r)
 	}
 	if in.Ops[1].Kind == sim.KImm {
 		m.Cycles += 4

@@ -112,8 +112,8 @@ func TestDirectionFlag(t *testing.T) {
 		sim.Ins("hlt"),
 	})
 	runM(t, m)
-	if m.Reg["di"] != 49 {
-		t.Errorf("std direction: di = %d, want 49", m.Reg["di"])
+	if m.Reg("di") != 49 {
+		t.Errorf("std direction: di = %d, want 49", m.Reg("di"))
 	}
 	if m.LoadByte(50) != 9 {
 		t.Error("store missed")
@@ -162,9 +162,9 @@ func TestScasbAgainstDescription(t *testing.T) {
 		if m.ZF {
 			simZF = 1
 		}
-		if simZF != zf || m.Reg["di"] != di || m.Reg["cx"] != cx {
+		if simZF != zf || m.Reg("di") != di || m.Reg("cx") != cx {
 			t.Fatalf("round %d (%q, %q): sim (zf=%d di=%d cx=%d) vs description (zf=%d di=%d cx=%d)",
-				round, content, ch, simZF, m.Reg["di"], m.Reg["cx"], zf, di, cx)
+				round, content, ch, simZF, m.Reg("di"), m.Reg("cx"), zf, di, cx)
 		}
 	}
 }

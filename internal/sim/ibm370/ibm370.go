@@ -18,12 +18,12 @@ import (
 	"extra/internal/sim"
 )
 
-// ISA returns the IBM 370 instruction set simulator.
-func ISA() *sim.ISA {
-	return &sim.ISA{Name: "IBM 370", Bits: 32, Exec: exec}
-}
+var isa = &sim.ISA{Name: "IBM 370", Bits: 32, Exec: exec}
 
-func exec(m *sim.Machine, in sim.Instr) error {
+// ISA returns the IBM 370 instruction set simulator.
+func ISA() *sim.ISA { return isa }
+
+func exec(m *sim.Machine, in *sim.Inst) error {
 	switch in.Mn {
 	case "nop":
 		return nil
@@ -32,7 +32,7 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		m.Halted = true
 		return nil
 	case "out":
-		v, err := m.Val(in.Ops[0])
+		v, err := m.Val(&in.Ops[0])
 		if err != nil {
 			return err
 		}
@@ -40,40 +40,42 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		m.Out = append(m.Out, v)
 		return nil
 	case "la": // load address: register <- immediate or register+disp
-		dst := in.Ops[0]
-		switch src := in.Ops[1]; src.Kind {
+		dst, src := &in.Ops[0], &in.Ops[1]
+		switch src.Kind {
 		case sim.KImm:
-			m.SetReg(dst.Reg, src.Imm)
+			m.Set(dst.Slot, src.Imm)
 		case sim.KMem:
-			m.SetReg(dst.Reg, m.EA(src))
+			m.Set(dst.Slot, m.EA(src))
 		case sim.KReg:
-			m.SetReg(dst.Reg, m.Reg[src.Reg])
+			m.Set(dst.Slot, m.Get(src.Slot))
+		default:
+			return fmt.Errorf("ibm370: unsupported la source %s", src)
 		}
 		m.Cycles++
 		return nil
 	case "lr": // register move
-		m.SetReg(in.Ops[0].Reg, m.Reg[in.Ops[1].Reg])
+		m.Set(in.Ops[0].Slot, m.Get(in.Ops[1].Slot))
 		m.Cycles++
 		return nil
 	case "l": // load word
-		m.SetReg(in.Ops[0].Reg, m.LoadWord(m.EA(in.Ops[1])))
+		m.Set(in.Ops[0].Slot, m.LoadWord(m.EA(&in.Ops[1])))
 		m.Cycles += 2
 		return nil
 	case "st": // store word
-		m.StoreWord(m.EA(in.Ops[1]), m.Reg[in.Ops[0].Reg])
+		m.StoreWord(m.EA(&in.Ops[1]), m.Get(in.Ops[0].Slot))
 		m.Cycles += 2
 		return nil
 	case "ic": // insert character
-		m.SetReg(in.Ops[0].Reg, uint64(m.LoadByte(m.EA(in.Ops[1]))))
+		m.Set(in.Ops[0].Slot, uint64(m.LoadByte(m.EA(&in.Ops[1]))))
 		m.Cycles += 2
 		return nil
 	case "stc": // store character
-		m.StoreByte(m.EA(in.Ops[1]), byte(m.Reg[in.Ops[0].Reg]))
+		m.StoreByte(m.EA(&in.Ops[1]), byte(m.Get(in.Ops[0].Slot)))
 		m.Cycles += 2
 		return nil
 	case "ar", "sr", "cr", "nr":
-		a := m.Reg[in.Ops[0].Reg]
-		b, err := m.Val(in.Ops[1])
+		a := m.Get(in.Ops[0].Slot)
+		b, err := m.Val(&in.Ops[1])
 		if err != nil {
 			return err
 		}
@@ -90,13 +92,13 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		m.ZF = r == 0
 		m.LF = m.Mask(a) < m.Mask(b)
 		if in.Mn != "cr" {
-			m.SetReg(in.Ops[0].Reg, r)
+			m.Set(in.Ops[0].Slot, r)
 		}
 		m.Cycles++
 		return nil
 	case "b":
 		m.Cycles += 2
-		return m.Jump(in.Ops[0].Label)
+		return m.Jump(&in.Ops[0])
 	case "be", "bne", "bl", "bnl":
 		take := false
 		switch in.Mn {
@@ -111,32 +113,33 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		}
 		if take {
 			m.Cycles += 2
-			return m.Jump(in.Ops[0].Label)
+			return m.Jump(&in.Ops[0])
 		}
 		m.Cycles += 2
 		return nil
 	case "bct": // branch on count: decrement, branch while nonzero
-		v := m.Mask(m.Reg[in.Ops[0].Reg] - 1)
-		m.SetReg(in.Ops[0].Reg, v)
+		r := in.Ops[0].Slot
+		v := m.Mask(m.Get(r) - 1)
+		m.Set(r, v)
 		m.Cycles += 2
 		if v != 0 {
-			return m.Jump(in.Ops[1].Label)
+			return m.Jump(&in.Ops[1])
 		}
 		return nil
 	case "mvi": // move immediate byte to storage
-		m.StoreByte(m.EA(in.Ops[0]), byte(in.Ops[1].Imm))
+		m.StoreByte(m.EA(&in.Ops[0]), byte(in.Ops[1].Imm))
 		m.Cycles += 2
 		return nil
 	case "mvc":
 		// mvc lencode, dst, src — moves lencode+1 bytes, strictly left to
 		// right (byte by byte), which overlapping-operand idioms rely on.
-		lc, err := m.Val(in.Ops[0])
+		lc, err := m.Val(&in.Ops[0])
 		if err != nil {
 			return err
 		}
 		lc &= 0xff
-		dst := m.EA(in.Ops[1])
-		src := m.EA(in.Ops[2])
+		dst := m.EA(&in.Ops[1])
+		src := m.EA(&in.Ops[2])
 		n := lc + 1
 		for i := uint64(0); i < n; i++ {
 			m.StoreByte(dst+i, m.LoadByte(src+i))
@@ -146,13 +149,13 @@ func exec(m *sim.Machine, in sim.Instr) error {
 	case "tr":
 		// tr lencode, field, table — translate lencode+1 bytes in place
 		// through the 256-byte table.
-		lc, err := m.Val(in.Ops[0])
+		lc, err := m.Val(&in.Ops[0])
 		if err != nil {
 			return err
 		}
 		lc &= 0xff
-		field := m.EA(in.Ops[1])
-		table := m.EA(in.Ops[2])
+		field := m.EA(&in.Ops[1])
+		table := m.EA(&in.Ops[2])
 		n := lc + 1
 		for i := uint64(0); i < n; i++ {
 			m.StoreByte(field+i, m.LoadByte(table+uint64(m.LoadByte(field+i))))
@@ -161,13 +164,13 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		return nil
 	case "clc":
 		// clc lencode, a, b — compares lencode+1 bytes; Z set when equal.
-		lc, err := m.Val(in.Ops[0])
+		lc, err := m.Val(&in.Ops[0])
 		if err != nil {
 			return err
 		}
 		lc &= 0xff
-		a := m.EA(in.Ops[1])
-		b := m.EA(in.Ops[2])
+		a := m.EA(&in.Ops[1])
+		b := m.EA(&in.Ops[2])
 		n := lc + 1
 		m.ZF = true
 		scanned := uint64(0)

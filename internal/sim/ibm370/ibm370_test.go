@@ -130,8 +130,8 @@ func TestClc(t *testing.T) {
 		sim.Ins("out", sim.I(1)),
 		sim.Ins("hlt"),
 	})
-	copy(m.Mem[100:], "abc")
-	copy(m.Mem[200:], "abc")
+	m.StoreBytes(100, []byte("abc"))
+	m.StoreBytes(200, []byte("abc"))
 	runM(t, m)
 	if m.Out[0] != 1 {
 		t.Errorf("equal strings compared unequal")
@@ -147,8 +147,8 @@ func TestClc(t *testing.T) {
 		sim.Ins("out", sim.I(1)),
 		sim.Ins("hlt"),
 	})
-	copy(m2.Mem[100:], "abc")
-	copy(m2.Mem[200:], "abd")
+	m2.StoreBytes(100, []byte("abc"))
+	m2.StoreBytes(200, []byte("abd"))
 	runM(t, m2)
 	if m2.Out[0] != 0 {
 		t.Errorf("unequal strings compared equal")
@@ -226,5 +226,19 @@ func TestWordLoadStore(t *testing.T) {
 	runM(t, m)
 	if m.Out[0] != 123456 {
 		t.Errorf("st/l roundtrip = %d", m.Out[0])
+	}
+}
+
+// TestLaRejectsLabel pins that la fails, charging nothing, on a source
+// that is neither an immediate, a memory nor a register operand, rather
+// than leaving its register unchanged and charging a cycle.
+func TestLaRejectsLabel(t *testing.T) {
+	m := newM(t, []sim.Instr{sim.Ins("la", sim.R("r2"), sim.L("x")), sim.Ins("hlt")})
+	want := "sim: at 0 (la r2, x): ibm370: unsupported la source x"
+	if err := m.Run(0); err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %s", err, want)
+	}
+	if m.Cycles != 0 {
+		t.Errorf("la on a label charged %d cycles", m.Cycles)
 	}
 }

@@ -1,9 +1,27 @@
 // Package sim provides the shared machinery for the target machine
-// simulators: a register/memory/cycle-counter state, a tiny assembly
-// container with labels, and a fetch-execute loop. Each target (i8086, vax,
-// ibm370) supplies an ISA — an Exec function implementing its instruction
-// subset, including the exotic string instructions, with a documented cycle
-// cost model.
+// simulators: a tiny assembly container with labels, a machine state of
+// registers, memory, flags and a cycle counter, and a fetch-execute loop.
+// Each target (i8086, vax, ibm370) supplies an ISA — an Exec function
+// implementing its instruction subset, including the exotic string
+// instructions, with a documented cycle cost model.
+//
+// NewMachine decodes a program once. Every register name an operand
+// carries becomes a dense slot in the machine's register file: the
+// registers an ISA's handlers use without an operand naming them (its
+// Regs table) take the first slots, in table order, so the handlers
+// address them by constant. Every label operand becomes the index of the
+// instruction it names, and the decoded operands share one allocation. Run
+// then executes with no map lookup per instruction. Decoding refuses only
+// a duplicate label: a jump to an undefined label and an unknown mnemonic
+// fail when executed, and a program that never reaches them runs.
+//
+// Memory is a 64 KiB space whose addresses wrap modulo its size, kept in
+// 1 KiB pages allocated on the first store of a nonzero byte; a byte never
+// written reads 0. Neither the decoding nor the pages enter the wrap or
+// the cycle model: the pinned-run test in package synth holds every
+// catalog workload's cycles, output, whole memory and registers to the
+// values recorded from map-based simulators that kept one register map,
+// one label map and one zeroed 64 KiB image per machine.
 //
 // The simulators substitute for the paper's real hardware: generated code
 // runs on them end to end, and their cycle counters quantify the paper's
@@ -13,6 +31,8 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // OperandKind discriminates assembly operand forms.
@@ -52,20 +72,32 @@ func MD(reg string, disp int64) Operand { return Operand{Kind: KMem, Reg: reg, D
 func L(label string) Operand { return Operand{Kind: KLabel, Label: label} }
 
 func (o Operand) String() string {
+	var b strings.Builder
+	o.writeTo(&b)
+	return b.String()
+}
+
+// writeTo appends the operand's listing form to b.
+func (o Operand) writeTo(b *strings.Builder) {
+	var num [20]byte
 	switch o.Kind {
 	case KReg:
-		return o.Reg
+		b.WriteString(o.Reg)
 	case KImm:
-		return fmt.Sprintf("#%d", o.Imm)
+		b.WriteByte('#')
+		b.Write(strconv.AppendUint(num[:0], o.Imm, 10))
 	case KMem:
 		if o.Disp != 0 {
-			return fmt.Sprintf("%d[%s]", o.Disp, o.Reg)
+			b.Write(strconv.AppendInt(num[:0], o.Disp, 10))
 		}
-		return fmt.Sprintf("[%s]", o.Reg)
+		b.WriteByte('[')
+		b.WriteString(o.Reg)
+		b.WriteByte(']')
 	case KLabel:
-		return o.Label
+		b.WriteString(o.Label)
+	default:
+		b.WriteByte('?')
 	}
-	return "?"
 }
 
 // Instr is one assembly instruction, optionally carrying a label.
@@ -82,133 +114,262 @@ func Ins(mn string, ops ...Operand) Instr { return Instr{Mn: mn, Ops: ops} }
 func Lbl(name string) Instr { return Instr{Label: name, Mn: "nop"} }
 
 func (in Instr) String() string {
-	s := ""
+	var b strings.Builder
+	b.Grow(len(in.Label) + len(in.Mn) + 2 + 12*len(in.Ops))
+	in.writeTo(&b)
+	return b.String()
+}
+
+// writeTo appends the instruction's listing form to b.
+func (in Instr) writeTo(b *strings.Builder) {
 	if in.Label != "" {
-		s = in.Label + ": "
+		b.WriteString(in.Label)
+		b.WriteString(": ")
 	}
-	s += in.Mn
+	b.WriteString(in.Mn)
 	for i, o := range in.Ops {
 		if i == 0 {
-			s += " "
+			b.WriteByte(' ')
 		} else {
-			s += ", "
+			b.WriteString(", ")
 		}
-		s += o.String()
+		o.writeTo(b)
 	}
-	return s
+}
+
+// Listing renders a program as text, one instruction per line.
+func Listing(prog []Instr) string {
+	var b strings.Builder
+	for _, in := range prog {
+		if in.Label != "" && in.Mn == "nop" {
+			b.WriteString(in.Label)
+			b.WriteString(":\n")
+			continue
+		}
+		b.WriteByte('\t')
+		in.writeTo(&b)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// Op is a decoded operand: the assembly operand, its register's slot and,
+// for a label, the index of the instruction the label names.
+type Op struct {
+	Operand
+	// Slot is the register file slot of Reg. Every operand has one (its
+	// Reg is "" when the form names no register), so a handler reads the
+	// same register the name would have.
+	Slot int
+	// Target is the index of the instruction carrying Label, or -1 when
+	// none does.
+	Target int
+}
+
+// Inst is a decoded instruction.
+type Inst struct {
+	Mn  string
+	Ops []Op
+}
+
+// ISA is a target instruction set: a register width, the registers its
+// handlers use implicitly, and an executor. Exec performs one instruction,
+// charges its cycles, and may change m.PC via Machine.Jump.
+type ISA struct {
+	Name string
+	// Bits is the register width; register writes are masked to it.
+	Bits int
+	// Regs names the registers Exec reads or writes without an operand
+	// naming them; NewMachine gives Regs[i] slot i.
+	Regs []string
+	Exec func(m *Machine, in *Inst) error
 }
 
 // MemSize is the simulated memory size in bytes.
 const MemSize = 1 << 16
 
-// CPU is the architectural state shared by the target simulators.
-type CPU struct {
-	Reg map[string]uint64
-	Mem []byte
+// Memory pages: 1 KiB each, so a workload's operand blocks, translate
+// table and variable frame take a few pages rather than 64 KiB, and a
+// 1 KiB block at a 1 KiB boundary takes one.
+const (
+	pageBits = 10
+	pageSize = 1 << pageBits
+)
+
+type page [pageSize]byte
+
+// slotBuf is how many register slots a machine holds without a further
+// allocation; every catalog target needs fewer.
+const slotBuf = 24
+
+// Machine is a decoded program and the architectural state it runs on.
+type Machine struct {
+	ISA *ISA
+	PC  int
 	// ZF is the zero/equal condition; LF the less/negative condition.
 	ZF, LF bool
 	// DF is the 8086 direction flag.
 	DF bool
+	// Halted stops the run loop.
+	Halted bool
 	// Cycles accumulates the cost model.
 	Cycles uint64
 	// Out collects values emitted by the "out" instruction.
 	Out []uint64
-	// Halted stops the run loop.
-	Halted bool
+
+	prog  []Instr // the source, for error texts
+	code  []Inst
+	mask  uint64
+	steps int
+	regs  []uint64 // by slot
+	names []string // slot -> register name
+	pages [MemSize / pageSize]*page
+
+	regBuf  [slotBuf]uint64
+	nameBuf [slotBuf]string
 }
 
-// NewCPU returns a zeroed CPU.
-func NewCPU() *CPU {
-	return &CPU{Reg: map[string]uint64{}, Mem: make([]byte, MemSize)}
-}
-
-// ISA is a target instruction set: a register width and an executor. Exec
-// performs one instruction, charges its cycles, and may change m.PC via
-// Machine.Jump.
-type ISA struct {
-	Name string
-	// Bits is the register width; register writes are masked to it.
-	Bits int
-	Exec func(m *Machine, in Instr) error
-}
-
-// Machine couples a CPU with a program.
-type Machine struct {
-	*CPU
-	ISA    *ISA
-	Prog   []Instr
-	PC     int
-	labels map[string]int
-	steps  int
-}
-
-// NewMachine resolves labels and returns a machine ready to run.
+// NewMachine decodes prog for isa and returns a machine ready to run. It
+// fails only on a duplicate label.
 func NewMachine(isa *ISA, prog []Instr) (*Machine, error) {
-	m := &Machine{CPU: NewCPU(), ISA: isa, Prog: prog, labels: map[string]int{}}
+	m := &Machine{ISA: isa, prog: prog, mask: ^uint64(0)}
+	if isa.Bits < 64 {
+		m.mask = 1<<uint(isa.Bits) - 1
+	}
+	m.names = append(m.nameBuf[:0], isa.Regs...)
+	nops := 0
 	for i, in := range prog {
-		if in.Label != "" {
-			if _, dup := m.labels[in.Label]; dup {
-				return nil, fmt.Errorf("sim: duplicate label %q", in.Label)
-			}
-			m.labels[in.Label] = i
+		if in.Label != "" && labelIndex(prog[:i], in.Label) >= 0 {
+			return nil, fmt.Errorf("sim: duplicate label %q", in.Label)
 		}
+		nops += len(in.Ops)
+	}
+	m.code = make([]Inst, len(prog))
+	ops := make([]Op, nops)
+	for i, in := range prog {
+		dec := ops[:len(in.Ops):len(in.Ops)]
+		ops = ops[len(in.Ops):]
+		for k, o := range in.Ops {
+			dec[k] = Op{Operand: o, Slot: m.slot(o.Reg), Target: -1}
+			if o.Label != "" {
+				dec[k].Target = labelIndex(prog, o.Label)
+			}
+		}
+		m.code[i] = Inst{Mn: in.Mn, Ops: dec}
+	}
+	if len(m.names) <= len(m.regBuf) {
+		m.regs = m.regBuf[:len(m.names)]
+	} else {
+		m.regs = make([]uint64, len(m.names))
 	}
 	return m, nil
 }
 
-// Jump transfers control to a label.
-func (m *Machine) Jump(label string) error {
-	i, ok := m.labels[label]
-	if !ok {
-		return fmt.Errorf("sim: undefined label %q", label)
+// labelIndex is the index of the first instruction in prog carrying
+// label, or -1.
+func labelIndex(prog []Instr, label string) int {
+	for i := range prog {
+		if prog[i].Label == label {
+			return i
+		}
 	}
-	m.PC = i
+	return -1
+}
+
+// slot returns name's register slot, assigning the next one on first use.
+func (m *Machine) slot(name string) int {
+	for i, n := range m.names {
+		if n == name {
+			return i
+		}
+	}
+	m.names = append(m.names, name)
+	return len(m.names) - 1
+}
+
+// Jump transfers control to a label operand's instruction.
+func (m *Machine) Jump(o *Op) error {
+	if o.Target < 0 {
+		return fmt.Errorf("sim: undefined label %q", o.Label)
+	}
+	m.PC = o.Target
 	return nil
 }
 
 // Mask truncates v to the ISA register width.
-func (m *Machine) Mask(v uint64) uint64 {
-	if m.ISA.Bits >= 64 {
-		return v
+func (m *Machine) Mask(v uint64) uint64 { return v & m.mask }
+
+// Get reads the register in slot.
+func (m *Machine) Get(slot int) uint64 { return m.regs[slot] }
+
+// Set writes the register in slot, masked to the ISA width.
+func (m *Machine) Set(slot int, v uint64) { m.regs[slot] = v & m.mask }
+
+// Reg reads a register by name; a register the program never names reads
+// 0.
+func (m *Machine) Reg(name string) uint64 {
+	for i, n := range m.names {
+		if n == name {
+			return m.regs[i]
+		}
 	}
-	return v & ((1 << uint(m.ISA.Bits)) - 1)
+	return 0
 }
 
-// SetReg writes a register, masked to the ISA width.
-func (m *Machine) SetReg(name string, v uint64) {
-	m.Reg[name] = m.Mask(v)
-}
-
-// Val evaluates a register or immediate operand.
-func (m *Machine) Val(o Operand) (uint64, error) {
+// Val evaluates a register, immediate or memory (byte) operand.
+func (m *Machine) Val(o *Op) (uint64, error) {
 	switch o.Kind {
 	case KReg:
-		return m.Reg[o.Reg], nil
+		return m.regs[o.Slot], nil
 	case KImm:
 		return o.Imm, nil
 	case KMem:
-		return uint64(m.Mem[m.EA(o)]), nil
+		return uint64(m.LoadByte(m.EA(o))), nil
 	}
-	return 0, fmt.Errorf("sim: operand %s is not a value", o)
+	return 0, fmt.Errorf("sim: operand %s is not a value", o.Operand)
 }
 
 // EA computes a memory operand's effective address.
-func (m *Machine) EA(o Operand) uint64 {
-	return (m.Reg[o.Reg] + uint64(o.Disp)) % MemSize
+func (m *Machine) EA(o *Op) uint64 {
+	return (m.regs[o.Slot] + uint64(o.Disp)) % MemSize
 }
 
 // LoadByte reads a byte of memory.
-func (m *Machine) LoadByte(addr uint64) byte { return m.Mem[addr%MemSize] }
+func (m *Machine) LoadByte(addr uint64) byte {
+	a := addr % MemSize
+	if p := m.pages[a>>pageBits]; p != nil {
+		return p[a%pageSize]
+	}
+	return 0
+}
 
 // StoreByte writes a byte of memory.
-func (m *Machine) StoreByte(addr uint64, v byte) { m.Mem[addr%MemSize] = v }
+func (m *Machine) StoreByte(addr uint64, v byte) {
+	a := addr % MemSize
+	p := m.pages[a>>pageBits]
+	if p == nil {
+		if v == 0 {
+			return // an unwritten byte already reads 0
+		}
+		p = new(page)
+		m.pages[a>>pageBits] = p
+	}
+	p[a%pageSize] = v
+}
+
+// StoreBytes writes bs to memory from addr on, wrapping like StoreByte.
+func (m *Machine) StoreBytes(addr uint64, bs []byte) {
+	for i, b := range bs {
+		m.StoreByte(addr+uint64(i), b)
+	}
+}
 
 // LoadWord reads a little-endian word of the ISA width (16 or 32 bits).
 func (m *Machine) LoadWord(addr uint64) uint64 {
 	n := m.ISA.Bits / 8
 	var v uint64
 	for i := 0; i < n; i++ {
-		v |= uint64(m.Mem[(addr+uint64(i))%MemSize]) << (8 * uint(i))
+		v |= uint64(m.LoadByte(addr+uint64(i))) << (8 * uint(i))
 	}
 	return v
 }
@@ -217,8 +378,29 @@ func (m *Machine) LoadWord(addr uint64) uint64 {
 func (m *Machine) StoreWord(addr uint64, v uint64) {
 	n := m.ISA.Bits / 8
 	for i := 0; i < n; i++ {
-		m.Mem[(addr+uint64(i))%MemSize] = byte(v >> (8 * uint(i)))
+		m.StoreByte(addr+uint64(i), byte(v>>(8*uint(i))))
 	}
+}
+
+// SameMemory reports whether m and o hold the same 64 KiB of memory.
+func (m *Machine) SameMemory(o *Machine) bool {
+	for i, p := range m.pages {
+		q := o.pages[i]
+		switch {
+		case p == q:
+		case p == nil:
+			if *q != (page{}) {
+				return false
+			}
+		case q == nil:
+			if *p != (page{}) {
+				return false
+			}
+		case *p != *q:
+			return false
+		}
+	}
+	return true
 }
 
 // ErrStepLimit reports a run that exceeded its step budget.
@@ -230,28 +412,16 @@ func (m *Machine) Run(maxSteps int) error {
 	if maxSteps <= 0 {
 		maxSteps = 1 << 20
 	}
-	for !m.Halted && m.PC < len(m.Prog) {
+	exec := m.ISA.Exec
+	for !m.Halted && m.PC < len(m.code) {
 		if m.steps++; m.steps > maxSteps {
 			return ErrStepLimit
 		}
-		in := m.Prog[m.PC]
+		pc := m.PC
 		m.PC++
-		if err := m.ISA.Exec(m, in); err != nil {
-			return fmt.Errorf("sim: at %d (%s): %w", m.PC-1, in, err)
+		if err := exec(m, &m.code[pc]); err != nil {
+			return fmt.Errorf("sim: at %d (%s): %w", pc, m.prog[pc], err)
 		}
 	}
 	return nil
-}
-
-// Listing renders a program as text, one instruction per line.
-func Listing(prog []Instr) string {
-	out := ""
-	for _, in := range prog {
-		if in.Label != "" && in.Mn == "nop" {
-			out += in.Label + ":\n"
-			continue
-		}
-		out += "\t" + in.String() + "\n"
-	}
-	return out
 }

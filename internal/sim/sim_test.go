@@ -7,20 +7,20 @@ import (
 
 // toyISA implements two instructions for exercising the shared machinery.
 func toyISA() *ISA {
-	return &ISA{Name: "toy", Bits: 16, Exec: func(m *Machine, in Instr) error {
+	return &ISA{Name: "toy", Bits: 16, Exec: func(m *Machine, in *Inst) error {
 		switch in.Mn {
 		case "nop":
 			return nil
 		case "set":
-			v, err := m.Val(in.Ops[1])
+			v, err := m.Val(&in.Ops[1])
 			if err != nil {
 				return err
 			}
-			m.SetReg(in.Ops[0].Reg, v)
+			m.Set(in.Ops[0].Slot, v)
 			m.Cycles++
 			return nil
 		case "jmp":
-			return m.Jump(in.Ops[0].Label)
+			return m.Jump(&in.Ops[0])
 		case "hlt":
 			m.Halted = true
 			return nil
@@ -45,8 +45,8 @@ func TestMachineRunAndLabels(t *testing.T) {
 	if err := m.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if m.Reg["a"] != 5 || m.Reg["b"] != 5 {
-		t.Errorf("regs = %v", m.Reg)
+	if m.Reg("a") != 5 || m.Reg("b") != 5 {
+		t.Errorf("regs a = %d, b = %d", m.Reg("a"), m.Reg("b"))
 	}
 	if m.Cycles != 2 {
 		t.Errorf("cycles = %d, want 2 (label nop is free)", m.Cycles)
@@ -76,13 +76,15 @@ func TestStepLimit(t *testing.T) {
 }
 
 func TestMaskAndWords(t *testing.T) {
-	m, _ := NewMachine(toyISA(), nil)
-	m.SetReg("a", 0x12345)
-	if m.Reg["a"] != 0x2345 {
-		t.Errorf("16-bit mask: %x", m.Reg["a"])
+	m, _ := NewMachine(toyISA(), []Instr{Ins("set", R("a"), I(0x12345))})
+	if err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if m.Reg("a") != 0x2345 {
+		t.Errorf("16-bit mask: %x", m.Reg("a"))
 	}
 	m.StoreWord(100, 0xBEEF)
-	if m.Mem[100] != 0xEF || m.Mem[101] != 0xBE {
+	if m.LoadByte(100) != 0xEF || m.LoadByte(101) != 0xBE {
 		t.Error("little-endian store wrong")
 	}
 	if m.LoadWord(100) != 0xBEEF {
@@ -113,7 +115,7 @@ func TestOperandStringsAndListing(t *testing.T) {
 
 func TestValRejectsLabels(t *testing.T) {
 	m, _ := NewMachine(toyISA(), nil)
-	if _, err := m.Val(L("x")); err == nil {
+	if _, err := m.Val(&Op{Operand: L("x")}); err == nil {
 		t.Error("label evaluated as a value")
 	}
 }

@@ -17,12 +17,33 @@ import (
 	"extra/internal/sim"
 )
 
+// Slots of the result registers the string instructions write without
+// naming them, in the order of isa.Regs.
+const (
+	r0 = iota
+	r1
+	r3
+)
+
+var isa = &sim.ISA{Name: "VAX-11", Bits: 32, Regs: []string{"r0", "r1", "r3"}, Exec: exec}
+
 // ISA returns the VAX-11 instruction set simulator.
-func ISA() *sim.ISA {
-	return &sim.ISA{Name: "VAX-11", Bits: 32, Exec: exec}
+func ISA() *sim.ISA { return isa }
+
+// vals evaluates the instruction's leading operands into dst, in order,
+// and returns the error of the first that is not a value.
+func vals(m *sim.Machine, in *sim.Inst, dst ...*uint64) error {
+	for i, p := range dst {
+		v, err := m.Val(&in.Ops[i])
+		if err != nil {
+			return err
+		}
+		*p = v
+	}
+	return nil
 }
 
-func exec(m *sim.Machine, in sim.Instr) error {
+func exec(m *sim.Machine, in *sim.Inst) error {
 	switch in.Mn {
 	case "nop":
 		return nil
@@ -31,7 +52,7 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		m.Halted = true
 		return nil
 	case "out":
-		v, err := m.Val(in.Ops[0])
+		v, err := m.Val(&in.Ops[0])
 		if err != nil {
 			return err
 		}
@@ -39,32 +60,32 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		m.Out = append(m.Out, v)
 		return nil
 	case "movl":
-		dst, src := in.Ops[0], in.Ops[1]
+		dst, src := &in.Ops[0], &in.Ops[1]
 		switch {
 		case dst.Kind == sim.KReg && src.Kind == sim.KReg:
-			m.SetReg(dst.Reg, m.Reg[src.Reg])
+			m.Set(dst.Slot, m.Get(src.Slot))
 			m.Cycles += 2
 		case dst.Kind == sim.KReg && src.Kind == sim.KImm:
-			m.SetReg(dst.Reg, src.Imm)
+			m.Set(dst.Slot, src.Imm)
 			m.Cycles += 3
 		case dst.Kind == sim.KReg && src.Kind == sim.KMem:
-			m.SetReg(dst.Reg, m.LoadWord(m.EA(src)))
+			m.Set(dst.Slot, m.LoadWord(m.EA(src)))
 			m.Cycles += 6
 		case dst.Kind == sim.KMem && src.Kind == sim.KReg:
-			m.StoreWord(m.EA(dst), m.Reg[src.Reg])
+			m.StoreWord(m.EA(dst), m.Get(src.Slot))
 			m.Cycles += 6
 		default:
 			return fmt.Errorf("vax: unsupported movl forms %s, %s", dst, src)
 		}
 		return nil
 	case "movb":
-		dst, src := in.Ops[0], in.Ops[1]
+		dst, src := &in.Ops[0], &in.Ops[1]
 		switch {
 		case dst.Kind == sim.KReg && src.Kind == sim.KMem:
-			m.SetReg(dst.Reg, uint64(m.LoadByte(m.EA(src))))
+			m.Set(dst.Slot, uint64(m.LoadByte(m.EA(src))))
 			m.Cycles += 5
 		case dst.Kind == sim.KMem && src.Kind == sim.KReg:
-			m.StoreByte(m.EA(dst), byte(m.Reg[src.Reg]))
+			m.StoreByte(m.EA(dst), byte(m.Get(src.Slot)))
 			m.Cycles += 5
 		case dst.Kind == sim.KMem && src.Kind == sim.KImm:
 			m.StoreByte(m.EA(dst), byte(src.Imm))
@@ -74,8 +95,8 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		}
 		return nil
 	case "addl", "subl", "cmpl", "andl":
-		a := m.Reg[in.Ops[0].Reg]
-		b, err := m.Val(in.Ops[1])
+		a := m.Get(in.Ops[0].Slot)
+		b, err := m.Val(&in.Ops[1])
 		if err != nil {
 			return err
 		}
@@ -93,29 +114,30 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		m.ZF = r == 0
 		m.LF = m.Mask(a) < m.Mask(b)
 		if in.Mn != "cmpl" {
-			m.SetReg(in.Ops[0].Reg, r)
+			m.Set(in.Ops[0].Slot, r)
 		}
 		m.Cycles += 3
 		return nil
 	case "tstl":
-		m.ZF = m.Reg[in.Ops[0].Reg] == 0
+		m.ZF = m.Get(in.Ops[0].Slot) == 0
 		m.LF = false
 		m.Cycles += 2
 		return nil
 	case "incl", "decl":
-		v := m.Reg[in.Ops[0].Reg]
+		r := in.Ops[0].Slot
+		v := m.Get(r)
 		if in.Mn == "incl" {
 			v++
 		} else {
 			v--
 		}
-		m.SetReg(in.Ops[0].Reg, v)
+		m.Set(r, v)
 		m.ZF = m.Mask(v) == 0
 		m.Cycles += 3
 		return nil
 	case "brb":
 		m.Cycles += 5
-		return m.Jump(in.Ops[0].Label)
+		return m.Jump(&in.Ops[0])
 	case "beql", "bneq", "blss", "bgeq":
 		take := false
 		switch in.Mn {
@@ -130,7 +152,7 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		}
 		if take {
 			m.Cycles += 5
-			return m.Jump(in.Ops[0].Label)
+			return m.Jump(&in.Ops[0])
 		}
 		m.Cycles += 3
 		return nil
@@ -139,11 +161,12 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		// closer. The comparison is signed — decrementing an entry value of
 		// 0 yields -1 (top bit set), which must fall through, not loop for
 		// another 2^32 iterations.
-		v := m.Mask(m.Reg[in.Ops[0].Reg] - 1)
-		m.SetReg(in.Ops[0].Reg, v)
+		r := in.Ops[0].Slot
+		v := m.Mask(m.Get(r) - 1)
+		m.Set(r, v)
 		m.Cycles += 6
 		if v != 0 && v&0x8000_0000 == 0 {
-			return m.Jump(in.Ops[1].Label)
+			return m.Jump(&in.Ops[1])
 		}
 		return nil
 	case "movc3":
@@ -155,42 +178,33 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		// leaves r1/r3 one past the end; the description is this
 		// reproduction's semantic ground truth, so the simulator follows it
 		// and the delta is documented here.
-		ln, err := m.Val(in.Ops[0])
-		if err != nil {
+		var ln, src, dst uint64
+		if err := vals(m, in, &ln, &src, &dst); err != nil {
 			return err
 		}
 		ln &= 0xffff // the hardware length field is 16 bits
-		src, err := m.Val(in.Ops[1])
-		if err != nil {
-			return err
-		}
-		dst, err := m.Val(in.Ops[2])
-		if err != nil {
-			return err
-		}
-		r1, r3 := src+ln, dst+ln
+		end1, end3 := src+ln, dst+ln
 		if src < dst {
 			for i := ln; i > 0; i-- {
 				m.StoreByte(dst+i-1, m.LoadByte(src+i-1))
 			}
-			r1, r3 = src, dst
+			end1, end3 = src, dst
 		} else {
 			for i := uint64(0); i < ln; i++ {
 				m.StoreByte(dst+i, m.LoadByte(src+i))
 			}
 		}
-		m.SetReg("r0", 0)
-		m.SetReg("r1", r1)
-		m.SetReg("r3", r3)
+		m.Set(r0, 0)
+		m.Set(r1, end1)
+		m.Set(r3, end3)
 		m.Cycles += 40 + 3*ln
 		return nil
 	case "movc5":
 		// movc5 srclen, src, fill, dstlen, dst.
-		srclen, _ := m.Val(in.Ops[0])
-		src, _ := m.Val(in.Ops[1])
-		fill, _ := m.Val(in.Ops[2])
-		dstlen, _ := m.Val(in.Ops[3])
-		dst, _ := m.Val(in.Ops[4])
+		var srclen, src, fill, dstlen, dst uint64
+		if err := vals(m, in, &srclen, &src, &fill, &dstlen, &dst); err != nil {
+			return err
+		}
 		srclen &= 0xffff
 		dstlen &= 0xffff
 		moved := uint64(0)
@@ -208,56 +222,58 @@ func exec(m *sim.Machine, in sim.Instr) error {
 		// end of the destination; r0 counts the source bytes that did not
 		// fit. The register-preference pass already treats r0/r1/r3 as
 		// movc5 clobbers — before this they were clobbered in name only.
-		m.SetReg("r0", srclen-moved)
-		m.SetReg("r1", src+moved)
-		m.SetReg("r3", dst+dstlen)
+		m.Set(r0, srclen-moved)
+		m.Set(r1, src+moved)
+		m.Set(r3, dst+dstlen)
 		m.Cycles += 50 + 3*moved + 2*filled
 		return nil
 	case "locc":
 		// locc char, len, addr — results in r0 (bytes remaining including
 		// the located one; 0 when absent) and r1 (address of the located
 		// byte, or one past the end). Z is set when the byte was not found.
-		ch, _ := m.Val(in.Ops[0])
-		ln, _ := m.Val(in.Ops[1])
-		addr, _ := m.Val(in.Ops[2])
+		var ch, ln, addr uint64
+		if err := vals(m, in, &ch, &ln, &addr); err != nil {
+			return err
+		}
 		ln &= 0xffff // 16-bit length field
-		r0, r1 := ln, addr
+		left, at := ln, addr
 		scanned := uint64(0)
-		for r0 != 0 {
+		for left != 0 {
 			scanned++
-			if uint64(m.LoadByte(r1)) == ch&0xff {
+			if uint64(m.LoadByte(at)) == ch&0xff {
 				break
 			}
-			r1++
-			r0--
+			at++
+			left--
 		}
-		m.SetReg("r0", r0)
-		m.SetReg("r1", r1)
-		m.ZF = r0 == 0
+		m.Set(r0, left)
+		m.Set(r1, at)
+		m.ZF = left == 0
 		m.Cycles += 30 + 4*scanned
 		return nil
 	case "cmpc3":
 		// cmpc3 len, a1, a2 — compares until mismatch; r0 holds the bytes
 		// remaining (0 when equal), r1/r3 the positions. Z set when equal.
-		ln, _ := m.Val(in.Ops[0])
-		a1, _ := m.Val(in.Ops[1])
-		a2, _ := m.Val(in.Ops[2])
+		var ln, a1, a2 uint64
+		if err := vals(m, in, &ln, &a1, &a2); err != nil {
+			return err
+		}
 		ln &= 0xffff // 16-bit length field
-		r0, r1, r3 := ln, a1, a2
+		left, p1, p2 := ln, a1, a2
 		scanned := uint64(0)
-		for r0 != 0 {
+		for left != 0 {
 			scanned++
-			if m.LoadByte(r1) != m.LoadByte(r3) {
+			if m.LoadByte(p1) != m.LoadByte(p2) {
 				break
 			}
-			r1++
-			r3++
-			r0--
+			p1++
+			p2++
+			left--
 		}
-		m.SetReg("r0", r0)
-		m.SetReg("r1", r1)
-		m.SetReg("r3", r3)
-		m.ZF = r0 == 0
+		m.Set(r0, left)
+		m.Set(r1, p1)
+		m.Set(r3, p2)
+		m.ZF = left == 0
 		m.Cycles += 30 + 4*scanned
 		return nil
 	}

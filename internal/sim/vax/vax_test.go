@@ -127,9 +127,9 @@ func TestMovc3OverlapAgainstDescription(t *testing.T) {
 		// The result registers must track the description's final pointers
 		// too — comparing memory alone is exactly how the backward-case
 		// register divergence survived until the synth sweep.
-		if m.Reg["r0"] != 0 || m.Reg["r1"] != res.Outputs[0] || m.Reg["r3"] != res.Outputs[1] {
+		if m.Reg("r0") != 0 || m.Reg("r1") != res.Outputs[0] || m.Reg("r3") != res.Outputs[1] {
 			t.Fatalf("round %d (n=%d src=%d dst=%d): sim (r0=%d r1=%d r3=%d) vs description (src=%d dst=%d)",
-				round, n, src, dst, m.Reg["r0"], m.Reg["r1"], m.Reg["r3"], res.Outputs[0], res.Outputs[1])
+				round, n, src, dst, m.Reg("r0"), m.Reg("r1"), m.Reg("r3"), res.Outputs[0], res.Outputs[1])
 		}
 	}
 }
@@ -160,9 +160,9 @@ func TestLoccAgainstDescription(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Reg["r0"] != res.Outputs[0] || m.Reg["r1"] != res.Outputs[1] {
+		if m.Reg("r0") != res.Outputs[0] || m.Reg("r1") != res.Outputs[1] {
 			t.Fatalf("round %d: sim (r0=%d r1=%d) vs description (r0=%d r1=%d)",
-				round, m.Reg["r0"], m.Reg["r1"], res.Outputs[0], res.Outputs[1])
+				round, m.Reg("r0"), m.Reg("r1"), res.Outputs[0], res.Outputs[1])
 		}
 	}
 }
@@ -198,9 +198,9 @@ func TestCmpc3AgainstDescription(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Reg["r0"] != res.Outputs[0] || m.Reg["r1"] != res.Outputs[1] || m.Reg["r3"] != res.Outputs[2] {
+		if m.Reg("r0") != res.Outputs[0] || m.Reg("r1") != res.Outputs[1] || m.Reg("r3") != res.Outputs[2] {
 			t.Fatalf("round %d: sim (%d,%d,%d) vs description %v",
-				round, m.Reg["r0"], m.Reg["r1"], m.Reg["r3"], res.Outputs)
+				round, m.Reg("r0"), m.Reg("r1"), m.Reg("r3"), res.Outputs)
 		}
 	}
 }
@@ -245,9 +245,9 @@ func TestMovc5AgainstDescription(t *testing.T) {
 		if dstlen < srclen {
 			moved = dstlen
 		}
-		if m.Reg["r0"] != uint64(srclen-moved) || m.Reg["r1"] != res.Outputs[0] || m.Reg["r3"] != res.Outputs[1] {
+		if m.Reg("r0") != uint64(srclen-moved) || m.Reg("r1") != res.Outputs[0] || m.Reg("r3") != res.Outputs[1] {
 			t.Fatalf("round %d (srclen=%d dstlen=%d): sim (r0=%d r1=%d r3=%d) vs description (src=%d dst=%d)",
-				round, srclen, dstlen, m.Reg["r0"], m.Reg["r1"], m.Reg["r3"], res.Outputs[0], res.Outputs[1])
+				round, srclen, dstlen, m.Reg("r0"), m.Reg("r1"), m.Reg("r3"), res.Outputs[0], res.Outputs[1])
 		}
 	}
 }
@@ -300,5 +300,34 @@ func TestBranchFamily(t *testing.T) {
 	runM(t, m)
 	if len(m.Out) != 1 || m.Out[0] != 1 {
 		t.Errorf("out = %v", m.Out)
+	}
+}
+
+// TestStringOpsRejectLabelOperands pins that every character-string
+// instruction fails on an operand that is not a value instead of reading
+// it as 0 and running: no cycles are charged and no byte is written.
+func TestStringOpsRejectLabelOperands(t *testing.T) {
+	for _, c := range []struct {
+		in   sim.Instr
+		want string
+	}{
+		{sim.Ins("movc3", sim.I(4), sim.L("x"), sim.I(300)),
+			"sim: at 0 (movc3 #4, x, #300): sim: operand x is not a value"},
+		{sim.Ins("movc5", sim.I(4), sim.I(100), sim.I(7), sim.L("x"), sim.I(300)),
+			"sim: at 0 (movc5 #4, #100, #7, x, #300): sim: operand x is not a value"},
+		{sim.Ins("locc", sim.I('a'), sim.L("x"), sim.I(100)),
+			"sim: at 0 (locc #97, x, #100): sim: operand x is not a value"},
+		{sim.Ins("cmpc3", sim.I(4), sim.I(100), sim.L("x")),
+			"sim: at 0 (cmpc3 #4, #100, x): sim: operand x is not a value"},
+	} {
+		m := newM(t, []sim.Instr{c.in, sim.Ins("hlt")})
+		m.StoreBytes(100, []byte("abcd"))
+		if err := m.Run(0); err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %s", c.in.Mn, err, c.want)
+		}
+		if m.Cycles != 0 || m.LoadByte(300) != 0 || m.Reg("r0") != 0 {
+			t.Errorf("%s: ran on a label operand: %d cycles, mem[300] = %#x, r0 = %d",
+				c.in.Mn, m.Cycles, m.LoadByte(300), m.Reg("r0"))
+		}
 	}
 }

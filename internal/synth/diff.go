@@ -415,8 +415,8 @@ type descT = isps.Description
 // against description outputs.
 func diffRegs(m *sim.Machine, want map[string]uint64, zf *uint64) string {
 	for _, r := range sortedKeys(want) {
-		if m.Reg[r] != want[r] {
-			return fmt.Sprintf("%s: sim %d, description %d", r, m.Reg[r], want[r])
+		if got := m.Reg(r); got != want[r] {
+			return fmt.Sprintf("%s: sim %d, description %d", r, got, want[r])
 		}
 	}
 	if zf != nil {

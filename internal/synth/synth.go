@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -229,7 +228,7 @@ func synthBinding(cfg Config, b *Binding) *BindingReport {
 		if err != nil {
 			return fmt.Errorf("baseline: %w", err)
 		}
-		br.BaseCycles = base[0].cycles
+		br.BaseCycles = base[0].Cycles
 		br.BaseBytes = CodeBytes(b.Target, p.Code)
 
 		variants, enumerated, err := enumerate(cfg, b.Target, p.Code)
@@ -255,9 +254,9 @@ func synthBinding(cfg Config, b *Binding) *BindingReport {
 			br.Verified++
 			br.Variants = append(br.Variants, VariantReport{
 				Trail:          v.trail,
-				Cycles:         got[0].cycles,
+				Cycles:         got[0].Cycles,
 				Bytes:          CodeBytes(b.Target, v.code),
-				OverheadCycles: int64(got[0].cycles) - int64(br.BaseCycles),
+				OverheadCycles: int64(got[0].Cycles) - int64(br.BaseCycles),
 				Listing:        listing(v.code),
 			})
 		}
@@ -313,22 +312,13 @@ func enumerate(cfg Config, target string, code []sim.Instr) ([]variant, int, err
 	return out, enumerated, nil
 }
 
-// trialResult is one execution's observable outcome: the full memory
-// image, the out stream, and the simulated cost. Registers are
-// deliberately excluded — register swap renames them by design.
-type trialResult struct {
-	mem    []byte
-	out    []uint64
-	cycles uint64
-}
-
 // runTrials executes code under cfg.Trials data sets: trial 0 is the
 // compiled canonical data (the ranking run), later trials rewrite the data
 // segments' bytes with seed-derived random contents — same addresses, same
 // lengths, different values — so a variant cannot pass by accident of one
-// input.
-func runTrials(t codegen.Target, code []sim.Instr, data []codegen.DataSeg, cfg Config) ([]trialResult, error) {
-	out := make([]trialResult, 0, cfg.Trials)
+// input. Each trial's finished machine is its outcome.
+func runTrials(t codegen.Target, code []sim.Instr, data []codegen.DataSeg, cfg Config) ([]*sim.Machine, error) {
+	out := make([]*sim.Machine, 0, cfg.Trials)
 	for trial := 0; trial < cfg.Trials; trial++ {
 		m, err := sim.NewMachine(t.ISA(), code)
 		if err != nil {
@@ -341,36 +331,32 @@ func runTrials(t codegen.Target, code []sim.Instr, data []codegen.DataSeg, cfg C
 				bs = make([]byte, len(d.Bytes))
 				rng.Read(bs)
 			}
-			for i, b := range bs {
-				m.StoreByte(d.At+uint64(i), b)
-			}
+			m.StoreBytes(d.At, bs)
 		}
 		if err := m.Run(cfg.MaxSteps); err != nil {
 			return nil, fmt.Errorf("trial %d: %w", trial, err)
 		}
-		out = append(out, trialResult{
-			mem:    append([]byte(nil), m.Mem...),
-			out:    append([]uint64(nil), m.Out...),
-			cycles: m.Cycles,
-		})
+		out = append(out, m)
 	}
 	return out, nil
 }
 
-// diffTrials compares a variant's trial outcomes against the original's.
-func diffTrials(base, got []trialResult) string {
+// diffTrials compares a variant's trial outcomes against the original's:
+// the whole memory and the out stream. Registers are deliberately
+// excluded — register swap renames them by design.
+func diffTrials(base, got []*sim.Machine) string {
 	for i := range base {
-		if !bytes.Equal(base[i].mem, got[i].mem) {
+		if !base[i].SameMemory(got[i]) {
 			return fmt.Sprintf("trial %d: final memory differs", i)
 		}
-		if len(base[i].out) != len(got[i].out) {
+		if len(base[i].Out) != len(got[i].Out) {
 			return fmt.Sprintf("trial %d: out stream length %d vs %d",
-				i, len(got[i].out), len(base[i].out))
+				i, len(got[i].Out), len(base[i].Out))
 		}
-		for j := range base[i].out {
-			if base[i].out[j] != got[i].out[j] {
+		for j := range base[i].Out {
+			if base[i].Out[j] != got[i].Out[j] {
 				return fmt.Sprintf("trial %d: out[%d] = %d vs %d",
-					i, j, got[i].out[j], base[i].out[j])
+					i, j, got[i].Out[j], base[i].Out[j])
 			}
 		}
 	}
@@ -395,10 +381,13 @@ func rankVariants(vs []VariantReport) {
 
 // digest hashes a listing for deduplication.
 func digest(code []sim.Instr) uint64 {
-	h := fnv.New64a()
+	var b strings.Builder
 	for _, in := range code {
-		fmt.Fprintln(h, in)
+		b.WriteString(in.String())
+		b.WriteByte('\n')
 	}
+	h := fnv.New64a()
+	h.Write([]byte(b.String()))
 	return h.Sum64()
 }
 
@@ -406,7 +395,7 @@ func digest(code []sim.Instr) uint64 {
 func listing(code []sim.Instr) []string {
 	out := make([]string, len(code))
 	for i, in := range code {
-		out[i] = fmt.Sprint(in)
+		out[i] = in.String()
 	}
 	return out
 }
