@@ -165,10 +165,12 @@ test "$SIM_ALLOCS" -le 61
 test "$SIM_BYTES" -le 64333
 rm -f "$BENCH"
 
-# Serve smoke: boot the real binary, run one analysis over HTTP, scrape
-# /metrics in both encodings (JSON default, Prometheus text exposition via
-# content negotiation), check the response is trace-stamped, then SIGTERM
-# and require a clean (exit 0) graceful drain.
+# Serve smoke: boot the real binary, run one analysis over HTTP twice (the
+# engine answers the first request, the cache the second, and the two rows
+# must match modulo duration and trace ID), scrape /metrics in both
+# encodings (JSON default, Prometheus text exposition via content
+# negotiation), check the response is trace-stamped, then SIGTERM and
+# require a clean (exit 0) graceful drain.
 go build -o "$EXTRA" ./cmd/extra
 # An out-of-range flag is refused before the server listens: exit 1 within
 # 10 s and no "serving on" line.
@@ -187,8 +189,16 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 test -n "$ADDR"
-curl -fsSi -X POST "http://$ADDR/analyze?pair=scasb/index" | tee "$CI_TMP/analyze" | grep -q '"outcome": *"ok"'
-grep -qi '^X-Trace-Id: ' "$CI_TMP/analyze"
+for RUN in cold warm; do
+  curl -fsS -D "$CI_TMP/$RUN.head" -o "$CI_TMP/$RUN.body" -X POST "http://$ADDR/analyze?pair=scasb/index"
+done
+grep -q '"outcome": *"ok"' "$CI_TMP/cold.body"
+grep -qi '^X-Trace-Id: ' "$CI_TMP/cold.head"
+tr -d '\r' <"$CI_TMP/cold.head" | grep -qix 'X-Cache: miss'
+tr -d '\r' <"$CI_TMP/warm.head" | grep -qix 'X-Cache: hit'
+normalize "$CI_TMP/cold.body" >"$CI_TMP/cold.norm"
+normalize "$CI_TMP/warm.body" >"$CI_TMP/warm.norm"
+diff "$CI_TMP/cold.norm" "$CI_TMP/warm.norm"
 curl -fsS "http://$ADDR/metrics" | grep -q '"server.requests"'
 PROM=$(mktemp)
 curl -fsS "http://$ADDR/metrics?format=prom" >"$PROM"
@@ -212,23 +222,6 @@ rm -f "$SERVE_LOG"
 "$EXTRA" loadgen -requests 300 -duration 60s -concurrency 1 \
   -warm-frac 0.8 -seed 1 -validate 2000 \
   -slo-max-5xx 0 -slo-warm-p99-lt-cold-p50
-
-# Cache stage: a cold batch run populates the content-addressed result
-# cache; a second run over the same directory must be served >=90% from it
-# (here: fully) and must produce a byte-identical report modulo durations.
-CACHE_DIR=$(mktemp -d)
-"$EXTRA" batch -jobs 2 -validate 50 -cache-dir "$CACHE_DIR/store" -json "$CACHE_DIR/cold.json" 2>"$CACHE_DIR/cold.err"
-"$EXTRA" batch -jobs 2 -validate 50 -cache-dir "$CACHE_DIR/store" -json "$CACHE_DIR/warm.json" 2>"$CACHE_DIR/warm.err"
-cat "$CACHE_DIR/warm.err"
-HITS=$(sed -n 's/^cache: \([0-9][0-9]*\) hits.*/\1/p' "$CACHE_DIR/warm.err")
-MISSES=$(sed -n 's/^cache: .* \([0-9][0-9]*\) misses$/\1/p' "$CACHE_DIR/warm.err")
-test -n "$HITS"
-test -n "$MISSES"
-test "$((HITS * 10))" -ge "$(((HITS + MISSES) * 9))"
-normalize "$CACHE_DIR/cold.json" > "$CACHE_DIR/cold.norm"
-normalize "$CACHE_DIR/warm.json" > "$CACHE_DIR/warm.norm"
-diff "$CACHE_DIR/cold.norm" "$CACHE_DIR/warm.norm"
-rm -rf "$CACHE_DIR"
 
 # Checkpoint-resume stage: kill -9 a journaling batch run mid-flight, resume
 # it, and require the final report byte-identical (modulo durations) to an

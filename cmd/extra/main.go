@@ -187,8 +187,7 @@ func usage(w io.Writer) {
                             (-jobs N, -validate N, -each-timeout D,
                              -json FILE | -jsonl FILE atomic reports ("-" = stdout),
                              -jsonl journals crash-safe; -resume FILE skips
-                             rows journaled by a killed run;
-                             -cache-dir DIR warm-starts from the result cache)
+                             rows journaled by a killed run)
   extra discover            durable discovery sweep: every unproven
                             instruction x operator pair attacked with the
                             bounded auto-search, progress journaled to a
@@ -220,7 +219,8 @@ func usage(w io.Writer) {
                             (-addr HOST:PORT, -queue N, -jobs N,
                              -drain-timeout D, -validate N,
                              -request-timeout D, -journal FILE,
-                             -cache-dir DIR, -cache-entries N,
+                             -cache-entries N sizes the in-process result
+                             cache (nothing persists across restarts);
                              -pprof mounts /debug/pprof/;
                              endpoints: /analyze /healthz /readyz /metrics;
                              /metrics is JSON by default, Prometheus text
@@ -785,7 +785,6 @@ func batchCmd(ctx context.Context, args []string) error {
 	asJSON := fs.String("json", "", "write one JSON document (rows + summary) atomically to `file` (\"-\" = stdout)")
 	asJSONL := fs.String("jsonl", "", "journal rows to `file` as crash-safe JSONL (\"-\" = stdout, not crash-safe)")
 	resume := fs.String("resume", "", "skip rows already journaled in `file` (a previous -jsonl run)")
-	cacheDir := fs.String("cache-dir", "", "warm-start from (and persist results to) the content-addressed cache in `directory`")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -821,45 +820,6 @@ func batchCmd(ctx context.Context, args []string) error {
 		}
 		r.Completed = batch.CompletedFrom(prior)
 	}
-	// The content-addressed cache warm-starts the run: rows whose resolved
-	// description pair (and options) already persist under -cache-dir join the
-	// Completed skip set, and every freshly-executed "ok" row is written back
-	// for the next run.
-	var (
-		ch        *cache.Cache
-		cacheKeys map[string]cache.Key
-		cacheHits int
-	)
-	if *cacheDir != "" {
-		c, err := cache.New(cache.Config{Dir: *cacheDir})
-		if err != nil {
-			return err
-		}
-		ch = c
-		cacheKeys = map[string]cache.Key{}
-		if r.Completed == nil {
-			r.Completed = map[string]batch.Result{}
-		}
-		for _, a := range catalog {
-			k, cacheable := cache.KeyFor(a, *validate)
-			if !cacheable {
-				continue
-			}
-			ak := batch.AnalysisKey(a)
-			cacheKeys[ak] = k
-			if _, done := r.Completed[ak]; done {
-				continue
-			}
-			if res, ok := ch.Get(k); ok {
-				// Cache-served rows are re-stamped with this run's trace —
-				// the row joins against the run that served it, exactly as
-				// the server re-stamps warm responses.
-				res.Trace = runTrace
-				r.Completed[ak] = res
-				cacheHits++
-			}
-		}
-	}
 	var journal *batch.Journal
 	if *asJSONL != "" && *asJSONL != "-" {
 		j, err := batch.OpenJournal(*asJSONL)
@@ -873,9 +833,6 @@ func batchCmd(ctx context.Context, args []string) error {
 		journal = j
 	}
 	r.OnResult = func(res batch.Result) {
-		if k, ok := cacheKeys[res.Key()]; ok {
-			ch.Put(k, res)
-		}
 		if journal == nil || res.Outcome == "canceled" {
 			return // a canceled row must re-run on resume, not be skipped
 		}
@@ -884,11 +841,6 @@ func batchCmd(ctx context.Context, args []string) error {
 		}
 	}
 	results := r.Run(ctx, catalog)
-	if ch != nil {
-		// Stderr, so -json/-jsonl documents on stdout stay well-formed; the CI
-		// warm-run stage greps this line for the hit ratio.
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses\n", cacheHits, len(cacheKeys)-cacheHits)
-	}
 	switch {
 	case *asJSON == "-":
 		if err := batch.WriteJSON(os.Stdout, results); err != nil {
@@ -1076,9 +1028,7 @@ func synthCmd(ctx context.Context, traceFile string, args []string) error {
 
 // checkRanges refuses out-of-range numeric flags before a command does any
 // work or listens: each int flag named in floor must be at least its bound,
-// and no duration flag may be negative. An int flag left out of floor
-// (serve's -cache-entries, whose negative value means disk tier only) is
-// not checked.
+// and no duration flag may be negative.
 func checkRanges(fs *flag.FlagSet, floor map[string]int) error {
 	var err error
 	fs.VisitAll(func(f *flag.Flag) {
@@ -1127,13 +1077,12 @@ func serveCmd(ctx context.Context, traceFile string, args []string) error {
 	validate := fs.Int("validate", 0, "differential-validation inputs per served analysis (0 = off)")
 	reqTimeout := fs.Duration("request-timeout", time.Minute, "default per-request analysis deadline")
 	journalFile := fs.String("journal", "", "append served analysis rows to `file` as crash-safe JSONL")
-	cacheDir := fs.String("cache-dir", "", "persist analysis results as self-checksummed JSON under `directory`")
-	cacheEntries := fs.Int("cache-entries", 0, "in-memory result-cache entries (0 = 512, negative = disk tier only)")
+	cacheEntries := fs.Int("cache-entries", 0, "in-memory result-cache entries (0 = 512)")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serve mux")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := checkRanges(fs, map[string]int{"queue": 0, "jobs": 0, "validate": 0}); err != nil {
+	if err := checkRanges(fs, map[string]int{"queue": 0, "jobs": 0, "validate": 0, "cache-entries": 0}); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
@@ -1146,7 +1095,7 @@ func serveCmd(ctx context.Context, traceFile string, args []string) error {
 		// The serve path is always cache-fronted: warm hits answer before
 		// admission control, so they never occupy a worker slot, and concurrent
 		// identical requests coalesce into one engine run.
-		ch, err := cache.New(cache.Config{Entries: *cacheEntries, Dir: *cacheDir})
+		ch, err := cache.New(cache.Config{Entries: *cacheEntries})
 		if err != nil {
 			return err
 		}

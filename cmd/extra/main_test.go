@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"extra/internal/batch"
 	"extra/internal/obs"
 	"extra/internal/proofs"
 )
@@ -51,8 +49,6 @@ func TestCommandsRun(t *testing.T) {
 		{"batch"},
 		{"batch", "-jobs", "4", "-jsonl", "-"},
 		{"batch", "-jobs", "2", "-validate", "3", "-json", "-"},
-		// A negative -cache-entries means disk tier only, not a range error.
-		{"serve", "-addr", "127.0.0.1:0", "-cache-entries", "-1", "--timeout", "1s"},
 	}
 	for _, args := range cases {
 		if err := run(args); err != nil {
@@ -106,6 +102,7 @@ func TestCommandErrors(t *testing.T) {
 		serve("-request-timeout", "-1s"),
 		serve("-queue", "-1"),
 		serve("-validate", "-1"),
+		serve("-cache-entries", "-1"),
 		sweep("-attempts", "2"), // one run per candidate: no attempt count
 		sweep("-depth", "-1"),
 		sweep("-budget", "0"),
@@ -118,10 +115,12 @@ func TestCommandErrors(t *testing.T) {
 		sweep("-search-workers", "2"),
 		{"batch", "-check-hashes"},
 		{"analyze", "-check-hashes", "scasb/index"},
-		// The cache stores report rows only: analyze cannot be served from
-		// it, and a sweep's rows live in its own WAL.
+		// The cache lives only as long as its process: no command reads or
+		// writes a cache directory.
 		{"analyze", "-cache-dir", t.TempDir(), "scasb/index"},
 		sweep("-cache-dir", t.TempDir()),
+		{"batch", "-cache-dir", t.TempDir()},
+		serve("-cache-dir", t.TempDir()),
 		{"gateway", "-workers", "3"},              // no shard gateway: an unknown command
 		{"loadgen", "-bench"},                     // no go-bench lines: ci.sh reads the benchmarks' own output
 		{"analyze", "scasb/index", "--timeout"},   // missing duration as final arg
@@ -258,43 +257,6 @@ func TestBatchJSONReport(t *testing.T) {
 		if row.Outcome != "ok" || row.Steps <= 0 {
 			t.Errorf("%s/%s: outcome %s steps %d", row.Instruction, row.Operator, row.Outcome, row.Steps)
 		}
-	}
-}
-
-// TestBatchCacheDirWarmRun pins batch's one OnResult hook, which journals
-// each row and writes it to the cache: a cold run leaves one cache entry
-// and one journal row per analysis, and a second run over the same cache is
-// served entirely from it, with a report identical to the cold one modulo
-// durations and trace IDs.
-func TestBatchCacheDirWarmRun(t *testing.T) {
-	dir := t.TempDir()
-	want := len(proofs.Table2()) + len(proofs.Extensions())
-	batchRun := func(name, wantLine string) string {
-		t.Helper()
-		journal, errPath := filepath.Join(dir, name+".jsonl"), filepath.Join(dir, name+".err")
-		errFile, err := os.Create(errPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev := os.Stderr
-		os.Stderr = errFile
-		err = run([]string{"batch", "-validate", "3", "-cache-dir", filepath.Join(dir, "store"), "-jsonl", journal})
-		os.Stderr = prev
-		errFile.Close()
-		if stderr, _ := os.ReadFile(errPath); err != nil || !strings.Contains(string(stderr), wantLine) {
-			t.Fatalf("%s batch: %v; stderr lacks %q:\n%s", name, err, wantLine, stderr)
-		}
-		if rows, _, err := batch.ReadJournal[batch.Result](journal); err != nil || len(rows) != want {
-			t.Fatalf("%s journal: %d rows (%v), want %d", name, len(rows), err, want)
-		}
-		return normalizeReport(t, journal)
-	}
-	cold := batchRun("cold", fmt.Sprintf("cache: 0 hits, %d misses", want))
-	if entries, _ := filepath.Glob(filepath.Join(dir, "store", "*.json")); len(entries) != want {
-		t.Fatalf("cold run wrote %d cache entries, want %d", len(entries), want)
-	}
-	if warm := batchRun("warm", fmt.Sprintf("cache: %d hits, 0 misses", want)); warm != cold {
-		t.Errorf("warm report differs from cold:\n--- warm\n%s--- cold\n%s", warm, cold)
 	}
 }
 

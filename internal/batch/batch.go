@@ -62,13 +62,12 @@ type Runner struct {
 	// context bounds the whole run either way.
 	EachTimeout time.Duration
 	// Completed maps Result.Key() to rows finished elsewhere — a resumed
-	// journal, a cache hit. Matching catalog rows are copied into the report
-	// without running, counted batch.skipped, and never reach OnResult.
+	// journal. Matching catalog rows are copied into the report without
+	// running, counted batch.skipped, and never reach OnResult.
 	Completed map[string]Result
 	// OnResult observes each freshly-executed row as it completes, in
-	// completion order (the journaling and caching hook). Calls are
-	// serialized by the Runner; OnResult itself need not be
-	// concurrency-safe.
+	// completion order (the journaling hook). Calls are serialized by the
+	// Runner; OnResult itself need not be concurrency-safe.
 	OnResult func(Result)
 	// Tracer observes every analysis (nil-safe). Metrics counts outcomes
 	// under batch.outcome and durations under batch.duration_ms; nil means

@@ -4,25 +4,20 @@
 // candidate states) while its answer — the report row of the binding handed
 // to the retargetable code generator — is small and reusable. Bik's
 // state-space-search note makes the same move for instruction sequences:
-// search once, hard-wire the found answer, reuse it forever. The cache keys
-// on *content*, not names: the 128-bit structural digest (isps.HashPair) of
-// the resolved operator and instruction descriptions, combined with the
-// analysis options that change the observable row (validation input count,
-// extended mode). Rename a description and the key survives; edit one
-// character of its body and the key — correctly — changes, so invalidation
-// is automatic.
+// search once, hard-wire the found answer into the generator it was found
+// for. The cache keys on *content*, not names: the 128-bit structural digest
+// (isps.HashPair) of the resolved operator and instruction descriptions,
+// combined with the analysis options that change the observable row
+// (validation input count, extended mode). Rename a description and the key
+// survives; edit one character of its body and the key — correctly —
+// changes, so invalidation is automatic.
 //
-// Two tiers:
-//
-//   - a sharded in-memory LRU with singleflight: concurrent identical
-//     requests coalesce into one engine run, the rest wait for its result
-//     (Do), so a dogpile of N identical requests costs one analysis;
-//   - an optional persistent on-disk store (Config.Dir): one JSON file per
-//     key, written atomically via batch.WriteFileAtomic, carrying a
-//     self-checksum so torn or hand-corrupted entries are detected, counted
-//     (cache.corrupt), classified like a corrupt binding document
-//     (*fault.CorruptBindingError), removed, and treated as misses — never
-//     served and never an error to the caller.
+// The cache is one sharded in-memory LRU with singleflight: concurrent
+// identical requests coalesce into one engine run, the rest wait for its
+// result (Do), so a dogpile of N identical requests costs one analysis.
+// The key leaves out the proof scripts, the validation generators and the
+// engine, which is sound only while they cannot change: within one process.
+// So the cache lives exactly as long as its process and persists nothing.
 //
 // An entry is one report row (batch.Result), and only rows whose Outcome is
 // "ok" are cached: a cached failure could never heal, while a cached success
@@ -34,7 +29,6 @@ package cache
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -79,13 +73,9 @@ func KeyFor(a *proofs.Analysis, validate int) (Key, bool) {
 
 // Config parameterizes a Cache.
 type Config struct {
-	// Entries bounds the in-memory tier; past it, least-recently-used
-	// entries are evicted (cache.evicted). 0 means 512; negative means no
-	// memory tier (disk only).
+	// Entries bounds the cache; past it, least-recently-used entries are
+	// evicted (cache.evicted). A value below 1 means 512.
 	Entries int
-	// Dir, when non-empty, enables the persistent tier: one self-checksummed
-	// JSON file per key under this directory (created if needed).
-	Dir string
 	// Metrics receives the cache.* series; nil means the process default.
 	Metrics *obs.Registry
 }
@@ -104,9 +94,11 @@ type Outcome uint8
 const (
 	// OutcomeMiss: this caller was the leader and ran fn itself.
 	OutcomeMiss Outcome = iota
-	// OutcomeHitMem: served from the in-memory tier.
+	// OutcomeHitMem: served from the cache.
 	OutcomeHitMem
-	// OutcomeHitDisk: served from the persistent tier.
+	// OutcomeHitDisk is never produced: it named a hit from the persistent
+	// tier, which is gone. It stays, with its "hit-disk" string, because the
+	// frozen benchmark harness (perfbench) still counts it as a hit.
 	OutcomeHitDisk
 	// OutcomeCoalesced: served by waiting on another caller's run.
 	OutcomeCoalesced
@@ -115,11 +107,6 @@ const (
 // Shared reports whether the answer came from the cache or another
 // caller's run rather than this caller's own fn.
 func (o Outcome) Shared() bool { return o != OutcomeMiss }
-
-// Warm reports whether the answer was a genuine cache hit (either tier) —
-// served at cache speed, without an engine run anywhere in the request's
-// critical path.
-func (o Outcome) Warm() bool { return o == OutcomeHitMem || o == OutcomeHitDisk }
 
 func (o Outcome) String() string {
 	switch o {
@@ -139,19 +126,15 @@ const (
 	numShards      = 8
 )
 
-// Cache is the two-tier analysis-result cache. All methods are safe for
-// concurrent use; a nil *Cache is a valid no-op receiver (Get always misses,
-// Do always runs fn).
+// Cache is the in-process analysis-result cache. All methods are safe for
+// concurrent use; a nil *Cache is a valid no-op receiver (Put stores
+// nothing, Do always runs fn).
 type Cache struct {
 	cfg      Config
 	shards   [numShards]shard
-	perShard int // memory-tier capacity per shard; 0 disables the tier
+	perShard int // capacity per shard
 
-	memEntries atomic.Int64 // gauge backing: live in-memory entries
-	memBytes   atomic.Int64 // gauge backing: approximate in-memory bytes
-
-	diskEntries atomic.Int64 // approximate persistent-entry count
-	diskBytes   atomic.Int64 // approximate persistent bytes
+	memEntries atomic.Int64 // gauge backing: live entries
 }
 
 // shard is one LRU segment plus its in-flight singleflight table.
@@ -163,11 +146,10 @@ type shard struct {
 	flights map[Key]*flight
 }
 
-// node is one memory-tier entry on its shard's intrusive LRU list.
+// node is one entry on its shard's intrusive LRU list.
 type node struct {
 	key        Key
 	row        batch.Result
-	size       int64
 	prev, next *node
 }
 
@@ -178,29 +160,17 @@ type flight struct {
 	ok   bool
 }
 
-// New builds a Cache over cfg, creating the persistent directory when
-// configured and priming the entry/byte gauges from what already persists.
+// New builds a Cache over cfg. The error is always nil; the signature
+// stays because the frozen benchmark harness (perfbench) calls it.
 func New(cfg Config) (*Cache, error) {
-	c := &Cache{cfg: cfg}
-	switch {
-	case cfg.Entries < 0:
-		c.perShard = 0
-	case cfg.Entries == 0:
-		c.perShard = (defaultEntries + numShards - 1) / numShards
-	default:
-		c.perShard = (cfg.Entries + numShards - 1) / numShards
-		if c.perShard < 1 {
-			c.perShard = 1
-		}
+	entries := cfg.Entries
+	if entries < 1 {
+		entries = defaultEntries
 	}
+	c := &Cache{cfg: cfg, perShard: (entries + numShards - 1) / numShards}
 	for i := range c.shards {
 		c.shards[i].entries = map[Key]*node{}
 		c.shards[i].flights = map[Key]*flight{}
-	}
-	if cfg.Dir != "" {
-		if err := c.initDir(); err != nil {
-			return nil, err
-		}
 	}
 	c.publishGauges()
 	return c, nil
@@ -213,70 +183,21 @@ func (c *Cache) metrics() *obs.Registry {
 	return obs.Default()
 }
 
-// publishGauges exposes the tier sizes on the metrics registry, so /metrics
-// shows the cache's footprint alongside its hit/miss counters.
+// publishGauges exposes the entry count on the metrics registry, so
+// /metrics shows the cache's footprint alongside its hit/miss counters.
 func (c *Cache) publishGauges() {
-	m := c.metrics()
-	m.Set("cache.entries", "mem", c.memEntries.Load())
-	m.Set("cache.bytes", "mem", c.memBytes.Load())
-	if c.cfg.Dir != "" {
-		m.Set("cache.entries", "disk", c.diskEntries.Load())
-		m.Set("cache.bytes", "disk", c.diskBytes.Load())
-	}
+	c.metrics().Set("cache.entries", "mem", c.memEntries.Load())
 }
 
 func (c *Cache) shardFor(k Key) *shard {
 	return &c.shards[k.Digest.Lo%numShards]
 }
 
-// Get looks a key up in the memory tier and then the persistent tier
-// (promoting a disk hit into memory). Counters: cache.hit{mem,disk} and
-// cache.miss; per-tier lookup latencies land in cache.lookup.ns{mem,disk}
-// so /metrics can attribute where cache time goes.
-func (c *Cache) Get(k Key) (batch.Result, bool) {
-	if c == nil {
-		return batch.Result{}, false
-	}
-	start := time.Now()
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	row, ok := sh.peek(k)
-	sh.mu.Unlock()
-	m := c.metrics()
-	m.ObserveSince("cache.lookup.ns", "mem", start)
-	if ok {
-		m.Inc("cache.hit", "mem")
-		return row, true
-	}
-	if row, ok := c.diskHit(k); ok {
-		return row, true
-	}
-	m.Inc("cache.miss", "")
-	return batch.Result{}, false
-}
-
-// diskHit consults the persistent tier, when configured, and promotes a hit
-// into the memory tier.
-func (c *Cache) diskHit(k Key) (batch.Result, bool) {
-	if c.cfg.Dir == "" {
-		return batch.Result{}, false
-	}
-	m := c.metrics()
-	start := time.Now()
-	row, ok := c.diskGet(k)
-	m.ObserveSince("cache.lookup.ns", "disk", start)
-	if ok {
-		m.Inc("cache.hit", "disk")
-		c.memPut(k, row)
-	}
-	return row, ok
-}
-
-// Put stores a row in both tiers. Only "ok" rows are cacheable — a failure
-// row is dropped silently (cache a failure and you can never heal). The
-// stored row's DurationMS and Trace are zeroed: a warm hit reports its own
-// serve cost and belongs to the *serving* request's trace, not the
-// producing one's.
+// Put stores a row. Only "ok" rows are cacheable — a failure row is
+// dropped silently (cache a failure and you can never heal). The stored
+// row's DurationMS and Trace are zeroed: a warm hit reports its own serve
+// cost and belongs to the *serving* request's trace, not the producing
+// one's.
 func (c *Cache) Put(k Key, row batch.Result) {
 	if c == nil || row.Outcome != "ok" {
 		return
@@ -284,18 +205,18 @@ func (c *Cache) Put(k Key, row batch.Result) {
 	row.DurationMS = 0
 	row.Trace = ""
 	c.memPut(k, row)
-	c.diskPut(k, row)
 }
 
 // Do coalesces concurrent identical computations. The first caller for a key
 // not already cached becomes the leader and runs fn; every concurrent caller
 // for the same key waits for the leader's answer instead of running its own
-// (cache.coalesced). The leader's "ok" row is inserted into the cache.
+// (cache.coalesced). The leader's "ok" row is inserted into the cache; the
+// leader gets it as it ran, and waiters get it as stored (like a hit).
 //
 // Returns (row, outcome, err):
 //   - err == nil: row is valid; outcome reports how it was answered —
-//     OutcomeHitMem/OutcomeHitDisk from the cache, OutcomeCoalesced from
-//     another caller's run, OutcomeMiss from this caller's own fn;
+//     OutcomeHitMem from the cache, OutcomeCoalesced from another caller's
+//     run, OutcomeMiss from this caller's own fn;
 //   - err == ErrNoResult: fn declined to produce a result — on OutcomeMiss
 //     this caller WAS the leader (its fn already handled the refusal), on
 //     OutcomeCoalesced the leader declined and this waiter must answer for
@@ -343,22 +264,16 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (batch.Result, bool)) (
 		sh.mu.Unlock()
 		close(f.done)
 	}()
-	// The leader still gets the persistent tier before paying for fn.
-	if row, ok := c.diskHit(k); ok {
-		f.row, f.ok = row, true
-		return row, OutcomeHitDisk, nil
-	}
 	m.Inc("cache.miss", "")
 	row, ok := fn()
 	if !ok {
 		return batch.Result{}, OutcomeMiss, ErrNoResult
 	}
+	f.row, f.ok = row, true
 	if row.Outcome == "ok" {
-		// The leader and its waiters get the row as stored.
-		row.DurationMS, row.Trace = 0, ""
+		f.row.DurationMS, f.row.Trace = 0, ""
 		c.Put(k, row)
 	}
-	f.row, f.ok = row, true
 	return row, OutcomeMiss, nil
 }
 
@@ -373,35 +288,28 @@ func (sh *shard) peek(k Key) (batch.Result, bool) {
 	return n.row, true
 }
 
-// memPut inserts (or refreshes) a row in the memory tier, evicting from
-// the shard's LRU tail past capacity.
+// memPut inserts (or refreshes) a row, evicting from the shard's LRU tail
+// past capacity.
 func (c *Cache) memPut(k Key, row batch.Result) {
-	if c.perShard == 0 {
-		return
-	}
-	size := rowSize(row)
 	sh := c.shardFor(k)
 	sh.mu.Lock()
 	if n, ok := sh.entries[k]; ok {
-		c.memBytes.Add(size - n.size)
-		n.row, n.size = row, size
+		n.row = row
 		sh.moveToFront(n)
 		sh.mu.Unlock()
 		c.publishGauges()
 		return
 	}
-	n := &node{key: k, row: row, size: size}
+	n := &node{key: k, row: row}
 	sh.entries[k] = n
 	sh.pushFront(n)
 	c.memEntries.Add(1)
-	c.memBytes.Add(size)
 	var evicted int
 	for len(sh.entries) > c.perShard {
 		t := sh.tail
 		sh.remove(t)
 		delete(sh.entries, t.key)
 		c.memEntries.Add(-1)
-		c.memBytes.Add(-t.size)
 		evicted++
 	}
 	sh.mu.Unlock()
@@ -409,15 +317,6 @@ func (c *Cache) memPut(k Key, row batch.Result) {
 		c.metrics().Add("cache.evicted", "", uint64(evicted))
 	}
 	c.publishGauges()
-}
-
-// rowSize approximates a row's footprint as its serialized length.
-func rowSize(row batch.Result) int64 {
-	data, err := json.Marshal(&row)
-	if err != nil {
-		return 0
-	}
-	return int64(len(data))
 }
 
 // Intrusive LRU plumbing; the shard mutex guards all of it.
@@ -455,7 +354,7 @@ func (sh *shard) moveToFront(n *node) {
 	sh.pushFront(n)
 }
 
-// Len reports the number of live in-memory entries.
+// Len reports the number of live entries.
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0

@@ -2,11 +2,8 @@ package cache
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,6 +28,13 @@ func testKey(i int) Key {
 	k.Digest.Hi = uint64(i) * 0x9e3779b97f4a7c15
 	k.Digest.Lo = uint64(i)
 	return k
+}
+
+// lookup reads k through Do with a fn that declines, so a miss runs
+// nothing and stores nothing; ok reports a cache hit.
+func lookup(c *Cache, k Key) (batch.Result, bool) {
+	row, out, err := c.Do(context.Background(), k, func() (batch.Result, bool) { return batch.Result{}, false })
+	return row, err == nil && out == OutcomeHitMem
 }
 
 // TestKeyForContentAddressing: a catalog analysis resolves to a stable key;
@@ -97,8 +101,9 @@ func TestKeyForContentAddressing(t *testing.T) {
 	}
 }
 
-// TestGetPutRoundTrip: a Put entry comes back from Get with DurationMS
-// zeroed and everything else intact; non-ok rows are never stored.
+// TestGetPutRoundTrip: a Put entry comes back from a lookup with
+// DurationMS zeroed and everything else intact; non-ok rows are never
+// stored.
 func TestGetPutRoundTrip(t *testing.T) {
 	m := obs.NewRegistry()
 	c, err := New(Config{Metrics: m})
@@ -109,7 +114,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 	row := okRow("scasb")
 	row.DurationMS = 1234
 	c.Put(k, row)
-	got, ok := c.Get(k)
+	got, ok := lookup(c, k)
 	if !ok {
 		t.Fatal("stored entry missed")
 	}
@@ -124,7 +129,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 	bad := okRow("movc3")
 	bad.Outcome = "panic"
 	c.Put(testKey(2), bad)
-	if _, ok := c.Get(testKey(2)); ok {
+	if _, ok := lookup(c, testKey(2)); ok {
 		t.Error("a failure row was cached; a failure must re-run, not be served warm")
 	}
 	if m.Counter("cache.hit", "mem") == 0 {
@@ -138,7 +143,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 // TestNilCache: the nil receiver is a valid no-op cache, and Do still runs fn.
 func TestNilCache(t *testing.T) {
 	var c *Cache
-	if _, ok := c.Get(testKey(1)); ok {
+	if _, ok := lookup(c, testKey(1)); ok {
 		t.Error("nil cache hit")
 	}
 	c.Put(testKey(1), okRow("x"))
@@ -177,14 +182,15 @@ func TestMemoryLRUEviction(t *testing.T) {
 		t.Errorf("cache.entries gauge %d disagrees with Len %d", snapshot, c.Len())
 	}
 	// Most-recently-inserted keys survive.
-	if _, ok := c.Get(testKey(999)); !ok {
+	if _, ok := lookup(c, testKey(999)); !ok {
 		t.Error("most recent entry was evicted before older ones")
 	}
 }
 
 // TestDogpileSingleflight is the -race coalescing test: N concurrent Do
 // calls for one key cost exactly one fn run; every other caller waits and
-// gets the leader's row.
+// gets the leader's row as stored, while the leader keeps its own run's
+// duration and trace ID.
 func TestDogpileSingleflight(t *testing.T) {
 	const n = 16
 	m := obs.NewRegistry()
@@ -200,7 +206,9 @@ func TestDogpileSingleflight(t *testing.T) {
 		started <- struct{}{}
 		runs.Add(1)
 		<-gate
-		return okRow("locc"), true
+		row := okRow("locc")
+		row.DurationMS, row.Trace = 42, "leader"
+		return row, true
 	}
 	var wg sync.WaitGroup
 	var shares atomic.Int64
@@ -218,6 +226,9 @@ func TestDogpileSingleflight(t *testing.T) {
 			}
 			if out == OutcomeCoalesced {
 				shares.Add(1)
+			}
+			if ran := out == OutcomeMiss; ran != (row.DurationMS == 42 && row.Trace == "leader") {
+				t.Errorf("%v row carries duration %d, trace %q", out, row.DurationMS, row.Trace)
 			}
 		}()
 	}
@@ -290,168 +301,4 @@ func TestDoWaiterCanceled(t *testing.T) {
 		t.Errorf("canceled waiter got %v, want context.Canceled", derr)
 	}
 	close(gate)
-}
-
-// TestDiskPersistence: entries survive a process restart (a fresh Cache over
-// the same directory), and the disk tier promotes hits into memory.
-func TestDiskPersistence(t *testing.T) {
-	dir := t.TempDir()
-	m1 := obs.NewRegistry()
-	c1, err := New(Config{Dir: dir, Metrics: m1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := testKey(3)
-	want := okRow("mvc")
-	c1.Put(k, want)
-
-	m2 := obs.NewRegistry()
-	c2, err := New(Config{Dir: dir, Metrics: m2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c2.Get(k)
-	if !ok {
-		t.Fatal("persistent entry missed after restart")
-	}
-	if got != want {
-		t.Errorf("persistent round trip mutated the row: %+v", got)
-	}
-	if m2.Counter("cache.hit", "disk") != 1 {
-		t.Error("disk hit not counted")
-	}
-	// Promoted: the second Get is a memory hit.
-	if _, ok := c2.Get(k); !ok || m2.Counter("cache.hit", "mem") != 1 {
-		t.Error("disk hit was not promoted into the memory tier")
-	}
-	if m2.Gauge("cache.entries", "disk") != 1 {
-		t.Errorf("disk gauge %d, want 1", m2.Gauge("cache.entries", "disk"))
-	}
-}
-
-// TestCorruptEntryIsAMiss: every corruption mode — truncation, bit flips in
-// the payload, a forged outcome, plain garbage — is detected, counted under
-// cache.corrupt with the corrupt-binding classification, deleted, and
-// reported as a miss. Never an error.
-func TestCorruptEntryIsAMiss(t *testing.T) {
-	corruptions := []struct {
-		name string
-		mut  func([]byte) []byte
-	}{
-		{"garbage", func(b []byte) []byte { return []byte("not json at all") }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"bitflip", func(b []byte) []byte {
-			// Flip a byte inside the checksummed payload (past the envelope
-			// header) so the sum no longer matches.
-			mid := len(b) / 2
-			out := append([]byte(nil), b...)
-			out[mid] ^= 0x20
-			return out
-		}},
-	}
-	for _, tc := range corruptions {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			m := obs.NewRegistry()
-			c, err := New(Config{Dir: dir, Metrics: m})
-			if err != nil {
-				t.Fatal(err)
-			}
-			k := testKey(4)
-			c.Put(k, okRow("cmc"))
-			files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-			if err != nil || len(files) != 1 {
-				t.Fatalf("want exactly one cache file, got %v (%v)", files, err)
-			}
-			data, err := os.ReadFile(files[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(files[0], tc.mut(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			// A fresh cache over the corrupted directory: the memory tier is
-			// empty, so Get must go to disk and find the damage.
-			m2 := obs.NewRegistry()
-			c2, err := New(Config{Dir: dir, Metrics: m2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := c2.Get(k); ok {
-				t.Fatal("corrupt entry served as a hit")
-			}
-			if got := m2.Counter("cache.corrupt", "corrupt-binding"); got != 1 {
-				t.Errorf("cache.corrupt{corrupt-binding} = %d, want 1", got)
-			}
-			if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
-				t.Error("corrupt entry not removed; it would keep tripping")
-			}
-			// The slot heals: a rewrite serves warm again.
-			c2.Put(k, okRow("cmc"))
-			m3 := obs.NewRegistry()
-			c3, err := New(Config{Dir: dir, Metrics: m3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := c3.Get(k); !ok {
-				t.Error("rewritten entry missed")
-			}
-		})
-	}
-}
-
-// TestNonOKEntryNotServedByDefault: an on-disk entry whose payload checksums
-// correctly but carries any outcome other than "ok" — a forged failure, or
-// no outcome at all — is corruption, since only "ok" rows are ever stored:
-// counted, deleted, and served as a miss.
-func TestNonOKEntryNotServedByDefault(t *testing.T) {
-	for _, outcome := range []string{"panic", ""} {
-		dir := t.TempDir()
-		m := obs.NewRegistry()
-		c, err := New(Config{Dir: dir, Metrics: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := testKey(5)
-		row := okRow("slt")
-		row.Outcome = outcome
-		body, _ := json.Marshal(&payload{Result: row})
-		data, _ := json.Marshal(&envelope{Sum: checksum(body), Entry: body})
-		path := filepath.Join(dir, k.filename())
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := c.Get(k); ok {
-			t.Fatalf("outcome %q: on-disk row served as a hit", outcome)
-		}
-		if got := m.Counter("cache.corrupt", "corrupt-binding"); got != 1 {
-			t.Errorf("outcome %q: cache.corrupt{corrupt-binding} = %d, want 1", outcome, got)
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("outcome %q: corrupt entry not removed", outcome)
-		}
-	}
-}
-
-// TestDoServesDiskTier: the singleflight leader consults the persistent
-// tier before paying for fn.
-func TestDoServesDiskTier(t *testing.T) {
-	dir := t.TempDir()
-	c1, err := New(Config{Dir: dir, Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := testKey(6)
-	c1.Put(k, okRow("bls"))
-	c2, err := New(Config{Dir: dir, Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, out, derr := c2.Do(context.Background(), k, func() (batch.Result, bool) {
-		t.Error("fn ran despite a persistent entry")
-		return batch.Result{}, false
-	})
-	if derr != nil || out != OutcomeHitDisk || row.Outcome != "ok" {
-		t.Errorf("disk-tier Do: outcome=%v err=%v", out, derr)
-	}
 }

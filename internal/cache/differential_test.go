@@ -11,11 +11,10 @@ import (
 )
 
 // TestWarmVsColdDifferential is the cache's acceptance test: over the full
-// proof catalog (Table 2 plus the extensions), a warm run served entirely
-// from the persistent tier produces a report byte-identical to the cold run
-// that populated it, modulo duration_ms.
+// proof catalog (Table 2 plus the extensions), a warm report served
+// entirely from the cache is byte-identical to the cold run that populated
+// it, modulo duration_ms.
 func TestWarmVsColdDifferential(t *testing.T) {
-	dir := t.TempDir()
 	catalog := append(proofs.Table2(), proofs.Extensions()...)
 	const validate = 3
 
@@ -28,16 +27,16 @@ func TestWarmVsColdDifferential(t *testing.T) {
 		keys[batch.AnalysisKey(a)] = k
 	}
 
-	// Cold: an empty cache directory, every row executes and is written
-	// back through the runner's OnResult hook.
-	coldMetrics := obs.NewRegistry()
-	cold, err := New(Config{Dir: dir, Metrics: coldMetrics})
+	// Cold: an empty cache, every row executes and is written back through
+	// the runner's OnResult hook.
+	m := obs.NewRegistry()
+	c, err := New(Config{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldRunner := &batch.Runner{
-		Jobs: 4, Validate: validate, Metrics: coldMetrics,
-		OnResult: func(res batch.Result) { cold.Put(keys[res.Key()], res) },
+		Jobs: 4, Validate: validate, Metrics: m,
+		OnResult: func(res batch.Result) { c.Put(keys[res.Key()], res) },
 	}
 	coldResults := coldRunner.Run(context.Background(), catalog)
 	for i := range coldResults {
@@ -46,32 +45,21 @@ func TestWarmVsColdDifferential(t *testing.T) {
 		}
 	}
 
-	// Warm: a fresh Cache over the same directory (the restart case). Every
-	// catalog row must be a hit; the runner's Completed skip set serves the
-	// whole report without one engine run.
-	warmMetrics := obs.NewRegistry()
-	warm, err := New(Config{Dir: dir, Metrics: warmMetrics})
-	if err != nil {
-		t.Fatal(err)
-	}
-	completed := map[string]batch.Result{}
-	for ak, k := range keys {
-		row, ok := warm.Get(k)
-		if !ok {
-			t.Fatalf("%s: cold run did not persist this row", ak)
+	// Warm: every catalog row must be a hit, served without an engine run.
+	warmResults := make([]batch.Result, len(catalog))
+	for i, a := range catalog {
+		row, out, err := c.Do(context.Background(), keys[batch.AnalysisKey(a)], func() (batch.Result, bool) {
+			t.Errorf("warm run executed %s/%s; every row should have been a hit", a.Instruction, a.Operator)
+			return batch.Result{}, false
+		})
+		if err != nil || out != OutcomeHitMem {
+			t.Fatalf("%s/%s: warm outcome %v, err %v", a.Instruction, a.Operator, out, err)
 		}
-		completed[ak] = row
+		warmResults[i] = row
 	}
-	if hits := warmMetrics.Counter("cache.hit", "disk"); hits != uint64(len(catalog)) {
-		t.Errorf("warm run: %d disk hits, want %d", hits, len(catalog))
+	if hits := m.Counter("cache.hit", "mem"); hits != uint64(len(catalog)) {
+		t.Errorf("warm run: %d hits, want %d", hits, len(catalog))
 	}
-	warmRunner := &batch.Runner{
-		Jobs: 4, Validate: validate, Metrics: warmMetrics, Completed: completed,
-		OnResult: func(res batch.Result) {
-			t.Errorf("warm run executed %s; every row should have been skipped", res.Pair())
-		},
-	}
-	warmResults := warmRunner.Run(context.Background(), catalog)
 
 	// Byte-identical modulo duration_ms: zero the one run-dependent field on
 	// both sides and compare the full serialized reports.

@@ -128,9 +128,9 @@ type Report struct {
 	Cache map[string]int `json:"cache"`
 	// Traced counts responses that carried an X-Trace-Id header.
 	Traced int `json:"traced"`
-	// Overall covers every successful response; Warm covers X-Cache
-	// hit/hit-disk, Cold covers miss, Coalesced covers coalesced — kept
-	// apart because a coalesced wait is engine-priced, not cache-priced.
+	// Overall covers every successful response; Warm covers X-Cache hit,
+	// Cold covers miss, Coalesced covers coalesced — kept apart because a
+	// coalesced wait is engine-priced, not cache-priced.
 	Overall   LatencyStats `json:"overall"`
 	Warm      LatencyStats `json:"warm"`
 	Cold      LatencyStats `json:"cold"`
@@ -409,7 +409,7 @@ func build(samples []sample, mode string, elapsed time.Duration) *Report {
 		}
 		r.Cache[cacheKey]++
 		switch s.cache {
-		case "hit", "hit-disk":
+		case "hit":
 			warm = append(warm, s.ns)
 		case "miss":
 			cold = append(cold, s.ns)

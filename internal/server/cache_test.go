@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -174,61 +172,60 @@ func TestAnalyzeDogpileCoalesces(t *testing.T) {
 	}
 }
 
-// TestCorruptCacheEntryNever500: a torn/corrupted persistent entry behind
-// /analyze is a silent miss — the analysis re-runs cold, the client sees an
-// ordinary 200, the damage is counted and the file replaced.
-func TestCorruptCacheEntryNever500(t *testing.T) {
-	dir := t.TempDir()
+// TestMissReportsItsRunTime: the request whose engine run answered it
+// reports that run's duration_ms, and the hit that follows reports its own
+// serve cost (0 ms). Apart from duration and trace ID the two rows are the
+// same row.
+func TestMissReportsItsRunTime(t *testing.T) {
+	const hold = 50 * time.Millisecond
 	m := obs.NewRegistry()
-	// Disk tier only, so the corrupted file is in the read path (a memory
-	// tier would mask it).
-	c, err := cache.New(cache.Config{Entries: -1, Dir: dir, Metrics: m})
+	a, started, unblock := gatedAnalysis(proofs.ScasbRigel())
+	c, err := cache.New(cache.Config{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := proofs.ScasbRigel()
-	seedCache(t, c, a, 0)
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("want one cache file, got %v (%v)", files, err)
-	}
-	if err := os.WriteFile(files[0], []byte(`{"sum":"0","entry":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	s := New(Config{Catalog: []*proofs.Analysis{a}, Metrics: m, Cache: c})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	defer unblock()
 	url := ts.URL + "/analyze?pair=" + a.Instruction + "/" + a.Operator
+	type reply struct {
+		xcache string
+		res    batch.Result
+	}
+	get := func() reply {
+		resp, err := ts.Client().Get(url)
+		if err != nil {
+			t.Errorf("GET %s: %v", url, err)
+			return reply{}
+		}
+		defer resp.Body.Close()
+		var r reply
+		r.xcache = resp.Header.Get("X-Cache")
+		if err := json.NewDecoder(resp.Body).Decode(&r.res); err != nil {
+			t.Errorf("GET %s: bad body: %v", url, err)
+		}
+		return r
+	}
 
-	status, res := getResult(t, ts.Client(), url)
-	if status != http.StatusOK || res.Outcome != "ok" {
-		t.Fatalf("corrupt cache entry surfaced: status %d outcome %s (%s); want a silent cold re-run",
-			status, res.Outcome, res.Error)
+	replies := make(chan reply, 1)
+	go func() { replies <- get() }()
+	<-started // the engine run is inside the script; hold it there
+	time.Sleep(hold)
+	unblock()
+	miss := <-replies
+	hit := get()
+	if miss.xcache != "miss" || miss.res.Outcome != "ok" || miss.res.DurationMS < hold.Milliseconds() {
+		t.Errorf("cold request: X-Cache %q, outcome %q, duration_ms %d; want miss, ok, >= %d",
+			miss.xcache, miss.res.Outcome, miss.res.DurationMS, hold.Milliseconds())
 	}
-	if res.Steps <= 0 {
-		t.Errorf("cold re-run row %+v lacks real step counts", res)
+	if hit.xcache != "hit" || hit.res.DurationMS != 0 {
+		t.Errorf("repeat request: X-Cache %q, duration_ms %d; want hit, 0", hit.xcache, hit.res.DurationMS)
 	}
-	if got := m.Counter("cache.corrupt", "corrupt-binding"); got != 1 {
-		t.Errorf("cache.corrupt{corrupt-binding} = %d, want 1", got)
-	}
-	// The cold run rewrote the entry: the next request is a warm disk hit.
-	diskHits := m.Counter("cache.hit", "disk")
-	status2, res2 := getResult(t, ts.Client(), url)
-	if status2 != http.StatusOK || res2.Outcome != "ok" {
-		t.Fatalf("request after heal: status %d outcome %s", status2, res2.Outcome)
-	}
-	if m.Counter("cache.hit", "disk") != diskHits+1 {
-		t.Error("healed entry not served from the disk tier")
-	}
-	// The warm row matches the cold one modulo duration and the per-request
-	// trace ID (each response is stamped with its own serving request's).
-	res.DurationMS, res2.DurationMS = 0, 0
-	res.Trace, res2.Trace = "", ""
-	cold, _ := json.Marshal(res)
-	warm, _ := json.Marshal(res2)
-	if string(cold) != string(warm) {
-		t.Errorf("warm row differs from cold modulo duration_ms:\ncold: %s\nwarm: %s", cold, warm)
+	miss.res.DurationMS, miss.res.Trace = 0, ""
+	hit.res.DurationMS, hit.res.Trace = 0, ""
+	if miss.res != hit.res {
+		t.Errorf("hit row differs from the miss row modulo duration and trace:\nmiss: %+v\nhit:  %+v", miss.res, hit.res)
 	}
 }
 
@@ -274,7 +271,8 @@ func TestRetryAfterDerived(t *testing.T) {
 }
 
 // TestCanceledLeaderDoesNotPoisonFollowers pins the shared-computation
-// contract behind sharedContext: the singleflight leader's client hanging up
+// contract behind the coalescing leader's runContext, whose parent drops the
+// client's cancellation: the singleflight leader's client hanging up
 // must not cancel the engine run that coalesced followers are waiting on.
 // Any client can hang up mid-run — a timeout, a retry, a closed tab — and
 // without this contract, if that client led a flight, every innocent

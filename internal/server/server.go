@@ -307,34 +307,11 @@ func (s *Server) retryAfterSeconds() int {
 	return int((est + time.Second - 1) / time.Second)
 }
 
-// requestContext derives the analysis context: the client's connection
-// context, cut by the server's hard-stop, bounded by the request's timeout
-// (query/body override, RequestTimeout default).
-func (s *Server) requestContext(req *http.Request, explicit time.Duration) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(req.Context())
-	stop := context.AfterFunc(s.workCtx, cancel)
-	d := explicit
-	if d <= 0 {
-		d = s.cfg.requestTimeout()
-	}
-	tctx, tcancel := context.WithTimeout(ctx, d)
-	return tctx, func() {
-		tcancel()
-		stop()
-		cancel()
-	}
-}
-
-// sharedContext derives the context for a coalescing (singleflight) engine
-// run. The computation is shared: followers who coalesced onto this flight
-// must not lose their answer because the leader's client hung up — any
-// client may time out or abandon its request, and that client may be the
-// leader of a flight other clients are waiting on. So the client's
-// cancellation is dropped (request values — trace ID, tracer — carry over)
-// and the run's lifetime is owned by the server: bounded by the request
-// timeout and cut by the drain hard-stop, nothing else.
-func (s *Server) sharedContext(req *http.Request, explicit time.Duration) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(context.WithoutCancel(req.Context()))
+// runContext derives an analysis context from parent: cut by the server's
+// hard-stop, bounded by the request's timeout (query override,
+// RequestTimeout default).
+func (s *Server) runContext(parent context.Context, explicit time.Duration) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(parent)
 	stop := context.AfterFunc(s.workCtx, cancel)
 	d := explicit
 	if d <= 0 {
@@ -456,7 +433,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 			return batch.Result{}, false
 		}
 		defer release()
-		ctx, cancel := s.requestContext(req, d)
+		ctx, cancel := s.runContext(req.Context(), d)
 		defer cancel()
 		return s.runPair(ctx, a), true
 	}
@@ -477,7 +454,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 // analyzeCached is the cache-fronted /analyze path: a warm hit or a
 // coalesced duplicate is served without admission; only the coalescing
 // leader pays for admission and the engine run. The cache outcome is
-// exported as an X-Cache header ("miss"/"hit"/"hit-disk"/"coalesced") and a
+// exported as an X-Cache header ("miss"/"hit"/"coalesced") and a
 // server.cache trace event, so clients and the load generator can separate
 // warm serving from engine-priced coalesced waits.
 func (s *Server) analyzeCached(w http.ResponseWriter, req *http.Request, a *proofs.Analysis, key cache.Key, d time.Duration) {
@@ -489,7 +466,14 @@ func (s *Server) analyzeCached(w http.ResponseWriter, req *http.Request, a *proo
 			return batch.Result{}, false
 		}
 		defer release()
-		ctx, cancel := s.sharedContext(req, d)
+		// The computation is shared: followers who coalesced onto this
+		// flight must not lose their answer because the leader's client hung
+		// up — any client may time out or abandon its request, and that
+		// client may lead a flight others wait on. So the client's
+		// cancellation is dropped (request values — trace ID, tracer — carry
+		// over) and the run's lifetime is owned by the server: bounded by the
+		// request timeout and cut by the drain hard-stop, nothing else.
+		ctx, cancel := s.runContext(context.WithoutCancel(req.Context()), d)
 		defer cancel()
 		return s.runPair(ctx, a), true
 	})
