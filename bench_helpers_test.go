@@ -27,7 +27,7 @@ func benchInterpScasb(b *testing.B) {
 	d := machines.Get("scasb")
 	st := interp.NewState()
 	for i := 0; i < 64; i++ {
-		st.Mem[uint64(100+i)] = byte('a' + i%3)
+		st.Store(uint64(100+i), byte('a'+i%3))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

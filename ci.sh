@@ -94,26 +94,31 @@ WARM_NS=$(metric '^BenchmarkCacheWarmVsCold/warm' ns/op "$BENCH")
 test "$COLD_NS" -ge "$((5 * WARM_NS))"
 
 # Validation and interpreter benchmarks. Validation compiles the operator,
-# the variant and every predicate once, runs each on one reused
-# interpreter Runner over the generator's image as a shared read-only
-# base, and counts its runs into the metrics registry once per
-# validation, so a run allocates nothing of its own. The flagship
-# binding's 300-input validation is gated at <= 1468 allocs/op (1,453
-# measured in 10 of 10 runs, + 1%; 3,249 with a machine and a Result per
-# run, 12,279 with the tree-walking engine): a change that brings back
-# per-run machines, per-input parsing, name tables or image copies fails
-# here. scasb/index writes no memory and has no predicate, so the whole
-# catalog (17 bindings, 100 inputs each) is gated too, at <= 10704
-# allocs/op (10,598 measured in 10 of 10 runs, + 1%; 19,644 with a
-# machine and a Result per run and an operand slice, a state, a machine
-# and a Result per predicate check): a per-run allocation on the store or
-# predicate path fails there. The one-shot interpreter row has no gate
-# beyond running cleanly.
+# the variant and every predicate once, binds each constraint to its
+# operands' positions once, runs each side on one reused interpreter
+# Runner and one reused State over the generator's image as a shared
+# read-only base, and counts its runs into the metrics registry once per
+# validation. No map is made, assigned, cleared or ranged per round: the
+# states' paged overlays are reset by walking their write logs and keep
+# their pages for the next round, and the memory compare reads the logged
+# addresses. The flagship binding's 300-input validation is gated at
+# <= 1448 allocs/op (1,433 measured in 10 of 10 runs, + 1%; 1,453 with a
+# Mem map per side, 3,249 with a machine and a Result per run, 12,279
+# with the tree-walking engine, 2,033 with a name-keyed operand map per
+# round): a change that brings back per-run machines, per-input parsing,
+# name tables or image copies fails here. scasb/index writes no memory and
+# has no predicate, so the whole catalog (17 bindings, 100 inputs each) is
+# gated too, at <= 10358 allocs/op (10,255 measured in 10 of 10 runs, +
+# 1%; 10,598 with a Mem map per side, 11,855 with a fresh page per round,
+# 23,755 with a name-keyed operand map per round): a per-round page or map
+# allocation, or a per-run allocation on the store or predicate path,
+# fails there. The one-shot interpreter row has no gate beyond running
+# cleanly.
 bench -bench 'BenchmarkTable2Validation$|BenchmarkCatalogValidation$|BenchmarkInterpreter$' -benchmem -benchtime 100x -count 1 -cpu 1 .
 VAL_ALLOCS=$(metric '^BenchmarkTable2Validation' allocs/op "$BENCH")
 CATVAL_ALLOCS=$(metric '^BenchmarkCatalogValidation' allocs/op "$BENCH")
-test "$VAL_ALLOCS" -le 1468
-test "$CATVAL_ALLOCS" -le 10704
+test "$VAL_ALLOCS" -le 1448
+test "$CATVAL_ALLOCS" -le 10358
 
 # Table 2 and auto-search allocation gates. TABLE2_ALLOCS sums the eleven
 # scripted analyses (21,669-21,672 -> <= 21889; 21,917-21,919 with a

@@ -211,7 +211,8 @@ func (c *Cache) Put(k Key, row batch.Result) {
 // not already cached becomes the leader and runs fn; every concurrent caller
 // for the same key waits for the leader's answer instead of running its own
 // (cache.coalesced). The leader's "ok" row is inserted into the cache; the
-// leader gets it as it ran, and waiters get it as stored (like a hit).
+// leader gets its row as it ran, and waiters get it as a hit would, without
+// the leader's duration and trace, whatever its outcome.
 //
 // Returns (row, outcome, err):
 //   - err == nil: row is valid; outcome reports how it was answered —
@@ -269,11 +270,11 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (batch.Result, bool)) (
 	if !ok {
 		return batch.Result{}, OutcomeMiss, ErrNoResult
 	}
+	// Waiters get the row without the leader's duration and trace, whatever
+	// its outcome: each waiter's response carries its own trace ID.
 	f.row, f.ok = row, true
-	if row.Outcome == "ok" {
-		f.row.DurationMS, f.row.Trace = 0, ""
-		c.Put(k, row)
-	}
+	f.row.DurationMS, f.row.Trace = 0, ""
+	c.Put(k, row)
 	return row, OutcomeMiss, nil
 }
 

@@ -190,72 +190,81 @@ func TestMemoryLRUEviction(t *testing.T) {
 // TestDogpileSingleflight is the -race coalescing test: N concurrent Do
 // calls for one key cost exactly one fn run; every other caller waits and
 // gets the leader's row as stored, while the leader keeps its own run's
-// duration and trace ID.
+// duration and trace ID. A waiter never gets the leader's duration or
+// trace, whatever the row's outcome: a timed-out leader's row is shared
+// without them too, and is not cached.
 func TestDogpileSingleflight(t *testing.T) {
-	const n = 16
-	m := obs.NewRegistry()
-	c, err := New(Config{Metrics: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := testKey(42)
-	var runs atomic.Int64
-	gate := make(chan struct{})
-	started := make(chan struct{}, n)
-	fn := func() (batch.Result, bool) {
-		started <- struct{}{}
-		runs.Add(1)
-		<-gate
-		row := okRow("locc")
-		row.DurationMS, row.Trace = 42, "leader"
-		return row, true
-	}
-	var wg sync.WaitGroup
-	var shares atomic.Int64
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			row, out, err := c.Do(context.Background(), k, fn)
+	for _, outcome := range []string{"ok", "timeout"} {
+		t.Run(outcome, func(t *testing.T) {
+			const n = 16
+			m := obs.NewRegistry()
+			c, err := New(Config{Metrics: m})
 			if err != nil {
-				t.Errorf("Do: %v", err)
-				return
+				t.Fatal(err)
 			}
-			if row.Outcome != "ok" {
-				t.Errorf("Do returned outcome %q", row.Outcome)
+			k := testKey(42)
+			var runs atomic.Int64
+			gate := make(chan struct{})
+			started := make(chan struct{}, n)
+			fn := func() (batch.Result, bool) {
+				started <- struct{}{}
+				runs.Add(1)
+				<-gate
+				row := okRow("locc")
+				row.Outcome, row.DurationMS, row.Trace = outcome, 42, "leader"
+				return row, true
 			}
-			if out == OutcomeCoalesced {
-				shares.Add(1)
+			var wg sync.WaitGroup
+			var shares atomic.Int64
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					row, out, err := c.Do(context.Background(), k, fn)
+					if err != nil {
+						t.Errorf("Do: %v", err)
+						return
+					}
+					if row.Outcome != outcome {
+						t.Errorf("Do returned outcome %q", row.Outcome)
+					}
+					if out == OutcomeCoalesced {
+						shares.Add(1)
+					}
+					if ran := out == OutcomeMiss; ran != (row.DurationMS == 42 && row.Trace == "leader") {
+						t.Errorf("%v row carries duration %d, trace %q", out, row.DurationMS, row.Trace)
+					}
+				}()
 			}
-			if ran := out == OutcomeMiss; ran != (row.DurationMS == 42 && row.Trace == "leader") {
-				t.Errorf("%v row carries duration %d, trace %q", out, row.DurationMS, row.Trace)
+			// The leader is inside fn; once every follower has registered as
+			// coalesced, release it.
+			<-started
+			deadline := time.Now().Add(5 * time.Second)
+			for m.Counter("cache.coalesced", "") < n-1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
 			}
-		}()
-	}
-	// The leader is inside fn; once every follower has registered as
-	// coalesced, release it.
-	<-started
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Counter("cache.coalesced", "") < n-1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-	if got := runs.Load(); got != 1 {
-		t.Errorf("dogpile of %d identical requests ran fn %d times, want 1", n, got)
-	}
-	if got := shares.Load(); got != n-1 {
-		t.Errorf("%d callers reported a shared result, want %d", got, n-1)
-	}
-	if got := m.Counter("cache.coalesced", ""); got != n-1 {
-		t.Errorf("cache.coalesced = %d, want %d", got, n-1)
-	}
-	// The flight's product is now cached: one more Do is a plain hit.
-	if _, out, err := c.Do(context.Background(), k, func() (batch.Result, bool) {
-		t.Error("fn ran for a cached key")
-		return batch.Result{}, false
-	}); err != nil || out != OutcomeHitMem {
-		t.Errorf("post-flight Do: outcome=%v err=%v", out, err)
+			close(gate)
+			wg.Wait()
+			if got := runs.Load(); got != 1 {
+				t.Errorf("dogpile of %d identical requests ran fn %d times, want 1", n, got)
+			}
+			if got := shares.Load(); got != n-1 {
+				t.Errorf("%d callers reported a shared result, want %d", got, n-1)
+			}
+			if got := m.Counter("cache.coalesced", ""); got != n-1 {
+				t.Errorf("cache.coalesced = %d, want %d", got, n-1)
+			}
+			// An "ok" flight's product is now cached: one more Do is a plain
+			// hit. Any other outcome is not, and the next Do runs fn.
+			ran := false
+			_, out, err := c.Do(context.Background(), k, func() (batch.Result, bool) {
+				ran = true
+				return okRow("locc"), true
+			})
+			if wantHit := outcome == "ok"; err != nil || ran == wantHit || (out == OutcomeHitMem) != wantHit {
+				t.Errorf("post-flight Do: outcome=%v err=%v ran=%v", out, err, ran)
+			}
+		})
 	}
 }
 

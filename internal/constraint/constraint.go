@@ -14,6 +14,7 @@ package constraint
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"extra/internal/interp"
 	"extra/internal/isps"
@@ -120,77 +121,80 @@ func (c Constraint) String() string {
 	return body
 }
 
-// Satisfied evaluates the constraint against concrete operand values. For
-// Offset constraints it checks nothing (they are compiler directives, not
-// conditions) and returns true.
+// Satisfied evaluates the constraint against concrete operand values, as a
+// one-shot Compile over env's names. For Offset constraints it checks
+// nothing (they are compiler directives, not conditions) and returns true.
 func (c Constraint) Satisfied(env map[string]uint64) (bool, error) {
+	pos := make(map[string]int, len(env))
+	vals := make([]uint64, 0, len(env))
+	for name, v := range env {
+		pos[name] = len(vals)
+		vals = append(vals, v)
+	}
+	// Only a value or a range reads its operand: an offset holds, and an
+	// unknown kind fails, with or without one.
+	k, ok := c.Compile(pos)
+	if !ok && (c.Kind == Value || c.Kind == Range) {
+		return false, fmt.Errorf("constraint: no value for operand %q", c.Operand)
+	}
+	return k.Satisfied(vals)
+}
+
+// Compiled is a constraint prepared for checking against many operand
+// vectors: its operand names are bound to positions in the vector, and a
+// predicate is parsed and compiled once, so each check reads the vector by
+// index and costs at most one interpreter run, with no parse and no name
+// lookup. A predicate's checks reuse one interpreter Runner and operand
+// buffer, so a Compiled (and every copy of it) is for one goroutine;
+// compile one per goroutine.
+type Compiled struct {
+	Constraint
+	at   int        // Value and Range: the operand's position
+	pred *predicate // Predicate kind only
+}
+
+// Compile prepares c for checks against operand vectors in which the
+// operand named n is at position pos[n]. It reports false, and c is not to
+// be checked, when c is not a predicate and its operand has no position: a
+// constraint on an operand that neither input list carries any longer (a
+// fixed flag, a re-encoded field) is satisfied by construction. A predicate
+// that does not parse, or names an operand with no position, compiles to a
+// check that fails with that error.
+func (c Constraint) Compile(pos map[string]int) (Compiled, bool) {
+	k := Compiled{Constraint: c}
+	if c.Kind == Predicate {
+		k.pred = compilePredicate(c.Pred, pos)
+		return k, true
+	}
+	at, ok := pos[c.Operand]
+	k.at = at
+	return k, ok
+}
+
+// Satisfied evaluates the compiled constraint against an operand vector
+// laid out as Compile's positions say.
+func (c *Compiled) Satisfied(in []uint64) (bool, error) {
 	switch c.Kind {
 	case Value:
-		v, ok := env[c.Operand]
-		if !ok {
-			return false, fmt.Errorf("constraint: no value for operand %q", c.Operand)
-		}
-		return v == c.Val, nil
+		return in[c.at] == c.Val, nil
 	case Range:
-		v, ok := env[c.Operand]
-		if !ok {
-			return false, fmt.Errorf("constraint: no value for operand %q", c.Operand)
-		}
-		return c.Min <= v && v <= c.Max, nil
+		return c.Min <= in[c.at] && in[c.at] <= c.Max, nil
 	case Offset:
 		return true, nil
 	case Predicate:
-		v, err := EvalPredicate(c.Pred, env)
-		if err != nil {
-			return false, err
-		}
-		return v, nil
+		return c.pred.eval(in)
 	}
 	return false, fmt.Errorf("constraint: unknown kind %v", c.Kind)
 }
 
-// Compiled is a constraint prepared for checking against many operand
-// environments: a predicate is parsed and compiled once, so each check
-// costs one interpreter run and no parse. A predicate's checks reuse one
-// interpreter Runner and operand buffer, so a Compiled (and every copy of
-// it) is for one goroutine; compile one per goroutine.
-type Compiled struct {
-	Constraint
-	pred *predicate // Predicate kind only
-}
-
-// Compile prepares c for repeated checks.
-func (c Constraint) Compile() Compiled {
-	k := Compiled{Constraint: c}
-	if c.Kind == Predicate {
-		k.pred = compilePredicate(c.Pred)
-	}
-	return k
-}
-
-// Satisfied is Constraint.Satisfied, reusing the compiled predicate.
-func (c Compiled) Satisfied(env map[string]uint64) (bool, error) {
-	if c.pred != nil {
-		return c.pred.eval(env)
-	}
-	return c.Constraint.Satisfied(env)
-}
-
-// EvalPredicate evaluates a boolean expression in description syntax
-// against operand values. It works by wrapping the expression in a
-// one-statement description and running the interpreter on it.
-func EvalPredicate(pred string, env map[string]uint64) (bool, error) {
-	return compilePredicate(pred).eval(env)
-}
-
 // predicate is a predicate expression compiled for evaluation: the operand
-// names it reads, in first-occurrence order, and a runner of a program that
-// inputs them and outputs the expression. Every evaluation reuses the
-// runner, the operand buffer vals and the empty state. A predicate that
-// does not compile keeps its error for eval to report.
+// positions it reads, one per name in first-occurrence order, and a runner
+// of a program that inputs them and outputs the expression. Every
+// evaluation reuses the runner, the operand buffer vals and the empty
+// state. A predicate that does not compile, or names an operand with no
+// position, keeps its error for eval to report.
 type predicate struct {
-	src   string
-	names []string
+	at    []int
 	run   *interp.Runner
 	vals  []uint64
 	state interp.State
@@ -198,11 +202,11 @@ type predicate struct {
 }
 
 // compilePredicate parses pred once, as the single output of a one-statement
-// routine, and puts an input statement for its operands in front. The
-// operands need no declarations: an undeclared register is unbounded, the
-// same as one declared integer.
-func compilePredicate(pred string) *predicate {
-	p := &predicate{src: pred}
+// routine, puts an input statement for its operands in front, and binds
+// each operand to its position in pos. The operands need no declarations:
+// an undeclared register is unbounded, the same as one declared integer.
+func compilePredicate(pred string, pos map[string]int) *predicate {
+	p := &predicate{}
 	d, err := isps.Parse("pred.operation := begin\n** P **\npred.execute := begin\noutput (" + pred + ");\nend\nend")
 	if err != nil {
 		p.err = fmt.Errorf("constraint: cannot parse predicate %q: %v", pred, err)
@@ -217,32 +221,35 @@ func compilePredicate(pred string) *predicate {
 		p.err = fmt.Errorf("constraint: bad predicate %q: not a single expression", pred)
 		return p
 	}
-	seen := map[string]bool{}
+	var names []string
 	isps.Walk(out.Exprs[0], func(n isps.Node, _ isps.Path) bool {
-		if id, ok := n.(*isps.Ident); ok && !seen[id.Name] {
-			seen[id.Name] = true
-			p.names = append(p.names, id.Name)
+		if id, ok := n.(*isps.Ident); ok && !slices.Contains(names, id.Name) {
+			names = append(names, id.Name)
 		}
 		return true
 	})
-	if len(p.names) > 0 {
-		r.Body.Stmts = []isps.Stmt{&isps.InputStmt{Names: p.names}, out}
+	for _, n := range names {
+		at, ok := pos[n]
+		if !ok {
+			p.err = fmt.Errorf("constraint: no value for operand %q in predicate %q", n, pred)
+			return p
+		}
+		p.at = append(p.at, at)
+	}
+	if len(names) > 0 {
+		r.Body.Stmts = []isps.Stmt{&isps.InputStmt{Names: names}, out}
 	}
 	p.run = interp.Compile(d).NewRunner()
-	p.vals = make([]uint64, len(p.names))
+	p.vals = make([]uint64, len(names))
 	return p
 }
 
-func (p *predicate) eval(env map[string]uint64) (bool, error) {
+func (p *predicate) eval(in []uint64) (bool, error) {
 	if p.err != nil {
 		return false, p.err
 	}
-	for i, n := range p.names {
-		v, ok := env[n]
-		if !ok {
-			return false, fmt.Errorf("constraint: no value for operand %q in predicate %q", n, p.src)
-		}
-		p.vals[i] = v
+	for i, at := range p.at {
+		p.vals[i] = in[at]
 	}
 	// A predicate's registers are its operands; nothing reads them back,
 	// and an expression writes no memory.
@@ -251,19 +258,4 @@ func (p *predicate) eval(env map[string]uint64) (bool, error) {
 		return false, err
 	}
 	return res.Outputs[0] != 0, nil
-}
-
-// AllSatisfied reports whether every constraint holds for env; the first
-// failing constraint is returned.
-func AllSatisfied(cs []Constraint, env map[string]uint64) (bool, *Constraint, error) {
-	for i := range cs {
-		ok, err := cs[i].Satisfied(env)
-		if err != nil {
-			return false, &cs[i], err
-		}
-		if !ok {
-			return false, &cs[i], nil
-		}
-	}
-	return true, nil, nil
 }

@@ -90,29 +90,62 @@ func TestPredicateParseErrors(t *testing.T) {
 		if _, err := c.Satisfied(env); err == nil {
 			t.Errorf("malformed predicate %q accepted", pred)
 		}
-		if _, err := c.Compile().Satisfied(env); err == nil {
+		k, ok := c.Compile(map[string]int{"a": 0, "b": 1})
+		if !ok {
+			t.Fatalf("predicate %q dropped at compile time", pred)
+		}
+		if _, err := k.Satisfied([]uint64{1, 1}); err == nil {
 			t.Errorf("malformed predicate %q accepted once compiled", pred)
 		}
 	}
 }
 
-func TestAllSatisfied(t *testing.T) {
+// TestCompiledReadsPositions: a compiled constraint reads its operands from
+// the positions it was compiled with, and agrees with the one-shot
+// Constraint.Satisfied on the environment those positions describe. A
+// value, range or offset constraint on an operand with no position is
+// dropped at compile time; a predicate naming one fails when checked.
+func TestCompiledReadsPositions(t *testing.T) {
+	pos := map[string]int{"rf": 2, "Len": 0, "src": 1, "dst": 3}
 	cs := []Constraint{
 		NewValue("rf", 1, ""),
 		NewBits("Len", 16, ""),
+		NewOffset("Len", -1, ""),
+		NewPredicate("(src + Len <= dst) or (dst + Len <= src)", ""),
 	}
-	env := map[string]uint64{"rf": 1, "Len": 70000}
-	ok, failed, err := AllSatisfied(cs, env)
-	if err != nil {
-		t.Fatal(err)
+	for _, in := range [][]uint64{
+		{5, 100, 1, 200},
+		{70000, 100, 1, 200},
+		{5, 100, 0, 200},
+		{5, 100, 1, 102},
+	} {
+		env := map[string]uint64{}
+		for name, at := range pos {
+			env[name] = in[at]
+		}
+		for _, c := range cs {
+			k, ok := c.Compile(pos)
+			if !ok {
+				t.Fatalf("%s dropped at compile time", c)
+			}
+			got, err := k.Satisfied(in)
+			want, werr := c.Satisfied(env)
+			if err != nil || werr != nil || got != want {
+				t.Errorf("%s on %v: compiled %v (%v), one-shot %v (%v)", c, in, got, err, want, werr)
+			}
+		}
 	}
-	if ok || failed == nil || failed.Operand != "Len" {
-		t.Errorf("ok=%v failed=%v", ok, failed)
+	for _, c := range []Constraint{NewValue("df", 0, ""), NewBits("cx", 16, ""), NewOffset("cx", -1, "")} {
+		if _, ok := c.Compile(pos); ok {
+			t.Errorf("%s on an operand with no position was not dropped", c)
+		}
 	}
-	env["Len"] = 5
-	ok, _, err = AllSatisfied(cs, env)
-	if err != nil || !ok {
-		t.Errorf("ok=%v err=%v", ok, err)
+	k, ok := NewPredicate("src < cx", "").Compile(pos)
+	if !ok {
+		t.Fatal("predicate dropped at compile time")
+	}
+	if _, err := k.Satisfied([]uint64{0, 0, 0, 0}); err == nil || !strings.Contains(err.Error(), `no value for operand "cx"`) {
+		t.Errorf("predicate on an operand with no position: err = %v", err)
 	}
 }
 

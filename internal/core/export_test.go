@@ -1,0 +1,4 @@
+package core
+
+// SameWrites exposes sameWrites to the external tests.
+var SameWrites = sameWrites

@@ -72,19 +72,27 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 		op.flush(reg)
 		variant.flush(reg)
 	}()
-	checks := make([]constraint.Compiled, len(b.Constraints))
-	for i, c := range b.Constraints {
-		checks[i] = c.Compile()
-	}
 	// Constraints are phrased over both operator operand names and
-	// instruction operand names; one environment holds both. Every round
-	// sets the same keys, so the map is reused.
-	env := make(map[string]uint64, 2*len(b.OpInputs))
+	// instruction operand names. Each is bound once to the position its
+	// names take in a generated operand vector: of a name in both lists,
+	// or twice in one, the last position, as one environment filled in
+	// list order would hold. A constraint on an operand that neither list
+	// carries is dropped.
+	pos := make(map[string]int, 2*len(b.OpInputs))
+	for i, name := range b.OpInputs {
+		pos[name] = i
+		pos[b.InsInputs[i]] = i
+	}
+	checks := make([]constraint.Compiled, 0, len(b.Constraints))
+	for _, c := range b.Constraints {
+		if k, ok := c.Compile(pos); ok {
+			checks = append(checks, k)
+		}
+	}
 	// Both sides run over the generator's image as a shared read-only
-	// base, each writing into its own overlay, cleared between rounds.
+	// base, each writing into its own overlay, reset between rounds.
 	// Registers are not observed (nil Regs).
-	st1 := &interp.State{Mem: map[uint64]byte{}}
-	st2 := &interp.State{Mem: map[uint64]byte{}}
+	var st1, st2 interp.State
 	rng := rand.New(rand.NewSource(seed))
 	checked := 0
 	for r := 0; r < rounds; r++ {
@@ -95,23 +103,11 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 		if len(opIn) != len(b.OpInputs) {
 			return checked, fmt.Errorf("core: generator produced %d operands, binding has %d", len(opIn), len(b.OpInputs))
 		}
-		for i, name := range b.OpInputs {
-			env[name] = opIn[i]
-			env[b.InsInputs[i]] = opIn[i]
-		}
 		ok := true
-		for _, c := range checks {
-			// Constraints on operands that no longer appear in either input
-			// list (fixed flags, re-encoded fields) are satisfied by
-			// construction: the variant embeds them.
-			if c.Kind != constraint.Predicate {
-				if _, present := env[c.Operand]; !present {
-					continue
-				}
-			}
-			holds, cerr := c.Satisfied(env)
+		for i := range checks {
+			holds, cerr := checks[i].Satisfied(opIn)
 			if cerr != nil {
-				return checked, fmt.Errorf("core: cannot evaluate constraint %s: %v", c, cerr)
+				return checked, fmt.Errorf("core: cannot evaluate constraint %s: %v", checks[i].Constraint, cerr)
 			}
 			if !holds {
 				unsat++
@@ -123,11 +119,11 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 		if !ok {
 			continue
 		}
-		clear(st1.Mem)
-		clear(st2.Mem)
+		st1.ResetMem()
+		st2.ResetMem()
 		st1.Base, st2.Base = mem, mem
-		r1, err1 := op.exec(ctx, opIn, st1)
-		r2, err2 := variant.exec(ctx, opIn, st2)
+		r1, err1 := op.exec(ctx, opIn, &st1)
+		r2, err2 := variant.exec(ctx, opIn, &st2)
 		if err1 != nil || err2 != nil {
 			// Wrap the first failure so typed sentinels (ErrStepLimit,
 			// ErrCallDepth, context errors) survive this layer.
@@ -141,7 +137,7 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 			return checked, fmt.Errorf("core: binding refuted on inputs %v: operator outputs %v, variant outputs %v",
 				opIn, r1.Outputs, r2.Outputs)
 		}
-		if !sameWrites(st1, st2) {
+		if !sameWrites(&st1, &st2) {
 			return checked, fmt.Errorf("core: binding refuted on inputs %v: final memories differ", opIn)
 		}
 		checked++
@@ -185,18 +181,15 @@ func (t *runTally) flush(reg *obs.Registry) {
 
 // sameWrites reports whether two runs over one base image left the same
 // final memory. Only addresses one side wrote can differ, so it compares
-// each side's writes with the other side's view of the same address: a
-// write of the base's own value, or of 0 where the base has no byte, is no
-// difference, exactly as in a compare of the two full memories.
+// the two sides' views of each address either side logged: a write of the
+// base's own value, or of 0 where the base has no byte, is no difference,
+// exactly as in a compare of the two full memories.
 func sameWrites(a, b *interp.State) bool {
-	for k, v := range a.Mem {
-		if b.Load(k) != v {
-			return false
-		}
-	}
-	for k, v := range b.Mem {
-		if a.Load(k) != v {
-			return false
+	for _, s := range []*interp.State{a, b} {
+		for _, k := range s.Written() {
+			if a.Load(k) != b.Load(k) {
+				return false
+			}
 		}
 	}
 	return true

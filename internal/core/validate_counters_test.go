@@ -175,7 +175,7 @@ func recount(t *testing.T, ctx context.Context, b *core.Binding, gen core.InputG
 		var sts [2]*interp.State
 		failed := false
 		for i, d := range []*isps.Description{b.Operator, b.Variant} {
-			sts[i] = &interp.State{Mem: map[uint64]byte{}, Base: mem}
+			sts[i] = &interp.State{Base: mem}
 			res, err := interp.Run(ctx, d, in, sts[i], 0)
 			if err != nil {
 				tl.errs[d.Name]++
@@ -185,21 +185,68 @@ func recount(t *testing.T, ctx context.Context, b *core.Binding, gen core.InputG
 			tl.runs[d.Name]++
 			outs[i] = res.Outputs
 		}
-		if failed || !slices.Equal(outs[0], outs[1]) || !sameMemory(sts[0], sts[1]) {
+		written := append(slices.Clone(sts[0].Written()), sts[1].Written()...)
+		if failed || !slices.Equal(outs[0], outs[1]) || !sameMemory(sts[0], sts[1], written) {
 			break
 		}
 	}
 	return tl
 }
 
-// sameMemory compares two final memories over one base at every address
-// either side wrote.
-func sameMemory(a, b *interp.State) bool {
-	for _, m := range []map[uint64]byte{a.Mem, b.Mem} {
-		for k := range m {
-			if a.Load(k) != b.Load(k) {
-				return false
+// TestSameWritesMatchesFullCompare: validation's memory verdict, which
+// compares the two sides only at the addresses they logged, must equal a
+// compare of the two full memories at every address either side can have
+// written. Two states, reset between rounds as validation resets them,
+// each write a few bytes over one base image at addresses on both sides of
+// 64 KiB, 2^32 and 2^64: the base's own value, 0 (where the base may have
+// no byte), small values, and often one address twice.
+func TestSameWritesMatchesFullCompare(t *testing.T) {
+	addrs := []uint64{0, 1, 255, 256, 65534, 65535, 65536, 65537,
+		1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, ^uint64(1), ^uint64(0)}
+	const rounds = 3000
+	rng := rand.New(rand.NewSource(1))
+	var a, b interp.State
+	differ := 0
+	for round := 0; round < rounds; round++ {
+		base := map[uint64]byte{}
+		for _, k := range addrs {
+			if rng.Intn(2) == 0 {
+				base[k] = byte(1 + rng.Intn(3))
 			}
+		}
+		a.ResetMem()
+		b.ResetMem()
+		a.Base, b.Base = base, base
+		for _, st := range []*interp.State{&a, &b} {
+			for n := rng.Intn(7); n > 0; n-- {
+				k := addrs[rng.Intn(len(addrs))]
+				v := byte(rng.Intn(4))
+				if rng.Intn(2) == 0 {
+					v = base[k]
+				}
+				st.Store(k, v)
+			}
+		}
+		want := sameMemory(&a, &b, addrs)
+		if got := core.SameWrites(&a, &b); got != want {
+			t.Fatalf("round %d: sameWrites %v, full compare %v (base %v, written %v and %v)",
+				round, got, want, base, a.Written(), b.Written())
+		}
+		if !want {
+			differ++
+		}
+	}
+	if differ == 0 || differ == rounds {
+		t.Errorf("%d of %d rounds differ: the rounds do not exercise both verdicts", differ, rounds)
+	}
+}
+
+// sameMemory compares two final memories over one base at every address
+// in addrs.
+func sameMemory(a, b *interp.State, addrs []uint64) bool {
+	for _, k := range addrs {
+		if a.Load(k) != b.Load(k) {
+			return false
 		}
 	}
 	return true

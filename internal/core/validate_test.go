@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"extra/internal/constraint"
 	"extra/internal/isps"
 )
 
@@ -59,5 +60,46 @@ end`)
 				t.Fatalf("err = %v, want a final-memory refutation", err)
 			}
 		})
+	}
+}
+
+// TestConstraintOperandPositions: each constraint reads its operand from
+// the generated vector once, at the position its name was bound to. A
+// name in both input lists, at different positions, takes the later one,
+// as the environment validation once filled in list order held; a
+// constraint on an operand neither list carries is dropped. The checked
+// count must equal a replay of the generator under that rule.
+func TestConstraintOperandPositions(t *testing.T) {
+	d := isps.MustParse(`pair.operation := begin
+** S **
+  a: integer, b: integer,
+  pair.execute := begin
+    input (a, b);
+    output (a, b);
+  end
+end`)
+	b := &Binding{
+		Instruction: "pair", Operation: "pair",
+		OpInputs: []string{"a", "b"}, InsInputs: []string{"b", "a"},
+		Operator: d, Variant: d,
+		Constraints: []constraint.Constraint{
+			constraint.NewRange("a", 0, 9, ""),
+			constraint.NewValue("gone", 1, "no longer an operand"),
+		},
+	}
+	gen := func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+		return []uint64{uint64(rng.Intn(20)), uint64(rng.Intn(20))}, nil
+	}
+	const rounds, seed = 200, 3
+	want := 0
+	rng := rand.New(rand.NewSource(seed))
+	for r := 0; r < rounds; r++ {
+		if in, _ := gen(rng); in[1] <= 9 {
+			want++
+		}
+	}
+	n, err := ValidateBinding(b, gen, rounds, seed)
+	if err != nil || n != want {
+		t.Fatalf("validated %d inputs, err %v; want %d, the inputs whose second operand is at most 9", n, err, want)
 	}
 }

@@ -313,8 +313,13 @@ func (c *compiler) unary(x *isps.Un) exprFn {
 }
 
 func (c *compiler) binary(x *isps.Bin) exprFn {
-	lhs, rhs := c.expr(x.X), c.expr(x.Y)
 	op := binOp(x.Op)
+	if op != nil {
+		if f := c.leafBinary(op, x.X, x.Y); f != nil {
+			return f
+		}
+	}
+	lhs, rhs := c.expr(x.X), c.expr(x.Y)
 	switch {
 	case x.Op == isps.OpDiv:
 		return func(m *machine) (uint64, status) {
@@ -343,6 +348,45 @@ func (c *compiler) binary(x *isps.Bin) exprFn {
 		}
 		return op(a, b), next
 	}
+}
+
+// leafBinary compiles op over two operands that are each a register or a
+// constant into one closure that reads them in place, with no closure per
+// operand; it returns nil when either operand is anything else. An
+// operation of two constants is computed here: no operator it is given can
+// fail.
+func (c *compiler) leafBinary(op func(a, b uint64) uint64, x, y isps.Expr) exprFn {
+	xs, xv, ok := c.leaf(x)
+	if !ok {
+		return nil
+	}
+	ys, yv, ok := c.leaf(y)
+	if !ok {
+		return nil
+	}
+	switch {
+	case xs >= 0 && ys >= 0:
+		return func(m *machine) (uint64, status) { return op(m.regs[xs], m.regs[ys]), next }
+	case xs >= 0:
+		return func(m *machine) (uint64, status) { return op(m.regs[xs], yv), next }
+	case ys >= 0:
+		return func(m *machine) (uint64, status) { return op(xv, m.regs[ys]), next }
+	}
+	v := op(xv, yv)
+	return func(*machine) (uint64, status) { return v, next }
+}
+
+// leaf returns a register operand's slot, or -1 and a constant operand's
+// value; ok is false for any other expression.
+func (c *compiler) leaf(e isps.Expr) (slot int, val uint64, ok bool) {
+	switch x := e.(type) {
+	case *isps.Ident:
+		slot, _ = c.reg(x.Name)
+		return slot, 0, true
+	case *isps.Num:
+		return -1, uint64(x.Val), true
+	}
+	return 0, 0, false
 }
 
 // operands evaluates a binary operation's operands, left to right.

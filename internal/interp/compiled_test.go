@@ -19,57 +19,85 @@ import (
 	"extra/internal/transform"
 )
 
-// diffRuns runs d through the compiled engine and through the reference
-// walker, each on its own copy of st (whose Mem is the whole image), and
-// returns the first difference in outputs, steps, error, final registers or
-// final memory. A third run compiles d once and executes it over st's
-// memory as a read-only Base; its final memory, read through the overlay,
-// must equal the reference's too.
+// diffRuns runs d through the reference walker on a flat copy of st's
+// memory and through the compiled engine twice, and returns the first
+// difference in outputs, steps, error, final registers or final memory.
+// st's Base is the whole image and st has written nothing. The first
+// compiled run is on a state preset with the image through Store, so the
+// overlay holds all of memory; the second compiles d once and runs it over
+// the image as a read-only Base, and the addresses it logs must be exactly
+// those the reference wrote, in the same order.
 func diffRuns(ctx context.Context, d *isps.Description, inputs []uint64, st *interp.State, limit int) string {
-	refSt, gotSt := st.Clone(), st.Clone()
-	want, wantErr := refRun(ctx, d, inputs, refSt, limit)
+	image := maps.Clone(st.Base)
+	ref := &refState{Regs: maps.Clone(st.Regs), Mem: maps.Clone(image)}
+	if ref.Mem == nil {
+		ref.Mem = map[uint64]byte{}
+	}
+	want, wantErr := refRun(ctx, d, inputs, ref, limit)
+
+	gotSt := &interp.State{Regs: maps.Clone(st.Regs)}
+	for a, v := range image {
+		gotSt.Store(a, v)
+	}
 	got, gotErr := interp.Run(ctx, d, inputs, gotSt, limit)
 	if msg := diffResult(want, wantErr, got, gotErr); msg != "" {
 		return msg
 	}
-	if !reflect.DeepEqual(refSt.Regs, gotSt.Regs) {
-		return fmt.Sprintf("final registers: reference %v, compiled %v", refSt.Regs, gotSt.Regs)
+	if !reflect.DeepEqual(ref.Regs, gotSt.Regs) {
+		return fmt.Sprintf("final registers: reference %v, compiled %v", ref.Regs, gotSt.Regs)
 	}
-	if !reflect.DeepEqual(refSt.Mem, gotSt.Mem) {
-		return fmt.Sprintf("final memory: reference %v, compiled %v", refSt.Mem, gotSt.Mem)
+	logged := map[uint64]bool{}
+	for _, k := range gotSt.Written() {
+		if logged[k] {
+			return fmt.Sprintf("final memory: Mb[%d] logged twice", k)
+		}
+		logged[k] = true
+	}
+	if len(logged) != len(ref.Mem) {
+		return fmt.Sprintf("final memory: %d addresses written, reference %d", len(logged), len(ref.Mem))
+	}
+	for k, v := range ref.Mem {
+		if !logged[k] || gotSt.Load(k) != v {
+			return fmt.Sprintf("final memory: Mb[%d]: reference %d, compiled %d (logged %v)", k, v, gotSt.Load(k), logged[k])
+		}
 	}
 
-	ovSt := &interp.State{Regs: maps.Clone(st.Regs), Mem: map[uint64]byte{}, Base: st.Mem}
+	ovSt := st.Clone()
 	got, gotErr = interp.Compile(d).Run(ctx, inputs, ovSt, limit)
 	if msg := diffResult(want, wantErr, got, gotErr); msg != "" {
 		return "over a base image: " + msg
 	}
-	if !reflect.DeepEqual(refSt.Regs, ovSt.Regs) {
-		return fmt.Sprintf("over a base image: final registers: reference %v, compiled %v", refSt.Regs, ovSt.Regs)
+	if !reflect.DeepEqual(ref.Regs, ovSt.Regs) {
+		return fmt.Sprintf("over a base image: final registers: reference %v, compiled %v", ref.Regs, ovSt.Regs)
 	}
-	for _, m := range []map[uint64]byte{refSt.Mem, ovSt.Mem, st.Mem} {
-		for k := range m {
-			if refSt.Mem[k] != ovSt.Load(k) {
-				return fmt.Sprintf("over a base image: Mb[%d]: reference %d, compiled %d", k, refSt.Mem[k], ovSt.Load(k))
-			}
+	if !slices.Equal(ref.Written, ovSt.Written()) {
+		return fmt.Sprintf("over a base image: written addresses: reference %v, compiled %v", ref.Written, ovSt.Written())
+	}
+	for k, v := range ref.Mem {
+		if ovSt.Load(k) != v {
+			return fmt.Sprintf("over a base image: Mb[%d]: reference %d, compiled %d", k, v, ovSt.Load(k))
 		}
 	}
-	for k, v := range st.Mem {
-		if ovSt.Base[k] != v {
-			return fmt.Sprintf("over a base image: the run wrote Mb[%d] into the base", k)
-		}
+	if !maps.Equal(st.Base, image) {
+		return "over a base image: the run wrote into the base"
 	}
 	return ""
 }
 
-// diffReuse runs p once on a fresh Runner (Program.Run) and once on the
-// reused Runner r, each on its own copy of st, and returns the first
-// difference in error text, outputs, steps, final registers or memory
-// writes.
-func diffReuse(ctx context.Context, p *interp.Program, r *interp.Runner, inputs []uint64, st *interp.State, limit int) string {
-	freshSt, reusedSt := st.Clone(), st.Clone()
+// diffReuse runs p once on a fresh Runner and state (Program.Run on a
+// clone of st) and once on the reused Runner r over the reused state rs,
+// reset and given st's registers, base and written bytes. It returns the
+// first difference in error text, outputs, steps, final registers, or
+// memory: the addresses written, in order, and the bytes read at them.
+func diffReuse(ctx context.Context, p *interp.Program, r *interp.Runner, rs *interp.State, inputs []uint64, st *interp.State, limit int) string {
+	freshSt := st.Clone()
+	rs.ResetMem()
+	rs.Regs, rs.Base = maps.Clone(st.Regs), st.Base
+	for _, a := range st.Written() {
+		rs.Store(a, st.Load(a))
+	}
 	want, wantErr := p.Run(ctx, inputs, freshSt, limit)
-	got, gotErr := r.Run(ctx, inputs, reusedSt, limit)
+	got, gotErr := r.Run(ctx, inputs, rs, limit)
 	switch {
 	case fmt.Sprint(wantErr) != fmt.Sprint(gotErr):
 		return fmt.Sprintf("error: fresh %v, reused %v", wantErr, gotErr)
@@ -79,10 +107,15 @@ func diffReuse(ctx context.Context, p *interp.Program, r *interp.Runner, inputs 
 		return fmt.Sprintf("outputs: fresh %v, reused %v", want.Outputs, got.Outputs)
 	case want != nil && want.Steps != got.Steps:
 		return fmt.Sprintf("steps: fresh %d, reused %d", want.Steps, got.Steps)
-	case !reflect.DeepEqual(freshSt.Regs, reusedSt.Regs):
-		return fmt.Sprintf("final registers: fresh %v, reused %v", freshSt.Regs, reusedSt.Regs)
-	case !maps.Equal(freshSt.Mem, reusedSt.Mem):
-		return fmt.Sprintf("memory writes: fresh %v, reused %v", freshSt.Mem, reusedSt.Mem)
+	case !reflect.DeepEqual(freshSt.Regs, rs.Regs):
+		return fmt.Sprintf("final registers: fresh %v, reused %v", freshSt.Regs, rs.Regs)
+	case !slices.Equal(freshSt.Written(), rs.Written()):
+		return fmt.Sprintf("written addresses: fresh %v, reused %v", freshSt.Written(), rs.Written())
+	}
+	for _, a := range freshSt.Written() {
+		if freshSt.Load(a) != rs.Load(a) {
+			return fmt.Sprintf("Mb[%d]: fresh %d, reused %d", a, freshSt.Load(a), rs.Load(a))
+		}
 	}
 	return ""
 }
@@ -116,14 +149,15 @@ func diffResult(want *interp.Result, wantErr error, got *interp.Result, gotErr e
 	return ""
 }
 
-// randomState draws a small memory image and, half the time, preset
-// register values (unmasked, so a read of a preset wider than its
-// register is exercised).
+// randomState draws a small memory image, as the state's Base, and, half
+// the time, preset register values (unmasked, so a read of a preset wider
+// than its register is exercised).
 func randomState(rng *rand.Rand, regs []*isps.RegDecl) *interp.State {
 	st := interp.NewState()
+	st.Base = map[uint64]byte{}
 	for a := 0; a < 96; a++ {
 		if rng.Intn(3) > 0 {
-			st.Mem[uint64(a)] = byte(rng.Intn(8))
+			st.Base[uint64(a)] = byte(rng.Intn(8))
 		}
 	}
 	if rng.Intn(2) == 0 {
@@ -177,8 +211,7 @@ func TestCompiledMatchesReference(t *testing.T) {
 		for round := 0; round < 100; round++ {
 			in, mem := a.Gen(rng)
 			for _, d := range []*isps.Description{b.Operator, b.Variant} {
-				st := interp.NewState()
-				maps.Copy(st.Mem, mem)
+				st := &interp.State{Regs: map[string]uint64{}, Base: mem}
 				if msg := diffRuns(ctx, d, in, st, 0); msg != "" {
 					t.Fatalf("%s/%s %s, inputs %v: %s", a.Instruction, a.Operator, d.Name, in, msg)
 				}
@@ -187,15 +220,17 @@ func TestCompiledMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunnerReuseMatchesFresh: one Runner per description of the 17
-// catalog bindings runs 200 generated inputs, and every run must equal a
-// fresh Program.Run of the same input. Runs that fail are interleaved with
-// the rest: a step limit of 5, one operand too few, a cancelled context
-// (over operands large enough to pass the context poll) and a failed
-// assertion. Some runs observe registers. Each description gets an assert
-// after its input statement that the register zz, which nothing assigns, is
-// 0: a run that presets zz fails it, and a runner that kept a register
-// slot into the next run that observes no registers fails it there too.
+// TestRunnerReuseMatchesFresh: one Runner and one State per description
+// of the 17 catalog bindings and of wrapSources run 200 generated inputs,
+// the State reset between runs as validation resets it, and every run
+// must equal a fresh Program.Run of the same input on a fresh State. Runs
+// that fail are interleaved with the rest: a step limit of 5, one operand
+// too few, a cancelled context (over operands large enough to pass the
+// context poll) and a failed assertion. Some runs observe registers. Each
+// description gets an assert after its input statement that the register
+// zz, which nothing assigns, is 0: a run that presets zz fails it, and a
+// runner that kept a register slot into the next run that observes no
+// registers fails it there too.
 func TestRunnerReuseMatchesFresh(t *testing.T) {
 	assertZZ, err := transform.Get("constraint.assert.pred")
 	if err != nil {
@@ -203,48 +238,61 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	failures := map[string]int{}
+	type reuseCase struct {
+		name string
+		d    *isps.Description
+		gen  func(*rand.Rand) ([]uint64, map[uint64]byte)
+	}
+	var cases []reuseCase
 	for _, a := range append(proofs.Table2(), proofs.Extensions()...) {
 		_, b, err := a.Run()
 		if err != nil {
 			t.Fatalf("%s/%s: %v", a.Instruction, a.Operator, err)
 		}
 		for _, d := range []*isps.Description{b.Operator, b.Variant} {
-			out, err := assertZZ.Apply(d, nil, transform.Args{"pred": "zz = 0"})
-			if err != nil {
-				t.Fatalf("%s/%s %s: %v", a.Instruction, a.Operator, d.Name, err)
+			cases = append(cases, reuseCase{a.Instruction + "/" + a.Operator + " " + d.Name, d, a.Gen})
+		}
+	}
+	for _, src := range wrapSources {
+		d := isps.MustParse(src)
+		cases = append(cases, reuseCase{d.Name, d, wrapGen})
+	}
+	failures := map[string]int{}
+	for _, c := range cases {
+		out, err := assertZZ.Apply(c.d, nil, transform.Args{"pred": "zz = 0"})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		p := interp.Compile(out.Desc)
+		r, rs := p.NewRunner(), &interp.State{}
+		rng := rand.New(rand.NewSource(1))
+		for round := 0; round < 200; round++ {
+			in, mem := c.gen(rng)
+			ctx, limit := context.Background(), 0
+			st := &interp.State{Base: mem}
+			switch round % 8 {
+			case 1:
+				limit = 5
+			case 2:
+				in = in[:len(in)-1]
+			case 3:
+				ctx = canceled
+				for i := range in {
+					in[i] = 5000
+				}
+			case 4:
+				st.Regs = map[string]uint64{"zz": 1}
+			case 6:
+				st.Regs = map[string]uint64{}
+				for _, reg := range out.Desc.Regs() {
+					st.Regs[reg.Name] = uint64(rng.Intn(1 << 10))
+				}
 			}
-			p := interp.Compile(out.Desc)
-			r := p.NewRunner()
-			rng := rand.New(rand.NewSource(1))
-			for round := 0; round < 200; round++ {
-				in, mem := a.Gen(rng)
-				ctx, limit := context.Background(), 0
-				st := &interp.State{Mem: map[uint64]byte{}, Base: mem}
-				switch round % 8 {
-				case 1:
-					limit = 5
-				case 2:
-					in = in[:len(in)-1]
-				case 3:
-					ctx = canceled
-					for i := range in {
-						in[i] = 5000
-					}
-				case 4:
-					st.Regs = map[string]uint64{"zz": 1}
-				case 6:
-					st.Regs = map[string]uint64{}
-					for _, reg := range out.Desc.Regs() {
-						st.Regs[reg.Name] = uint64(rng.Intn(1 << 10))
-					}
-				}
-				if msg := diffReuse(ctx, p, r, in, st, limit); msg != "" {
-					t.Fatalf("%s/%s %s, round %d, inputs %v: %s", a.Instruction, a.Operator, d.Name, round, in, msg)
-				}
-				if _, err := p.Run(ctx, in, st.Clone(), limit); err != nil {
-					failures[failureKind(err)]++
-				}
+			if msg := diffReuse(ctx, p, r, rs, in, st, limit); msg != "" {
+				t.Fatalf("%s, round %d, inputs %v: %s", c.name, round, in, msg)
+			}
+			if _, err := p.Run(ctx, in, st.Clone(), limit); err != nil {
+				failures[failureKind(err)]++
 			}
 		}
 	}
@@ -253,6 +301,60 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 			t.Errorf("no run failed by %s (failures: %v)", kind, failures)
 		}
 	}
+}
+
+// wrapSources put memory operands whose addresses are binary operations
+// of registers and constants (Mb[x + y], Mb[x - 16], Mb[0 - y], and one
+// of two constants) on either side of 64 KiB, 2^32 and 2^64, and copy
+// across the 2^64 wraparound in a loop, so the overlay's direct and
+// sparse pages and the in-place operand closures are all exercised.
+var wrapSources = []string{`wrap.operation := begin
+** S **
+  x: integer, y: integer, z<15:0>,
+  wrap.execute := begin
+    input (x, y);
+    z <- x - y;
+    Mb[x + y] <- Mb[x - 16];
+    Mb[x - 16] <- x + 1;
+    Mb[0 - y] <- Mb[x + y];
+    Mb[z + 0xFFFF] <- y;
+    Mb[0xFFFFFFFF + x] <- Mb[0 - y];
+    Mb[0xFFFFFFFFFFFFFFFF + y] <- 0;
+    Mb[0 - 1] <- Mb[y - 1];
+    output (Mb[x + y], Mb[x - 16], Mb[0 - y], Mb[z + 0xFFFF], Mb[0xFFFFFFFF + x], Mb[y - 1], z + 0xFFFF);
+  end
+end`, `wrapcopy.operation := begin
+** S **
+  s: integer, n: integer, i: integer,
+  wrapcopy.execute := begin
+    input (s, n);
+    i <- 0;
+    repeat
+      exit_when (i = n + 40);
+      Mb[i - 20] <- Mb[s + i];
+      i <- i + 1;
+    end_repeat;
+    output (Mb[0 - 1], Mb[0], Mb[i - 21]);
+  end
+end`}
+
+// wrapEdges are the addresses around which wrapGen puts bytes and draws
+// first operands.
+var wrapEdges = []uint64{0, 1, 15, 0xFF, 0xFFFF, 0x10000, 0xFFFFFFFF, 1 << 32, 1 << 63, ^uint64(15), ^uint64(1), ^uint64(0)}
+
+// wrapGen draws inputs for wrapSources: a first operand at one of
+// wrapEdges, a second below 300, and an image with nonzero bytes at random
+// addresses next to every edge.
+func wrapGen(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+	mem := map[uint64]byte{}
+	for _, e := range wrapEdges {
+		for k := uint64(0); k < 4; k++ {
+			if rng.Intn(2) == 0 {
+				mem[e-2+k] = byte(1 + rng.Intn(255))
+			}
+		}
+	}
+	return []uint64{wrapEdges[rng.Intn(len(wrapEdges))], uint64(rng.Intn(300))}, mem
 }
 
 // failureKind names the way a run failed.
@@ -547,13 +649,17 @@ func TestProgramConcurrentRuns(t *testing.T) {
 
 // FuzzInterpReference parses fuzz input as a description and runs it on
 // random inputs, a small memory and a low step limit through both engines,
-// then twice through one Runner, each run against a fresh one.
+// then twice through one Runner and one reused State, each run against a
+// fresh one. The seeds are the corpora and wrapSources.
 func FuzzInterpReference(f *testing.F) {
 	for _, e := range machines.All() {
 		f.Add(e.Source, int64(1))
 	}
 	for _, e := range langops.All() {
 		f.Add(e.Source, int64(2))
+	}
+	for _, src := range wrapSources {
+		f.Add(src, int64(3))
 	}
 	f.Fuzz(func(t *testing.T, src string, seed int64) {
 		d, err := isps.Parse(src)
@@ -570,9 +676,9 @@ func FuzzInterpReference(f *testing.F) {
 			t.Fatalf("inputs %v: %s", inputs, msg)
 		}
 		p := interp.Compile(d)
-		r := p.NewRunner()
+		r, rs := p.NewRunner(), &interp.State{}
 		for run := 1; run <= 2; run++ {
-			if msg := diffReuse(context.Background(), p, r, inputs, st, 200); msg != "" {
+			if msg := diffReuse(context.Background(), p, r, rs, inputs, st, 200); msg != "" {
 				t.Fatalf("inputs %v, run %d on one runner: %s", inputs, run, msg)
 			}
 		}

@@ -10,7 +10,7 @@
 //   - Registers hold unsigned values truncated to their declared width;
 //     width 0 ("integer") means a full 64-bit value.
 //   - Main memory Mb is a sparse byte array indexed by the untruncated
-//     address value.
+//     address value: any 64-bit address.
 //   - Arithmetic wraps modulo 2^64; relational operators yield 0 or 1;
 //     and/or/xor/not are logical (any nonzero value counts as true).
 //   - input(...) consumes operand values in order; output(...) appends
@@ -21,9 +21,11 @@
 // A description is compiled once into a Program (see Compile) and run
 // once per input; Run does both for a one-shot execution. A Runner runs one
 // Program again and again on one reused machine, so a run allocates nothing
-// of its own. The package records no metrics: a caller that wants runs and
-// steps counted counts them from the Results it gets back, as validation
-// does once per validation.
+// of its own, and a State reused across runs (see State.ResetMem) keeps the
+// pages its memory was written to, so after its first runs a store
+// allocates nothing either. The package records no metrics: a caller that
+// wants runs and steps counted counts them from the Results it gets back,
+// as validation does once per validation.
 package interp
 
 import (
@@ -38,45 +40,74 @@ import (
 
 // State is a concrete machine state: register values and main memory.
 //
-// Memory is an overlay. Mem holds the bytes this state has written (or
-// was preset with); Base is an optional read-only image underneath. A read
-// of an address not in Mem falls back to Base and then to 0, and writes go
-// to Mem only, so any number of states can run over one image without
-// copying it.
+// Memory is an overlay. Base is an optional read-only image underneath;
+// the bytes this state writes (or is preset with, through Store) go to its
+// own paged memory, never to Base. A read of an address the state has not
+// written falls back to Base and then to 0, so any number of states can run
+// over one image without copying it. Written lists the addresses the state
+// wrote, and ResetMem forgets them while keeping their pages for the next
+// run.
 //
 // A nil Regs map means the caller does not observe registers: a run
 // starts every register at 0 and drops the final values instead of
 // writing them back.
+//
+// The zero State is ready to use. A State is for one goroutine, and it must
+// not be copied once it has written memory: use Clone.
 type State struct {
 	Regs map[string]uint64
-	Mem  map[uint64]byte
 	Base map[uint64]byte
+	mem  overlay
 }
 
-// NewState returns an empty state.
+// NewState returns an empty state with an empty register map.
 func NewState() *State {
-	return &State{Regs: map[string]uint64{}, Mem: map[uint64]byte{}}
+	return &State{Regs: map[string]uint64{}}
 }
 
 // Clone returns a copy of the state with its own registers and written
-// memory. The read-only Base is shared, not copied.
+// memory, logged in the same order. The read-only Base is shared, not
+// copied.
 func (s *State) Clone() *State {
-	return &State{Regs: maps.Clone(s.Regs), Mem: maps.Clone(s.Mem), Base: s.Base}
+	c := &State{Regs: maps.Clone(s.Regs), Base: s.Base}
+	for _, a := range s.mem.log {
+		c.mem.store(a, s.Load(a))
+	}
+	return c
 }
 
-// Load returns the memory byte at addr: Mem's if written, else Base's,
-// else 0.
+// Load returns the memory byte at addr: the state's own if it wrote one
+// there, else Base's, else 0.
 func (s *State) Load(addr uint64) byte {
-	if v, ok := s.Mem[addr]; ok {
-		return v
+	if p := s.mem.page(addr); p != nil && p.has(addr) {
+		return p.data[addr&pageMask]
 	}
 	return s.Base[addr]
+}
+
+// Store writes v to memory at addr.
+func (s *State) Store(addr uint64, v byte) {
+	s.mem.store(addr, v)
+}
+
+// Written returns every address the state has written since it was made
+// or its memory was last reset, each once, in the order of its first
+// write. The slice belongs to the state: it is valid until the next Store,
+// run or ResetMem, and the caller must not modify it.
+func (s *State) Written() []uint64 {
+	return s.mem.log
+}
+
+// ResetMem forgets every byte the state wrote, as if it had written none;
+// Base is kept. The pages that held them are reused by later writes.
+func (s *State) ResetMem() {
+	s.mem.reset()
 }
 
 // SetString stores the bytes of str into memory starting at addr.
 func (s *State) SetString(addr uint64, str string) {
 	for i := 0; i < len(str); i++ {
-		s.Mem[addr+uint64(i)] = str[i]
+		s.mem.store(addr+uint64(i), str[i])
 	}
 }
 
@@ -286,8 +317,5 @@ func (m *machine) set(slot int, v uint64) {
 }
 
 func (m *machine) store(addr uint64, v byte) {
-	if m.state.Mem == nil {
-		m.state.Mem = map[uint64]byte{}
-	}
-	m.state.Mem[addr] = v
+	m.state.mem.store(addr, v)
 }

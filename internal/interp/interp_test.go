@@ -71,13 +71,13 @@ func TestRigelIndex(t *testing.T) {
 }
 
 // scasbRef mirrors what 8086 "repne scasb" leaves in zf, di and cx when
-// started at address addr with count n searching for ch.
-func scasbRef(mem map[uint64]byte, addr, n uint64, ch byte) (zf, di, cx uint64) {
+// started at address addr of st's memory with count n searching for ch.
+func scasbRef(st *State, addr, n uint64, ch byte) (zf, di, cx uint64) {
 	di = addr
 	cx = n
 	for cx != 0 {
 		cx = (cx - 1) & 0xffff
-		m := mem[di]
+		m := st.Load(di)
 		di = (di + 1) & 0xffff
 		if m == ch {
 			zf = 1
@@ -101,7 +101,7 @@ func TestScasbRepeatMode(t *testing.T) {
 		st.SetString(200, c.s)
 		// input (rf, rfz, df, zf, di, cx, al): rf=1 rfz=0 df=0 zf=0.
 		res := run(t, d, []uint64{1, 0, 0, 0, 200, uint64(len(c.s)), uint64(c.ch)}, st)
-		wzf, wdi, wcx := scasbRef(st.Mem, 200, uint64(len(c.s)), c.ch)
+		wzf, wdi, wcx := scasbRef(st, 200, uint64(len(c.s)), c.ch)
 		if len(res.Outputs) != 3 || res.Outputs[0] != wzf || res.Outputs[1] != wdi || res.Outputs[2] != wcx {
 			t.Errorf("scasb(%q, %q) = %v, want [%d %d %d]", c.s, c.ch, res.Outputs, wzf, wdi, wcx)
 		}
@@ -111,7 +111,7 @@ func TestScasbRepeatMode(t *testing.T) {
 func TestScasbSingleStep(t *testing.T) {
 	d := machines.Get("scasb")
 	st := NewState()
-	st.Mem[50] = 'x'
+	st.Store(50, 'x')
 	// rf = 0: no repetition; compares one byte only.
 	res := run(t, d, []uint64{0, 0, 0, 0, 50, 9, 'x'}, st)
 	if res.Outputs[0] != 1 {
@@ -125,7 +125,7 @@ func TestScasbSingleStep(t *testing.T) {
 	}
 	// Direction flag set: di steps down.
 	st2 := NewState()
-	st2.Mem[50] = 'y'
+	st2.Store(50, 'y')
 	res2 := run(t, d, []uint64{0, 0, 1, 0, 50, 9, 'x'}, st2)
 	if res2.Outputs[0] != 0 || res2.Outputs[1] != 49 {
 		t.Errorf("df=1: outputs = %v, want zf=0 di=49", res2.Outputs)
@@ -145,7 +145,7 @@ func TestScasbMatchesReferenceQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		wzf, wdi, wcx := scasbRef(st.Mem, addr, uint64(len(s)), ch)
+		wzf, wdi, wcx := scasbRef(st, addr, uint64(len(s)), ch)
 		return len(res.Outputs) == 3 && res.Outputs[0] == wzf && res.Outputs[1] == wdi && res.Outputs[2] == wcx
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -168,7 +168,7 @@ func TestPascalSassign(t *testing.T) {
 	st2 := NewState()
 	st2.SetString(10, "x")
 	run(t, d, []uint64{500, 10, 0}, st2)
-	if st2.Mem[500] != 0 {
+	if st2.Load(500) != 0 {
 		t.Error("zero-length sassign wrote to destination")
 	}
 }
@@ -184,9 +184,9 @@ func TestMvcMovesLenPlusOne(t *testing.T) {
 	}
 	// len code 0 still moves one byte: the paper's off-by-one quirk.
 	st2 := NewState()
-	st2.Mem[10] = 'z'
+	st2.Store(10, 'z')
 	run(t, d, []uint64{700, 10, 0}, st2)
-	if st2.Mem[700] != 'z' {
+	if st2.Load(700) != 'z' {
 		t.Error("mvc with len=0 did not move a byte")
 	}
 }
@@ -301,9 +301,12 @@ func TestB4800ListSearch(t *testing.T) {
 	d := machines.Get("lss")
 	st := NewState()
 	// Record layout: link at +0, key at +1. List: 20 -> 30 -> 40 -> nil.
-	st.Mem[20], st.Mem[21] = 30, 'a'
-	st.Mem[30], st.Mem[31] = 40, 'b'
-	st.Mem[40], st.Mem[41] = 0, 'c'
+	st.Store(20, 30)
+	st.Store(21, 'a')
+	st.Store(30, 40)
+	st.Store(31, 'b')
+	st.Store(40, 0)
+	st.Store(41, 'c')
 	res := run(t, d, []uint64{20, 1, 'b'}, st)
 	if res.Outputs[0] != 30 {
 		t.Errorf("lss found %d, want 30", res.Outputs[0])
@@ -483,15 +486,16 @@ end`
 func TestStateClone(t *testing.T) {
 	st := NewState()
 	st.Regs["a"] = 1
-	st.Mem[5] = 9
+	st.Store(5, 9)
 	st.Base = map[uint64]byte{5: 1, 6: 7}
 	c := st.Clone()
 	c.Regs["a"] = 2
-	c.Mem[5] = 8
-	if st.Regs["a"] != 1 || st.Mem[5] != 9 {
+	c.Store(5, 8)
+	if st.Regs["a"] != 1 || st.Load(5) != 9 {
 		t.Error("Clone shares storage with original")
 	}
-	// The read-only base is shared; reads fall back Mem, Base, 0.
+	// The read-only base is shared; a read falls back from the state's
+	// own bytes to Base, then to 0.
 	if c.Load(5) != 8 || c.Load(6) != 7 || c.Load(7) != 0 || st.Load(5) != 9 {
 		t.Errorf("Load through the overlay: clone %d %d %d, original %d", c.Load(5), c.Load(6), c.Load(7), st.Load(5))
 	}

@@ -13,13 +13,23 @@ import (
 // TestCompiledMatchesReference and FuzzInterpReference compare Program
 // runs against. It re-resolves every name on every execution and carries
 // exit_when as an error: slow, but plainly the language's semantics, which
-// is what a reference is for. Memory is one flat map: run it on a state
-// whose Mem holds the whole image and whose Base is nil.
+// is what a reference is for. Memory is one flat map holding the whole
+// image, and the walker notes each address it writes the first time it
+// writes it.
+
+// refState is the reference walker's machine state: registers, a flat
+// memory, and the addresses written, each once, in the order of first
+// write.
+type refState struct {
+	Regs    map[string]uint64
+	Mem     map[uint64]byte
+	Written []uint64
+}
 
 // refRun executes d on state by walking its tree: the state is mutated in
 // place and limit <= 0 selects interp.DefaultStepLimit. It has no
 // fault-injection seam and records no metrics.
-func refRun(ctx context.Context, d *isps.Description, inputs []uint64, state *interp.State, limit int) (*interp.Result, error) {
+func refRun(ctx context.Context, d *isps.Description, inputs []uint64, state *refState, limit int) (*interp.Result, error) {
 	if limit <= 0 {
 		limit = interp.DefaultStepLimit
 	}
@@ -32,6 +42,7 @@ func refRun(ctx context.Context, d *isps.Description, inputs []uint64, state *in
 		widths: map[string]int{},
 		funcs:  map[string]*isps.FuncDecl{},
 		state:  state,
+		wrote:  map[uint64]bool{},
 		inputs: inputs,
 		limit:  limit,
 		ctx:    ctx,
@@ -53,7 +64,8 @@ type refExecer struct {
 	desc    *isps.Description
 	widths  map[string]int
 	funcs   map[string]*isps.FuncDecl
-	state   *interp.State
+	state   *refState
+	wrote   map[uint64]bool
 	inputs  []uint64
 	nextIn  int
 	outputs []uint64
@@ -118,6 +130,10 @@ func (ex *refExecer) stmt(s isps.Stmt) error {
 			addr, err := ex.expr(lhs.Addr)
 			if err != nil {
 				return err
+			}
+			if !ex.wrote[addr] {
+				ex.wrote[addr] = true
+				ex.state.Written = append(ex.state.Written, addr)
 			}
 			ex.state.Mem[addr] = byte(v)
 		default:

@@ -196,7 +196,7 @@ func TestMovsbAgainstDescription(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if m.LoadByte(dst+uint64(i)) != st.Mem[dst+uint64(i)] {
+			if m.LoadByte(dst+uint64(i)) != st.Load(dst+uint64(i)) {
 				t.Fatalf("round %d: byte %d differs", round, i)
 			}
 		}

@@ -83,14 +83,14 @@ func TestMvcAgainstDescription(t *testing.T) {
 		runM(t, m)
 		st := interp.NewState()
 		for i, b := range content {
-			st.Mem[uint64(95+i)] = b
+			st.Store(uint64(95+i), b)
 		}
 		if _, err := interp.Run(context.Background(), desc, []uint64{dst, src, lencode}, st, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 40; i++ {
 			a := uint64(95 + i)
-			if m.LoadByte(a) != st.Mem[a] {
+			if m.LoadByte(a) != st.Load(a) {
 				t.Fatalf("round %d (len=%d dst=%d src=%d): byte %d differs",
 					round, lencode, dst, src, a)
 			}

@@ -112,7 +112,7 @@ func TestMovc3OverlapAgainstDescription(t *testing.T) {
 		runM(t, m)
 		st := interp.NewState()
 		for i, b := range content {
-			st.Mem[uint64(96+i)] = b
+			st.Store(uint64(96+i), b)
 		}
 		res, err := interp.Run(context.Background(), desc, []uint64{uint64(n), src, dst}, st, 0)
 		if err != nil {
@@ -120,7 +120,7 @@ func TestMovc3OverlapAgainstDescription(t *testing.T) {
 		}
 		for i := 0; i < 32; i++ {
 			a := uint64(96 + i)
-			if m.LoadByte(a) != st.Mem[a] {
+			if m.LoadByte(a) != st.Load(a) {
 				t.Fatalf("round %d (n=%d src=%d dst=%d): byte %d differs", round, n, src, dst, a)
 			}
 		}
@@ -233,7 +233,7 @@ func TestMovc5AgainstDescription(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < dstlen; i++ {
-			if m.LoadByte(dst+uint64(i)) != st.Mem[dst+uint64(i)] {
+			if m.LoadByte(dst+uint64(i)) != st.Load(dst+uint64(i)) {
 				t.Fatalf("round %d: dst byte %d differs", round, i)
 			}
 		}

@@ -376,13 +376,13 @@ func diffInstruction(t codegen.Target, desc *descT, mn string, n int, ch byte, c
 	// translate table at tb.
 	for i, c := range content {
 		m.StoreByte(a1+uint64(i), c)
-		st.Mem[a1+uint64(i)] = c
+		st.Store(a1+uint64(i), c)
 		m.StoreByte(a2+uint64(i), content[(i+7)%len(content)])
-		st.Mem[a2+uint64(i)] = content[(i+7)%len(content)]
+		st.Store(a2+uint64(i), content[(i+7)%len(content)])
 	}
 	for i := 0; i < 256; i++ {
 		m.StoreByte(tb+uint64(i), byte(255-i))
-		st.Mem[tb+uint64(i)] = byte(255 - i)
+		st.Store(tb+uint64(i), byte(255-i))
 	}
 	if err := m.Run(sweepMaxSteps); err != nil {
 		return "sim: " + err.Error(), nil
@@ -398,9 +398,9 @@ func diffInstruction(t codegen.Target, desc *descT, mn string, n int, ch byte, c
 	// operand neighborhoods must agree byte for byte.
 	for _, base := range []uint64{a1, a2} {
 		for i := uint64(0); i < uint64(len(content))+2; i++ {
-			if m.LoadByte(base+i) != st.Mem[base+i] {
+			if m.LoadByte(base+i) != st.Load(base+i) {
 				return fmt.Sprintf("mem[%d]: sim %#x, description %#x",
-					base+i, m.LoadByte(base+i), st.Mem[base+i]), nil
+					base+i, m.LoadByte(base+i), st.Load(base+i)), nil
 			}
 		}
 	}

@@ -123,7 +123,7 @@ func runFuzz(d *isps.Description, seed int64) ([]uint64, map[uint64]byte, error)
 	rng := rand.New(rand.NewSource(seed))
 	st := interp.NewState()
 	for a := uint64(0); a < 32; a++ {
-		st.Mem[a] = byte(rng.Intn(8))
+		st.Store(a, byte(rng.Intn(8)))
 	}
 	in := []uint64{rng.Uint64() % 16, rng.Uint64() % 16, rng.Uint64() % 2, rng.Uint64() % 6}
 	res, err := interp.Run(context.Background(), d, in, st, 1<<16)
@@ -132,7 +132,7 @@ func runFuzz(d *isps.Description, seed int64) ([]uint64, map[uint64]byte, error)
 	}
 	mem := map[uint64]byte{}
 	for a := uint64(0); a < 32; a++ {
-		mem[a] = st.Mem[a]
+		mem[a] = st.Load(a)
 	}
 	return res.Outputs, mem, nil
 }

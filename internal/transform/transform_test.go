@@ -117,7 +117,7 @@ func diffCheck(t *testing.T, old, new *isps.Description, rounds int, maxVal uint
 		}
 		st1 := interp.NewState()
 		for a := uint64(0); a < 64; a++ {
-			st1.Mem[a] = byte(rng.Intn(4)) // small alphabet: collisions likely
+			st1.Store(a, byte(rng.Intn(4))) // small alphabet: collisions likely
 		}
 		st2 := st1.Clone()
 		r1, err1 := interp.Run(context.Background(), old, oldIn, st1, 100000)
@@ -133,8 +133,8 @@ func diffCheck(t *testing.T, old, new *isps.Description, rounds int, maxVal uint
 				r, oldIn, r1.Outputs, r2.Outputs, isps.Format(old), isps.Format(new))
 		}
 		for a := uint64(0); a < 64; a++ {
-			if st1.Mem[a] != st2.Mem[a] {
-				t.Fatalf("round %d: memory differs at %d: %d vs %d", r, a, st1.Mem[a], st2.Mem[a])
+			if st1.Load(a) != st2.Load(a) {
+				t.Fatalf("round %d: memory differs at %d: %d vs %d", r, a, st1.Load(a), st2.Load(a))
 			}
 		}
 	}
@@ -581,14 +581,15 @@ func TestLoopDoWhileCount(t *testing.T) {
 	// And n = 0 genuinely diverges (the constraint is necessary): old
 	// moves one byte, new moves none.
 	st1, st2 := interp.NewState(), interp.NewState()
-	st1.Mem[32], st2.Mem[32] = 'x', 'x'
+	st1.Store(32, 'x')
+	st2.Store(32, 'x')
 	if _, err := interp.Run(context.Background(), d, []uint64{0, 32, 0}, st1, 10000); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := interp.Run(context.Background(), out.Desc, []uint64{0, 32, 0}, st2, 10000); err != nil {
 		t.Fatal(err)
 	}
-	if st1.Mem[0] == st2.Mem[0] {
+	if st1.Load(0) == st2.Load(0) {
 		t.Error("n=0 should distinguish the descriptions (old moves 1 byte)")
 	}
 }
