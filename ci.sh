@@ -74,20 +74,23 @@ bench() {
 # hit's cache key is two table lookups and two memoized digests: the warm
 # row is gated at <= 39 allocs/op (38 measured; re-parsing both
 # descriptions per key took 760), so a change that parses on the warm path
-# fails here. Every transformation rebuilds only the spines it edits, so a
-# cold step interns only those spines, a liveness question is one search
-# of the CFG over effect sets filled without a map per AST leaf, and a
-# failed probe files no precondition message: the cold row is gated at
-# <= 3467 allocs/op (3,430-3,432 measured; 3,484-3,486 with a message
+# fails here. Every transformation rebuilds only the spines it edits, a
+# commit interns the outcome it owns in place (no copy of the rebuilt
+# spines), Normalize commits the probe that found a step instead of
+# applying it again, a liveness question is one search of the CFG over
+# effect sets filled without a map per AST leaf, and a failed probe files
+# and formats no precondition message: the cold row is gated at <= 2129
+# allocs/op (2,106-2,107 measured in 10 runs; 2,222 with each normalizing
+# step applied twice, 2,537 with a copying intern per commit, 3,432 before
+# either and with every probe's message formatted, 3,486 with a message
 # filed per failed probe, 3,754 with an all-names liveness fixpoint, 4,235
-# with three maps per AST leaf, 4,915 with both, 9,054 with
-# whole-description copies in 25 transformations, 18,565 before
-# hash-consing), so a change that brings back any of them on the cold
-# path fails here.
+# with three maps per AST leaf, 9,054 with whole-description copies in 25
+# transformations, 18,565 before hash-consing), so a change that brings
+# back any of them on the cold path fails here.
 bench -bench 'BenchmarkCacheWarmVsCold' -benchmem -benchtime 20x -count 1 .
 COLD_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/cold' allocs/op "$BENCH")
 WARM_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/warm' allocs/op "$BENCH")
-test "$COLD_ALLOCS" -le 3467
+test "$COLD_ALLOCS" -le 2129
 test "$WARM_ALLOCS" -le 39
 COLD_NS=$(metric '^BenchmarkCacheWarmVsCold/cold' ns/op "$BENCH")
 WARM_NS=$(metric '^BenchmarkCacheWarmVsCold/warm' ns/op "$BENCH")
@@ -121,27 +124,32 @@ test "$VAL_ALLOCS" -le 1448
 test "$CATVAL_ALLOCS" -le 10358
 
 # Table 2 and auto-search allocation gates. TABLE2_ALLOCS sums the eleven
-# scripted analyses (21,669-21,672 -> <= 21889; 21,917-21,919 with a
-# precondition message filed per failed probe, 23,247 with an all-names
-# liveness fixpoint, 26,967 with three maps per AST leaf in the effect
-# sets, 30,303 with both, 56,842 before the corpora were parsed once and
-# every transformation became a spine rebuild); their step counts are
-# pinned by TestTable2StepCountsGolden. The search charges each candidate
-# to its state budget as it probes it and stops at the goal or the budget,
-# and a failed probe files no precondition message, so both search rows
-# are gated too (ladder 4,738 -> <= 4786, exhaust 501,714-501,717 -> <=
-# 506735; 4,882-4,883 and 527,541-527,550 with a message filed per failed
-# probe): a change that goes back to expanding a whole level before
-# charging the budget fails here (the level-at-a-time search took 7,688
-# and 1,439,982), and so does one that brings back a map per AST leaf
-# (6,635 and 922,349) or a filed message per probe.
+# scripted analyses (13,169-13,173 in 10 runs -> <= 13305; 13,669 with
+# each normalizing step applied twice, 16,152 with a copying intern per
+# commit, 21,677 before either and with every probe's message formatted,
+# 21,919 with a precondition message filed per failed probe, 23,247 with
+# an all-names liveness fixpoint, 26,967 with three maps per AST leaf in
+# the effect sets, 56,842 before the corpora were parsed once and every
+# transformation became a spine rebuild); their step counts are pinned by
+# TestTable2StepCountsGolden. The search charges each candidate to its
+# state budget as it probes it and stops at the goal or the budget, a
+# failed probe neither formats nor files a precondition message, and new
+# states are interned in place, so both search rows are gated too (ladder
+# 2,883-2,885 -> <= 2914, exhaust 272,857-272,860 -> <= 275589; 3,524 and
+# 363,794 with every refused probe's message formatted, 3,308 and 293,447
+# with a copying intern, 4,738 and 501,722 before either, 4,882 and
+# 527,550 with a message filed per failed probe): a change that goes back
+# to expanding a whole level before charging the budget fails here (the
+# level-at-a-time search took 7,688 and 1,439,982), and so does one that
+# brings back a map per AST leaf (6,635 and 922,349), an eagerly formatted
+# message or a copying intern.
 bench -bench 'BenchmarkTable2$|BenchmarkAutoSearchLadder$|BenchmarkAutoSearchExhaust$' -benchmem -benchtime 10x -count 1 -cpu 1 .
 TABLE2_ALLOCS=$(metric '^BenchmarkTable2/' allocs/op "$BENCH")
 LADDER_ALLOCS=$(metric '^BenchmarkAutoSearchLadder' allocs/op "$BENCH")
 EXHAUST_ALLOCS=$(metric '^BenchmarkAutoSearchExhaust' allocs/op "$BENCH")
-test "$TABLE2_ALLOCS" -le 21889
-test "$LADDER_ALLOCS" -le 4786
-test "$EXHAUST_ALLOCS" -le 506735
+test "$TABLE2_ALLOCS" -le 13305
+test "$LADDER_ALLOCS" -le 2914
+test "$EXHAUST_ALLOCS" -le 275589
 
 # Synth: one binding's enumerate-verify-rank cycle and the cross-layer
 # sweeps. The simulators decode each program once into register slots and

@@ -73,10 +73,12 @@ type autoStep struct {
 }
 
 // autoCand is a probed, applicable candidate: the step plus the probe's
-// outcome, reused when the successor state is built (no second application).
+// outcome, reused when the successor state is built (no second
+// application), and the index of its move in the prober's table.
 type autoCand struct {
 	autoStep
-	out *transform.Outcome
+	out  *transform.Outcome
+	move int
 }
 
 // autoState is one node of the search tree. Trails are reconstructed by
@@ -106,6 +108,10 @@ func (st *autoState) trail() []autoStep {
 // mode retains strings and exists for tests; production searches leave it
 // off.
 var autoHashCheck bool
+
+// autoDigest keys the visited set. Tests replace it with a colliding digest
+// to drive the search's collision-error path.
+var autoDigest = isps.HashPair
 
 // AutoComplete searches for a sequence of argument-free preserving
 // transformations that brings the session's two descriptions into common
@@ -193,9 +199,11 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 		return 0, nil
 	}
 	vs := newVisitedSet(autoHashCheck)
-	if _, err := vs.add(isps.HashPair(s.Op, s.Ins), s.Op, s.Ins); err != nil {
+	if _, err := vs.add(autoDigest(s.Op, s.Ins), s.Op, s.Ins); err != nil {
 		return 0, err
 	}
+	pr := s.newProber()
+	defer pr.flush()
 	frontier := []*autoState{{op: s.Op, ins: s.Ins}}
 	explored := 0
 	for depth := 0; depth < maxDepth && len(frontier) > 0; depth++ {
@@ -204,7 +212,7 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 			if err := ctx.Err(); err != nil {
 				return 0, fmt.Errorf("core: auto search after %d states: %w", explored, err)
 			}
-			for _, cand := range s.autoCandidates(st.op, st.ins) {
+			for _, cand := range pr.candidates(st.op, st.ins) {
 				if explored++; explored > budget {
 					return 0, &fault.BudgetError{
 						Op: "auto-search", Depth: maxDepth, Budget: budget,
@@ -212,14 +220,14 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 						Reason: "state budget spent before a completion was found",
 					}
 				}
-				s.Metrics.Inc("auto.explored", cand.xform)
+				pr.counts[cand.move].explored++
 				op, ins := st.op, st.ins
 				if cand.side == OpSide {
 					op = cand.out.Desc
 				} else {
 					ins = cand.out.Desc
 				}
-				fresh, err := vs.add(isps.HashPair(op, ins), op, ins)
+				fresh, err := vs.add(autoDigest(op, ins), op, ins)
 				if err != nil {
 					return 0, err
 				}
@@ -229,8 +237,9 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 				// Intern only new states: duplicates never pay the
 				// canonicalization walk, and new ones share structure with
 				// their parents so the next level's digests and Equal checks
-				// answer from memos.
-				succ := &autoState{op: isps.InternDesc(op), ins: isps.InternDesc(ins), parent: st, step: cand.autoStep}
+				// answer from memos. The probe's outcome is the search's
+				// own, so it is interned in place.
+				succ := &autoState{op: internOwned(op), ins: internOwned(ins), parent: st, step: cand.autoStep}
 				if _, err := equiv.CommonForm(succ.op, succ.ins); err == nil {
 					// Replay the trail through the session so every step is
 					// validated and recorded as usual.
@@ -309,40 +318,71 @@ func moveKindsOf(name string) []string {
 	}
 }
 
-// autoCandidates enumerates the applicable moves of a state: it probes each
-// transformation at each node of the matching kind and keeps the applicable
-// ones — with their probe outcomes — in a deterministic order. Probes run
-// inside the same recovery boundary as real applications, so a panic-prone
-// candidate is skipped, not fatal; a move missing from the transformation
-// registry is likewise skipped (counted as auto.skipped), and candidates
-// that would introduce constraints are dropped here rather than re-probed
-// later. The kind-indexed path table is built lazily from the union of
-// kinds the enabled moves actually target.
-func (s *Session) autoCandidates(op, ins *isps.Description) []autoCand {
-	// Resolve the enabled moves and the node kinds they need, once.
-	type move struct {
-		name  string
-		tr    *transform.Transformation
-		kinds []string
-		gate  func(isps.Expr) bool
-	}
-	moves := make([]move, 0, len(autoMoves))
-	wantKind := map[string]bool{}
+// prober enumerates the search's candidates. It resolves the moves once per
+// search and counts what the search explores and what its probes refuse in
+// locals; flush records the counts in the metrics registry once, whichever
+// way the search returns (goal, budget, cancellation or a collision error).
+type prober struct {
+	s        *Session
+	moves    []move
+	wantKind map[string]bool
+	counts   []probeCounts // indexed like moves
+}
+
+// probeCounts is one move's share of a search: candidates charged to the
+// budget (auto.explored), and probes refused by a precondition
+// (transform.precond) or failing otherwise (transform.error).
+type probeCounts struct {
+	explored, precond, errs uint64
+}
+
+// newProber resolves the enabled moves and the node kinds they need. A
+// move missing from the transformation registry degrades the search
+// instead of killing it (counted as auto.skipped); the replay path cannot
+// hit the gap because only probed candidates are replayed.
+func (s *Session) newProber() *prober {
+	pr := &prober{s: s, moves: make([]move, 0, len(autoMoves)), wantKind: map[string]bool{}}
 	for _, name := range autoMoves {
-		tr, err := transform.Get(name)
+		mv, err := newMove(name)
 		if err != nil {
-			// A registry gap degrades the search instead of killing it; the
-			// replay path cannot hit the gap because only probed candidates
-			// are replayed.
 			s.Metrics.Inc("auto.skipped", name)
 			continue
 		}
-		kinds := moveKindsOf(name)
-		moves = append(moves, move{name: name, tr: tr, kinds: kinds, gate: exprGates[name]})
-		for _, k := range kinds {
-			wantKind[k] = true
+		pr.moves = append(pr.moves, mv)
+		for _, k := range mv.kinds {
+			pr.wantKind[k] = true
 		}
 	}
+	pr.counts = make([]probeCounts, len(pr.moves))
+	return pr
+}
+
+// flush records the search's counts; a move with nothing to record adds no
+// series.
+func (pr *prober) flush() {
+	m := pr.s.Metrics
+	for i, c := range pr.counts {
+		name := pr.moves[i].name
+		if c.explored > 0 {
+			m.Add("auto.explored", name, c.explored)
+		}
+		if c.precond > 0 {
+			m.Add("transform.precond", name, c.precond)
+		}
+		if c.errs > 0 {
+			m.Add("transform.error", name, c.errs)
+		}
+	}
+}
+
+// candidates enumerates the applicable moves of a state: it probes each
+// transformation at each node of the matching kind that passes its gate
+// and keeps the applicable ones — with their probe outcomes — in a
+// deterministic order. Probes run inside the same recovery boundary as real
+// applications, so a panic-prone candidate is skipped, not fatal, and
+// candidates that would introduce constraints are dropped here rather than
+// re-probed later.
+func (pr *prober) candidates(op, ins *isps.Description) []autoCand {
 	var out []autoCand
 	for _, side := range []Side{OpSide, InsSide} {
 		d := ins
@@ -355,26 +395,28 @@ func (s *Session) autoCandidates(op, ins *isps.Description) []autoCand {
 		}
 		byKind := map[string][]sited{}
 		isps.Walk(d, func(n isps.Node, p isps.Path) bool {
-			if k := nodeKind(n); k != "" && wantKind[k] {
+			if k := nodeKind(n); k != "" && pr.wantKind[k] {
 				// Walk reuses its path buffer; retained paths must be copied.
 				byKind[k] = append(byKind[k], sited{p: append(isps.Path(nil), p...), n: n})
 			}
 			return true
 		})
-		for _, mv := range moves {
+		for mi := range pr.moves {
+			mv := &pr.moves[mi]
 			for _, kind := range mv.kinds {
 				for _, c := range byKind[kind] {
-					if mv.gate != nil {
-						// The tree is immutable during enumeration, so the
-						// walked node is exactly what the probe would see;
-						// gating it skips the probe's full-description clone.
-						if e, isExpr := c.n.(isps.Expr); !isExpr || !mv.gate(e) {
-							continue
-						}
+					// The tree is immutable during enumeration, so the
+					// walked node is exactly what the probe would see.
+					if mv.gate != nil && !mv.gate(c.n) {
+						continue
 					}
 					res, err := safeTransformApply(mv.tr, d, c.p, transform.Args{"dir": "down"})
 					if err != nil {
-						s.noteProbe(mv.name, err)
+						if _, ok := transform.AsPrecond(err); ok {
+							pr.counts[mi].precond++
+						} else {
+							pr.counts[mi].errs++
+						}
 						continue
 					}
 					if len(res.Constraints) > 0 {
@@ -383,6 +425,7 @@ func (s *Session) autoCandidates(op, ins *isps.Description) []autoCand {
 					out = append(out, autoCand{
 						autoStep: autoStep{side: side, xform: mv.name, at: c.p},
 						out:      res,
+						move:     mi,
 					})
 				}
 			}

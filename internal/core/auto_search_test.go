@@ -331,3 +331,77 @@ func TestProbesFileNoReason(t *testing.T) {
 		}
 	}
 }
+
+// watchCtx is a context whose Err reports cancellation from its cancelAt-th
+// call on (never when cancelAt is 0), and calls watch on every call. The
+// search checks its context before expanding each state, so watch sees
+// the registry mid-search.
+type watchCtx struct {
+	context.Context
+	calls, cancelAt int
+	watch           func()
+}
+
+func (c *watchCtx) Err() error {
+	c.calls++
+	c.watch()
+	if c.cancelAt > 0 && c.calls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSearchCountersFlushedOnce: the search counts the candidates it
+// charges to its budget (auto.explored) and its refused probes
+// (transform.precond, transform.error) in locals and records them once, as
+// it returns, on every return path: the goal, a budget trip, cancellation
+// and a hash collision. While it runs the registry holds none of them;
+// after it returns it holds what the search counted per probe before the
+// flush, less the probes the statement gates now skip (exit.false,
+// if.true and if.false at conditionals and exits they cannot fold).
+func TestSearchCountersFlushedOnce(t *testing.T) {
+	cases := searchCases()
+	for _, tc := range []struct {
+		name                    string
+		sc                      searchCase
+		depth, budget, cancelAt int
+		collide                 bool
+		wantErr                 string
+		explored, precond, errs uint64
+	}{
+		{"goal", cases[0], 2, 100, 0, false, "", 48, 112, 0},
+		{"budget", cases[0], 2, 10, 0, false, "state budget spent", 10, 32, 0},
+		{"cancel", cases[1], 3, 200000, 5, false, "auto search after 90 states: context canceled", 90, 168, 0},
+		{"collision", cases[0], 2, 100, 0, true, "hash collision", 1, 16, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.sc.build(t)
+			reg := obs.NewRegistry()
+			s.Metrics = reg
+			totals := func() [3]uint64 {
+				return [3]uint64{reg.Total("auto.explored"), reg.Total("transform.precond"), reg.Total("transform.error")}
+			}
+			before := totals()
+			if tc.collide {
+				autoHashCheck, autoDigest = true, func(isps.Node, isps.Node) isps.Digest { return isps.Digest{} }
+				defer func() { autoHashCheck, autoDigest = false, isps.HashPair }()
+			}
+			ctx := &watchCtx{Context: context.Background(), cancelAt: tc.cancelAt, watch: func() {
+				if got := totals(); got != before {
+					t.Fatalf("the registry moved mid-search: %v, before the search %v", got, before)
+				}
+			}}
+			_, err := s.autoComplete(ctx, tc.depth, tc.budget, 0, 1)
+			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("search returned %v, want %q", err, tc.wantErr)
+			}
+			if ctx.calls == 0 {
+				t.Fatal("the search never checked its context")
+			}
+			want := [3]uint64{tc.explored, tc.precond, tc.errs}
+			if got := totals(); got != want {
+				t.Errorf("(auto.explored, transform.precond, transform.error) = %v, want %v", got, want)
+			}
+		})
+	}
+}

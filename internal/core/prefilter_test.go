@@ -12,9 +12,9 @@ import (
 // TestExprGatesRegistered: every gate names a real transformation — a typo
 // in the table would silently gate nothing.
 func TestExprGatesRegistered(t *testing.T) {
-	for name := range exprGates {
+	for name := range moveGates {
 		if _, err := transform.Get(name); err != nil {
-			t.Errorf("exprGates[%q] names no registered transformation: %v", name, err)
+			t.Errorf("moveGates[%q] names no registered transformation: %v", name, err)
 		}
 	}
 }
@@ -46,7 +46,7 @@ func TestExprGatesSound(t *testing.T) {
 			}
 			return true
 		})
-		for name, gate := range exprGates {
+		for name, gate := range moveGates {
 			tr, err := transform.Get(name)
 			if err != nil {
 				continue // TestExprGatesRegistered reports this

@@ -197,12 +197,12 @@ func (s *Session) noteApply(side Side, name string, at isps.Path, dur time.Durat
 	}
 }
 
-// noteProbe counts a speculative application attempt (tactics and the
-// auto-search probe before committing a step) that failed: metrics only,
-// no trace event — probes are pruned work, not steps. The pruned/explored
-// ratio is the primary tuning signal for search-shaped analyses. A probe
-// files no transform.precond.reason: its message is built for nothing, and
-// a search's distinct messages would grow the registry without bound.
+// noteProbe counts a speculative application attempt of Normalize that
+// failed: metrics only, no trace event — probes are pruned work, not steps.
+// (The auto-search counts its probes the same way, in locals flushed once
+// per search.) A probe files no transform.precond.reason and never formats
+// its message: a search's distinct messages would grow the registry without
+// bound.
 func (s *Session) noteProbe(name string, err error) {
 	if _, ok := transform.AsPrecond(err); ok {
 		s.Metrics.Inc("transform.precond", name)
@@ -288,7 +288,7 @@ func (s *Session) Apply(side Side, name string, at isps.Path, args transform.Arg
 	dur := time.Since(start)
 	if err != nil {
 		if pe, ok := transform.AsPrecond(err); ok {
-			s.noteApply(side, name, at, dur, outcomePrecond, pe.Msg)
+			s.noteApply(side, name, at, dur, outcomePrecond, pe.Msg())
 		} else {
 			if cls := fault.Classify(err); cls != "other" {
 				s.Metrics.Inc("fault.recovered", cls)
@@ -297,6 +297,17 @@ func (s *Session) Apply(side Side, name string, at isps.Path, args transform.Arg
 		}
 		return err
 	}
+	return s.commit(side, tr, at, args, out, dur)
+}
+
+// commit records out, the outcome of applying tr to the current description
+// of side at path at, as the session's next step: the constraint policy and
+// the static checks, the metrics and trace event, interning, the variant
+// fields and the step record. Apply commits what it applied, and Normalize
+// what it probed, so each step applies its transformation once. The session
+// owns out: its tree is interned in place.
+func (s *Session) commit(side Side, tr *transform.Transformation, at isps.Path, args transform.Args, out *transform.Outcome, dur time.Duration) error {
+	name := tr.Name
 	for _, c := range out.Constraints {
 		if c.Kind == constraint.Predicate && !s.Extended {
 			err := fmt.Errorf("%w (from %s: %s)", ErrComplexConstraint, name, c.Pred)
@@ -310,11 +321,10 @@ func (s *Session) Apply(side Side, name string, at isps.Path, args transform.Arg
 		return err
 	}
 	s.noteApply(side, name, at, dur, outcomeApplied, out.Note)
-	// Commit the interned tree. Every transform hands back spine rebuilds
-	// over the (already interned) previous state, so interning here
-	// re-freezes only the rebuilt spines. Variant fields alias the canonical
-	// tree — immutability makes the old defensive clones redundant.
-	nd := isps.InternDesc(out.Desc)
+	// Every transform hands back spine rebuilds over the (already interned)
+	// previous state, so interning re-freezes only the rebuilt spines, in
+	// place. Variant fields alias the canonical tree.
+	nd := internOwned(out.Desc)
 	if side == OpSide {
 		s.Op = nd
 		if tr.Effect != transform.Preserving {
@@ -347,6 +357,12 @@ func (s *Session) Apply(side Side, name string, at isps.Path, args transform.Arg
 		Constraints: out.Constraints,
 	})
 	return nil
+}
+
+// internOwned interns a description the session or the search owns (a
+// transformation's outcome) in place.
+func internOwned(d *isps.Description) *isps.Description {
+	return isps.InternOwned(d).(*isps.Description)
 }
 
 // MustApply is Apply for proof scripts that have already been verified to

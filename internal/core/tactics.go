@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"time"
 
 	"extra/internal/isps"
 	"extra/internal/transform"
@@ -31,37 +32,24 @@ var reducingTransforms = []string{
 // Normalize repeatedly applies the reducing local transformations anywhere
 // in the description until none applies, recording every application as a
 // step. It returns the number of steps taken. Probes are prefiltered by
-// node kind (the same moveKindsOf table the auto-search uses), so a fold
-// is never cloned-and-tried at a declaration or a block where its
-// precondition cannot hold.
+// node kind (the same moveKindsOf table the auto-search uses) and by the
+// moves' gates, so a fold is never tried where its precondition cannot
+// hold. A probe runs inside the session's fault boundary, like the
+// search's: a failed or panicking one is counted (transform.precond or
+// transform.error) and skipped, and a successful one is committed as it
+// is, without applying the transformation a second time.
 func (s *Session) Normalize(side Side) (int, error) {
-	// Resolve the transforms and their target kinds once.
-	type move struct {
-		name  string
-		tr    *transform.Transformation
-		kinds []string
-		gate  func(isps.Expr) bool
-	}
 	moves := make([]move, 0, len(reducingTransforms))
 	wantKind := map[string]bool{}
 	for _, name := range reducingTransforms {
-		tr, err := transform.Get(name)
+		mv, err := newMove(name)
 		if err != nil {
 			return 0, err
 		}
-		kinds := moveKindsOf(name)
-		moves = append(moves, move{name: name, tr: tr, kinds: kinds, gate: exprGates[name]})
-		for _, k := range kinds {
+		moves = append(moves, mv)
+		for _, k := range mv.kinds {
 			wantKind[k] = true
 		}
-	}
-	kindOK := func(mv move, kind string) bool {
-		for _, k := range mv.kinds {
-			if k == kind {
-				return true
-			}
-		}
-		return false
 	}
 	steps := 0
 	for {
@@ -85,22 +73,25 @@ func (s *Session) Normalize(side Side) (int, error) {
 			if err != nil {
 				continue // a prior application this round restructured the tree
 			}
-			for _, mv := range moves {
-				if !kindOK(mv, c.kind) {
+			for i := range moves {
+				mv := &moves[i]
+				// Gate on the freshly resolved node: an application this
+				// round may have rewritten what sits at the path.
+				if !mv.admits(n, c.kind) {
 					continue
 				}
-				if mv.gate != nil {
-					// Gate on the freshly resolved node: an application this
-					// round may have rewritten what sits at the path.
-					if e, isExpr := n.(isps.Expr); !isExpr || !mv.gate(e) {
-						continue
-					}
-				}
-				if _, err := mv.tr.Apply(d, c.p, nil); err != nil {
+				start := time.Now()
+				out, err := safeTransformApply(mv.tr, d, c.p, nil)
+				dur := time.Since(start)
+				if err != nil {
 					s.noteProbe(mv.name, err)
 					continue
 				}
-				if err := s.Apply(side, mv.name, c.p, nil); err != nil {
+				if err := s.ctxErr("apply " + mv.name); err != nil {
+					s.noteApply(side, mv.name, c.p, 0, outcomeError, err.Error())
+					return steps, err
+				}
+				if err := s.commit(side, mv.tr, c.p, nil, out, dur); err != nil {
 					return steps, err
 				}
 				steps++
@@ -199,8 +190,7 @@ func (s *Session) InlineCalls(side Side) error {
 		}
 		temp := ""
 		for k := 0; ; k++ {
-			cand := fmt.Sprintf("t%d", k)
-			if isps.FreshName(d, cand) == cand {
+			if cand := "t" + strconv.Itoa(k); isps.NameFree(d, cand) {
 				temp = cand
 				break
 			}
@@ -256,13 +246,17 @@ func findCallStmt(d *isps.Description) (isps.Path, bool) {
 	return found, ok
 }
 
+// hasCall reports whether n contains a call. It is asked of every simple
+// statement on each search for the next call to inline, so it recurses
+// directly and stops at the first call instead of paying for a Walk.
 func hasCall(n isps.Node) bool {
-	found := false
-	isps.Walk(n, func(m isps.Node, _ isps.Path) bool {
-		if _, isCall := m.(*isps.Call); isCall {
-			found = true
+	if _, isCall := n.(*isps.Call); isCall {
+		return true
+	}
+	for i := 0; i < n.NumChildren(); i++ {
+		if hasCall(n.Child(i)) {
+			return true
 		}
-		return !found
-	})
-	return found
+	}
+	return false
 }

@@ -196,15 +196,15 @@ const (
 	OpNeg           // - (unary)
 )
 
-var opStrings = map[Op]string{
+var opStrings = [...]string{
 	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/",
 	OpEq: "=", OpNe: "<>", OpLt: "<", OpGt: ">", OpLe: "<=", OpGe: ">=",
 	OpAnd: "and", OpOr: "or", OpXor: "xor", OpNot: "not", OpNeg: "-",
 }
 
 func (o Op) String() string {
-	if s, ok := opStrings[o]; ok {
-		return s
+	if o >= 0 && int(o) < len(opStrings) {
+		return opStrings[o]
 	}
 	return fmt.Sprintf("Op(%d)", int(o))
 }

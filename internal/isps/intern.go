@@ -38,8 +38,8 @@ func internShardFor(d Digest) *internShard {
 // Intern returns the canonical frozen node structurally equal to n,
 // interning a copy of it (and of every descendant) if none exists yet. The
 // argument is never retained or mutated: callers keep full ownership of
-// mutable trees they pass in. Foreign Node implementations are returned
-// unchanged.
+// mutable trees they pass in (InternOwned is the entry point for trees the
+// caller gives up). Foreign Node implementations are returned unchanged.
 func Intern(n Node) Node {
 	if m := metaOf(n); m != nil && m.frozen() {
 		return n
@@ -108,6 +108,77 @@ func Intern(n Node) Node {
 
 // InternDesc interns a description with the concrete type preserved.
 func InternDesc(d *Description) *Description { return Intern(d).(*Description) }
+
+// InternOwned is Intern for a tree the caller built and hands over, such as
+// a transformation's outcome: instead of interning a copy of every
+// unfrozen node, it replaces each unfrozen node's children by their
+// canonical nodes in place and then publishes the node itself when no equal
+// node is canonical yet. The result is the node Intern would return, and n
+// stays structurally unchanged, though some of its nodes may now be
+// frozen. The caller must own every unfrozen node under n: no other
+// goroutine may reach one, and the caller must not mutate one afterwards.
+// A slice an unfrozen node shares with a frozen one is never written to,
+// because the frozen node's elements are canonical already.
+func InternOwned(n Node) Node {
+	if m := metaOf(n); m == nil || m.frozen() {
+		return n
+	}
+	switch x := n.(type) {
+	case *Description:
+		for i, s := range x.Sections {
+			if c := InternOwned(s).(*Section); c != s {
+				x.Sections[i] = c
+			}
+		}
+	case *Section:
+		for i, d := range x.Decls {
+			if c := InternOwned(d).(Decl); c != d {
+				x.Decls[i] = c
+			}
+		}
+	case *FuncDecl:
+		x.Body = InternOwned(x.Body).(*Block)
+	case *RoutineDecl:
+		x.Body = InternOwned(x.Body).(*Block)
+	case *Block:
+		for i, s := range x.Stmts {
+			if c := InternOwned(s).(Stmt); c != s {
+				x.Stmts[i] = c
+			}
+		}
+	case *AssignStmt:
+		x.LHS = InternOwned(x.LHS).(Expr)
+		x.RHS = InternOwned(x.RHS).(Expr)
+	case *IfStmt:
+		x.Cond = InternOwned(x.Cond).(Expr)
+		x.Then = InternOwned(x.Then).(*Block)
+		x.Else = InternOwned(x.Else).(*Block)
+	case *RepeatStmt:
+		x.Body = InternOwned(x.Body).(*Block)
+	case *ExitWhenStmt:
+		x.Cond = InternOwned(x.Cond).(Expr)
+	case *OutputStmt:
+		for i, e := range x.Exprs {
+			if c := InternOwned(e).(Expr); c != e {
+				x.Exprs[i] = c
+			}
+		}
+	case *AssertStmt:
+		x.Cond = InternOwned(x.Cond).(Expr)
+	case *Bin:
+		x.X = InternOwned(x.X).(Expr)
+		x.Y = InternOwned(x.Y).(Expr)
+	case *Un:
+		x.X = InternOwned(x.X).(Expr)
+	case *Mem:
+		x.Addr = InternOwned(x.Addr).(Expr)
+	case *RegDecl, *InputStmt, *Ident, *Num, *Call:
+		// Leaves: nothing under them to canonicalize.
+	default:
+		return Intern(n)
+	}
+	return canonicalize(n)
+}
 
 // canonicalize looks up the freshly built node c (whose children are all
 // canonical already, so hashing it costs one shallow fold) and either

@@ -271,3 +271,73 @@ func TestInternParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestInternOwned: interning a caller-owned tree in place returns the node
+// Intern of a copy returns, leaves every node of the result frozen and the
+// owned tree structurally unchanged, and never writes to the interned tree
+// it was built over, though its rebuilt blocks share statement slices with
+// that tree. Eight goroutines do this at once over one interned base while
+// reading the base (run under -race in CI); half their trees are new to
+// the interner, and half are equal to trees other goroutines intern.
+func TestInternOwned(t *testing.T) {
+	base := isps.InternDesc(isps.MustParse(internSrc))
+	baseText := isps.Format(base)
+	ifPath, ok := isps.Find(base, func(n isps.Node) bool { _, is := n.(*isps.IfStmt); return is })
+	if !ok {
+		t.Fatal("no conditional in the base")
+	}
+	n, err := isps.Resolve(base, ifPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ifs := n.(*isps.IfStmt)
+	// build reverses the conditional with a fresh condition; the new blocks
+	// share their statement slices with the base's frozen ones.
+	build := func(i int) *isps.Description {
+		cond := &isps.Bin{Op: isps.OpAdd, X: ifs.Cond, Y: &isps.Num{Val: int64(i)}}
+		rev := &isps.IfStmt{Cond: cond, Then: &isps.Block{Stmts: ifs.Else.Stmts}, Else: &isps.Block{Stmts: ifs.Then.Stmts}}
+		d, err := base.ReplaceAtDesc(ifPath, rev)
+		if err != nil {
+			t.Error(err)
+			return base
+		}
+		return d
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				v := (w + i) % 5
+				if i%2 == 1 {
+					v = 1000*(w+1) + i
+				}
+				owned := build(v)
+				text := isps.Format(owned)
+				copied := owned.CloneDesc()
+				got := isps.InternOwned(owned)
+				isps.Walk(got, func(n isps.Node, _ isps.Path) bool {
+					if !isps.Interned(n) {
+						t.Errorf("worker %d: %T under the result is not frozen", w, n)
+					}
+					return true
+				})
+				if isps.InternDesc(copied) != got {
+					t.Errorf("worker %d: InternOwned gave a different node than Intern of a copy", w)
+				}
+				if isps.Format(owned) != text {
+					t.Errorf("worker %d: interning in place changed the owned tree", w)
+				}
+				if isps.Format(base) != baseText {
+					t.Errorf("worker %d: interning in place wrote through to the base", w)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if isps.InternOwned(base) != base {
+		t.Error("InternOwned of an interned tree is not the identity")
+	}
+}

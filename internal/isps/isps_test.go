@@ -1,6 +1,7 @@
 package isps
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -168,6 +169,27 @@ func TestPathResolveReplace(t *testing.T) {
 	nc, _ := Resolve(d, p)
 	if len(nc.(*OutputStmt).Exprs) != 3 {
 		t.Error("replace wrote through to the original")
+	}
+}
+
+// TestResolveErrorKeepsPath: a path that leaves the tree fails with a
+// *ResolveError whose message names the failing step, and the message does
+// not change when the caller reuses the path slice it passed.
+func TestResolveErrorKeepsPath(t *testing.T) {
+	d := MustParse(scasbSrc)
+	p := Path{0, 0, 99}
+	_, err := Resolve(d, p)
+	var re *ResolveError
+	if !errors.As(err, &re) {
+		t.Fatalf("Resolve(%s) = %v, want a *ResolveError", p, err)
+	}
+	want := "isps: path /0/0/99: index 99 out of range at depth 2 (*isps.RegDecl has 0 children)"
+	if got := err.Error(); got != want {
+		t.Fatalf("message %q, want %q", got, want)
+	}
+	p[0], p[2] = 7, 8
+	if got := err.Error(); got != want {
+		t.Errorf("message after reusing the path: %q, want %q", got, want)
 	}
 }
 

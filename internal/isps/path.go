@@ -16,11 +16,13 @@ func (p Path) String() string {
 	if len(p) == 0 {
 		return "/"
 	}
-	var b strings.Builder
+	var buf [64]byte
+	out := buf[:0]
 	for _, i := range p {
-		fmt.Fprintf(&b, "/%d", i)
+		out = append(out, '/')
+		out = strconv.AppendInt(out, int64(i), 10)
 	}
-	return b.String()
+	return string(out)
 }
 
 // ParsePath parses the String form back into a Path. "/" is the empty path.
@@ -74,17 +76,37 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Resolve walks the path from root and returns the addressed node.
+// Resolve walks the path from root and returns the addressed node. A path
+// that leaves the tree fails with a *ResolveError.
 func Resolve(root Node, p Path) (Node, error) {
 	n := root
 	for depth, i := range p {
 		if i < 0 || i >= n.NumChildren() {
-			return nil, fmt.Errorf("isps: path %s: index %d out of range at depth %d (%T has %d children)",
-				p, i, depth, n, n.NumChildren())
+			return nil, &ResolveError{Path: append(Path(nil), p...), Depth: depth, Node: n, Children: n.NumChildren()}
 		}
 		n = n.Child(i)
 	}
 	return n, nil
+}
+
+// ResolveError reports a path step with no child to take. Its message is
+// formatted when read: tactics and the search resolve paths that an
+// earlier step of theirs has made stale, and drop the error. Path is a copy
+// of the resolved path, so the message does not change when the caller
+// reuses its slice.
+type ResolveError struct {
+	Path Path
+	// Depth is the index into Path of the step that failed.
+	Depth int
+	// Node is the node that step indexes into, and Children its child
+	// count.
+	Node     Node
+	Children int
+}
+
+func (e *ResolveError) Error() string {
+	return fmt.Sprintf("isps: path %s: index %d out of range at depth %d (%T has %d children)",
+		e.Path, e.Path[e.Depth], e.Depth, e.Node, e.Children)
 }
 
 // Walk calls fn for every node in pre-order, passing the node and its path
@@ -160,6 +182,49 @@ func UsedNames(root Node) map[string]bool {
 		return true
 	})
 	return used
+}
+
+// NameFree reports whether FreshName(root, name) would return name itself:
+// name is not a keyword, not declared (when root is a description) and not
+// used under root as an identifier, call or input operand. It builds no
+// table and stops at the first use.
+func NameFree(root Node, name string) bool {
+	if IsKeyword(name) {
+		return false
+	}
+	if d, ok := root.(*Description); ok {
+		for _, s := range d.Sections {
+			for _, dec := range s.Decls {
+				if dec.DeclName() == name {
+					return false
+				}
+			}
+		}
+	}
+	return !nameUsed(root, name)
+}
+
+// nameUsed reports whether name occurs under n where UsedNames looks.
+func nameUsed(n Node, name string) bool {
+	switch x := n.(type) {
+	case *Ident:
+		return x.Name == name
+	case *Call:
+		return x.Name == name
+	case *InputStmt:
+		for _, nm := range x.Names {
+			if nm == name {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < n.NumChildren(); i++ {
+		if nameUsed(n.Child(i), name) {
+			return true
+		}
+	}
+	return false
 }
 
 // FreshName returns base if unused in root, otherwise base1, base2, ....

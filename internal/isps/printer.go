@@ -2,19 +2,27 @@ package isps
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
+
+// The printer writes every description, statement and expression straight
+// into one strings.Builder: no fmt call per assignment, number or
+// operator, and no intermediate string per sub-expression. Its output is
+// pinned to a fmt-based reference printer kept in the tests.
 
 // Format returns the figure-style source text of a description, suitable for
 // reparsing and for reproducing the paper's listings (figures 2-5).
 func Format(d *Description) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s := begin\n", d.Name)
+	b.WriteString(d.Name)
+	b.WriteString(" := begin\n")
 	for _, s := range d.Sections {
-		fmt.Fprintf(&b, "** %s **\n", s.Name)
+		b.WriteString("** ")
+		b.WriteString(s.Name)
+		b.WriteString(" **\n")
 		for i, dec := range s.Decls {
-			last := i == len(s.Decls)-1
-			printDecl(&b, dec, last)
+			printDecl(&b, dec, i == len(s.Decls)-1)
 		}
 	}
 	b.WriteString("end\n")
@@ -26,23 +34,27 @@ func printDecl(b *strings.Builder, dec Decl, last bool) {
 	case *RegDecl:
 		// Comments print on their own line before the declaration so the
 		// parser re-attaches them to the same declaration on reparse.
-		if d.Comment != "" {
-			fmt.Fprintf(b, "  ! %s\n", d.Comment)
-		}
-		fmt.Fprintf(b, "  %s%s", d.Name, widthSuffix(d.Width))
+		printComment(b, d.Comment)
+		b.WriteString("  ")
+		b.WriteString(d.Name)
+		printWidth(b, d.Width)
 		if !last {
 			b.WriteString(",")
 		}
 		b.WriteString("\n")
 	case *FuncDecl:
-		if d.Comment != "" {
-			fmt.Fprintf(b, "  ! %s\n", d.Comment)
-		}
-		fmt.Fprintf(b, "  %s()%s := begin\n", d.Name, widthSuffix(d.Width))
+		printComment(b, d.Comment)
+		b.WriteString("  ")
+		b.WriteString(d.Name)
+		b.WriteString("()")
+		printWidth(b, d.Width)
+		b.WriteString(" := begin\n")
 		printBlock(b, d.Body, 2)
 		b.WriteString("  end\n")
 	case *RoutineDecl:
-		fmt.Fprintf(b, "  %s := begin\n", d.Name)
+		b.WriteString("  ")
+		b.WriteString(d.Name)
+		b.WriteString(" := begin\n")
 		printBlock(b, d.Body, 2)
 		b.WriteString("  end\n")
 	default:
@@ -50,15 +62,31 @@ func printDecl(b *strings.Builder, dec Decl, last bool) {
 	}
 }
 
-func widthSuffix(w int) string {
+func printComment(b *strings.Builder, c string) {
+	if c != "" {
+		b.WriteString("  ! ")
+		b.WriteString(c)
+		b.WriteString("\n")
+	}
+}
+
+func printWidth(b *strings.Builder, w int) {
 	switch w {
 	case 0:
-		return ": integer"
+		b.WriteString(": integer")
 	case 1:
-		return "<>"
+		b.WriteString("<>")
 	default:
-		return fmt.Sprintf("<%d:0>", w-1)
+		b.WriteString("<")
+		printInt(b, int64(w-1))
+		b.WriteString(":0>")
 	}
+}
+
+// printInt writes v in decimal without an intermediate string.
+func printInt(b *strings.Builder, v int64) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], v, 10))
 }
 
 func printBlock(b *strings.Builder, blk *Block, depth int) {
@@ -77,9 +105,14 @@ func printStmt(b *strings.Builder, s Stmt, depth int) {
 	indent(b, depth)
 	switch st := s.(type) {
 	case *AssignStmt:
-		fmt.Fprintf(b, "%s <- %s;\n", ExprString(st.LHS), ExprString(st.RHS))
+		printExpr(b, st.LHS, 0)
+		b.WriteString(" <- ")
+		printExpr(b, st.RHS, 0)
+		b.WriteString(";\n")
 	case *IfStmt:
-		fmt.Fprintf(b, "if %s\n", ExprString(st.Cond))
+		b.WriteString("if ")
+		printExpr(b, st.Cond, 0)
+		b.WriteString("\n")
 		indent(b, depth)
 		b.WriteString("then\n")
 		printBlock(b, st.Then, depth+1)
@@ -96,17 +129,31 @@ func printStmt(b *strings.Builder, s Stmt, depth int) {
 		indent(b, depth)
 		b.WriteString("end_repeat;\n")
 	case *ExitWhenStmt:
-		fmt.Fprintf(b, "exit_when (%s);\n", ExprString(st.Cond))
+		b.WriteString("exit_when (")
+		printExpr(b, st.Cond, 0)
+		b.WriteString(");\n")
 	case *AssertStmt:
-		fmt.Fprintf(b, "assert (%s);\n", ExprString(st.Cond))
+		b.WriteString("assert (")
+		printExpr(b, st.Cond, 0)
+		b.WriteString(");\n")
 	case *InputStmt:
-		fmt.Fprintf(b, "input (%s);\n", strings.Join(st.Names, ", "))
-	case *OutputStmt:
-		parts := make([]string, len(st.Exprs))
-		for i, e := range st.Exprs {
-			parts[i] = ExprString(e)
+		b.WriteString("input (")
+		for i, n := range st.Names {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(n)
 		}
-		fmt.Fprintf(b, "output (%s);\n", strings.Join(parts, ", "))
+		b.WriteString(");\n")
+	case *OutputStmt:
+		b.WriteString("output (")
+		for i, e := range st.Exprs {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			printExpr(b, e, 0)
+		}
+		b.WriteString(");\n")
 	default:
 		panic(fmt.Sprintf("isps: unknown statement type %T", s))
 	}
@@ -144,23 +191,30 @@ func ExprString(e Expr) string {
 	return b.String()
 }
 
+// WriteExpr writes ExprString(e) to b, for callers that build a longer
+// text around an expression without an intermediate string.
+func WriteExpr(b *strings.Builder, e Expr) { printExpr(b, e, 0) }
+
 func printExpr(b *strings.Builder, e Expr, parentPrec int) {
 	p := prec(e)
-	if p < parentPrec {
+	paren := p < parentPrec
+	if paren {
 		b.WriteString("(")
-		defer b.WriteString(")")
 	}
 	switch x := e.(type) {
 	case *Ident:
 		b.WriteString(x.Name)
 	case *Num:
 		if x.IsChar && x.Val >= 32 && x.Val < 127 && x.Val != '\'' {
-			fmt.Fprintf(b, "'%c'", rune(x.Val))
+			b.WriteByte('\'')
+			b.WriteByte(byte(x.Val))
+			b.WriteByte('\'')
 		} else {
-			fmt.Fprintf(b, "%d", x.Val)
+			printInt(b, x.Val)
 		}
 	case *Call:
-		fmt.Fprintf(b, "%s()", x.Name)
+		b.WriteString(x.Name)
+		b.WriteString("()")
 	case *Mem:
 		b.WriteString("Mb[")
 		printExpr(b, x.Addr, 0)
@@ -182,10 +236,15 @@ func printExpr(b *strings.Builder, e Expr, parentPrec int) {
 			leftPrec = p + 1
 		}
 		printExpr(b, x.X, leftPrec)
-		fmt.Fprintf(b, " %s ", x.Op)
+		b.WriteString(" ")
+		b.WriteString(x.Op.String())
+		b.WriteString(" ")
 		printExpr(b, x.Y, p+1)
 	default:
 		panic(fmt.Sprintf("isps: unknown expression type %T", e))
+	}
+	if paren {
+		b.WriteString(")")
 	}
 }
 

@@ -42,7 +42,7 @@ func init() {
 					if decl != lhs.Name {
 						return nil, errPrecond(name, "decl %q does not match the augment target %q", decl, lhs.Name)
 					}
-					if isps.FreshName(d, decl) != decl {
+					if !isps.NameFree(d, decl) {
 						return nil, errPrecond(name, "temporary %q is already in use", decl)
 					}
 					if w, werr := args.Int("width"); werr == nil {

@@ -86,7 +86,7 @@ func init() {
 			if delta == 0 {
 				return nil, errPrecond(name, "a zero delta is not a coding constraint")
 			}
-			if isps.FreshName(d, abs) != abs {
+			if !isps.NameFree(d, abs) {
 				return nil, errPrecond(name, "abstract name %q is already in use", abs)
 			}
 			bodyPath, idx, in, err := inputStmtInfo(d)

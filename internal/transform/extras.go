@@ -78,7 +78,7 @@ func init() {
 			}
 			add, ok := b.X.(*isps.Bin)
 			if !ok || add.Op != isps.OpAdd || !pureExpr(e) {
-				return nil, errPrecond("rewrite.assoc.sub", "%s is not a pure (a + b) - c", isps.ExprString(e))
+				return nil, errPrecond("rewrite.assoc.sub", "%s is not a pure (a + b) - c", exprText{e})
 			}
 			return &isps.Bin{Op: isps.OpAdd, X: add.X,
 				Y: &isps.Bin{Op: isps.OpSub, X: add.Y, Y: b.Y}}, nil
@@ -91,7 +91,7 @@ func init() {
 				return nil, err
 			}
 			if !isps.Equal(b.X, b.Y) || !pureExpr(b.X) || !isBooleanValued(b.X, d) {
-				return nil, errPrecond("simplify.and.self", "%s is not a pure boolean self-conjunction", isps.ExprString(e))
+				return nil, errPrecond("simplify.and.self", "%s is not a pure boolean self-conjunction", exprText{e})
 			}
 			return b.X, nil
 		})
@@ -103,7 +103,7 @@ func init() {
 				return nil, err
 			}
 			if !isps.Equal(b.X, b.Y) || !pureExpr(b.X) || !isBooleanValued(b.X, d) {
-				return nil, errPrecond("simplify.or.self", "%s is not a pure boolean self-disjunction", isps.ExprString(e))
+				return nil, errPrecond("simplify.or.self", "%s is not a pure boolean self-disjunction", exprText{e})
 			}
 			return b.X, nil
 		})
@@ -120,7 +120,7 @@ func init() {
 					return &isps.Bin{Op: isps.OpLt, X: &isps.Num{Val: 0}, Y: b.X}, nil
 				}
 			}
-			return nil, errPrecond("rewrite.zero.lt", "%s is neither 0 < a nor a <> 0", isps.ExprString(e))
+			return nil, errPrecond("rewrite.zero.lt", "%s is neither 0 < a nor a <> 0", exprText{e})
 		})
 
 	register(&Transformation{

@@ -262,7 +262,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if isps.FreshName(d, to) != to {
+			if !isps.NameFree(d, to) {
 				return nil, errPrecond("global.rename", "name %q is already in use", to)
 			}
 			si, di, reg := regDeclAt(d, from)
@@ -327,7 +327,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if isps.FreshName(d, g) != g {
+			if !isps.NameFree(d, g) {
 				return nil, errPrecond("global.flag.invert", "name %q is already in use", g)
 			}
 			si, di, reg := regDeclAt(d, f)

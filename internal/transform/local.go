@@ -1,7 +1,7 @@
 package transform
 
 import (
-	"fmt"
+	"strings"
 
 	"extra/internal/isps"
 )
@@ -36,7 +36,11 @@ func exprRewrite(name, doc string, fn func(e isps.Expr, d *isps.Description) (is
 			if err != nil {
 				return nil, err
 			}
-			return &Outcome{Desc: nd, Note: fmt.Sprintf("%s => %s", isps.ExprString(e), isps.ExprString(repl))}, nil
+			var note strings.Builder
+			isps.WriteExpr(&note, e)
+			note.WriteString(" => ")
+			isps.WriteExpr(&note, repl)
+			return &Outcome{Desc: nd, Note: note.String()}, nil
 		},
 	})
 }
@@ -44,7 +48,7 @@ func exprRewrite(name, doc string, fn func(e isps.Expr, d *isps.Description) (is
 func wantBin(name string, e isps.Expr, op isps.Op) (*isps.Bin, error) {
 	b, ok := e.(*isps.Bin)
 	if !ok || b.Op != op {
-		return nil, errPrecond(name, "expression %s is not a %s operation", isps.ExprString(e), op)
+		return nil, errPrecond(name, "expression %s is not a %s operation", exprText{e}, op)
 	}
 	return b, nil
 }
@@ -76,7 +80,7 @@ func init() {
 			x, ok1 := numVal(b.X)
 			y, ok2 := numVal(b.Y)
 			if !ok1 || !ok2 {
-				return nil, errPrecond("fold.add", "operands of %s are not both constants", isps.ExprString(e))
+				return nil, errPrecond("fold.add", "operands of %s are not both constants", exprText{e})
 			}
 			return &isps.Num{Val: x + y}, nil
 		})
@@ -90,7 +94,7 @@ func init() {
 			x, ok1 := numVal(b.X)
 			y, ok2 := numVal(b.Y)
 			if !ok1 || !ok2 {
-				return nil, errPrecond("fold.sub", "operands of %s are not both constants", isps.ExprString(e))
+				return nil, errPrecond("fold.sub", "operands of %s are not both constants", exprText{e})
 			}
 			return &isps.Num{Val: x - y}, nil
 		})
@@ -104,7 +108,7 @@ func init() {
 			x, ok1 := numVal(b.X)
 			y, ok2 := numVal(b.Y)
 			if !ok1 || !ok2 {
-				return nil, errPrecond("fold.mul", "operands of %s are not both constants", isps.ExprString(e))
+				return nil, errPrecond("fold.mul", "operands of %s are not both constants", exprText{e})
 			}
 			return &isps.Num{Val: x * y}, nil
 		})
@@ -118,7 +122,7 @@ func init() {
 			x, ok1 := numVal(b.X)
 			y, ok2 := numVal(b.Y)
 			if !ok1 || !ok2 || y == 0 {
-				return nil, errPrecond("fold.div", "%s is not a constant division by a nonzero constant", isps.ExprString(e))
+				return nil, errPrecond("fold.div", "%s is not a constant division by a nonzero constant", exprText{e})
 			}
 			return &isps.Num{Val: int64(uint64(x) / uint64(y))}, nil
 		})
@@ -127,12 +131,12 @@ func init() {
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			b, ok := e.(*isps.Bin)
 			if !ok || !b.Op.IsComparison() {
-				return nil, errPrecond("fold.compare", "%s is not a comparison", isps.ExprString(e))
+				return nil, errPrecond("fold.compare", "%s is not a comparison", exprText{e})
 			}
 			x, ok1 := numVal(b.X)
 			y, ok2 := numVal(b.Y)
 			if !ok1 || !ok2 {
-				return nil, errPrecond("fold.compare", "operands of %s are not both constants", isps.ExprString(e))
+				return nil, errPrecond("fold.compare", "operands of %s are not both constants", exprText{e})
 			}
 			ux, uy := uint64(x), uint64(y)
 			switch b.Op {
@@ -155,11 +159,11 @@ func init() {
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			u, ok := e.(*isps.Un)
 			if !ok || u.Op != isps.OpNot {
-				return nil, errPrecond("fold.not", "%s is not a negation", isps.ExprString(e))
+				return nil, errPrecond("fold.not", "%s is not a negation", exprText{e})
 			}
 			v, isNum := numVal(u.X)
 			if !isNum {
-				return nil, errPrecond("fold.not", "operand of %s is not a constant", isps.ExprString(e))
+				return nil, errPrecond("fold.not", "operand of %s is not a constant", exprText{e})
 			}
 			return boolNum(v == 0), nil
 		})
@@ -168,12 +172,12 @@ func init() {
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			b, ok := e.(*isps.Bin)
 			if !ok || !b.Op.IsBoolean() {
-				return nil, errPrecond("fold.logic", "%s is not a logical connective", isps.ExprString(e))
+				return nil, errPrecond("fold.logic", "%s is not a logical connective", exprText{e})
 			}
 			x, ok1 := numVal(b.X)
 			y, ok2 := numVal(b.Y)
 			if !ok1 || !ok2 {
-				return nil, errPrecond("fold.logic", "operands of %s are not both constants", isps.ExprString(e))
+				return nil, errPrecond("fold.logic", "operands of %s are not both constants", exprText{e})
 			}
 			tx, ty := x != 0, y != 0
 			switch b.Op {
@@ -200,7 +204,7 @@ func init() {
 			if v, ok := numVal(b.X); ok && v != 0 && isBooleanValued(b.Y, d) {
 				return b.Y, nil
 			}
-			return nil, errPrecond("simplify.and.true", "%s has no true constant beside a boolean-valued operand", isps.ExprString(e))
+			return nil, errPrecond("simplify.and.true", "%s has no true constant beside a boolean-valued operand", exprText{e})
 		})
 
 	exprRewrite("simplify.and.false", "b and 0 => 0 (the other operand must be side-effect free).",
@@ -215,7 +219,7 @@ func init() {
 			if v, ok := numVal(b.X); ok && v == 0 && pureExpr(b.Y) {
 				return &isps.Num{Val: 0}, nil
 			}
-			return nil, errPrecond("simplify.and.false", "%s has no false constant beside a pure operand", isps.ExprString(e))
+			return nil, errPrecond("simplify.and.false", "%s has no false constant beside a pure operand", exprText{e})
 		})
 
 	exprRewrite("simplify.or.false", "b or 0 => b for boolean-valued b.",
@@ -230,7 +234,7 @@ func init() {
 			if v, ok := numVal(b.X); ok && v == 0 && isBooleanValued(b.Y, d) {
 				return b.Y, nil
 			}
-			return nil, errPrecond("simplify.or.false", "%s has no false constant beside a boolean-valued operand", isps.ExprString(e))
+			return nil, errPrecond("simplify.or.false", "%s has no false constant beside a boolean-valued operand", exprText{e})
 		})
 
 	exprRewrite("simplify.or.true", "b or 1 => 1 (the other operand must be side-effect free).",
@@ -245,7 +249,7 @@ func init() {
 			if v, ok := numVal(b.X); ok && v != 0 && pureExpr(b.Y) {
 				return &isps.Num{Val: 1}, nil
 			}
-			return nil, errPrecond("simplify.or.true", "%s has no true constant beside a pure operand", isps.ExprString(e))
+			return nil, errPrecond("simplify.or.true", "%s has no true constant beside a pure operand", exprText{e})
 		})
 
 	exprRewrite("simplify.xor.false", "b xor 0 => b for boolean-valued b.",
@@ -260,18 +264,18 @@ func init() {
 			if v, ok := numVal(b.X); ok && v == 0 && isBooleanValued(b.Y, d) {
 				return b.Y, nil
 			}
-			return nil, errPrecond("simplify.xor.false", "%s has no false constant beside a boolean-valued operand", isps.ExprString(e))
+			return nil, errPrecond("simplify.xor.false", "%s has no false constant beside a boolean-valued operand", exprText{e})
 		})
 
 	exprRewrite("simplify.not.not", "not not b => b for boolean-valued b.",
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			u, ok := e.(*isps.Un)
 			if !ok || u.Op != isps.OpNot {
-				return nil, errPrecond("simplify.not.not", "%s is not a negation", isps.ExprString(e))
+				return nil, errPrecond("simplify.not.not", "%s is not a negation", exprText{e})
 			}
 			inner, ok := u.X.(*isps.Un)
 			if !ok || inner.Op != isps.OpNot || !isBooleanValued(inner.X, d) {
-				return nil, errPrecond("simplify.not.not", "%s is not a double negation of a boolean-valued operand", isps.ExprString(e))
+				return nil, errPrecond("simplify.not.not", "%s is not a double negation of a boolean-valued operand", exprText{e})
 			}
 			return inner.X, nil
 		})
@@ -288,7 +292,7 @@ func init() {
 			if v, ok := numVal(b.X); ok && v == 0 {
 				return b.Y, nil
 			}
-			return nil, errPrecond("simplify.add.zero", "%s has no zero operand", isps.ExprString(e))
+			return nil, errPrecond("simplify.add.zero", "%s has no zero operand", exprText{e})
 		})
 
 	exprRewrite("simplify.sub.zero", "x - 0 => x.",
@@ -300,7 +304,7 @@ func init() {
 			if v, ok := numVal(b.Y); ok && v == 0 {
 				return b.X, nil
 			}
-			return nil, errPrecond("simplify.sub.zero", "%s does not subtract zero", isps.ExprString(e))
+			return nil, errPrecond("simplify.sub.zero", "%s does not subtract zero", exprText{e})
 		})
 
 	exprRewrite("simplify.sub.self", "x - x => 0 for side-effect-free x.",
@@ -310,7 +314,7 @@ func init() {
 				return nil, err
 			}
 			if !isps.Equal(b.X, b.Y) || !pureExpr(b.X) {
-				return nil, errPrecond("simplify.sub.self", "%s is not a pure self-subtraction", isps.ExprString(e))
+				return nil, errPrecond("simplify.sub.self", "%s is not a pure self-subtraction", exprText{e})
 			}
 			return &isps.Num{Val: 0}, nil
 		})
@@ -327,7 +331,7 @@ func init() {
 			if v, ok := numVal(b.X); ok && v == 1 {
 				return b.Y, nil
 			}
-			return nil, errPrecond("simplify.mul.one", "%s has no unit operand", isps.ExprString(e))
+			return nil, errPrecond("simplify.mul.one", "%s has no unit operand", exprText{e})
 		})
 
 	exprRewrite("simplify.mul.zero", "x * 0 => 0 for side-effect-free x.",
@@ -342,7 +346,7 @@ func init() {
 			if v, ok := numVal(b.X); ok && v == 0 && pureExpr(b.Y) {
 				return &isps.Num{Val: 0}, nil
 			}
-			return nil, errPrecond("simplify.mul.zero", "%s has no zero operand beside a pure operand", isps.ExprString(e))
+			return nil, errPrecond("simplify.mul.zero", "%s has no zero operand beside a pure operand", exprText{e})
 		})
 
 	exprRewrite("simplify.div.one", "x / 1 => x.",
@@ -354,7 +358,7 @@ func init() {
 			if v, ok := numVal(b.Y); ok && v == 1 {
 				return b.X, nil
 			}
-			return nil, errPrecond("simplify.div.one", "%s does not divide by one", isps.ExprString(e))
+			return nil, errPrecond("simplify.div.one", "%s does not divide by one", exprText{e})
 		})
 
 	// --- comparison and negation rewriting ---------------------------------
@@ -368,7 +372,7 @@ func init() {
 			sub, ok := b.X.(*isps.Bin)
 			v, isZero := numVal(b.Y)
 			if !ok || sub.Op != isps.OpSub || !isZero || v != 0 {
-				return nil, errPrecond("rewrite.subeq", "%s is not of the form (a - b) = 0", isps.ExprString(e))
+				return nil, errPrecond("rewrite.subeq", "%s is not of the form (a - b) = 0", exprText{e})
 			}
 			return &isps.Bin{Op: isps.OpEq, X: sub.X, Y: sub.Y}, nil
 		})
@@ -377,10 +381,10 @@ func init() {
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			b, ok := e.(*isps.Bin)
 			if !ok || !b.Op.IsComparison() {
-				return nil, errPrecond("rewrite.commute.rel", "%s is not a comparison", isps.ExprString(e))
+				return nil, errPrecond("rewrite.commute.rel", "%s is not a comparison", exprText{e})
 			}
 			if !pureExpr(b.X) || !pureExpr(b.Y) {
-				return nil, errPrecond("rewrite.commute.rel", "operands of %s have side effects", isps.ExprString(e))
+				return nil, errPrecond("rewrite.commute.rel", "operands of %s have side effects", exprText{e})
 			}
 			mirror := map[isps.Op]isps.Op{
 				isps.OpEq: isps.OpEq, isps.OpNe: isps.OpNe,
@@ -397,7 +401,7 @@ func init() {
 				return nil, err
 			}
 			if !pureExpr(b.X) || !pureExpr(b.Y) {
-				return nil, errPrecond("rewrite.commute.add", "operands of %s have side effects", isps.ExprString(e))
+				return nil, errPrecond("rewrite.commute.add", "operands of %s have side effects", exprText{e})
 			}
 			return &isps.Bin{Op: isps.OpAdd, X: b.Y, Y: b.X}, nil
 		})
@@ -406,10 +410,10 @@ func init() {
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			b, ok := e.(*isps.Bin)
 			if !ok || !b.Op.IsBoolean() {
-				return nil, errPrecond("rewrite.commute.logic", "%s is not a logical connective", isps.ExprString(e))
+				return nil, errPrecond("rewrite.commute.logic", "%s is not a logical connective", exprText{e})
 			}
 			if !pureExpr(b.X) || !pureExpr(b.Y) {
-				return nil, errPrecond("rewrite.commute.logic", "operands of %s have side effects", isps.ExprString(e))
+				return nil, errPrecond("rewrite.commute.logic", "operands of %s have side effects", exprText{e})
 			}
 			return &isps.Bin{Op: b.Op, X: b.Y, Y: b.X}, nil
 		})
@@ -422,7 +426,7 @@ func init() {
 			}
 			inner, ok := b.X.(*isps.Bin)
 			if !ok || inner.Op != isps.OpAdd || !pureExpr(e) {
-				return nil, errPrecond("rewrite.assoc.add", "%s is not a pure (a + b) + c", isps.ExprString(e))
+				return nil, errPrecond("rewrite.assoc.add", "%s is not a pure (a + b) + c", exprText{e})
 			}
 			return &isps.Bin{Op: isps.OpAdd, X: inner.X,
 				Y: &isps.Bin{Op: isps.OpAdd, X: inner.Y, Y: b.Y}}, nil
@@ -436,7 +440,7 @@ func init() {
 			}
 			add, ok := b.X.(*isps.Bin)
 			if !ok || add.Op != isps.OpAdd || !pureExpr(e) {
-				return nil, errPrecond("rewrite.addsub.cancel", "%s is not a pure (a + b) - c", isps.ExprString(e))
+				return nil, errPrecond("rewrite.addsub.cancel", "%s is not a pure (a + b) - c", exprText{e})
 			}
 			if isps.Equal(add.X, b.Y) {
 				return add.Y, nil
@@ -444,7 +448,7 @@ func init() {
 			if isps.Equal(add.Y, b.Y) {
 				return add.X, nil
 			}
-			return nil, errPrecond("rewrite.addsub.cancel", "subtrahend of %s matches neither addend", isps.ExprString(e))
+			return nil, errPrecond("rewrite.addsub.cancel", "subtrahend of %s matches neither addend", exprText{e})
 		})
 
 	exprRewrite("rewrite.subadd.cancel", "(a - b) + b => a; pure operands (exact in modular arithmetic).",
@@ -455,7 +459,7 @@ func init() {
 			}
 			sub, ok := b.X.(*isps.Bin)
 			if !ok || sub.Op != isps.OpSub || !pureExpr(e) || !isps.Equal(sub.Y, b.Y) {
-				return nil, errPrecond("rewrite.subadd.cancel", "%s is not a pure (a - b) + b", isps.ExprString(e))
+				return nil, errPrecond("rewrite.subadd.cancel", "%s is not a pure (a - b) + b", exprText{e})
 			}
 			return sub.X, nil
 		})
@@ -464,11 +468,11 @@ func init() {
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			u, ok := e.(*isps.Un)
 			if !ok || u.Op != isps.OpNot {
-				return nil, errPrecond("rewrite.demorgan.and", "%s is not a negation", isps.ExprString(e))
+				return nil, errPrecond("rewrite.demorgan.and", "%s is not a negation", exprText{e})
 			}
 			b, ok := u.X.(*isps.Bin)
 			if !ok || b.Op != isps.OpAnd || !pureExpr(b) {
-				return nil, errPrecond("rewrite.demorgan.and", "%s is not a pure negated conjunction", isps.ExprString(e))
+				return nil, errPrecond("rewrite.demorgan.and", "%s is not a pure negated conjunction", exprText{e})
 			}
 			return &isps.Bin{Op: isps.OpOr,
 				X: &isps.Un{Op: isps.OpNot, X: b.X},
@@ -479,11 +483,11 @@ func init() {
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			u, ok := e.(*isps.Un)
 			if !ok || u.Op != isps.OpNot {
-				return nil, errPrecond("rewrite.demorgan.or", "%s is not a negation", isps.ExprString(e))
+				return nil, errPrecond("rewrite.demorgan.or", "%s is not a negation", exprText{e})
 			}
 			b, ok := u.X.(*isps.Bin)
 			if !ok || b.Op != isps.OpOr || !pureExpr(b) {
-				return nil, errPrecond("rewrite.demorgan.or", "%s is not a pure negated disjunction", isps.ExprString(e))
+				return nil, errPrecond("rewrite.demorgan.or", "%s is not a pure negated disjunction", exprText{e})
 			}
 			return &isps.Bin{Op: isps.OpAnd,
 				X: &isps.Un{Op: isps.OpNot, X: b.X},
@@ -494,11 +498,11 @@ func init() {
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			u, ok := e.(*isps.Un)
 			if !ok || u.Op != isps.OpNot {
-				return nil, errPrecond("rewrite.not.rel", "%s is not a negation", isps.ExprString(e))
+				return nil, errPrecond("rewrite.not.rel", "%s is not a negation", exprText{e})
 			}
 			b, ok := u.X.(*isps.Bin)
 			if !ok || !b.Op.IsComparison() {
-				return nil, errPrecond("rewrite.not.rel", "%s does not negate a comparison", isps.ExprString(e))
+				return nil, errPrecond("rewrite.not.rel", "%s does not negate a comparison", exprText{e})
 			}
 			comp := map[isps.Op]isps.Op{
 				isps.OpEq: isps.OpNe, isps.OpNe: isps.OpEq,
@@ -512,11 +516,11 @@ func init() {
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			u, ok := e.(*isps.Un)
 			if !ok || u.Op != isps.OpNeg {
-				return nil, errPrecond("rewrite.neg.neg", "%s is not a negation", isps.ExprString(e))
+				return nil, errPrecond("rewrite.neg.neg", "%s is not a negation", exprText{e})
 			}
 			inner, ok := u.X.(*isps.Un)
 			if !ok || inner.Op != isps.OpNeg {
-				return nil, errPrecond("rewrite.neg.neg", "%s is not a double negation", isps.ExprString(e))
+				return nil, errPrecond("rewrite.neg.neg", "%s is not a double negation", exprText{e})
 			}
 			return inner.X, nil
 		})
@@ -529,7 +533,7 @@ func init() {
 			}
 			u, ok := b.Y.(*isps.Un)
 			if !ok || u.Op != isps.OpNeg {
-				return nil, errPrecond("rewrite.add.neg", "%s does not add a negation", isps.ExprString(e))
+				return nil, errPrecond("rewrite.add.neg", "%s does not add a negation", exprText{e})
 			}
 			return &isps.Bin{Op: isps.OpSub, X: b.X, Y: u.X}, nil
 		})
@@ -538,10 +542,10 @@ func init() {
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			b, ok := e.(*isps.Bin)
 			if !ok || (b.Op != isps.OpEq && b.Op != isps.OpLe) {
-				return nil, errPrecond("rewrite.eq.le.zero", "%s is neither = nor <=", isps.ExprString(e))
+				return nil, errPrecond("rewrite.eq.le.zero", "%s is neither = nor <=", exprText{e})
 			}
 			if v, isNum := numVal(b.Y); !isNum || v != 0 {
-				return nil, errPrecond("rewrite.eq.le.zero", "%s does not compare against zero", isps.ExprString(e))
+				return nil, errPrecond("rewrite.eq.le.zero", "%s does not compare against zero", exprText{e})
 			}
 			op := isps.OpLe
 			if b.Op == isps.OpLe {
@@ -554,10 +558,10 @@ func init() {
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
 			b, ok := e.(*isps.Bin)
 			if !ok || (b.Op != isps.OpNe && b.Op != isps.OpGt) {
-				return nil, errPrecond("rewrite.ne.to.gt", "%s is neither <> nor >", isps.ExprString(e))
+				return nil, errPrecond("rewrite.ne.to.gt", "%s is neither <> nor >", exprText{e})
 			}
 			if v, isNum := numVal(b.Y); !isNum || v != 0 {
-				return nil, errPrecond("rewrite.ne.to.gt", "%s does not compare against zero", isps.ExprString(e))
+				return nil, errPrecond("rewrite.ne.to.gt", "%s does not compare against zero", exprText{e})
 			}
 			op := isps.OpGt
 			if b.Op == isps.OpGt {
@@ -628,7 +632,7 @@ func init() {
 				return nil, errPrecond("if.same", "path %s is not a conditional", at)
 			}
 			if !pureExpr(s.Cond) {
-				return nil, errPrecond("if.same", "condition %s has side effects", isps.ExprString(s.Cond))
+				return nil, errPrecond("if.same", "condition %s has side effects", exprText{s.Cond})
 			}
 			if !isps.Equal(s.Then, s.Else) {
 				return nil, errPrecond("if.same", "branches differ")
@@ -659,7 +663,7 @@ func init() {
 				return nil, errPrecond("if.empty", "branches are not empty")
 			}
 			if !pureExpr(s.Cond) {
-				return nil, errPrecond("if.empty", "condition %s has side effects", isps.ExprString(s.Cond))
+				return nil, errPrecond("if.empty", "condition %s has side effects", exprText{s.Cond})
 			}
 			nd, err := d.SpliceAtDesc(parentPath, idx, 1)
 			if err != nil {
@@ -684,7 +688,7 @@ func init() {
 				return nil, errPrecond("exit.false", "path %s is not an exit_when", at)
 			}
 			if v, isNum := numVal(s.Cond); !isNum || v != 0 {
-				return nil, errPrecond("exit.false", "condition %s is not the constant 0", isps.ExprString(s.Cond))
+				return nil, errPrecond("exit.false", "condition %s is not the constant 0", exprText{s.Cond})
 			}
 			nd, err := d.SpliceAtDesc(parentPath, idx, 1)
 			if err != nil {
@@ -711,7 +715,7 @@ func foldIfConst(d *isps.Description, at isps.Path, wantTrue bool) (*Outcome, er
 	}
 	v, isNum := numVal(s.Cond)
 	if !isNum || (v != 0) != wantTrue {
-		return nil, errPrecond(name, "condition %s is not the required constant", isps.ExprString(s.Cond))
+		return nil, errPrecond(name, "condition %s is not the required constant", exprText{s.Cond})
 	}
 	keep := s.Then
 	if !wantTrue {

@@ -206,7 +206,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if isps.FreshName(d, flag) != flag {
+			if !isps.NameFree(d, flag) {
 				return nil, errPrecond("loop.exit.witness", "flag name %q is already in use", flag)
 			}
 			// at addresses the exit_when; derive the loop.
@@ -240,7 +240,7 @@ func init() {
 			e1cond := sh.body.Stmts[0].(*isps.ExitWhenStmt).Cond
 			if !isps.Equal(postIf.Cond, e1cond) {
 				return nil, errPrecond("loop.exit.witness", "post-loop conditional %s does not test the first exit's condition %s",
-					isps.ExprString(postIf.Cond), isps.ExprString(e1cond))
+					exprText{postIf.Cond}, exprText{e1cond})
 			}
 			condVars := dataflow.NodeEffects(e1cond, funcs).MayUse
 			seg := &isps.Block{Stmts: sh.body.Stmts[1:e2]}
@@ -365,7 +365,7 @@ func init() {
 				return nil, errPrecond("loop.delete.dead", "loop does not start with an exit_when")
 			}
 			if !exitsOnEntry(ex.Cond, blk, idx) {
-				return nil, errPrecond("loop.delete.dead", "cannot show the first exit fires on loop entry (condition %s)", isps.ExprString(ex.Cond))
+				return nil, errPrecond("loop.delete.dead", "cannot show the first exit fires on loop entry (condition %s)", exprText{ex.Cond})
 			}
 			nd, err := d.SpliceAtDesc(parentPath, idx, 1)
 			if err != nil {

@@ -159,7 +159,7 @@ func applyCountdownIntro(d *isps.Description, at isps.Path, args Args) (*Outcome
 	// of introducing a fresh counter; it needs a stronger precondition, as
 	// every use of n must be one of the rewritten limit tests.
 	inPlace := lenName == nName
-	if !inPlace && isps.FreshName(d, lenName) != lenName {
+	if !inPlace && !isps.NameFree(d, lenName) {
 		return nil, errPrecond(name, "counter name %q is already in use", lenName)
 	}
 	sh, err := analyzeLoop(d, at)
@@ -307,7 +307,7 @@ func applyInductionIndex(d *isps.Description, at isps.Path, args Args) (*Outcome
 	if err != nil {
 		return nil, err
 	}
-	if isps.FreshName(d, iName) != iName {
+	if !isps.NameFree(d, iName) {
 		return nil, errPrecond(name, "index name %q is already in use", iName)
 	}
 	sh, err := analyzeLoop(d, at)
@@ -551,7 +551,7 @@ func applyRotateGuarded(d *isps.Description, at isps.Path, args Args) (*Outcome,
 	}
 	if !negEquiv(ifs.Cond, last.Cond) {
 		return nil, errPrecond(name, "exit condition %s is not the negation of the guard %s",
-			isps.ExprString(last.Cond), isps.ExprString(ifs.Cond))
+			exprText{last.Cond}, exprText{ifs.Cond})
 	}
 	if !pureExpr(ifs.Cond) || !pureExpr(last.Cond) {
 		return nil, errPrecond(name, "guard or exit condition has side effects")

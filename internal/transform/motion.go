@@ -24,7 +24,7 @@ func init() {
 			a, b := blk.Stmts[idx], blk.Stmts[idx+1]
 			if !dataflow.Independent(a, b, dataflow.FuncMap(d)) {
 				return nil, errPrecond("move.swap", "statements %q and %q are not independent",
-					isps.StmtString(a), isps.StmtString(b))
+					stmtText{a}, stmtText{b})
 			}
 			nd, err := d.SpliceAtDesc(parentPath, idx, 2, b, a)
 			if err != nil {
@@ -128,7 +128,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if isps.FreshName(d, tempName) != tempName {
+			if !isps.NameFree(d, tempName) {
 				return nil, errPrecond("move.hoist.expr", "temporary name %q is already in use", tempName)
 			}
 			// Find the containing statement: the longest prefix of the path

@@ -14,7 +14,10 @@ import (
 // placement. It runs on the parsed tree and on its interned form, and
 // every application, successful or not, must leave its input exactly as
 // it was: transformations build their results persistently, and a direct
-// field write would corrupt the canonical tree every session shares.
+// field write would corrupt the canonical tree every session shares. The
+// paths include one stale path below every node. A refusal's message is
+// formatted when read, so each one must read the same after the caller
+// overwrites the path slice it passed.
 func TestEveryTransformationRejectsGracefully(t *testing.T) {
 	parsed := parse(t, "a: integer, f<>, k<7:0>,",
 		`input (a, f, k);
@@ -40,25 +43,34 @@ output (a);`)
 		want := isps.Format(d)
 		var paths []isps.Path
 		isps.Walk(d, func(n isps.Node, p isps.Path) bool {
-			paths = append(paths, append(isps.Path(nil), p...))
+			paths = append(paths, append(isps.Path(nil), p...), append(isps.Path(nil), append(p, 99)...))
 			return true
 		})
 		for _, tr := range All() {
 			for _, p := range paths {
 				for _, args := range argSets {
+					at := append(isps.Path(nil), p...)
 					out, err := func() (o *Outcome, err error) {
 						defer func() {
 							if r := recover(); r != nil {
 								t.Fatalf("%s at %s with %v panicked: %v", tr.Name, p, args, r)
 							}
 						}()
-						return tr.Apply(d, p, args)
+						return tr.Apply(d, at, args)
 					}()
 					if got := isps.Format(d); got != want {
 						t.Fatalf("%s at %s with %v (interned: %v) wrote through to its input:\n%s\nwant:\n%s",
 							tr.Name, p, args, isps.Interned(d), got, want)
 					}
 					if err != nil {
+						msg := err.Error()
+						for i := range at {
+							at[i] = 7
+						}
+						if got := err.Error(); got != msg {
+							t.Errorf("%s at %s with %v: message changed with the caller's path:\n%s\nthen:\n%s",
+								tr.Name, p, args, msg, got)
+						}
 						continue
 					}
 					if verr := isps.Validate(out.Desc); verr != nil {

@@ -83,7 +83,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if isps.FreshName(d, tempName) != tempName {
+			if !isps.NameFree(d, tempName) {
 				return nil, errPrecond(name, "temporary name %q is already in use", tempName)
 			}
 			blk, parentPath, idx, err := resolveStmtIndex(d, at)

@@ -226,16 +226,25 @@ func ByCategory(c Category) []*Transformation {
 // argument). The distinction feeds the observability layer: Barr-style
 // debugging of a stuck analysis starts from which precondition killed the
 // attempt.
+//
+// The error keeps its format and arguments and formats them each time it is
+// read: most failures are the search's and the tactics' probes, whose
+// messages nobody reads. Node arguments print from the nodes themselves,
+// which are immutable (interned, or built by the failing transformation),
+// and a Path argument is copied when the error is made, so the message
+// never changes after the failure and concurrent readers share nothing
+// they write.
 type PrecondError struct {
 	// Xform is the transformation whose precondition failed.
-	Xform string
-	// Msg is the formatted precondition message.
-	Msg string
+	Xform  string
+	format string
+	args   []any
 }
 
-func (e *PrecondError) Error() string {
-	return fmt.Sprintf("transform %s: %s", e.Xform, e.Msg)
-}
+// Msg formats the precondition message.
+func (e *PrecondError) Msg() string { return fmt.Sprintf(e.format, e.args...) }
+
+func (e *PrecondError) Error() string { return "transform " + e.Xform + ": " + e.Msg() }
 
 // IsPrecond reports whether err is (or wraps) a precondition failure.
 func IsPrecond(err error) bool {
@@ -250,10 +259,27 @@ func AsPrecond(err error) (*PrecondError, bool) {
 	return pe, ok
 }
 
-// errPrecond formats a precondition failure.
+// errPrecond records a precondition failure, to be formatted when read.
+// A Path argument is copied: the caller's slice, or Walk's reused buffer,
+// may change after the call. Pass a node as exprText or stmtText, never as
+// its printed text, so a probe that fails prints nothing.
 func errPrecond(name, format string, args ...any) error {
-	return &PrecondError{Xform: name, Msg: fmt.Sprintf(format, args...)}
+	for i, a := range args {
+		if p, ok := a.(isps.Path); ok {
+			args[i] = append(isps.Path(nil), p...)
+		}
+	}
+	return &PrecondError{Xform: name, format: format, args: args}
 }
+
+// exprText and stmtText print a node when a precondition message is read.
+type exprText struct{ e isps.Expr }
+
+func (t exprText) String() string { return isps.ExprString(t.e) }
+
+type stmtText struct{ s isps.Stmt }
+
+func (t stmtText) String() string { return isps.StmtString(t.s) }
 
 // firstCommon returns the smallest name of set, in sorted order, that is
 // true in any of in, so a precondition message names the same variable on
