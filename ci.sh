@@ -31,6 +31,17 @@ normalize() {
   sed 's/"duration_ms": *[0-9]*/"duration_ms": 0/; s/"trace": *"[^"]*"/"trace": ""/' "$1"
 }
 
+# joined ERR EVENTS REPORT: a run joins its rows to its events. The trace
+# ID the run announced on stderr ERR ("NAME: run trace ID") is on every
+# line of the non-empty JSONL event file EVENTS and on the report REPORT.
+joined() {
+  ID=$(sed -n 's/^[a-z]*: run trace //p' "$1")
+  test -n "$ID"
+  test -s "$2"
+  if grep -vq "\"trace\":\"$ID\"" "$2"; then exit 1; fi
+  grep -q "\"trace\": *\"$ID\"" "$3"
+}
+
 # metric PATTERN UNIT FILE: the sum of UNIT over the `go test -bench` result
 # rows in FILE whose name matches PATTERN (for a single row, that row's
 # value). It fails when no row matches, which stops ci.sh.
@@ -71,27 +82,31 @@ bench() {
 # iteration) and warm (a content-addressed cache hit). Over 15 runs on a
 # 2-vCPU host the warm row was 117-293x faster; it must stay at least 5x
 # faster. The corpora are parsed and interned once per process, so a warm
-# hit's cache key is two table lookups and two memoized digests: the warm
-# row is gated at <= 39 allocs/op (38 measured; re-parsing both
-# descriptions per key took 760), so a change that parses on the warm path
-# fails here. Every transformation rebuilds only the spines it edits, a
-# commit interns the outcome it owns in place (no copy of the rebuilt
-# spines), Normalize commits the probe that found a step instead of
-# applying it again, a liveness question is one search of the CFG over
-# effect sets filled without a map per AST leaf, and a failed probe files
-# and formats no precondition message: the cold row is gated at <= 2129
-# allocs/op (2,106-2,107 measured in 10 runs; 2,222 with each normalizing
-# step applied twice, 2,537 with a copying intern per commit, 3,432 before
-# either and with every probe's message formatted, 3,486 with a message
-# filed per failed probe, 3,754 with an all-names liveness fixpoint, 4,235
-# with three maps per AST leaf, 9,054 with whole-description copies in 25
-# transformations, 18,565 before hash-consing), so a change that brings
-# back any of them on the cold path fails here.
+# hit's cache key is two table lookups and two memoized digests, and the
+# request's trace context is one node holding its tracer: the warm row is
+# gated at <= 35 allocs/op (34 measured in 10 of 10 runs; 35 with two
+# allocations for the trace context, a value node and the boxed ID; 38 with
+# an attribute map built for a disabled tracer as well; re-parsing both
+# descriptions per key took 760), so a change that parses, or builds trace
+# attributes with tracing off, on the warm path fails here. Every
+# transformation rebuilds only the spines it edits, a commit interns the
+# outcome it owns in place (no copy of the rebuilt spines), Normalize
+# commits the probe that found a step instead of applying it again, a
+# liveness question is one search of the CFG over effect sets filled without
+# a map per AST leaf, and a failed probe files and formats no precondition
+# message: the cold row is gated at <= 2129 allocs/op (2,102-2,103 measured
+# in 10 runs; 2,222 with each normalizing step applied twice, 2,537 with a
+# copying intern per commit, 3,432 before either and with every probe's
+# message formatted, 3,486 with a message filed per failed probe, 3,754 with
+# an all-names liveness fixpoint, 4,235 with three maps per AST leaf, 9,054
+# with whole-description copies in 25 transformations, 18,565 before
+# hash-consing), so a change that brings back any of them on the cold path
+# fails here.
 bench -bench 'BenchmarkCacheWarmVsCold' -benchmem -benchtime 20x -count 1 .
 COLD_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/cold' allocs/op "$BENCH")
 WARM_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/warm' allocs/op "$BENCH")
 test "$COLD_ALLOCS" -le 2129
-test "$WARM_ALLOCS" -le 39
+test "$WARM_ALLOCS" -le 35
 COLD_NS=$(metric '^BenchmarkCacheWarmVsCold/cold' ns/op "$BENCH")
 WARM_NS=$(metric '^BenchmarkCacheWarmVsCold/warm' ns/op "$BENCH")
 test "$COLD_NS" -ge "$((5 * WARM_NS))"
@@ -133,22 +148,24 @@ test "$CATVAL_ALLOCS" -le 10358
 # transformation became a spine rebuild); their step counts are pinned by
 # TestTable2StepCountsGolden. The search charges each candidate to its
 # state budget as it probes it and stops at the goal or the budget, a
-# failed probe neither formats nor files a precondition message, and new
-# states are interned in place, so both search rows are gated too (ladder
-# 2,883-2,885 -> <= 2914, exhaust 272,857-272,860 -> <= 275589; 3,524 and
-# 363,794 with every refused probe's message formatted, 3,308 and 293,447
-# with a copying intern, 4,738 and 501,722 before either, 4,882 and
-# 527,550 with a message filed per failed probe): a change that goes back
-# to expanding a whole level before charging the budget fails here (the
-# level-at-a-time search took 7,688 and 1,439,982), and so does one that
-# brings back a map per AST leaf (6,635 and 922,349), an eagerly formatted
-# message or a copying intern.
+# failed probe neither formats nor files a precondition message, new
+# states are interned in place, and the goal's trail is committed from its
+# probes' outcomes, so both search rows are gated too (ladder 2,847 in 10
+# of 10 runs -> <= 2876, exhaust 272,857-272,860 -> <= 275589; 2,885 with
+# the trail replayed through Session.Apply, 3,524 and 363,794 with every
+# refused probe's message formatted, 3,308 and 293,447 with a copying
+# intern, 4,738 and 501,722 before either, 4,882 and 527,550 with a
+# message filed per failed probe): a change that goes back to expanding a
+# whole level before charging the budget fails here (the level-at-a-time
+# search took 7,688 and 1,439,982), and so does one that brings back a map
+# per AST leaf (6,635 and 922,349), an eagerly formatted message, a
+# copying intern or a replayed trail.
 bench -bench 'BenchmarkTable2$|BenchmarkAutoSearchLadder$|BenchmarkAutoSearchExhaust$' -benchmem -benchtime 10x -count 1 -cpu 1 .
 TABLE2_ALLOCS=$(metric '^BenchmarkTable2/' allocs/op "$BENCH")
 LADDER_ALLOCS=$(metric '^BenchmarkAutoSearchLadder' allocs/op "$BENCH")
 EXHAUST_ALLOCS=$(metric '^BenchmarkAutoSearchExhaust' allocs/op "$BENCH")
 test "$TABLE2_ALLOCS" -le 13305
-test "$LADDER_ALLOCS" -le 2914
+test "$LADDER_ALLOCS" -le 2876
 test "$EXHAUST_ALLOCS" -le 275589
 
 # Synth: one binding's enumerate-verify-rank cycle and the cross-layer
@@ -182,8 +199,9 @@ rm -f "$BENCH"
 # engine answers the first request, the cache the second, and the two rows
 # must match modulo duration and trace ID), scrape /metrics in both
 # encodings (JSON default, Prometheus text exposition via content
-# negotiation), check the response is trace-stamped, then SIGTERM and
-# require a clean (exit 0) graceful drain.
+# negotiation), check each response row carries the trace ID its
+# X-Trace-Id header names, then SIGTERM and require a clean (exit 0)
+# graceful drain.
 go build -o "$EXTRA" ./cmd/extra
 # An out-of-range flag is refused before the server listens: exit 1 within
 # 10 s and no "serving on" line.
@@ -206,7 +224,11 @@ for RUN in cold warm; do
   curl -fsS -D "$CI_TMP/$RUN.head" -o "$CI_TMP/$RUN.body" -X POST "http://$ADDR/analyze?pair=scasb/index"
 done
 grep -q '"outcome": *"ok"' "$CI_TMP/cold.body"
-grep -qi '^X-Trace-Id: ' "$CI_TMP/cold.head"
+for RUN in cold warm; do
+  HID=$(tr -d '\r' <"$CI_TMP/$RUN.head" | sed -n 's/^[Xx]-[Tt]race-[Ii]d: //p')
+  test -n "$HID"
+  grep -q "\"trace\": *\"$HID\"" "$CI_TMP/$RUN.body"
+done
 tr -d '\r' <"$CI_TMP/cold.head" | grep -qix 'X-Cache: miss'
 tr -d '\r' <"$CI_TMP/warm.head" | grep -qix 'X-Cache: hit'
 normalize "$CI_TMP/cold.body" >"$CI_TMP/cold.norm"
@@ -263,9 +285,11 @@ rm -rf "$CKPT_DIR"
 # re-prove journaled candidates (resumed > 0 in the summary), the poisoned
 # candidate must land in the dead-letter file, and the final report must be
 # byte-identical (modulo durations and trace IDs) to an uninterrupted run.
+# The uninterrupted run writes its event trace, which must join its report.
 DISC_DIR=$(mktemp -d)
 DISC_FLAGS="-machines VAX-11 -operators Pascal -depth 3 -budget 2000 -rungs 2 -inject-panic locc/sassign"
-"$EXTRA" discover -dir "$DISC_DIR/ref" -jobs 2 $DISC_FLAGS 2>"$DISC_DIR/ref.err"
+"$EXTRA" discover -dir "$DISC_DIR/ref" -jobs 2 $DISC_FLAGS --trace "$DISC_DIR/ref.jsonl" 2>"$DISC_DIR/ref.err"
+joined "$DISC_DIR/ref.err" "$DISC_DIR/ref.jsonl" "$DISC_DIR/ref/report.json"
 "$EXTRA" discover -dir "$DISC_DIR/sweep" -jobs 1 $DISC_FLAGS 2>"$DISC_DIR/kill.err" &
 DISC_PID=$!
 for _ in $(seq 1 200); do
@@ -292,11 +316,13 @@ rm -rf "$DISC_DIR"
 # simulator/description disagreement, any corrupt binding document, or any
 # gadget expansion that fails differential verification — so the stage is
 # the bugfix-sweep gate. On top of that: every binding must rank at least 5
-# verified variants, and a re-run with the same seed must be byte-identical
-# modulo durations and trace IDs.
+# verified variants, a re-run with the same seed must be byte-identical
+# modulo durations and trace IDs, and the first run's event trace must join
+# its report.
 SYNTH_DIR=$(mktemp -d)
 SYNTH_BINDINGS='Intel 8086/scasb/index,VAX-11/movc3/sassign,IBM 370/mvc/sassign'
-"$EXTRA" synth -seed 1 -bindings "$SYNTH_BINDINGS" -json "$SYNTH_DIR/a.json" >"$SYNTH_DIR/a.txt"
+"$EXTRA" synth -seed 1 -bindings "$SYNTH_BINDINGS" -json "$SYNTH_DIR/a.json" --trace "$SYNTH_DIR/a.jsonl" >"$SYNTH_DIR/a.txt" 2>"$SYNTH_DIR/a.err"
+joined "$SYNTH_DIR/a.err" "$SYNTH_DIR/a.jsonl" "$SYNTH_DIR/a.json"
 grep -q 'no divergences' "$SYNTH_DIR/a.txt"
 grep '"verified":' "$SYNTH_DIR/a.json" | awk '{ n = $2 + 0; if (n < 5) exit 1 }'
 test "$(grep -c '"key":' "$SYNTH_DIR/a.json")" -eq 3

@@ -14,10 +14,11 @@
 //	extra desc NAME           print a corpus description (e.g. scasb, index)
 //	extra stats               run the pipeline and print the metrics report
 //
-// The analysis-running commands (analyze, trace, table2) accept a
-// `--trace FILE` flag that writes every span and event of the run —
-// per-transformation applications, equivalence checks, interpreter
-// validations, code-generator emissions — as JSON lines to FILE.
+// The analysis-running commands (analyze, trace, table2, serve, discover,
+// synth) accept a `--trace FILE` flag that writes every span and event of
+// the run — per-transformation applications, equivalence checks,
+// interpreter validations, code-generator emissions — as JSON lines to
+// FILE, discover's and synth's stamped with the run's trace ID.
 // `extra stats` accepts -cpuprofile and -memprofile for pprof output.
 package main
 
@@ -107,9 +108,7 @@ func run(args []string) error {
 	case "survey":
 		return survey()
 	case "table2":
-		return withTracer(traceFile, func(tr *obs.Tracer) error {
-			return table2(ctx, tr)
-		})
+		return traced(ctx, "", traceFile, table2)
 	case "fig":
 		if len(args) < 2 {
 			return fmt.Errorf("usage: extra fig N (1-5)")
@@ -119,8 +118,8 @@ func run(args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: extra %s INSTRUCTION/OPERATOR (e.g. scasb/index)", args[0])
 		}
-		return withTracer(traceFile, func(tr *obs.Tracer) error {
-			return analyze(ctx, args[1], args[0] == "trace", tr)
+		return traced(ctx, "", traceFile, func(ctx context.Context) error {
+			return analyze(ctx, args[1], args[0] == "trace")
 		})
 	case "stats":
 		return stats(ctx, args[1:])
@@ -236,9 +235,9 @@ func usage(w io.Writer) {
                              -slo-max-5xx N and -slo-warm-p99-lt-cold-p50
                              turn the run into a CI gate)
 
-analyze, trace, table2 and serve accept --trace FILE to write a JSONL event
-trace (for serve: every request's ingress/admission/cache/engine spans,
-stamped with the request's trace ID).
+analyze, trace, table2, serve, discover and synth accept --trace FILE to
+write a JSONL event trace; serve stamps each request's spans with its trace
+ID, discover and synth every event with the run's, the ID on their rows.
 Every command accepts --timeout DURATION (e.g. 30s, 2m): analyses, searches
 and interpreter runs are abandoned with a timeout error past the deadline.
 SIGINT/SIGTERM cancel the running command the same way; a second signal
@@ -310,31 +309,42 @@ func extractTrace(args []string) (rest []string, file string, err error) {
 	return rest, file, nil
 }
 
-// withTracer runs fn with a JSONL tracer over file (nil tracer when file is
-// empty). The tracer is also installed as the process default for the
-// duration, so code-generator and selector events land in the same stream
-// as the session's. A sink that hit write errors surfaces them after fn:
-// the run's own result wins, but a lossy trace is reported, not swallowed.
-func withTracer(file string, fn func(tr *obs.Tracer) error) error {
-	if file == "" {
-		return fn(nil)
+// traced runs fn under ctx carrying the command's tracer. A command that
+// names its run (name non-empty) mints the run's trace ID and announces it
+// on stderr as "NAME: run trace ID"; the tracer stamps it on every event
+// and the report rows read it back from the context. A non-empty file
+// receives every event as JSON lines. The tracer is also the process
+// default for the duration, so code-generator and selector events, which
+// have no context, land in the same stream with the same ID. A sink that
+// hit write errors surfaces them after fn: the run's own result wins, but a
+// lossy trace is reported, not swallowed.
+func traced(ctx context.Context, name, file string, fn func(context.Context) error) (err error) {
+	var id string
+	if name != "" {
+		id = obs.NewTraceID()
+		fmt.Fprintf(os.Stderr, "%s: run trace %s\n", name, id)
 	}
-	f, err := os.Create(file)
-	if err != nil {
-		return err
+	var root *obs.Tracer
+	if file != "" {
+		f, ferr := os.Create(file)
+		if ferr != nil {
+			return ferr
+		}
+		sink := obs.NewJSONLSink(f)
+		root = obs.NewTracer(sink)
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if serr := sink.Err(); serr != nil && err == nil {
+				err = fmt.Errorf("trace file %s is incomplete (%d events dropped): %v", file, sink.Dropped(), serr)
+			}
+		}()
 	}
-	sink := obs.NewJSONLSink(f)
-	tr := obs.NewTracer(sink)
-	prev := obs.SetTrace(tr)
+	ctx = obs.WithTrace(ctx, root, id)
+	prev := obs.SetTrace(obs.TracerFrom(ctx))
 	defer obs.SetTrace(prev)
-	err = fn(tr)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if serr := sink.Err(); serr != nil && err == nil {
-		err = fmt.Errorf("trace file %s is incomplete (%d events dropped): %v", file, sink.Dropped(), serr)
-	}
-	return err
+	return fn(ctx)
 }
 
 func survey() error {
@@ -356,11 +366,11 @@ func survey() error {
 	return nil
 }
 
-func table2(ctx context.Context, tr *obs.Tracer) error {
+func table2(ctx context.Context) error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Machine\tInstruction\tLanguage\tOperation\tSteps\tElementary\tPaper")
 	for _, a := range proofs.Table2() {
-		_, b, err := a.RunCtx(ctx, tr)
+		_, b, err := a.RunCtx(ctx)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %v", a.Instruction, a.Operator, err)
 		}
@@ -411,7 +421,7 @@ end`)
 		fmt.Println(isps.Format(machines.Get("scasb")))
 		return nil
 	case "4", "5":
-		s, _, err := proofs.ScasbRigel().RunCtx(ctx, nil)
+		s, _, err := proofs.ScasbRigel().RunCtx(ctx)
 		if err != nil {
 			return err
 		}
@@ -441,12 +451,12 @@ func findAnalysis(pair string) (*proofs.Analysis, error) {
 	return nil, fmt.Errorf("no analysis %s (try: extra table2)", pair)
 }
 
-func analyze(ctx context.Context, pair string, trace bool, tr *obs.Tracer) error {
+func analyze(ctx context.Context, pair string, trace bool) error {
 	a, err := findAnalysis(pair)
 	if err != nil {
 		return err
 	}
-	s, b, err := a.RunCtx(ctx, tr)
+	s, b, err := a.RunCtx(ctx)
 	if err != nil {
 		return err
 	}
@@ -461,7 +471,7 @@ func analyze(ctx context.Context, pair string, trace bool, tr *obs.Tracer) error
 		fmt.Println()
 	}
 	fmt.Print(b.Describe())
-	n, err := core.ValidateBindingCtx(ctx, b, a.Gen, 300, 1, tr)
+	n, err := core.ValidateBindingCtx(ctx, b, a.Gen, 300, 1)
 	if err != nil {
 		return fmt.Errorf("differential validation FAILED: %v", err)
 	}
@@ -475,7 +485,7 @@ func bindingJSON(ctx context.Context, pair string) error {
 	if err != nil {
 		return err
 	}
-	_, b, err := a.RunCtx(ctx, nil)
+	_, b, err := a.RunCtx(ctx)
 	if err != nil {
 		return err
 	}
@@ -504,7 +514,7 @@ func extensions(ctx context.Context) error {
 	for _, a := range proofs.Extensions() {
 		fmt.Printf("== %s %s / %s %s (extended mode: %v)\n",
 			a.Machine, a.Instruction, a.Language, a.Operation, a.Extended)
-		_, b, err := a.RunCtx(ctx, nil)
+		_, b, err := a.RunCtx(ctx)
 		if err != nil {
 			return err
 		}
@@ -611,11 +621,11 @@ func stats(ctx context.Context, args []string) error {
 // and the code generator's corrupt-binding fallback).
 func statsRun(ctx context.Context) error {
 	for _, a := range proofs.Table2() {
-		_, b, err := a.RunCtx(ctx, nil)
+		_, b, err := a.RunCtx(ctx)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %v", a.Instruction, a.Operator, err)
 		}
-		if _, err := core.ValidateBindingCtx(ctx, b, a.Gen, 60, 1, nil); err != nil {
+		if _, err := core.ValidateBindingCtx(ctx, b, a.Gen, 60, 1); err != nil {
 			return fmt.Errorf("%s/%s validation: %v", a.Instruction, a.Operator, err)
 		}
 	}
@@ -796,97 +806,96 @@ func batchCmd(ctx context.Context, args []string) error {
 	}
 	// Every batch run gets a trace ID, stamped onto each row it executes —
 	// the handle that joins a journal row or report row back to this run.
-	runTrace := obs.NewTraceID()
-	ctx = obs.WithTraceID(ctx, runTrace)
-	fmt.Fprintf(os.Stderr, "batch: run trace %s\n", runTrace)
-	catalog := append(proofs.Table2(), proofs.Extensions()...)
-	// The run-config fingerprint covers every input that changes what a row
-	// means: the validation count (it lands in row fields) and the catalog
-	// itself (a row set from an older catalog must not be silently mixed
-	// into a newer one on resume).
-	cfgParts := []string{"batch", "validate=" + strconv.Itoa(*validate)}
-	for _, a := range catalog {
-		cfgParts = append(cfgParts, batch.AnalysisKey(a))
-	}
-	runConfig := batch.ConfigDigest(cfgParts...)
-	r := &batch.Runner{Jobs: *jobs, Validate: *validate, EachTimeout: *eachTimeout}
-	if *resume != "" {
-		prior, priorConfig, err := batch.ReadJournal[batch.Result](*resume)
-		if err != nil {
-			return fmt.Errorf("-resume: %v", err)
+	return traced(ctx, "batch", "", func(ctx context.Context) error {
+		catalog := append(proofs.Table2(), proofs.Extensions()...)
+		// The run-config fingerprint covers every input that changes what a row
+		// means: the validation count (it lands in row fields) and the catalog
+		// itself (a row set from an older catalog must not be silently mixed
+		// into a newer one on resume).
+		cfgParts := []string{"batch", "validate=" + strconv.Itoa(*validate)}
+		for _, a := range catalog {
+			cfgParts = append(cfgParts, batch.AnalysisKey(a))
 		}
-		if priorConfig != "" && priorConfig != runConfig {
-			return fmt.Errorf("-resume: journal %s was written under config %s, this run is %s (different -validate/catalog); resume with matching flags or start fresh", *resume, priorConfig, runConfig)
+		runConfig := batch.ConfigDigest(cfgParts...)
+		r := &batch.Runner{Jobs: *jobs, Validate: *validate, EachTimeout: *eachTimeout}
+		if *resume != "" {
+			prior, priorConfig, err := batch.ReadJournal[batch.Result](*resume)
+			if err != nil {
+				return fmt.Errorf("-resume: %v", err)
+			}
+			if priorConfig != "" && priorConfig != runConfig {
+				return fmt.Errorf("-resume: journal %s was written under config %s, this run is %s (different -validate/catalog); resume with matching flags or start fresh", *resume, priorConfig, runConfig)
+			}
+			r.Completed = batch.CompletedFrom(prior)
 		}
-		r.Completed = batch.CompletedFrom(prior)
-	}
-	var journal *batch.Journal
-	if *asJSONL != "" && *asJSONL != "-" {
-		j, err := batch.OpenJournal(*asJSONL)
-		if err != nil {
-			return err
-		}
-		if err := j.WriteHeader(runConfig); err != nil {
-			j.Close()
-			return err
-		}
-		journal = j
-	}
-	r.OnResult = func(res batch.Result) {
-		if journal == nil || res.Outcome == "canceled" {
-			return // a canceled row must re-run on resume, not be skipped
-		}
-		if aerr := journal.Append(res); aerr != nil {
-			fmt.Fprintf(os.Stderr, "extra: journal %s: %v\n", *asJSONL, aerr)
-		}
-	}
-	results := r.Run(ctx, catalog)
-	switch {
-	case *asJSON == "-":
-		if err := batch.WriteJSON(os.Stdout, results); err != nil {
-			return err
-		}
-	case *asJSON != "":
-		if err := batch.WriteJSONFile(*asJSON, results); err != nil {
-			return err
-		}
-	case *asJSONL == "-":
-		if err := batch.WriteJSONL(os.Stdout, results); err != nil {
-			return err
-		}
-	case journal != nil:
-		// A completed run compacts the journal into the canonical
-		// catalog-order report; a canceled one keeps the raw journal so
-		// -resume can pick up from it.
-		if ctx.Err() == nil {
-			if err := journal.Rewrite(results); err != nil {
+		var journal *batch.Journal
+		if *asJSONL != "" && *asJSONL != "-" {
+			j, err := batch.OpenJournal(*asJSONL)
+			if err != nil {
 				return err
 			}
-		} else if err := journal.Close(); err != nil {
-			return err
+			if err := j.WriteHeader(runConfig); err != nil {
+				j.Close()
+				return err
+			}
+			journal = j
 		}
-		fmt.Printf("%d analyses: %v (journal: %s)\n", len(results), batch.Summary(results), *asJSONL)
-	default:
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "Machine\tInstruction\tLanguage\tOperation\tOutcome\tSteps\tElementary\tms")
+		r.OnResult = func(res batch.Result) {
+			if journal == nil || res.Outcome == "canceled" {
+				return // a canceled row must re-run on resume, not be skipped
+			}
+			if aerr := journal.Append(res); aerr != nil {
+				fmt.Fprintf(os.Stderr, "extra: journal %s: %v\n", *asJSONL, aerr)
+			}
+		}
+		results := r.Run(ctx, catalog)
+		switch {
+		case *asJSON == "-":
+			if err := batch.WriteJSON(os.Stdout, results); err != nil {
+				return err
+			}
+		case *asJSON != "":
+			if err := batch.WriteJSONFile(*asJSON, results); err != nil {
+				return err
+			}
+		case *asJSONL == "-":
+			if err := batch.WriteJSONL(os.Stdout, results); err != nil {
+				return err
+			}
+		case journal != nil:
+			// A completed run compacts the journal into the canonical
+			// catalog-order report; a canceled one keeps the raw journal so
+			// -resume can pick up from it.
+			if ctx.Err() == nil {
+				if err := journal.Rewrite(results); err != nil {
+					return err
+				}
+			} else if err := journal.Close(); err != nil {
+				return err
+			}
+			fmt.Printf("%d analyses: %v (journal: %s)\n", len(results), batch.Summary(results), *asJSONL)
+		default:
+			w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+			fmt.Fprintln(w, "Machine\tInstruction\tLanguage\tOperation\tOutcome\tSteps\tElementary\tms")
+			for i := range results {
+				res := &results[i]
+				fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\n",
+					res.Machine, res.Instruction, res.Language, res.Operation,
+					res.Outcome, res.Steps, res.Elementary, res.DurationMS)
+			}
+			if err := w.Flush(); err != nil {
+				return err
+			}
+			fmt.Printf("\n%d analyses: %v\n", len(results), batch.Summary(results))
+		}
 		for i := range results {
-			res := &results[i]
-			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\n",
-				res.Machine, res.Instruction, res.Language, res.Operation,
-				res.Outcome, res.Steps, res.Elementary, res.DurationMS)
+			if results[i].Outcome != "ok" {
+				return fmt.Errorf("%d of %d analyses did not complete ok (first: %s: %s)",
+					len(results)-batch.Summary(results)["ok"], len(results), results[i].Pair(), results[i].Error)
+			}
 		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		fmt.Printf("\n%d analyses: %v\n", len(results), batch.Summary(results))
-	}
-	for i := range results {
-		if results[i].Outcome != "ok" {
-			return fmt.Errorf("%d of %d analyses did not complete ok (first: %s: %s)",
-				len(results)-batch.Summary(results)["ok"], len(results), results[i].Pair(), results[i].Error)
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // discoverCmd runs the durable discovery sweep: the unproven instruction x
@@ -923,10 +932,7 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 		in.Arm(inject.Fault{Point: "discover.candidate:" + *injectPanic, Every: 1})
 		defer inject.Activate(in)()
 	}
-	runTrace := obs.NewTraceID()
-	ctx = obs.WithTraceID(ctx, runTrace)
-	fmt.Fprintf(os.Stderr, "discover: run trace %s\n", runTrace)
-	return withTracer(traceFile, func(tr *obs.Tracer) error {
+	return traced(ctx, "discover", traceFile, func(ctx context.Context) error {
 		s, err := discover.New(discover.Config{
 			Machines:    splitCSV(*machinesCSV),
 			Operators:   splitCSV(*operatorsCSV),
@@ -935,7 +941,6 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 			Ladder:      core.AutoLadder(*depth, *budget, *rungs),
 			EachTimeout: *eachTimeout,
 			Resume:      *resume,
-			Tracer:      tr,
 		})
 		if err != nil {
 			return err
@@ -982,10 +987,7 @@ func synthCmd(ctx context.Context, traceFile string, args []string) error {
 	if err != nil {
 		return err
 	}
-	runTrace := obs.NewTraceID()
-	ctx = obs.WithTraceID(ctx, runTrace)
-	fmt.Fprintf(os.Stderr, "synth: run trace %s\n", runTrace)
-	return withTracer(traceFile, func(tr *obs.Tracer) error {
+	return traced(ctx, "synth", traceFile, func(ctx context.Context) error {
 		rep, err := synth.Run(ctx, synth.Config{
 			Bindings:    splitCSV(*bindingsCSV),
 			Gadgets:     gadgets,
@@ -1091,7 +1093,7 @@ func serveCmd(ctx context.Context, traceFile string, args []string) error {
 	if err := validateListenAddr(*addr); err != nil {
 		return fmt.Errorf("serve: -addr: %v", err)
 	}
-	return withTracer(traceFile, func(tr *obs.Tracer) error {
+	return traced(ctx, "", traceFile, func(ctx context.Context) error {
 		// The serve path is always cache-fronted: warm hits answer before
 		// admission control, so they never occupy a worker slot, and concurrent
 		// identical requests coalesce into one engine run.
@@ -1103,7 +1105,7 @@ func serveCmd(ctx context.Context, traceFile string, args []string) error {
 			Addr: *addr, Queue: *queue, Jobs: *jobs,
 			DrainTimeout: *drainTimeout, RequestTimeout: *reqTimeout,
 			Validate: *validate, Cache: ch,
-			Tracer: tr, EnablePprof: *pprofFlag,
+			Tracer: obs.TracerFrom(ctx), EnablePprof: *pprofFlag,
 		}
 		var journal *batch.Journal
 		if *journalFile != "" {

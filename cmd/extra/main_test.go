@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -222,6 +223,59 @@ func TestTraceFlagWritesJSONL(t *testing.T) {
 	// for the paper's coarser steps); every one must appear in the trace.
 	if applies < 30 {
 		t.Errorf("want >=30 transform.apply events (one per proof step), got %d", applies)
+	}
+}
+
+// TestRunTraceJoinsRows: discover and synth with --trace write a non-empty
+// event file in which every line carries the run's one trace ID, and the
+// report rows carry the same ID, so a row joins against its events.
+func TestRunTraceJoinsRows(t *testing.T) {
+	dir := t.TempDir()
+	sweep, synthJSON := filepath.Join(dir, "sweep"), filepath.Join(dir, "synth.json")
+	for _, tc := range []struct {
+		args   []string
+		report string
+	}{
+		{[]string{"discover", "-dir", sweep, "-machines", "VAX-11", "-operators", "Pascal",
+			"-depth", "2", "-budget", "200", "-rungs", "1"}, filepath.Join(sweep, "report.json")},
+		{[]string{"synth", "-bindings", "Intel 8086/scasb/index", "-no-sweep", "-max-variants", "4",
+			"-json", synthJSON}, synthJSON},
+	} {
+		file := filepath.Join(dir, tc.args[0]+".jsonl")
+		if err := run(append(tc.args, "--trace", file)); err != nil {
+			t.Fatalf("extra %v: %v", tc.args, err)
+		}
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := map[string]int{}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		for i, line := range lines {
+			var ev struct {
+				Trace string `json:"trace"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("%s: line %d is not JSON: %v\n%s", tc.args[0], i+1, err, line)
+			}
+			ids[ev.Trace]++
+		}
+		if len(ids) != 1 || ids[""] > 0 {
+			t.Fatalf("%s: %d trace lines carry the IDs %v, want one run ID on every line", tc.args[0], len(lines), ids)
+		}
+		report, err := os.ReadFile(tc.report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := regexp.MustCompile(`"trace": *"([^"]*)"`).FindAllStringSubmatch(string(report), -1)
+		if len(rows) == 0 {
+			t.Fatalf("%s: the report carries no trace ID", tc.args[0])
+		}
+		for _, m := range rows {
+			if ids[m[1]] == 0 {
+				t.Errorf("%s: a report row carries trace %q, the events %v", tc.args[0], m[1], ids)
+			}
+		}
 	}
 }
 

@@ -42,9 +42,9 @@ type Result struct {
 	// agreed on (0 when validation was off or the analysis failed).
 	Validated  int   `json:"validated,omitempty"`
 	DurationMS int64 `json:"duration_ms"`
-	// Trace is the trace ID of the originating request or batch run
-	// (obs.TraceIDFrom on the execution context), so a slow row in a
-	// journal or report can be joined against its JSONL trace.
+	// Trace is the trace ID of the originating request or batch run, read
+	// from the execution context's tracer, so a slow row in a journal or
+	// report can be joined against its JSONL trace.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -69,10 +69,9 @@ type Runner struct {
 	// completion order (the journaling hook). Calls are serialized by the
 	// Runner; OnResult itself need not be concurrency-safe.
 	OnResult func(Result)
-	// Tracer observes every analysis (nil-safe). Metrics counts outcomes
-	// under batch.outcome and durations under batch.duration_ms; nil means
-	// the process default registry.
-	Tracer  *obs.Tracer
+	// Metrics counts outcomes under batch.outcome and durations under
+	// batch.duration_ms; nil means the process default registry. Every
+	// analysis emits to the context's tracer.
 	Metrics *obs.Registry
 }
 
@@ -184,7 +183,7 @@ func (r *Runner) RunOneBound(ctx context.Context, a *proofs.Analysis) (Result, *
 		Machine: a.Machine, Instruction: a.Instruction,
 		Language: a.Language, Operation: a.Operation,
 		Operator: a.Operator, Extended: a.Extended,
-		Trace: obs.TraceIDFrom(ctx),
+		Trace: obs.TracerFrom(ctx).TraceID(),
 	}
 	var bound *core.Binding
 	start := time.Now()
@@ -196,13 +195,13 @@ func (r *Runner) RunOneBound(ctx context.Context, a *proofs.Analysis) (Result, *
 			runCtx, cancel = context.WithTimeout(ctx, r.EachTimeout)
 			defer cancel()
 		}
-		_, b, err := a.RunCtx(runCtx, r.Tracer)
+		_, b, err := a.RunCtx(runCtx)
 		if err != nil {
 			return err
 		}
 		res.Steps, res.Elementary = b.Steps, b.Elementary
 		if r.Validate > 0 {
-			n, err := core.ValidateBindingCtx(runCtx, b, a.Gen, r.Validate, 1, r.Tracer)
+			n, err := core.ValidateBindingCtx(runCtx, b, a.Gen, r.Validate, 1)
 			if err != nil {
 				return fmt.Errorf("differential validation: %w", err)
 			}

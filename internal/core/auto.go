@@ -35,7 +35,8 @@ import (
 //     digest of the description pair (isps.HashPair) instead of two full
 //     pretty-printed sources per state.
 //   - early exit: the first new state in common form ends the search, and
-//     its trail is replayed through the session.
+//     its trail is committed to the session from the probes' outcomes, as
+//     Normalize commits its probes: no step is applied a second time.
 //
 // Candidates are consumed in (state, transformation, path) order, so a
 // search is deterministic: the same pair and bounds give the same trail,
@@ -65,37 +66,34 @@ var autoMoves = []string{
 	"loop.rotate.guarded", "loop.delete.dead", "exit.split", "exit.merge",
 }
 
-// autoStep is one candidate application found by the search.
-type autoStep struct {
+// autoCand is a probed, applicable candidate: the step (side,
+// transformation, path), the probe's outcome, reused when the successor
+// state is built and when the step is committed (no second application),
+// and the index of its move in the prober's table.
+type autoCand struct {
 	side  Side
 	xform string
 	at    isps.Path
+	out   *transform.Outcome
+	move  int
 }
 
-// autoCand is a probed, applicable candidate: the step plus the probe's
-// outcome, reused when the successor state is built (no second
-// application), and the index of its move in the prober's table.
-type autoCand struct {
-	autoStep
-	out  *transform.Outcome
-	move int
-}
-
-// autoState is one node of the search tree. Trails are reconstructed by
-// walking parents, so enqueueing a state allocates no trail copy.
+// autoState is one node of the search tree: its descriptions and the
+// probed candidate that led to it from its parent. Trails are reconstructed
+// by walking parents, so enqueueing a state allocates no trail copy.
 type autoState struct {
 	op, ins *isps.Description
 	parent  *autoState
-	step    autoStep
+	step    autoCand
 }
 
 // trail returns the steps from the root to this state, in application order.
-func (st *autoState) trail() []autoStep {
+func (st *autoState) trail() []autoCand {
 	n := 0
 	for s := st; s.parent != nil; s = s.parent {
 		n++
 	}
-	out := make([]autoStep, n)
+	out := make([]autoCand, n)
 	for s := st; s.parent != nil; s = s.parent {
 		n--
 		out[n] = s.step
@@ -170,8 +168,8 @@ func (s *Session) AutoCompleteRetry(ctx context.Context, ladder []AutoRung) (int
 		n, err := s.autoComplete(ctx, rung.MaxDepth, rung.Budget, i, len(ladder))
 		if err == nil {
 			s.Metrics.Inc("auto.retry.success", label)
-			if s.Tracer.Enabled() {
-				s.Tracer.Event("auto.retry", map[string]any{
+			if s.tr.Enabled() {
+				s.tr.Event("auto.retry", map[string]any{
 					"outcome": "ok", "rung": i, "rungs": len(ladder),
 					"depth": rung.MaxDepth, "budget": rung.Budget, "steps": n,
 				})
@@ -184,8 +182,8 @@ func (s *Session) AutoCompleteRetry(ctx context.Context, ladder []AutoRung) (int
 		}
 		last = err
 		s.Metrics.Inc("auto.retry.exhausted", label)
-		if s.Tracer.Enabled() {
-			s.Tracer.Event("auto.retry", map[string]any{
+		if s.tr.Enabled() {
+			s.tr.Event("auto.retry", map[string]any{
 				"outcome": "exhausted", "rung": i, "rungs": len(ladder),
 				"depth": rung.MaxDepth, "budget": rung.Budget, "explored": be.Explored,
 			})
@@ -239,14 +237,16 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 				// their parents so the next level's digests and Equal checks
 				// answer from memos. The probe's outcome is the search's
 				// own, so it is interned in place.
-				succ := &autoState{op: internOwned(op), ins: internOwned(ins), parent: st, step: cand.autoStep}
+				succ := &autoState{op: internOwned(op), ins: internOwned(ins), parent: st, step: cand}
 				if _, err := equiv.CommonForm(succ.op, succ.ins); err == nil {
-					// Replay the trail through the session so every step is
-					// validated and recorded as usual.
+					// Commit the trail: every step is checked and recorded
+					// as a scripted one, from the outcome its probe made.
+					// A committed step has no application of its own to
+					// time.
 					trail := succ.trail()
-					for _, mv := range trail {
-						if err := s.Apply(mv.side, mv.xform, mv.at, transform.Args{"dir": "down"}); err != nil {
-							return 0, fmt.Errorf("core: auto replay failed at %s: %v", mv.xform, err)
+					for _, c := range trail {
+						if err := s.commit(c.side, pr.moves[c.move].tr, c.at, transform.Args{"dir": "down"}, c.out, 0); err != nil {
+							return 0, err
 						}
 					}
 					return len(trail), nil
@@ -254,8 +254,8 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 				next = append(next, succ)
 			}
 		}
-		if s.Tracer.Enabled() {
-			s.Tracer.Event("auto.level", map[string]any{
+		if s.tr.Enabled() {
+			s.tr.Event("auto.level", map[string]any{
 				"depth": depth, "frontier": len(frontier), "next": len(next),
 				"explored": explored, "visited": vs.size(),
 			})
@@ -338,8 +338,8 @@ type probeCounts struct {
 
 // newProber resolves the enabled moves and the node kinds they need. A
 // move missing from the transformation registry degrades the search
-// instead of killing it (counted as auto.skipped); the replay path cannot
-// hit the gap because only probed candidates are replayed.
+// instead of killing it (counted as auto.skipped); the commit cannot hit
+// the gap because only probed candidates are committed.
 func (s *Session) newProber() *prober {
 	pr := &prober{s: s, moves: make([]move, 0, len(autoMoves)), wantKind: map[string]bool{}}
 	for _, name := range autoMoves {
@@ -422,11 +422,7 @@ func (pr *prober) candidates(op, ins *isps.Description) []autoCand {
 					if len(res.Constraints) > 0 {
 						continue
 					}
-					out = append(out, autoCand{
-						autoStep: autoStep{side: side, xform: mv.name, at: c.p},
-						out:      res,
-						move:     mi,
-					})
+					out = append(out, autoCand{side: side, xform: mv.name, at: c.p, out: res, move: mi})
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -401,6 +402,86 @@ func TestSearchCountersFlushedOnce(t *testing.T) {
 			want := [3]uint64{tc.explored, tc.precond, tc.errs}
 			if got := totals(); got != want {
 				t.Errorf("(auto.explored, transform.precond, transform.error) = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestSearchCommitsProbedTrail: a completed search commits its trail from
+// the outcomes its probes made and applies no transformation a second time.
+// The registry Apply of every move on the trail records each call's
+// (transformation, path, input description). Pairs repeat before the goal
+// (every state that shares a side's description probes it again), so the
+// completed search must make exactly the calls of the same search stopped
+// by its budget one candidate short of the goal, which probes the same
+// states: committing adds none, where replaying the trail through
+// Session.Apply repeated every trail pair. Each committed step still
+// counts transform.applied and one transform.apply.ns sample.
+func TestSearchCommitsProbedTrail(t *testing.T) {
+	for _, tc := range searchCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.build(t)
+			s.Metrics = obs.NewRegistry()
+			pre := len(s.Steps)
+			if _, err := s.AutoComplete(tc.depth, tc.budget); err != nil {
+				t.Fatal(err)
+			}
+			trail, explored := s.Steps[pre:], int(s.Metrics.Total("auto.explored"))
+			if len(trail) == 0 {
+				t.Fatal("the search found an empty trail; the case no longer exercises the commit")
+			}
+			moves := map[string]bool{}
+			for _, st := range trail {
+				moves[st.Xform] = true
+			}
+			calls := map[string]int{}
+			for name := range moves {
+				tr, err := transform.Get(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				orig := tr.Apply
+				tr.Apply = func(d *isps.Description, at isps.Path, args transform.Args) (*transform.Outcome, error) {
+					calls[fmt.Sprintf("%s at %s on %x", name, at, isps.Hash(d))]++
+					return orig(d, at, args)
+				}
+				defer func() { tr.Apply = orig }()
+			}
+			run := func(budget int) (map[string]int, *Session, error) {
+				clear(calls)
+				s := tc.build(t)
+				s.Metrics = obs.NewRegistry()
+				_, err := s.AutoComplete(tc.depth, budget)
+				return maps.Clone(calls), s, err
+			}
+			stopped, _, err := run(explored - 1)
+			var be *fault.BudgetError
+			if !errors.As(err, &be) {
+				t.Fatalf("the search one candidate short of its goal returned %v, want a budget error", err)
+			}
+			done, s, err := run(explored)
+			if err != nil || len(s.Steps) != len(trail)+pre {
+				t.Fatalf("the recording run returned %v with trail:\n%s", err, autoTrail(s))
+			}
+			for k, n := range done {
+				if n != stopped[k] {
+					t.Errorf("%d calls of %s, %d when the search stops before its goal", n, k, stopped[k])
+				}
+			}
+			if len(done) != len(stopped) {
+				t.Errorf("%d distinct calls, %d when the search stops before its goal", len(done), len(stopped))
+			}
+			var applied, timed uint64
+			for name := range moves {
+				applied += s.Metrics.Counter("transform.applied", name)
+			}
+			for _, h := range s.Metrics.Snapshot().Histograms {
+				if h.Metric == "transform.apply.ns" && moves[h.Label] {
+					timed += h.Count
+				}
+			}
+			if want := uint64(len(trail)); applied != want || timed != want {
+				t.Errorf("transform.applied %d and transform.apply.ns samples %d over the trail's moves, want %d each", applied, timed, want)
 			}
 		})
 	}

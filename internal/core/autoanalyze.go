@@ -25,10 +25,8 @@ type AutoSpec struct {
 	// Workers is ignored: the auto-search runs serially on the caller's
 	// goroutine. The field stays so existing callers build.
 	Workers int
-	// Tracer and Metrics receive the session's events and counters; nil
-	// Tracer disables tracing, nil Metrics falls back to the process
-	// default.
-	Tracer  *obs.Tracer
+	// Metrics receives the session's counters; nil falls back to the
+	// process default. The session's events go to the context's tracer.
 	Metrics *obs.Registry
 }
 
@@ -51,7 +49,6 @@ func AutoAnalyze(ctx context.Context, spec AutoSpec) (*Binding, error) {
 	s.Instruction = spec.Instruction
 	s.Language = spec.Language
 	s.Operation = spec.Operation
-	s.Tracer = spec.Tracer
 	if spec.Metrics != nil {
 		s.Metrics = spec.Metrics
 	}

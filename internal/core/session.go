@@ -86,10 +86,6 @@ type Session struct {
 	// caller's goroutine. The field stays so existing callers build.
 	AutoWorkers int
 
-	// Tracer receives structured events for every step (application
-	// outcome, cursor path, duration) and for Finish. A nil tracer is a
-	// no-op and adds no allocations on the apply path.
-	Tracer *obs.Tracer
 	// Metrics receives step counters and latency histograms; NewSession
 	// defaults it to the process registry (obs.Default()).
 	Metrics *obs.Registry
@@ -108,14 +104,18 @@ type Session struct {
 	snapshots map[string]*isps.Description
 
 	// ctx carries the session's cancellation signal; nil means no bound.
-	// Apply, AutoComplete, and Finish observe it.
+	// Apply, AutoComplete, and Finish observe it. tr is ctx's tracer, read
+	// once: it receives an event for every step (application outcome,
+	// cursor path, duration) and for Finish. A nil or disabled tracer adds
+	// no allocations on the apply path.
 	ctx context.Context
+	tr  *obs.Tracer
 }
 
 // SetContext bounds the session by ctx: subsequent Apply, AutoComplete and
 // Finish calls fail fast (with ctx.Err wrapped) once ctx is cancelled or
-// past its deadline.
-func (s *Session) SetContext(ctx context.Context) { s.ctx = ctx }
+// past its deadline. The context's tracer receives the session's events.
+func (s *Session) SetContext(ctx context.Context) { s.ctx, s.tr = ctx, obs.TracerFrom(ctx) }
 
 // Context returns the session's context (context.Background when unset).
 func (s *Session) Context() context.Context {
@@ -182,7 +182,7 @@ func (s *Session) noteApply(side Side, name string, at isps.Path, dur time.Durat
 		s.Metrics.Inc("transform.error", name)
 	}
 	s.Metrics.Observe("transform.apply.ns", name, uint64(dur))
-	if s.Tracer.Enabled() {
+	if s.tr.Enabled() {
 		attrs := map[string]any{
 			"side":    side.String(),
 			"xform":   name,
@@ -193,7 +193,7 @@ func (s *Session) noteApply(side Side, name string, at isps.Path, dur time.Durat
 		if detail != "" {
 			attrs["detail"] = detail
 		}
-		s.Tracer.Event("transform.apply", attrs)
+		s.tr.Event("transform.apply", attrs)
 	}
 }
 
@@ -449,8 +449,8 @@ func (s *Session) Finish() (_ *Binding, err error) {
 	s.Metrics.ObserveSince("session.finish.ns", s.Instruction+"/"+s.Operation, start)
 	if err != nil {
 		s.Metrics.Inc("session.finish", "mismatch")
-		if s.Tracer.Enabled() {
-			s.Tracer.Event("session.finish", map[string]any{
+		if s.tr.Enabled() {
+			s.tr.Event("session.finish", map[string]any{
 				"instruction": s.Instruction, "operation": s.Operation,
 				"outcome": "mismatch", "detail": err.Error(), "steps": len(s.Steps),
 			})
@@ -458,8 +458,8 @@ func (s *Session) Finish() (_ *Binding, err error) {
 		return nil, err
 	}
 	s.Metrics.Inc("session.finish", "ok")
-	if s.Tracer.Enabled() {
-		s.Tracer.Event("session.finish", map[string]any{
+	if s.tr.Enabled() {
+		s.tr.Event("session.finish", map[string]any{
 			"instruction": s.Instruction, "operation": s.Operation,
 			"outcome": "ok", "mapping_size": len(m.VarMap), "steps": len(s.Steps),
 			"elementary": s.Elementary,

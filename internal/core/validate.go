@@ -27,23 +27,25 @@ type InputGen func(rng *rand.Rand) (opInputs []uint64, mem map[uint64]byte)
 // This is the reproduction's substitute for the paper's hand verification
 // against production compilers (section 5), and it is the check that found
 // "obscure bugs in the use of VAX-11 instructions in each compiler" there.
+// It is ValidateBindingCtx without a bound; it stays because the benchmark
+// module calls it.
 func ValidateBinding(b *Binding, gen InputGen, rounds int, seed int64) (int, error) {
-	return ValidateBindingCtx(context.Background(), b, gen, rounds, seed, nil)
+	return ValidateBindingCtx(context.Background(), b, gen, rounds, seed)
 }
 
-// ValidateBindingCtx is ValidateBinding bounded by ctx, with a span on tr
-// bounding the differential run (attrs: binding, rounds requested, inputs
-// actually checked, outcome). The context is checked between rounds and
-// inside each interpreter execution, so a deadline interrupts even a single
-// runaway description. Constraint evaluations and interpreter runs are
-// counted in locals and recorded in the process metrics registry once, when
-// the validation returns, whether it passed, was refuted, failed, was
-// cancelled or panicked: interp.run and interp.run.err per run,
+// ValidateBindingCtx is ValidateBinding bounded by ctx, with a span on the
+// context's tracer bounding the differential run (attrs: binding, rounds
+// requested, inputs actually checked, outcome). The context is checked
+// between rounds and inside each interpreter execution, so a deadline
+// interrupts even a single runaway description. Constraint evaluations and
+// interpreter runs are counted in locals and recorded in the process metrics
+// registry once, when the validation returns, whether it passed, was refuted,
+// failed, was cancelled or panicked: interp.run and interp.run.err per run,
 // constraint.check per check, and one interp.steps sample per description,
 // its mean steps per successful run.
-func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds int, seed int64, tr *obs.Tracer) (n int, err error) {
+func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds int, seed int64) (n int, err error) {
 	label := b.Instruction + "/" + b.Operation
-	if tr.Enabled() {
+	if tr := obs.TracerFrom(ctx); tr.Enabled() {
 		sp := tr.StartSpan("validate", map[string]any{"binding": label, "rounds": rounds})
 		defer func() {
 			attrs := map[string]any{"checked": n, "outcome": "ok"}

@@ -90,7 +90,7 @@ func TestValidationCountersExact(t *testing.T) {
 			}
 			before := read()
 			ctx, gen := cancelling(tc.gen, tc.cancelAt)
-			_, err := core.ValidateBindingCtx(ctx, tc.b, gen, rounds, seed, nil)
+			_, err := core.ValidateBindingCtx(ctx, tc.b, gen, rounds, seed)
 			if !tc.want(err) {
 				t.Fatalf("validation returned %v", err)
 			}

@@ -162,8 +162,9 @@ type Config struct {
 	LeaseTTL time.Duration
 	// Resume continues an interrupted sweep from Dir's WAL.
 	Resume bool
-	// Tracer and Metrics receive spans and the discover.* counters; nil
-	// Metrics means the process default.
+	// Metrics receives the discover.* counters; nil means the process
+	// default. Spans go to the context's tracer; Run installs Tracer there
+	// when it is set, which only the benchmark module does.
 	Tracer  *obs.Tracer
 	Metrics *obs.Registry
 }
@@ -290,6 +291,9 @@ func (s *Sweep) metrics() *obs.Registry {
 // where it stopped. A kill -9 loses at most the candidates in flight.
 func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 	defer s.Close()
+	if s.cfg.Tracer != nil {
+		ctx = obs.WithTrace(ctx, s.cfg.Tracer, obs.TracerFrom(ctx).TraceID())
+	}
 	var pending []int
 	for i, r := range s.rows {
 		if r == nil {
@@ -362,18 +366,24 @@ func InjectPoint(c Candidate) string { return "discover.candidate:" + c.Pair() }
 // The engine is deterministic, so a fault would recur: there is no retry.
 func (s *Sweep) runCandidate(ctx context.Context, c Candidate) (res Result) {
 	start := time.Now()
+	tr := obs.TracerFrom(ctx)
 	res = Result{
 		Machine:     c.Machine,
 		Instruction: c.Instruction,
 		Language:    c.Language,
 		Operation:   c.Operation,
 		Operator:    c.Operator,
-		Trace:       obs.TraceIDFrom(ctx),
+		Trace:       tr.TraceID(),
 	}
-	sp := s.cfg.Tracer.StartSpan("discover.candidate", map[string]any{"candidate": c.Key()})
+	var sp obs.Span
+	if tr.Enabled() {
+		sp = tr.StartSpan("discover.candidate", map[string]any{"candidate": c.Key()})
+	}
 	defer func() {
 		res.DurationMS = time.Since(start).Milliseconds()
-		sp.End(map[string]any{"outcome": res.Outcome, "class": res.Class})
+		if tr.Enabled() {
+			sp.End(map[string]any{"outcome": res.Outcome, "class": res.Class})
+		}
 	}()
 
 	op, ins, err := c.Descs()
@@ -427,7 +437,6 @@ func (s *Sweep) attempt(ctx context.Context, c Candidate, op, ins *isps.Descript
 		Op:          op,
 		Ins:         ins,
 		Ladder:      s.cfg.Ladder,
-		Tracer:      s.cfg.Tracer,
 		Metrics:     s.cfg.Metrics,
 	})
 }

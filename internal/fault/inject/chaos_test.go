@@ -98,7 +98,7 @@ func TestChaosStepLimitInjection(t *testing.T) {
 	in.Arm(inject.Fault{Point: "interp.steplimit", Every: 1, Val: 1})
 	restore := inject.Activate(in)
 	defer restore()
-	_, verr := core.ValidateBindingCtx(context.Background(), b, a.Gen, 5, 1, nil)
+	_, verr := core.ValidateBindingCtx(context.Background(), b, a.Gen, 5, 1)
 	if verr == nil {
 		t.Fatal("validation succeeded under a one-statement step budget")
 	}

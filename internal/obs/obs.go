@@ -43,9 +43,11 @@ func SetDefault(r *Registry) *Registry {
 	return prev
 }
 
-// defaultTracer is the process-wide tracer for instrumented code with no
-// session to carry one (the code generators, the gg selector). nil (the
-// default) disables it.
+// defaultTracer is the process-wide tracer for instrumented code that has
+// no context to carry one: the code generators (codegen.Run,
+// Target.Compile) and the gg selector, whose signatures the benchmark
+// module calls as they are. Everything else reads its tracer from the
+// context (TracerFrom). nil (the default) disables it.
 var defaultTracer atomic.Pointer[Tracer]
 
 // Trace returns the process-wide tracer; possibly nil, which every Tracer

@@ -20,7 +20,7 @@ type Event struct {
 	// Span is the enclosing or bounded span's id (0 = none).
 	Span int64 `json:"span,omitempty"`
 	// Trace is the request/run trace ID the emitting tracer was derived
-	// with (Tracer.WithTrace); "" on tracers without one.
+	// with (WithTrace); "" on tracers without one.
 	Trace string `json:"trace,omitempty"`
 	// DurNS is the span duration on "end" events.
 	DurNS int64 `json:"dur_ns,omitempty"`
@@ -34,10 +34,11 @@ type Sink interface {
 	Emit(e *Event)
 }
 
-// Tracer fans events out to its sinks. A nil *Tracer is a valid disabled
-// tracer: every method is a no-op and allocates nothing. WithTrace derives
-// request-scoped tracers that stamp a trace ID on every event while
-// sharing the parent's sinks and span counter.
+// Tracer fans events out to its sinks. A nil *Tracer, or one without
+// sinks, is a valid disabled tracer: every method is a no-op and allocates
+// nothing. WithTrace attaches to a context a tracer derived with a trace
+// ID, which it stamps on every event while sharing the parent's sinks and
+// span counter.
 type Tracer struct {
 	sinks    []Sink
 	trace    string
@@ -49,20 +50,8 @@ func NewTracer(sinks ...Sink) *Tracer {
 	return &Tracer{sinks: sinks, nextSpan: &atomic.Int64{}}
 }
 
-// WithTrace derives a tracer that stamps id into every event's Trace
-// field. The derived tracer shares the parent's sinks and span-id counter,
-// so spans stay unique across concurrent requests writing one trace file.
-// A nil parent (or empty id) passes through unchanged.
-func (t *Tracer) WithTrace(id string) *Tracer {
-	if t == nil || id == "" || t.trace == id {
-		return t
-	}
-	d := *t
-	d.trace = id
-	return &d
-}
-
-// TraceID returns the trace ID this tracer stamps ("" for the root).
+// TraceID returns the trace ID this tracer stamps ("" for a root tracer
+// and for nil).
 func (t *Tracer) TraceID() string {
 	if t == nil {
 		return ""

@@ -8,47 +8,46 @@ import (
 	"sync/atomic"
 )
 
-// Trace identity. A trace ID names one request (or one batch run) across
-// every layer it touches: minted at serve ingress (or honored from an
-// incoming traceparent / X-Request-Id header), carried through
-// context.Context, stamped onto every span and event a derived tracer
-// emits (Tracer.WithTrace), echoed on the response, and recorded on the
-// batch.Result row — so one slow row in a report can be joined against its
-// JSONL trace and the access log.
+// Trace identity. A trace ID names one request or run across every layer
+// it touches: minted at serve ingress (or honored from an incoming
+// traceparent / X-Request-Id header) or at the start of a run, held by the
+// tracer the context carries (WithTrace), stamped onto every event that
+// tracer emits, and recorded on the report row (TracerFrom(ctx).TraceID())
+// — so one slow row can be joined against its JSONL trace and access log.
 
-// traceKey is the context key for the request's trace ID.
-type traceKey struct{}
-
-// tracerKey is the context key for the request's derived tracer.
+// tracerKey is the context key for the run's tracer.
 type tracerKey struct{}
 
-// WithTraceID returns a context carrying the trace ID.
-func WithTraceID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, traceKey{}, id)
+// tracerCtx is the context node WithTrace attaches. It holds the derived
+// tracer by value, so attaching costs one allocation and TracerFrom returns
+// a pointer into the node.
+type tracerCtx struct {
+	context.Context
+	t Tracer
 }
 
-// TraceIDFrom returns the context's trace ID ("" when none was attached).
-func TraceIDFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
+func (c *tracerCtx) Value(key any) any {
+	if key == (tracerKey{}) {
+		return &c.t
 	}
-	id, _ := ctx.Value(traceKey{}).(string)
-	return id
+	return c.Context.Value(key)
 }
 
-// WithTracer returns a context carrying a request-scoped tracer (usually
-// one derived with Tracer.WithTrace).
-func WithTracer(ctx context.Context, t *Tracer) context.Context {
-	if t == nil {
-		return ctx
+// WithTrace returns ctx carrying parent derived with trace ID id. The
+// derived tracer stamps id into every event's Trace field and shares
+// parent's sinks and span-id counter, so spans stay unique across
+// concurrent requests writing one trace file. Without a parent (or one
+// without sinks) it is disabled and only carries id for the rows.
+func WithTrace(ctx context.Context, parent *Tracer, id string) context.Context {
+	c := &tracerCtx{Context: ctx}
+	if parent != nil {
+		c.t = *parent
 	}
-	return context.WithValue(ctx, tracerKey{}, t)
+	c.t.trace = id
+	return c
 }
 
-// TracerFrom returns the context's request-scoped tracer; possibly nil,
+// TracerFrom returns the context's tracer; nil when none was attached,
 // which every Tracer method accepts as a no-op.
 func TracerFrom(ctx context.Context) *Tracer {
 	if ctx == nil {

@@ -58,26 +58,85 @@ func TestParseTraceparent(t *testing.T) {
 	}
 }
 
+// TestContextRoundTrip: the context carries one tracer, which holds the
+// trace ID. A nil context and a context without a tracer give the nil
+// (disabled) tracer; an ID without sinks gives a disabled tracer that still
+// carries the ID; a derived tracer keeps its parent's sinks and span
+// counter and is found through the context layers stacked on top of it.
 func TestContextRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if got := TraceIDFrom(ctx); got != "" {
-		t.Errorf("empty context carries trace %q", got)
+	if got := TracerFrom(nil); got != nil { //nolint:staticcheck // nil-safety contract
+		t.Errorf("nil context carries tracer %v", got)
 	}
-	ctx = WithTraceID(ctx, "abc123")
-	if got := TraceIDFrom(ctx); got != "abc123" {
-		t.Errorf("TraceIDFrom = %q, want abc123", got)
+	bg := context.Background()
+	if got := TracerFrom(bg); got != nil || got.TraceID() != "" || got.Enabled() {
+		t.Errorf("empty context carries tracer %v", got)
 	}
-	if got := TracerFrom(ctx); got != nil {
-		t.Errorf("context carries tracer %v without WithTracer", got)
+
+	bare := TracerFrom(WithTrace(bg, nil, "abc123"))
+	if bare == nil || bare.TraceID() != "abc123" {
+		t.Fatalf("ID without sinks: tracer %v, want one carrying abc123", bare)
 	}
-	tr := NewTracer(&MemSink{})
-	ctx = WithTracer(ctx, tr)
-	if got := TracerFrom(ctx); got != tr {
-		t.Error("TracerFrom did not return the attached tracer")
+	if bare.Enabled() {
+		t.Error("a tracer without sinks is enabled")
 	}
-	if got := TraceIDFrom(nil); got != "" { //nolint:staticcheck // nil-safety contract
-		t.Errorf("nil context trace = %q", got)
+	if n := testing.AllocsPerRun(100, func() {
+		sp := bare.StartSpan("s", nil)
+		sp.Event("e", nil)
+		sp.End(nil)
+		bare.Event("e", nil)
+	}); n != 0 {
+		t.Errorf("disabled tracer allocates %v per call sequence, want 0", n)
 	}
+
+	sink := &MemSink{}
+	root := NewTracer(sink)
+	ctx, cancel := context.WithCancel(WithTrace(bg, root, "run-1"))
+	defer cancel()
+	ctx = context.WithoutCancel(context.WithValue(ctx, struct{}{}, 1))
+	d := TracerFrom(ctx)
+	if d == nil || d.TraceID() != "run-1" || !d.Enabled() {
+		t.Fatalf("derived tracer %v: want enabled, carrying run-1, under stacked contexts", d)
+	}
+	if TracerFrom(ctx) != d {
+		t.Error("two reads of one context give different tracers")
+	}
+	a := root.StartSpan("root", nil)
+	b := d.StartSpan("derived", nil)
+	a.End(nil)
+	b.End(nil)
+	ev := sink.Events()
+	if len(ev) != 4 {
+		t.Fatalf("%d events, want 4 in the parent's sink", len(ev))
+	}
+	if ev[0].Span == ev[1].Span || ev[1].Trace != "run-1" || ev[0].Trace != "" {
+		t.Errorf("derived tracer does not share the parent's span counter or stamps the wrong ID: %+v", ev)
+	}
+	if root.TraceID() != "" {
+		t.Errorf("deriving stamped the parent with %q", root.TraceID())
+	}
+}
+
+// TestWithTraceOneAllocation pins the cost of attaching a traced context:
+// one node holding the derived tracer by value, with or without a parent.
+func TestWithTraceOneAllocation(t *testing.T) {
+	bg := context.Background()
+	root := NewTracer(&MemSink{})
+	for _, parent := range []*Tracer{nil, root} {
+		var ctx context.Context
+		n := testing.AllocsPerRun(100, func() { ctx = WithTrace(bg, parent, "id") })
+		if n != 1 {
+			t.Errorf("WithTrace(parent %v) costs %v allocations, want 1", parent, n)
+		}
+		if TracerFrom(ctx).TraceID() != "id" {
+			t.Error("attached tracer lost its ID")
+		}
+	}
+}
+
+// derive returns parent derived with trace ID id, as a run's context
+// carries it.
+func derive(parent *Tracer, id string) *Tracer {
+	return TracerFrom(WithTrace(context.Background(), parent, id))
 }
 
 // TestWithTraceStampsEvents: a derived tracer stamps its trace ID on point
@@ -87,8 +146,8 @@ func TestContextRoundTrip(t *testing.T) {
 func TestWithTraceStampsEvents(t *testing.T) {
 	sink := &MemSink{}
 	root := NewTracer(sink)
-	d1 := root.WithTrace("trace-1")
-	d2 := root.WithTrace("trace-2")
+	d1 := derive(root, "trace-1")
+	d2 := derive(root, "trace-2")
 
 	root.Event("root.point", nil)
 	s1 := d1.StartSpan("req", nil)
@@ -115,8 +174,8 @@ func TestWithTraceStampsEvents(t *testing.T) {
 	if root.TraceID() != "" || d1.TraceID() != "trace-1" {
 		t.Errorf("TraceID: root %q derived %q", root.TraceID(), d1.TraceID())
 	}
-	if nilDerived := (*Tracer)(nil).WithTrace("x"); nilDerived != nil {
-		t.Error("nil tracer derived a non-nil tracer")
+	if nilDerived := derive(nil, "x"); nilDerived.Enabled() {
+		t.Error("a tracer derived without a parent is enabled")
 	}
 }
 
@@ -134,7 +193,7 @@ func TestConcurrentJSONLTraceEmission(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tr := root.WithTrace(string(rune('a'+w)) + "-trace")
+			tr := derive(root, string(rune('a'+w))+"-trace")
 			for i := 0; i < spansEach; i++ {
 				sp := tr.StartSpan("work", map[string]any{"i": i})
 				sp.Event("step", nil)
@@ -178,7 +237,7 @@ func TestConcurrentJSONLTraceEmission(t *testing.T) {
 func TestJSONLSinkDropsOnWriterError(t *testing.T) {
 	fw := &failingWriter{failAfter: 2}
 	sink := NewJSONLSink(fw)
-	tr := NewTracer(sink).WithTrace("t")
+	tr := derive(NewTracer(sink), "t")
 	for i := 0; i < 10; i++ {
 		tr.Event("e", nil)
 	}
@@ -198,7 +257,7 @@ func TestJSONLSinkDropsOnWriterError(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d := tr2.WithTrace("x")
+			d := derive(tr2, "x")
 			for i := 0; i < 25; i++ {
 				d.Event("e", nil)
 			}

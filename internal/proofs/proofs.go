@@ -38,22 +38,23 @@ type Analysis struct {
 }
 
 // Run executes the analysis end to end and returns the finished session and
-// binding.
+// binding. It is RunCtx without a bound; it stays because the benchmark
+// module calls it.
 func (a *Analysis) Run() (*core.Session, *core.Binding, error) {
-	return a.RunCtx(context.Background(), nil)
+	return a.RunCtx(context.Background())
 }
 
-// RunCtx is Run bounded by ctx, with a tracer attached to the session. The
-// context is installed on the session, so every scripted step, the finish
-// check, and any auto search the script starts observe its deadline or
-// cancellation. On tr the analysis becomes one span (attrs: machine,
-// instruction, language, operation) bounding per-step transform.apply
-// events and the session.finish event. Step counts land in the process
-// metrics registry as analysis.steps / analysis.elementary gauges either
-// way — the paper's Table 2 columns.
-func (a *Analysis) RunCtx(ctx context.Context, tr *obs.Tracer) (_ *core.Session, _ *core.Binding, err error) {
+// RunCtx is Run bounded by ctx. The context is installed on the session, so
+// every scripted step, the finish check, and any auto search the script
+// starts observe its deadline or cancellation and emit to its tracer, on
+// which the analysis becomes one span (attrs: machine, instruction,
+// language, operation) bounding per-step transform.apply events and the
+// session.finish event. Step counts land in the process metrics registry as
+// analysis.steps / analysis.elementary gauges either way — the paper's
+// Table 2 columns.
+func (a *Analysis) RunCtx(ctx context.Context) (_ *core.Session, _ *core.Binding, err error) {
 	label := a.Instruction + "/" + a.Operator
-	if tr.Enabled() {
+	if tr := obs.TracerFrom(ctx); tr.Enabled() {
 		sp := tr.StartSpan("analysis", map[string]any{
 			"machine": a.Machine, "instruction": a.Instruction,
 			"language": a.Language, "operation": a.Operation,
@@ -82,7 +83,6 @@ func (a *Analysis) RunCtx(ctx context.Context, tr *obs.Tracer) (_ *core.Session,
 	s.Language = a.Language
 	s.Operation = a.Operation
 	s.Extended = a.Extended
-	s.Tracer = tr
 	s.SetContext(ctx)
 	if err = a.Script(s); err != nil {
 		return s, nil, err

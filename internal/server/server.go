@@ -76,9 +76,9 @@ type Config struct {
 	// (batch.Journal.Append is).
 	OnResult func(batch.Result)
 	// Metrics is the registry behind /metrics and the server.* series; nil
-	// means the process default. Tracer observes analyses (nil-safe); per
-	// request it is re-derived with the request's trace ID, so every span an
-	// analysis emits carries the trace ID the response echoed.
+	// means the process default. Tracer is the root that each request's
+	// tracer derives from with the request's trace ID, so every span an
+	// analysis emits carries the ID the response echoed (nil: no spans).
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the serve
@@ -127,6 +127,7 @@ type Server struct {
 	avgServiceNS atomic.Int64
 	workCtx      context.Context // cancelled only at the drain deadline
 	workStop     context.CancelFunc
+	runner       *batch.Runner // every /analyze, each under its request's context
 }
 
 // New builds a Server over cfg.
@@ -139,7 +140,8 @@ func New(cfg Config) *Server {
 	for _, a := range catalog {
 		byPair[a.Instruction+"/"+a.Operator] = a
 	}
-	s := &Server{cfg: cfg, byPair: byPair}
+	runner := &batch.Runner{Jobs: 1, Validate: cfg.Validate, Metrics: cfg.Metrics}
+	s := &Server{cfg: cfg, byPair: byPair, runner: runner}
 	s.workers = make(chan struct{}, workerCount(cfg.Jobs))
 	s.workCtx, s.workStop = context.WithCancel(context.Background())
 	return s
@@ -224,17 +226,24 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) admit(w http.ResponseWriter, req *http.Request) (release func(), ok bool) {
 	m := s.metrics()
 	tr := obs.TracerFrom(req.Context())
-	if s.draining.Load() {
-		m.Inc("server.refused", "draining")
-		tr.Event("server.admit", map[string]any{"decision": "refused", "reason": "draining"})
-		writeError(w, http.StatusServiceUnavailable, "draining")
+	refuse := func(reason, msg string) (func(), bool) {
+		m.Inc("server.refused", reason)
+		if tr.Enabled() {
+			tr.Event("server.admit", map[string]any{"decision": "refused", "reason": reason})
+		}
+		writeError(w, http.StatusServiceUnavailable, msg)
 		return nil, false
+	}
+	if s.draining.Load() {
+		return refuse("draining", "draining")
 	}
 	capacity := int64(cap(s.workers) + s.cfg.queue())
 	if s.inSystem.Add(1) > capacity {
 		s.inSystem.Add(-1)
 		m.Inc("server.shed", req.URL.Path)
-		tr.Event("server.admit", map[string]any{"decision": "shed"})
+		if tr.Enabled() {
+			tr.Event("server.admit", map[string]any{"decision": "shed"})
+		}
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests, "admission queue full")
 		return nil, false
@@ -244,25 +253,21 @@ func (s *Server) admit(w http.ResponseWriter, req *http.Request) (release func()
 	select {
 	case s.workers <- struct{}{}:
 		m.ObserveSince("server.queue_wait.ns", req.URL.Path, queued)
-		tr.Event("server.admit", map[string]any{
-			"decision": "admitted", "queue_wait_ns": time.Since(queued).Nanoseconds(),
-		})
+		if tr.Enabled() {
+			tr.Event("server.admit", map[string]any{
+				"decision": "admitted", "queue_wait_ns": time.Since(queued).Nanoseconds(),
+			})
+		}
 		return func() {
 			<-s.workers
 			s.inSystem.Add(-1)
 		}, true
 	case <-req.Context().Done():
 		s.inSystem.Add(-1)
-		m.Inc("server.refused", "client-gone")
-		tr.Event("server.admit", map[string]any{"decision": "refused", "reason": "client-gone"})
-		writeError(w, http.StatusServiceUnavailable, "client went away while queued")
-		return nil, false
+		return refuse("client-gone", "client went away while queued")
 	case <-s.workCtx.Done():
 		s.inSystem.Add(-1)
-		m.Inc("server.refused", "draining")
-		tr.Event("server.admit", map[string]any{"decision": "refused", "reason": "draining"})
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return nil, false
+		return refuse("draining", "draining")
 	}
 }
 
@@ -357,23 +362,17 @@ func statusFor(outcome string) int {
 // runPair executes one analysis behind the batch fault boundary, recording
 // the service-time average and the per-(machine, instruction) service
 // histogram. The engine run is bounded by a server.engine span on the
-// request's tracer, so every span the analysis emits nests under the
-// request's trace.
+// request's tracer, which ctx carries into the engine, so every span the
+// analysis emits carries the request's trace ID.
 func (s *Server) runPair(ctx context.Context, a *proofs.Analysis) batch.Result {
 	m := s.metrics()
 	tr := obs.TracerFrom(ctx)
-	if tr == nil {
-		tr = s.cfg.Tracer
-	}
-	// A per-call runner, so the engine runs under the request's derived
-	// tracer: its spans carry this request's trace ID, not the root's.
-	runner := &batch.Runner{Jobs: 1, Validate: s.cfg.Validate, Tracer: tr, Metrics: s.cfg.Metrics}
 	var sp obs.Span
 	if tr.Enabled() {
 		sp = tr.StartSpan("server.engine", map[string]any{"pair": a.Instruction + "/" + a.Operator})
 	}
 	start := time.Now()
-	res, _ := runner.RunOneBound(ctx, a)
+	res, _ := s.runner.RunOneBound(ctx, a)
 	elapsed := time.Since(start)
 	if tr.Enabled() {
 		sp.End(map[string]any{"outcome": res.Outcome})
@@ -392,7 +391,7 @@ func (s *Server) runPair(ctx context.Context, a *proofs.Analysis) batch.Result {
 // trace the response headers name.
 func (s *Server) writeResult(w http.ResponseWriter, req *http.Request, res batch.Result) {
 	if res.Trace == "" {
-		res.Trace = obs.TraceIDFrom(req.Context())
+		res.Trace = obs.TracerFrom(req.Context()).TraceID()
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(statusFor(res.Outcome))
@@ -466,18 +465,20 @@ func (s *Server) analyzeCached(w http.ResponseWriter, req *http.Request, a *proo
 			return batch.Result{}, false
 		}
 		defer release()
-		// The computation is shared: followers who coalesced onto this
-		// flight must not lose their answer because the leader's client hung
-		// up — any client may time out or abandon its request, and that
-		// client may lead a flight others wait on. So the client's
-		// cancellation is dropped (request values — trace ID, tracer — carry
+		// The computation is shared: followers who coalesced onto this flight
+		// must not lose their answer because the leader's client hung up —
+		// any client may time out or abandon its request, and that client may
+		// lead a flight others wait on. So the client's cancellation is
+		// dropped (request values — the tracer with its trace ID — carry
 		// over) and the run's lifetime is owned by the server: bounded by the
 		// request timeout and cut by the drain hard-stop, nothing else.
 		ctx, cancel := s.runContext(context.WithoutCancel(req.Context()), d)
 		defer cancel()
 		return s.runPair(ctx, a), true
 	})
-	tr.Event("server.cache", map[string]any{"outcome": out.String()})
+	if tr.Enabled() {
+		tr.Event("server.cache", map[string]any{"outcome": out.String()})
+	}
 	switch {
 	case err == nil:
 		w.Header().Set("X-Cache", out.String())

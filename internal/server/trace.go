@@ -9,12 +9,13 @@ import (
 	"extra/internal/obs"
 )
 
-// Request tracing: every request gets a trace ID at ingress — honored from
-// an incoming W3C traceparent or X-Request-Id header when present, minted
-// otherwise — echoed back as X-Trace-Id, attached to the request context,
-// and stamped (via a derived tracer) onto every span the request's analysis
-// emits. The same middleware owns the request-latency histograms, so trace
-// spans and latency series always agree on what was measured.
+// Request tracing: every request gets a trace ID at ingress — honored from an
+// incoming W3C traceparent or X-Request-Id header when present, minted
+// otherwise — echoed back as X-Trace-Id, and held by the tracer the request
+// context carries (the root derived with the ID), which stamps it onto every
+// span the request's analysis emits and onto the response row. The same
+// middleware owns the request-latency histograms, so trace spans and latency
+// series always agree on what was measured.
 
 // traceIDFor resolves the request's trace ID: traceparent outranks
 // X-Request-Id (it is the standard), and anything malformed or hostile
@@ -78,16 +79,15 @@ func latencyExempt(path string) bool {
 }
 
 // withTrace is the ingress middleware: resolve the trace ID, echo it,
-// thread the ID and a derived tracer through the request context, bound the
-// whole request in a server.request span, and feed the per-endpoint
+// attach the root tracer derived with the ID to the request context, bound
+// the whole request in a server.request span, and feed the per-endpoint
 // latency histogram (server.latency.ns) and status-class counters.
 func (s *Server) withTrace(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		id := traceIDFor(req)
 		w.Header().Set("X-Trace-Id", id)
-		tr := s.cfg.Tracer.WithTrace(id)
-		ctx := obs.WithTracer(obs.WithTraceID(req.Context(), id), tr)
-		req = req.WithContext(ctx)
+		req = req.WithContext(obs.WithTrace(req.Context(), s.cfg.Tracer, id))
+		tr := obs.TracerFrom(req.Context())
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		var sp obs.Span
 		if tr.Enabled() {

@@ -129,7 +129,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg.Defaults()
 	start := time.Now()
 	rep := &Report{
-		Trace:   obs.TraceIDFrom(ctx),
+		Trace:   obs.TracerFrom(ctx).TraceID(),
 		Seed:    cfg.Seed,
 		Depth:   cfg.Depth,
 		Trials:  cfg.Trials,
