@@ -136,7 +136,7 @@ func TestBatchKillDashNineResume(t *testing.T) {
 	journal := filepath.Join(dir, "journal.jsonl")
 
 	// The uninterrupted reference run, in-process.
-	if err := run([]string{"batch", "-jobs", "2", "-validate", "2000", "-jsonl", ref}); err != nil {
+	if err := runQuiet(t, []string{"batch", "-jobs", "2", "-validate", "2000", "-jsonl", ref}); err != nil {
 		t.Fatalf("reference batch: %v", err)
 	}
 
@@ -172,7 +172,7 @@ func TestBatchKillDashNineResume(t *testing.T) {
 
 	// Resume against the same journal: only the missing rows run; the
 	// journal is compacted into the canonical catalog-order report.
-	if err := run([]string{"batch", "-jobs", "2", "-validate", "2000", "-jsonl", journal, "-resume", journal}); err != nil {
+	if err := runQuiet(t, []string{"batch", "-jobs", "2", "-validate", "2000", "-jsonl", journal, "-resume", journal}); err != nil {
 		t.Fatalf("resumed batch: %v", err)
 	}
 	got, wantReport := normalizeReport(t, journal), normalizeReport(t, ref)

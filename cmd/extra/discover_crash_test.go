@@ -73,7 +73,7 @@ func TestDiscoverKillDashNineResume(t *testing.T) {
 	wal := filepath.Join(dir, "queue.jsonl")
 
 	// The uninterrupted reference sweep, in-process.
-	if err := run(strings.Fields("discover -dir " + refDir + " -jobs 2 " + discoverFlags)); err != nil {
+	if err := runQuiet(t, strings.Fields("discover -dir "+refDir+" -jobs 2 "+discoverFlags)); err != nil {
 		t.Fatalf("reference sweep: %v", err)
 	}
 
@@ -101,7 +101,7 @@ func TestDiscoverKillDashNineResume(t *testing.T) {
 	// Resume: only the missing candidates run. A journaled candidate must
 	// not be re-proved, so the final WAL holds exactly one result row per
 	// key and the survivors keep their original journal positions.
-	if err := run(strings.Fields("discover -dir " + dir + " -jobs 2 -resume " + discoverFlags)); err != nil {
+	if err := runQuiet(t, strings.Fields("discover -dir "+dir+" -jobs 2 -resume "+discoverFlags)); err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
 	final := walResultKeys(t, wal)
@@ -129,10 +129,10 @@ func TestDiscoverKillDashNineResume(t *testing.T) {
 // fingerprint in the WAL header must refuse it.
 func TestDiscoverResumeRejectsFlagDrift(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sweep")
-	if err := run(strings.Fields("discover -dir " + dir + " -jobs 2 " + discoverFlags)); err != nil {
+	if err := runQuiet(t, strings.Fields("discover -dir "+dir+" -jobs 2 "+discoverFlags)); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	err := run(strings.Fields("discover -dir " + dir + " -jobs 2 -resume -each-timeout 7s " + discoverFlags))
+	err := runQuiet(t, strings.Fields("discover -dir "+dir+" -jobs 2 -resume -each-timeout 7s "+discoverFlags))
 	if err == nil {
 		t.Fatal("resume with drifted flags succeeded; want a config-fingerprint rejection")
 	}

@@ -15,13 +15,23 @@ import (
 	"extra/internal/proofs"
 )
 
-// TestMain silences the subcommands' stdout so test logs stay readable.
-func TestMain(m *testing.M) {
+// runQuiet is run with the subcommand's standard output sent to the null
+// device, so its reports do not bury the test log. Only os.Stdout is
+// swapped, for the one call: the testing package keeps the stdout it
+// started with, so a failing test's name and messages are still printed.
+func runQuiet(t *testing.T, args []string) error {
+	t.Helper()
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err == nil {
-		os.Stdout = devnull
+	if err != nil {
+		t.Fatal(err)
 	}
-	os.Exit(m.Run())
+	stdout := os.Stdout
+	os.Stdout = devnull
+	defer func() {
+		os.Stdout = stdout
+		devnull.Close()
+	}()
+	return run(args)
 }
 
 // TestCommandsRun smoke-tests every subcommand end to end (output goes to
@@ -52,7 +62,7 @@ func TestCommandsRun(t *testing.T) {
 		{"batch", "-jobs", "2", "-validate", "3", "-json", "-"},
 	}
 	for _, args := range cases {
-		if err := run(args); err != nil {
+		if err := runQuiet(t, args); err != nil {
 			t.Errorf("extra %v: %v", args, err)
 		}
 	}
@@ -128,7 +138,7 @@ func TestCommandErrors(t *testing.T) {
 		{"analyze", "scasb/index", "--timeout=0"}, // zero timeout is rejected
 	}
 	for _, args := range cases {
-		if err := run(args); err == nil {
+		if err := runQuiet(t, args); err == nil {
 			t.Errorf("extra %v: expected an error", args)
 		}
 	}
@@ -191,7 +201,7 @@ func TestExtractTimeout(t *testing.T) {
 // file holds one well-formed JSON event per line, covering every proof step.
 func TestTraceFlagWritesJSONL(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "trace.jsonl")
-	if err := run([]string{"analyze", "scasb/index", "--trace", file}); err != nil {
+	if err := runQuiet(t, []string{"analyze", "scasb/index", "--trace", file}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(file)
@@ -242,7 +252,7 @@ func TestRunTraceJoinsRows(t *testing.T) {
 			"-json", synthJSON}, synthJSON},
 	} {
 		file := filepath.Join(dir, tc.args[0]+".jsonl")
-		if err := run(append(tc.args, "--trace", file)); err != nil {
+		if err := runQuiet(t, append(tc.args, "--trace", file)); err != nil {
 			t.Fatalf("extra %v: %v", tc.args, err)
 		}
 		data, err := os.ReadFile(file)
@@ -284,7 +294,7 @@ func TestRunTraceJoinsRows(t *testing.T) {
 // written atomically to the file, no stdout capture needed.
 func TestBatchJSONReport(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "batch.json")
-	if err := run([]string{"batch", "-jobs", "4", "-json", file}); err != nil {
+	if err := runQuiet(t, []string{"batch", "-jobs", "4", "-json", file}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(file)

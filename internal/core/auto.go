@@ -245,7 +245,7 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 					// time.
 					trail := succ.trail()
 					for _, c := range trail {
-						if err := s.commit(c.side, pr.moves[c.move].tr, c.at, transform.Args{"dir": "down"}, c.out, 0); err != nil {
+						if err := s.commit(c.side, pr.moves[c.move].tr, c.at, nil, c.out, 0); err != nil {
 							return 0, err
 						}
 					}
@@ -410,7 +410,7 @@ func (pr *prober) candidates(op, ins *isps.Description) []autoCand {
 					if mv.gate != nil && !mv.gate(c.n) {
 						continue
 					}
-					res, err := safeTransformApply(mv.tr, d, c.p, transform.Args{"dir": "down"})
+					res, err := safeTransformApply(mv.tr, d, c.p, nil)
 					if err != nil {
 						if _, ok := transform.AsPrecond(err); ok {
 							pr.counts[mi].precond++

@@ -120,7 +120,7 @@ func TestCommitInternsInPlace(t *testing.T) {
 			}
 			return true
 		})
-		if isps.InternDesc(d.CloneDesc()) != d {
+		if isps.InternDesc(isps.MustParse(isps.Format(d))) != d {
 			t.Fatalf("%s: Intern of a copy gives another node", what)
 		}
 	}

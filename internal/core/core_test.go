@@ -142,14 +142,9 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Error("snapshot mutated by later steps")
 	}
 	// Snapshots are interned: isolation comes from immutability, not
-	// defensive clones. A caller cannot rewrite a snapshot in place — the
-	// frozen node rejects SetChild with a typed error.
+	// defensive clones.
 	if !isps.Interned(before) {
 		t.Error("snapshot is not interned")
-	}
-	var ne *isps.NodeError
-	if err := before.SetChild(0, before.Sections[0]); !errors.As(err, &ne) || !errors.Is(err, isps.ErrFrozen) {
-		t.Errorf("SetChild on interned snapshot = %v, want frozen NodeError", err)
 	}
 }
 
@@ -251,27 +246,28 @@ func TestBindingDescribe(t *testing.T) {
 }
 
 // TestGuardApplyWrapsNodeError: a transformation whose rewrite trips the
-// AST's typed mutation errors — here a wrong-kinded SetChild — surfaces
-// from the session fault boundary as a *fault.PathError classifying as
-// "path", not as a silent no-op or an unclassified error. Regression test
-// for the era when SetChild's unchecked type assertions panicked and only
-// the panic net caught them.
+// AST's typed kind check (a wrong-kinded ReplaceAtDesc) surfaces from the
+// session fault boundary as a *fault.PathError classifying as "path", not
+// as a silent no-op or an unclassified error.
 func TestGuardApplyWrapsNodeError(t *testing.T) {
 	tr := &transform.Transformation{
-		Name:     "test.bad.setchild",
+		Name:     "test.bad.replace",
 		Category: transform.Local,
 		Effect:   transform.Preserving,
 		Apply: func(d *isps.Description, at isps.Path, args transform.Args) (*transform.Outcome, error) {
-			c := d.CloneDesc()
-			blk := c.Routine().Body
 			// Statement slot, expression node: kind mismatch.
-			if err := blk.SetChild(0, &isps.Num{Val: 7}); err != nil {
+			p, ok := isps.Find(d, func(n isps.Node) bool { _, is := n.(isps.Stmt); return is })
+			if !ok {
+				return nil, errors.New("no statement")
+			}
+			c, err := d.ReplaceAtDesc(p, &isps.Num{Val: 7})
+			if err != nil {
 				return nil, err
 			}
 			return &transform.Outcome{Desc: c, Note: "never reached"}, nil
 		},
 	}
-	d := isps.MustParse(miniIns)
+	d := isps.InternDesc(isps.MustParse(miniIns))
 	_, err := guardApply(tr, d, InsSide, tr.Name, nil, nil)
 	var pe *fault.PathError
 	if !errors.As(err, &pe) {
@@ -283,23 +279,5 @@ func TestGuardApplyWrapsNodeError(t *testing.T) {
 	}
 	if got := fault.Classify(err); got != "path" {
 		t.Errorf("Classify = %q, want \"path\"", got)
-	}
-
-	// A frozen-node mutation classifies the same way.
-	frozen := &transform.Transformation{
-		Name:     "test.frozen.setchild",
-		Category: transform.Local,
-		Effect:   transform.Preserving,
-		Apply: func(d *isps.Description, at isps.Path, args transform.Args) (*transform.Outcome, error) {
-			blk := d.Routine().Body // session state: interned, no clone
-			if err := blk.SetChild(0, blk.Stmts[0]); err != nil {
-				return nil, err
-			}
-			return &transform.Outcome{Desc: d, Note: "never reached"}, nil
-		},
-	}
-	_, err = guardApply(frozen, isps.InternDesc(d), InsSide, frozen.Name, nil, nil)
-	if !errors.As(err, &pe) || !errors.Is(err, isps.ErrFrozen) {
-		t.Errorf("frozen mutation err = %v, want PathError wrapping ErrFrozen", err)
 	}
 }

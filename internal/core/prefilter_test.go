@@ -52,7 +52,7 @@ func TestExprGatesSound(t *testing.T) {
 				continue // TestExprGatesRegistered reports this
 			}
 			for _, s := range exprs {
-				if _, err := tr.Apply(d, s.p, transform.Args{"dir": "down"}); err == nil {
+				if _, err := tr.Apply(d, s.p, nil); err == nil {
 					checked++
 					if !gate(s.e) {
 						t.Errorf("%s applies at %s (%s) but its gate rejects the node",

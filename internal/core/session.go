@@ -227,10 +227,10 @@ func (s *Session) Desc(side Side) *isps.Description {
 }
 
 // safeTransformApply applies tr inside a recovery boundary: a panic out of
-// AST navigation (an out-of-range Node.Child, a misplaced SetChild deep in
-// a rewrite) surfaces as a *fault.PanicError instead of crashing the
-// process. The input description is discarded on failure, so a partial
-// mutation of the transformation's working copy cannot leak.
+// AST navigation (an out-of-range Node.Child, a failed type assertion deep
+// in a rewrite) surfaces as a *fault.PanicError instead of crashing the
+// process. Transformations never write to their input, which is interned,
+// so a failed application leaves nothing behind.
 func safeTransformApply(tr *transform.Transformation, d *isps.Description, at isps.Path, args transform.Args) (out *transform.Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -245,10 +245,10 @@ func safeTransformApply(tr *transform.Transformation, d *isps.Description, at is
 // cursor path is resolved up front (a malformed path yields a typed
 // *fault.PathError, errors.As-able, carrying side, transformation and
 // path) and any panic out of the application is converted likewise. A
-// typed *isps.NodeError out of the rewrite — a wrong-kinded replacement or
-// an attempt to mutate an interned node — is wrapped the same way, so kind
-// mismatches classify as path faults without relying on the panic net. The
-// session state is untouched on failure because Apply commits only after a
+// typed *isps.NodeError out of the rewrite (a wrong-kinded replacement in
+// ReplaceAt or Rewrite) is wrapped the same way, so kind mismatches
+// classify as path faults without relying on the panic net. The session
+// state is untouched on failure because Apply commits only after a
 // successful return.
 func guardApply(tr *transform.Transformation, d *isps.Description, side Side, name string, at isps.Path, args transform.Args) (*transform.Outcome, error) {
 	if _, rerr := isps.Resolve(d, at); rerr != nil {
@@ -474,29 +474,22 @@ func (s *Session) Finish() (_ *Binding, err error) {
 		OpInputs:    s.Op.Inputs(),
 		InsInputs:   s.Ins.Inputs(),
 		Constraints: append(append([]constraint.Constraint{}, s.Constraints...), m.Constraints...),
-		Prologue:    cloneStmts(s.Prologue),
-		Epilogue:    cloneStmts(s.Epilogue),
-		Steps:       s.StepCount(),
-		Elementary:  s.Elementary,
-		Variant:     isps.InternDesc(s.Variant),
-		Operator:    isps.InternDesc(s.OpVariant),
-	}
-	for _, e := range s.RemovedOutputs {
-		b.RemovedOutputs = append(b.RemovedOutputs, e.Clone().(isps.Expr))
+		// The statements are shared, and nothing writes to them; the
+		// slices are copied so the session's later appends cannot reach
+		// the binding.
+		Prologue:       append([]isps.Stmt(nil), s.Prologue...),
+		Epilogue:       append([]isps.Stmt(nil), s.Epilogue...),
+		RemovedOutputs: append([]isps.Expr(nil), s.RemovedOutputs...),
+		Steps:          s.StepCount(),
+		Elementary:     s.Elementary,
+		Variant:        isps.InternDesc(s.Variant),
+		Operator:       isps.InternDesc(s.OpVariant),
 	}
 	if len(b.OpInputs) != len(b.InsInputs) {
 		return nil, fmt.Errorf("core: matched descriptions have different operand counts (%d vs %d)",
 			len(b.OpInputs), len(b.InsInputs))
 	}
 	return b, nil
-}
-
-func cloneStmts(in []isps.Stmt) []isps.Stmt {
-	out := make([]isps.Stmt, len(in))
-	for i, s := range in {
-		out[i] = s.Clone().(isps.Stmt)
-	}
-	return out
 }
 
 // Describe renders the binding for humans: the paper's summary of an

@@ -12,9 +12,9 @@
 //
 // Nodes are hash-consed: Intern canonicalizes a tree so structurally equal
 // subtrees become the same pointer, with the 128-bit structural digest
-// memoized on the node. Interned nodes are immutable — SetChild refuses
-// with ErrFrozen — and edits go through the persistent-update API
-// (ReplaceAt, SpliceAtDesc, Rewrite), which rebuilds only the spines above
+// memoized on the node. Interned nodes are immutable, and no node has a
+// method that writes to it: a tree changes through the persistent-update
+// API (ReplaceAt, SpliceAtDesc, Rewrite), which rebuilds the spines above
 // the edits and shares everything else.
 package isps
 
@@ -23,18 +23,14 @@ import "fmt"
 // Node is implemented by every AST node. Children are addressed by a dense
 // index so that transformations can navigate and rewrite descriptions with
 // Path cursors, the same way EXTRA's structure editor positioned its cursor.
+// The set of node types is closed: the unexported method is promoted from
+// the embedded hash-consing state, so only this package's types are Nodes.
 type Node interface {
 	// NumChildren reports how many child nodes this node has.
 	NumChildren() int
 	// Child returns the i-th child node. It panics if i is out of range.
 	Child(i int) Node
-	// SetChild replaces the i-th child in place. It returns a *NodeError
-	// wrapping ErrChildRange, ErrChildKind or ErrFrozen if i is out of
-	// range, the node kind is not acceptable at that position, or the
-	// receiver has been interned (interned nodes are immutable).
-	SetChild(i int, n Node) error
-	// Clone returns a deep, mutable copy of the node.
-	Clone() Node
+	nodeMeta() *meta
 }
 
 // Expr is the interface implemented by expression nodes.
@@ -306,78 +302,17 @@ func (d *Description) NumChildren() int { return len(d.Sections) }
 // Child returns the i-th section.
 func (d *Description) Child(i int) Node { return d.Sections[i] }
 
-// SetChild replaces the i-th section.
-func (d *Description) SetChild(i int, n Node) error {
-	if d.frozen() {
-		return errFrozen(d, i)
-	}
-	s, ok := n.(*Section)
-	if !ok {
-		return errKind(d, i, n)
-	}
-	if i < 0 || i >= len(d.Sections) {
-		return errRange(d, i)
-	}
-	d.Sections[i] = s
-	return nil
-}
-
-// Clone returns a deep copy of the description.
-func (d *Description) Clone() Node {
-	c := &Description{Name: d.Name, Sections: make([]*Section, len(d.Sections))}
-	for i, s := range d.Sections {
-		c.Sections[i] = s.Clone().(*Section)
-	}
-	return c
-}
-
-// CloneDesc returns a deep copy with the concrete type preserved.
-func (d *Description) CloneDesc() *Description { return d.Clone().(*Description) }
-
 // NumChildren returns the number of declarations.
 func (s *Section) NumChildren() int { return len(s.Decls) }
 
 // Child returns the i-th declaration.
 func (s *Section) Child(i int) Node { return s.Decls[i] }
 
-// SetChild replaces the i-th declaration.
-func (s *Section) SetChild(i int, n Node) error {
-	if s.frozen() {
-		return errFrozen(s, i)
-	}
-	d, ok := n.(Decl)
-	if !ok {
-		return errKind(s, i, n)
-	}
-	if i < 0 || i >= len(s.Decls) {
-		return errRange(s, i)
-	}
-	s.Decls[i] = d
-	return nil
-}
-
-// Clone returns a deep copy of the section.
-func (s *Section) Clone() Node {
-	c := &Section{Name: s.Name, Decls: make([]Decl, len(s.Decls))}
-	for i, d := range s.Decls {
-		c.Decls[i] = d.Clone().(Decl)
-	}
-	return c
-}
-
 // NumChildren returns 0: register declarations are leaves.
 func (d *RegDecl) NumChildren() int { return 0 }
 
 // Child panics: register declarations are leaves.
 func (d *RegDecl) Child(i int) Node { panic(childOutOfRange(d, i)) }
-
-// SetChild fails: register declarations are leaves.
-func (d *RegDecl) SetChild(i int, n Node) error { return errRange(d, i) }
-
-// Clone returns a copy of the declaration.
-func (d *RegDecl) Clone() Node {
-	return &RegDecl{Name: d.Name, Width: d.Width, Comment: d.Comment}
-}
 
 // NumChildren returns 1 (the body).
 func (d *FuncDecl) NumChildren() int { return 1 }
@@ -388,28 +323,6 @@ func (d *FuncDecl) Child(i int) Node {
 		panic(childOutOfRange(d, i))
 	}
 	return d.Body
-}
-
-// SetChild replaces the body.
-func (d *FuncDecl) SetChild(i int, n Node) error {
-	if d.frozen() {
-		return errFrozen(d, i)
-	}
-	b, ok := n.(*Block)
-	if !ok {
-		return errKind(d, i, n)
-	}
-	if i != 0 {
-		return errRange(d, i)
-	}
-	d.Body = b
-	return nil
-}
-
-// Clone returns a deep copy of the function declaration.
-func (d *FuncDecl) Clone() Node {
-	return &FuncDecl{Name: d.Name, Width: d.Width, Comment: d.Comment,
-		Body: d.Body.Clone().(*Block)}
 }
 
 // NumChildren returns 1 (the body).
@@ -423,57 +336,11 @@ func (d *RoutineDecl) Child(i int) Node {
 	return d.Body
 }
 
-// SetChild replaces the body.
-func (d *RoutineDecl) SetChild(i int, n Node) error {
-	if d.frozen() {
-		return errFrozen(d, i)
-	}
-	b, ok := n.(*Block)
-	if !ok {
-		return errKind(d, i, n)
-	}
-	if i != 0 {
-		return errRange(d, i)
-	}
-	d.Body = b
-	return nil
-}
-
-// Clone returns a deep copy of the routine declaration.
-func (d *RoutineDecl) Clone() Node {
-	return &RoutineDecl{Name: d.Name, Body: d.Body.Clone().(*Block)}
-}
-
 // NumChildren returns the number of statements.
 func (b *Block) NumChildren() int { return len(b.Stmts) }
 
 // Child returns the i-th statement.
 func (b *Block) Child(i int) Node { return b.Stmts[i] }
-
-// SetChild replaces the i-th statement.
-func (b *Block) SetChild(i int, n Node) error {
-	if b.frozen() {
-		return errFrozen(b, i)
-	}
-	s, ok := n.(Stmt)
-	if !ok {
-		return errKind(b, i, n)
-	}
-	if i < 0 || i >= len(b.Stmts) {
-		return errRange(b, i)
-	}
-	b.Stmts[i] = s
-	return nil
-}
-
-// Clone returns a deep copy of the block.
-func (b *Block) Clone() Node {
-	c := &Block{Stmts: make([]Stmt, len(b.Stmts))}
-	for i, s := range b.Stmts {
-		c.Stmts[i] = s.Clone().(Stmt)
-	}
-	return c
-}
 
 // NumChildren returns 2 (LHS and RHS).
 func (s *AssignStmt) NumChildren() int { return 2 }
@@ -487,31 +354,6 @@ func (s *AssignStmt) Child(i int) Node {
 		return s.RHS
 	}
 	panic(childOutOfRange(s, i))
-}
-
-// SetChild replaces LHS (0) or RHS (1).
-func (s *AssignStmt) SetChild(i int, n Node) error {
-	if s.frozen() {
-		return errFrozen(s, i)
-	}
-	e, ok := n.(Expr)
-	if !ok {
-		return errKind(s, i, n)
-	}
-	switch i {
-	case 0:
-		s.LHS = e
-	case 1:
-		s.RHS = e
-	default:
-		return errRange(s, i)
-	}
-	return nil
-}
-
-// Clone returns a deep copy of the assignment.
-func (s *AssignStmt) Clone() Node {
-	return &AssignStmt{LHS: s.LHS.Clone().(Expr), RHS: s.RHS.Clone().(Expr)}
 }
 
 // NumChildren returns 3 (cond, then, else).
@@ -530,43 +372,6 @@ func (s *IfStmt) Child(i int) Node {
 	panic(childOutOfRange(s, i))
 }
 
-// SetChild replaces Cond (0), Then (1) or Else (2).
-func (s *IfStmt) SetChild(i int, n Node) error {
-	if s.frozen() {
-		return errFrozen(s, i)
-	}
-	switch i {
-	case 0:
-		e, ok := n.(Expr)
-		if !ok {
-			return errKind(s, i, n)
-		}
-		s.Cond = e
-	case 1, 2:
-		b, ok := n.(*Block)
-		if !ok {
-			return errKind(s, i, n)
-		}
-		if i == 1 {
-			s.Then = b
-		} else {
-			s.Else = b
-		}
-	default:
-		return errRange(s, i)
-	}
-	return nil
-}
-
-// Clone returns a deep copy of the conditional.
-func (s *IfStmt) Clone() Node {
-	return &IfStmt{
-		Cond: s.Cond.Clone().(Expr),
-		Then: s.Then.Clone().(*Block),
-		Else: s.Else.Clone().(*Block),
-	}
-}
-
 // NumChildren returns 1 (the body).
 func (s *RepeatStmt) NumChildren() int { return 1 }
 
@@ -577,25 +382,6 @@ func (s *RepeatStmt) Child(i int) Node {
 	}
 	return s.Body
 }
-
-// SetChild replaces the body.
-func (s *RepeatStmt) SetChild(i int, n Node) error {
-	if s.frozen() {
-		return errFrozen(s, i)
-	}
-	b, ok := n.(*Block)
-	if !ok {
-		return errKind(s, i, n)
-	}
-	if i != 0 {
-		return errRange(s, i)
-	}
-	s.Body = b
-	return nil
-}
-
-// Clone returns a deep copy of the loop.
-func (s *RepeatStmt) Clone() Node { return &RepeatStmt{Body: s.Body.Clone().(*Block)} }
 
 // NumChildren returns 1 (the condition).
 func (s *ExitWhenStmt) NumChildren() int { return 1 }
@@ -608,69 +394,17 @@ func (s *ExitWhenStmt) Child(i int) Node {
 	return s.Cond
 }
 
-// SetChild replaces the condition.
-func (s *ExitWhenStmt) SetChild(i int, n Node) error {
-	if s.frozen() {
-		return errFrozen(s, i)
-	}
-	e, ok := n.(Expr)
-	if !ok {
-		return errKind(s, i, n)
-	}
-	if i != 0 {
-		return errRange(s, i)
-	}
-	s.Cond = e
-	return nil
-}
-
-// Clone returns a deep copy of the exit statement.
-func (s *ExitWhenStmt) Clone() Node { return &ExitWhenStmt{Cond: s.Cond.Clone().(Expr)} }
-
 // NumChildren returns 0: operand names are not expression children.
 func (s *InputStmt) NumChildren() int { return 0 }
 
 // Child panics: input statements are leaves.
 func (s *InputStmt) Child(i int) Node { panic(childOutOfRange(s, i)) }
 
-// SetChild fails: input statements are leaves.
-func (s *InputStmt) SetChild(i int, n Node) error { return errRange(s, i) }
-
-// Clone returns a copy of the input statement.
-func (s *InputStmt) Clone() Node {
-	return &InputStmt{Names: append([]string(nil), s.Names...)}
-}
-
 // NumChildren returns the number of result expressions.
 func (s *OutputStmt) NumChildren() int { return len(s.Exprs) }
 
 // Child returns the i-th result expression.
 func (s *OutputStmt) Child(i int) Node { return s.Exprs[i] }
-
-// SetChild replaces the i-th result expression.
-func (s *OutputStmt) SetChild(i int, n Node) error {
-	if s.frozen() {
-		return errFrozen(s, i)
-	}
-	e, ok := n.(Expr)
-	if !ok {
-		return errKind(s, i, n)
-	}
-	if i < 0 || i >= len(s.Exprs) {
-		return errRange(s, i)
-	}
-	s.Exprs[i] = e
-	return nil
-}
-
-// Clone returns a deep copy of the output statement.
-func (s *OutputStmt) Clone() Node {
-	c := &OutputStmt{Exprs: make([]Expr, len(s.Exprs))}
-	for i, e := range s.Exprs {
-		c.Exprs[i] = e.Clone().(Expr)
-	}
-	return c
-}
 
 // NumChildren returns 1 (the condition).
 func (s *AssertStmt) NumChildren() int { return 1 }
@@ -683,48 +417,17 @@ func (s *AssertStmt) Child(i int) Node {
 	return s.Cond
 }
 
-// SetChild replaces the condition.
-func (s *AssertStmt) SetChild(i int, n Node) error {
-	if s.frozen() {
-		return errFrozen(s, i)
-	}
-	e, ok := n.(Expr)
-	if !ok {
-		return errKind(s, i, n)
-	}
-	if i != 0 {
-		return errRange(s, i)
-	}
-	s.Cond = e
-	return nil
-}
-
-// Clone returns a deep copy of the assertion.
-func (s *AssertStmt) Clone() Node { return &AssertStmt{Cond: s.Cond.Clone().(Expr)} }
-
 // NumChildren returns 0.
 func (e *Ident) NumChildren() int { return 0 }
 
 // Child panics: identifiers are leaves.
 func (e *Ident) Child(i int) Node { panic(childOutOfRange(e, i)) }
 
-// SetChild fails: identifiers are leaves.
-func (e *Ident) SetChild(i int, n Node) error { return errRange(e, i) }
-
-// Clone returns a copy of the identifier.
-func (e *Ident) Clone() Node { return &Ident{Name: e.Name} }
-
 // NumChildren returns 0.
 func (e *Num) NumChildren() int { return 0 }
 
 // Child panics: literals are leaves.
 func (e *Num) Child(i int) Node { panic(childOutOfRange(e, i)) }
-
-// SetChild fails: literals are leaves.
-func (e *Num) SetChild(i int, n Node) error { return errRange(e, i) }
-
-// Clone returns a copy of the literal.
-func (e *Num) Clone() Node { return &Num{Val: e.Val, IsChar: e.IsChar} }
 
 // NumChildren returns 2.
 func (e *Bin) NumChildren() int { return 2 }
@@ -740,31 +443,6 @@ func (e *Bin) Child(i int) Node {
 	panic(childOutOfRange(e, i))
 }
 
-// SetChild replaces X (0) or Y (1).
-func (e *Bin) SetChild(i int, n Node) error {
-	if e.frozen() {
-		return errFrozen(e, i)
-	}
-	x, ok := n.(Expr)
-	if !ok {
-		return errKind(e, i, n)
-	}
-	switch i {
-	case 0:
-		e.X = x
-	case 1:
-		e.Y = x
-	default:
-		return errRange(e, i)
-	}
-	return nil
-}
-
-// Clone returns a deep copy of the binary expression.
-func (e *Bin) Clone() Node {
-	return &Bin{Op: e.Op, X: e.X.Clone().(Expr), Y: e.Y.Clone().(Expr)}
-}
-
 // NumChildren returns 1.
 func (e *Un) NumChildren() int { return 1 }
 
@@ -775,25 +453,6 @@ func (e *Un) Child(i int) Node {
 	}
 	return e.X
 }
-
-// SetChild replaces the operand.
-func (e *Un) SetChild(i int, n Node) error {
-	if e.frozen() {
-		return errFrozen(e, i)
-	}
-	x, ok := n.(Expr)
-	if !ok {
-		return errKind(e, i, n)
-	}
-	if i != 0 {
-		return errRange(e, i)
-	}
-	e.X = x
-	return nil
-}
-
-// Clone returns a deep copy of the unary expression.
-func (e *Un) Clone() Node { return &Un{Op: e.Op, X: e.X.Clone().(Expr)} }
 
 // NumChildren returns 1.
 func (e *Mem) NumChildren() int { return 1 }
@@ -806,36 +465,11 @@ func (e *Mem) Child(i int) Node {
 	return e.Addr
 }
 
-// SetChild replaces the address expression.
-func (e *Mem) SetChild(i int, n Node) error {
-	if e.frozen() {
-		return errFrozen(e, i)
-	}
-	x, ok := n.(Expr)
-	if !ok {
-		return errKind(e, i, n)
-	}
-	if i != 0 {
-		return errRange(e, i)
-	}
-	e.Addr = x
-	return nil
-}
-
-// Clone returns a deep copy of the memory reference.
-func (e *Mem) Clone() Node { return &Mem{Addr: e.Addr.Clone().(Expr)} }
-
 // NumChildren returns 0: calls are niladic.
 func (e *Call) NumChildren() int { return 0 }
 
 // Child panics: calls are leaves.
 func (e *Call) Child(i int) Node { panic(childOutOfRange(e, i)) }
-
-// SetChild fails: calls are leaves.
-func (e *Call) SetChild(i int, n Node) error { return errRange(e, i) }
-
-// Clone returns a copy of the call.
-func (e *Call) Clone() Node { return &Call{Name: e.Name} }
 
 // Routine returns the description's single executable routine, or nil if it
 // has none.

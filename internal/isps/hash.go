@@ -220,14 +220,5 @@ func (h *hasher) node(n Node) {
 	case *Call:
 		h.byte(tagCall)
 		h.string(x.Name)
-	default:
-		// Future node kinds still hash structurally (type-tag-free), so a
-		// library extension degrades to weaker but correct hashing instead
-		// of a panic mid-search.
-		h.byte(0xFE)
-		h.int(n.NumChildren())
-		for i := 0; i < n.NumChildren(); i++ {
-			h.child(n.Child(i))
-		}
 	}
 }

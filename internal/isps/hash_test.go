@@ -17,8 +17,8 @@ const hashDemoSrc = `demo.operation := begin
   end
 end`
 
-// TestHashStable: hashing the same tree twice, or a clone of it, yields the
-// same digest.
+// TestHashStable: hashing the same tree twice, or a reparse of it, yields
+// the same digest.
 func TestHashStable(t *testing.T) {
 	d := MustParse(hashDemoSrc)
 	h1 := Hash(d)
@@ -26,8 +26,8 @@ func TestHashStable(t *testing.T) {
 	if h1 != h2 {
 		t.Fatalf("same tree hashed differently: %x vs %x", h1, h2)
 	}
-	if h3 := Hash(d.CloneDesc()); h3 != h1 {
-		t.Fatalf("clone hashed differently: %x vs %x", h3, h1)
+	if h3 := Hash(MustParse(Format(d))); h3 != h1 {
+		t.Fatalf("reparse hashed differently: %x vs %x", h3, h1)
 	}
 	if h1 == (Digest{}) {
 		t.Fatal("zero digest")

@@ -38,8 +38,8 @@ func internShardFor(d Digest) *internShard {
 // Intern returns the canonical frozen node structurally equal to n,
 // interning a copy of it (and of every descendant) if none exists yet. The
 // argument is never retained or mutated: callers keep full ownership of
-// mutable trees they pass in (InternOwned is the entry point for trees the
-// caller gives up). Foreign Node implementations are returned unchanged.
+// unfrozen trees they pass in (InternOwned is the entry point for trees the
+// caller gives up).
 func Intern(n Node) Node {
 	if m := metaOf(n); m != nil && m.frozen() {
 		return n
@@ -174,8 +174,6 @@ func InternOwned(n Node) Node {
 		x.Addr = InternOwned(x.Addr).(Expr)
 	case *RegDecl, *InputStmt, *Ident, *Num, *Call:
 		// Leaves: nothing under them to canonicalize.
-	default:
-		return Intern(n)
 	}
 	return canonicalize(n)
 }

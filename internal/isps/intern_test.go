@@ -2,6 +2,7 @@ package isps_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -26,7 +27,7 @@ const internSrc = `t.instruction := begin
 end`
 
 // TestInternDedup: structurally equal trees intern to the same canonical
-// pointer; the argument is copied, never retained, and stays mutable.
+// pointer; the argument is copied, never retained, and stays unfrozen.
 func TestInternDedup(t *testing.T) {
 	a := isps.MustParse(internSrc)
 	b := isps.MustParse(internSrc)
@@ -57,36 +58,118 @@ func TestInternDedup(t *testing.T) {
 	}
 }
 
-// TestInternedSetChildRejected: mutation of a canonical node fails with a
-// typed *NodeError wrapping ErrFrozen — the bug class this package used to
-// hit was silent in-place mutation of trees other views still held.
-func TestInternedSetChildRejected(t *testing.T) {
-	d := isps.InternDesc(isps.MustParse(internSrc))
-	blk := d.Routine().Body
-	var ne *isps.NodeError
-	err := blk.SetChild(0, blk.Stmts[1])
-	if !errors.As(err, &ne) {
-		t.Fatalf("SetChild on frozen node = %v, want *NodeError", err)
-	}
-	if !errors.Is(err, isps.ErrFrozen) {
-		t.Errorf("err = %v, want ErrFrozen", err)
-	}
-}
+// kindsSrc holds every node kind, and every child position of each.
+const kindsSrc = `k.instruction := begin
+** S **
+  a<7:0>, p: integer,
+  f()<7:0> := begin
+    f <- Mb[p];
+  end
+  k.execute := begin
+    input (a, p);
+    assert (not (a = 0));
+    repeat
+      exit_when (a = 0);
+      a <- a - f();
+    end_repeat;
+    if a
+    then
+      output (a);
+    else
+      output (p, 'x');
+    end_if;
+  end
+end`
 
-// TestSetChildTypedErrors: on a mutable tree, a wrong-kinded replacement
-// and an out-of-range index each fail with the matching typed sentinel
-// instead of the old unchecked-type-assertion panic.
-func TestSetChildTypedErrors(t *testing.T) {
-	d := isps.MustParse(internSrc)
-	blk := d.Routine().Body
-	if err := blk.SetChild(0, &isps.Num{Val: 1}); !errors.Is(err, isps.ErrChildKind) {
-		t.Errorf("expr into stmt slot = %v, want ErrChildKind", err)
+// TestReplaceAtTypedErrors: at every child position of every node kind,
+// ReplaceAt accepts a node of the position's kind and shares every subtree
+// off the rebuilt spine, refuses any other kind with a *NodeError wrapping
+// ErrChildKind, and refuses a path past either end of a node's children
+// with an error rather than a panic. The input is never changed.
+func TestReplaceAtTypedErrors(t *testing.T) {
+	d := isps.InternDesc(isps.MustParse(kindsSrc))
+	text := isps.Format(d)
+	// One replacement of each kind a child position can take.
+	repls := map[string]isps.Node{
+		"section": &isps.Section{Name: "Z"},
+		"decl":    &isps.RegDecl{Name: "zz", Width: 3},
+		"block":   &isps.Block{},
+		"stmt":    &isps.ExitWhenStmt{Cond: &isps.Num{Val: 9}},
+		"expr":    &isps.Num{Val: 12345},
 	}
-	if err := blk.SetChild(99, blk.Stmts[0]); !errors.Is(err, isps.ErrChildRange) {
-		t.Errorf("index 99 = %v, want ErrChildRange", err)
+	one := func(kind string) func(int) string { return func(int) string { return kind } }
+	// accepts is the table under test: the kind each child position of a
+	// node takes, by the node's type. Leaves have no entry.
+	accepts := map[string]func(i int) string{
+		"*isps.Description":  one("section"),
+		"*isps.Section":      one("decl"),
+		"*isps.FuncDecl":     one("block"),
+		"*isps.RoutineDecl":  one("block"),
+		"*isps.Block":        one("stmt"),
+		"*isps.AssignStmt":   one("expr"),
+		"*isps.RepeatStmt":   one("block"),
+		"*isps.ExitWhenStmt": one("expr"),
+		"*isps.OutputStmt":   one("expr"),
+		"*isps.AssertStmt":   one("expr"),
+		"*isps.Bin":          one("expr"),
+		"*isps.Un":           one("expr"),
+		"*isps.Mem":          one("expr"),
+		"*isps.IfStmt": func(i int) string {
+			if i == 0 {
+				return "expr"
+			}
+			return "block"
+		},
 	}
-	if err := blk.SetChild(0, blk.Stmts[0]); err != nil {
-		t.Errorf("valid SetChild = %v, want nil", err)
+	seen := map[string]int{}
+	isps.Walk(d, func(n isps.Node, p isps.Path) bool {
+		typ := fmt.Sprintf("%T", n)
+		for _, i := range []int{-1, n.NumChildren()} {
+			if _, err := isps.ReplaceAt(d, p.Child(i), repls["expr"]); err == nil {
+				t.Errorf("%s (%s): child %d of %d accepted", p, typ, i, n.NumChildren())
+			}
+		}
+		for i := 0; i < n.NumChildren(); i++ {
+			seen[typ]++
+			at := p.Child(i)
+			want := accepts[typ](i)
+			for kind, r := range repls {
+				out, err := isps.ReplaceAt(d, at, r)
+				if kind != want {
+					var ne *isps.NodeError
+					if out != nil || !errors.As(err, &ne) || !errors.Is(err, isps.ErrChildKind) {
+						t.Errorf("%s (%s): %s into a %s slot = %v, want a NodeError wrapping ErrChildKind", at, typ, kind, want, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s (%s): %s into its own slot: %v", at, typ, kind, err)
+					continue
+				}
+				// Down the spine, every child off it is the original's.
+				was, now := isps.Node(d), out
+				for _, step := range at {
+					for j := 0; j < was.NumChildren(); j++ {
+						if j != step && now.Child(j) != was.Child(j) {
+							t.Errorf("%s (%s): child %d off the spine was copied", at, typ, j)
+						}
+					}
+					was, now = was.Child(step), now.Child(step)
+				}
+				if now != r {
+					t.Errorf("%s (%s): the replacement did not land", at, typ)
+				}
+			}
+		}
+		return true
+	})
+	for typ := range accepts {
+		if seen[typ] == 0 {
+			t.Errorf("%s: no child position exercised", typ)
+		}
+	}
+	if isps.Format(d) != text {
+		t.Error("ReplaceAt changed its input")
 	}
 }
 
@@ -316,7 +399,7 @@ func TestInternOwned(t *testing.T) {
 				}
 				owned := build(v)
 				text := isps.Format(owned)
-				copied := owned.CloneDesc()
+				copied := isps.MustParse(text)
 				got := isps.InternOwned(owned)
 				isps.Walk(got, func(n isps.Node, _ isps.Path) bool {
 					if !isps.Interned(n) {

@@ -7,11 +7,10 @@ import (
 )
 
 // meta is the hash-consing state embedded in every node: the memoized
-// 128-bit structural digest and a frozen flag. A node starts mutable with
+// 128-bit structural digest and a frozen flag. A node starts unfrozen with
 // no digest; Intern computes the digest, stores it, and freezes the node.
-// From then on the node is shared and must never be mutated — SetChild
-// refuses with ErrFrozen, and rewrites go through ReplaceAt, which rebuilds
-// only the spine above the edit.
+// From then on the node is shared and never written: rewrites go through
+// ReplaceAt and Rewrite, which copy the spine above the edit.
 //
 // state is accessed atomically (plain uint32 rather than atomic.Uint32 so
 // that value copies of node structs do not trip go vet's copylocks check;
@@ -37,68 +36,47 @@ func (m *meta) freeze(d Digest) {
 // digest returns the memoized digest; valid only after frozen() is true.
 func (m *meta) digest() Digest { return Digest{Hi: m.digHi, Lo: m.digLo} }
 
-// nodeMeta is promoted into every node type that embeds meta.
+// nodeMeta is promoted into every node type that embeds meta; it is the
+// method that closes the Node interface.
 func (m *meta) nodeMeta() *meta { return m }
 
-type hasMeta interface{ nodeMeta() *meta }
-
-// metaOf returns the hash-consing state of n, or nil for foreign Node
-// implementations that do not embed meta.
+// metaOf returns the hash-consing state of n, or nil for a nil node.
 func metaOf(n Node) *meta {
-	if hm, ok := n.(hasMeta); ok {
-		return hm.nodeMeta()
+	if n == nil {
+		return nil
 	}
-	return nil
+	return n.nodeMeta()
 }
 
 // Interned reports whether n is a canonical, frozen node owned by the
-// interner. Interned nodes are immutable: SetChild on them fails with
-// ErrFrozen and rewrites must go through ReplaceAt or Clone.
+// interner. Interned nodes are immutable: rewrites go through ReplaceAt or
+// Rewrite, which share them.
 func Interned(n Node) bool {
 	m := metaOf(n)
 	return m != nil && m.frozen()
 }
 
-// Mutation errors. SetChild returns a *NodeError wrapping one of these
-// sentinels; callers classify them (core's apply guard turns them into
-// path faults) instead of relying on panic recovery.
-var (
-	// ErrChildRange reports a child index outside [0, NumChildren).
-	ErrChildRange = errors.New("child index out of range")
-	// ErrChildKind reports a replacement node whose kind is not acceptable
-	// at the target position (e.g. a statement where an expression goes).
-	ErrChildKind = errors.New("node kind not acceptable at this position")
-	// ErrFrozen reports an attempt to mutate an interned node. Interned
-	// subtrees are structurally shared; mutating one in place would corrupt
-	// every tree that shares it. Use ReplaceAt or Clone instead.
-	ErrFrozen = errors.New("cannot mutate interned node")
-)
+// ErrChildKind reports a replacement node whose kind is not acceptable at
+// the target position (e.g. a statement where an expression goes).
+// ReplaceAt and Rewrite return it wrapped in a *NodeError; callers classify
+// it (core's apply guard turns it into a path fault) instead of relying on
+// panic recovery.
+var ErrChildKind = errors.New("node kind not acceptable at this position")
 
-// NodeError describes a rejected SetChild call.
+// NodeError describes a rejected replacement of a child.
 type NodeError struct {
 	Node  string // concrete node type, e.g. "*isps.IfStmt"
-	Index int    // child index passed to SetChild
-	Kind  string // concrete type of the rejected replacement, when relevant
-	Err   error  // ErrChildRange, ErrChildKind or ErrFrozen
+	Index int    // index of the child being replaced
+	Kind  string // concrete type of the rejected replacement
+	Err   error  // ErrChildKind
 }
 
 func (e *NodeError) Error() string {
-	if e.Kind != "" {
-		return fmt.Sprintf("isps: set child %d of %s to %s: %v", e.Index, e.Node, e.Kind, e.Err)
-	}
-	return fmt.Sprintf("isps: set child %d of %s: %v", e.Index, e.Node, e.Err)
+	return fmt.Sprintf("isps: set child %d of %s to %s: %v", e.Index, e.Node, e.Kind, e.Err)
 }
 
 func (e *NodeError) Unwrap() error { return e.Err }
 
-func errRange(n Node, i int) error {
-	return &NodeError{Node: fmt.Sprintf("%T", n), Index: i, Err: ErrChildRange}
-}
-
 func errKind(n Node, i int, repl Node) error {
 	return &NodeError{Node: fmt.Sprintf("%T", n), Index: i, Kind: fmt.Sprintf("%T", repl), Err: ErrChildKind}
-}
-
-func errFrozen(n Node, i int) error {
-	return &NodeError{Node: fmt.Sprintf("%T", n), Index: i, Err: ErrFrozen}
 }

@@ -8,19 +8,21 @@ import "fmt"
 // and O(depth) shallow hash folds per edit point. Every transformation
 // builds its result this way (ReplaceAtDesc, SpliceAtDesc, or Rewrite for
 // whole-subtree substitutions), so no rewrite copies or re-interns the
-// parts of a description it leaves alone.
+// parts of a description it leaves alone. Apart from InternOwned, which
+// canonicalizes the children of nodes its caller owns, setChild is the only
+// code that replaces a child of a built node, and it writes only into the
+// fresh copies shallowCopy makes.
 
-// shallowCopy returns a mutable copy of n sharing n's children. Slice
-// headers are copied (fresh backing arrays) so that SetChild on the copy
-// never writes into a shared array.
+// shallowCopy returns an unfrozen copy of n, a node with children, sharing
+// them. Slices are copied (fresh backing arrays) so that setChild on the
+// copy never writes into an array a frozen node holds. Leaves are never
+// copied: only the parent of a replaced child is.
 func shallowCopy(n Node) Node {
 	switch x := n.(type) {
 	case *Description:
 		return &Description{Name: x.Name, Sections: append([]*Section(nil), x.Sections...)}
 	case *Section:
 		return &Section{Name: x.Name, Decls: append([]Decl(nil), x.Decls...)}
-	case *RegDecl:
-		return &RegDecl{Name: x.Name, Width: x.Width, Comment: x.Comment}
 	case *FuncDecl:
 		return &FuncDecl{Name: x.Name, Width: x.Width, Comment: x.Comment, Body: x.Body}
 	case *RoutineDecl:
@@ -35,34 +37,82 @@ func shallowCopy(n Node) Node {
 		return &RepeatStmt{Body: x.Body}
 	case *ExitWhenStmt:
 		return &ExitWhenStmt{Cond: x.Cond}
-	case *InputStmt:
-		return &InputStmt{Names: append([]string(nil), x.Names...)}
 	case *OutputStmt:
 		return &OutputStmt{Exprs: append([]Expr(nil), x.Exprs...)}
 	case *AssertStmt:
 		return &AssertStmt{Cond: x.Cond}
-	case *Ident:
-		return &Ident{Name: x.Name}
-	case *Num:
-		return &Num{Val: x.Val, IsChar: x.IsChar}
 	case *Bin:
 		return &Bin{Op: x.Op, X: x.X, Y: x.Y}
 	case *Un:
 		return &Un{Op: x.Op, X: x.X}
 	case *Mem:
 		return &Mem{Addr: x.Addr}
-	case *Call:
-		return &Call{Name: x.Name}
-	default:
-		return x.Clone()
 	}
+	panic(fmt.Sprintf("isps: shallow copy of leaf %T", n))
+}
+
+// setChild writes c as the i-th child of n, a copy shallowCopy just made,
+// after the caller has checked i against n.NumChildren(). A c of the wrong
+// kind for that position is refused with a *NodeError wrapping
+// ErrChildKind, and n, which then holds a nil child, must be dropped.
+func setChild(n Node, i int, c Node) error {
+	var ok bool
+	switch x := n.(type) {
+	case *Description:
+		x.Sections[i], ok = c.(*Section)
+	case *Section:
+		x.Decls[i], ok = c.(Decl)
+	case *FuncDecl:
+		x.Body, ok = c.(*Block)
+	case *RoutineDecl:
+		x.Body, ok = c.(*Block)
+	case *Block:
+		x.Stmts[i], ok = c.(Stmt)
+	case *AssignStmt:
+		if i == 0 {
+			x.LHS, ok = c.(Expr)
+		} else {
+			x.RHS, ok = c.(Expr)
+		}
+	case *IfStmt:
+		switch i {
+		case 0:
+			x.Cond, ok = c.(Expr)
+		case 1:
+			x.Then, ok = c.(*Block)
+		default:
+			x.Else, ok = c.(*Block)
+		}
+	case *RepeatStmt:
+		x.Body, ok = c.(*Block)
+	case *ExitWhenStmt:
+		x.Cond, ok = c.(Expr)
+	case *OutputStmt:
+		x.Exprs[i], ok = c.(Expr)
+	case *AssertStmt:
+		x.Cond, ok = c.(Expr)
+	case *Bin:
+		if i == 0 {
+			x.X, ok = c.(Expr)
+		} else {
+			x.Y, ok = c.(Expr)
+		}
+	case *Un:
+		x.X, ok = c.(Expr)
+	case *Mem:
+		x.Addr, ok = c.(Expr)
+	}
+	if !ok {
+		return errKind(n, i, c)
+	}
+	return nil
 }
 
 // ReplaceAt returns a tree equal to root except that the node at path p is
 // repl. The original tree is never mutated: the spine from the root down to
 // p is shallow-copied and everything off the spine is shared. An empty path
-// returns repl itself. Kind mismatches (a statement where an expression
-// goes) surface as the *NodeError values SetChild returns.
+// returns repl itself. A kind mismatch (a statement where an expression
+// goes) is a *NodeError wrapping ErrChildKind.
 func ReplaceAt(root Node, p Path, repl Node) (Node, error) {
 	if len(p) == 0 {
 		return repl, nil
@@ -80,7 +130,7 @@ func ReplaceAt(root Node, p Path, repl Node) (Node, error) {
 	cur := repl
 	for d := len(p) - 1; d >= 0; d-- {
 		parent := shallowCopy(spine[d])
-		if err := parent.SetChild(p[d], cur); err != nil {
+		if err := setChild(parent, p[d], cur); err != nil {
 			return nil, err
 		}
 		cur = parent
@@ -135,7 +185,7 @@ func (d *Description) SpliceAtDesc(blockPath Path, idx, del int, repl ...Stmt) (
 // replacement are rebuilt bottom-up as shallow copies sharing every
 // unchanged child, and a subtree with nothing replaced comes back as the
 // same pointer, root included. root is never mutated, so it may be
-// interned. Kind mismatches surface as *NodeError values from SetChild.
+// interned. A kind mismatch is a *NodeError wrapping ErrChildKind.
 func Rewrite(root Node, fn func(Node) (Node, bool)) (Node, error) {
 	if repl, ok := fn(root); ok {
 		return repl, nil
@@ -153,7 +203,7 @@ func Rewrite(root Node, fn func(Node) (Node, bool)) (Node, error) {
 		if cp == nil {
 			cp = shallowCopy(root)
 		}
-		if err := cp.SetChild(i, nc); err != nil {
+		if err := setChild(cp, i, nc); err != nil {
 			return nil, err
 		}
 	}

@@ -80,29 +80,6 @@ func TestQuickExprPrintParse(t *testing.T) {
 	}
 }
 
-// TestQuickCloneIndependence: mutating a clone leaves the original intact.
-func TestQuickCloneIndependence(t *testing.T) {
-	f := func(g genExpr) bool {
-		orig := g.e
-		snapshot := ExprString(orig)
-		clone := orig.Clone().(Expr)
-		// Smash every leaf of the clone.
-		Walk(clone, func(n Node, _ Path) bool {
-			if id, ok := n.(*Ident); ok {
-				id.Name = "smashed"
-			}
-			if num, ok := n.(*Num); ok {
-				num.Val = -999
-			}
-			return true
-		})
-		return ExprString(orig) == snapshot
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickFreshNameNeverCollides: the fresh name is never declared or used.
 func TestQuickFreshNameNeverCollides(t *testing.T) {
 	d := MustParse(`d.operation := begin

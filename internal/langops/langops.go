@@ -50,7 +50,8 @@ var (
 // Get returns the named operator's description, or nil for a name not in
 // the corpus. The corpus is parsed and interned once per process, on first
 // use, so every call returns the same immutable hash-consed tree and its
-// digest is a memo read. Callers that need a mutable tree must CloneDesc it.
+// digest is a memo read. Callers change it through isps.ReplaceAt and the
+// other persistent updates, which share it.
 func Get(name string) *isps.Description {
 	corpusOnce.Do(func() {
 		corpus = make(map[string]*isps.Description)

@@ -83,7 +83,7 @@ end`
 // stripComments clears declaration comments so golden comparison is purely
 // structural (comments are presentation, the paper's figures vary theirs).
 func stripComments(d *isps.Description) *isps.Description {
-	c := d.CloneDesc()
+	c := isps.MustParse(isps.Format(d))
 	for _, s := range c.Sections {
 		for _, dec := range s.Decls {
 			switch x := dec.(type) {

@@ -87,7 +87,7 @@ func init() {
 			}
 			return &Outcome{
 				Desc:     nd,
-				Prologue: []isps.Stmt{stmt.Clone().(isps.Stmt)},
+				Prologue: []isps.Stmt{stmt},
 				Adaptor:  adaptor,
 				Note:     "prologue augment: " + src,
 			}, nil
@@ -134,14 +134,9 @@ func init() {
 					}
 				}
 			}
-			removed := out.Clone().(*isps.OutputStmt)
 			nd, err := d.SpliceAtDesc(bodyPath, outIdx, 1, repl...)
 			if err != nil {
 				return nil, err
-			}
-			cloned := make([]isps.Stmt, len(repl))
-			for i, s := range repl {
-				cloned[i] = s.Clone().(isps.Stmt)
 			}
 			note := "epilogue augment"
 			if len(repl) == 0 {
@@ -149,8 +144,8 @@ func init() {
 			}
 			return &Outcome{
 				Desc:           nd,
-				Epilogue:       cloned,
-				RemovedOutputs: removed.Exprs,
+				Epilogue:       repl,
+				RemovedOutputs: append([]isps.Expr(nil), out.Exprs...),
 				Note:           note,
 			}, nil
 		},

@@ -15,8 +15,7 @@ import (
 // The rewrite is persistent: the outcome shares every subtree of d outside
 // the spine from the root to the rewritten expression. A failed probe costs
 // nothing but the resolve, and a successful one O(depth) spine nodes — this
-// is the auto-search's hottest Apply path, formerly a full CloneDesc either
-// way.
+// is the auto-search's hottest Apply path.
 func exprRewrite(name, doc string, fn func(e isps.Expr, d *isps.Description) (isps.Expr, error)) *Transformation {
 	return register(&Transformation{
 		Name:     name,
