@@ -63,6 +63,9 @@ go test -run '^FuzzParseStmt$' -fuzz '^FuzzParseStmt$' -fuzztime 10s ./internal/
 go test -run '^FuzzBindingJSON$' -fuzz '^FuzzBindingJSON$' -fuzztime 10s ./internal/core
 go test -run '^FuzzSynthGadget$' -fuzz '^FuzzSynthGadget$' -fuzztime 10s ./internal/synth
 go test -run '^FuzzInterpReference$' -fuzz '^FuzzInterpReference$' -fuzztime 10s ./internal/interp
+go test -run '^FuzzI8086MatchesReference$' -fuzz '^FuzzI8086MatchesReference$' -fuzztime 10s ./internal/sim
+go test -run '^FuzzVAXMatchesReference$' -fuzz '^FuzzVAXMatchesReference$' -fuzztime 10s ./internal/sim
+go test -run '^FuzzIBM370MatchesReference$' -fuzz '^FuzzIBM370MatchesReference$' -fuzztime 10s ./internal/sim
 
 # Bench stage. bench runs `go test -run '^$' ARGS` with its output
 # redirected to a temp file, not piped, so a benchmark that fails stops
@@ -174,30 +177,36 @@ test "$LADDER_ALLOCS" -le 2498
 test "$EXHAUST_ALLOCS" -le 223103
 
 # Synth: one binding's enumerate-verify-rank cycle and the cross-layer
-# sweeps. The simulators decode each program once into register slots and
-# label indexes, keep memory in pages allocated on first store, and a
-# variant's trials are compared page by page, not as 64 KiB copies: 3,379-
-# 3,383 -> <= 3417 and 12,755-12,757 -> <= 12885 over 10 runs (6,723-6,737
-# and 13,584-13,593 with a string-keyed register map, a label map and a
-# zeroed 64 KiB image per machine).
+# sweeps. The simulators decode each program once into register slots,
+# label indexes and one handler per instruction, keep memory in pages
+# allocated on first store, and a variant's trials are compared page by
+# page, not as 64 KiB copies; the code generator clears its register-
+# preference maps in place at each label and branch, names labels without
+# fmt, and the front end parses a line without keyword maps: 3,379 (5 of
+# 10 runs, 3,379-3,381) -> <= 3413 and 10,674 (5 of 10, 10,671-10,677)
+# -> <= 10781 (3,381-3,383 and 12,756-12,760 with two fresh maps per
+# label and branch, a formatted label and two map literals per parsed
+# line; 6,723-6,737 and 13,584-13,593 with a string-keyed register map, a
+# label map and a zeroed 64 KiB image per machine).
 bench -bench 'BenchmarkSynth$|BenchmarkSweep$' -benchmem -benchtime 5x -count 1 ./internal/synth
 SYNTH_ALLOCS=$(metric '^BenchmarkSynth' allocs/op "$BENCH")
 SWEEP_ALLOCS=$(metric '^BenchmarkSweep' allocs/op "$BENCH")
-test "$SYNTH_ALLOCS" -le 3417
-test "$SWEEP_ALLOCS" -le 12885
+test "$SYNTH_ALLOCS" -le 3413
+test "$SWEEP_ALLOCS" -le 10781
 
 # Simulators: the motivation benchmark's 12 rows (a 256-byte move and
 # search on every target, exotic and decomposed) time codegen.Run alone.
-# Summed over the rows like TABLE2: 60 allocs/op and 63,696 B/op in 10 of
-# 10 runs -> <= 61 and <= 64333 (99 allocs and 794,112 B with a
-# string-keyed register map, a label map and a zeroed 64 KiB image per
-# machine), so a change that brings back a map or a whole-memory image per
-# machine fails here.
+# Summed over the rows like TABLE2: 60 allocs/op and 61,744 B/op in 10 of
+# 10 runs -> <= 61 and <= 62362 (63,696 B when a decoded instruction
+# held its mnemonic instead of its handler, 65,152 with both; 99 allocs
+# and 794,112 B with a string-keyed register map, a label map and a
+# zeroed 64 KiB image per machine), so a change that brings back a map, a
+# whole-memory image or a wider decoded instruction fails here.
 bench -bench 'BenchmarkMotivationExoticVsPrimitive$' -benchmem -benchtime 2000x -count 1 -cpu 1 .
 SIM_ALLOCS=$(metric '^BenchmarkMotivationExoticVsPrimitive/' allocs/op "$BENCH")
 SIM_BYTES=$(metric '^BenchmarkMotivationExoticVsPrimitive/' B/op "$BENCH")
 test "$SIM_ALLOCS" -le 61
-test "$SIM_BYTES" -le 64333
+test "$SIM_BYTES" -le 62362
 rm -f "$BENCH"
 
 # Serve smoke: boot the real binary, run one analysis over HTTP twice (the

@@ -101,6 +101,54 @@ func TestKeyForContentAddressing(t *testing.T) {
 	}
 }
 
+// TestCatalogKeysPinned pins the digest of every catalog pair's key. Which
+// of the cache's shards a pair lands in (Digest.Lo % numShards) decides
+// what serve keeps cached: the two hot pairs of perfbench's serve
+// workload, tr/xlate and movsb/sassign, each have a shard to themselves,
+// and the 15 cold pairs share the rest. A change to isps.HashPair or to
+// the corpora would silently move pairs between shards and change serve's
+// hit pattern, confounding its benchmark metrics.
+func TestCatalogKeysPinned(t *testing.T) {
+	pinned := map[string]struct{ hi, lo uint64 }{
+		"movsb/sassign":  {0x9f77c6c47ff8b480, 0xb7db58788c565cd7},
+		"movsb/smove":    {0x834ab3322933f070, 0x7aad9350d91ca36b},
+		"scasb/index":    {0x99cf88d5b075e042, 0x2eda4745bbefe09a},
+		"scasb/indexc":   {0xe074f1ec7a29d457, 0xb36b264357b994e2},
+		"cmpsb/scompare": {0x6851f8cb39ae5518, 0xb6b3120e24abcc5a},
+		"movc3/blkcpy":   {0x0b56344f7c8bc187, 0xbb9ee77370fb6c36},
+		"movc5/blkclr":   {0x0edd9baf5127d16d, 0xa3783d8f8ccb7fd5},
+		"locc/index":     {0xcb3c9e08ede0d950, 0x4c59ac8427876192},
+		"locc/indexc":    {0x0aaf78f11ab7e8c2, 0x224451aec16d7b8a},
+		"cmpc3/scompare": {0x35a6541c447dba23, 0x5ab0433bec461083},
+		"mvc/sassign":    {0x96b1df1da807c9f1, 0xf40d5a822be91d81},
+		"movc3/sassign":  {0x44b48f6e0ef5b1e6, 0x2ff0954b89e5dfe9},
+		"lss/lsearch":    {0x2e944704f08bac59, 0x76e235c68a7df949},
+		"stosb/blkclr":   {0xef759e21a6197d9f, 0x4da8b6e57d99ba22},
+		"clc/scompare":   {0x94cb6b7782c1993f, 0xff20be58019c0366},
+		"locc/pindex":    {0x5af205275fda4c40, 0xea11eed98f1224e5},
+		"tr/xlate":       {0x7dd295cfa36b7c83, 0xd5ef66e438f153e4},
+	}
+	catalog := append(proofs.Table2(), proofs.Extensions()...)
+	if len(catalog) != len(pinned) {
+		t.Fatalf("catalog has %d pairs, %d pinned", len(catalog), len(pinned))
+	}
+	for _, a := range catalog {
+		pair := a.Instruction + "/" + a.Operator
+		k, ok := KeyFor(a, 0)
+		want, known := pinned[pair]
+		if !ok || !known {
+			t.Errorf("%s: key ok %v, pinned %v", pair, ok, known)
+			continue
+		}
+		if k.Digest.Hi != want.hi || k.Digest.Lo != want.lo {
+			t.Errorf("%s: digest %#016x/%#016x (shard %d), pinned %#016x/%#016x (shard %d): "+
+				"the shard a pair lands in sets serve's cache hit pattern, so a new digest "+
+				"needs a benchmark change that re-measures serve and re-pins these values",
+				pair, k.Digest.Hi, k.Digest.Lo, k.Digest.Lo%numShards, want.hi, want.lo, want.lo%numShards)
+		}
+	}
+}
+
 // TestGetPutRoundTrip: a Put entry comes back from a lookup with
 // DurationMS zeroed and everything else intact; non-ok rows are never
 // stored.

@@ -22,6 +22,7 @@ package codegen
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"extra/internal/constraint"
@@ -312,7 +313,7 @@ func (e *emitter) noteEmit(op string, exotic bool) {
 
 func (e *emitter) label(prefix string) string {
 	e.nlabel++
-	return fmt.Sprintf("%s%d", prefix, e.nlabel)
+	return prefix + strconv.Itoa(e.nlabel)
 }
 
 func (e *emitter) dataSeg(at uint64, bytes []byte) {

@@ -31,12 +31,12 @@ func regPref(code []sim.Instr, clobbers func(sim.Instr) []string) []sim.Instr {
 	// optimization.
 	dfKnown, dfClear := false, false
 	reset := func() {
-		known = map[string]fact{}
-		addrOf = map[string]uint64{}
+		clear(known)
+		clear(addrOf)
 		dfKnown = false
 	}
 
-	var out []sim.Instr
+	out := make([]sim.Instr, 0, len(code))
 	for i := 0; i < len(code); i++ {
 		in := code[i]
 		if in.Label != "" {

@@ -103,30 +103,32 @@ func parseLine(p *ir.Prog, line string) error {
 			p.Ins = append(p.Ins, ir.Ins{Op: ir.Set, Dst: dst, Args: []ir.Value{v}})
 			return nil
 		}
-		op, ok := map[string]ir.Op{
-			"add": ir.Add, "sub": ir.Sub, "index": ir.Index,
-			"compare": ir.Compare, "loadb": ir.LoadB,
-		}[rhs[0]]
-		if !ok {
+		var op ir.Op
+		switch rhs[0] {
+		case "add":
+			op = ir.Add
+		case "sub":
+			op = ir.Sub
+		case "index":
+			op = ir.Index
+		case "compare":
+			op = ir.Compare
+		case "loadb":
+			op = ir.LoadB
+		default:
 			return fmt.Errorf("unknown operator %q", rhs[0])
 		}
-		args, err := values(rhs[1:])
-		if err != nil {
-			return err
-		}
-		p.Ins = append(p.Ins, ir.Ins{Op: op, Dst: dst, Args: args})
-		return nil
-	case "move", "clear", "storeb", "print", "xlate":
-		op := map[string]ir.Op{
-			"move": ir.Move, "clear": ir.Clear, "storeb": ir.StoreB,
-			"print": ir.Print, "xlate": ir.Translate,
-		}[fields[0]]
-		args, err := values(fields[1:])
-		if err != nil {
-			return err
-		}
-		p.Ins = append(p.Ins, ir.Ins{Op: op, Args: args})
-		return nil
+		return appendOp(p, op, dst, rhs[1:])
+	case "move":
+		return appendOp(p, ir.Move, "", fields[1:])
+	case "clear":
+		return appendOp(p, ir.Clear, "", fields[1:])
+	case "storeb":
+		return appendOp(p, ir.StoreB, "", fields[1:])
+	case "print":
+		return appendOp(p, ir.Print, "", fields[1:])
+	case "xlate":
+		return appendOp(p, ir.Translate, "", fields[1:])
 	case "label", "goto":
 		if len(fields) != 2 || !isName(fields[1]) {
 			return fmt.Errorf("%s needs a label name", fields[0])
@@ -153,6 +155,17 @@ func parseLine(p *ir.Prog, line string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown statement %q", fields[0])
+}
+
+// appendOp appends an op instruction whose arguments are the value
+// tokens args.
+func appendOp(p *ir.Prog, op ir.Op, dst string, args []string) error {
+	vs, err := values(args)
+	if err != nil {
+		return err
+	}
+	p.Ins = append(p.Ins, ir.Ins{Op: op, Dst: dst, Args: vs})
+	return nil
 }
 
 func parseData(p *ir.Prog, line string) error {

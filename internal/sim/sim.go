@@ -1,19 +1,24 @@
 // Package sim provides the shared machinery for the target machine
 // simulators: a tiny assembly container with labels, a machine state of
 // registers, memory, flags and a cycle counter, and a fetch-execute loop.
-// Each target (i8086, vax, ibm370) supplies an ISA — an Exec function
-// implementing its instruction subset, including the exotic string
-// instructions, with a documented cycle cost model.
+// Each target (i8086, vax, ibm370) supplies an ISA — a Decode function
+// that maps a mnemonic and its operand kinds to one handler of its
+// instruction subset, including the exotic string instructions, with a
+// documented cycle cost model.
 //
 // NewMachine decodes a program once. Every register name an operand
 // carries becomes a dense slot in the machine's register file: the
 // registers an ISA's handlers use without an operand naming them (its
 // Regs table) take the first slots, in table order, so the handlers
 // address them by constant. Every label operand becomes the index of the
-// instruction it names, and the decoded operands share one allocation. Run
-// then executes with no map lookup per instruction. Decoding refuses only
-// a duplicate label: a jump to an undefined label and an unknown mnemonic
-// fail when executed, and a program that never reaches them runs.
+// instruction it names, the decoded operands share one allocation, and
+// each instruction keeps the handler its ISA chose for it. Run then calls
+// one handler per step, with no map lookup or mnemonic comparison; only
+// the string instructions read their value operands through Val's switch
+// on kinds, once per instruction. Decoding refuses only a duplicate label:
+// a jump to an undefined label, an unknown mnemonic and an unsupported
+// operand form decode to handlers that fail when executed, and a program
+// that never reaches them runs.
 //
 // Memory is a 64 KiB space whose addresses wrap modulo its size, kept in
 // 1 KiB pages allocated on the first store of a nonzero byte; a byte never
@@ -166,23 +171,73 @@ type Op struct {
 	Target int
 }
 
-// Inst is a decoded instruction.
+// Inst is a decoded instruction: its operands and the handler its ISA
+// chose for its mnemonic and operand kinds. It keeps no mnemonic; a
+// handler that names one in an error text reads it with Machine.Mnemonic.
 type Inst struct {
-	Mn  string
-	Ops []Op
+	Ops  []Op
+	exec Handler
 }
 
+// Handler performs one decoded instruction: it charges the instruction's
+// cycles and may change m.PC via Machine.Jump.
+type Handler func(m *Machine, in *Inst) error
+
 // ISA is a target instruction set: a register width, the registers its
-// handlers use implicitly, and an executor. Exec performs one instruction,
-// charges its cycles, and may change m.PC via Machine.Jump.
+// handlers use implicitly, and a decoder.
 type ISA struct {
 	Name string
 	// Bits is the register width; register writes are masked to it.
 	Bits int
-	// Regs names the registers Exec reads or writes without an operand
-	// naming them; NewMachine gives Regs[i] slot i.
+	// Regs names the registers the handlers read or write without an
+	// operand naming them; NewMachine gives Regs[i] slot i.
 	Regs []string
-	Exec func(m *Machine, in *Inst) error
+	// Decode picks the handler for an instruction from its mnemonic and
+	// decoded operands, once per instruction. It returns a handler for
+	// every input: an unknown mnemonic or an unsupported operand form gets
+	// one that fails when executed, and it reads operand kinds through
+	// KindAt, so a short operand list decodes too.
+	Decode func(mn string, ops []Op) Handler
+}
+
+// Nop is the handler of the no-op, the mnemonic Lbl's position markers
+// carry: it charges nothing.
+func Nop(*Machine, *Inst) error { return nil }
+
+// KindAt is the kind of ops[i], or KNone when there are fewer operands.
+func KindAt(ops []Op, i int) OperandKind {
+	if i < len(ops) {
+		return ops[i].Kind
+	}
+	return KNone
+}
+
+// ByValue picks the handler for value operand i (0 or 1) by its kind:
+// reg for a register, imm for an immediate, mem for a memory byte. Any
+// other operand, or a missing one, gets a handler that fails as Val does
+// when executed.
+func ByValue(ops []Op, i int, reg, imm, mem Handler) Handler {
+	switch KindAt(ops, i) {
+	case KReg:
+		return reg
+	case KImm:
+		return imm
+	case KMem:
+		return mem
+	}
+	return notValue[i]
+}
+
+var notValue = [...]Handler{notValue0, notValue1}
+
+func notValue0(m *Machine, in *Inst) error {
+	_, err := m.Val(&in.Ops[0])
+	return err
+}
+
+func notValue1(m *Machine, in *Inst) error {
+	_, err := m.Val(&in.Ops[1])
+	return err
 }
 
 // MemSize is the simulated memory size in bytes.
@@ -255,7 +310,7 @@ func NewMachine(isa *ISA, prog []Instr) (*Machine, error) {
 				dec[k].Target = labelIndex(prog, o.Label)
 			}
 		}
-		m.code[i] = Inst{Mn: in.Mn, Ops: dec}
+		m.code[i] = Inst{Ops: dec, exec: isa.Decode(in.Mn, dec)}
 	}
 	if len(m.names) <= len(m.regBuf) {
 		m.regs = m.regBuf[:len(m.names)]
@@ -285,6 +340,18 @@ func (m *Machine) slot(name string) int {
 	}
 	m.names = append(m.names, name)
 	return len(m.names) - 1
+}
+
+// Mnemonic is the mnemonic of the instruction in was decoded from, or ""
+// when in is not one of m's instructions. It serves error texts, so it
+// scans the program rather than widen every decoded instruction.
+func (m *Machine) Mnemonic(in *Inst) string {
+	for i := range m.code {
+		if &m.code[i] == in {
+			return m.prog[i].Mn
+		}
+	}
+	return ""
 }
 
 // Jump transfers control to a label operand's instruction.
@@ -324,10 +391,13 @@ func (m *Machine) Val(o *Op) (uint64, error) {
 	case KImm:
 		return o.Imm, nil
 	case KMem:
-		return uint64(m.LoadByte(m.EA(o))), nil
+		return m.MemByte(o), nil
 	}
 	return 0, fmt.Errorf("sim: operand %s is not a value", o.Operand)
 }
+
+// MemByte reads the byte a memory operand addresses.
+func (m *Machine) MemByte(o *Op) uint64 { return uint64(m.LoadByte(m.EA(o))) }
 
 // EA computes a memory operand's effective address.
 func (m *Machine) EA(o *Op) uint64 {
@@ -357,11 +427,35 @@ func (m *Machine) StoreByte(addr uint64, v byte) {
 	p[a%pageSize] = v
 }
 
-// StoreBytes writes bs to memory from addr on, wrapping like StoreByte.
+// StoreBytes writes bs to memory from addr on, wrapping like StoreByte. It
+// copies a page's share of bs at a time and, like StoreByte, maps an absent
+// page only when its share holds a nonzero byte.
 func (m *Machine) StoreBytes(addr uint64, bs []byte) {
-	for i, b := range bs {
-		m.StoreByte(addr+uint64(i), b)
+	a := addr % MemSize
+	for len(bs) > 0 {
+		off := a % pageSize
+		n := min(uint64(len(bs)), pageSize-off)
+		chunk := bs[:n]
+		p := m.pages[a>>pageBits]
+		if p == nil && !allZero(chunk) {
+			p = new(page)
+			m.pages[a>>pageBits] = p
+		}
+		if p != nil {
+			copy(p[off:], chunk)
+		}
+		bs = bs[n:]
+		a = (a + n) % MemSize
 	}
+}
+
+func allZero(bs []byte) bool {
+	for _, b := range bs {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // LoadWord reads a little-endian word of the ISA width (16 or 32 bits).
@@ -412,14 +506,15 @@ func (m *Machine) Run(maxSteps int) error {
 	if maxSteps <= 0 {
 		maxSteps = 1 << 20
 	}
-	exec := m.ISA.Exec
-	for !m.Halted && m.PC < len(m.code) {
+	code := m.code
+	for !m.Halted && m.PC < len(code) {
 		if m.steps++; m.steps > maxSteps {
 			return ErrStepLimit
 		}
 		pc := m.PC
 		m.PC++
-		if err := exec(m, &m.code[pc]); err != nil {
+		in := &code[pc]
+		if err := in.exec(m, in); err != nil {
 			return fmt.Errorf("sim: at %d (%s): %w", pc, m.prog[pc], err)
 		}
 	}
