@@ -22,12 +22,14 @@ import (
 	"extra/internal/core"
 	"extra/internal/fault"
 	"extra/internal/hll"
+	"extra/internal/ir"
 	"extra/internal/isps"
 	"extra/internal/langops"
 	"extra/internal/machines"
 	"extra/internal/obs"
 	"extra/internal/proofs"
 	"extra/internal/server"
+	"extra/internal/synth"
 	"extra/internal/transform"
 )
 
@@ -457,6 +459,35 @@ func BenchmarkMotivationExoticVsPrimitive(b *testing.B) {
 		b.Run(target+"/move/loop", func(b *testing.B) { benchMotivation(b, target, move, false) })
 		b.Run(target+"/search/exotic", func(b *testing.B) { benchMotivation(b, target, search, true) })
 		b.Run(target+"/search/loop", func(b *testing.B) { benchMotivation(b, target, search, false) })
+	}
+}
+
+// BenchmarkReferenceRun measures the IR reference run, the ground truth
+// every generated program is checked against, over each operator class's
+// synth workload at the boundary lengths the cross-layer sweep compiles.
+// The programs are parsed before the timer starts.
+func BenchmarkReferenceRun(b *testing.B) {
+	var progs []*ir.Prog
+	for _, class := range []string{"index", "move", "compare", "clear", "xlate"} {
+		for _, n := range []int{0, 1, 2, 255, 256, 257} {
+			data := []byte(strings.Repeat("abcdefghijklmnopqrstuvwxyz0123456789", 8)[:n])
+			if n > 0 {
+				data[n-1] = '!'
+			}
+			src, err := synth.Workload(class, n, data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			progs = append(progs, hll.MustParse(src))
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			if _, err := p.RefRun(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

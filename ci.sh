@@ -66,6 +66,7 @@ go test -run '^FuzzInterpReference$' -fuzz '^FuzzInterpReference$' -fuzztime 10s
 go test -run '^FuzzI8086MatchesReference$' -fuzz '^FuzzI8086MatchesReference$' -fuzztime 10s ./internal/sim
 go test -run '^FuzzVAXMatchesReference$' -fuzz '^FuzzVAXMatchesReference$' -fuzztime 10s ./internal/sim
 go test -run '^FuzzIBM370MatchesReference$' -fuzz '^FuzzIBM370MatchesReference$' -fuzztime 10s ./internal/sim
+go test -run '^FuzzRefRunMatchesReference$' -fuzz '^FuzzRefRunMatchesReference$' -fuzztime 10s ./internal/ir
 
 # Bench stage. bench runs `go test -run '^$' ARGS` with its output
 # redirected to a temp file, not piped, so a benchmark that fails stops
@@ -182,17 +183,32 @@ test "$EXHAUST_ALLOCS" -le 223103
 # allocated on first store, and a variant's trials are compared page by
 # page, not as 64 KiB copies; the code generator clears its register-
 # preference maps in place at each label and branch, names labels without
-# fmt, and the front end parses a line without keyword maps: 3,379 (5 of
-# 10 runs, 3,379-3,381) -> <= 3413 and 10,674 (5 of 10, 10,671-10,677)
-# -> <= 10781 (3,381-3,383 and 12,756-12,760 with two fresh maps per
-# label and branch, a formatted label and two map literals per parsed
-# line; 6,723-6,737 and 13,584-13,593 with a string-keyed register map, a
-# label map and a zeroed 64 KiB image per machine).
+# fmt, the front end parses a line without keyword maps, and the sweep's
+# reference runs (next gate) grow no memory map: 3,379 (2 of 10 runs,
+# 3,375-3,379) -> <= 3413 and 10,411 (10,396-10,411 in 10 runs) -> <=
+# 10515 (10,671-10,677 with reference runs on a memory map grown byte by
+# byte; 10,828-10,831 with a fresh paged memory per run; 3,381-3,383 and
+# 12,756-12,760 with two fresh maps per label and branch, a formatted
+# label and two map literals per parsed line; 6,723-6,737 and
+# 13,584-13,593 with a string-keyed register map, a label map and a
+# zeroed 64 KiB image per machine).
 bench -bench 'BenchmarkSynth$|BenchmarkSweep$' -benchmem -benchtime 5x -count 1 ./internal/synth
 SYNTH_ALLOCS=$(metric '^BenchmarkSynth' allocs/op "$BENCH")
 SWEEP_ALLOCS=$(metric '^BenchmarkSweep' allocs/op "$BENCH")
 test "$SYNTH_ALLOCS" -le 3413
-test "$SWEEP_ALLOCS" -le 10781
+test "$SWEEP_ALLOCS" -le 10515
+
+# Reference run: the IR evaluator every generated program is checked
+# against, over each operator class's synth workload at the six boundary
+# lengths (30 runs per op). A run writes a paged memory that an earlier
+# run finished and reset, and builds its memory map once, at its final
+# size, from that memory's write log: 176 allocs/op in 10 of 10 runs ->
+# <= 177 (392 with a memory map grown byte by byte; 496 with a fresh
+# paged memory per run), so a change that brings back a map grown per
+# write or a memory made per run fails here.
+bench -bench 'BenchmarkReferenceRun$' -benchmem -benchtime 200x -count 1 -cpu 1 .
+REF_ALLOCS=$(metric '^BenchmarkReferenceRun' allocs/op "$BENCH")
+test "$REF_ALLOCS" -le 177
 
 # Simulators: the motivation benchmark's 12 rows (a 256-byte move and
 # search on every target, exotic and decomposed) time codegen.Run alone.

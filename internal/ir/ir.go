@@ -9,6 +9,9 @@ package ir
 import (
 	"fmt"
 	"strings"
+	"sync"
+
+	"extra/internal/interp"
 )
 
 // Op is an IR operation.
@@ -209,11 +212,17 @@ type RefResult struct {
 // RefRun executes the program with the reference semantics (64-bit
 // variables, byte memory). It is the ground truth the generated code for
 // every target is checked against.
+//
+// Memory is an interp.State with no base image, whose paged overlay takes
+// any 64-bit address and logs each written address once. Mem is built
+// from that log once, when the run ends; the state is then reset and kept
+// for a later run, which writes into its pages and log instead of growing
+// new ones.
 func (p *Prog) RefRun() (*RefResult, error) {
 	if err := p.Check(); err != nil {
 		return nil, err
 	}
-	r := &RefResult{Mem: map[uint64]byte{}, Vars: map[string]uint64{}}
+	r := &RefResult{Vars: map[string]uint64{}}
 	val := func(v Value) uint64 {
 		if v.IsConst {
 			return v.Const
@@ -226,6 +235,7 @@ func (p *Prog) RefRun() (*RefResult, error) {
 			labels[i.Dst] = n
 		}
 	}
+	st := refMemory.Get().(*interp.State)
 	const budget = 1 << 22
 	steps := 0
 	for pc := 0; pc < len(p.Ins); pc++ {
@@ -248,7 +258,7 @@ func (p *Prog) RefRun() (*RefResult, error) {
 			}
 		case Data:
 			for k, b := range i.Bytes {
-				r.Mem[i.At+uint64(k)] = b
+				st.Store(i.At+uint64(k), b)
 			}
 		case Set:
 			r.Vars[i.Dst] = val(i.Args[0])
@@ -257,14 +267,14 @@ func (p *Prog) RefRun() (*RefResult, error) {
 		case Sub:
 			r.Vars[i.Dst] = val(i.Args[0]) - val(i.Args[1])
 		case LoadB:
-			r.Vars[i.Dst] = uint64(r.Mem[val(i.Args[0])])
+			r.Vars[i.Dst] = uint64(st.Load(val(i.Args[0])))
 		case StoreB:
-			r.Mem[val(i.Args[0])] = byte(val(i.Args[1]))
+			st.Store(val(i.Args[0]), byte(val(i.Args[1])))
 		case Index:
 			base, n, ch := val(i.Args[0]), val(i.Args[1]), val(i.Args[2])
 			r.Vars[i.Dst] = 0
 			for k := uint64(0); k < n; k++ {
-				if uint64(r.Mem[base+k]) == ch&0xff {
+				if uint64(st.Load(base+k)) == ch&0xff {
 					r.Vars[i.Dst] = k + 1
 					break
 				}
@@ -274,18 +284,18 @@ func (p *Prog) RefRun() (*RefResult, error) {
 			// Forward byte-by-byte, the Pascal semantics (operands may not
 			// overlap in the source language).
 			for k := uint64(0); k < n; k++ {
-				r.Mem[dst+k] = r.Mem[src+k]
+				st.Store(dst+k, st.Load(src+k))
 			}
 		case Clear:
 			dst, n := val(i.Args[0]), val(i.Args[1])
 			for k := uint64(0); k < n; k++ {
-				r.Mem[dst+k] = 0
+				st.Store(dst+k, 0)
 			}
 		case Compare:
 			a, b, n := val(i.Args[0]), val(i.Args[1]), val(i.Args[2])
 			eq := uint64(1)
 			for k := uint64(0); k < n; k++ {
-				if r.Mem[a+k] != r.Mem[b+k] {
+				if st.Load(a+k) != st.Load(b+k) {
 					eq = 0
 					break
 				}
@@ -294,11 +304,23 @@ func (p *Prog) RefRun() (*RefResult, error) {
 		case Translate:
 			base, table, n := val(i.Args[0]), val(i.Args[1]), val(i.Args[2])
 			for k := uint64(0); k < n; k++ {
-				r.Mem[base+k] = r.Mem[table+uint64(r.Mem[base+k])]
+				st.Store(base+k, st.Load(table+uint64(st.Load(base+k))))
 			}
 		case Print:
 			r.Out = append(r.Out, val(i.Args[0]))
 		}
 	}
+	r.Mem = make(map[uint64]byte, len(st.Written()))
+	for _, a := range st.Written() {
+		r.Mem[a] = st.Load(a)
+	}
+	st.ResetMem()
+	refMemory.Put(st)
 	return r, nil
 }
+
+// refMemory holds the reset memories of finished reference runs. A
+// pooled state keeps the pages its runs wrote until a garbage collection
+// drops it from the pool; a run that exceeds the step budget does not
+// return its state.
+var refMemory = sync.Pool{New: func() any { return new(interp.State) }}

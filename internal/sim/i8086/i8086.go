@@ -54,7 +54,7 @@ func decode(mn string, ops []sim.Op) sim.Handler {
 		case dst == sim.KMem && src == sim.KImm:
 			return movMI
 		}
-		return movForms
+		return forms
 	case "movw":
 		dst, src := sim.KindAt(ops, 0), sim.KindAt(ops, 1)
 		switch {
@@ -63,18 +63,36 @@ func decode(mn string, ops []sim.Op) sim.Handler {
 		case dst == sim.KMem && src == sim.KReg:
 			return movwMR
 		}
-		return movwForms
+		return forms
 	case "add":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, addR, addI, addM)
 	case "sub":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, subR, subI, subM)
 	case "cmp":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, cmpR, cmpI, cmpM)
 	case "and":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, andR, andI, andM)
 	case "inc":
+		if sim.NotReg(ops, 0) {
+			return forms1
+		}
 		return inc
 	case "dec":
+		if sim.NotReg(ops, 0) {
+			return forms1
+		}
 		return dec
 	case "xlat":
 		return xlat
@@ -108,6 +126,16 @@ func decode(mn string, ops []sim.Op) sim.Handler {
 
 func unknown(m *sim.Machine, in *sim.Inst) error {
 	return fmt.Errorf("i8086: unknown instruction %q", m.Mnemonic(in))
+}
+
+// forms refuses a two-operand instruction in operand forms the subset
+// does not have, and forms1 a one-operand one.
+func forms(m *sim.Machine, in *sim.Inst) error {
+	return fmt.Errorf("i8086: unsupported %s forms %s, %s", m.Mnemonic(in), &in.Ops[0], &in.Ops[1])
+}
+
+func forms1(m *sim.Machine, in *sim.Inst) error {
+	return fmt.Errorf("i8086: unsupported %s forms %s", m.Mnemonic(in), &in.Ops[0])
 }
 
 func hlt(m *sim.Machine, _ *sim.Inst) error {
@@ -158,10 +186,6 @@ func movMI(m *sim.Machine, in *sim.Inst) error {
 	return nil
 }
 
-func movForms(_ *sim.Machine, in *sim.Inst) error {
-	return fmt.Errorf("i8086: unsupported mov forms %s, %s", &in.Ops[0], &in.Ops[1])
-}
-
 // movw: 16-bit variable loads and stores.
 
 func movwRM(m *sim.Machine, in *sim.Inst) error {
@@ -176,12 +200,8 @@ func movwMR(m *sim.Machine, in *sim.Inst) error {
 	return nil
 }
 
-func movwForms(_ *sim.Machine, in *sim.Inst) error {
-	return fmt.Errorf("i8086: unsupported movw forms %s, %s", &in.Ops[0], &in.Ops[1])
-}
-
-// add, sub, cmp and and: the destination is read as a register whatever
-// its form, and the source b costs 4 cycles as an immediate, 3 otherwise.
+// add, sub, cmp and and: the destination is a register, and the source b
+// costs 4 cycles as an immediate, 3 otherwise.
 
 func addR(m *sim.Machine, in *sim.Inst) error { return add(m, in, m.Get(in.Ops[1].Slot), 3) }
 func addI(m *sim.Machine, in *sim.Inst) error { return add(m, in, in.Ops[1].Imm, 4) }

@@ -283,3 +283,42 @@ func TestUnknownInstruction(t *testing.T) {
 		t.Error("unknown instruction accepted")
 	}
 }
+
+// TestRegisterPositionsRefuseOtherForms pins that an operand that is not a
+// register, where an instruction reads and writes a register, fails the
+// instruction, charging nothing, instead of acting as the "" register
+// slot every such operand shares: the program below used to print 8.
+func TestRegisterPositionsRefuseOtherForms(t *testing.T) {
+	m := newM(t, []sim.Instr{
+		sim.Ins("mov", sim.R("cx"), sim.I(7)),
+		sim.Ins("add", sim.I(5), sim.R("cx")),
+		sim.Ins("inc", sim.L("x")),
+		sim.Ins("out", sim.R("")),
+	})
+	want := "sim: at 1 (add #5, cx): i8086: unsupported add forms #5, cx"
+	if err := m.Run(0); err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %s", err, want)
+	}
+	if len(m.Out) != 0 {
+		t.Errorf("out = %v after the refused add", m.Out)
+	}
+	for _, c := range []struct {
+		in   sim.Instr
+		want string
+	}{
+		{sim.Ins("sub", sim.M("bx"), sim.I(1)), "i8086: unsupported sub forms [bx], #1"},
+		{sim.Ins("cmp", sim.L("x"), sim.R("cx")), "i8086: unsupported cmp forms x, cx"},
+		{sim.Ins("and", sim.I(3), sim.I(1)), "i8086: unsupported and forms #3, #1"},
+		{sim.Ins("inc", sim.L("x")), "i8086: unsupported inc forms x"},
+		{sim.Ins("dec", sim.I(2)), "i8086: unsupported dec forms #2"},
+	} {
+		m := newM(t, []sim.Instr{c.in, sim.Ins("hlt")})
+		want := "sim: at 0 (" + c.in.String() + "): " + c.want
+		if err := m.Run(0); err == nil || err.Error() != want {
+			t.Errorf("err = %v, want %s", err, want)
+		}
+		if m.Cycles != 0 || m.Reg("") != 0 {
+			t.Errorf("%s ran: %d cycles, \"\" slot %d", c.in, m.Cycles, m.Reg(""))
+		}
+	}
+}

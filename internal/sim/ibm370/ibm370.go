@@ -35,6 +35,9 @@ func decode(mn string, ops []sim.Op) sim.Handler {
 	case "out":
 		return sim.ByValue(ops, 0, outR, outI, outM)
 	case "la": // load address: register <- immediate or register+disp
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		switch sim.KindAt(ops, 1) {
 		case sim.KImm:
 			return laI
@@ -45,22 +48,49 @@ func decode(mn string, ops []sim.Op) sim.Handler {
 		}
 		return laSource
 	case "lr":
+		if sim.NotReg(ops, 0, 1) {
+			return forms
+		}
 		return lr
 	case "l":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return loadWord
 	case "st":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return st
 	case "ic":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return ic
 	case "stc":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return stc
 	case "ar":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, arR, arI, arM)
 	case "sr":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, srR, srI, srM)
 	case "cr":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, crR, crI, crM)
 	case "nr":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, nrR, nrI, nrM)
 	case "b":
 		return jump
@@ -73,6 +103,9 @@ func decode(mn string, ops []sim.Op) sim.Handler {
 	case "bnl":
 		return bnl
 	case "bct":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return bct
 	case "mvi":
 		return mvi
@@ -88,6 +121,12 @@ func decode(mn string, ops []sim.Op) sim.Handler {
 
 func unknown(m *sim.Machine, in *sim.Inst) error {
 	return fmt.Errorf("ibm370: unknown instruction %q", m.Mnemonic(in))
+}
+
+// forms refuses an instruction with an operand that is not a register
+// where the instruction takes one.
+func forms(m *sim.Machine, in *sim.Inst) error {
+	return fmt.Errorf("ibm370: unsupported %s forms %s, %s", m.Mnemonic(in), &in.Ops[0], &in.Ops[1])
 }
 
 func hlt(m *sim.Machine, _ *sim.Inst) error {
@@ -153,8 +192,8 @@ func stc(m *sim.Machine, in *sim.Inst) error {
 	return nil
 }
 
-// ar, sr, cr and nr read the first operand as a register whatever its
-// form, cost a cycle, and set LF from the operands, nr too.
+// ar, sr, cr and nr take a register first operand, cost a cycle, and set
+// LF from the operands, nr too.
 
 func arR(m *sim.Machine, in *sim.Inst) error { return ar(m, in, m.Get(in.Ops[1].Slot)) }
 func arI(m *sim.Machine, in *sim.Inst) error { return ar(m, in, in.Ops[1].Imm) }

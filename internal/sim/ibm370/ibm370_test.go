@@ -242,3 +242,38 @@ func TestLaRejectsLabel(t *testing.T) {
 		t.Errorf("la on a label charged %d cycles", m.Cycles)
 	}
 }
+
+// TestRegisterPositionsRefuseOtherForms pins that an operand that is not a
+// register, where an instruction reads or writes a register, fails the
+// instruction, charging nothing and storing nothing, instead of acting as
+// the "" register slot every such operand shares.
+func TestRegisterPositionsRefuseOtherForms(t *testing.T) {
+	for _, c := range []struct {
+		in   sim.Instr
+		want string
+	}{
+		{sim.Ins("la", sim.I(3), sim.I(100)), "ibm370: unsupported la forms #3, #100"},
+		{sim.Ins("la", sim.M("r2"), sim.R("r2")), "ibm370: unsupported la forms [r2], r2"},
+		{sim.Ins("la", sim.L("x"), sim.L("x")), "ibm370: unsupported la forms x, x"},
+		{sim.Ins("lr", sim.I(3), sim.I(9)), "ibm370: unsupported lr forms #3, #9"},
+		{sim.Ins("lr", sim.R("r2"), sim.I(9)), "ibm370: unsupported lr forms r2, #9"},
+		{sim.Ins("st", sim.I(1), sim.R("r2")), "ibm370: unsupported st forms #1, r2"},
+		{sim.Ins("stc", sim.I(1), sim.M("r2")), "ibm370: unsupported stc forms #1, [r2]"},
+		{sim.Ins("l", sim.M("r2"), sim.M("r3")), "ibm370: unsupported l forms [r2], [r3]"},
+		{sim.Ins("ic", sim.L("x"), sim.M("r2")), "ibm370: unsupported ic forms x, [r2]"},
+		{sim.Ins("ar", sim.I(5), sim.R("r2")), "ibm370: unsupported ar forms #5, r2"},
+		{sim.Ins("sr", sim.M("r2"), sim.I(1)), "ibm370: unsupported sr forms [r2], #1"},
+		{sim.Ins("cr", sim.I(0), sim.I(0)), "ibm370: unsupported cr forms #0, #0"},
+		{sim.Ins("nr", sim.L("x"), sim.I(1)), "ibm370: unsupported nr forms x, #1"},
+		{sim.Ins("bct", sim.I(3), sim.L("x")), "ibm370: unsupported bct forms #3, x"},
+	} {
+		m := newM(t, []sim.Instr{sim.Lbl("x"), sim.Ins("la", sim.R("r2"), sim.I(100)), c.in, sim.Ins("hlt")})
+		want := "sim: at 2 (" + c.in.String() + "): " + c.want
+		if err := m.Run(0); err == nil || err.Error() != want {
+			t.Errorf("err = %v, want %s", err, want)
+		}
+		if m.Cycles != 1 || m.Reg("") != 0 || m.LoadByte(100) != 0 || m.LoadByte(1) != 0 {
+			t.Errorf("%s ran: %d cycles, \"\" slot %d", c.in, m.Cycles-1, m.Reg(""))
+		}
+	}
+}

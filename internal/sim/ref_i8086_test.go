@@ -42,6 +42,9 @@ func exec8086(m *sim.Machine, mn string, in *sim.Inst) error {
 	case "add", "sub", "cmp", "and":
 		return arith(m, mn, in)
 	case "inc", "dec":
+		if in.Ops[0].Kind != sim.KReg {
+			return fmt.Errorf("i8086: unsupported %s forms %s", mn, &in.Ops[0])
+		}
 		r := in.Ops[0].Slot
 		v := m.Get(r)
 		if mn == "inc" {
@@ -199,6 +202,9 @@ func movWord(m *sim.Machine, in *sim.Inst) error {
 }
 
 func arith(m *sim.Machine, mn string, in *sim.Inst) error {
+	if in.Ops[0].Kind != sim.KReg {
+		return fmt.Errorf("i8086: unsupported %s forms %s, %s", mn, &in.Ops[0], &in.Ops[1])
+	}
 	a := m.Get(in.Ops[0].Slot)
 	b, err := m.Val(&in.Ops[1])
 	if err != nil {

@@ -27,6 +27,9 @@ func exec370(m *sim.Machine, mn string, in *sim.Inst) error {
 		return nil
 	case "la": // load address: register <- immediate or register+disp
 		dst, src := &in.Ops[0], &in.Ops[1]
+		if dst.Kind != sim.KReg {
+			return unsupported370(mn, in)
+		}
 		switch src.Kind {
 		case sim.KImm:
 			m.Set(dst.Slot, src.Imm)
@@ -40,26 +43,44 @@ func exec370(m *sim.Machine, mn string, in *sim.Inst) error {
 		m.Cycles++
 		return nil
 	case "lr": // register move
+		if in.Ops[0].Kind != sim.KReg || in.Ops[1].Kind != sim.KReg {
+			return unsupported370(mn, in)
+		}
 		m.Set(in.Ops[0].Slot, m.Get(in.Ops[1].Slot))
 		m.Cycles++
 		return nil
 	case "l": // load word
+		if in.Ops[0].Kind != sim.KReg {
+			return unsupported370(mn, in)
+		}
 		m.Set(in.Ops[0].Slot, m.LoadWord(m.EA(&in.Ops[1])))
 		m.Cycles += 2
 		return nil
 	case "st": // store word
+		if in.Ops[0].Kind != sim.KReg {
+			return unsupported370(mn, in)
+		}
 		m.StoreWord(m.EA(&in.Ops[1]), m.Get(in.Ops[0].Slot))
 		m.Cycles += 2
 		return nil
 	case "ic": // insert character
+		if in.Ops[0].Kind != sim.KReg {
+			return unsupported370(mn, in)
+		}
 		m.Set(in.Ops[0].Slot, uint64(m.LoadByte(m.EA(&in.Ops[1]))))
 		m.Cycles += 2
 		return nil
 	case "stc": // store character
+		if in.Ops[0].Kind != sim.KReg {
+			return unsupported370(mn, in)
+		}
 		m.StoreByte(m.EA(&in.Ops[1]), byte(m.Get(in.Ops[0].Slot)))
 		m.Cycles += 2
 		return nil
 	case "ar", "sr", "cr", "nr":
+		if in.Ops[0].Kind != sim.KReg {
+			return unsupported370(mn, in)
+		}
 		a := m.Get(in.Ops[0].Slot)
 		b, err := m.Val(&in.Ops[1])
 		if err != nil {
@@ -104,6 +125,9 @@ func exec370(m *sim.Machine, mn string, in *sim.Inst) error {
 		m.Cycles += 2
 		return nil
 	case "bct": // branch on count: decrement, branch while nonzero
+		if in.Ops[0].Kind != sim.KReg {
+			return unsupported370(mn, in)
+		}
 		r := in.Ops[0].Slot
 		v := m.Mask(m.Get(r) - 1)
 		m.Set(r, v)
@@ -173,4 +197,10 @@ func exec370(m *sim.Machine, mn string, in *sim.Inst) error {
 		return nil
 	}
 	return fmt.Errorf("ibm370: unknown instruction %q", mn)
+}
+
+// unsupported370 refuses a two-operand instruction with an operand that
+// is not a register where the instruction takes one.
+func unsupported370(mn string, in *sim.Inst) error {
+	return fmt.Errorf("ibm370: unsupported %s forms %s, %s", mn, &in.Ops[0], &in.Ops[1])
 }

@@ -82,6 +82,9 @@ func execVAX(m *sim.Machine, mn string, in *sim.Inst) error {
 		}
 		return nil
 	case "addl", "subl", "cmpl", "andl":
+		if in.Ops[0].Kind != sim.KReg {
+			return fmt.Errorf("vax: unsupported %s forms %s, %s", mn, &in.Ops[0], &in.Ops[1])
+		}
 		a := m.Get(in.Ops[0].Slot)
 		b, err := m.Val(&in.Ops[1])
 		if err != nil {
@@ -106,11 +109,17 @@ func execVAX(m *sim.Machine, mn string, in *sim.Inst) error {
 		m.Cycles += 3
 		return nil
 	case "tstl":
+		if in.Ops[0].Kind != sim.KReg {
+			return fmt.Errorf("vax: unsupported tstl forms %s", &in.Ops[0])
+		}
 		m.ZF = m.Get(in.Ops[0].Slot) == 0
 		m.LF = false
 		m.Cycles += 2
 		return nil
 	case "incl", "decl":
+		if in.Ops[0].Kind != sim.KReg {
+			return fmt.Errorf("vax: unsupported %s forms %s", mn, &in.Ops[0])
+		}
 		r := in.Ops[0].Slot
 		v := m.Get(r)
 		if mn == "incl" {
@@ -148,6 +157,9 @@ func execVAX(m *sim.Machine, mn string, in *sim.Inst) error {
 		// closer. The comparison is signed — decrementing an entry value of
 		// 0 yields -1 (top bit set), which must fall through, not loop for
 		// another 2^32 iterations.
+		if in.Ops[0].Kind != sim.KReg {
+			return fmt.Errorf("vax: unsupported sobgtr forms %s, %s", &in.Ops[0], &in.Ops[1])
+		}
 		r := in.Ops[0].Slot
 		v := m.Mask(m.Get(r) - 1)
 		m.Set(r, v)

@@ -212,6 +212,20 @@ func KindAt(ops []Op, i int) OperandKind {
 	return KNone
 }
 
+// NotReg reports whether an operand at one of the positions at is present
+// and not a register. A handler reads a register operand through its
+// slot, and every operand that names no register shares the "" slot, so
+// Decode refuses such a form rather than run it on that slot; a missing
+// operand is left to the handler.
+func NotReg(ops []Op, at ...int) bool {
+	for _, i := range at {
+		if i < len(ops) && ops[i].Kind != KReg {
+			return true
+		}
+	}
+	return false
+}
+
 // ByValue picks the handler for value operand i (0 or 1) by its kind:
 // reg for a register, imm for an immediate, mem for a memory byte. Any
 // other operand, or a missing one, gets a handler that fails as Val does

@@ -53,7 +53,7 @@ func decode(mn string, ops []sim.Op) sim.Handler {
 		case dst == sim.KMem && src == sim.KReg:
 			return movlMR
 		}
-		return movlForms
+		return forms
 	case "movb":
 		dst, src := sim.KindAt(ops, 0), sim.KindAt(ops, 1)
 		switch {
@@ -64,20 +64,41 @@ func decode(mn string, ops []sim.Op) sim.Handler {
 		case dst == sim.KMem && src == sim.KImm:
 			return movbMI
 		}
-		return movbForms
+		return forms
 	case "addl":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, addlR, addlI, addlM)
 	case "subl":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, sublR, sublI, sublM)
 	case "cmpl":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, cmplR, cmplI, cmplM)
 	case "andl":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sim.ByValue(ops, 1, andlR, andlI, andlM)
 	case "tstl":
+		if sim.NotReg(ops, 0) {
+			return forms1
+		}
 		return tstl
 	case "incl":
+		if sim.NotReg(ops, 0) {
+			return forms1
+		}
 		return incl
 	case "decl":
+		if sim.NotReg(ops, 0) {
+			return forms1
+		}
 		return decl
 	case "brb":
 		return brb
@@ -90,6 +111,9 @@ func decode(mn string, ops []sim.Op) sim.Handler {
 	case "bgeq":
 		return bgeq
 	case "sobgtr":
+		if sim.NotReg(ops, 0) {
+			return forms
+		}
 		return sobgtr
 	case "movc3":
 		return movc3
@@ -105,6 +129,16 @@ func decode(mn string, ops []sim.Op) sim.Handler {
 
 func unknown(m *sim.Machine, in *sim.Inst) error {
 	return fmt.Errorf("vax: unknown instruction %q", m.Mnemonic(in))
+}
+
+// forms refuses a two-operand instruction in operand forms the subset
+// does not have, and forms1 a one-operand one.
+func forms(m *sim.Machine, in *sim.Inst) error {
+	return fmt.Errorf("vax: unsupported %s forms %s, %s", m.Mnemonic(in), &in.Ops[0], &in.Ops[1])
+}
+
+func forms1(m *sim.Machine, in *sim.Inst) error {
+	return fmt.Errorf("vax: unsupported %s forms %s", m.Mnemonic(in), &in.Ops[0])
 }
 
 // vals evaluates the instruction's leading operands into dst, in order,
@@ -160,10 +194,6 @@ func movlMR(m *sim.Machine, in *sim.Inst) error {
 	return nil
 }
 
-func movlForms(_ *sim.Machine, in *sim.Inst) error {
-	return fmt.Errorf("vax: unsupported movl forms %s, %s", &in.Ops[0], &in.Ops[1])
-}
-
 func movbRM(m *sim.Machine, in *sim.Inst) error {
 	m.Set(in.Ops[0].Slot, m.MemByte(&in.Ops[1]))
 	m.Cycles += 5
@@ -182,12 +212,8 @@ func movbMI(m *sim.Machine, in *sim.Inst) error {
 	return nil
 }
 
-func movbForms(_ *sim.Machine, in *sim.Inst) error {
-	return fmt.Errorf("vax: unsupported movb forms %s, %s", &in.Ops[0], &in.Ops[1])
-}
-
-// addl, subl, cmpl and andl read the destination as a register whatever
-// its form, cost 3 cycles, and set LF from the operands, andl too.
+// addl, subl, cmpl and andl take a register destination, cost 3 cycles,
+// and set LF from the operands, andl too.
 
 func addlR(m *sim.Machine, in *sim.Inst) error { return addl(m, in, m.Get(in.Ops[1].Slot)) }
 func addlI(m *sim.Machine, in *sim.Inst) error { return addl(m, in, in.Ops[1].Imm) }

@@ -331,3 +331,32 @@ func TestStringOpsRejectLabelOperands(t *testing.T) {
 		}
 	}
 }
+
+// TestRegisterPositionsRefuseOtherForms pins that an operand that is not a
+// register, where an instruction reads or writes a register, fails the
+// instruction, charging nothing, instead of acting as the "" register
+// slot every such operand shares.
+func TestRegisterPositionsRefuseOtherForms(t *testing.T) {
+	for _, c := range []struct {
+		in   sim.Instr
+		want string
+	}{
+		{sim.Ins("incl", sim.I(3)), "vax: unsupported incl forms #3"},
+		{sim.Ins("decl", sim.M("r2")), "vax: unsupported decl forms [r2]"},
+		{sim.Ins("tstl", sim.L("x")), "vax: unsupported tstl forms x"},
+		{sim.Ins("addl", sim.I(5), sim.R("r2")), "vax: unsupported addl forms #5, r2"},
+		{sim.Ins("subl", sim.M("r2"), sim.I(1)), "vax: unsupported subl forms [r2], #1"},
+		{sim.Ins("cmpl", sim.I(0), sim.I(0)), "vax: unsupported cmpl forms #0, #0"},
+		{sim.Ins("andl", sim.L("x"), sim.I(1)), "vax: unsupported andl forms x, #1"},
+		{sim.Ins("sobgtr", sim.I(3), sim.L("x")), "vax: unsupported sobgtr forms #3, x"},
+	} {
+		m := newM(t, []sim.Instr{sim.Lbl("x"), c.in, sim.Ins("hlt")})
+		want := "sim: at 1 (" + c.in.String() + "): " + c.want
+		if err := m.Run(0); err == nil || err.Error() != want {
+			t.Errorf("err = %v, want %s", err, want)
+		}
+		if m.Cycles != 0 || m.Reg("") != 0 {
+			t.Errorf("%s ran: %d cycles, \"\" slot %d", c.in, m.Cycles, m.Reg(""))
+		}
+	}
+}

@@ -148,6 +148,8 @@ func checkSource(name, src string) (divs []Divergence, err error) {
 // the out stream must match exactly and every reference-touched address
 // must hold the reference's byte. Addresses the reference never touched
 // are fair game — the generated code owns its frame and variable slots.
+// Of several mismatching addresses it names the lowest, so the same
+// divergence reads the same in every run.
 func diffAgainstRef(m *sim.Machine, refOut []uint64, refMem map[uint64]byte) string {
 	if len(m.Out) != len(refOut) {
 		return fmt.Sprintf("out stream length %d, reference %d", len(m.Out), len(refOut))
@@ -157,10 +159,14 @@ func diffAgainstRef(m *sim.Machine, refOut []uint64, refMem map[uint64]byte) str
 			return fmt.Sprintf("out[%d] = %d, reference %d", i, m.Out[i], refOut[i])
 		}
 	}
+	first, diverged := uint64(0), false
 	for addr, want := range refMem {
-		if got := m.LoadByte(addr); got != want {
-			return fmt.Sprintf("mem[%d] = %#x, reference %#x", addr, got, want)
+		if (!diverged || addr < first) && m.LoadByte(addr) != want {
+			first, diverged = addr, true
 		}
+	}
+	if diverged {
+		return fmt.Sprintf("mem[%d] = %#x, reference %#x", first, m.LoadByte(first), refMem[first])
 	}
 	return ""
 }

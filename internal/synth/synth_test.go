@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"extra/internal/codegen"
+	"extra/internal/sim"
 )
 
 // TestFullCatalogVerifies is the acceptance gate: every catalog binding
@@ -142,6 +145,31 @@ func TestReportFiles(t *testing.T) {
 	rep.Render(&render)
 	if !bytes.Contains(render.Bytes(), []byte("IBM 370/tr/xlate")) {
 		t.Error("render missing the binding")
+	}
+}
+
+// TestDiffAgainstRefNamesLowestAddress pins that a memory divergence names
+// the lowest mismatching address, whatever order the reference map is
+// ranged in, so a report that has one reads the same in every run.
+func TestDiffAgainstRefNamesLowestAddress(t *testing.T) {
+	tg, err := codegen.For("i8086")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.NewMachine(tg.ISA(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[uint64]byte{50: 0, 60: 7}
+	m.StoreByte(60, 7)
+	for a := uint64(100); a < 140; a++ {
+		ref[a] = byte(a) // the machine's memory holds 0 there
+	}
+	want := "mem[100] = 0x0, reference 0x64"
+	for range 50 {
+		if got := diffAgainstRef(m, nil, ref); got != want {
+			t.Fatalf("diff = %q, want %q", got, want)
+		}
 	}
 }
 
