@@ -57,16 +57,19 @@ go test -race -run 'Chaos' ./internal/fault/inject
 
 # Fuzz smoke: a short budget per native fuzz target catches front-end and
 # loader panics before they land. One -fuzz target per invocation; -run
-# pins the seed-corpus execution to the same target.
-go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/isps
-go test -run '^FuzzParseStmt$' -fuzz '^FuzzParseStmt$' -fuzztime 10s ./internal/isps
-go test -run '^FuzzBindingJSON$' -fuzz '^FuzzBindingJSON$' -fuzztime 10s ./internal/core
-go test -run '^FuzzSynthGadget$' -fuzz '^FuzzSynthGadget$' -fuzztime 10s ./internal/synth
-go test -run '^FuzzInterpReference$' -fuzz '^FuzzInterpReference$' -fuzztime 10s ./internal/interp
-go test -run '^FuzzI8086MatchesReference$' -fuzz '^FuzzI8086MatchesReference$' -fuzztime 10s ./internal/sim
-go test -run '^FuzzVAXMatchesReference$' -fuzz '^FuzzVAXMatchesReference$' -fuzztime 10s ./internal/sim
-go test -run '^FuzzIBM370MatchesReference$' -fuzz '^FuzzIBM370MatchesReference$' -fuzztime 10s ./internal/sim
-go test -run '^FuzzRefRunMatchesReference$' -fuzz '^FuzzRefRunMatchesReference$' -fuzztime 10s ./internal/ir
+# pins the seed-corpus execution to the same target. -fuzzminimizetime
+# bounds the minimization of each new interesting input (60 s by default,
+# with no executions counted meanwhile), so the budget goes to fuzzing; a
+# failing input still fails the stage.
+go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 100x ./internal/isps
+go test -run '^FuzzParseStmt$' -fuzz '^FuzzParseStmt$' -fuzztime 10s -fuzzminimizetime 100x ./internal/isps
+go test -run '^FuzzBindingJSON$' -fuzz '^FuzzBindingJSON$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+go test -run '^FuzzSynthGadget$' -fuzz '^FuzzSynthGadget$' -fuzztime 10s -fuzzminimizetime 100x ./internal/synth
+go test -run '^FuzzInterpReference$' -fuzz '^FuzzInterpReference$' -fuzztime 10s -fuzzminimizetime 100x ./internal/interp
+go test -run '^FuzzI8086MatchesReference$' -fuzz '^FuzzI8086MatchesReference$' -fuzztime 10s -fuzzminimizetime 100x ./internal/sim
+go test -run '^FuzzVAXMatchesReference$' -fuzz '^FuzzVAXMatchesReference$' -fuzztime 10s -fuzzminimizetime 100x ./internal/sim
+go test -run '^FuzzIBM370MatchesReference$' -fuzz '^FuzzIBM370MatchesReference$' -fuzztime 10s -fuzzminimizetime 100x ./internal/sim
+go test -run '^FuzzRefRunMatchesReference$' -fuzz '^FuzzRefRunMatchesReference$' -fuzztime 10s -fuzzminimizetime 100x ./internal/ir
 
 # Bench stage. bench runs `go test -run '^$' ARGS` with its output
 # redirected to a temp file, not piped, so a benchmark that fails stops

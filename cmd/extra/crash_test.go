@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -218,5 +223,104 @@ func TestBatchSIGINTLeavesValidJournal(t *testing.T) {
 		if r.Outcome == "canceled" {
 			t.Errorf("journal holds a canceled row for %s; canceled rows must not be journaled", r.Pair())
 		}
+	}
+}
+
+// serveJournal runs `extra serve -validate VALIDATE -journal PATH` in
+// process, sends it one /analyze request per pair, and drains it.
+func serveJournal(t *testing.T, path, validate string, pairs ...string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w // serve announces its address on stdout
+	defer func() { os.Stdout = stdout }()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- serveCmd(ctx, "", []string{"-addr", "127.0.0.1:0", "-validate", validate, "-journal", path})
+		w.Close()
+	}()
+	out := bufio.NewReader(r)
+	line, err := out.ReadString('\n')
+	if !strings.HasPrefix(line, "serving on ") {
+		t.Fatalf("serve did not start: %q %v %v", line, err, <-done)
+	}
+	addr := strings.TrimSpace(strings.TrimPrefix(line, "serving on "))
+	for _, pair := range pairs {
+		resp, err := http.Post("http://"+addr+"/analyze?pair="+pair, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/analyze %s: %s", pair, resp.Status)
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	io.Copy(io.Discard, out)
+}
+
+// TestResumeFromServeJournal: a serve journal carries the batch run-config
+// header of serve's own -validate. A batch -resume under another -validate
+// refuses it rather than report its unvalidated rows as validated; under
+// the same flags it resumes, and the compacted report equals a fresh
+// run's after normalization.
+func TestResumeFromServeJournal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serves and runs full batch runs")
+	}
+	dir := t.TempDir()
+	j0, j50 := filepath.Join(dir, "serve0.jsonl"), filepath.Join(dir, "serve50.jsonl")
+	serveJournal(t, j0, "0", "movsb/sassign", "scasb/index")
+	serveJournal(t, j50, "50", "movsb/sassign", "scasb/index")
+
+	refused := filepath.Join(dir, "refused.jsonl")
+	err := runQuiet(t, strings.Fields("batch -jobs 2 -validate 50 -resume "+j0+" -jsonl "+refused))
+	if err == nil || !strings.Contains(err.Error(), "config") {
+		t.Fatalf("-validate 50 resume from a -validate 0 serve journal: err = %v, want a config refusal", err)
+	}
+
+	fresh, resumed := filepath.Join(dir, "fresh.jsonl"), filepath.Join(dir, "resumed.jsonl")
+	if err := runQuiet(t, strings.Fields("batch -jobs 2 -validate 50 -jsonl "+fresh)); err != nil {
+		t.Fatalf("fresh batch: %v", err)
+	}
+	if err := runQuiet(t, strings.Fields("batch -jobs 2 -validate 50 -resume "+j50+" -jsonl "+resumed)); err != nil {
+		t.Fatalf("batch resumed from a serve journal: %v", err)
+	}
+	normalize := func(path string) string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = regexp.MustCompile(`"duration_ms": *[0-9]*`).ReplaceAll(data, []byte(`"duration_ms": 0`))
+		return string(regexp.MustCompile(`"trace": *"[^"]*"`).ReplaceAll(data, []byte(`"trace": ""`)))
+	}
+	// The served rows are the resumed report's rows: they keep serve's
+	// trace IDs.
+	served, config, err := batch.ReadJournal[batch.Result](j50)
+	if err != nil || len(served) != 2 || config != batch.RunConfig(50, append(proofs.Table2(), proofs.Extensions()...)) {
+		t.Fatalf("serve journal: %d rows under config %q (%v), want 2 under batch's -validate 50 config", len(served), config, err)
+	}
+	report, _, err := batch.ReadJournal[batch.Result](resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range served {
+		for _, r := range report {
+			if r.Key() == s.Key() && r.Trace != s.Trace {
+				t.Errorf("%s: report row has trace %q, the served row %q: it was not resumed", s.Pair(), r.Trace, s.Trace)
+			}
+		}
+	}
+	if got, want := normalize(resumed), normalize(fresh); got != want {
+		t.Errorf("report resumed from a serve journal differs from a fresh run:\n--- resumed\n%s--- fresh\n%s", got, want)
 	}
 }

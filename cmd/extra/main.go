@@ -690,8 +690,9 @@ end`
 // faultDrill deterministically exercises the robustness machinery so the
 // stats report always carries its counters: an auto-search retry ladder
 // whose first rung is too small (auto.retry.attempt / auto.retry.exhausted
-// / auto.retry.success), and a compile against an injected corrupt binding
-// that must degrade to the decomposition loop (codegen.fallback).
+// / auto.retry.success), and a compile with a corrupt binding in place of
+// the catalog's that must degrade to the decomposition loop
+// (codegen.fallback).
 func faultDrill(ctx context.Context) error {
 	s, err := core.NewSession(isps.MustParse(drillOp), isps.MustParse(drillIns))
 	if err != nil {
@@ -704,17 +705,14 @@ func faultDrill(ctx context.Context) error {
 	if _, err := s.Finish(); err != nil {
 		return fmt.Errorf("fault drill: %v", err)
 	}
-	restore := codegen.InjectBindings(map[string]*core.Binding{
-		// Structurally corrupt: no descriptions at all. The generator must
-		// demote index to its decomposition loop, not abort.
-		"Intel 8086/scasb/index": {Instruction: "scasb", Operation: "index"},
-	})
-	defer restore()
 	prog, err := hll.Parse(statsSrc)
 	if err != nil {
 		return err
 	}
-	tg, err := codegen.For("i8086")
+	// Structurally corrupt: no descriptions at all. The generator must
+	// demote index to its decomposition loop, not abort.
+	tg, err := codegen.ForBinding("i8086", "Intel 8086/scasb/index",
+		&core.Binding{Instruction: "scasb", Operation: "index"})
 	if err != nil {
 		return err
 	}
@@ -808,23 +806,12 @@ func batchCmd(ctx context.Context, args []string) error {
 	// the handle that joins a journal row or report row back to this run.
 	return traced(ctx, "batch", "", func(ctx context.Context) error {
 		catalog := append(proofs.Table2(), proofs.Extensions()...)
-		// The run-config fingerprint covers every input that changes what a row
-		// means: the validation count (it lands in row fields) and the catalog
-		// itself (a row set from an older catalog must not be silently mixed
-		// into a newer one on resume).
-		cfgParts := []string{"batch", "validate=" + strconv.Itoa(*validate)}
-		for _, a := range catalog {
-			cfgParts = append(cfgParts, batch.AnalysisKey(a))
-		}
-		runConfig := batch.ConfigDigest(cfgParts...)
+		runConfig := batch.RunConfig(*validate, catalog)
 		r := &batch.Runner{Jobs: *jobs, Validate: *validate, EachTimeout: *eachTimeout}
 		if *resume != "" {
-			prior, priorConfig, err := batch.ReadJournal[batch.Result](*resume)
+			prior, err := batch.ResumeJournal[batch.Result](*resume, runConfig)
 			if err != nil {
 				return fmt.Errorf("-resume: %v", err)
-			}
-			if priorConfig != "" && priorConfig != runConfig {
-				return fmt.Errorf("-resume: journal %s was written under config %s, this run is %s (different -validate/catalog); resume with matching flags or start fresh", *resume, priorConfig, runConfig)
 			}
 			r.Completed = batch.CompletedFrom(prior)
 		}
@@ -1105,12 +1092,19 @@ func serveCmd(ctx context.Context, traceFile string, args []string) error {
 			Addr: *addr, Queue: *queue, Jobs: *jobs,
 			DrainTimeout: *drainTimeout, RequestTimeout: *reqTimeout,
 			Validate: *validate, Cache: ch,
-			Tracer: obs.TracerFrom(ctx), EnablePprof: *pprofFlag,
+			Catalog: append(proofs.Table2(), proofs.Extensions()...),
+			Tracer:  obs.TracerFrom(ctx), EnablePprof: *pprofFlag,
 		}
 		var journal *batch.Journal
 		if *journalFile != "" {
+			// The header is batch's for the same -validate, so a serve
+			// journal resumes a batch run under the same flags only.
 			j, err := batch.OpenJournal(*journalFile)
 			if err != nil {
+				return err
+			}
+			if err := j.WriteHeader(batch.RunConfig(*validate, cfg.Catalog)); err != nil {
+				j.Close()
 				return err
 			}
 			journal = j

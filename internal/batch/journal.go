@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
 	"extra/internal/proofs"
@@ -153,11 +154,11 @@ func asHeader(line []byte) (header, bool) {
 }
 
 // WriteHeader stamps a new (empty) journal with the run-config digest as
-// its first line. On a non-empty journal it verifies instead of writing:
-// a matching header (or a legacy headerless journal, which predates the
-// fingerprint) is accepted, a mismatched one is a hard error — the caller
-// is about to append rows produced under a different configuration.
-// Either way Rewrite keeps the digest as the rewritten file's first line.
+// its first line. On a non-empty journal it verifies instead of writing,
+// as ResumeJournal does: a mismatched or missing header is a hard error —
+// the caller is about to append rows produced under a different
+// configuration. Either way Rewrite keeps the digest as the rewritten
+// file's first line.
 func (j *Journal) WriteHeader(config string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -166,18 +167,31 @@ func (j *Journal) WriteHeader(config string) error {
 		return err
 	}
 	if st.Size() > 0 {
-		_, existing, err := ReadJournal[json.RawMessage](j.path)
-		if err != nil {
+		if _, err := ResumeJournal[json.RawMessage](j.path, config); err != nil {
 			return err
-		}
-		if existing != "" && existing != config {
-			return fmt.Errorf("journal %s was written under config %s, this run is %s: resume with matching flags or start a fresh journal", j.path, existing, config)
 		}
 	} else if err := j.writeLocked(headerLine(config)); err != nil {
 		return err
 	}
 	j.config = config
 	return nil
+}
+
+// ResumeJournal is ReadJournal for a run whose config digest is config. It
+// refuses a journal written under another configuration, and one that
+// holds rows but no header, since nothing says what those rows mean. A
+// missing or empty journal is a fresh start.
+func ResumeJournal[R any](path, config string) ([]R, error) {
+	rows, existing, err := ReadJournal[R](path)
+	switch {
+	case err != nil:
+		return nil, err
+	case existing == "" && len(rows) > 0:
+		return nil, fmt.Errorf("journal %s holds rows but no config header: start a fresh journal", path)
+	case existing != "" && existing != config:
+		return nil, fmt.Errorf("journal %s was written under config %s, this run is %s: resume with matching flags or start a fresh journal", path, existing, config)
+	}
+	return rows, nil
 }
 
 // ConfigDigest folds the given configuration facts into the short stable
@@ -190,6 +204,20 @@ func ConfigDigest(parts ...string) string {
 		h.Write([]byte{0})
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// RunConfig is the config digest of catalog rows analyzed with validate
+// differential-validation inputs each, the header of batch and serve
+// journals. It covers every input that changes what a row means: the
+// validation count (it lands in row fields) and the catalog itself (a row
+// set from an older catalog must not be silently mixed into a newer one on
+// resume).
+func RunConfig(validate int, catalog []*proofs.Analysis) string {
+	parts := []string{"batch", "validate=" + strconv.Itoa(validate)}
+	for _, a := range catalog {
+		parts = append(parts, AnalysisKey(a))
+	}
+	return ConfigDigest(parts...)
 }
 
 // Close closes the journal file, leaving its contents as-is.
@@ -223,10 +251,10 @@ func (j *Journal) Rewrite(results []Result) error {
 }
 
 // ReadJournal loads the surviving rows of a journal, each decoded into an
-// R, plus the config digest of its header ("" for a legacy headerless
-// journal; resume paths refuse a digest that differs from the current
-// run's). A missing file is an empty journal (resume of a run that never
-// started). The read stops at the first line that is not complete JSON —
+// R, plus the config digest of its header ("" for a headerless journal;
+// ResumeJournal refuses a digest that differs from the current run's). A
+// missing file is an empty journal (resume of a run that never started).
+// The read stops at the first line that is not complete JSON —
 // the torn tail of a kill -9 — and returns every row before it; a torn
 // tail is expected, not an error. A complete line that does not decode
 // into an R is an error.

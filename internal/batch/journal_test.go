@@ -335,8 +335,9 @@ func TestJournalHeaderMismatch(t *testing.T) {
 	}
 }
 
-// TestJournalLegacyHeaderless: journals from before the header era load
-// with an empty config and all their rows.
+// TestJournalLegacyHeaderless: a journal with rows but no header reads
+// back with an empty config and all its rows, but nothing may resume from
+// it or append to it: nothing says what configuration its rows ran under.
 func TestJournalLegacyHeaderless(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "legacy.jsonl")
 	line := `{"machine":"m","instruction":"i","language":"l","operation":"o","operator":"p","outcome":"ok","duration_ms":1}` + "\n"
@@ -353,14 +354,20 @@ func TestJournalLegacyHeaderless(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(rows))
 	}
-	// And a header write onto the non-empty legacy journal is tolerated.
+	if _, err := ResumeJournal[Result](path, ConfigDigest("anything")); err == nil || !strings.Contains(err.Error(), "no config header") {
+		t.Errorf("resume from a headerless journal: err = %v, want a refusal", err)
+	}
 	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.WriteHeader(ConfigDigest("anything")); err != nil {
-		t.Fatalf("WriteHeader on a legacy journal: %v", err)
+	if err := j.WriteHeader(ConfigDigest("anything")); err == nil || !strings.Contains(err.Error(), "no config header") {
+		t.Errorf("WriteHeader on a headerless journal: err = %v, want a refusal", err)
+	}
+	// A missing journal has no rows to misread: it is a fresh start.
+	if rows, err := ResumeJournal[Result](filepath.Join(t.TempDir(), "none.jsonl"), "cfg"); err != nil || len(rows) != 0 {
+		t.Errorf("resume from a missing journal: %d rows, err %v", len(rows), err)
 	}
 }
 

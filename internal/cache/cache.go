@@ -12,7 +12,7 @@
 // survives; edit one character of its body and the key — correctly —
 // changes, so invalidation is automatic.
 //
-// The cache is one sharded in-memory LRU with singleflight: concurrent
+// The cache is one in-memory LRU with singleflight: concurrent
 // identical requests coalesce into one engine run, the rest wait for its
 // result (Do), so a dogpile of N identical requests costs one analysis.
 // The key leaves out the proof scripts, the validation generators and the
@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"extra/internal/batch"
@@ -121,24 +120,15 @@ func (o Outcome) String() string {
 	}
 }
 
-const (
-	defaultEntries = 512
-	numShards      = 8
-)
+const defaultEntries = 512
 
-// Cache is the in-process analysis-result cache. All methods are safe for
+// Cache is the in-process analysis-result cache: one mutex guards one map,
+// one LRU list and one in-flight table. All methods are safe for
 // concurrent use; a nil *Cache is a valid no-op receiver (Put stores
 // nothing, Do always runs fn).
 type Cache struct {
-	cfg      Config
-	shards   [numShards]shard
-	perShard int // capacity per shard
-
-	memEntries atomic.Int64 // gauge backing: live entries
-}
-
-// shard is one LRU segment plus its in-flight singleflight table.
-type shard struct {
+	cfg     Config
+	limit   int // the most rows it holds
 	mu      sync.Mutex
 	entries map[Key]*node
 	head    *node // most recently used
@@ -146,7 +136,7 @@ type shard struct {
 	flights map[Key]*flight
 }
 
-// node is one entry on its shard's intrusive LRU list.
+// node is one entry on the intrusive LRU list.
 type node struct {
 	key        Key
 	row        batch.Result
@@ -163,16 +153,12 @@ type flight struct {
 // New builds a Cache over cfg. The error is always nil; the signature
 // stays because the frozen benchmark harness (perfbench) calls it.
 func New(cfg Config) (*Cache, error) {
-	entries := cfg.Entries
-	if entries < 1 {
-		entries = defaultEntries
+	limit := cfg.Entries
+	if limit < 1 {
+		limit = defaultEntries
 	}
-	c := &Cache{cfg: cfg, perShard: (entries + numShards - 1) / numShards}
-	for i := range c.shards {
-		c.shards[i].entries = map[Key]*node{}
-		c.shards[i].flights = map[Key]*flight{}
-	}
-	c.publishGauges()
+	c := &Cache{cfg: cfg, limit: limit, entries: map[Key]*node{}, flights: map[Key]*flight{}}
+	c.metrics().Set("cache.entries", "mem", 0)
 	return c, nil
 }
 
@@ -181,16 +167,6 @@ func (c *Cache) metrics() *obs.Registry {
 		return c.cfg.Metrics
 	}
 	return obs.Default()
-}
-
-// publishGauges exposes the entry count on the metrics registry, so
-// /metrics shows the cache's footprint alongside its hit/miss counters.
-func (c *Cache) publishGauges() {
-	c.metrics().Set("cache.entries", "mem", c.memEntries.Load())
-}
-
-func (c *Cache) shardFor(k Key) *shard {
-	return &c.shards[k.Digest.Lo%numShards]
 }
 
 // Put stores a row. Only "ok" rows are cacheable — a failure row is
@@ -235,16 +211,17 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (batch.Result, bool)) (
 	}
 	m := c.metrics()
 	start := time.Now()
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if row, ok := sh.peek(k); ok {
-		sh.mu.Unlock()
+	c.mu.Lock()
+	if n, ok := c.entries[k]; ok {
+		c.moveToFront(n)
+		row := n.row
+		c.mu.Unlock()
 		m.ObserveSince("cache.lookup.ns", "mem", start)
 		m.Inc("cache.hit", "mem")
 		return row, OutcomeHitMem, nil
 	}
-	if f, ok := sh.flights[k]; ok {
-		sh.mu.Unlock()
+	if f, ok := c.flights[k]; ok {
+		c.mu.Unlock()
 		m.Inc("cache.coalesced", "")
 		select {
 		case <-f.done:
@@ -257,12 +234,12 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (batch.Result, bool)) (
 		}
 	}
 	f := &flight{done: make(chan struct{})}
-	sh.flights[k] = f
-	sh.mu.Unlock()
+	c.flights[k] = f
+	c.mu.Unlock()
 	defer func() {
-		sh.mu.Lock()
-		delete(sh.flights, k)
-		sh.mu.Unlock()
+		c.mu.Lock()
+		delete(c.flights, k)
+		c.mu.Unlock()
 		close(f.done)
 	}()
 	m.Inc("cache.miss", "")
@@ -278,81 +255,61 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (batch.Result, bool)) (
 	return row, OutcomeMiss, nil
 }
 
-// peek returns the shard's row for k, refreshing its LRU position. The
-// shard mutex must be held.
-func (sh *shard) peek(k Key) (batch.Result, bool) {
-	n, ok := sh.entries[k]
-	if !ok {
-		return batch.Result{}, false
-	}
-	sh.moveToFront(n)
-	return n.row, true
-}
-
-// memPut inserts (or refreshes) a row, evicting from the shard's LRU tail
-// past capacity.
+// memPut inserts (or refreshes) a row, evicting from the LRU tail past
+// capacity.
 func (c *Cache) memPut(k Key, row batch.Result) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if n, ok := sh.entries[k]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n, ok := c.entries[k]; ok {
 		n.row = row
-		sh.moveToFront(n)
-		sh.mu.Unlock()
-		c.publishGauges()
+		c.moveToFront(n)
 		return
 	}
 	n := &node{key: k, row: row}
-	sh.entries[k] = n
-	sh.pushFront(n)
-	c.memEntries.Add(1)
-	var evicted int
-	for len(sh.entries) > c.perShard {
-		t := sh.tail
-		sh.remove(t)
-		delete(sh.entries, t.key)
-		c.memEntries.Add(-1)
-		evicted++
+	c.entries[k] = n
+	c.pushFront(n)
+	for len(c.entries) > c.limit {
+		t := c.tail
+		c.remove(t)
+		delete(c.entries, t.key)
+		c.metrics().Inc("cache.evicted", "")
 	}
-	sh.mu.Unlock()
-	if evicted > 0 {
-		c.metrics().Add("cache.evicted", "", uint64(evicted))
-	}
-	c.publishGauges()
+	c.metrics().Set("cache.entries", "mem", int64(len(c.entries)))
 }
 
-// Intrusive LRU plumbing; the shard mutex guards all of it.
+// Intrusive LRU plumbing; c.mu guards all of it.
 
-func (sh *shard) pushFront(n *node) {
-	n.prev, n.next = nil, sh.head
-	if sh.head != nil {
-		sh.head.prev = n
+func (c *Cache) pushFront(n *node) {
+	n.prev, n.next = nil, c.head
+	if c.head != nil {
+		c.head.prev = n
 	}
-	sh.head = n
-	if sh.tail == nil {
-		sh.tail = n
+	c.head = n
+	if c.tail == nil {
+		c.tail = n
 	}
 }
 
-func (sh *shard) remove(n *node) {
+func (c *Cache) remove(n *node) {
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
-		sh.head = n.next
+		c.head = n.next
 	}
 	if n.next != nil {
 		n.next.prev = n.prev
 	} else {
-		sh.tail = n.prev
+		c.tail = n.prev
 	}
 	n.prev, n.next = nil, nil
 }
 
-func (sh *shard) moveToFront(n *node) {
-	if sh.head == n {
+func (c *Cache) moveToFront(n *node) {
+	if c.head == n {
 		return
 	}
-	sh.remove(n)
-	sh.pushFront(n)
+	c.remove(n)
+	c.pushFront(n)
 }
 
 // Len reports the number of live entries.
@@ -360,5 +317,7 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	return int(c.memEntries.Load())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }

@@ -101,13 +101,9 @@ func TestKeyForContentAddressing(t *testing.T) {
 	}
 }
 
-// TestCatalogKeysPinned pins the digest of every catalog pair's key. Which
-// of the cache's shards a pair lands in (Digest.Lo % numShards) decides
-// what serve keeps cached: the two hot pairs of perfbench's serve
-// workload, tr/xlate and movsb/sassign, each have a shard to themselves,
-// and the 15 cold pairs share the rest. A change to isps.HashPair or to
-// the corpora would silently move pairs between shards and change serve's
-// hit pattern, confounding its benchmark metrics.
+// TestCatalogKeysPinned pins the digest of every catalog pair's key. A
+// change to isps.HashPair or to the corpora would silently re-key every
+// cached row, so a new digest must be a deliberate change.
 func TestCatalogKeysPinned(t *testing.T) {
 	pinned := map[string]struct{ hi, lo uint64 }{
 		"movsb/sassign":  {0x9f77c6c47ff8b480, 0xb7db58788c565cd7},
@@ -141,10 +137,8 @@ func TestCatalogKeysPinned(t *testing.T) {
 			continue
 		}
 		if k.Digest.Hi != want.hi || k.Digest.Lo != want.lo {
-			t.Errorf("%s: digest %#016x/%#016x (shard %d), pinned %#016x/%#016x (shard %d): "+
-				"the shard a pair lands in sets serve's cache hit pattern, so a new digest "+
-				"needs a benchmark change that re-measures serve and re-pins these values",
-				pair, k.Digest.Hi, k.Digest.Lo, k.Digest.Lo%numShards, want.hi, want.lo, want.lo%numShards)
+			t.Errorf("%s: digest %#016x/%#016x, pinned %#016x/%#016x",
+				pair, k.Digest.Hi, k.Digest.Lo, want.hi, want.lo)
 		}
 	}
 }
@@ -232,6 +226,48 @@ func TestMemoryLRUEviction(t *testing.T) {
 	// Most-recently-inserted keys survive.
 	if _, ok := lookup(c, testKey(999)); !ok {
 		t.Error("most recent entry was evicted before older ones")
+	}
+}
+
+// TestEntriesBoundsRows: a cache of N entries, given the 17 catalog keys,
+// holds exactly the N most recently used rows, whichever keys they are.
+func TestEntriesBoundsRows(t *testing.T) {
+	catalog := append(proofs.Table2(), proofs.Extensions()...)
+	for _, n := range []int{4, 8} {
+		m := obs.NewRegistry()
+		c, err := New(Config{Entries: n, Metrics: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]Key, len(catalog))
+		for i, a := range catalog {
+			keys[i], _ = KeyFor(a, 0)
+			c.Put(keys[i], okRow(a.Instruction))
+		}
+		// Use the oldest survivor again, so recency, not insertion order,
+		// decides which row the next insert evicts.
+		oldest := len(keys) - n
+		if _, ok := lookup(c, keys[oldest]); !ok {
+			t.Fatalf("Entries %d: row %d of %d evicted early", n, oldest, len(keys))
+		}
+		c.Put(keys[0], okRow("again"))
+		if got := c.Len(); got != n {
+			t.Errorf("Entries %d: holds %d rows", n, got)
+		}
+		if g := m.Gauge("cache.entries", "mem"); g != int64(n) {
+			t.Errorf("Entries %d: cache.entries gauge %d", n, g)
+		}
+		for _, k := range append([]Key{keys[oldest], keys[0]}, keys[oldest+2:]...) {
+			if _, ok := lookup(c, k); !ok {
+				t.Errorf("Entries %d: one of the %d most recently used rows was evicted", n, n)
+			}
+		}
+		if _, ok := lookup(c, keys[oldest+1]); ok {
+			t.Errorf("Entries %d: the least recently used row survived", n)
+		}
+		if got := m.Counter("cache.evicted", ""); got != uint64(len(keys)+1-n) {
+			t.Errorf("Entries %d: %d evictions, want %d", n, got, len(keys)+1-n)
+		}
 	}
 }
 

@@ -32,6 +32,9 @@ import (
 	"extra/internal/obs"
 	"extra/internal/proofs"
 	"extra/internal/sim"
+	"extra/internal/sim/i8086"
+	"extra/internal/sim/ibm370"
+	"extra/internal/sim/vax"
 )
 
 // Options selects the generator's mechanisms, mainly so the benchmarks can
@@ -71,30 +74,89 @@ type Target interface {
 	ISA() *sim.ISA
 }
 
-// For returns the named target ("i8086", "vax", "ibm370"). Every target is
-// wrapped in a recovery boundary: a panic out of instruction selection
-// surfaces as a typed *fault.PanicError instead of crashing the compiler.
+// target is one machine's code generator. The machines differ only in
+// their entry of the targets table; all of them compile through the one
+// Compile below. A target from ForBinding also carries one binding of its
+// own, which replaces the catalog's under key.
+type target struct {
+	name     string
+	isa      func() *sim.ISA
+	frame    uint64 // variable i lives at frame + i*slot
+	slot     uint64
+	ins      func(*emitter, ir.Ins) error
+	clobbers func(sim.Instr) []string // for the register-preference pass
+
+	key     string        // the binding key bind replaces; "" for none
+	bind    *core.Binding // nil: no binding under key
+	bindErr error         // why bind is unusable; nil when it is usable
+}
+
+// targets is the table For looks names up in; each machine's frame
+// constant documents what its emitter does.
+var targets = [...]target{
+	{name: "i8086", isa: i8086.ISA, frame: frame8086, slot: 2, ins: (*emitter).ins8086, clobbers: clobbers8086},
+	{name: "vax", isa: vax.ISA, frame: frameVAX, slot: 4, ins: (*emitter).insVAX, clobbers: clobbersVAX},
+	{name: "ibm370", isa: ibm370.ISA, frame: frame370, slot: 4, ins: (*emitter).ins370, clobbers: clobbers370},
+}
+
+// For returns the named target ("i8086", "vax", "ibm370"), compiling with
+// the catalog's bindings.
 func For(name string) (Target, error) {
-	switch name {
-	case "i8086":
-		return guarded{target8086{}}, nil
-	case "vax":
-		return guarded{targetVAX{}}, nil
-	case "ibm370":
-		return guarded{target370{}}, nil
+	for i := range targets {
+		if targets[i].name == name {
+			return &targets[i], nil
+		}
 	}
 	return nil, fmt.Errorf("codegen: unknown target %q", name)
 }
 
-// guarded wraps a target's Compile in a panic-recovery boundary.
-type guarded struct{ t Target }
+// ForBinding is For with b in place of the catalog's binding under key; a
+// nil b means no binding, so the emitter that consults key decomposes its
+// operator. The discovery sweep measures a found binding's savings this
+// way, and the fault drill hands the generator a corrupt binding. Nothing
+// outside the returned target changes, so any number of them compile at
+// once.
+func ForBinding(name, key string, b *core.Binding) (Target, error) {
+	t, err := For(name)
+	if err != nil {
+		return nil, err
+	}
+	own := *t.(*target)
+	own.key, own.bind = key, b
+	if b == nil {
+		own.bindErr = fmt.Errorf("codegen: no binding %q", key)
+	} else {
+		own.bindErr = b.Validate()
+	}
+	return &own, nil
+}
 
-func (g guarded) Name() string  { return g.t.Name() }
-func (g guarded) ISA() *sim.ISA { return g.t.ISA() }
+func (t *target) Name() string  { return t.name }
+func (t *target) ISA() *sim.ISA { return t.isa() }
 
-func (g guarded) Compile(p *ir.Prog, o Options) (_ *Program, err error) {
-	defer fault.RecoverInto(&err, "codegen."+g.t.Name())
-	return g.t.Compile(p, o)
+// Compile translates p for the target's machine. It is a recovery
+// boundary: a panic out of instruction selection surfaces as a typed
+// *fault.PanicError instead of crashing the compiler.
+func (t *target) Compile(p *ir.Prog, o Options) (_ *Program, err error) {
+	defer fault.RecoverInto(&err, "codegen."+t.name)
+	if err := p.Check(); err != nil {
+		return nil, err
+	}
+	e := &emitter{t: t, varAddr: map[string]uint64{}, opts: o}
+	for i, v := range p.Vars() {
+		e.varAddr[v] = t.frame + uint64(i)*t.slot
+	}
+	for _, ins := range p.Ins {
+		if err := t.ins(e, ins); err != nil {
+			return nil, err
+		}
+	}
+	e.emit(sim.Ins("hlt"))
+	code := e.code
+	if o.RegPref {
+		code = regPref(code, t.clobbers)
+	}
+	return &Program{Target: t.name, Code: code, Data: e.data, VarAddr: e.varAddr}, nil
 }
 
 // Targets lists the supported target names.
@@ -116,19 +178,21 @@ func Run(t Target, p *Program, maxSteps int) (*sim.Machine, error) {
 }
 
 // bindings caches the proof results so each compile does not re-run the
-// analyses. The code generator is a consumer of EXTRA's output, exactly as
-// the paper prescribes.
+// analyses, and each binding's Validate result beside it. The code
+// generator is a consumer of EXTRA's output, exactly as the paper
+// prescribes.
 var (
-	bindOnce sync.Once
-	bindMap  map[string]*core.Binding
-	bindErr  error
+	bindOnce  sync.Once
+	bindMap   map[string]*core.Binding
+	bindValid map[string]error
+	bindErr   error
 )
 
 // Bindings returns the analysis results keyed "machine/instruction/operator"
 // (e.g. "Intel 8086/scasb/index").
 func Bindings() (map[string]*core.Binding, error) {
 	bindOnce.Do(func() {
-		bindMap = map[string]*core.Binding{}
+		bindMap, bindValid = map[string]*core.Binding{}, map[string]error{}
 		all := append(proofs.Table2(), proofs.Extensions()...)
 		for _, a := range all {
 			_, b, err := a.Run()
@@ -136,56 +200,21 @@ func Bindings() (map[string]*core.Binding, error) {
 				bindErr = fmt.Errorf("codegen: analysis %s/%s failed: %v", a.Instruction, a.Operator, err)
 				return
 			}
-			bindMap[a.Machine+"/"+a.Instruction+"/"+a.Operator] = b
+			key := a.Machine + "/" + a.Instruction + "/" + a.Operator
+			bindMap[key], bindValid[key] = b, b.Validate()
 		}
 	})
 	return bindMap, bindErr
 }
 
-// overrides, when non-nil, shadows the computed binding table; the
-// fault-injection harness uses it to present the generator with corrupt or
-// missing bindings without re-running the analyses.
-var (
-	overrideMu sync.RWMutex
-	overrides  map[string]*core.Binding
-)
-
-// InjectBindings installs an override binding table consulted before the
-// analysis results: a key present in m (even with a nil or corrupt value)
-// replaces the real binding. It returns a restore function that removes the
-// overrides. This is a test seam for the fault-injection harness.
-func InjectBindings(m map[string]*core.Binding) (restore func()) {
-	overrideMu.Lock()
-	prev := overrides
-	merged := map[string]*core.Binding{}
-	for k, v := range prev {
-		merged[k] = v
-	}
-	for k, v := range m {
-		merged[k] = v
-	}
-	overrides = merged
-	overrideMu.Unlock()
-	return func() {
-		overrideMu.Lock()
-		overrides = prev
-		overrideMu.Unlock()
-	}
-}
-
-// binding fetches one binding, consulting the override table first. A
+// binding returns the binding t compiles key with, or why there is no
+// usable one: t's own under its key, the catalog's under any other. A
 // missing binding is an error — whether the caller treats that as fatal or
 // degrades to decomposition is the emitter's choice (see usableBinding).
-func binding(key string) (*core.Binding, error) {
-	overrideMu.RLock()
-	if b, ok := overrides[key]; ok {
-		overrideMu.RUnlock()
-		if b == nil {
-			return nil, fmt.Errorf("codegen: no binding %q", key)
-		}
-		return b, nil
+func (t *target) binding(key string) (*core.Binding, error) {
+	if key == t.key {
+		return t.bind, t.bindErr
 	}
-	overrideMu.RUnlock()
 	bs, err := Bindings()
 	if err != nil {
 		return nil, err
@@ -194,31 +223,7 @@ func binding(key string) (*core.Binding, error) {
 	if !ok {
 		return nil, fmt.Errorf("codegen: no binding %q", key)
 	}
-	return b, nil
-}
-
-// validCache memoizes Binding.Validate per binding pointer, so the
-// structural check costs one map hit per compile after the first.
-var validCache sync.Map // *core.Binding -> error (nil for valid)
-
-func validatedBinding(key string) (*core.Binding, error) {
-	b, err := binding(key)
-	if err != nil {
-		return nil, err
-	}
-	if v, ok := validCache.Load(b); ok {
-		if v == nil {
-			return b, nil
-		}
-		return nil, v.(error)
-	}
-	err = b.Validate()
-	if err == nil {
-		validCache.Store(b, nil)
-		return b, nil
-	}
-	validCache.Store(b, err)
-	return nil, err
+	return b, bindValid[key]
 }
 
 // usableBinding fetches and structurally validates a binding for op. On any
@@ -228,14 +233,14 @@ func validatedBinding(key string) (*core.Binding, error) {
 // primitive loop instead of aborting the whole compilation. The emitted
 // program stays correct; only the exotic instruction is lost.
 func (e *emitter) usableBinding(key, op string) *core.Binding {
-	b, err := validatedBinding(key)
+	b, err := e.t.binding(key)
 	if err == nil {
 		return b
 	}
-	obs.Default().Inc("codegen.fallback", e.target+"/"+op)
+	obs.Default().Inc("codegen.fallback", e.t.name+"/"+op)
 	if tr := obs.Trace(); tr.Enabled() {
 		tr.Event("codegen.fallback", map[string]any{
-			"target": e.target, "op": op, "binding": key,
+			"target": e.t.name, "op": op, "binding": key,
 			"class": fault.Classify(err), "detail": err.Error(),
 		})
 	}
@@ -275,20 +280,12 @@ func offsetFor(b *core.Binding, operand string) int64 {
 
 // emitter is the shared per-compilation state.
 type emitter struct {
-	target  string
+	t       *target
 	code    []sim.Instr
 	data    []DataSeg
 	varAddr map[string]uint64
 	nlabel  int
 	opts    Options
-}
-
-func newEmitter(target string, p *ir.Prog, frameBase uint64, slot uint64, o Options) *emitter {
-	e := &emitter{target: target, varAddr: map[string]uint64{}, opts: o}
-	for i, v := range p.Vars() {
-		e.varAddr[v] = frameBase + uint64(i)*slot
-	}
-	return e
 }
 
 func (e *emitter) emit(ins ...sim.Instr) { e.code = append(e.code, ins...) }
@@ -303,10 +300,10 @@ func (e *emitter) noteEmit(op string, exotic bool) {
 	if exotic {
 		kind = "exotic"
 	}
-	obs.Default().Inc("codegen."+kind, e.target+"/"+op)
+	obs.Default().Inc("codegen."+kind, e.t.name+"/"+op)
 	if tr := obs.Trace(); tr.Enabled() {
 		tr.Event("codegen.emit", map[string]any{
-			"target": e.target, "op": op, "kind": kind,
+			"target": e.t.name, "op": op, "kind": kind,
 		})
 	}
 }

@@ -5,39 +5,14 @@ import (
 
 	"extra/internal/ir"
 	"extra/internal/sim"
-	"extra/internal/sim/i8086"
 )
 
-// target8086 compiles for the Intel 8086. Variables are 16-bit words in a
-// frame at frame8086; exotic operators use the bindings for movsb
-// (Pascal sassign), scasb (Rigel index) and cmpsb (Pascal scompare), plus
-// rep stosb for Clear. The 8086's 16-bit word makes every length-range
-// constraint trivially satisfied, exactly as the paper notes in section
-// 4.1.
-type target8086 struct{}
-
+// frame8086 is the Intel 8086's frame: variables are 16-bit words from
+// here on. Exotic operators use the bindings for movsb (Pascal sassign),
+// scasb (Rigel index) and cmpsb (Pascal scompare), plus rep stosb for
+// Clear. The 8086's 16-bit word makes every length-range constraint
+// trivially satisfied, exactly as the paper notes in section 4.1.
 const frame8086 = 0xF000
-
-func (target8086) Name() string  { return "i8086" }
-func (target8086) ISA() *sim.ISA { return i8086.ISA() }
-
-func (t target8086) Compile(p *ir.Prog, o Options) (*Program, error) {
-	if err := p.Check(); err != nil {
-		return nil, err
-	}
-	e := newEmitter("i8086", p, frame8086, 2, o)
-	for _, ins := range p.Ins {
-		if err := e.ins8086(ins); err != nil {
-			return nil, err
-		}
-	}
-	e.emit(sim.Ins("hlt"))
-	code := e.code
-	if o.RegPref {
-		code = regPref(code, clobbers8086)
-	}
-	return &Program{Target: "i8086", Code: code, Data: e.data, VarAddr: e.varAddr}, nil
-}
 
 // load8086 brings an operand into a register (bx is the frame pointer
 // scratch; callers must not pass reg = "bx" for variable operands).

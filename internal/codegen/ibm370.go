@@ -5,43 +5,20 @@ import (
 
 	"extra/internal/ir"
 	"extra/internal/sim"
-	"extra/internal/sim/ibm370"
 )
 
-// target370 compiles for the IBM 370. Variables are 32-bit words in a
-// frame at frame370. The proved binding is mvc/sassign, whose coding
-// constraint (the length field holds Len-1) and range constraint
-// (1 <= Len <= 256) are applied here: constants outside the range are
-// rewritten into consecutive mvcs of at most 256 bytes; variable lengths
-// use a counted chunk loop (the register-length form via the EX idiom).
-// Clear uses the classic overlapping-mvc idiom: store one zero byte, then
-// propagate it with a forward mvc over the overlapping region. String
-// search and compare decompose (this reproduction proved no 370 bindings
-// for them; the hardware's trt/clc would be future analyses).
-type target370 struct{}
-
+// frame370 is the IBM 370's frame: variables are 32-bit words from here
+// on. Exotic operators use the bindings for mvc (Pascal sassign), clc
+// (Pascal scompare) and tr (xlate), whose coding constraint (the length
+// field holds Len-1) and range constraint (1 <= Len <= 256) are applied
+// here: constant moves outside the range are rewritten into consecutive
+// mvcs of at most 256 bytes; variable lengths use a counted chunk loop (the
+// register-length form via the EX idiom). Clear uses the classic
+// overlapping-mvc idiom: store one zero byte, then propagate it with a
+// forward mvc over the overlapping region. String search decomposes (this
+// reproduction proved no 370 binding for it; the hardware's trt would be a
+// future analysis).
 const frame370 = 0xF000
-
-func (target370) Name() string  { return "ibm370" }
-func (target370) ISA() *sim.ISA { return ibm370.ISA() }
-
-func (t target370) Compile(p *ir.Prog, o Options) (*Program, error) {
-	if err := p.Check(); err != nil {
-		return nil, err
-	}
-	e := newEmitter("ibm370", p, frame370, 4, o)
-	for _, ins := range p.Ins {
-		if err := e.ins370(ins); err != nil {
-			return nil, err
-		}
-	}
-	e.emit(sim.Ins("hlt"))
-	code := e.code
-	if o.RegPref {
-		code = regPref(code, clobbers370)
-	}
-	return &Program{Target: "ibm370", Code: code, Data: e.data, VarAddr: e.varAddr}, nil
-}
 
 func (e *emitter) load370(reg string, v ir.Value) {
 	if v.IsConst {

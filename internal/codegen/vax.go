@@ -5,41 +5,17 @@ import (
 
 	"extra/internal/ir"
 	"extra/internal/sim"
-	"extra/internal/sim/vax"
 )
 
-// targetVAX compiles for the VAX-11. Variables are 32-bit longwords in a
-// frame at frameVAX. Exotic operators use the bindings for movc3 (Pascal
-// sassign, the extended-mode analysis), movc5 (PC2 blkclr), locc (Rigel
-// index) and cmpc3 (Pascal scompare). String lengths on the VAX are
-// limited to 16 bits while the word is 32, the paper's example of a
-// non-trivial range constraint — satisfied statically for constants, and
-// otherwise by the constraint-satisfaction rewriting rule that moves
-// consecutive substrings of at most 65535 bytes.
-type targetVAX struct{}
-
+// frameVAX is the VAX-11's frame: variables are 32-bit longwords from here
+// on. Exotic operators use the bindings for movc3 (Pascal sassign, the
+// extended-mode analysis), movc5 (PC2 blkclr), locc (Rigel index) and
+// cmpc3 (Pascal scompare). String lengths on the VAX are limited to 16
+// bits while the word is 32, the paper's example of a non-trivial range
+// constraint — satisfied statically for constants, and otherwise by the
+// constraint-satisfaction rewriting rule that moves consecutive substrings
+// of at most 65535 bytes.
 const frameVAX = 0xF000
-
-func (targetVAX) Name() string  { return "vax" }
-func (targetVAX) ISA() *sim.ISA { return vax.ISA() }
-
-func (t targetVAX) Compile(p *ir.Prog, o Options) (*Program, error) {
-	if err := p.Check(); err != nil {
-		return nil, err
-	}
-	e := newEmitter("vax", p, frameVAX, 4, o)
-	for _, ins := range p.Ins {
-		if err := e.insVAX(ins); err != nil {
-			return nil, err
-		}
-	}
-	e.emit(sim.Ins("hlt"))
-	code := e.code
-	if o.RegPref {
-		code = regPref(code, clobbersVAX)
-	}
-	return &Program{Target: "vax", Code: code, Data: e.data, VarAddr: e.varAddr}, nil
-}
 
 // loadVAX brings an operand into a register (r11 is the frame scratch).
 func (e *emitter) loadVAX(reg string, v ir.Value) {

@@ -236,12 +236,9 @@ func (s *Sweep) openWAL(path string) error {
 	}
 	s.rows = make([]*Result, len(s.cands))
 	if s.cfg.Resume {
-		rows, config, err := batch.ReadJournal[Result](path)
+		rows, err := batch.ResumeJournal[Result](path, s.digest)
 		if err != nil {
 			return fmt.Errorf("discover: %w", err)
-		}
-		if config != "" && config != s.digest {
-			return fmt.Errorf("discover: journal %s was written under config %s, this run is %s (different candidate set, ladder, or timeout); resume with matching flags or start fresh", path, config, s.digest)
 		}
 		for _, r := range rows {
 			i, known := byKey[r.Key()]

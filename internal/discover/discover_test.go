@@ -368,6 +368,26 @@ func TestSweepResumeRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestSweepResumeRejectsHeaderlessWAL: a WAL whose rows carry no config
+// header says nothing about the configuration they ran under, so resume
+// refuses it instead of carrying them over.
+func TestSweepResumeRejectsHeaderlessWAL(t *testing.T) {
+	cfg := testConfig(t, t.TempDir())
+	runSweep(t, cfg)
+	data, err := os.ReadFile(walPath(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rows, _ := strings.Cut(string(data), "\n") // drop the header line
+	if err := os.WriteFile(walPath(cfg), []byte(rows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = true
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "no config header") {
+		t.Fatalf("resume over a headerless WAL: err = %v, want a refusal", err)
+	}
+}
+
 func TestSweepRefusesExistingJournalWithoutResume(t *testing.T) {
 	cfg := testConfig(t, t.TempDir())
 	runSweep(t, cfg)

@@ -36,8 +36,8 @@ func (e *PanicError) Error() string {
 // *PanicError stored in *errp. Any error already in *errp is replaced —
 // the panic is the more urgent report.
 //
-//	func (t target) Compile(...) (prog *Program, err error) {
-//		defer fault.RecoverInto(&err, "codegen."+t.Name())
+//	func (t *target) Compile(...) (prog *Program, err error) {
+//		defer fault.RecoverInto(&err, "codegen."+t.name)
 //		...
 func RecoverInto(errp *error, op string) {
 	if r := recover(); r != nil {

@@ -244,24 +244,20 @@ end`)
 	checkGoroutines(t, base)
 }
 
-// TestChaosCorruptBindingFallback: a structurally corrupt binding injected
-// into the code generator demotes the operation to its decomposition loop
-// — the compile succeeds and the degradation is counted.
+// TestChaosCorruptBindingFallback: a structurally corrupt binding handed to
+// the code generator in place of the catalog's demotes the operation to its
+// decomposition loop — the compile succeeds and the degradation is counted.
 func TestChaosCorruptBindingFallback(t *testing.T) {
 	base := runtime.NumGoroutine()
 	prev := obs.SetDefault(obs.NewRegistry())
 	defer obs.SetDefault(prev)
 
-	restore := codegen.InjectBindings(map[string]*core.Binding{
-		"Intel 8086/scasb/index": {Instruction: "scasb", Operation: "index"},
-	})
-	defer restore()
-
 	prog, err := hll.Parse("data 100 \"needle in a haystack\"\nlet i = index 100 19 'x'\nprint i\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg, err := codegen.For("i8086")
+	tg, err := codegen.ForBinding("i8086", "Intel 8086/scasb/index",
+		&core.Binding{Instruction: "scasb", Operation: "index"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func synthBinding(cfg Config, b *Binding) *BindingReport {
 	err := func() (err error) {
 		defer fault.RecoverInto(&err, "synth "+b.Key)
 		obs.Default().Inc("synth.binding", b.Target)
-		src, err := Workload(b.Class, workLen, canonicalData(workLen))
+		src, err := BaseWorkload(b.Class)
 		if err != nil {
 			return err
 		}

@@ -9,8 +9,60 @@ import (
 	"testing"
 
 	"extra/internal/codegen"
+	"extra/internal/hll"
+	"extra/internal/obs"
 	"extra/internal/sim"
 )
+
+// TestCatalogIsTheEmittersTable: every Catalog site is a binding key its
+// target's emitter consults for the site's class. Its base workload
+// compiles to the exotic instruction with the catalog's bindings, and with
+// no binding under the site's key it falls back exactly once and emits
+// nothing exotic. A key renamed in an emitter but not here, or the
+// reverse, fails.
+func TestCatalogIsTheEmittersTable(t *testing.T) {
+	prev := obs.SetDefault(obs.NewRegistry())
+	defer obs.SetDefault(prev)
+	for _, site := range Catalog {
+		src, err := BaseWorkload(site.Class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := hll.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := site.Class
+		if op == "xlate" {
+			op = "translate" // the emitters' name for the operation
+		}
+		catalog, err := codegen.For(site.Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		without, err := codegen.ForBinding(site.Target, site.Key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tg := range []codegen.Target{catalog, without} {
+			reg := obs.NewRegistry()
+			obs.SetDefault(reg)
+			if _, err := tg.Compile(prog, codegen.AllOn()); err != nil {
+				t.Fatalf("%s: %v", site.Key, err)
+			}
+			exotic, fallback := reg.Total("codegen.exotic"), reg.Total("codegen.fallback")
+			label := site.Target + "/" + op
+			if n := reg.Counter("codegen.exotic", label); tg == catalog && (n == 0 || fallback != 0) {
+				t.Errorf("%s: with the catalog's bindings, codegen.exotic[%s] = %d and %d fallbacks, want exotic and none",
+					site.Key, label, n, fallback)
+			}
+			if tg == without && (exotic != 0 || fallback != 1) {
+				t.Errorf("%s: with no binding under the key, %d exotic and %d fallbacks, want 0 and 1",
+					site.Key, exotic, fallback)
+			}
+		}
+	}
+}
 
 // TestFullCatalogVerifies is the acceptance gate: every catalog binding
 // must yield at least five differentially verified, cycle-ranked variants

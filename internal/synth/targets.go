@@ -63,6 +63,20 @@ func Find(key string) *Binding {
 	return nil
 }
 
+// EmitterFor returns the emission site that would use a binding of the
+// machine's instruction for an operator of the given class, or nil when no
+// emitter consults one (no cycle-costed simulator, or an instruction the
+// generator never emits).
+func EmitterFor(machine, instruction, class string) *Binding {
+	for i := range Catalog {
+		b := &Catalog[i]
+		if strings.HasPrefix(b.Key, machine+"/") && b.Instruction == instruction && b.Class == class {
+			return b
+		}
+	}
+	return nil
+}
+
 // Workload layout shared by every class: the operand block at 1024, a
 // second block (move destination, compare right-hand side) at 2048, the
 // translate table at 4096. The blocks never collide up to the 257-byte
@@ -105,6 +119,13 @@ func Workload(class string, n int, data []byte) (string, error) {
 		return "", fmt.Errorf("synth: unknown operator class %q", class)
 	}
 	return b.String(), nil
+}
+
+// BaseWorkload is the HLL source of a class's base workload: workLen bytes
+// of canonicalData, the block synthesis ranks variants on and discovery
+// measures a found binding's savings on.
+func BaseWorkload(class string) (string, error) {
+	return Workload(class, workLen, canonicalData(workLen))
 }
 
 // canonicalData builds the standard 63-byte block every binding's base
