@@ -125,27 +125,36 @@ test "$COLD_NS" -ge "$((5 * WARM_NS))"
 # operands' positions once, runs each side on one reused interpreter
 # Runner and one reused State over the generator's image as a shared
 # read-only base, and counts its runs into the metrics registry once per
-# validation. No map is made, assigned, cleared or ranged per round: the
-# states' paged overlays are reset by walking their write logs and keep
-# their pages for the next round, and the memory compare reads the logged
-# addresses. The flagship binding's 300-input validation is gated at
-# <= 1448 allocs/op (1,433 measured in 10 of 10 runs, + 1%; 1,453 with a
-# Mem map per side, 3,249 with a machine and a Result per run, 12,279
-# with the tree-walking engine, 2,033 with a name-keyed operand map per
-# round): a change that brings back per-run machines, per-input parsing,
-# name tables or image copies fails here. scasb/index writes no memory and
-# has no predicate, so the whole catalog (17 bindings, 100 inputs each) is
-# gated too, at <= 10358 allocs/op (10,255 measured in 10 of 10 runs, +
-# 1%; 10,598 with a Mem map per side, 11,855 with a fresh page per round,
-# 23,755 with a name-keyed operand map per round): a per-round page or map
-# allocation, or a per-run allocation on the store or predicate path,
-# fails there. The one-shot interpreter row has no gate beyond running
-# cleanly.
+# validation. Validation makes, assigns and ranges no map of its own per
+# round: the states' paged overlays are reset by walking their write logs
+# and keep their pages for the next round, and the memory compare reads
+# the logged addresses. The generators draw each image in place into a map
+# from core.NewImage, which a finished round clears and returns to its
+# size class's pool, so a warm round allocates only the generator's
+# operand vector. The flagship binding's 300-input validation is gated at
+# <= 437 allocs/op (433 measured in 10 of 10 runs, + 1%; 1,161 with a
+# fresh image map per input, 1,433 with a content slice per input as well,
+# 1,453 with a Mem map per side too, 3,249 with a machine and a Result per
+# run, 12,279 with the tree-walking engine, 2,033 with a name-keyed
+# operand map per round): a change that brings back per-run machines,
+# per-input parsing, name tables, image copies or per-input images fails
+# here. scasb/index writes no memory and has no predicate, so the whole
+# catalog (17 bindings, 100 inputs each) is gated too, at <= 3651
+# allocs/op and <= 311890 B/op (3,614-3,615 and 308,780-308,802 B in 10
+# runs, + 1%; 8,164 and 1,717,977 B with a fresh image map per input,
+# whose largest is tr/xlate's 257-266 bytes, 10,255 and 1,728,203 B with
+# content slices as well; 10,598 with a Mem map per side too, 11,855 with
+# a fresh page per round, 23,755 with a name-keyed operand map per round):
+# a per-round image, page or map allocation, or a per-run allocation on
+# the store or predicate path, fails there. The one-shot interpreter row
+# has no gate beyond running cleanly.
 bench -bench 'BenchmarkTable2Validation$|BenchmarkCatalogValidation$|BenchmarkInterpreter$' -benchmem -benchtime 100x -count 1 -cpu 1 .
 VAL_ALLOCS=$(metric '^BenchmarkTable2Validation' allocs/op "$BENCH")
 CATVAL_ALLOCS=$(metric '^BenchmarkCatalogValidation' allocs/op "$BENCH")
-test "$VAL_ALLOCS" -le 1448
-test "$CATVAL_ALLOCS" -le 10358
+CATVAL_BYTES=$(metric '^BenchmarkCatalogValidation' B/op "$BENCH")
+test "$VAL_ALLOCS" -le 437
+test "$CATVAL_ALLOCS" -le 3651
+test "$CATVAL_BYTES" -le 311890
 
 # Table 2 and auto-search allocation gates. TABLE2_ALLOCS sums the eleven
 # scripted analyses (12,854-12,859 in 10 runs -> <= 12988; 13,171 with

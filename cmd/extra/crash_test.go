@@ -227,8 +227,9 @@ func TestBatchSIGINTLeavesValidJournal(t *testing.T) {
 }
 
 // serveJournal runs `extra serve -validate VALIDATE -journal PATH` in
-// process, sends it one /analyze request per pair, and drains it.
-func serveJournal(t *testing.T, path, validate string, pairs ...string) {
+// process, sends it one /analyze request per query (such as
+// "pair=scasb/index"), each of which must answer status, and drains it.
+func serveJournal(t *testing.T, path, validate string, status int, queries ...string) {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -250,14 +251,14 @@ func serveJournal(t *testing.T, path, validate string, pairs ...string) {
 		t.Fatalf("serve did not start: %q %v %v", line, err, <-done)
 	}
 	addr := strings.TrimSpace(strings.TrimPrefix(line, "serving on "))
-	for _, pair := range pairs {
-		resp, err := http.Post("http://"+addr+"/analyze?pair="+pair, "", nil)
+	for _, q := range queries {
+		resp, err := http.Post("http://"+addr+"/analyze?"+q, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/analyze %s: %s", pair, resp.Status)
+		if resp.StatusCode != status {
+			t.Fatalf("/analyze?%s: %s, want %d", q, resp.Status, status)
 		}
 	}
 	http.DefaultClient.CloseIdleConnections()
@@ -279,8 +280,8 @@ func TestResumeFromServeJournal(t *testing.T) {
 	}
 	dir := t.TempDir()
 	j0, j50 := filepath.Join(dir, "serve0.jsonl"), filepath.Join(dir, "serve50.jsonl")
-	serveJournal(t, j0, "0", "movsb/sassign", "scasb/index")
-	serveJournal(t, j50, "50", "movsb/sassign", "scasb/index")
+	serveJournal(t, j0, "0", http.StatusOK, "pair=movsb/sassign", "pair=scasb/index")
+	serveJournal(t, j50, "50", http.StatusOK, "pair=movsb/sassign", "pair=scasb/index")
 
 	refused := filepath.Join(dir, "refused.jsonl")
 	err := runQuiet(t, strings.Fields("batch -jobs 2 -validate 50 -resume "+j0+" -jsonl "+refused))
@@ -322,5 +323,32 @@ func TestResumeFromServeJournal(t *testing.T) {
 	}
 	if got, want := normalize(resumed), normalize(fresh); got != want {
 		t.Errorf("report resumed from a serve journal differs from a fresh run:\n--- resumed\n%s--- fresh\n%s", got, want)
+	}
+}
+
+// TestResumeReRunsServeTimeout: a request's ?timeout= is not part of a
+// journal's config, so the "timeout" row it leaves in a serve journal
+// must not stand for its pair in a batch resumed from that journal. The
+// resumed batch re-runs the pair, reports 17 ok rows and exits 0.
+func TestResumeReRunsServeTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serves and runs a full batch run")
+	}
+	dir := t.TempDir()
+	served, report := filepath.Join(dir, "serve.jsonl"), filepath.Join(dir, "out.jsonl")
+	serveJournal(t, served, "0", http.StatusGatewayTimeout, "pair=mvc/sassign&timeout=1ns")
+	rows, _, err := batch.ReadJournal[batch.Result](served)
+	if err != nil || len(rows) != 1 || rows[0].Outcome != "timeout" {
+		t.Fatalf("serve journal: %v (%v), want one timeout row", rows, err)
+	}
+	if err := runQuiet(t, strings.Fields("batch -jobs 2 -resume "+served+" -jsonl "+report)); err != nil {
+		t.Fatalf("batch resumed from a serve journal with a timeout row: %v", err)
+	}
+	rows, _, err = batch.ReadJournal[batch.Result](report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := batch.Summary(rows); len(rows) != 17 || got["ok"] != 17 {
+		t.Errorf("resumed report: %d rows, %v; want 17 ok", len(rows), got)
 	}
 }

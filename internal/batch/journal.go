@@ -294,14 +294,15 @@ func ReadJournal[R any](path string) (rows []R, config string, err error) {
 }
 
 // CompletedFrom builds the Runner.Completed skip set from journaled rows:
-// last row per key wins (a serve journal holds one row per request, so a
-// pair can repeat), and
-// "canceled" rows are dropped — a row that was cut by the dying run's
-// context must re-run on resume.
+// the last row per key wins (a serve journal holds one row per request, so
+// a pair can repeat), and a "canceled" or "timeout" row drops its key. Both
+// were cut short by something the journal's config digest does not
+// record: the dying run's context, or a deadline (batch's -each-timeout,
+// one serve request's ?timeout=). So the pair must run again on resume.
 func CompletedFrom(rows []Result) map[string]Result {
 	done := make(map[string]Result, len(rows))
 	for _, r := range rows {
-		if r.Outcome == "canceled" {
+		if r.Outcome == "canceled" || r.Outcome == "timeout" {
 			delete(done, r.Key())
 			continue
 		}

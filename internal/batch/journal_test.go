@@ -118,8 +118,8 @@ func TestJournalMissingFile(t *testing.T) {
 	}
 }
 
-// TestCompletedFrom: last row per key wins and canceled rows are dropped —
-// they must re-run on resume.
+// TestCompletedFrom: last row per key wins, and canceled and timed-out
+// rows are dropped — they must re-run on resume.
 func TestCompletedFrom(t *testing.T) {
 	a := Result{Machine: "m", Instruction: "i", Language: "l", Operation: "o", Operator: "p", Outcome: "panic"}
 	aAgain := a
@@ -127,9 +127,12 @@ func TestCompletedFrom(t *testing.T) {
 	b := Result{Machine: "m", Instruction: "j", Language: "l", Operation: "o", Operator: "q", Outcome: "ok"}
 	bCanceled := b
 	bCanceled.Outcome = "canceled"
-	done := CompletedFrom([]Result{a, b, aAgain, bCanceled})
+	c := Result{Machine: "m", Instruction: "k", Language: "l", Operation: "o", Operator: "r", Outcome: "ok"}
+	cTimeout := c
+	cTimeout.Outcome = "timeout"
+	done := CompletedFrom([]Result{a, b, c, aAgain, bCanceled, cTimeout})
 	if len(done) != 1 {
-		t.Fatalf("%d completed keys, want 1 (canceled dropped, duplicate collapsed): %v", len(done), done)
+		t.Fatalf("%d completed keys, want 1 (canceled and timeout dropped, duplicate collapsed): %v", len(done), done)
 	}
 	if got := done[a.Key()]; got.Outcome != "ok" {
 		t.Errorf("key %s: outcome %s, want the later row to win", a.Key(), got.Outcome)

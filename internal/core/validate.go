@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"extra/internal/constraint"
 	"extra/internal/interp"
@@ -15,7 +17,39 @@ import (
 // final input signature) together with an initial memory image. Generators
 // are analysis-specific: a string search wants a string in memory and a
 // small alphabet so hits occur; a list search wants a linked list.
+//
+// Once a generator returns an image, the image belongs to the validation,
+// which may clear it and hand it to a later NewImage. So a generator must
+// return a map it does not keep; NewImage is where it takes one.
 type InputGen func(rng *rand.Rand) (opInputs []uint64, mem map[uint64]byte)
+
+// imagePools holds the images validation rounds are done with, cleared,
+// one pool per size class: pool c holds the images whose length n had
+// bits.Len(n) = c when they were returned. The classes keep tr/xlate's
+// 266-byte images away from a generator that writes ten bytes, whose
+// rounds would otherwise pay to clear a big map.
+var imagePools [bits.UintSize + 1]sync.Pool
+
+// NewImage returns an empty memory image for a generator that writes n
+// bytes into it: one a validation round cleared and returned to the pool
+// of n's size class, or a fresh map sized for n.
+func NewImage(n int) map[uint64]byte {
+	if m, ok := imagePools[bits.Len(uint(n))].Get().(map[uint64]byte); ok {
+		return m
+	}
+	return make(map[uint64]byte, n)
+}
+
+// recycleImage clears a round's image and returns it to the pool of its
+// length's size class. Nothing may hold the image afterwards.
+func recycleImage(m map[uint64]byte) {
+	if m == nil {
+		return
+	}
+	c := bits.Len(uint(len(m)))
+	clear(m)
+	imagePools[c].Put(m)
+}
 
 // ValidateBinding executes the operator description and the customized
 // (simplified + augmented) instruction variant on `rounds` generated inputs
@@ -93,7 +127,8 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 	}
 	// Both sides run over the generator's image as a shared read-only
 	// base, each writing into its own overlay, reset between rounds.
-	// Registers are not observed (nil Regs).
+	// Registers are not observed (nil Regs). A round that returns to the
+	// loop, checked or skipped, recycles its image once no state holds it.
 	var st1, st2 interp.State
 	rng := rand.New(rand.NewSource(seed))
 	checked := 0
@@ -119,6 +154,7 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 			sat++
 		}
 		if !ok {
+			recycleImage(mem)
 			continue
 		}
 		st1.ResetMem()
@@ -143,6 +179,8 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 			return checked, fmt.Errorf("core: binding refuted on inputs %v: final memories differ", opIn)
 		}
 		checked++
+		st1.Base, st2.Base = nil, nil
+		recycleImage(mem)
 	}
 	if checked == 0 {
 		return 0, fmt.Errorf("core: no generated inputs satisfied the binding's constraints")

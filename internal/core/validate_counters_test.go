@@ -24,36 +24,11 @@ import (
 // recount of the same seeded inputs finds, and add one interp.steps sample
 // per description that ran.
 func TestValidationCountersExact(t *testing.T) {
-	bind := func(a *proofs.Analysis) *core.Binding {
-		t.Helper()
-		_, b, err := a.Run()
-		if err != nil {
-			t.Fatalf("%s/%s: %v", a.Instruction, a.Operator, err)
-		}
-		return b
-	}
 	// movc3/sassign carries the catalog's one predicate constraint.
 	sassign := proofs.Movc3PascalExtended()
-	movc3 := bind(sassign)
-	// movsb/sassign's variant, corrupted to write a byte the operator
-	// does not whenever the length is 7.
+	movc3 := bindingOf(t, sassign)
 	movsb := proofs.MovsbPascal()
-	corrupt := *bind(movsb)
-	stray, err := isps.ParseStmt("if cx = 7 then Mb[9999] <- 1; end_if;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, ok := isps.Find(corrupt.Variant, func(n isps.Node) bool {
-		_, is := n.(*isps.InputStmt)
-		return is
-	})
-	if !ok {
-		t.Fatal("movsb variant has no input statement")
-	}
-	blk, idx := in.Parent()
-	if corrupt.Variant, err = corrupt.Variant.SpliceAtDesc(blk, idx+1, 0, stray); err != nil {
-		t.Fatal(err)
-	}
+	corrupt := corruptMovsb(t)
 
 	for _, tc := range []struct {
 		name     string
@@ -63,7 +38,7 @@ func TestValidationCountersExact(t *testing.T) {
 		want     func(error) bool
 	}{
 		{"passes", movc3, sassign.Gen, 0, func(err error) bool { return err == nil }},
-		{"refuted", &corrupt, movsb.Gen, 0, func(err error) bool {
+		{"refuted", corrupt, movsb.Gen, 0, func(err error) bool {
 			return err != nil && strings.Contains(err.Error(), "final memories differ")
 		}},
 		{"cancelled", movc3, sassign.Gen, 40, func(err error) bool { return errors.Is(err, context.Canceled) }},
@@ -71,30 +46,14 @@ func TestValidationCountersExact(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const rounds, seed = 300, 7
 			names := []string{tc.b.Operator.Name, tc.b.Variant.Name}
-			label := tc.b.Instruction + "/" + tc.b.Operation
-			reg := obs.Default()
-			series := []string{"constraint.check sat", "constraint.check unsat", "validate.runs"}
-			for _, n := range names {
-				series = append(series, "interp.run "+n, "interp.run.err "+n, "interp.steps samples "+n)
-			}
-			read := func() []uint64 {
-				v := []uint64{
-					reg.Counter("constraint.check", "sat"),
-					reg.Counter("constraint.check", "unsat"),
-					reg.Counter("validate.runs", label),
-				}
-				for _, n := range names {
-					v = append(v, reg.Counter("interp.run", n), reg.Counter("interp.run.err", n), stepSamples(reg, n))
-				}
-				return v
-			}
-			before := read()
+			series := counterSeries(tc.b)
+			before := validationCounters(tc.b)
 			ctx, gen := cancelling(tc.gen, tc.cancelAt)
 			_, err := core.ValidateBindingCtx(ctx, tc.b, gen, rounds, seed)
 			if !tc.want(err) {
 				t.Fatalf("validation returned %v", err)
 			}
-			after := read()
+			after := validationCounters(tc.b)
 
 			ctx, gen = cancelling(tc.gen, tc.cancelAt)
 			rc := recount(t, ctx, tc.b, gen, rounds, seed)
@@ -116,6 +75,64 @@ func TestValidationCountersExact(t *testing.T) {
 			}
 		})
 	}
+}
+
+// bindingOf runs a's analysis and returns its binding.
+func bindingOf(t *testing.T, a *proofs.Analysis) *core.Binding {
+	t.Helper()
+	_, b, err := a.Run()
+	if err != nil {
+		t.Fatalf("%s/%s: %v", a.Instruction, a.Operator, err)
+	}
+	return b
+}
+
+// corruptMovsb returns movsb/sassign's binding with its variant corrupted
+// to write a byte the operator does not whenever the length is 7.
+func corruptMovsb(t *testing.T) *core.Binding {
+	t.Helper()
+	corrupt := *bindingOf(t, proofs.MovsbPascal())
+	stray, err := isps.ParseStmt("if cx = 7 then Mb[9999] <- 1; end_if;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, ok := isps.Find(corrupt.Variant, func(n isps.Node) bool {
+		_, is := n.(*isps.InputStmt)
+		return is
+	})
+	if !ok {
+		t.Fatal("movsb variant has no input statement")
+	}
+	blk, idx := in.Parent()
+	if corrupt.Variant, err = corrupt.Variant.SpliceAtDesc(blk, idx+1, 0, stray); err != nil {
+		t.Fatal(err)
+	}
+	return &corrupt
+}
+
+// counterSeries names the registry series a validation of b moves, in the
+// order validationCounters reads them.
+func counterSeries(b *core.Binding) []string {
+	series := []string{"constraint.check sat", "constraint.check unsat", "validate.runs"}
+	for _, n := range []string{b.Operator.Name, b.Variant.Name} {
+		series = append(series, "interp.run "+n, "interp.run.err "+n, "interp.steps samples "+n)
+	}
+	return series
+}
+
+// validationCounters reads the series counterSeries names from the
+// process registry.
+func validationCounters(b *core.Binding) []uint64 {
+	reg := obs.Default()
+	v := []uint64{
+		reg.Counter("constraint.check", "sat"),
+		reg.Counter("constraint.check", "unsat"),
+		reg.Counter("validate.runs", b.Instruction+"/"+b.Operation),
+	}
+	for _, n := range []string{b.Operator.Name, b.Variant.Name} {
+		v = append(v, reg.Counter("interp.run", n), reg.Counter("interp.run.err", n), stepSamples(reg, n))
+	}
+	return v
 }
 
 // cancelling returns a context and a generator that draws from gen and,

@@ -39,7 +39,7 @@ func StosbBlkclr() *Analysis {
 		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
 			n := rng.Intn(12)
 			dst := uint64(64 + rng.Intn(32))
-			return []uint64{dst, uint64(n)}, stringsMem(dst, randBytes(rng, n+2))
+			return []uint64{dst, uint64(n)}, stringImage(rng, dst, n+2)
 		},
 	}
 }
@@ -67,7 +67,7 @@ func LoccPL1() *Analysis {
 			n := rng.Intn(12)
 			base := uint64(64 + rng.Intn(64))
 			ch := uint64('a' + rng.Intn(4))
-			return []uint64{ch, uint64(n), base}, stringsMem(base, randBytes(rng, n))
+			return []uint64{ch, uint64(n), base}, stringImage(rng, base, n)
 		},
 	}
 }
@@ -137,16 +137,7 @@ func ClcScompare() *Analysis {
 			n := 1 + rng.Intn(10) // clc compares at least one byte
 			a := uint64(64 + rng.Intn(16))
 			b := uint64(160 + rng.Intn(16))
-			content := randBytes(rng, n)
-			mem := stringsMem(a, content)
-			other := append([]byte(nil), content...)
-			if rng.Intn(2) == 0 {
-				other[rng.Intn(n)] ^= 1
-			}
-			for i, c := range other {
-				mem[b+uint64(i)] = c
-			}
-			return []uint64{a, b, uint64(n)}, mem
+			return []uint64{a, b, uint64(n)}, compareImage(rng, a, b, n)
 		},
 	}
 }
@@ -187,12 +178,8 @@ func TrXlate() *Analysis {
 			n := 1 + rng.Intn(10) // tr translates at least one byte
 			base := uint64(512 + rng.Intn(32))
 			table := uint64(1024)
-			// Size the image for the string and the table up front: the
-			// table fill would otherwise regrow the map several times.
-			mem := make(map[uint64]byte, n+256)
-			for i, c := range randBytes(rng, n) {
-				mem[base+uint64(i)] = c
-			}
+			mem := core.NewImage(n + 256)
+			drawString(rng, mem, base, n)
 			for i := 0; i < 256; i++ {
 				mem[table+uint64(i)] = byte(rng.Intn(256))
 			}

@@ -34,7 +34,7 @@ func Movc3PascalExtended() *Analysis {
 			if rng.Intn(2) == 0 {
 				src, dst = dst, src
 			}
-			return []uint64{uint64(n), src, dst}, stringsMem(src, randBytes(rng, n))
+			return []uint64{uint64(n), src, dst}, stringImage(rng, src, n)
 		},
 	}
 }
@@ -92,25 +92,22 @@ func B4800Lsearch() *Analysis {
 			return nil
 		},
 		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
-			// Build a short linked list in the first 256 bytes: link byte
-			// at +0, key byte at +1.
-			mem := map[uint64]byte{}
+			// Build a short linked list in the first 256 bytes: nodes 8
+			// bytes apart from 16, link byte at +0, key byte at +1.
 			n := rng.Intn(5)
-			addrs := make([]uint64, n)
-			for i := range addrs {
-				addrs[i] = uint64(16 + i*8)
-			}
-			for i, a := range addrs {
+			mem := core.NewImage(2 * n)
+			for i := 0; i < n; i++ {
+				a := uint64(16 + i*8)
 				next := byte(0)
 				if i+1 < n {
-					next = byte(addrs[i+1])
+					next = byte(a + 8)
 				}
 				mem[a] = next
 				mem[a+1] = byte('a' + rng.Intn(3))
 			}
 			head := uint64(0)
 			if n > 0 {
-				head = addrs[0]
+				head = 16
 			}
 			kv := uint64('a' + rng.Intn(4))
 			return []uint64{head, 1, kv}, mem

@@ -17,7 +17,7 @@ func ScasbRigel() *Analysis {
 		Language: "Rigel", Operation: "string search",
 		Operator: "index", PaperSteps: 73,
 		Script: scasbScript("index"),
-		Gen:    searchGen(3),
+		Gen:    searchGen(),
 	}
 }
 
@@ -31,22 +31,19 @@ func ScasbCLU() *Analysis {
 		Language: "CLU", Operation: "string search",
 		Operator: "indexc", PaperSteps: 86,
 		Script: scasbScript("indexc"),
-		Gen:    searchGen(3),
+		Gen:    searchGen(),
 	}
 }
 
 // searchGen generates (base, length, char) operand vectors with a string in
-// memory over an alphabet of `alpha` letters.
-func searchGen(alpha int) core.InputGen {
+// memory over three letters and a char over four, so it is sometimes absent.
+func searchGen() core.InputGen {
 	return func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
 		n := rng.Intn(12)
 		base := uint64(64 + rng.Intn(64))
-		content := make([]byte, n)
-		for i := range content {
-			content[i] = byte('a' + rng.Intn(alpha))
-		}
-		ch := uint64('a' + rng.Intn(alpha+1)) // sometimes absent
-		return []uint64{base, uint64(n), ch}, stringsMem(base, content)
+		mem := stringImage(rng, base, n)
+		ch := uint64('a' + rng.Intn(4))
+		return []uint64{base, uint64(n), ch}, mem
 	}
 }
 

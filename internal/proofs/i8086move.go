@@ -113,7 +113,7 @@ func moveGen() core.InputGen {
 		n := rng.Intn(12)
 		src := uint64(64 + rng.Intn(32))
 		dst := uint64(160 + rng.Intn(32))
-		return []uint64{src, dst, uint64(n)}, stringsMem(src, randBytes(rng, n))
+		return []uint64{src, dst, uint64(n)}, stringImage(rng, src, n)
 	}
 }
 
@@ -224,15 +224,6 @@ func compareGen() core.InputGen {
 		n := rng.Intn(10)
 		a := uint64(64 + rng.Intn(16))
 		b := uint64(160 + rng.Intn(16))
-		content := randBytes(rng, n)
-		mem := stringsMem(a, content)
-		other := append([]byte(nil), content...)
-		if n > 0 && rng.Intn(2) == 0 {
-			other[rng.Intn(n)] ^= 1
-		}
-		for i, c := range other {
-			mem[b+uint64(i)] = c
-		}
-		return []uint64{a, b, uint64(n)}, mem
+		return []uint64{a, b, uint64(n)}, compareImage(rng, a, b, n)
 	}
 }

@@ -59,7 +59,7 @@ func MvcPascal() *Analysis {
 			n := 1 + rng.Intn(12)
 			dst := uint64(64 + rng.Intn(32))
 			src := uint64(160 + rng.Intn(32))
-			return []uint64{dst, src, uint64(n)}, stringsMem(src, randBytes(rng, n))
+			return []uint64{dst, src, uint64(n)}, stringImage(rng, src, n)
 		},
 	}
 }

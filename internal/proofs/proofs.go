@@ -248,21 +248,31 @@ func sinkToLoopBottom(s *core.Session, side core.Side, from int) error {
 	}
 }
 
-// stringsMem writes a string into a fresh memory image sized for it.
-func stringsMem(addr uint64, content []byte) map[uint64]byte {
-	m := make(map[uint64]byte, len(content))
-	for i, b := range content {
-		m[addr+uint64(i)] = b
-	}
-	return m
+// stringImage returns an image holding a string of n bytes drawn at addr.
+func stringImage(rng *rand.Rand, addr uint64, n int) map[uint64]byte {
+	mem := core.NewImage(n)
+	drawString(rng, mem, addr, n)
+	return mem
 }
 
-// randBytes draws n bytes over a small alphabet so searches and compares
-// exercise both hit and miss paths.
-func randBytes(rng *rand.Rand, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = byte('a' + rng.Intn(3))
+// compareImage returns an image holding a string of n bytes drawn at a and
+// its copy at b; half the time (when n > 0) one byte of the copy differs.
+func compareImage(rng *rand.Rand, a, b uint64, n int) map[uint64]byte {
+	mem := core.NewImage(2 * n)
+	drawString(rng, mem, a, n)
+	for i := uint64(0); i < uint64(n); i++ {
+		mem[b+i] = mem[a+i]
 	}
-	return out
+	if n > 0 && rng.Intn(2) == 0 {
+		mem[b+uint64(rng.Intn(n))] ^= 1
+	}
+	return mem
+}
+
+// drawString draws n bytes over a small alphabet into mem at addr, so
+// searches and compares exercise both hit and miss paths.
+func drawString(rng *rand.Rand, mem map[uint64]byte, addr uint64, n int) {
+	for i := 0; i < n; i++ {
+		mem[addr+uint64(i)] = byte('a' + rng.Intn(3))
+	}
 }

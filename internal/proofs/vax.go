@@ -35,7 +35,7 @@ func Movc3PC2() *Analysis {
 			n := rng.Intn(12)
 			src := uint64(64 + rng.Intn(32))
 			dst := uint64(64 + rng.Intn(32))
-			return []uint64{uint64(n), src, dst}, stringsMem(src, randBytes(rng, n))
+			return []uint64{uint64(n), src, dst}, stringImage(rng, src, n)
 		},
 	}
 }
@@ -88,8 +88,7 @@ func Movc5PC2() *Analysis {
 		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
 			n := rng.Intn(12)
 			dst := uint64(64 + rng.Intn(32))
-			mem := stringsMem(dst, randBytes(rng, n+2))
-			return []uint64{uint64(n), dst}, mem
+			return []uint64{uint64(n), dst}, stringImage(rng, dst, n+2)
 		},
 	}
 }
@@ -191,7 +190,7 @@ func loccGen() core.InputGen {
 		n := rng.Intn(12)
 		base := uint64(64 + rng.Intn(64))
 		ch := uint64('a' + rng.Intn(4))
-		return []uint64{ch, uint64(n), base}, stringsMem(base, randBytes(rng, n))
+		return []uint64{ch, uint64(n), base}, stringImage(rng, base, n)
 	}
 }
 
@@ -238,16 +237,7 @@ func Cmpc3Pascal() *Analysis {
 			n := rng.Intn(10)
 			a := uint64(64 + rng.Intn(16))
 			b := uint64(160 + rng.Intn(16))
-			content := randBytes(rng, n)
-			mem := stringsMem(a, content)
-			other := append([]byte(nil), content...)
-			if n > 0 && rng.Intn(2) == 0 {
-				other[rng.Intn(n)] ^= 1
-			}
-			for i, c := range other {
-				mem[b+uint64(i)] = c
-			}
-			return []uint64{uint64(n), a, b}, mem
+			return []uint64{uint64(n), a, b}, compareImage(rng, a, b, n)
 		},
 	}
 }
