@@ -99,12 +99,15 @@ bench() {
 # transformation rebuilds only the spines it edits, a commit interns the
 # outcome it owns in place (no copy of the rebuilt spines), Normalize
 # commits the probe that found a step instead of applying it again, a
-# liveness question is one search of the CFG over effect sets filled without
-# a map per AST leaf, a failed probe files and formats no precondition
-# message, and a binding shares its augment statements instead of copying
-# them: the cold row is gated at <= 2074 allocs/op (2,052-2,053 measured in
-# 10 runs; 2,103 with deep copies of the augment statements in the
-# augments and in Session.Finish, 2,222 with each normalizing step applied
+# liveness question is one search of the CFG over effect sets filled
+# without a map per AST leaf, a failed probe files and formats no
+# precondition message, a binding shares its augment statements instead of
+# copying them, and Normalize probes through move tables resolved once per
+# process into a site buffer it reuses: the cold row is gated at <= 2044
+# allocs/op (2,022-2,023 measured in 20 runs; 2,052-2,053 with a move
+# table and a kind map built per Normalize call and a site slice grown per
+# round, 2,103 with deep copies of the augment statements in the augments
+# and in Session.Finish as well, 2,222 with each normalizing step applied
 # twice as well, 2,537 with a copying intern per commit, 3,432 before
 # either and with every probe's message formatted, 3,486 with a message
 # filed per failed probe, 3,754 with an all-names liveness fixpoint, 4,235
@@ -114,7 +117,7 @@ bench() {
 bench -bench 'BenchmarkCacheWarmVsCold' -benchmem -benchtime 20x -count 1 .
 COLD_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/cold' allocs/op "$BENCH")
 WARM_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/warm' allocs/op "$BENCH")
-test "$COLD_ALLOCS" -le 2074
+test "$COLD_ALLOCS" -le 2044
 test "$WARM_ALLOCS" -le 35
 COLD_NS=$(metric '^BenchmarkCacheWarmVsCold/cold' ns/op "$BENCH")
 WARM_NS=$(metric '^BenchmarkCacheWarmVsCold/warm' ns/op "$BENCH")
@@ -157,10 +160,11 @@ test "$CATVAL_ALLOCS" -le 3651
 test "$CATVAL_BYTES" -le 311890
 
 # Table 2 and auto-search allocation gates. TABLE2_ALLOCS sums the eleven
-# scripted analyses (12,854-12,859 in 10 runs -> <= 12988; 13,171 with
-# deep copies of the augment statements, 13,669 with each normalizing step
-# applied twice as well, 16,152 with a copying intern per commit, 21,677
-# before either and with every probe's message formatted,
+# scripted analyses (12,724-12,727 in 20 runs -> <= 12855; 12,854-12,859
+# with a move table and a kind map built per Normalize call, 13,171 with
+# deep copies of the augment statements as well, 13,669 with each
+# normalizing step applied twice as well, 16,152 with a copying intern per
+# commit, 21,677 before either and with every probe's message formatted,
 # 21,919 with a precondition message filed per failed probe, 23,247 with
 # an all-names liveness fixpoint, 26,967 with three maps per AST leaf in
 # the effect sets, 56,842 before the corpora were parsed once and every
@@ -169,25 +173,28 @@ test "$CATVAL_BYTES" -le 311890
 # state budget as it probes it and stops at the goal or the budget, a
 # failed probe neither formats nor files a precondition message, new
 # states are interned in place, the goal's trail is committed from its
-# probes' outcomes, and a probe passes no argument map, so both search rows
-# are gated too (ladder 2,472-2,473 in 10 runs -> <= 2498, exhaust 220,894
-# in 10 of 10 -> <= 223103; 2,845 and 272,855 with a one-entry argument map
-# built per probe, which no searched move reads; 2,885 with the trail
-# replayed through Session.Apply as well, 3,524 and 363,794 with every
-# refused probe's message formatted, 3,308 and 293,447 with a copying
-# intern, 4,738 and 501,722 before either, 4,882 and 527,550 with a
-# message filed per failed probe): a change that goes back to expanding a
-# whole level before charging the budget fails here (the level-at-a-time
-# search took 7,688 and 1,439,982), and so does one that brings back a map
-# per AST leaf (6,635 and 922,349), an eagerly formatted message, a
-# copying intern, a replayed trail or an argument map per probe.
+# probes' outcomes, a probe passes no argument map, and a state's sites go
+# into one buffer the search reuses, so both search rows are gated too
+# (ladder 2,331-2,332 in 20 runs -> <= 2356, exhaust 210,781-210,784 -> <=
+# 212892; 2,472-2,474 and 220,892-220,896 with a map of site slices by
+# node kind per side per state and a move table per search; 2,845 and
+# 272,855 with a one-entry argument map built per probe as well, which no
+# searched move reads; 2,885 with the trail replayed through Session.Apply
+# as well, 3,524 and 363,794 with every refused probe's message formatted,
+# 3,308 and 293,447 with a copying intern, 4,738 and 501,722 before
+# either, 4,882 and 527,550 with a message filed per failed probe): a
+# change that goes back to expanding a whole level before charging the
+# budget fails here (the level-at-a-time search took 7,688 and 1,439,982),
+# and so does one that brings back a map per AST leaf (6,635 and 922,349),
+# an eagerly formatted message, a copying intern, a replayed trail or an
+# argument map per probe.
 bench -bench 'BenchmarkTable2$|BenchmarkAutoSearchLadder$|BenchmarkAutoSearchExhaust$' -benchmem -benchtime 10x -count 1 -cpu 1 .
 TABLE2_ALLOCS=$(metric '^BenchmarkTable2/' allocs/op "$BENCH")
 LADDER_ALLOCS=$(metric '^BenchmarkAutoSearchLadder' allocs/op "$BENCH")
 EXHAUST_ALLOCS=$(metric '^BenchmarkAutoSearchExhaust' allocs/op "$BENCH")
-test "$TABLE2_ALLOCS" -le 12988
-test "$LADDER_ALLOCS" -le 2498
-test "$EXHAUST_ALLOCS" -le 223103
+test "$TABLE2_ALLOCS" -le 12855
+test "$LADDER_ALLOCS" -le 2356
+test "$EXHAUST_ALLOCS" -le 212892
 
 # Synth: one binding's enumerate-verify-rank cycle and the cross-layer
 # sweeps. The simulators decode each program once into register slots,

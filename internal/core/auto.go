@@ -69,7 +69,7 @@ var autoMoves = []string{
 // autoCand is a probed, applicable candidate: the step (side,
 // transformation, path), the probe's outcome, reused when the successor
 // state is built and when the step is committed (no second application),
-// and the index of its move in the prober's table.
+// and the index of its move in searchMoves.
 type autoCand struct {
 	side  Side
 	xform string
@@ -200,8 +200,8 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 	if _, err := vs.add(autoDigest(s.Op, s.Ins), s.Op, s.Ins); err != nil {
 		return 0, err
 	}
-	pr := s.newProber()
-	defer pr.flush()
+	pr := newProber(searchMoves, false)
+	defer pr.flush(s.Metrics)
 	frontier := []*autoState{{op: s.Op, ins: s.Ins}}
 	explored := 0
 	for depth := 0; depth < maxDepth && len(frontier) > 0; depth++ {
@@ -245,7 +245,7 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 					// time.
 					trail := succ.trail()
 					for _, c := range trail {
-						if err := s.commit(c.side, pr.moves[c.move].tr, c.at, nil, c.out, 0); err != nil {
+						if err := s.commit(c.side, pr.t.moves[c.move], c.at, nil, c.out, 0); err != nil {
 							return 0, err
 						}
 					}
@@ -269,161 +269,27 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 	}
 }
 
-// nodeKind classifies a node for the candidate prefilter.
-func nodeKind(n isps.Node) string {
-	switch n.(type) {
-	case *isps.Bin, *isps.Un:
-		return "expr"
-	case *isps.IfStmt:
-		return "if"
-	case *isps.ExitWhenStmt:
-		return "exit"
-	case *isps.RepeatStmt:
-		return "loop"
-	case *isps.AssignStmt, *isps.InputStmt, *isps.OutputStmt, *isps.AssertStmt:
-		return "stmt"
-	}
-	return ""
-}
-
-// Shared kind lists for moveKindsOf, allocated once.
-var (
-	kindsIf       = []string{"if"}
-	kindsExit     = []string{"exit"}
-	kindsLoop     = []string{"loop"}
-	kindsStmtLike = []string{"stmt", "if", "loop", "exit"}
-	kindsExpr     = []string{"expr"}
-)
-
-// moveKindsOf says at which node kinds each move can possibly apply, so the
-// search does not pay a full clone to discover an obvious mismatch. The
-// result is an ordered slice: probe order — and with it the auto.explored
-// metric stream — is identical run to run, instead of following map
-// iteration order.
-func moveKindsOf(name string) []string {
-	switch {
-	case name == "if.true", name == "if.false", name == "if.same",
-		name == "if.empty", name == "if.reverse", name == "if.pull.common":
-		return kindsIf
-	case name == "exit.false", name == "exit.split", name == "exit.merge":
-		return kindsExit
-	case name == "loop.rotate.guarded":
-		return kindsIf
-	case name == "loop.delete.dead":
-		return kindsLoop
-	case name == "move.swap":
-		return kindsStmtLike
-	default: // expression rewrites
-		return kindsExpr
-	}
-}
-
-// prober enumerates the search's candidates. It resolves the moves once per
-// search and counts what the search explores and what its probes refuse in
-// locals; flush records the counts in the metrics registry once, whichever
-// way the search returns (goal, budget, cancellation or a collision error).
-type prober struct {
-	s        *Session
-	moves    []move
-	wantKind map[string]bool
-	counts   []probeCounts // indexed like moves
-}
-
-// probeCounts is one move's share of a search: candidates charged to the
-// budget (auto.explored), and probes refused by a precondition
-// (transform.precond) or failing otherwise (transform.error).
-type probeCounts struct {
-	explored, precond, errs uint64
-}
-
-// newProber resolves the enabled moves and the node kinds they need. A
-// move missing from the transformation registry degrades the search
-// instead of killing it (counted as auto.skipped); the commit cannot hit
-// the gap because only probed candidates are committed.
-func (s *Session) newProber() *prober {
-	pr := &prober{s: s, moves: make([]move, 0, len(autoMoves)), wantKind: map[string]bool{}}
-	for _, name := range autoMoves {
-		mv, err := newMove(name)
-		if err != nil {
-			s.Metrics.Inc("auto.skipped", name)
-			continue
-		}
-		pr.moves = append(pr.moves, mv)
-		for _, k := range mv.kinds {
-			pr.wantKind[k] = true
-		}
-	}
-	pr.counts = make([]probeCounts, len(pr.moves))
-	return pr
-}
-
-// flush records the search's counts; a move with nothing to record adds no
-// series.
-func (pr *prober) flush() {
-	m := pr.s.Metrics
-	for i, c := range pr.counts {
-		name := pr.moves[i].name
-		if c.explored > 0 {
-			m.Add("auto.explored", name, c.explored)
-		}
-		if c.precond > 0 {
-			m.Add("transform.precond", name, c.precond)
-		}
-		if c.errs > 0 {
-			m.Add("transform.error", name, c.errs)
-		}
-	}
-}
-
 // candidates enumerates the applicable moves of a state: it probes each
-// transformation at each node of the matching kind that passes its gate
-// and keeps the applicable ones — with their probe outcomes — in a
-// deterministic order. Probes run inside the same recovery boundary as real
-// applications, so a panic-prone candidate is skipped, not fatal, and
-// candidates that would introduce constraints are dropped here rather than
-// re-probed later.
+// move at each site of its kind on both sides and keeps the applicable
+// ones — with their probe outcomes — in a deterministic order, by
+// transformation name, then path, then side. Candidates that would
+// introduce constraints are dropped here rather than re-probed later.
 func (pr *prober) candidates(op, ins *isps.Description) []autoCand {
 	var out []autoCand
-	for _, side := range []Side{OpSide, InsSide} {
+	for _, side := range [...]Side{OpSide, InsSide} {
 		d := ins
 		if side == OpSide {
 			d = op
 		}
-		type sited struct {
-			p isps.Path
-			n isps.Node
-		}
-		byKind := map[string][]sited{}
-		isps.Walk(d, func(n isps.Node, p isps.Path) bool {
-			if k := nodeKind(n); k != "" && pr.wantKind[k] {
-				// Walk reuses its path buffer; retained paths must be copied.
-				byKind[k] = append(byKind[k], sited{p: append(isps.Path(nil), p...), n: n})
-			}
-			return true
-		})
-		for mi := range pr.moves {
-			mv := &pr.moves[mi]
-			for _, kind := range mv.kinds {
-				for _, c := range byKind[kind] {
-					// The tree is immutable during enumeration, so the
-					// walked node is exactly what the probe would see.
-					if mv.gate != nil && !mv.gate(c.n) {
-						continue
-					}
-					res, err := safeTransformApply(mv.tr, d, c.p, nil)
-					if err != nil {
-						if _, ok := transform.AsPrecond(err); ok {
-							pr.counts[mi].precond++
-						} else {
-							pr.counts[mi].errs++
-						}
-						continue
-					}
-					if len(res.Constraints) > 0 {
-						continue
-					}
-					out = append(out, autoCand{side: side, xform: mv.name, at: c.p, out: res, move: mi})
+		// The tree is immutable during enumeration, so the walked node is
+		// exactly what each probe sees.
+		for _, c := range pr.walk(d) {
+			for _, i := range pr.t.byKind[c.kind] {
+				res, _ := pr.probe(i, d, c.n, c.p)
+				if res == nil || len(res.Constraints) > 0 {
+					continue
 				}
+				out = append(out, autoCand{side: side, xform: pr.t.moves[i].Name, at: c.p, out: res, move: i})
 			}
 		}
 	}

@@ -40,69 +40,84 @@ func replayCatalog(t *testing.T, each func(s *core.Session, st core.Step, prev *
 	}
 }
 
-// TestStmtGatesSound: the statement gates (the constant folds of
-// conditionals and exits) pass every statement their transformation
-// applies at, over every corpus description, every intermediate state of
-// the catalog analyses, and a description with a conditional and an exit
-// on each kind of constant (the catalog folds only if 0).
-func TestStmtGatesSound(t *testing.T) {
-	states := []*isps.Description{isps.MustParse(`c.operation := begin
-** S **
-  x: integer,
-  c.execute := begin
-    input (x);
-    if 1 then x <- 1; end_if;
-    if 7 then x <- 2; else x <- 3; end_if;
-    if 'a' then x <- 4; end_if;
-    if 0 then x <- 5; else x <- 6; end_if;
-    if x then x <- 7; end_if;
-    repeat
-      exit_when (0);
-      exit_when (x = 0);
-      x <- x - 1;
-      exit_when (1);
-    end_repeat;
-    output (x);
-  end
-end`)}
-	for _, e := range machines.All() {
-		states = append(states, machines.Get(e.Instruction))
-	}
-	for _, e := range langops.All() {
-		states = append(states, langops.Get(e.Name))
-	}
-	replayCatalog(t, func(s *core.Session, st core.Step, _ *isps.Description) {
-		states = append(states, s.Desc(st.Side))
+// catalogStates returns every description a replayed catalog analysis
+// passes through: each side a step transformed, before and after the
+// step, each distinct description once (commits are interned, so equal
+// descriptions are the same node).
+func catalogStates(t *testing.T) []*isps.Description {
+	t.Helper()
+	var states []*isps.Description
+	seen := map[*isps.Description]bool{}
+	replayCatalog(t, func(s *core.Session, st core.Step, prev *isps.Description) {
+		for _, d := range []*isps.Description{prev, s.Desc(st.Side)} {
+			if !seen[d] {
+				seen[d] = true
+				states = append(states, d)
+			}
+		}
 	})
-	applied := map[string]int{}
-	for _, name := range []string{"if.true", "if.false", "exit.false"} {
-		gate, ok := core.MoveGates[name]
-		if !ok {
-			t.Fatalf("%s has no gate", name)
-		}
-		tr, err := transform.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range states {
-			isps.Walk(d, func(n isps.Node, p isps.Path) bool {
-				stmt, ok := n.(isps.Stmt)
-				if !ok {
-					return true
-				}
-				if _, err := tr.Apply(d, p, nil); err == nil {
-					applied[name]++
-					if !gate(n) {
-						t.Errorf("%s applies at %s (%s) of %s but its gate rejects the statement",
-							name, p, isps.StmtString(stmt), d.Name)
-					}
-				}
-				return true
-			})
+	return states
+}
+
+// checkGates applies every gated transformation at every node of states
+// that keep selects, reports each node where the transformation applies
+// but its Gate rejects the node, and returns the number of applications
+// per transformation. Normalize and the search skip a site whose gate
+// fails, so an unsound gate would silently drop a candidate from them.
+func checkGates(t *testing.T, states []*isps.Description, keep func(isps.Node) bool) map[string]int {
+	t.Helper()
+	var gated []*transform.Transformation
+	for _, tr := range transform.All() {
+		if tr.Gate != nil {
+			gated = append(gated, tr)
 		}
 	}
-	if applied["if.true"] < 3 || applied["if.false"] < 2 || applied["exit.false"] < 1 {
-		t.Fatalf("applications found: %v; the states no longer exercise the folds", applied)
+	applied := map[string]int{}
+	for _, d := range states {
+		isps.Walk(d, func(n isps.Node, p isps.Path) bool {
+			if !keep(n) {
+				return true
+			}
+			for _, tr := range gated {
+				if _, err := tr.Apply(d, p, nil); err != nil {
+					continue
+				}
+				applied[tr.Name]++
+				if !tr.Gate(n) {
+					t.Errorf("%s applies at %s of %s but its gate rejects the node", tr.Name, p, d.Name)
+				}
+			}
+			return true
+		})
+	}
+	return applied
+}
+
+// TestExprGatesSound: the expression rewrites' gates pass every expression
+// their rewrite applies at, over every state the catalog analyses pass
+// through. (The converse is not required: a gate may pass where the
+// rewrite still refuses on a semantic condition.) transform's
+// TestGatesSound checks the gates over the corpus and the unit tables.
+func TestExprGatesSound(t *testing.T) {
+	applied := checkGates(t, catalogStates(t), func(n isps.Node) bool {
+		_, ok := n.(isps.Expr)
+		return ok
+	})
+	if len(applied) == 0 {
+		t.Fatal("no gated rewrite applies to a catalog state; the replay or the walk is broken")
+	}
+}
+
+// TestStmtGatesSound: the statement gates (the constant folds of
+// conditionals and exits) pass every statement their fold applies at,
+// over every state the catalog analyses pass through.
+func TestStmtGatesSound(t *testing.T) {
+	applied := checkGates(t, catalogStates(t), func(n isps.Node) bool {
+		_, ok := n.(isps.Stmt)
+		return ok
+	})
+	if len(applied) == 0 {
+		t.Fatal("no constant fold applies to a catalog state; the replay or the walk is broken")
 	}
 }
 

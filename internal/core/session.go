@@ -197,20 +197,6 @@ func (s *Session) noteApply(side Side, name string, at isps.Path, dur time.Durat
 	}
 }
 
-// noteProbe counts a speculative application attempt of Normalize that
-// failed: metrics only, no trace event — probes are pruned work, not steps.
-// (The auto-search counts its probes the same way, in locals flushed once
-// per search.) A probe files no transform.precond.reason and never formats
-// its message: a search's distinct messages would grow the registry without
-// bound.
-func (s *Session) noteProbe(name string, err error) {
-	if _, ok := transform.AsPrecond(err); ok {
-		s.Metrics.Inc("transform.precond", name)
-	} else {
-		s.Metrics.Inc("transform.error", name)
-	}
-}
-
 func truncate(s string, n int) string {
 	if len(s) <= n {
 		return s

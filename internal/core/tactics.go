@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"extra/internal/isps"
 	"extra/internal/transform"
@@ -31,67 +30,40 @@ var reducingTransforms = []string{
 
 // Normalize repeatedly applies the reducing local transformations anywhere
 // in the description until none applies, recording every application as a
-// step. It returns the number of steps taken. Probes are prefiltered by
-// node kind (the same moveKindsOf table the auto-search uses) and by the
-// moves' gates, so a fold is never tried where its precondition cannot
-// hold. A probe runs inside the session's fault boundary, like the
-// search's: a failed or panicking one is counted (transform.precond or
-// transform.error) and skipped, and a successful one is committed as it
-// is, without applying the transformation a second time.
+// step. It returns the number of steps taken. Each round walks the
+// description once for its sites and tries the moves of each site's kind
+// in reducingTransforms order, through the same probe as the auto-search:
+// a move whose Gate rejects the node is skipped, and a failed or panicking
+// probe is counted (transform.precond or transform.error, recorded once
+// when Normalize returns) and skipped. A successful probe is committed as
+// it is, without applying the transformation a second time.
 func (s *Session) Normalize(side Side) (int, error) {
-	moves := make([]move, 0, len(reducingTransforms))
-	wantKind := map[string]bool{}
-	for _, name := range reducingTransforms {
-		mv, err := newMove(name)
-		if err != nil {
-			return 0, err
-		}
-		moves = append(moves, mv)
-		for _, k := range mv.kinds {
-			wantKind[k] = true
-		}
-	}
+	pr := newProber(normalizeMoves, true)
+	defer pr.flush(s.Metrics)
 	steps := 0
 	for {
 		applied := false
-		// Collect candidate paths fresh each round: the tree changes.
+		// Collect the sites fresh each round: the tree changes.
 		d := s.Desc(side)
-		type cand struct {
-			p    isps.Path
-			kind string
-		}
-		var paths []cand
-		isps.Walk(d, func(n isps.Node, p isps.Path) bool {
-			if k := nodeKind(n); k != "" && wantKind[k] {
-				// Walk reuses its path buffer; retained paths must be copied.
-				paths = append(paths, cand{p: append(isps.Path(nil), p...), kind: k})
-			}
-			return true
-		})
-		for _, c := range paths {
+		for _, c := range pr.walk(d) {
 			n, err := isps.Resolve(d, c.p)
 			if err != nil {
 				continue // a prior application this round restructured the tree
 			}
-			for i := range moves {
-				mv := &moves[i]
-				// Gate on the freshly resolved node: an application this
-				// round may have rewritten what sits at the path.
-				if !mv.admits(n, c.kind) {
+			// A site keeps the kind it was walked with; each move gates on
+			// the freshly resolved node, since an application this round
+			// may have rewritten what sits at the path.
+			for _, i := range pr.t.byKind[c.kind] {
+				out, dur := pr.probe(i, d, n, c.p)
+				if out == nil {
 					continue
 				}
-				start := time.Now()
-				out, err := safeTransformApply(mv.tr, d, c.p, nil)
-				dur := time.Since(start)
-				if err != nil {
-					s.noteProbe(mv.name, err)
-					continue
-				}
-				if err := s.ctxErr("apply " + mv.name); err != nil {
-					s.noteApply(side, mv.name, c.p, 0, outcomeError, err.Error())
+				tr := pr.t.moves[i]
+				if err := s.ctxErr("apply " + tr.Name); err != nil {
+					s.noteApply(side, tr.Name, c.p, 0, outcomeError, err.Error())
 					return steps, err
 				}
-				if err := s.commit(side, mv.tr, c.p, nil, out, dur); err != nil {
+				if err := s.commit(side, tr, c.p, nil, out, dur); err != nil {
 					return steps, err
 				}
 				steps++
@@ -99,7 +71,7 @@ func (s *Session) Normalize(side Side) (int, error) {
 				d = s.Desc(side)
 				// The application rewrote the node at the path; later moves
 				// must gate on what is there now. A vanished path ends this
-				// candidate: every transform resolves it and would refuse.
+				// site: every transform resolves it and would refuse.
 				if n, err = isps.Resolve(d, c.p); err != nil {
 					break
 				}
@@ -145,10 +117,8 @@ func (s *Session) propagateAndClean(side Side, operand string) error {
 	}
 	// The declaration may now be unused.
 	if s.Desc(side).Reg(operand) != nil {
-		if err := s.Apply(side, "global.dead.decl", nil, transform.Args{"var": operand}); err == nil {
-			// removed; ignore failure (still used somewhere)
-			_ = err
-		}
+		// A declaration still used somewhere refuses; it then stays.
+		_ = s.Apply(side, "global.dead.decl", nil, transform.Args{"var": operand})
 	}
 	return nil
 }

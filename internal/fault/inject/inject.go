@@ -1,12 +1,12 @@
 // Package inject is a deterministic, seed-driven fault-injection harness
 // for chaos-testing the EXTRA pipeline. It provides two mechanisms:
 //
-//   - Injection points: production code at a fault seam (today: the
-//     interpreter's step budget) asks Fire("point"); when an Injector is
-//     active and armed for that point, the call reports the fault to
-//     inject. Crossing counts are deterministic, so a test replays
-//     identically every run. With no active Injector the fast path is one
-//     atomic load — the seams cost nothing in production.
+//   - Injection points: production code at a fault seam (today: one
+//     discovery candidate's run, discover.InjectPoint) asks Fire("point");
+//     when an Injector is active and armed for that point, the call
+//     reports the fault to inject. Crossing counts are deterministic, so a
+//     test replays identically every run. With no active Injector the fast
+//     path is one atomic load — the seams cost nothing in production.
 //
 //   - Deterministic corrupters: CorruptJSON, MangleSource and FlakyWriter
 //     derive every mutation and failure schedule from an explicit seed, so
@@ -26,18 +26,13 @@ import (
 
 // Fault arms one injection point.
 type Fault struct {
-	// Point names the seam, e.g. "interp.steplimit".
+	// Point names the seam, e.g. "discover.candidate:movsb/sassign".
 	Point string
 	// Skip is the number of crossings to let pass before the first fire.
 	Skip uint64
 	// Every fires on every Every-th crossing after Skip; 0 fires exactly
 	// once.
 	Every uint64
-	// Err is the error payload for seams that inject a failure.
-	Err error
-	// Val is the numeric payload for seams that inject a value (e.g. the
-	// forced step limit).
-	Val int64
 }
 
 // Injector is a set of armed faults with deterministic crossing counters.

@@ -8,12 +8,12 @@ import (
 
 func TestFireSchedule(t *testing.T) {
 	in := New(1)
-	in.Arm(Fault{Point: "p", Skip: 2, Every: 3, Val: 7})
+	in.Arm(Fault{Point: "p", Skip: 2, Every: 3})
 	var fires []int
 	for i := 0; i < 12; i++ {
 		if f, ok := in.Fire("p"); ok {
-			if f.Val != 7 {
-				t.Errorf("payload = %d, want 7", f.Val)
+			if f.Point != "p" {
+				t.Errorf("fired fault %+v, want the one armed at p", f)
 			}
 			fires = append(fires, i)
 		}

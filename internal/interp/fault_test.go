@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"extra/internal/fault/inject"
 	"extra/internal/isps"
 )
 
@@ -70,8 +69,9 @@ end`)
 	}
 }
 
-// TestStepLimitInjection: the "interp.steplimit" seam shrinks the budget
-// so any multi-statement description exhausts it deterministically.
+// TestStepLimitInjection: a step budget of 1 stops any multi-statement
+// description with ErrStepLimit, whether the run compiles its description
+// or reuses a compiled Program, every time.
 func TestStepLimitInjection(t *testing.T) {
 	d := isps.MustParse(`add.operation := begin
 ** S **
@@ -82,30 +82,17 @@ func TestStepLimitInjection(t *testing.T) {
     output (a);
   end
 end`)
-	// Sanity: without injection the description runs fine.
+	// Sanity: with the default budget the description runs fine.
 	if _, err := Run(context.Background(), d, []uint64{2, 3}, NewState(), 0); err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
-	in := inject.New(1)
-	in.Arm(inject.Fault{Point: "interp.steplimit", Every: 1, Val: 1})
-	restore := inject.Activate(in)
-	defer restore()
-	_, err := Run(context.Background(), d, []uint64{2, 3}, NewState(), 0)
-	if !errors.Is(err, ErrStepLimit) {
-		t.Fatalf("err = %v, want ErrStepLimit from injected budget", err)
+	if _, err := Run(context.Background(), d, []uint64{2, 3}, NewState(), 1); !errors.Is(err, ErrStepLimit) {
+		t.Fatalf("err = %v, want ErrStepLimit from a one-step budget", err)
 	}
-	if in.Fired("interp.steplimit") == 0 {
-		t.Error("injector never fired")
-	}
-	// The seam is crossed once per run, whether the run compiles its
-	// description or reuses a compiled Program.
 	p := Compile(d)
 	for i := 0; i < 2; i++ {
-		if _, err := p.Run(context.Background(), []uint64{2, 3}, NewState(), 0); !errors.Is(err, ErrStepLimit) {
-			t.Fatalf("compiled run %d: err = %v, want ErrStepLimit from injected budget", i, err)
+		if _, err := p.Run(context.Background(), []uint64{2, 3}, NewState(), 1); !errors.Is(err, ErrStepLimit) {
+			t.Fatalf("compiled run %d: err = %v, want ErrStepLimit from a one-step budget", i, err)
 		}
-	}
-	if n := in.Crossings("interp.steplimit"); n != 3 {
-		t.Errorf("seam crossed %d times in 3 runs", n)
 	}
 }

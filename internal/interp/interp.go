@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"maps"
 
-	"extra/internal/fault/inject"
 	"extra/internal/isps"
 )
 
@@ -202,15 +201,6 @@ func (r *Runner) Run(ctx context.Context, inputs []uint64, state *State, limit i
 	m := &r.m
 	if limit <= 0 {
 		limit = DefaultStepLimit
-	}
-	// Fault-injection seam: an armed "interp.steplimit" fault replaces the
-	// step budget with its (much smaller) payload, modelling budget
-	// exhaustion deterministically for chaos tests.
-	if f, ok := inject.Fire("interp.steplimit"); ok {
-		limit = int(f.Val)
-		if limit < 1 {
-			limit = 1
-		}
 	}
 	if m.p.body == nil {
 		return nil, fmt.Errorf("interp: description %s has no routine", m.p.name)

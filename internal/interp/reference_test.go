@@ -27,8 +27,8 @@ type refState struct {
 }
 
 // refRun executes d on state by walking its tree: the state is mutated in
-// place and limit <= 0 selects interp.DefaultStepLimit. It has no
-// fault-injection seam and records no metrics.
+// place and limit <= 0 selects interp.DefaultStepLimit. It records no
+// metrics.
 func refRun(ctx context.Context, d *isps.Description, inputs []uint64, state *refState, limit int) (*interp.Result, error) {
 	if limit <= 0 {
 		limit = interp.DefaultStepLimit

@@ -71,56 +71,45 @@ func init() {
 	})
 
 	exprRewrite("rewrite.assoc.sub", "(a + b) - c => a + (b - c); pure operands (exact in modular arithmetic).",
+		binary(is(isps.OpSub), binary(is(isps.OpAdd), anyNode, anyNode), anyNode),
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
-			b, err := wantBin("rewrite.assoc.sub", e, isps.OpSub)
-			if err != nil {
-				return nil, err
-			}
-			add, ok := b.X.(*isps.Bin)
-			if !ok || add.Op != isps.OpAdd || !pureExpr(e) {
+			if !pureExpr(e) {
 				return nil, errPrecond("rewrite.assoc.sub", "%s is not a pure (a + b) - c", exprText{e})
 			}
+			b := e.(*isps.Bin)
+			add := b.X.(*isps.Bin)
 			return &isps.Bin{Op: isps.OpAdd, X: add.X,
 				Y: &isps.Bin{Op: isps.OpSub, X: add.Y, Y: b.Y}}, nil
 		})
 
 	exprRewrite("simplify.and.self", "b and b => b for pure boolean-valued b.",
+		twice(isps.OpAnd),
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
-			b, err := wantBin("simplify.and.self", e, isps.OpAnd)
-			if err != nil {
-				return nil, err
-			}
-			if !isps.Equal(b.X, b.Y) || !pureExpr(b.X) || !isBooleanValued(b.X, d) {
+			x := e.(*isps.Bin).X
+			if !pureExpr(x) || !isBooleanValued(x, d) {
 				return nil, errPrecond("simplify.and.self", "%s is not a pure boolean self-conjunction", exprText{e})
 			}
-			return b.X, nil
+			return x, nil
 		})
 
 	exprRewrite("simplify.or.self", "b or b => b for pure boolean-valued b.",
+		twice(isps.OpOr),
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
-			b, err := wantBin("simplify.or.self", e, isps.OpOr)
-			if err != nil {
-				return nil, err
-			}
-			if !isps.Equal(b.X, b.Y) || !pureExpr(b.X) || !isBooleanValued(b.X, d) {
+			x := e.(*isps.Bin).X
+			if !pureExpr(x) || !isBooleanValued(x, d) {
 				return nil, errPrecond("simplify.or.self", "%s is not a pure boolean self-disjunction", exprText{e})
 			}
-			return b.X, nil
+			return x, nil
 		})
 
 	exprRewrite("rewrite.zero.lt", "0 < a => a <> 0 (unsigned), and back.",
+		either(binary(is(isps.OpLt), isZero, anyNode), binary(is(isps.OpNe), anyNode, isZero)),
 		func(e isps.Expr, d *isps.Description) (isps.Expr, error) {
-			if b, ok := e.(*isps.Bin); ok && b.Op == isps.OpLt {
-				if v, isNum := numVal(b.X); isNum && v == 0 {
-					return &isps.Bin{Op: isps.OpNe, X: b.Y, Y: &isps.Num{Val: 0}}, nil
-				}
+			b := e.(*isps.Bin)
+			if b.Op == isps.OpLt {
+				return &isps.Bin{Op: isps.OpNe, X: b.Y, Y: &isps.Num{Val: 0}}, nil
 			}
-			if b, ok := e.(*isps.Bin); ok && b.Op == isps.OpNe {
-				if v, isNum := numVal(b.Y); isNum && v == 0 {
-					return &isps.Bin{Op: isps.OpLt, X: &isps.Num{Val: 0}, Y: b.X}, nil
-				}
-			}
-			return nil, errPrecond("rewrite.zero.lt", "%s is neither 0 < a nor a <> 0", exprText{e})
+			return &isps.Bin{Op: isps.OpLt, X: &isps.Num{Val: 0}, Y: b.X}, nil
 		})
 
 	register(&Transformation{

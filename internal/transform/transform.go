@@ -172,6 +172,11 @@ type Transformation struct {
 	Category Category
 	Effect   Effect
 	Doc      string
+	// Gate is a structural condition that every node the transformation
+	// accepts satisfies, asked of the node the path addresses; nil means
+	// none. Apply refuses a node the gate rejects, so a caller probing many
+	// sites may skip those without calling Apply.
+	Gate func(isps.Node) bool
 	// Apply transforms a copy of d at path `at` and returns the outcome,
 	// or an error when the preconditions fail. d itself is never mutated.
 	Apply func(d *isps.Description, at isps.Path, args Args) (*Outcome, error)
@@ -270,6 +275,11 @@ func errPrecond(name, format string, args ...any) error {
 		}
 	}
 	return &PrecondError{Xform: name, format: format, args: args}
+}
+
+// errGate is the refusal of a node that fails its transformation's gate.
+func errGate(name string, n fmt.Stringer) error {
+	return errPrecond(name, "%s does not have the shape the transformation rewrites", n)
 }
 
 // exprText and stmtText print a node when a precondition message is read.

@@ -39,10 +39,15 @@ func TestRegistryIs75InSevenCategories(t *testing.T) {
 	}
 }
 
+// source is a description around the given register decls and body.
+func source(decls, body string) string {
+	return "t.operation := begin\n** S **\n" + decls + "\nt.execute := begin\n" + body + "\nend\nend"
+}
+
 // parse builds a description around the given register decls and body.
 func parse(t *testing.T, decls, body string) *isps.Description {
 	t.Helper()
-	src := "t.operation := begin\n** S **\n" + decls + "\nt.execute := begin\n" + body + "\nend\nend"
+	src := source(decls, body)
 	d, err := isps.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, src)
@@ -83,8 +88,9 @@ func apply(t *testing.T, d *isps.Description, name string, at isps.Path, args Ar
 	return out
 }
 
-// mustFail asserts the transformation's preconditions reject the input.
-func mustFail(t *testing.T, d *isps.Description, name string, at isps.Path, args Args, wantMsg string) {
+// mustFail asserts the transformation's preconditions reject the input,
+// and returns the refusal.
+func mustFail(t *testing.T, d *isps.Description, name string, at isps.Path, args Args, wantMsg string) error {
 	t.Helper()
 	tr, err := Get(name)
 	if err != nil {
@@ -96,6 +102,21 @@ func mustFail(t *testing.T, d *isps.Description, name string, at isps.Path, args
 	}
 	if wantMsg != "" && !strings.Contains(err.Error(), wantMsg) {
 		t.Fatalf("%s: error %q does not mention %q", name, err, wantMsg)
+	}
+	return err
+}
+
+// refused prefixes the want column of a unit-table row whose
+// transformation must refuse the expression with a precondition message
+// naming the rest of the column.
+const refused = "refused: "
+
+// mustRefuse asserts the transformation refuses the input with a
+// precondition failure whose message mentions wantMsg.
+func mustRefuse(t *testing.T, d *isps.Description, name string, at isps.Path, wantMsg string) {
+	t.Helper()
+	if err := mustFail(t, d, name, at, nil, wantMsg); !IsPrecond(err) {
+		t.Fatalf("%s: refused with %v, not a precondition failure", name, err)
 	}
 }
 
@@ -154,26 +175,91 @@ func TestFoldAdd(t *testing.T) {
 	diffCheck(t, d, out.Desc, 3, 10, nil)
 }
 
+// unitRow is one row of a unit table of the expression rewrites: the
+// transformation, the expression and what it rewrites to, or refused and a
+// word of the precondition message refusing it.
+type unitRow struct{ name, expr, want string }
+
+// foldRows are the constant folds' unit table, over constants only.
+var foldRows = []unitRow{
+	{"fold.add", "2 + 3", "5"},
+	{"fold.sub", "7 - 3", "4"},
+	{"fold.mul", "6 * 7", "42"},
+	{"fold.div", "7 / 2", "3"},
+	{"fold.compare", "3 = 3", "1"},
+	{"fold.compare", "3 < 2", "0"},
+	{"fold.not", "not 0", "1"},
+	{"fold.not", "not 5", "0"},
+	{"fold.logic", "1 and 0", "0"},
+	{"fold.logic", "0 or 1", "1"},
+	{"fold.logic", "1 xor 1", "0"},
+	{"fold.div", "7 / 0", refused + "nonzero"},
+}
+
+// identityDecls declares what the identity rows read: integers a, b, c,
+// flags f, g, and a function h, whose calls are impure.
+const identityDecls = "x: integer, a: integer, b: integer, c: integer, f<>, g<>,\nh()<7:0> := begin h <- a; end"
+
+// identityRows are the algebraic identities' and rewrites' unit table.
+var identityRows = []unitRow{
+	{"simplify.add.zero", "a + 0", "a"},
+	{"simplify.add.zero", "0 + a", "a"},
+	{"simplify.sub.zero", "a - 0", "a"},
+	{"simplify.sub.self", "a - a", "0"},
+	{"simplify.mul.one", "a * 1", "a"},
+	{"simplify.mul.zero", "a * 0", "0"},
+	{"simplify.div.one", "a / 1", "a"},
+	{"simplify.and.true", "f and 1", "f"},
+	{"simplify.and.false", "f and 0", "0"},
+	{"simplify.or.false", "f or 0", "f"},
+	{"simplify.or.true", "f or 1", "1"},
+	{"simplify.xor.false", "f xor 0", "f"},
+	{"simplify.and.self", "f and f", "f"},
+	{"simplify.or.self", "f or f", "f"},
+	{"rewrite.subeq", "(a - b) = 0", "a = b"},
+	{"rewrite.commute.rel", "a = b", "b = a"},
+	{"rewrite.commute.rel", "a < b", "b > a"},
+	{"rewrite.commute.add", "a + b", "b + a"},
+	{"rewrite.assoc.add", "(a + b) + c", "a + (b + c)"},
+	{"rewrite.addsub.cancel", "(a + b) - a", "b"},
+	{"rewrite.addsub.cancel", "(b + a) - a", "b"},
+	{"rewrite.subadd.cancel", "(a - b) + b", "a"},
+	{"rewrite.not.rel", "not (a = b)", "a <> b"},
+	{"rewrite.not.rel", "not (a < b)", "a >= b"},
+	{"rewrite.demorgan.and", "not (f and g)", "not f or not g"},
+	{"rewrite.demorgan.or", "not (f or g)", "not f and not g"},
+	{"simplify.not.not", "not not f", "f"},
+	{"rewrite.eq.le.zero", "a = 0", "a <= 0"},
+	{"rewrite.eq.le.zero", "a <= 0", "a = 0"},
+	{"rewrite.ne.to.gt", "a <> 0", "a > 0"},
+	{"rewrite.ne.to.gt", "a > 0", "a <> 0"},
+	{"rewrite.zero.lt", "0 < a", "a <> 0"},
+	{"rewrite.neg.neg", "-(-a)", "a"},
+	{"rewrite.add.neg", "a + (-b)", "a - b"},
+	// Every operand order a rewrite accepts.
+	{"simplify.and.true", "1 and f", "f"},
+	{"simplify.and.false", "0 and f", "0"},
+	{"simplify.or.false", "0 or f", "f"},
+	{"simplify.or.true", "1 or f", "1"},
+	{"simplify.xor.false", "0 xor f", "f"},
+	{"simplify.mul.one", "1 * a", "a"},
+	{"simplify.mul.zero", "0 * a", "0"},
+	{"rewrite.commute.logic", "f and g", "g and f"},
+	{"rewrite.assoc.sub", "(a + b) - c", "a + (b - c)"},
+	{"rewrite.zero.lt", "a <> 0", "0 < a"},
+	// Each semantic precondition refuses a node of the right shape.
+	{"simplify.and.true", "a and 1", refused + "boolean-valued"},
+	{"simplify.mul.zero", "h() * 0", refused + "pure"},
+}
+
 func TestFoldVariants(t *testing.T) {
-	cases := []struct {
-		name string
-		expr string
-		want string
-	}{
-		{"fold.sub", "7 - 3", "4"},
-		{"fold.mul", "6 * 7", "42"},
-		{"fold.div", "7 / 2", "3"},
-		{"fold.compare", "3 = 3", "1"},
-		{"fold.compare", "3 < 2", "0"},
-		{"fold.not", "not 0", "1"},
-		{"fold.not", "not 5", "0"},
-		{"fold.logic", "1 and 0", "0"},
-		{"fold.logic", "0 or 1", "1"},
-		{"fold.logic", "1 xor 1", "0"},
-	}
-	for _, c := range cases {
+	for _, c := range foldRows {
 		d := parse(t, "x: integer,", "x <- "+c.expr+";\noutput (x);")
 		at := isps.Path{0, 1, 0, 0, 1} // section 0, decl 1 (routine), body, stmt 0, RHS
+		if msg, ok := strings.CutPrefix(c.want, refused); ok {
+			mustRefuse(t, d, c.name, at, msg)
+			continue
+		}
 		out := apply(t, d, c.name, at, nil)
 		got := isps.ExprString(out.Desc.Routine().Body.Stmts[0].(*isps.AssignStmt).RHS)
 		if got != c.want {
@@ -184,53 +270,13 @@ func TestFoldVariants(t *testing.T) {
 }
 
 func TestSimplifyIdentities(t *testing.T) {
-	cases := []struct {
-		name string
-		expr string
-		want string
-	}{
-		{"simplify.add.zero", "a + 0", "a"},
-		{"simplify.add.zero", "0 + a", "a"},
-		{"simplify.sub.zero", "a - 0", "a"},
-		{"simplify.sub.self", "a - a", "0"},
-		{"simplify.mul.one", "a * 1", "a"},
-		{"simplify.mul.zero", "a * 0", "0"},
-		{"simplify.div.one", "a / 1", "a"},
-		{"simplify.and.true", "f and 1", "f"},
-		{"simplify.and.false", "f and 0", "0"},
-		{"simplify.or.false", "f or 0", "f"},
-		{"simplify.or.true", "f or 1", "1"},
-		{"simplify.xor.false", "f xor 0", "f"},
-		{"simplify.and.self", "f and f", "f"},
-		{"simplify.or.self", "f or f", "f"},
-		{"rewrite.subeq", "(a - b) = 0", "a = b"},
-		{"rewrite.commute.rel", "a = b", "b = a"},
-		{"rewrite.commute.rel", "a < b", "b > a"},
-		{"rewrite.commute.add", "a + b", "b + a"},
-		{"rewrite.assoc.add", "(a + b) - 0 + 0", ""}, // placeholder replaced below
-		{"rewrite.addsub.cancel", "(a + b) - a", "b"},
-		{"rewrite.addsub.cancel", "(b + a) - a", "b"},
-		{"rewrite.subadd.cancel", "(a - b) + b", "a"},
-		{"rewrite.not.rel", "not (a = b)", "a <> b"},
-		{"rewrite.not.rel", "not (a < b)", "a >= b"},
-		{"rewrite.demorgan.and", "not (f and g)", "not f or not g"},
-		{"rewrite.demorgan.or", "not (f or g)", "not f and not g"},
-		{"simplify.not.not", "not not f", "f"},
-		{"rewrite.eq.le.zero", "a = 0", "a <= 0"},
-		{"rewrite.eq.le.zero", "a <= 0", "a = 0"},
-		{"rewrite.ne.to.gt", "a <> 0", "a > 0"},
-		{"rewrite.ne.to.gt", "a > 0", "a <> 0"},
-		{"rewrite.zero.lt", "0 < a", "a <> 0"},
-		{"rewrite.neg.neg", "-(-a)", "a"},
-		{"rewrite.add.neg", "a + (-b)", "a - b"},
-	}
-	for _, c := range cases {
-		if c.name == "rewrite.assoc.add" {
-			c.expr, c.want = "(a + b) + c", "a + (b + c)"
+	for _, c := range identityRows {
+		d := parse(t, identityDecls, "input (a, b, c, f, g);\nx <- "+c.expr+";\noutput (x);")
+		at := isps.Path{0, 7, 0, 1, 1} // routine is decl 7; stmt 1 is the assignment; RHS
+		if msg, ok := strings.CutPrefix(c.want, refused); ok {
+			mustRefuse(t, d, c.name, at, msg)
+			continue
 		}
-		d := parse(t, "x: integer, a: integer, b: integer, c: integer, f<>, g<>,",
-			"input (a, b, c, f, g);\nx <- "+c.expr+";\noutput (x);")
-		at := isps.Path{0, 6, 0, 1, 1} // routine is decl 6; stmt 1 is the assignment; RHS
 		out := apply(t, d, c.name, at, nil)
 		got := isps.ExprString(out.Desc.Routine().Body.Stmts[1].(*isps.AssignStmt).RHS)
 		if got != c.want {
