@@ -102,11 +102,13 @@ bench() {
 # liveness question is one search of the CFG over effect sets filled
 # without a map per AST leaf, a failed probe files and formats no
 # precondition message, a binding shares its augment statements instead of
-# copying them, and Normalize probes through move tables resolved once per
-# process into a site buffer it reuses: the cold row is gated at <= 2044
-# allocs/op (2,022-2,023 measured in 20 runs; 2,052-2,053 with a move
-# table and a kind map built per Normalize call and a site slice grown per
-# round, 2,103 with deep copies of the augment statements in the augments
+# copying them, Normalize probes through move tables resolved once per
+# process into a site buffer it reuses, and a tree walk that reads no
+# path (isps.Visit) builds none: the cold row is gated at <= 1979
+# allocs/op (1,959-1,960 measured in 10 runs; 2,022-2,023 with those walks
+# building paths through isps.Walk, 2,052-2,053 with a move table and a
+# kind map built per Normalize call and a site slice grown per round as
+# well, 2,103 with deep copies of the augment statements in the augments
 # and in Session.Finish as well, 2,222 with each normalizing step applied
 # twice as well, 2,537 with a copying intern per commit, 3,432 before
 # either and with every probe's message formatted, 3,486 with a message
@@ -117,7 +119,7 @@ bench() {
 bench -bench 'BenchmarkCacheWarmVsCold' -benchmem -benchtime 20x -count 1 .
 COLD_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/cold' allocs/op "$BENCH")
 WARM_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/warm' allocs/op "$BENCH")
-test "$COLD_ALLOCS" -le 2044
+test "$COLD_ALLOCS" -le 1979
 test "$WARM_ALLOCS" -le 35
 COLD_NS=$(metric '^BenchmarkCacheWarmVsCold/cold' ns/op "$BENCH")
 WARM_NS=$(metric '^BenchmarkCacheWarmVsCold/warm' ns/op "$BENCH")
@@ -126,75 +128,85 @@ test "$COLD_NS" -ge "$((5 * WARM_NS))"
 # Validation and interpreter benchmarks. Validation compiles the operator,
 # the variant and every predicate once, binds each constraint to its
 # operands' positions once, runs each side on one reused interpreter
-# Runner and one reused State over the generator's image as a shared
+# Runner and one reused State over the round's image as a shared
 # read-only base, and counts its runs into the metrics registry once per
-# validation. Validation makes, assigns and ranges no map of its own per
-# round: the states' paged overlays are reset by walking their write logs
-# and keep their pages for the next round, and the memory compare reads
-# the logged addresses. The generators draw each image in place into a map
-# from core.NewImage, which a finished round clears and returns to its
-# size class's pool, so a warm round allocates only the generator's
-# operand vector. The flagship binding's 300-input validation is gated at
-# <= 437 allocs/op (433 measured in 10 of 10 runs, + 1%; 1,161 with a
+# validation. Validation makes, assigns, reads and clears no map per
+# round: each generator call appends its operands to a buffer and stores
+# its bytes into a paged image, and the buffer, the image and the two
+# states' paged overlays sit in one scratch that the validation takes from
+# a pool and resets every round by walking the write logs, keeping the
+# pages; the memory compare reads the logged addresses. So a warm round
+# allocates nothing. The flagship binding's 300-input validation is gated
+# at <= 132 allocs/op (131 measured in 10 of 10 runs, + 1%; 140 with a
+# scratch made per validation instead of pooled, 431 with an operand slice
+# per round, 433 with pooled image maps from core.NewImage, 1,161 with a
 # fresh image map per input, 1,433 with a content slice per input as well,
 # 1,453 with a Mem map per side too, 3,249 with a machine and a Result per
 # run, 12,279 with the tree-walking engine, 2,033 with a name-keyed
 # operand map per round): a change that brings back per-run machines,
-# per-input parsing, name tables, image copies or per-input images fails
-# here. scasb/index writes no memory and has no predicate, so the whole
-# catalog (17 bindings, 100 inputs each) is gated too, at <= 3651
-# allocs/op and <= 311890 B/op (3,614-3,615 and 308,780-308,802 B in 10
-# runs, + 1%; 8,164 and 1,717,977 B with a fresh image map per input,
-# whose largest is tr/xlate's 257-266 bytes, 10,255 and 1,728,203 B with
-# content slices as well; 10,598 with a Mem map per side too, 11,855 with
-# a fresh page per round, 23,755 with a name-keyed operand map per round):
-# a per-round image, page or map allocation, or a per-run allocation on
-# the store or predicate path, fails there. The one-shot interpreter row
-# has no gate beyond running cleanly.
+# per-input parsing, name tables, image copies, per-input images or
+# operand vectors fails here. scasb/index writes no memory and has no
+# predicate, so the whole catalog (17 bindings, 100 inputs each) is gated
+# too, at <= 1783 allocs/op and <= 183977 B/op (1,766 and 182,152-182,156
+# B in 10 runs, + 1%; 2,040 and 320,344 B with a scratch made per
+# validation, 3,466 and 221,356 B with an operand slice per round,
+# 3,614-3,615 and 308,780-308,802 B with pooled image maps, 8,164 and
+# 1,717,977 B with a fresh image map per input, whose largest is
+# tr/xlate's 257-266 bytes, 10,255 and 1,728,203 B with content slices as
+# well; 10,598 with a Mem map per side too, 11,855 with a fresh page per
+# round, 23,755 with a name-keyed operand map per round): a per-round
+# image, page, operand or map allocation, an unpooled scratch, or a
+# per-run allocation on the store or predicate path, fails there. The
+# one-shot interpreter row has no gate beyond running cleanly.
 bench -bench 'BenchmarkTable2Validation$|BenchmarkCatalogValidation$|BenchmarkInterpreter$' -benchmem -benchtime 100x -count 1 -cpu 1 .
 VAL_ALLOCS=$(metric '^BenchmarkTable2Validation' allocs/op "$BENCH")
 CATVAL_ALLOCS=$(metric '^BenchmarkCatalogValidation' allocs/op "$BENCH")
 CATVAL_BYTES=$(metric '^BenchmarkCatalogValidation' B/op "$BENCH")
-test "$VAL_ALLOCS" -le 437
-test "$CATVAL_ALLOCS" -le 3651
-test "$CATVAL_BYTES" -le 311890
+test "$VAL_ALLOCS" -le 132
+test "$CATVAL_ALLOCS" -le 1783
+test "$CATVAL_BYTES" -le 183977
 
 # Table 2 and auto-search allocation gates. TABLE2_ALLOCS sums the eleven
-# scripted analyses (12,724-12,727 in 20 runs -> <= 12855; 12,854-12,859
-# with a move table and a kind map built per Normalize call, 13,171 with
-# deep copies of the augment statements as well, 13,669 with each
-# normalizing step applied twice as well, 16,152 with a copying intern per
-# commit, 21,677 before either and with every probe's message formatted,
-# 21,919 with a precondition message filed per failed probe, 23,247 with
-# an all-names liveness fixpoint, 26,967 with three maps per AST leaf in
-# the effect sets, 56,842 before the corpora were parsed once and every
-# transformation became a spine rebuild); their step counts are pinned by
-# TestTable2StepCountsGolden. The search charges each candidate to its
-# state budget as it probes it and stops at the goal or the budget, a
-# failed probe neither formats nor files a precondition message, new
-# states are interned in place, the goal's trail is committed from its
-# probes' outcomes, a probe passes no argument map, and a state's sites go
-# into one buffer the search reuses, so both search rows are gated too
-# (ladder 2,331-2,332 in 20 runs -> <= 2356, exhaust 210,781-210,784 -> <=
-# 212892; 2,472-2,474 and 220,892-220,896 with a map of site slices by
-# node kind per side per state and a move table per search; 2,845 and
-# 272,855 with a one-entry argument map built per probe as well, which no
-# searched move reads; 2,885 with the trail replayed through Session.Apply
-# as well, 3,524 and 363,794 with every refused probe's message formatted,
-# 3,308 and 293,447 with a copying intern, 4,738 and 501,722 before
-# either, 4,882 and 527,550 with a message filed per failed probe): a
-# change that goes back to expanding a whole level before charging the
-# budget fails here (the level-at-a-time search took 7,688 and 1,439,982),
-# and so does one that brings back a map per AST leaf (6,635 and 922,349),
-# an eagerly formatted message, a copying intern, a replayed trail or an
-# argument map per probe.
+# scripted analyses (12,253-12,255 in 10 runs -> <= 12377; 12,724-12,727
+# with the tree walks that read no path building one through isps.Walk,
+# 12,854-12,859 with a move table and a kind map built per Normalize call
+# as well, 13,171 with deep copies of the augment statements as well,
+# 13,669 with each normalizing step applied twice as well, 16,152 with a
+# copying intern per commit, 21,677 before either and with every probe's
+# message formatted, 21,919 with a precondition message filed per failed
+# probe, 23,247 with an all-names liveness fixpoint, 26,967 with three
+# maps per AST leaf in the effect sets, 56,842 before the corpora were
+# parsed once and every transformation became a spine rebuild); their step
+# counts are pinned by TestTable2StepCountsGolden. The search charges each
+# candidate to its state budget as it probes it and stops at the goal or
+# the budget, a failed probe neither formats nor files a precondition
+# message, new states are interned in place, the goal's trail is committed
+# from its probes' outcomes, a probe passes no argument map, a state's
+# sites go into one buffer the search reuses, a refused probe's error is
+# matched by a type assertion (errors.As boxes its target on the heap),
+# and a walk that reads no path builds none, so both search rows are gated
+# too (ladder 2,171-2,172 in 10 runs -> <= 2193, exhaust 184,201-184,204
+# -> <= 186046; 2,300 and 205,156 with errors.As on every refused probe;
+# 2,331 and 210,781-210,784 with path-building walks as well; 2,472-2,474
+# and 220,892-220,896 with a map of site slices by node kind per side per
+# state and a move table per search; 2,845 and 272,855 with a one-entry
+# argument map built per probe as well, which no searched move reads;
+# 2,885 with the trail replayed through Session.Apply as well, 3,524 and
+# 363,794 with every refused probe's message formatted, 3,308 and 293,447
+# with a copying intern, 4,738 and 501,722 before either, 4,882 and
+# 527,550 with a message filed per failed probe): a change that goes back
+# to expanding a whole level before charging the budget fails here (the
+# level-at-a-time search took 7,688 and 1,439,982), and so does one that
+# brings back a map per AST leaf (6,635 and 922,349), an eagerly formatted
+# message, a copying intern, a replayed trail or an argument map per
+# probe.
 bench -bench 'BenchmarkTable2$|BenchmarkAutoSearchLadder$|BenchmarkAutoSearchExhaust$' -benchmem -benchtime 10x -count 1 -cpu 1 .
 TABLE2_ALLOCS=$(metric '^BenchmarkTable2/' allocs/op "$BENCH")
 LADDER_ALLOCS=$(metric '^BenchmarkAutoSearchLadder' allocs/op "$BENCH")
 EXHAUST_ALLOCS=$(metric '^BenchmarkAutoSearchExhaust' allocs/op "$BENCH")
-test "$TABLE2_ALLOCS" -le 12855
-test "$LADDER_ALLOCS" -le 2356
-test "$EXHAUST_ALLOCS" -le 212892
+test "$TABLE2_ALLOCS" -le 12377
+test "$LADDER_ALLOCS" -le 2193
+test "$EXHAUST_ALLOCS" -le 186046
 
 # Synth: one binding's enumerate-verify-rank cycle and the cross-layer
 # sweeps. The simulators decode each program once into register slots,

@@ -222,7 +222,7 @@ func compilePredicate(pred string, pos map[string]int) *predicate {
 		return p
 	}
 	var names []string
-	isps.Walk(out.Exprs[0], func(n isps.Node, _ isps.Path) bool {
+	isps.Visit(out.Exprs[0], func(n isps.Node) bool {
 		if id, ok := n.(*isps.Ident); ok && !slices.Contains(names, id.Name) {
 			names = append(names, id.Name)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"extra/internal/fault"
+	"extra/internal/interp"
 	"extra/internal/isps"
 	"extra/internal/transform"
 )
@@ -70,8 +71,8 @@ func TestSessionMiniAnalysis(t *testing.T) {
 		t.Errorf("f = 0 constraint missing: %v", b.Constraints)
 	}
 	// Validate the binding end to end.
-	gen := func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
-		return []uint64{rng.Uint64() % 100, rng.Uint64() % 100}, nil
+	var gen InputGen = func(rng *rand.Rand, in []uint64, _ *interp.Image) []uint64 {
+		return append(in, rng.Uint64()%100, rng.Uint64()%100)
 	}
 	n, err := ValidateBinding(b, gen, 50, 3)
 	if err != nil {
@@ -99,8 +100,8 @@ func TestValidateBindingRefutesWrongVariant(t *testing.T) {
 		Operator:  s.OrigOp,
 		Variant:   s.Variant,
 	}
-	gen := func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
-		return []uint64{rng.Uint64() % 100, 1 + rng.Uint64()%100}, nil
+	var gen InputGen = func(rng *rand.Rand, in []uint64, _ *interp.Image) []uint64 {
+		return append(in, rng.Uint64()%100, 1+rng.Uint64()%100)
 	}
 	_, err := ValidateBinding(b, gen, 50, 3)
 	if err == nil || !strings.Contains(err.Error(), "refuted") {

@@ -4,13 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"extra/internal/constraint"
 	"extra/internal/core"
+	"extra/internal/interp"
 	"extra/internal/proofs"
 )
 
@@ -35,25 +37,31 @@ func validate(b *core.Binding, gen core.InputGen, cancelAt, rounds int, seed int
 	return v
 }
 
-// private hands the validation a copy of each image gen draws, one no
-// generator can be given again: what validation decides over images that
-// no round before it recycled.
-func private(gen core.InputGen) core.InputGen {
+// mapped draws each input of gen on a fresh image and returns it as a map:
+// the path a map generator takes through a validation, on images no
+// earlier round or validation filled.
+func mapped(gen core.InputGen) func(*rand.Rand) ([]uint64, map[uint64]byte) {
 	return func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
-		in, mem := gen(rng)
-		return in, maps.Clone(mem)
+		var img interp.Image
+		in := gen(rng, nil, &img)
+		mem := make(map[uint64]byte, len(img.Written()))
+		for _, a := range img.Written() {
+			mem[a] = img.Load(a)
+		}
+		return in, mem
 	}
 }
 
-// TestRecycledImagesDecideAsFresh: a validation clears each round's image
-// and returns it to the pool the generators' next NewImage draws from. For
-// every catalog binding, a refuted binding and a cancelled validation,
-// validating on the generator directly must decide exactly what the same
-// validation decides on private copies of its images: the same checked
-// count, error text and registry counters. The direct runs must also
-// decide what each case is: the catalog passes, the corrupted binding is
-// refuted and the cancelled validation is cancelled. Once they have filled
-// the pools, NewImage must still hand out empty images.
+// TestRecycledImagesDecideAsFresh: a validation draws every input into one
+// operand buffer and one image that it resets each round and that later
+// validations take from a pool. For every catalog binding, a refuted
+// binding and a cancelled validation, validating on the generator directly
+// must decide exactly what the same validation decides when each input is
+// drawn on a fresh image and handed over as a map: the same checked count,
+// error text and registry counters. The direct runs must also decide what
+// each case is: the catalog passes, the corrupted binding is refuted and
+// the cancelled validation is cancelled. Where nothing cancels,
+// ValidateBinding given the map generator must decide the same as well.
 func TestRecycledImagesDecideAsFresh(t *testing.T) {
 	type tc struct {
 		name     string
@@ -79,34 +87,71 @@ func TestRecycledImagesDecideAsFresh(t *testing.T) {
 	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			seed := int64(i + 1)
-			fresh := validate(c.b, private(c.gen), c.cancelAt, rounds, seed)
+			fresh := validate(c.b, core.MapGen(mapped(c.gen)), c.cancelAt, rounds, seed)
 			recycled := validate(c.b, c.gen, c.cancelAt, rounds, seed)
 			if recycled.checked != fresh.checked || fmt.Sprint(recycled.err) != fmt.Sprint(fresh.err) {
-				t.Errorf("recycled images: %d checked, error %v; private images: %d checked, error %v",
+				t.Errorf("recycled images: %d checked, error %v; fresh images: %d checked, error %v",
 					recycled.checked, recycled.err, fresh.checked, fresh.err)
 			}
 			series := counterSeries(c.b)
 			for k := range series {
 				if recycled.counters[k] != fresh.counters[k] {
-					t.Errorf("%s: recycled images moved it %d, private images %d",
+					t.Errorf("%s: recycled images moved it %d, fresh images %d",
 						series[k], recycled.counters[k], fresh.counters[k])
 				}
 			}
 			if !c.want(recycled.err) {
 				t.Errorf("validation on recycled images returned %v", recycled.err)
 			}
+			if c.cancelAt == 0 {
+				n, err := core.ValidateBinding(c.b, mapped(c.gen), rounds, seed)
+				if n != recycled.checked || fmt.Sprint(err) != fmt.Sprint(recycled.err) {
+					t.Errorf("ValidateBinding on a map generator: %d checked, error %v; recycled images: %d, %v",
+						n, err, recycled.checked, recycled.err)
+				}
+			}
 		})
 	}
-	for n := 0; n <= 266; n++ {
-		if m := core.NewImage(n); len(m) != 0 {
-			t.Fatalf("NewImage(%d) holds %d bytes, want an empty image", n, len(m))
+}
+
+// TestRoundsStartEmpty: every generator call gets an empty operand buffer
+// and an empty image, whatever came before it: a checked round, a round
+// the constraints skipped, or the last round of a validation that was
+// cancelled and put its scratch back for the next validation to take. A
+// generator that counts the calls handed anything else must count none
+// over three validations of movc3/sassign, one of them cancelled part way,
+// with a range constraint on its length that skips about half the rounds.
+func TestRoundsStartEmpty(t *testing.T) {
+	sassign := proofs.Movc3PascalExtended()
+	b := *bindingOf(t, sassign)
+	b.Constraints = append(slices.Clone(b.Constraints), constraint.NewRange(b.OpInputs[0], 0, 5, "skips rounds"))
+	calls, dirty := 0, 0
+	var strict core.InputGen = func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
+		calls++
+		if len(in) != 0 || len(mem.Written()) != 0 {
+			dirty++
 		}
+		return sassign.Gen(rng, in, mem)
+	}
+	const rounds = 300
+	ctx, gen := cancelling(strict, 40)
+	if _, err := core.ValidateBindingCtx(ctx, &b, gen, rounds, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled validation returned %v", err)
+	}
+	for seed := int64(2); seed <= 3; seed++ {
+		n, err := core.ValidateBinding(&b, strict, rounds, seed)
+		if err != nil || n == 0 || n == rounds {
+			t.Fatalf("seed %d: %d of %d rounds checked, error %v; want some checked and some skipped", seed, n, rounds, err)
+		}
+	}
+	if want := 40 + 2*rounds; calls != want || dirty != 0 {
+		t.Errorf("%d generator calls, %d handed a non-empty buffer or image; want %d calls, none", calls, dirty, want)
 	}
 }
 
 // TestConcurrentValidationsSharePool: batch -jobs and serve -validate run
-// validations from several goroutines at once, and they all draw images
-// from and recycle them into one pool. Four goroutines validating the whole
+// validations from several goroutines at once, and they all take their
+// operand buffers, images and states from one pool and put them back. Four goroutines validating the whole
 // catalog at once, each starting at a different binding, must each find
 // what a serial run finds: the same checked count and error per binding.
 func TestConcurrentValidationsSharePool(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -13,42 +12,38 @@ import (
 	"extra/internal/obs"
 )
 
-// InputGen produces a random operator input vector (matching the operator's
-// final input signature) together with an initial memory image. Generators
-// are analysis-specific: a string search wants a string in memory and a
-// small alphabet so hits occur; a list search wants a linked list.
-//
-// Once a generator returns an image, the image belongs to the validation,
-// which may clear it and hand it to a later NewImage. So a generator must
-// return a map it does not keep; NewImage is where it takes one.
-type InputGen func(rng *rand.Rand) (opInputs []uint64, mem map[uint64]byte)
+// InputGen draws one random operator input: it appends the operand vector
+// (matching the operator's final input signature) to in, stores the
+// initial memory image into mem, and returns the extended vector.
+// Generators are analysis-specific: a string search wants a string in
+// memory and a small alphabet so hits occur; a list search wants a linked
+// list. A validation hands every call an empty in and an empty mem that it
+// owns and refills for the next input, so a generator keeps neither.
+type InputGen func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64
 
-// imagePools holds the images validation rounds are done with, cleared,
-// one pool per size class: pool c holds the images whose length n had
-// bits.Len(n) = c when they were returned. The classes keep tr/xlate's
-// 266-byte images away from a generator that writes ten bytes, whose
-// rounds would otherwise pay to clear a big map.
-var imagePools [bits.UintSize + 1]sync.Pool
-
-// NewImage returns an empty memory image for a generator that writes n
-// bytes into it: one a validation round cleared and returned to the pool
-// of n's size class, or a fresh map sized for n.
-func NewImage(n int) map[uint64]byte {
-	if m, ok := imagePools[bits.Len(uint(n))].Get().(map[uint64]byte); ok {
-		return m
-	}
-	return make(map[uint64]byte, n)
+// scratch is what a validation's rounds work in: the operand buffer and
+// image each round's generator call fills, and the two states the sides
+// run on over that image. Every part is reset each round, so a round
+// allocates nothing once its pages exist; a validation takes a scratch
+// from scratchPool and puts it back when it returns.
+type scratch struct {
+	in       []uint64
+	img      interp.Image
+	st1, st2 interp.State
 }
 
-// recycleImage clears a round's image and returns it to the pool of its
-// length's size class. Nothing may hold the image afterwards.
-func recycleImage(m map[uint64]byte) {
-	if m == nil {
-		return
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// mapGen adapts a generator that returns its image as a map: each call's
+// bytes are copied into the round's image.
+func mapGen(gen func(*rand.Rand) ([]uint64, map[uint64]byte)) InputGen {
+	return func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
+		ops, m := gen(rng)
+		for a, v := range m {
+			mem.Store(a, v)
+		}
+		return append(in, ops...)
 	}
-	c := bits.Len(uint(len(m)))
-	clear(m)
-	imagePools[c].Put(m)
 }
 
 // ValidateBinding executes the operator description and the customized
@@ -62,9 +57,17 @@ func recycleImage(m map[uint64]byte) {
 // against production compilers (section 5), and it is the check that found
 // "obscure bugs in the use of VAX-11 instructions in each compiler" there.
 // It is ValidateBindingCtx without a bound; it stays because the benchmark
-// module calls it.
-func ValidateBinding(b *Binding, gen InputGen, rounds int, seed int64) (int, error) {
-	return ValidateBindingCtx(context.Background(), b, gen, rounds, seed)
+// module calls it, with a catalog InputGen or with a generator that returns
+// a map image, whose bytes are copied into each round's image.
+func ValidateBinding[G InputGen | func(*rand.Rand) ([]uint64, map[uint64]byte)](b *Binding, gen G, rounds int, seed int64) (int, error) {
+	var g InputGen
+	switch f := any(gen).(type) {
+	case InputGen:
+		g = f
+	case func(*rand.Rand) ([]uint64, map[uint64]byte):
+		g = mapGen(f)
+	}
+	return ValidateBindingCtx(context.Background(), b, g, rounds, seed)
 }
 
 // ValidateBindingCtx is ValidateBinding bounded by ctx, with a span on the
@@ -125,18 +128,22 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 			checks = append(checks, k)
 		}
 	}
-	// Both sides run over the generator's image as a shared read-only
-	// base, each writing into its own overlay, reset between rounds.
-	// Registers are not observed (nil Regs). A round that returns to the
-	// loop, checked or skipped, recycles its image once no state holds it.
-	var st1, st2 interp.State
+	// Both sides run over the round's image as a shared read-only base,
+	// each writing into its own overlay. The operand buffer, the image and
+	// both overlays are reset every round, checked or skipped. Registers
+	// are not observed (nil Regs).
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.st1.Base, sc.st2.Base = &sc.img, &sc.img
 	rng := rand.New(rand.NewSource(seed))
 	checked := 0
 	for r := 0; r < rounds; r++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return checked, fmt.Errorf("core: validation interrupted after %d rounds: %w", r, cerr)
 		}
-		opIn, mem := gen(rng)
+		sc.img.Reset()
+		sc.in = gen(rng, sc.in[:0], &sc.img)
+		opIn := sc.in
 		if len(opIn) != len(b.OpInputs) {
 			return checked, fmt.Errorf("core: generator produced %d operands, binding has %d", len(opIn), len(b.OpInputs))
 		}
@@ -154,14 +161,12 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 			sat++
 		}
 		if !ok {
-			recycleImage(mem)
 			continue
 		}
-		st1.ResetMem()
-		st2.ResetMem()
-		st1.Base, st2.Base = mem, mem
-		r1, err1 := op.exec(ctx, opIn, &st1)
-		r2, err2 := variant.exec(ctx, opIn, &st2)
+		sc.st1.ResetMem()
+		sc.st2.ResetMem()
+		r1, err1 := op.exec(ctx, opIn, &sc.st1)
+		r2, err2 := variant.exec(ctx, opIn, &sc.st2)
 		if err1 != nil || err2 != nil {
 			// Wrap the first failure so typed sentinels (ErrStepLimit,
 			// ErrCallDepth, context errors) survive this layer.
@@ -175,12 +180,10 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 			return checked, fmt.Errorf("core: binding refuted on inputs %v: operator outputs %v, variant outputs %v",
 				opIn, r1.Outputs, r2.Outputs)
 		}
-		if !sameWrites(&st1, &st2) {
+		if !sameWrites(&sc.st1, &sc.st2) {
 			return checked, fmt.Errorf("core: binding refuted on inputs %v: final memories differ", opIn)
 		}
 		checked++
-		st1.Base, st2.Base = nil, nil
-		recycleImage(mem)
 	}
 	if checked == 0 {
 		return 0, fmt.Errorf("core: no generated inputs satisfied the binding's constraints")

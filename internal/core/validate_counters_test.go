@@ -141,12 +141,12 @@ func validationCounters(b *core.Binding) []uint64 {
 func cancelling(gen core.InputGen, at int) (context.Context, core.InputGen) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	return ctx, func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+	return ctx, func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 		calls++
 		if calls == at {
 			cancel()
 		}
-		return gen(rng)
+		return gen(rng, in, mem)
 	}
 }
 
@@ -165,7 +165,8 @@ func recount(t *testing.T, ctx context.Context, b *core.Binding, gen core.InputG
 	rng := rand.New(rand.NewSource(seed))
 	env := map[string]uint64{}
 	for r := 0; r < rounds && ctx.Err() == nil; r++ {
-		in, mem := gen(rng)
+		mem := &interp.Image{}
+		in := gen(rng, nil, mem)
 		for i, name := range b.OpInputs {
 			env[name], env[b.InsInputs[i]] = in[i], in[i]
 		}
@@ -222,32 +223,32 @@ func TestSameWritesMatchesFullCompare(t *testing.T) {
 		1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, ^uint64(1), ^uint64(0)}
 	const rounds = 3000
 	rng := rand.New(rand.NewSource(1))
-	var a, b interp.State
+	var base interp.Image
+	a, b := interp.State{Base: &base}, interp.State{Base: &base}
 	differ := 0
 	for round := 0; round < rounds; round++ {
-		base := map[uint64]byte{}
+		base.Reset()
 		for _, k := range addrs {
 			if rng.Intn(2) == 0 {
-				base[k] = byte(1 + rng.Intn(3))
+				base.Store(k, byte(1+rng.Intn(3)))
 			}
 		}
 		a.ResetMem()
 		b.ResetMem()
-		a.Base, b.Base = base, base
 		for _, st := range []*interp.State{&a, &b} {
 			for n := rng.Intn(7); n > 0; n-- {
 				k := addrs[rng.Intn(len(addrs))]
 				v := byte(rng.Intn(4))
 				if rng.Intn(2) == 0 {
-					v = base[k]
+					v = base.Load(k)
 				}
 				st.Store(k, v)
 			}
 		}
 		want := sameMemory(&a, &b, addrs)
 		if got := core.SameWrites(&a, &b); got != want {
-			t.Fatalf("round %d: sameWrites %v, full compare %v (base %v, written %v and %v)",
-				round, got, want, base, a.Written(), b.Written())
+			t.Fatalf("round %d: sameWrites %v, full compare %v (base written at %v, states at %v and %v)",
+				round, got, want, base.Written(), a.Written(), b.Written())
 		}
 		if !want {
 			differ++

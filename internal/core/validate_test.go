@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"extra/internal/constraint"
+	"extra/internal/interp"
 	"extra/internal/isps"
 )
 
@@ -28,14 +29,15 @@ end`)
 	op := desc("Mb[d] <- Mb[s];")
 	// The image holds a nonzero source byte at 10, zero or small bytes at
 	// the destinations 20..24, 7 at 30, and nothing at 40.
-	gen := func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
-		mem := map[uint64]byte{10: byte(0x80 + rng.Intn(0x80)), 30: 7}
+	var gen InputGen = func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
+		mem.Store(10, byte(0x80+rng.Intn(0x80)))
+		mem.Store(30, 7)
 		for a := uint64(20); a < 25; a++ {
 			if rng.Intn(2) == 0 {
-				mem[a] = byte(rng.Intn(0x80))
+				mem.Store(a, byte(rng.Intn(0x80)))
 			}
 		}
-		return []uint64{10, uint64(20 + rng.Intn(5))}, mem
+		return append(in, 10, uint64(20+rng.Intn(5)))
 	}
 	for _, tc := range []struct {
 		name, variant string
@@ -87,14 +89,14 @@ end`)
 			constraint.NewValue("gone", 1, "no longer an operand"),
 		},
 	}
-	gen := func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
-		return []uint64{uint64(rng.Intn(20)), uint64(rng.Intn(20))}, nil
+	var gen InputGen = func(rng *rand.Rand, in []uint64, _ *interp.Image) []uint64 {
+		return append(in, uint64(rng.Intn(20)), uint64(rng.Intn(20)))
 	}
 	const rounds, seed = 200, 3
 	want := 0
 	rng := rand.New(rand.NewSource(seed))
 	for r := 0; r < rounds; r++ {
-		if in, _ := gen(rng); in[1] <= 9 {
+		if in := gen(rng, nil, nil); in[1] <= 9 {
 			want++
 		}
 	}

@@ -191,7 +191,7 @@ func blockExits(b *isps.Block) bool {
 // or as an input operand.
 func UsesName(n isps.Node, name string) bool {
 	found := false
-	isps.Walk(n, func(m isps.Node, _ isps.Path) bool {
+	isps.Visit(n, func(m isps.Node) bool {
 		switch x := m.(type) {
 		case *isps.Ident:
 			if x.Name == name {
@@ -221,7 +221,7 @@ func MayDefine(n isps.Node, name string, funcs map[string]*isps.FuncDecl) bool {
 // HasCalls reports whether any function call occurs under n.
 func HasCalls(n isps.Node) bool {
 	found := false
-	isps.Walk(n, func(m isps.Node, _ isps.Path) bool {
+	isps.Visit(n, func(m isps.Node) bool {
 		if _, ok := m.(*isps.Call); ok {
 			found = true
 		}

@@ -87,7 +87,7 @@ func Reflexive(d *isps.Description) error {
 func fullyInlined(d *isps.Description) bool {
 	for _, f := range d.Funcs() {
 		called := false
-		isps.Walk(d, func(n isps.Node, _ isps.Path) bool {
+		isps.Visit(d, func(n isps.Node) bool {
 			if c, ok := n.(*isps.Call); ok && c.Name == f.Name {
 				called = true
 			}
@@ -113,7 +113,7 @@ func commonForm(op, ins *isps.Description) (*Match, error) {
 	for _, d := range []*isps.Description{op, ins} {
 		for _, f := range d.Funcs() {
 			called := false
-			isps.Walk(d, func(n isps.Node, _ isps.Path) bool {
+			isps.Visit(d, func(n isps.Node) bool {
 				if c, ok := n.(*isps.Call); ok && c.Name == f.Name {
 					called = true
 				}

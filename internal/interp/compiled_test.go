@@ -28,11 +28,8 @@ import (
 // the image as a read-only Base, and the addresses it logs must be exactly
 // those the reference wrote, in the same order.
 func diffRuns(ctx context.Context, d *isps.Description, inputs []uint64, st *interp.State, limit int) string {
-	image := maps.Clone(st.Base)
+	image := imageMap(st.Base)
 	ref := &refState{Regs: maps.Clone(st.Regs), Mem: maps.Clone(image)}
-	if ref.Mem == nil {
-		ref.Mem = map[uint64]byte{}
-	}
 	want, wantErr := refRun(ctx, d, inputs, ref, limit)
 
 	gotSt := &interp.State{Regs: maps.Clone(st.Regs)}
@@ -78,7 +75,7 @@ func diffRuns(ctx context.Context, d *isps.Description, inputs []uint64, st *int
 			return fmt.Sprintf("over a base image: Mb[%d]: reference %d, compiled %d", k, v, ovSt.Load(k))
 		}
 	}
-	if !maps.Equal(st.Base, image) {
+	if !maps.Equal(imageMap(st.Base), image) {
 		return "over a base image: the run wrote into the base"
 	}
 	return ""
@@ -120,6 +117,19 @@ func diffReuse(ctx context.Context, p *interp.Program, r *interp.Runner, rs *int
 	return ""
 }
 
+// imageMap returns the bytes stored in an image, by address; a nil image
+// holds none.
+func imageMap(m *interp.Image) map[uint64]byte {
+	mem := map[uint64]byte{}
+	if m == nil {
+		return mem
+	}
+	for _, a := range m.Written() {
+		mem[a] = m.Load(a)
+	}
+	return mem
+}
+
 // sentinels are the errors callers classify with errors.Is.
 var sentinels = []error{interp.ErrStepLimit, interp.ErrCallDepth, context.Canceled, context.DeadlineExceeded}
 
@@ -154,10 +164,10 @@ func diffResult(want *interp.Result, wantErr error, got *interp.Result, gotErr e
 // than its register is exercised).
 func randomState(rng *rand.Rand, regs []*isps.RegDecl) *interp.State {
 	st := interp.NewState()
-	st.Base = map[uint64]byte{}
+	st.Base = &interp.Image{}
 	for a := 0; a < 96; a++ {
 		if rng.Intn(3) > 0 {
-			st.Base[uint64(a)] = byte(rng.Intn(8))
+			st.Base.Store(uint64(a), byte(rng.Intn(8)))
 		}
 	}
 	if rng.Intn(2) == 0 {
@@ -208,10 +218,12 @@ func TestCompiledMatchesReference(t *testing.T) {
 			t.Fatalf("%s/%s: %v", a.Instruction, a.Operator, err)
 		}
 		rng := rand.New(rand.NewSource(1))
+		var img interp.Image
 		for round := 0; round < 100; round++ {
-			in, mem := a.Gen(rng)
+			img.Reset()
+			in := a.Gen(rng, nil, &img)
 			for _, d := range []*isps.Description{b.Operator, b.Variant} {
-				st := &interp.State{Regs: map[string]uint64{}, Base: mem}
+				st := &interp.State{Regs: map[string]uint64{}, Base: &img}
 				if msg := diffRuns(ctx, d, in, st, 0); msg != "" {
 					t.Fatalf("%s/%s %s, inputs %v: %s", a.Instruction, a.Operator, d.Name, in, msg)
 				}
@@ -241,7 +253,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	type reuseCase struct {
 		name string
 		d    *isps.Description
-		gen  func(*rand.Rand) ([]uint64, map[uint64]byte)
+		gen  func(*rand.Rand, []uint64, *interp.Image) []uint64
 	}
 	var cases []reuseCase
 	for _, a := range append(proofs.Table2(), proofs.Extensions()...) {
@@ -266,10 +278,12 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		p := interp.Compile(out.Desc)
 		r, rs := p.NewRunner(), &interp.State{}
 		rng := rand.New(rand.NewSource(1))
+		var img interp.Image
 		for round := 0; round < 200; round++ {
-			in, mem := c.gen(rng)
+			img.Reset()
+			in := c.gen(rng, nil, &img)
 			ctx, limit := context.Background(), 0
-			st := &interp.State{Base: mem}
+			st := &interp.State{Base: &img}
 			switch round % 8 {
 			case 1:
 				limit = 5
@@ -345,16 +359,15 @@ var wrapEdges = []uint64{0, 1, 15, 0xFF, 0xFFFF, 0x10000, 0xFFFFFFFF, 1 << 32, 1
 // wrapGen draws inputs for wrapSources: a first operand at one of
 // wrapEdges, a second below 300, and an image with nonzero bytes at random
 // addresses next to every edge.
-func wrapGen(rng *rand.Rand) ([]uint64, map[uint64]byte) {
-	mem := map[uint64]byte{}
+func wrapGen(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 	for _, e := range wrapEdges {
 		for k := uint64(0); k < 4; k++ {
 			if rng.Intn(2) == 0 {
-				mem[e-2+k] = byte(1 + rng.Intn(255))
+				mem.Store(e-2+k, byte(1+rng.Intn(255)))
 			}
 		}
 	}
-	return []uint64{wrapEdges[rng.Intn(len(wrapEdges))], uint64(rng.Intn(300))}, mem
+	return append(in, wrapEdges[rng.Intn(len(wrapEdges))], uint64(rng.Intn(300)))
 }
 
 // failureKind names the way a run failed.
@@ -615,9 +628,9 @@ end`)
 // -race to check the Program is not written during runs).
 func TestProgramConcurrentRuns(t *testing.T) {
 	p := interp.Compile(machines.Get("scasb"))
-	image := map[uint64]byte{}
+	image := &interp.Image{}
 	for i := 0; i < 64; i++ {
-		image[uint64(100+i)] = byte('a' + i%3)
+		image.Store(uint64(100+i), byte('a'+i%3))
 	}
 	in := []uint64{1, 0, 0, 0, 100, 64, 'c'}
 	want, err := p.Run(context.Background(), in, &interp.State{Base: image}, 0)

@@ -55,7 +55,7 @@ import (
 // not be copied once it has written memory: use Clone.
 type State struct {
 	Regs map[string]uint64
-	Base map[uint64]byte
+	Base *Image
 	mem  overlay
 }
 
@@ -78,10 +78,10 @@ func (s *State) Clone() *State {
 // Load returns the memory byte at addr: the state's own if it wrote one
 // there, else Base's, else 0.
 func (s *State) Load(addr uint64) byte {
-	if p := s.mem.page(addr); p != nil && p.has(addr) {
-		return p.data[addr&pageMask]
+	if v, ok := s.mem.load(addr); ok {
+		return v
 	}
-	return s.Base[addr]
+	return s.Base.Load(addr)
 }
 
 // Store writes v to memory at addr.

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -483,11 +484,65 @@ end`
 	}
 }
 
+// TestImage: an image holds what was stored at any address, a stored 0
+// included (lss/lsearch's generator stores a list's last link as 0), lists
+// each address once in the order of its first store, and reads 0 where
+// nothing was stored. A state over it reads it under its own writes and
+// never writes into it. After Reset the image is empty again, and once its
+// pages exist, refilling it allocates nothing.
+func TestImage(t *testing.T) {
+	const top = 1<<32 - 1
+	var m Image
+	for round := 0; round < 3; round++ {
+		if w := m.Written(); len(w) != 0 {
+			t.Fatalf("round %d: a reset image lists %v", round, w)
+		}
+		for _, a := range []uint64{0, 65535, 65536, top} {
+			if v := m.Load(a); v != 0 {
+				t.Fatalf("round %d: a reset image holds %d at %d", round, v, a)
+			}
+		}
+		m.Store(65535, 0)
+		m.Store(65536, byte(1+round))
+		m.Store(top, byte(2+round))
+		m.Store(65535, byte(round))
+		if w, want := m.Written(), []uint64{65535, 65536, top}; !slices.Equal(w, want) {
+			t.Fatalf("round %d: image lists %v, want %v", round, w, want)
+		}
+		if m.Load(65535) != byte(round) || m.Load(65536) != byte(1+round) || m.Load(top) != byte(2+round) || m.Load(65534) != 0 {
+			t.Fatalf("round %d: image reads %d %d %d %d", round, m.Load(65535), m.Load(65536), m.Load(top), m.Load(65534))
+		}
+		st := State{Base: &m}
+		st.Store(65536, 0)
+		if st.Load(65535) != byte(round) || st.Load(65536) != 0 || st.Load(top) != byte(2+round) || st.Load(top+1) != 0 {
+			t.Fatalf("round %d: state over the image reads %d %d %d %d", round, st.Load(65535), st.Load(65536), st.Load(top), st.Load(top+1))
+		}
+		if m.Load(65536) != byte(1+round) {
+			t.Fatalf("round %d: the state's write reached the image", round)
+		}
+		m.Reset()
+	}
+	if (*Image)(nil).Load(7) != 0 || (&State{}).Load(7) != 0 {
+		t.Error("a nil image does not read as zeros")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		m.Store(65535, 0)
+		m.Store(65536, 1)
+		m.Store(top, 2)
+		m.Reset()
+	})
+	if allocs != 0 {
+		t.Errorf("refilling a reset image allocated %v times per fill", allocs)
+	}
+}
+
 func TestStateClone(t *testing.T) {
 	st := NewState()
 	st.Regs["a"] = 1
 	st.Store(5, 9)
-	st.Base = map[uint64]byte{5: 1, 6: 7}
+	st.Base = &Image{}
+	st.Base.Store(5, 1)
+	st.Base.Store(6, 7)
 	c := st.Clone()
 	c.Regs["a"] = 2
 	c.Store(5, 8)
@@ -499,7 +554,7 @@ func TestStateClone(t *testing.T) {
 	if c.Load(5) != 8 || c.Load(6) != 7 || c.Load(7) != 0 || st.Load(5) != 9 {
 		t.Errorf("Load through the overlay: clone %d %d %d, original %d", c.Load(5), c.Load(6), c.Load(7), st.Load(5))
 	}
-	c.Base[6] = 3
+	c.Base.Store(6, 3)
 	if st.Load(6) != 3 {
 		t.Error("Clone copied the base image instead of sharing it")
 	}

@@ -1,13 +1,13 @@
 package interp
 
-// The memory a State writes is an overlay of 256-byte pages, each with a
-// bitmap of the bytes written in it. Pages below 64 KiB sit in a direct
-// array; pages above it, which operators reach because their addresses are
-// full 64-bit values, sit in a table sorted by page number. A log lists
-// every written address once, in the order of its first write: it is the
-// set a memory compare needs, and the walk that resets the overlay for the
-// state's next run, whose pages come from a free list of the pages the
-// reset let go.
+// The memory a State writes, and an Image under it, is an overlay of
+// 256-byte pages, each with a bitmap of the bytes written in it. Pages
+// below 64 KiB sit in a direct array; pages above it, which operators reach
+// because their addresses are full 64-bit values, sit in a table sorted by
+// page number. A log lists every written address once, in the order of its
+// first write: it is the set a memory compare needs, and the walk that
+// resets the overlay for its next use, whose pages come from a free list of
+// the pages the reset let go.
 
 const (
 	pageBits = 8
@@ -61,6 +61,14 @@ func (o *overlay) page(addr uint64) *page {
 		return o.high[i].p
 	}
 	return nil
+}
+
+// load returns the byte written at addr, and whether one was.
+func (o *overlay) load(addr uint64) (byte, bool) {
+	if p := o.page(addr); p != nil && p.has(addr) {
+		return p.data[addr&pageMask], true
+	}
+	return 0, false
 }
 
 // search returns the index of page number n in high, or where it would be
@@ -127,4 +135,47 @@ func (o *overlay) reset() {
 		o.free = append(o.free, h.p)
 	}
 	o.high, o.log = o.high[:0], o.log[:0]
+}
+
+// Image is a memory image: the read-only Base a State reads under the
+// bytes it writes itself. It keeps its bytes as a state does, in paged
+// memory that holds any 64-bit address, so a read of it is a page lookup
+// and no map. A stored 0 is a byte of the image like any other. Reset
+// empties it and keeps its pages, so an Image refilled again and again, as
+// a validation refills one per input, allocates nothing once its pages
+// exist.
+//
+// The zero Image is empty and ready to use. Runs only read an Image, so
+// any number of states may run over one at once, but it must not be
+// stored to or reset while they do.
+type Image struct {
+	mem overlay
+}
+
+// Store sets the byte at addr to v.
+func (m *Image) Store(addr uint64, v byte) {
+	m.mem.store(addr, v)
+}
+
+// Load returns the byte at addr, or 0 where none was stored. A nil Image
+// reads as all zeros.
+func (m *Image) Load(addr uint64) byte {
+	if m == nil {
+		return 0
+	}
+	v, _ := m.mem.load(addr)
+	return v
+}
+
+// Written returns every address stored to since the image was made or
+// last reset, each once, in the order of its first store. The slice
+// belongs to the image: it is valid until the next Store or Reset, and the
+// caller must not modify it.
+func (m *Image) Written() []uint64 {
+	return m.mem.log
+}
+
+// Reset empties the image, keeping its pages for later stores.
+func (m *Image) Reset() {
+	m.mem.reset()
 }

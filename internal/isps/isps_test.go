@@ -2,6 +2,7 @@ package isps
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -190,6 +191,44 @@ func TestResolveErrorKeepsPath(t *testing.T) {
 	p[0], p[2] = 7, 8
 	if got := err.Error(); got != want {
 		t.Errorf("message after reusing the path: %q, want %q", got, want)
+	}
+}
+
+// TestVisitMatchesWalk: Visit calls fn on the nodes Walk does, in the same
+// order, skips the same subtrees when fn returns false, and allocates
+// nothing.
+func TestVisitMatchesWalk(t *testing.T) {
+	d := MustParse(scasbSrc)
+	for _, skip := range []bool{false, true} {
+		// With skip, fn refuses the children of every statement.
+		keep := func(n Node) bool {
+			_, isStmt := n.(Stmt)
+			return !skip || !isStmt
+		}
+		var walked, visited []Node
+		Walk(d, func(n Node, _ Path) bool {
+			walked = append(walked, n)
+			return keep(n)
+		})
+		Visit(d, func(n Node) bool {
+			visited = append(visited, n)
+			return keep(n)
+		})
+		if len(walked) < 10 || !slices.Equal(walked, visited) {
+			t.Errorf("skip %v: Walk visited %d nodes, Visit %d, or in another order", skip, len(walked), len(visited))
+		}
+	}
+	idents := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		Visit(d, func(n Node) bool {
+			if _, ok := n.(*Ident); ok {
+				idents++
+			}
+			return true
+		})
+	})
+	if allocs != 0 || idents == 0 {
+		t.Errorf("Visit allocated %v times per walk (%d identifiers seen)", allocs, idents)
 	}
 }
 

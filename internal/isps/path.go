@@ -116,7 +116,8 @@ func (e *ResolveError) Error() string {
 // beyond the callback must copy it (append(Path(nil), p...)). Reuse keeps
 // a full-tree walk at one allocation instead of one per node, which is the
 // difference between O(n) and O(n·depth) allocations on the search's
-// candidate-enumeration hot path.
+// candidate-enumeration hot path. A caller that reads no path uses Visit,
+// which allocates nothing.
 func Walk(root Node, fn func(n Node, p Path) bool) {
 	scratch := make(Path, 0, 32)
 	var rec func(n Node)
@@ -131,6 +132,18 @@ func Walk(root Node, fn func(n Node, p Path) bool) {
 		}
 	}
 	rec(root)
+}
+
+// Visit calls fn for every node in pre-order, as Walk does, but passes no
+// path: it is Walk for callers that do not read one, and it allocates
+// nothing of its own. If fn returns false the node's children are skipped.
+func Visit(root Node, fn func(n Node) bool) {
+	if !fn(root) {
+		return
+	}
+	for i := 0; i < root.NumChildren(); i++ {
+		Visit(root.Child(i), fn)
+	}
 }
 
 // Find returns the path of the first node (in pre-order) for which pred is
@@ -168,7 +181,7 @@ func FindAll(root Node, pred func(Node) bool) []Path {
 // occur anywhere under root (excluding declaration names).
 func UsedNames(root Node) map[string]bool {
 	used := map[string]bool{}
-	Walk(root, func(n Node, _ Path) bool {
+	Visit(root, func(n Node) bool {
 		switch x := n.(type) {
 		case *Ident:
 			used[x.Name] = true

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"extra/internal/core"
+	"extra/internal/interp"
 )
 
 // StosbBlkclr binds the Intel 8086 stosb (with the rep prefix and the fill
@@ -36,10 +37,11 @@ func StosbBlkclr() *Analysis {
 			}
 			return apply(s, core.OpSide, "input.reorder", nil, "order", "to,count")
 		},
-		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+		Gen: func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 			n := rng.Intn(12)
 			dst := uint64(64 + rng.Intn(32))
-			return []uint64{dst, uint64(n)}, stringImage(rng, dst, n+2)
+			drawString(rng, mem, dst, n+2)
+			return append(in, dst, uint64(n))
 		},
 	}
 }
@@ -63,11 +65,12 @@ func LoccPL1() *Analysis {
 			return apply(s, core.InsSide, "augment.epilogue", nil,
 				"stmts", "if r0 = 0 then output (0); else output (r1 - temp + 1); end_if;")
 		},
-		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+		Gen: func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 			n := rng.Intn(12)
 			base := uint64(64 + rng.Intn(64))
 			ch := uint64('a' + rng.Intn(4))
-			return []uint64{ch, uint64(n), base}, stringImage(rng, base, n)
+			drawString(rng, mem, base, n)
+			return append(in, ch, uint64(n), base)
 		},
 	}
 }
@@ -133,11 +136,12 @@ func ClcScompare() *Analysis {
 			return applyAtStmt(s, core.OpSide, "loop.exit.witness", "exit_when (t0 <> t1);",
 				"flag", "fw")
 		},
-		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+		Gen: func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 			n := 1 + rng.Intn(10) // clc compares at least one byte
 			a := uint64(64 + rng.Intn(16))
 			b := uint64(160 + rng.Intn(16))
-			return []uint64{a, b, uint64(n)}, compareImage(rng, a, b, n)
+			compareImage(rng, mem, a, b, n)
+			return append(in, a, b, uint64(n))
 		},
 	}
 }
@@ -174,16 +178,19 @@ func TrXlate() *Analysis {
 			return applyAtLoop(s, core.InsSide, "loop.induction.index",
 				"p", "a1", "i", "i1", "width", "32")
 		},
-		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+		Gen: func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 			n := 1 + rng.Intn(10) // tr translates at least one byte
 			base := uint64(512 + rng.Intn(32))
 			table := uint64(1024)
-			mem := core.NewImage(n + 256)
 			drawString(rng, mem, base, n)
-			for i := 0; i < 256; i++ {
-				mem[table+uint64(i)] = byte(rng.Intn(256))
+			// The 256-byte table, eight bytes per draw, low byte first.
+			for i := uint64(0); i < 256; i += 8 {
+				x := rng.Uint64()
+				for k := uint64(0); k < 8; k++ {
+					mem.Store(table+i+k, byte(x>>(8*k)))
+				}
 			}
-			return []uint64{base, table, uint64(n)}, mem
+			return append(in, base, table, uint64(n))
 		},
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"extra/internal/core"
+	"extra/internal/interp"
 	"extra/internal/isps"
 	"extra/internal/langops"
 	"extra/internal/machines"
@@ -24,7 +25,7 @@ func Movc3PascalExtended() *Analysis {
 		Operator: "sassign", PaperSteps: 0, // not in Table 2: classic EXTRA fails here
 		Extended: true,
 		Script:   movc3SassignScript,
-		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+		Gen: func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 			// Pascal guarantees no overlap; the generator reflects the
 			// language property and the predicate constraint filters any
 			// residual overlap.
@@ -34,7 +35,8 @@ func Movc3PascalExtended() *Analysis {
 			if rng.Intn(2) == 0 {
 				src, dst = dst, src
 			}
-			return []uint64{uint64(n), src, dst}, stringImage(rng, src, n)
+			drawString(rng, mem, src, n)
+			return append(in, uint64(n), src, dst)
 		},
 	}
 }
@@ -91,26 +93,25 @@ func B4800Lsearch() *Analysis {
 			}
 			return nil
 		},
-		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+		Gen: func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 			// Build a short linked list in the first 256 bytes: nodes 8
 			// bytes apart from 16, link byte at +0, key byte at +1.
 			n := rng.Intn(5)
-			mem := core.NewImage(2 * n)
 			for i := 0; i < n; i++ {
 				a := uint64(16 + i*8)
 				next := byte(0)
 				if i+1 < n {
 					next = byte(a + 8)
 				}
-				mem[a] = next
-				mem[a+1] = byte('a' + rng.Intn(3))
+				mem.Store(a, next)
+				mem.Store(a+1, byte('a'+rng.Intn(3)))
 			}
 			head := uint64(0)
 			if n > 0 {
 				head = 16
 			}
 			kv := uint64('a' + rng.Intn(4))
-			return []uint64{head, 1, kv}, mem
+			return append(in, head, 1, kv)
 		},
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
+
+	"extra/internal/interp"
 )
 
 // genDigests pins every catalog generator's output stream: the SHA-256 of
@@ -31,33 +33,35 @@ var genDigests = map[string]string{
 	"stosb/blkclr":   "47ddf368b8b58ce4a9743a5279417a03b0457df4a926c58bd78e0d80b08c3bf0",
 	"clc/scompare":   "d9851b28b72b408ef9cee728e476aec043860b63753d99146d3e34e0d5f7d3b3",
 	"locc/pindex":    "2ef94fd6bb540b669c872d1c2946da373fe8aec4f583268a97a0e6476a002ba8",
-	"tr/xlate":       "1f17e2314c1c051e763ce7c1cb4c5f3f8ed180faaea20e28d3019dbd9d107eea",
+	"tr/xlate":       "d63a4ca193348569745800859c0d1b91ef7edd91efa05836c2ba55dce04e23e5",
 }
 
 // genDigest hashes the first n generated pairs of a's Gen at seed 1, each
-// image encoded as its (address, byte) entries in address order.
+// image encoded as its (address, byte) entries in address order. It draws
+// them as a validation does, into one operand buffer and one image reset
+// before each call.
 func genDigest(a *Analysis, n int) string {
 	rng := rand.New(rand.NewSource(1))
 	h := sha256.New()
 	var buf [9]byte
+	var in []uint64
+	var mem interp.Image
 	for i := 0; i < n; i++ {
-		in, mem := a.Gen(rng)
+		mem.Reset()
+		in = a.Gen(rng, in[:0], &mem)
 		binary.LittleEndian.PutUint64(buf[:8], uint64(len(in)))
 		h.Write(buf[:8])
 		for _, v := range in {
 			binary.LittleEndian.PutUint64(buf[:8], v)
 			h.Write(buf[:8])
 		}
-		addrs := make([]uint64, 0, len(mem))
-		for k := range mem {
-			addrs = append(addrs, k)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		addrs := slices.Clone(mem.Written())
+		slices.Sort(addrs)
 		binary.LittleEndian.PutUint64(buf[:8], uint64(len(addrs)))
 		h.Write(buf[:8])
 		for _, k := range addrs {
 			binary.LittleEndian.PutUint64(buf[:8], k)
-			buf[8] = mem[k]
+			buf[8] = mem.Load(k)
 			h.Write(buf[:9])
 		}
 	}

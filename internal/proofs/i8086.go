@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"extra/internal/core"
+	"extra/internal/interp"
 )
 
 // ScasbRigel is the paper's flagship example (section 4.1): the Intel 8086
@@ -38,12 +39,12 @@ func ScasbCLU() *Analysis {
 // searchGen generates (base, length, char) operand vectors with a string in
 // memory over three letters and a char over four, so it is sometimes absent.
 func searchGen() core.InputGen {
-	return func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+	return func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 		n := rng.Intn(12)
 		base := uint64(64 + rng.Intn(64))
-		mem := stringImage(rng, base, n)
+		drawString(rng, mem, base, n)
 		ch := uint64('a' + rng.Intn(4))
-		return []uint64{base, uint64(n), ch}, mem
+		return append(in, base, uint64(n), ch)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"extra/internal/core"
+	"extra/internal/interp"
 )
 
 // MovsbPascal binds the Intel 8086 movsb (with the rep prefix) to the
@@ -109,11 +110,12 @@ func movsbInsSide(s *core.Session) error {
 // (forward byte-by-byte moves agree even when they overlap, but disjoint
 // regions keep the check crisp) with random source content.
 func moveGen() core.InputGen {
-	return func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+	return func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 		n := rng.Intn(12)
 		src := uint64(64 + rng.Intn(32))
 		dst := uint64(160 + rng.Intn(32))
-		return []uint64{src, dst, uint64(n)}, stringImage(rng, src, n)
+		drawString(rng, mem, src, n)
+		return append(in, src, dst, uint64(n))
 	}
 }
 
@@ -220,10 +222,11 @@ func CmpsbPascal() *Analysis {
 // compareGen generates (a, b, len) comparison operands; half the time the
 // strings are equal, otherwise they differ at a random position.
 func compareGen() core.InputGen {
-	return func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+	return func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 		n := rng.Intn(10)
 		a := uint64(64 + rng.Intn(16))
 		b := uint64(160 + rng.Intn(16))
-		return []uint64{a, b, uint64(n)}, compareImage(rng, a, b, n)
+		compareImage(rng, mem, a, b, n)
+		return append(in, a, b, uint64(n))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"extra/internal/core"
+	"extra/internal/interp"
 )
 
 // MvcPascal binds the IBM 370 mvc to the Pascal string assignment. The mvc
@@ -54,12 +55,13 @@ func MvcPascal() *Analysis {
 			}
 			return s.InlineCalls(core.OpSide)
 		},
-		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+		Gen: func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 			// The binding holds for 1 <= Len <= 256.
 			n := 1 + rng.Intn(12)
 			dst := uint64(64 + rng.Intn(32))
 			src := uint64(160 + rng.Intn(32))
-			return []uint64{dst, src, uint64(n)}, stringImage(rng, src, n)
+			drawString(rng, mem, src, n)
+			return append(in, dst, src, uint64(n))
 		},
 	}
 }

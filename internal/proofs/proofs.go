@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"extra/internal/core"
+	"extra/internal/interp"
 	"extra/internal/isps"
 	"extra/internal/langops"
 	"extra/internal/machines"
@@ -248,31 +249,23 @@ func sinkToLoopBottom(s *core.Session, side core.Side, from int) error {
 	}
 }
 
-// stringImage returns an image holding a string of n bytes drawn at addr.
-func stringImage(rng *rand.Rand, addr uint64, n int) map[uint64]byte {
-	mem := core.NewImage(n)
-	drawString(rng, mem, addr, n)
-	return mem
-}
-
-// compareImage returns an image holding a string of n bytes drawn at a and
-// its copy at b; half the time (when n > 0) one byte of the copy differs.
-func compareImage(rng *rand.Rand, a, b uint64, n int) map[uint64]byte {
-	mem := core.NewImage(2 * n)
+// compareImage stores a string of n bytes drawn at a and its copy at b;
+// half the time (when n > 0) one byte of the copy differs.
+func compareImage(rng *rand.Rand, mem *interp.Image, a, b uint64, n int) {
 	drawString(rng, mem, a, n)
 	for i := uint64(0); i < uint64(n); i++ {
-		mem[b+i] = mem[a+i]
+		mem.Store(b+i, mem.Load(a+i))
 	}
 	if n > 0 && rng.Intn(2) == 0 {
-		mem[b+uint64(rng.Intn(n))] ^= 1
+		k := b + uint64(rng.Intn(n))
+		mem.Store(k, mem.Load(k)^1)
 	}
-	return mem
 }
 
 // drawString draws n bytes over a small alphabet into mem at addr, so
 // searches and compares exercise both hit and miss paths.
-func drawString(rng *rand.Rand, mem map[uint64]byte, addr uint64, n int) {
+func drawString(rng *rand.Rand, mem *interp.Image, addr uint64, n int) {
 	for i := 0; i < n; i++ {
-		mem[addr+uint64(i)] = byte('a' + rng.Intn(3))
+		mem.Store(addr+uint64(i), byte('a'+rng.Intn(3)))
 	}
 }

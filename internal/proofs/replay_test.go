@@ -87,6 +87,7 @@ func sameRuns(before, after *isps.Description, cons []constraint.Constraint, n i
 	rng := rand.New(rand.NewSource(seed))
 	env := make(map[string]uint64, len(names))
 	in := make([]uint64, len(names))
+	var image interp.Image
 	usable := 0
 	for round := 0; round < n; round++ {
 		for i := range in {
@@ -96,9 +97,9 @@ func sameRuns(before, after *isps.Description, cons []constraint.Constraint, n i
 			}
 			in[i], env[names[i]] = v, v
 		}
-		image := make(map[uint64]byte, 48)
+		image.Reset()
 		for addr := uint64(0); addr < 48; addr++ {
-			image[addr] = byte(rng.Intn(4))
+			image.Store(addr, byte(rng.Intn(4)))
 		}
 		ok, err := satisfied(cons, env)
 		if err != nil {
@@ -108,7 +109,7 @@ func sameRuns(before, after *isps.Description, cons []constraint.Constraint, n i
 			continue
 		}
 		usable++
-		sb, sa := &interp.State{Base: image}, &interp.State{Base: image}
+		sb, sa := &interp.State{Base: &image}, &interp.State{Base: &image}
 		resB, errB := rb.Run(context.Background(), in, sb, stepLimit)
 		resA, errA := ra.Run(context.Background(), in, sa, stepLimit)
 		if kb, ka := errKind(errB), errKind(errA); kb != ka {

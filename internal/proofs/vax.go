@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"extra/internal/core"
+	"extra/internal/interp"
 )
 
 // Movc3PC2 binds the VAX-11 movc3 to the Berkeley Pascal runtime (PC2)
@@ -30,12 +31,13 @@ func Movc3PC2() *Analysis {
 			}
 			return applyAtExpr(s, core.OpSide, "rewrite.eq.le.zero", "count <= 0")
 		},
-		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+		Gen: func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 			// Overlap is allowed: both sides guard it the same way.
 			n := rng.Intn(12)
 			src := uint64(64 + rng.Intn(32))
 			dst := uint64(64 + rng.Intn(32))
-			return []uint64{uint64(n), src, dst}, stringImage(rng, src, n)
+			drawString(rng, mem, src, n)
+			return append(in, uint64(n), src, dst)
 		},
 	}
 }
@@ -85,10 +87,11 @@ func Movc5PC2() *Analysis {
 			// fill = 0: the fill loop stores zero bytes, which is blkclr.
 			return s.FixOperand(core.InsSide, "fill", 0)
 		},
-		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+		Gen: func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 			n := rng.Intn(12)
 			dst := uint64(64 + rng.Intn(32))
-			return []uint64{uint64(n), dst}, stringImage(rng, dst, n+2)
+			drawString(rng, mem, dst, n+2)
+			return append(in, uint64(n), dst)
 		},
 	}
 }
@@ -186,11 +189,12 @@ func loccInsSide(s *core.Session) error {
 
 // loccGen generates (char, length, base) operands matching locc's order.
 func loccGen() core.InputGen {
-	return func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+	return func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 		n := rng.Intn(12)
 		base := uint64(64 + rng.Intn(64))
 		ch := uint64('a' + rng.Intn(4))
-		return []uint64{ch, uint64(n), base}, stringImage(rng, base, n)
+		drawString(rng, mem, base, n)
+		return append(in, ch, uint64(n), base)
 	}
 }
 
@@ -233,11 +237,12 @@ func Cmpc3Pascal() *Analysis {
 			return apply(s, core.OpSide, "input.reorder", nil,
 				"order", "Len,A.Base,B.Base")
 		},
-		Gen: func(rng *rand.Rand) ([]uint64, map[uint64]byte) {
+		Gen: func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 			n := rng.Intn(10)
 			a := uint64(64 + rng.Intn(16))
 			b := uint64(160 + rng.Intn(16))
-			return []uint64{uint64(n), a, b}, compareImage(rng, a, b, n)
+			compareImage(rng, mem, a, b, n)
+			return append(in, uint64(n), a, b)
 		},
 	}
 }

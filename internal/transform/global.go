@@ -20,7 +20,7 @@ func topLevelDef(d *isps.Description, v string) (int, *isps.AssignStmt, error) {
 	defIdx, defs := -1, 0
 	var def *isps.AssignStmt
 	countDefs := func(root isps.Node) {
-		isps.Walk(root, func(n isps.Node, _ isps.Path) bool {
+		isps.Visit(root, func(n isps.Node) bool {
 			if a, ok := n.(*isps.AssignStmt); ok {
 				if id, ok := a.LHS.(*isps.Ident); ok && id.Name == v {
 					defs++
@@ -341,7 +341,7 @@ func init() {
 			}
 			// Every assignment must set a constant 0 or 1.
 			okAll := true
-			isps.Walk(d, func(n isps.Node, _ isps.Path) bool {
+			isps.Visit(d, func(n isps.Node) bool {
 				if a, isAsn := n.(*isps.AssignStmt); isAsn {
 					if id, isID := a.LHS.(*isps.Ident); isID && id.Name == f {
 						if v, isNum := numVal(a.RHS); !isNum || (v != 0 && v != 1) {
@@ -400,7 +400,7 @@ func usedAnywhere(d *isps.Description, v string) bool {
 
 func mayAssign(n isps.Node, v string) bool {
 	found := false
-	isps.Walk(n, func(m isps.Node, _ isps.Path) bool {
+	isps.Visit(n, func(m isps.Node) bool {
 		if a, ok := m.(*isps.AssignStmt); ok {
 			if id, ok := a.LHS.(*isps.Ident); ok && id.Name == v {
 				found = true

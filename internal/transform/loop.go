@@ -46,7 +46,7 @@ func analyzeLoop(d *isps.Description, at isps.Path) (*loopShape, error) {
 			continue
 		}
 		nested := false
-		isps.Walk(s, func(n isps.Node, _ isps.Path) bool {
+		isps.Visit(s, func(n isps.Node) bool {
 			switch n.(type) {
 			case *isps.ExitWhenStmt:
 				nested = true
@@ -125,7 +125,7 @@ func checkWitnessFlag(d *isps.Description, sh *loopShape, e2 int, flag string) e
 	}
 	// No other defs of the flag inside the loop.
 	defs := 0
-	isps.Walk(sh.body, func(n isps.Node, _ isps.Path) bool {
+	isps.Visit(sh.body, func(n isps.Node) bool {
 		if a, ok := n.(*isps.AssignStmt); ok {
 			if id, ok := a.LHS.(*isps.Ident); ok && id.Name == flag {
 				defs++

@@ -336,7 +336,7 @@ func applyInductionIndex(d *isps.Description, at isps.Path, args Args) (*Outcome
 		return nil, err
 	}
 	defs := 0
-	isps.Walk(body, func(n isps.Node, _ isps.Path) bool {
+	isps.Visit(body, func(n isps.Node) bool {
 		switch x := n.(type) {
 		case *isps.AssignStmt:
 			if id, ok := x.LHS.(*isps.Ident); ok && id.Name == pName {
@@ -537,7 +537,7 @@ func applyRotateGuarded(d *isps.Description, at isps.Path, args Args) (*Outcome,
 		return nil, errPrecond(name, "loop does not end with an exit_when")
 	}
 	exits := 0
-	isps.Walk(loop.Body, func(n isps.Node, _ isps.Path) bool {
+	isps.Visit(loop.Body, func(n isps.Node) bool {
 		if _, isExit := n.(*isps.ExitWhenStmt); isExit {
 			exits++
 		}

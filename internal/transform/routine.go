@@ -176,7 +176,7 @@ func init() {
 				return nil, errPrecond("routine.remove", "no function %s()", fname)
 			}
 			called := false
-			isps.Walk(d, func(n isps.Node, _ isps.Path) bool {
+			isps.Visit(d, func(n isps.Node) bool {
 				if call, ok := n.(*isps.Call); ok && call.Name == fname {
 					called = true
 				}

@@ -257,8 +257,13 @@ func IsPrecond(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// AsPrecond extracts the precondition failure from err, if any.
+// AsPrecond extracts the precondition failure from err, if any. A refused
+// search probe returns the *PrecondError itself, so that case is a type
+// assertion; only a wrapped one pays for errors.As.
 func AsPrecond(err error) (*PrecondError, bool) {
+	if pe, ok := err.(*PrecondError); ok {
+		return pe, true
+	}
 	var pe *PrecondError
 	ok := errors.As(err, &pe)
 	return pe, ok
@@ -417,7 +422,7 @@ func substitute(root isps.Node, name string, repl isps.Expr) (isps.Node, int, bo
 // countIdent counts occurrences of Ident(name) under root.
 func countIdent(root isps.Node, name string) int {
 	n := 0
-	isps.Walk(root, func(m isps.Node, _ isps.Path) bool {
+	isps.Visit(root, func(m isps.Node) bool {
 		if id, ok := m.(*isps.Ident); ok && id.Name == name {
 			n++
 		}
