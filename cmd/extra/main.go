@@ -46,7 +46,6 @@ import (
 	"extra/internal/codegen"
 	"extra/internal/core"
 	"extra/internal/discover"
-	"extra/internal/fault/inject"
 	"extra/internal/gg"
 	"extra/internal/hll"
 	"extra/internal/isps"
@@ -192,15 +191,13 @@ func usage(w io.Writer) {
                             bounded auto-search, progress journaled to a
                             crash-safe WAL, report ranked by simulated
                             cycle savings
-                            (-dir DIR holds queue.jsonl + poison.jsonl +
-                             report.json; -resume continues a killed sweep
+                            (-dir DIR holds queue.jsonl + report.json;
+                             -resume continues a killed sweep
                              byte-identically; -jobs N, -depth D, -budget B,
                              -rungs R shape the search ladder; a candidate
-                             whose run faults is quarantined to the
-                             poison.jsonl dead-letter; -each-timeout D;
-                             -machines CSV, -operators CSV filter the
-                             cross-product; -inject-panic INS/OP arms a
-                             deterministic poison candidate for chaos drills)
+                             whose run faults is quarantined as a poison
+                             row; -each-timeout D; -machines CSV,
+                             -operators CSV filter the cross-product)
   extra synth               inverse mode: expand each proven binding's
                             generated code through semantics-preserving
                             gadgets, verify every variant by differential
@@ -726,8 +723,8 @@ func faultDrill(ctx context.Context) error {
 // stats report always carries its counters: a two-candidate sweep in a
 // throwaway directory — one auto-provable pair labeled as the movsb/sassign
 // emitter site (discover.found plus a real discover.savings.cycles gauge
-// from the simulator) and one candidate armed to panic (discover.poison,
-// quarantined to the dead-letter file).
+// from the simulator) and one whose instruction source does not parse
+// (discover.poison, quarantined before it runs).
 func discoveryDrill(ctx context.Context) error {
 	dir, err := os.MkdirTemp("", "extra-discover-drill-")
 	if err != nil {
@@ -738,11 +735,8 @@ func discoveryDrill(ctx context.Context) error {
 		{Machine: "Intel 8086", Instruction: "movsb", Language: "Pascal", Operation: "string move",
 			Operator: "sassign", OpSrc: drillOp, InsSrc: drillIns},
 		{Machine: "Drill", Instruction: "wedge", Language: "Drill", Operation: "always faults",
-			Operator: "drillop", OpSrc: drillOp, InsSrc: drillIns},
+			Operator: "drillop", OpSrc: drillOp, InsSrc: "wedge.instruction := begin"},
 	}
-	in := inject.New(1)
-	in.Arm(inject.Fault{Point: discover.InjectPoint(cands[1]), Every: 1})
-	defer inject.Activate(in)()
 	s, err := discover.New(discover.Config{
 		Candidates: cands,
 		Dir:        filepath.Join(dir, "sweep"),
@@ -889,10 +883,10 @@ func batchCmd(ctx context.Context, args []string) error {
 // operator cross-product, a crash-safe work-list journal under -dir, and a
 // report ranking whatever the bounded auto-search proves by simulated cycle
 // savings. A killed sweep resumes with -resume; a candidate whose run
-// faults lands in -dir/poison.jsonl instead of wedging the run.
+// faults is quarantined as a poison row instead of wedging the run.
 func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 	fs := flag.NewFlagSet("discover", flag.ContinueOnError)
-	dir := fs.String("dir", "", "durable sweep `directory`: queue.jsonl (WAL), poison.jsonl (dead-letter), report.json")
+	dir := fs.String("dir", "", "durable sweep `directory`: queue.jsonl (WAL), report.json")
 	jobs := fs.Int("jobs", 0, "candidate-level worker count (0 = GOMAXPROCS)")
 	depth := fs.Int("depth", 3, "auto-search ladder: first rung's max depth")
 	budget := fs.Int("budget", 1000, "auto-search ladder: first rung's state budget")
@@ -901,7 +895,6 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 	resume := fs.Bool("resume", false, "replay -dir's WAL and continue the interrupted sweep")
 	machinesCSV := fs.String("machines", "", "restrict the sweep to these machine or instruction `names` (comma-separated)")
 	operatorsCSV := fs.String("operators", "", "restrict the sweep to these language, operation, or operator `names` (comma-separated)")
-	injectPanic := fs.String("inject-panic", "", "arm a deterministic panic at candidate `INS/OP`, quarantining it as poison (chaos testing)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -913,11 +906,6 @@ func discoverCmd(ctx context.Context, traceFile string, args []string) error {
 	}
 	if *dir == "" {
 		return fmt.Errorf("extra discover: -dir is required (it holds the sweep's durable state)")
-	}
-	if *injectPanic != "" {
-		in := inject.New(1)
-		in.Arm(inject.Fault{Point: "discover.candidate:" + *injectPanic, Every: 1})
-		defer inject.Activate(in)()
 	}
 	return traced(ctx, "discover", traceFile, func(ctx context.Context) error {
 		s, err := discover.New(discover.Config{

@@ -122,6 +122,8 @@ func TestCommandErrors(t *testing.T) {
 		sweep("-each-timeout", "-1s"),
 		// The sweep claims each candidate once: no leases, so no -lease-ttl.
 		sweep("-lease-ttl", "1s"),
+		// Faults come from real inputs: no flag arms a panicking candidate.
+		sweep("-inject-panic", "locc/sassign"),
 		// The search runs serially and has no collision-check flag.
 		sweep("-search-workers", "2"),
 		{"batch", "-check-hashes"},

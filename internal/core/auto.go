@@ -101,14 +101,8 @@ func (st *autoState) trail() []autoCand {
 	return out
 }
 
-// autoHashCheck turns on the visited set's hash-collision check mode (every
-// digest is verified against the formatted state key it stands for). The
-// mode retains strings and exists for tests; production searches leave it
-// off.
-var autoHashCheck bool
-
-// autoDigest keys the visited set. Tests replace it with a colliding digest
-// to drive the search's collision-error path.
+// autoDigest keys the visited set. Tests wrap it to check that no two
+// distinct states the search meets share a digest.
 var autoDigest = isps.HashPair
 
 // AutoComplete searches for a sequence of argument-free preserving
@@ -196,10 +190,9 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 	if _, err := equiv.CommonForm(s.Op, s.Ins); err == nil {
 		return 0, nil
 	}
-	vs := newVisitedSet(autoHashCheck)
-	if _, err := vs.add(autoDigest(s.Op, s.Ins), s.Op, s.Ins); err != nil {
-		return 0, err
-	}
+	// The admitted states, keyed by the 128-bit structural digest of the
+	// description pair: no pretty-printing, no retained strings.
+	visited := map[isps.Digest]struct{}{autoDigest(s.Op, s.Ins): {}}
 	pr := newProber(searchMoves, false)
 	defer pr.flush(s.Metrics)
 	frontier := []*autoState{{op: s.Op, ins: s.Ins}}
@@ -225,13 +218,11 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 				} else {
 					ins = cand.out.Desc
 				}
-				fresh, err := vs.add(autoDigest(op, ins), op, ins)
-				if err != nil {
-					return 0, err
-				}
-				if !fresh {
+				d := autoDigest(op, ins)
+				if _, seen := visited[d]; seen {
 					continue // seen earlier in this level or an earlier one
 				}
+				visited[d] = struct{}{}
 				// Intern only new states: duplicates never pay the
 				// canonicalization walk, and new ones share structure with
 				// their parents so the next level's digests and Equal checks
@@ -257,7 +248,7 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 		if s.tr.Enabled() {
 			s.tr.Event("auto.level", map[string]any{
 				"depth": depth, "frontier": len(frontier), "next": len(next),
-				"explored": explored, "visited": vs.size(),
+				"explored": explored, "visited": len(visited),
 			})
 		}
 		frontier = next

@@ -62,13 +62,29 @@ func searchCases() []searchCase {
 	}
 }
 
+// checkDigests wraps the search's digest for the rest of the test: every
+// digest is recorded with the formatted state it stands for, and a digest
+// met again with a different state fails the test as a 128-bit collision.
+func checkDigests(t *testing.T) {
+	seen := map[isps.Digest]string{}
+	autoDigest = func(op, ins isps.Node) isps.Digest {
+		d := isps.HashPair(op, ins)
+		key := isps.Format(op.(*isps.Description)) + "\x00" + isps.Format(ins.(*isps.Description))
+		if prev, ok := seen[d]; ok && prev != key {
+			t.Errorf("128-bit state hash collision on digest %016x%016x:\n%s\nand:\n%s", d.Hi, d.Lo, prev, key)
+		}
+		seen[d] = key
+		return d
+	}
+	t.Cleanup(func() { autoDigest = isps.HashPair })
+}
+
 // TestAutoParallelDeterministic: Session.AutoWorkers is ignored, so every
 // width must commit the byte-identical step trail and explored count of the
-// width-1 run. Hash-check mode is on, so any 128-bit state collision in
-// these searches would also surface here.
+// width-1 run. Every digest is checked against its state, so any 128-bit
+// state collision in these searches would also surface here.
 func TestAutoParallelDeterministic(t *testing.T) {
-	autoHashCheck = true
-	defer func() { autoHashCheck = false }()
+	checkDigests(t)
 	for _, tc := range searchCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			type outcome struct {
@@ -130,12 +146,11 @@ func TestAutoParallelDeterministicRepeat(t *testing.T) {
 // count and the budget error of every run. The rows were recorded from the
 // level-at-a-time search this serial loop replaced, so they also pin that
 // the budget is charged candidate by candidate in (state, transformation,
-// path) order and that the first new state in common form wins. Hash-check
-// mode is on, so a 128-bit state collision in these searches would surface
-// here too.
+// path) order and that the first new state in common form wins. Every
+// digest is checked against its state, so a 128-bit state collision in these
+// searches would surface here too.
 func TestAutoSearchTrailsPinned(t *testing.T) {
-	autoHashCheck = true
-	defer func() { autoHashCheck = false }()
+	checkDigests(t)
 	want := []struct {
 		name          string
 		depth, budget int
@@ -201,27 +216,6 @@ func TestAutoSearchTrailsPinned(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestVisitedSetCollisionCheck: in check mode a digest met again with the
-// same state is a plain duplicate, and with a different state a collision
-// error.
-func TestVisitedSetCollisionCheck(t *testing.T) {
-	a, b := isps.MustParse(autoDrillOpSrc), isps.MustParse(autoDrillInsSrc)
-	d := isps.HashPair(a, b)
-	vs := newVisitedSet(true)
-	if fresh, err := vs.add(d, a, b); !fresh || err != nil {
-		t.Fatalf("first add = (%v, %v), want (true, nil)", fresh, err)
-	}
-	if fresh, err := vs.add(d, a, b); fresh || err != nil {
-		t.Fatalf("duplicate add = (%v, %v), want (false, nil)", fresh, err)
-	}
-	if _, err := vs.add(d, b, a); err == nil || !strings.Contains(err.Error(), "hash collision") {
-		t.Fatalf("forced collision: err = %v, want a hash collision error", err)
-	}
-	if vs.size() != 1 {
-		t.Errorf("size = %d, want 1", vs.size())
 	}
 }
 
@@ -355,8 +349,8 @@ func (c *watchCtx) Err() error {
 // TestSearchCountersFlushedOnce: the search counts the candidates it
 // charges to its budget (auto.explored) and its refused probes
 // (transform.precond, transform.error) in locals and records them once, as
-// it returns, on every return path: the goal, a budget trip, cancellation
-// and a hash collision. While it runs the registry holds none of them;
+// it returns, on every return path: the goal, a budget trip and
+// cancellation. While it runs the registry holds none of them;
 // after it returns it holds what the search counted per probe before the
 // flush, less the probes the statement gates now skip (exit.false,
 // if.true and if.false at conditionals and exits they cannot fold).
@@ -366,14 +360,12 @@ func TestSearchCountersFlushedOnce(t *testing.T) {
 		name                    string
 		sc                      searchCase
 		depth, budget, cancelAt int
-		collide                 bool
 		wantErr                 string
 		explored, precond, errs uint64
 	}{
-		{"goal", cases[0], 2, 100, 0, false, "", 48, 112, 0},
-		{"budget", cases[0], 2, 10, 0, false, "state budget spent", 10, 32, 0},
-		{"cancel", cases[1], 3, 200000, 5, false, "auto search after 90 states: context canceled", 90, 168, 0},
-		{"collision", cases[0], 2, 100, 0, true, "hash collision", 1, 16, 0},
+		{"goal", cases[0], 2, 100, 0, "", 48, 112, 0},
+		{"budget", cases[0], 2, 10, 0, "state budget spent", 10, 32, 0},
+		{"cancel", cases[1], 3, 200000, 5, "auto search after 90 states: context canceled", 90, 168, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.sc.build(t)
@@ -383,10 +375,6 @@ func TestSearchCountersFlushedOnce(t *testing.T) {
 				return [3]uint64{reg.Total("auto.explored"), reg.Total("transform.precond"), reg.Total("transform.error")}
 			}
 			before := totals()
-			if tc.collide {
-				autoHashCheck, autoDigest = true, func(isps.Node, isps.Node) isps.Digest { return isps.Digest{} }
-				defer func() { autoHashCheck, autoDigest = false, isps.HashPair }()
-			}
 			ctx := &watchCtx{Context: context.Background(), cancelAt: tc.cancelAt, watch: func() {
 				if got := totals(); got != before {
 					t.Fatalf("the registry moved mid-search: %v, before the search %v", got, before)

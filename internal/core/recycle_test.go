@@ -121,17 +121,23 @@ func TestRecycledImagesDecideAsFresh(t *testing.T) {
 // generator that counts the calls handed anything else must count none
 // over three validations of movc3/sassign, one of them cancelled part way,
 // with a range constraint on its length that skips about half the rounds.
+// The random source comes back with the scratch too, so each validation
+// after the cancelled one must draw the operands a fresh source seeded
+// alike draws.
 func TestRoundsStartEmpty(t *testing.T) {
 	sassign := proofs.Movc3PascalExtended()
 	b := *bindingOf(t, sassign)
 	b.Constraints = append(slices.Clone(b.Constraints), constraint.NewRange(b.OpInputs[0], 0, 5, "skips rounds"))
 	calls, dirty := 0, 0
+	var drawn [][]uint64
 	var strict core.InputGen = func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64 {
 		calls++
 		if len(in) != 0 || len(mem.Written()) != 0 {
 			dirty++
 		}
-		return sassign.Gen(rng, in, mem)
+		in = sassign.Gen(rng, in, mem)
+		drawn = append(drawn, slices.Clone(in))
+		return in
 	}
 	const rounds = 300
 	ctx, gen := cancelling(strict, 40)
@@ -139,9 +145,17 @@ func TestRoundsStartEmpty(t *testing.T) {
 		t.Fatalf("cancelled validation returned %v", err)
 	}
 	for seed := int64(2); seed <= 3; seed++ {
+		drawn = nil
 		n, err := core.ValidateBinding(&b, strict, rounds, seed)
 		if err != nil || n == 0 || n == rounds {
 			t.Fatalf("seed %d: %d of %d rounds checked, error %v; want some checked and some skipped", seed, n, rounds, err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for r, got := range drawn {
+			var img interp.Image
+			if want := sassign.Gen(rng, nil, &img); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, round %d: drew %v, a fresh source draws %v", seed, r, got, want)
+			}
 		}
 	}
 	if want := 40 + 2*rounds; calls != want || dirty != 0 {

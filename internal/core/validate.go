@@ -21,18 +21,20 @@ import (
 // owns and refills for the next input, so a generator keeps neither.
 type InputGen func(rng *rand.Rand, in []uint64, mem *interp.Image) []uint64
 
-// scratch is what a validation's rounds work in: the operand buffer and
-// image each round's generator call fills, and the two states the sides
-// run on over that image. Every part is reset each round, so a round
-// allocates nothing once its pages exist; a validation takes a scratch
-// from scratchPool and puts it back when it returns.
+// scratch is what a validation's rounds work in: the random source the
+// generator draws from, the operand buffer and image each round's generator
+// call fills, and the two states the sides run on over that image. The
+// source is reseeded each validation and every other part is reset each
+// round, so a round allocates nothing once its pages exist; a validation
+// takes a scratch from scratchPool and puts it back when it returns.
 type scratch struct {
+	rng      *rand.Rand
 	in       []uint64
 	img      interp.Image
 	st1, st2 interp.State
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchPool = sync.Pool{New: func() any { return &scratch{rng: rand.New(rand.NewSource(0))} }}
 
 // mapGen adapts a generator that returns its image as a map: each call's
 // bytes are copied into the round's image.
@@ -135,14 +137,16 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.st1.Base, sc.st2.Base = &sc.img, &sc.img
-	rng := rand.New(rand.NewSource(seed))
+	// Seed resets the source and its read position, so a reused source
+	// draws exactly what a fresh one seeded alike would.
+	sc.rng.Seed(seed)
 	checked := 0
 	for r := 0; r < rounds; r++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return checked, fmt.Errorf("core: validation interrupted after %d rounds: %w", r, cerr)
 		}
 		sc.img.Reset()
-		sc.in = gen(rng, sc.in[:0], &sc.img)
+		sc.in = gen(sc.rng, sc.in[:0], &sc.img)
 		opIn := sc.in
 		if len(opIn) != len(b.OpInputs) {
 			return checked, fmt.Errorf("core: generator produced %d operands, binding has %d", len(opIn), len(b.OpInputs))

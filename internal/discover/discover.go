@@ -13,18 +13,17 @@
 // -resume run replays the WAL (first row per candidate wins) and produces a
 // report byte-identical — modulo wall-clock fields — to an uninterrupted
 // run, because the search itself is deterministic. A candidate whose run
-// faults (panic, timeout — not a clean budget exhaustion, which is a
-// *result*) is quarantined at once with its underlying fault class rather
-// than wedging the sweep ("poison" in the fault taxonomy), and lands in a
-// dead-letter file written from the WAL's rows at the end of the run.
+// faults (a description that does not parse, a panic, a timeout — not a
+// clean budget exhaustion, which is a *result*) is quarantined at once with
+// its underlying fault class rather than wedging the sweep ("poison" in the
+// fault taxonomy); its row, like every other, is journaled in the WAL and
+// listed in the report.
 package discover
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,7 +32,6 @@ import (
 	"extra/internal/batch"
 	"extra/internal/core"
 	"extra/internal/fault"
-	"extra/internal/fault/inject"
 	"extra/internal/isps"
 	"extra/internal/langops"
 	"extra/internal/machines"
@@ -60,8 +58,7 @@ func (c Candidate) Key() string {
 	return strings.Join([]string{c.Machine, c.Instruction, c.Language, c.Operation, c.Operator}, "|")
 }
 
-// Pair is the candidate's instruction/operator label (metrics, injection
-// seams).
+// Pair is the candidate's instruction/operator label (metrics).
 func (c Candidate) Pair() string { return c.Instruction + "/" + c.Operator }
 
 // Descs resolves the candidate's operator and instruction descriptions:
@@ -147,8 +144,8 @@ type Config struct {
 	Candidates []Candidate
 	// Machines and Operators filter the enumerated cross-product.
 	Machines, Operators []string
-	// Dir holds the sweep's durable state: queue.jsonl (the WAL),
-	// poison.jsonl (the dead-letter file), report.json (the product).
+	// Dir holds the sweep's durable state: queue.jsonl (the WAL) and
+	// report.json (the product).
 	Dir string
 	// Jobs is the candidate-level worker count (0 = GOMAXPROCS).
 	Jobs int
@@ -308,9 +305,6 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 		rows[i] = *r
 	}
 	rep := buildReport(s.digest, len(s.cands), rows)
-	if err := s.rewriteDeadLetter(rows); err != nil {
-		return nil, err
-	}
 	if err := rep.Write(filepath.Join(s.cfg.Dir, "report.json")); err != nil {
 		return nil, err
 	}
@@ -349,11 +343,6 @@ func (s *Sweep) settle(ctx context.Context, i int) error {
 	}
 	return nil
 }
-
-// InjectPoint is the deterministic fault-injection seam crossed once per
-// candidate run; arm it with inject.Fault{Every: 1} to make a candidate
-// reliably poisonous.
-func InjectPoint(c Candidate) string { return "discover.candidate:" + c.Pair() }
 
 // runCandidate attacks one candidate with the search ladder once,
 // classifying the terminal error: success → "found" (with cycle savings),
@@ -413,12 +402,15 @@ func (s *Sweep) runCandidate(ctx context.Context, c Candidate) (res Result) {
 	return res
 }
 
-// attempt is one bounded engine run behind a recovery boundary and the
-// injection seam.
+// beforeAttempt, when set, is called at the start of every candidate's
+// run, inside its recovery boundary; tests set it to make a run panic.
+var beforeAttempt func(Candidate)
+
+// attempt is one bounded engine run behind a recovery boundary.
 func (s *Sweep) attempt(ctx context.Context, c Candidate, op, ins *isps.Description) (_ *core.Binding, err error) {
 	defer fault.RecoverInto(&err, "discover.candidate")
-	if _, fired := inject.Fire(InjectPoint(c)); fired {
-		panic("injected discovery fault at " + InjectPoint(c))
+	if beforeAttempt != nil {
+		beforeAttempt(c)
 	}
 	actx := ctx
 	if s.cfg.EachTimeout > 0 {
@@ -435,50 +427,5 @@ func (s *Sweep) attempt(ctx context.Context, c Candidate, op, ins *isps.Descript
 		Ins:         ins,
 		Ladder:      s.cfg.Ladder,
 		Metrics:     s.cfg.Metrics,
-	})
-}
-
-// deadLetter is one quarantined candidate in poison.jsonl: identity, the
-// underlying fault class, and the full poison error. No wall-clock fields —
-// the file is diffable across runs.
-type deadLetter struct {
-	Machine     string `json:"machine"`
-	Instruction string `json:"instruction"`
-	Language    string `json:"language"`
-	Operation   string `json:"operation"`
-	Operator    string `json:"operator"`
-	Class       string `json:"class"`
-	Error       string `json:"error"`
-}
-
-func deadLetterRow(r Result) deadLetter {
-	return deadLetter{
-		Machine:     r.Machine,
-		Instruction: r.Instruction,
-		Language:    r.Language,
-		Operation:   r.Operation,
-		Operator:    r.Operator,
-		Class:       r.Class,
-		Error:       r.Error,
-	}
-}
-
-// rewriteDeadLetter replaces poison.jsonl with the canonical quarantine
-// set — the journaled poison rows in candidate order — atomically. Written
-// from the WAL's rows at the end of the run, it is exact however often the
-// sweep was killed and resumed.
-func (s *Sweep) rewriteDeadLetter(rows []Result) error {
-	path := filepath.Join(s.cfg.Dir, "poison.jsonl")
-	return batch.WriteFileAtomic(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		for _, r := range rows {
-			if r.Outcome != "poison" {
-				continue
-			}
-			if err := enc.Encode(deadLetterRow(r)); err != nil {
-				return err
-			}
-		}
-		return nil
 	})
 }

@@ -11,13 +11,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"extra/internal/batch"
 	"extra/internal/core"
 	"extra/internal/fault"
-	"extra/internal/fault/inject"
 	"extra/internal/langops"
 	"extra/internal/machines"
 	"extra/internal/obs"
@@ -239,68 +239,120 @@ func TestSweepRowDuration(t *testing.T) {
 	}
 }
 
-func TestSweepPoisonQuarantine(t *testing.T) {
-	cfg := testConfig(t, t.TempDir())
-	in := inject.New(1)
-	in.Arm(inject.Fault{Point: InjectPoint(cfg.Candidates[0]), Every: 1})
-	defer inject.Activate(in)()
+// setBeforeAttempt installs f as the hook every candidate's run calls
+// first, for the rest of the test.
+func setBeforeAttempt(t *testing.T, f func(Candidate)) {
+	t.Helper()
+	beforeAttempt = f
+	t.Cleanup(func() { beforeAttempt = nil })
+}
 
-	rep := runSweep(t, cfg)
-	if rep.Outcomes["poison"] != 1 {
-		t.Fatalf("outcomes: %v, want 1 poison", rep.Outcomes)
-	}
-	var row Result
+// poisonRow returns the report's one poison row, failing unless there is
+// exactly one.
+func poisonRow(t *testing.T, rep *Report) Result {
+	t.Helper()
+	var rows []Result
 	for _, r := range rep.Rows {
 		if r.Outcome == "poison" {
-			row = r
+			rows = append(rows, r)
 		}
 	}
-	if row.Class != "panic" {
-		t.Fatalf("poison row class: %q, want panic (the underlying fault)", row.Class)
+	if len(rows) != 1 || rep.Outcomes["poison"] != 1 {
+		t.Fatalf("poison rows: %+v (outcomes %v), want exactly 1", rows, rep.Outcomes)
 	}
-	if !strings.Contains(row.Error, "fault: "+row.Key()+" quarantined (last: ") {
-		t.Fatalf("poison row error: %q", row.Error)
+	return rows[0]
+}
+
+// TestSweepPoisonQuarantine: a candidate whose run panics is quarantined as
+// a poison row of report.json carrying the underlying fault class, and the
+// sweep answers the other candidate.
+func TestSweepPoisonQuarantine(t *testing.T) {
+	cfg := testConfig(t, t.TempDir())
+	bad := cfg.Candidates[0]
+	setBeforeAttempt(t, func(c Candidate) {
+		if c.Key() == bad.Key() {
+			panic("candidate run fault")
+		}
+	})
+
+	rep := runSweep(t, cfg)
+	if rep.Outcomes["failed"] != 1 {
+		t.Fatalf("outcomes: %v, want the other candidate answered (1 failed)", rep.Outcomes)
 	}
 	if cfg.Metrics.Total("discover.poison") != 1 {
 		t.Fatalf("discover.poison = %d", cfg.Metrics.Total("discover.poison"))
 	}
-	// The dead-letter journal carries the quarantined candidate.
-	data, err := os.ReadFile(filepath.Join(cfg.Dir, "poison.jsonl"))
+	data, err := os.ReadFile(filepath.Join(cfg.Dir, "report.json"))
 	if err != nil {
-		t.Fatalf("poison.jsonl: %v", err)
+		t.Fatalf("report.json: %v", err)
 	}
-	var dl deadLetter
-	if err := json.Unmarshal(bytes.SplitN(data, []byte("\n"), 2)[0], &dl); err != nil {
-		t.Fatalf("poison.jsonl row: %v", err)
+	var onDisk Report
+	if err := json.Unmarshal(data, &onDisk); err != nil {
+		t.Fatalf("report.json: %v", err)
 	}
-	if dl.Instruction != "tstblt" || dl.Class != "panic" {
-		t.Fatalf("dead letter: %+v", dl)
+	row := poisonRow(t, &onDisk)
+	if row.Key() != bad.Key() || row.Class != "panic" {
+		t.Fatalf("poison row %s class %q, want %s class panic (the underlying fault)", row.Key(), row.Class, bad.Key())
+	}
+	if !strings.Contains(row.Error, "fault: "+row.Key()+" quarantined (last: ") ||
+		!strings.Contains(row.Error, "candidate run fault") {
+		t.Fatalf("poison row error: %q", row.Error)
 	}
 }
 
 // TestSweepFaultOnceQuarantines: a candidate runs once and is quarantined on
-// its first fault. The armed fault fires on the first crossing only, so a
-// second run of tstblt would answer "found".
+// its first fault. The hook panics on tstblt's first run only, so a second
+// run of tstblt would answer "found"; every candidate is run exactly once.
 func TestSweepFaultOnceQuarantines(t *testing.T) {
 	cfg := testConfig(t, t.TempDir())
-	c := cfg.Candidates[0]
-	point := InjectPoint(c)
-	in := inject.New(1)
-	in.Arm(inject.Fault{Point: point, Every: 0})
-	defer inject.Activate(in)()
+	bad := cfg.Candidates[0]
+	var mu sync.Mutex
+	runs := map[string]int{}
+	setBeforeAttempt(t, func(c Candidate) {
+		mu.Lock()
+		runs[c.Key()]++
+		n := runs[c.Key()]
+		mu.Unlock()
+		if c.Key() == bad.Key() && n == 1 {
+			panic("first run fault")
+		}
+	})
 
 	rep := runSweep(t, cfg)
-	var row Result
-	for _, r := range rep.Rows {
-		if r.Key() == c.Key() {
-			row = r
+	if row := poisonRow(t, rep); row.Key() != bad.Key() || row.Class != "panic" {
+		t.Fatalf("poison row %s class %q, want %s class panic", row.Key(), row.Class, bad.Key())
+	}
+	for _, c := range cfg.Candidates {
+		if runs[c.Key()] != 1 {
+			t.Errorf("%s ran %d times, want 1", c.Key(), runs[c.Key()])
 		}
 	}
-	if row.Outcome != "poison" || row.Class != "panic" {
-		t.Fatalf("%s: outcome %q class %q, want poison/panic", c.Key(), row.Outcome, row.Class)
+}
+
+// TestSweepUnparseableSourceQuarantines: a candidate whose instruction
+// source does not parse is quarantined before it runs, as a poison row of
+// class "other" naming the parse error, and the sweep answers the rest.
+func TestSweepUnparseableSourceQuarantines(t *testing.T) {
+	cfg := testConfig(t, t.TempDir())
+	cfg.Candidates = append(cfg.Candidates, Candidate{Machine: "TestMach", Instruction: "tstbad", Language: "TestLang",
+		Operation: "test move", Operator: "tstcpy", OpSrc: tstOpSrc, InsSrc: "tstbad.instruction := begin"})
+	ran := 0
+	setBeforeAttempt(t, func(c Candidate) {
+		if c.Instruction == "tstbad" {
+			ran++
+		}
+	})
+
+	rep := runSweep(t, cfg)
+	row := poisonRow(t, rep)
+	if row.Instruction != "tstbad" || row.Class != "other" || !strings.Contains(row.Error, "discover: instruction tstbad: ") {
+		t.Fatalf("poison row: %+v, want tstbad of class other with its parse error", row)
 	}
-	if n := in.Crossings(point); n != 1 {
-		t.Fatalf("%s crossed the injection point %d times, want 1 (one run)", c.Key(), n)
+	if ran != 0 {
+		t.Fatalf("the unparseable candidate ran %d times, want 0", ran)
+	}
+	if rep.Outcomes["found"] != 1 || rep.Outcomes["failed"] != 1 {
+		t.Fatalf("outcomes: %v, want the other candidates answered (1 found + 1 failed)", rep.Outcomes)
 	}
 }
 

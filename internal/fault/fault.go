@@ -123,10 +123,10 @@ func (e *CorruptBindingError) Error() string {
 func (e *CorruptBindingError) Unwrap() error { return e.Err }
 
 // PoisonError reports a work item quarantined by a sweep driver: its run
-// ended in a fault (panic, timeout, a non-budget failure), so the item was
-// moved to a dead-letter journal — one pathological candidate must not
-// wedge or starve a multi-hour sweep. The engine is deterministic, so a
-// fault recurs and the item is not re-run. Last is the run's fault;
+// ended in a fault (panic, timeout, a non-budget failure), so the item's
+// row records the fault and the sweep goes on — one pathological candidate
+// must not wedge or starve a multi-hour sweep. The engine is deterministic,
+// so a fault recurs and the item is not re-run. Last is the run's fault;
 // Classify(Unwrap()) names the underlying class.
 type PoisonError struct {
 	// Key identifies the quarantined item, e.g. "machine|instruction|...".

@@ -95,8 +95,8 @@ const (
 // the AST directly — type tags, scalar fields, child digests — rather than
 // the printed source, so hashing is allocation-free and much cheaper than
 // Format. Structural equality implies digest equality; the converse holds
-// up to 128-bit collisions (the auto-search's test-only collision-check
-// mode verifies this).
+// up to 128-bit collisions (the auto-search's tests check it on every state
+// their searches meet, against the state's formatted source).
 //
 // Digests compose Merkle-style: a node's digest folds its own scalars with
 // the digests of its children, and interned nodes carry their digest

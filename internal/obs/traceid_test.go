@@ -232,8 +232,8 @@ func TestConcurrentJSONLTraceEmission(t *testing.T) {
 }
 
 // TestJSONLSinkDropsOnWriterError: a failing writer must not panic or fail
-// the traced computation; the sink records the first error and counts every
-// dropped event.
+// the traced computation; the sink records the first error, counts every
+// dropped event, and every line that did reach the writer is whole JSON.
 func TestJSONLSinkDropsOnWriterError(t *testing.T) {
 	fw := &failingWriter{failAfter: 2}
 	sink := NewJSONLSink(fw)
@@ -248,24 +248,37 @@ func TestJSONLSinkDropsOnWriterError(t *testing.T) {
 		t.Errorf("Dropped() = %d, want 8 (2 writes succeeded before the failure)", got)
 	}
 	// Concurrent emission against a failing writer stays race-free and
-	// every failure is counted.
-	fw2 := &failingWriter{failAfter: 0}
+	// every failure is counted; the lines written before the failure are
+	// whole, never torn or interleaved.
+	fw2 := &failingWriter{failAfter: 10}
 	sink2 := NewJSONLSink(fw2)
 	tr2 := NewTracer(sink2)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			d := derive(tr2, "x")
 			for i := 0; i < 25; i++ {
-				d.Event("e", nil)
+				d.Event("e", map[string]any{"worker": w, "i": i})
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
-	if got := sink2.Dropped(); got != 100 {
-		t.Errorf("Dropped() = %d, want 100", got)
+	if sink2.Err() == nil {
+		t.Fatal("sink swallowed the write errors")
+	}
+	if got := sink2.Dropped(); got != 90 {
+		t.Errorf("Dropped() = %d, want 90", got)
+	}
+	lines := strings.Split(strings.TrimRight(fw2.buf.String(), "\n"), "\n")
+	if len(lines) != 10 {
+		t.Fatalf("%d lines reached the writer, want 10", len(lines))
+	}
+	for i, line := range lines {
+		if !json.Valid([]byte(line)) {
+			t.Fatalf("line %d of the surviving trace is not valid JSON: %q", i, line)
+		}
 	}
 }
 
@@ -288,8 +301,9 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// failingWriter accepts failAfter writes then errors forever.
+// failingWriter keeps failAfter writes in buf, then errors forever.
 type failingWriter struct {
+	buf       bytes.Buffer
 	n         int
 	failAfter int
 }
@@ -299,5 +313,5 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	if w.n > w.failAfter {
 		return 0, errors.New("disk full")
 	}
-	return len(p), nil
+	return w.buf.Write(p)
 }
