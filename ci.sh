@@ -66,6 +66,9 @@ go test -race -run 'Chaos' ./internal/fault
 # failing input still fails the stage.
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 100x ./internal/isps
 go test -run '^FuzzParseStmt$' -fuzz '^FuzzParseStmt$' -fuzztime 10s -fuzzminimizetime 100x ./internal/isps
+# isps.Equal compares digests; the structural oracle (refEqual) lives only
+# in the tests, so FuzzHashCons holds Equal, Hash and Intern to it.
+go test -run '^FuzzHashCons$' -fuzz '^FuzzHashCons$' -fuzztime 10s -fuzzminimizetime 100x ./internal/isps
 go test -run '^FuzzBindingJSON$' -fuzz '^FuzzBindingJSON$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 go test -run '^FuzzSynthGadget$' -fuzz '^FuzzSynthGadget$' -fuzztime 10s -fuzzminimizetime 100x ./internal/synth
 go test -run '^FuzzInterpReference$' -fuzz '^FuzzInterpReference$' -fuzztime 10s -fuzzminimizetime 100x ./internal/interp
@@ -100,29 +103,32 @@ bench() {
 # descriptions per key took 760), so a change that parses, or builds trace
 # attributes with tracing off, on the warm path fails here. Every
 # transformation rebuilds only the spines it edits, a commit interns the
-# outcome it owns in place (no copy of the rebuilt spines), Normalize
-# commits the probe that found a step instead of applying it again, a
-# liveness question is one search of the CFG over effect sets filled
-# without a map per AST leaf, a failed probe files and formats no
-# precondition message, a binding shares its augment statements instead of
-# copying them, Normalize probes through move tables resolved once per
-# process into a site buffer it reuses, and a tree walk that reads no
-# path (isps.Visit) builds none: the cold row is gated at <= 1979
-# allocs/op (1,959-1,960 measured in 10 runs; 2,022-2,023 with those walks
-# building paths through isps.Walk, 2,052-2,053 with a move table and a
-# kind map built per Normalize call and a site slice grown per round as
-# well, 2,103 with deep copies of the augment statements in the augments
-# and in Session.Finish as well, 2,222 with each normalizing step applied
-# twice as well, 2,537 with a copying intern per commit, 3,432 before
-# either and with every probe's message formatted, 3,486 with a message
-# filed per failed probe, 3,754 with an all-names liveness fixpoint, 4,235
-# with three maps per AST leaf, 9,054 with whole-description copies in 25
-# transformations, 18,565 before hash-consing), so a change that brings
-# back any of them on the cold path fails here.
+# outcome it owns in place (no copy of the rebuilt spines), a proof script
+# finds its target expressions by digest instead of printing every
+# candidate, Normalize commits the probe that found a step instead of
+# applying it again, a liveness question is one search of the CFG over
+# effect sets filled without a map per AST leaf, a failed probe files and
+# formats no precondition message, a binding shares its augment statements
+# instead of copying them, Normalize probes through move tables resolved
+# once per process into a site buffer it reuses, and a tree walk that reads
+# no path (isps.Visit) builds none: the cold row is gated at <= 1930
+# allocs/op (1,909-1,911 measured in 10 runs; 1,957-1,960, gated at <=
+# 1979, with the script targets found by printing as well; 2,022-2,023 with
+# those walks building paths through isps.Walk, 2,052-2,053 with a move
+# table and a kind map built per Normalize call and a site slice grown per
+# round as well, 2,103 with deep copies of the augment statements in the
+# augments and in Session.Finish as well, 2,222 with each normalizing step
+# applied twice as well, 2,537 with a copying intern per commit, 3,432
+# before either and with every probe's message formatted, 3,486 with a
+# message filed per failed probe, 3,754 with an all-names liveness
+# fixpoint, 4,235 with three maps per AST leaf, 9,054 with
+# whole-description copies in 25 transformations, 18,565 before
+# hash-consing), so a change that brings back any of them on the cold path
+# fails here.
 bench -bench 'BenchmarkCacheWarmVsCold' -benchmem -benchtime 20x -count 1 .
 COLD_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/cold' allocs/op "$BENCH")
 WARM_ALLOCS=$(metric '^BenchmarkCacheWarmVsCold/warm' allocs/op "$BENCH")
-test "$COLD_ALLOCS" -le 1979
+test "$COLD_ALLOCS" -le 1930
 test "$WARM_ALLOCS" -le 35
 COLD_NS=$(metric '^BenchmarkCacheWarmVsCold/cold' ns/op "$BENCH")
 WARM_NS=$(metric '^BenchmarkCacheWarmVsCold/warm' ns/op "$BENCH")
@@ -174,45 +180,48 @@ test "$CATVAL_ALLOCS" -le 1749
 test "$CATVAL_BYTES" -le 90837
 
 # Table 2 and auto-search allocation gates. TABLE2_ALLOCS sums the eleven
-# scripted analyses (12,253-12,255 in 10 runs -> <= 12377; 12,724-12,727
-# with the tree walks that read no path building one through isps.Walk,
-# 12,854-12,859 with a move table and a kind map built per Normalize call
-# as well, 13,171 with deep copies of the augment statements as well,
-# 13,669 with each normalizing step applied twice as well, 16,152 with a
-# copying intern per commit, 21,677 before either and with every probe's
-# message formatted, 21,919 with a precondition message filed per failed
-# probe, 23,247 with an all-names liveness fixpoint, 26,967 with three
-# maps per AST leaf in the effect sets, 56,842 before the corpora were
-# parsed once and every transformation became a spine rebuild); their step
-# counts are pinned by TestTable2StepCountsGolden. The search charges each
-# candidate to its state budget as it probes it and stops at the goal or
-# the budget, a failed probe neither formats nor files a precondition
-# message, new states are interned in place, the goal's trail is committed
-# from its probes' outcomes, a probe passes no argument map, a state's
-# sites go into one buffer the search reuses, a refused probe's error is
-# matched by a type assertion (errors.As boxes its target on the heap),
-# and a walk that reads no path builds none, so both search rows are gated
-# too (ladder 2,171-2,172 in 10 runs -> <= 2193, exhaust 184,201-184,204
-# -> <= 186046; 2,300 and 205,156 with errors.As on every refused probe;
-# 2,331 and 210,781-210,784 with path-building walks as well; 2,472-2,474
-# and 220,892-220,896 with a map of site slices by node kind per side per
-# state and a move table per search; 2,845 and 272,855 with a one-entry
-# argument map built per probe as well, which no searched move reads;
-# 2,885 with the trail replayed through Session.Apply as well, 3,524 and
-# 363,794 with every refused probe's message formatted, 3,308 and 293,447
-# with a copying intern, 4,738 and 501,722 before either, 4,882 and
-# 527,550 with a message filed per failed probe): a change that goes back
-# to expanding a whole level before charging the budget fails here (the
-# level-at-a-time search took 7,688 and 1,439,982), and so does one that
-# brings back a map per AST leaf (6,635 and 922,349), an eagerly formatted
-# message, a copying intern, a replayed trail or an argument map per
-# probe.
+# scripted analyses (11,690-11,693 in 10 runs -> <= 11809; 12,253-12,255,
+# gated at <= 12377, with every script target expression found by printing
+# each candidate; 12,724-12,727 with the tree walks that read no path
+# building one through isps.Walk, 12,854-12,859 with a move table and a
+# kind map built per Normalize call as well, 13,171 with deep copies of the
+# augment statements as well, 13,669 with each normalizing step applied
+# twice as well, 16,152 with a copying intern per commit, 21,677 before
+# either and with every probe's message formatted, 21,919 with a
+# precondition message filed per failed probe, 23,247 with an all-names
+# liveness fixpoint, 26,967 with three maps per AST leaf in the effect
+# sets, 56,842 before the corpora were parsed once and every transformation
+# became a spine rebuild); their step counts are pinned by
+# TestTable2StepCountsGolden. The search charges each candidate to its
+# state budget as it probes it and stops at the goal or the budget, a
+# failed probe neither formats nor files a precondition message, new states
+# are interned in place, the goal's trail is committed from its probes'
+# outcomes, a probe passes no argument map, a state's sites go into one
+# buffer the search reuses, a refused probe's error is matched by a type
+# assertion (errors.As boxes its target on the heap), and a walk that reads
+# no path builds none, so both search rows are gated too (ladder
+# 2,092-2,093 in 10 runs -> <= 2113, exhaust 184,195-184,198 -> <= 186046;
+# ladder 2,171-2,172, gated at <= 2193, while a copying Intern recopied the
+# benchmark's one parse on every NewSession; 2,300 and 205,156 with
+# errors.As on every refused probe; 2,331 and 210,781-210,784 with
+# path-building walks as well; 2,472-2,474 and 220,892-220,896 with a map
+# of site slices by node kind per side per state and a move table per
+# search; 2,845 and 272,855 with a one-entry argument map built per probe
+# as well, which no searched move reads; 2,885 with the trail replayed
+# through Session.Apply as well, 3,524 and 363,794 with every refused
+# probe's message formatted, 3,308 and 293,447 with a copying intern, 4,738
+# and 501,722 before either, 4,882 and 527,550 with a message filed per
+# failed probe): a change that goes back to expanding a whole level before
+# charging the budget fails here (the level-at-a-time search took 7,688 and
+# 1,439,982), and so does one that brings back a map per AST leaf (6,635
+# and 922,349), an eagerly formatted message, a copying intern, a replayed
+# trail or an argument map per probe.
 bench -bench 'BenchmarkTable2$|BenchmarkAutoSearchLadder$|BenchmarkAutoSearchExhaust$' -benchmem -benchtime 10x -count 1 -cpu 1 .
 TABLE2_ALLOCS=$(metric '^BenchmarkTable2/' allocs/op "$BENCH")
 LADDER_ALLOCS=$(metric '^BenchmarkAutoSearchLadder' allocs/op "$BENCH")
 EXHAUST_ALLOCS=$(metric '^BenchmarkAutoSearchExhaust' allocs/op "$BENCH")
-test "$TABLE2_ALLOCS" -le 12377
-test "$LADDER_ALLOCS" -le 2193
+test "$TABLE2_ALLOCS" -le 11809
+test "$LADDER_ALLOCS" -le 2113
 test "$EXHAUST_ALLOCS" -le 186046
 
 # Synth: one binding's enumerate-verify-rank cycle and the cross-layer

@@ -228,7 +228,7 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 				// their parents so the next level's digests and Equal checks
 				// answer from memos. The probe's outcome is the search's
 				// own, so it is interned in place.
-				succ := &autoState{op: internOwned(op), ins: internOwned(ins), parent: st, step: cand}
+				succ := &autoState{op: isps.InternDesc(op), ins: isps.InternDesc(ins), parent: st, step: cand}
 				if _, err := equiv.CommonForm(succ.op, succ.ins); err == nil {
 					// Commit the trail: every step is checked and recorded
 					// as a scripted one, from the outcome its probe made.

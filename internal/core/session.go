@@ -142,6 +142,11 @@ func (s *Session) ctxErr(op string) error {
 // and hash-consed, every Apply commits a freshly interned tree, and the six
 // description fields alias canonical nodes instead of each holding a deep
 // clone (six full-tree clones per session before hash-consing).
+//
+// The session takes ownership of op and ins: they are interned in place
+// (isps.Intern), so each must be frozen already (a corpus entry) or the
+// caller's own tree, such as a fresh parse, that no other goroutine reads
+// and the caller does not change afterwards.
 func NewSession(op, ins *isps.Description) (*Session, error) {
 	for _, d := range []*isps.Description{op, ins} {
 		if err := isps.Validate(d); err != nil {
@@ -310,7 +315,7 @@ func (s *Session) commit(side Side, tr *transform.Transformation, at isps.Path, 
 	// Every transform hands back spine rebuilds over the (already interned)
 	// previous state, so interning re-freezes only the rebuilt spines, in
 	// place. Variant fields alias the canonical tree.
-	nd := internOwned(out.Desc)
+	nd := isps.InternDesc(out.Desc)
 	if side == OpSide {
 		s.Op = nd
 		if tr.Effect != transform.Preserving {
@@ -343,12 +348,6 @@ func (s *Session) commit(side Side, tr *transform.Transformation, at isps.Path, 
 		Constraints: out.Constraints,
 	})
 	return nil
-}
-
-// internOwned interns a description the session or the search owns (a
-// transformation's outcome) in place.
-func internOwned(d *isps.Description) *isps.Description {
-	return isps.InternOwned(d).(*isps.Description)
 }
 
 // MustApply is Apply for proof scripts that have already been verified to

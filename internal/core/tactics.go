@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"extra/internal/dataflow"
 	"extra/internal/isps"
 	"extra/internal/transform"
 )
@@ -197,13 +198,13 @@ func findCallStmt(d *isps.Description) (isps.Path, bool) {
 		}
 		switch st := n.(type) {
 		case *isps.AssignStmt, *isps.ExitWhenStmt, *isps.OutputStmt, *isps.AssertStmt:
-			if hasCall(st.(isps.Node)) {
+			if dataflow.HasCalls(n) {
 				found = append(isps.Path(nil), p...)
 				ok = true
 				return false
 			}
 		case *isps.IfStmt:
-			if hasCall(st.Cond) {
+			if dataflow.HasCalls(st.Cond) {
 				found = append(isps.Path(nil), p...)
 				ok = true
 				return false
@@ -214,19 +215,4 @@ func findCallStmt(d *isps.Description) (isps.Path, bool) {
 		return true
 	})
 	return found, ok
-}
-
-// hasCall reports whether n contains a call. It is asked of every simple
-// statement on each search for the next call to inline, so it recurses
-// directly and stops at the first call instead of paying for a Walk.
-func hasCall(n isps.Node) bool {
-	if _, isCall := n.(*isps.Call); isCall {
-		return true
-	}
-	for i := 0; i < n.NumChildren(); i++ {
-		if hasCall(n.Child(i)) {
-			return true
-		}
-	}
-	return false
 }

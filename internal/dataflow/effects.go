@@ -218,14 +218,17 @@ func MayDefine(n isps.Node, name string, funcs map[string]*isps.FuncDecl) bool {
 	return NodeEffects(n, funcs).MayDef[name]
 }
 
-// HasCalls reports whether any function call occurs under n.
+// HasCalls reports whether any function call occurs under n. It recurses
+// directly and stops at the first call, where a Visit would go on calling
+// back for the remaining siblings at every level above it.
 func HasCalls(n isps.Node) bool {
-	found := false
-	isps.Visit(n, func(m isps.Node) bool {
-		if _, ok := m.(*isps.Call); ok {
-			found = true
+	if _, isCall := n.(*isps.Call); isCall {
+		return true
+	}
+	for i := 0; i < n.NumChildren(); i++ {
+		if HasCalls(n.Child(i)) {
+			return true
 		}
-		return !found
-	})
-	return found
+	}
+	return false
 }

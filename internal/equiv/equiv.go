@@ -67,7 +67,7 @@ func CommonForm(op, ins *isps.Description) (*Match, error) {
 // precondition (CommonForm requires full inlining), so the check is
 // vacuously satisfied for them.
 func Reflexive(d *isps.Description) error {
-	if !fullyInlined(d) {
+	if _, called := calledFunc(d); called {
 		return nil
 	}
 	m, err := CommonForm(d, d)
@@ -82,9 +82,9 @@ func Reflexive(d *isps.Description) error {
 	return nil
 }
 
-// fullyInlined reports whether no declared function of d is still called —
-// the matcher's precondition.
-func fullyInlined(d *isps.Description) bool {
+// calledFunc returns the first declared function of d that d still calls.
+// The matcher's precondition is that there is none.
+func calledFunc(d *isps.Description) (string, bool) {
 	for _, f := range d.Funcs() {
 		called := false
 		isps.Visit(d, func(n isps.Node) bool {
@@ -94,10 +94,10 @@ func fullyInlined(d *isps.Description) bool {
 			return !called
 		})
 		if called {
-			return false
+			return f.Name, true
 		}
 	}
-	return true
+	return "", false
 }
 
 func commonForm(op, ins *isps.Description) (*Match, error) {
@@ -111,17 +111,8 @@ func commonForm(op, ins *isps.Description) (*Match, error) {
 	}
 	// Called functions would make the walk incomplete; require none.
 	for _, d := range []*isps.Description{op, ins} {
-		for _, f := range d.Funcs() {
-			called := false
-			isps.Visit(d, func(n isps.Node) bool {
-				if c, ok := n.(*isps.Call); ok && c.Name == f.Name {
-					called = true
-				}
-				return !called
-			})
-			if called {
-				return nil, fmt.Errorf("equiv: %s still calls %s(); inline before matching", d.Name, f.Name)
-			}
+		if f, called := calledFunc(d); called {
+			return nil, fmt.Errorf("equiv: %s still calls %s(); inline before matching", d.Name, f)
 		}
 	}
 	res := &Match{VarMap: map[string]string{}}

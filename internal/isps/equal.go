@@ -1,16 +1,13 @@
 package isps
 
-// Equal reports deep structural equality of two nodes, over exactly the
-// fields Hash covers (names, widths, comments, operators, literals and
-// their character flag). Keeping Equal and Hash field-for-field aligned is
-// a load-bearing invariant: the interner, the visited set and the analysis
-// cache all key on the digest, so Equal(a, b) must hold exactly when
-// Hash(a) == Hash(b) (up to 128-bit collisions). FuzzHashCons checks the
-// alignment.
-//
-// Interned trees compare in O(1): identical pointers are equal by
-// construction, and two frozen nodes with different digests are unequal
-// without a walk.
+// Equal reports whether a and b are the same tree: the same node kinds,
+// names, widths, comments, operators, literals and character flags in the
+// same shape. It compares their 128-bit digests, as the interner, the
+// auto-search's visited set and the analysis cache do, and relies on the
+// same assumption that two different trees never share a digest. A frozen
+// node answers from its memoized digest, so interned trees compare in
+// O(1), and two canonical nodes for one tree (minted on either side of an
+// interner shard reset) compare equal.
 func Equal(a, b Node) bool {
 	if a == b {
 		return true
@@ -18,116 +15,7 @@ func Equal(a, b Node) bool {
 	if a == nil || b == nil {
 		return false
 	}
-	if ma, mb := metaOf(a), metaOf(b); ma != nil && mb != nil && ma.frozen() && mb.frozen() {
-		// Different digests prove inequality. Equal digests do NOT prove
-		// equality here: after an interner shard reset two canonical nodes
-		// for the same tree can coexist, so fall through to the structural
-		// walk (which then short-circuits on shared interned subtrees).
-		if ma.digest() != mb.digest() {
-			return false
-		}
-	}
-	switch x := a.(type) {
-	case *Ident:
-		y, ok := b.(*Ident)
-		return ok && x.Name == y.Name
-	case *Num:
-		y, ok := b.(*Num)
-		return ok && x.Val == y.Val && x.IsChar == y.IsChar
-	case *Call:
-		y, ok := b.(*Call)
-		return ok && x.Name == y.Name
-	case *Bin:
-		y, ok := b.(*Bin)
-		return ok && x.Op == y.Op && Equal(x.X, y.X) && Equal(x.Y, y.Y)
-	case *Un:
-		y, ok := b.(*Un)
-		return ok && x.Op == y.Op && Equal(x.X, y.X)
-	case *Mem:
-		y, ok := b.(*Mem)
-		return ok && Equal(x.Addr, y.Addr)
-	case *Block:
-		y, ok := b.(*Block)
-		if !ok || len(x.Stmts) != len(y.Stmts) {
-			return false
-		}
-		for i := range x.Stmts {
-			if !Equal(x.Stmts[i], y.Stmts[i]) {
-				return false
-			}
-		}
-		return true
-	case *AssignStmt:
-		y, ok := b.(*AssignStmt)
-		return ok && Equal(x.LHS, y.LHS) && Equal(x.RHS, y.RHS)
-	case *IfStmt:
-		y, ok := b.(*IfStmt)
-		return ok && Equal(x.Cond, y.Cond) && Equal(x.Then, y.Then) && Equal(x.Else, y.Else)
-	case *RepeatStmt:
-		y, ok := b.(*RepeatStmt)
-		return ok && Equal(x.Body, y.Body)
-	case *ExitWhenStmt:
-		y, ok := b.(*ExitWhenStmt)
-		return ok && Equal(x.Cond, y.Cond)
-	case *AssertStmt:
-		y, ok := b.(*AssertStmt)
-		return ok && Equal(x.Cond, y.Cond)
-	case *InputStmt:
-		y, ok := b.(*InputStmt)
-		if !ok || len(x.Names) != len(y.Names) {
-			return false
-		}
-		for i := range x.Names {
-			if x.Names[i] != y.Names[i] {
-				return false
-			}
-		}
-		return true
-	case *OutputStmt:
-		y, ok := b.(*OutputStmt)
-		if !ok || len(x.Exprs) != len(y.Exprs) {
-			return false
-		}
-		for i := range x.Exprs {
-			if !Equal(x.Exprs[i], y.Exprs[i]) {
-				return false
-			}
-		}
-		return true
-	case *RegDecl:
-		y, ok := b.(*RegDecl)
-		return ok && x.Name == y.Name && x.Width == y.Width && x.Comment == y.Comment
-	case *FuncDecl:
-		y, ok := b.(*FuncDecl)
-		return ok && x.Name == y.Name && x.Width == y.Width && x.Comment == y.Comment &&
-			Equal(x.Body, y.Body)
-	case *RoutineDecl:
-		y, ok := b.(*RoutineDecl)
-		return ok && x.Name == y.Name && Equal(x.Body, y.Body)
-	case *Section:
-		y, ok := b.(*Section)
-		if !ok || len(x.Decls) != len(y.Decls) {
-			return false
-		}
-		for i := range x.Decls {
-			if !Equal(x.Decls[i], y.Decls[i]) {
-				return false
-			}
-		}
-		return true
-	case *Description:
-		y, ok := b.(*Description)
-		if !ok || x.Name != y.Name || len(x.Sections) != len(y.Sections) {
-			return false
-		}
-		for i := range x.Sections {
-			if !Equal(x.Sections[i], y.Sections[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	return hashNode(a) == hashNode(b)
 }
 
 // ParseStmt parses a single statement, e.g. "zf <- 0;" or a full

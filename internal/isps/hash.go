@@ -131,22 +131,21 @@ func (h *hasher) child(n Node) {
 	h.uint64(d.Lo)
 }
 
+// node folds n's tag and scalar fields (and, for a node with a variable
+// number of children, that number), then each child's digest in order. A
+// nil node folds nothing.
 func (h *hasher) node(n Node) {
 	switch x := n.(type) {
+	case nil:
+		return
 	case *Description:
 		h.byte(tagDescription)
 		h.string(x.Name)
 		h.int(len(x.Sections))
-		for _, s := range x.Sections {
-			h.child(s)
-		}
 	case *Section:
 		h.byte(tagSection)
 		h.string(x.Name)
 		h.int(len(x.Decls))
-		for _, d := range x.Decls {
-			h.child(d)
-		}
 	case *RegDecl:
 		h.byte(tagRegDecl)
 		h.string(x.Name)
@@ -157,32 +156,20 @@ func (h *hasher) node(n Node) {
 		h.string(x.Name)
 		h.int(x.Width)
 		h.string(x.Comment)
-		h.child(x.Body)
 	case *RoutineDecl:
 		h.byte(tagRoutineDecl)
 		h.string(x.Name)
-		h.child(x.Body)
 	case *Block:
 		h.byte(tagBlock)
 		h.int(len(x.Stmts))
-		for _, s := range x.Stmts {
-			h.child(s)
-		}
 	case *AssignStmt:
 		h.byte(tagAssign)
-		h.child(x.LHS)
-		h.child(x.RHS)
 	case *IfStmt:
 		h.byte(tagIf)
-		h.child(x.Cond)
-		h.child(x.Then)
-		h.child(x.Else)
 	case *RepeatStmt:
 		h.byte(tagRepeat)
-		h.child(x.Body)
 	case *ExitWhenStmt:
 		h.byte(tagExitWhen)
-		h.child(x.Cond)
 	case *InputStmt:
 		h.byte(tagInput)
 		h.int(len(x.Names))
@@ -192,12 +179,8 @@ func (h *hasher) node(n Node) {
 	case *OutputStmt:
 		h.byte(tagOutput)
 		h.int(len(x.Exprs))
-		for _, e := range x.Exprs {
-			h.child(e)
-		}
 	case *AssertStmt:
 		h.byte(tagAssert)
-		h.child(x.Cond)
 	case *Ident:
 		h.byte(tagIdent)
 		h.string(x.Name)
@@ -208,17 +191,16 @@ func (h *hasher) node(n Node) {
 	case *Bin:
 		h.byte(tagBin)
 		h.byte(byte(x.Op))
-		h.child(x.X)
-		h.child(x.Y)
 	case *Un:
 		h.byte(tagUn)
 		h.byte(byte(x.Op))
-		h.child(x.X)
 	case *Mem:
 		h.byte(tagMem)
-		h.child(x.Addr)
 	case *Call:
 		h.byte(tagCall)
 		h.string(x.Name)
+	}
+	for i := 0; i < n.NumChildren(); i++ {
+		h.child(n.Child(i))
 	}
 }

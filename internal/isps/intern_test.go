@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"extra/internal/isps"
@@ -26,11 +27,17 @@ const internSrc = `t.instruction := begin
   end
 end`
 
+// dedupRuns names each TestInternDedup run's description apart, so that
+// under -count=N every run interns a tree new to the interner.
+var dedupRuns atomic.Int64
+
 // TestInternDedup: structurally equal trees intern to the same canonical
-// pointer; the argument is copied, never retained, and stays unfrozen.
+// pointer. Intern takes its argument over: a tree new to the interner is
+// frozen in place and becomes the canonical node itself.
 func TestInternDedup(t *testing.T) {
-	a := isps.MustParse(internSrc)
-	b := isps.MustParse(internSrc)
+	src := strings.Replace(internSrc, "t.instruction", fmt.Sprintf("dedup%d.instruction", dedupRuns.Add(1)), 1)
+	a := isps.MustParse(src)
+	b := isps.MustParse(src)
 	if a == b {
 		t.Fatal("independent parses share a pointer")
 	}
@@ -41,8 +48,8 @@ func TestInternDedup(t *testing.T) {
 	if !isps.Interned(ca) {
 		t.Error("interned tree not marked canonical")
 	}
-	if isps.Interned(a) {
-		t.Error("Intern froze its argument; callers own the trees they pass in")
+	if ca != a || !isps.Interned(a) {
+		t.Error("Intern did not freeze a tree new to the interner in place")
 	}
 	// Re-interning a canonical tree is the identity.
 	if isps.InternDesc(ca) != ca {
@@ -277,10 +284,10 @@ func TestRewritePersistent(t *testing.T) {
 	}
 }
 
-// FuzzHashCons pins the hash-consing contract on arbitrary parsed pairs:
-// Equal(a, b) ⇔ Intern(a) == Intern(b) ⇔ Hash(a) == Hash(b). The backward
-// direction of the hash leg treats a 128-bit collision between observed
-// unequal trees as a failure worth knowing about.
+// FuzzHashCons pins the hash-consing contract on arbitrary parsed pairs
+// against the structural reference: refEqual(a, b) ⇔ Equal(a, b) ⇔
+// Intern(a) == Intern(b) ⇔ Hash(a) == Hash(b). A 128-bit collision between
+// observed unequal trees fails it, as a failure worth knowing about.
 func FuzzHashCons(f *testing.F) {
 	var corpus []string
 	for _, e := range machines.All() {
@@ -302,16 +309,20 @@ func FuzzHashCons(f *testing.F) {
 		if err != nil {
 			return
 		}
-		eq := isps.Equal(a, b)
-		ca, cb := isps.InternDesc(a), isps.InternDesc(b)
-		if (ca == cb) != eq {
-			t.Fatalf("Equal = %v but Intern pointer-equal = %v", eq, ca == cb)
+		eq := refEqual(a, b)
+		if got := isps.Equal(a, b); got != eq {
+			t.Fatalf("reference equality = %v but Equal = %v", eq, got)
 		}
 		if (isps.Hash(a) == isps.Hash(b)) != eq {
-			t.Fatalf("Equal = %v but Hash equal = %v", eq, isps.Hash(a) == isps.Hash(b))
+			t.Fatalf("reference equality = %v but Hash equal = %v", eq, isps.Hash(a) == isps.Hash(b))
+		}
+		ha := isps.Hash(a)
+		ca, cb := isps.InternDesc(a), isps.InternDesc(b)
+		if (ca == cb) != eq {
+			t.Fatalf("reference equality = %v but Intern pointer-equal = %v", eq, ca == cb)
 		}
 		// The canonical trees must preserve structure and digest.
-		if !isps.Equal(a, ca) || isps.Hash(a) != isps.Hash(ca) {
+		if !refEqual(a, ca) || isps.Hash(ca) != ha {
 			t.Fatal("interning changed the tree's structure or digest")
 		}
 	})
@@ -355,14 +366,14 @@ func TestInternParallel(t *testing.T) {
 	}
 }
 
-// TestInternOwned: interning a caller-owned tree in place returns the node
-// Intern of a copy returns, leaves every node of the result frozen and the
-// owned tree structurally unchanged, and never writes to the interned tree
+// TestInternInPlace: interning a caller-owned tree in place returns the node
+// interning a parsed copy returns, leaves every node of the result frozen
+// and the owned tree structurally unchanged, and never writes to the interned tree
 // it was built over, though its rebuilt blocks share statement slices with
 // that tree. Eight goroutines do this at once over one interned base while
 // reading the base (run under -race in CI); half their trees are new to
 // the interner, and half are equal to trees other goroutines intern.
-func TestInternOwned(t *testing.T) {
+func TestInternInPlace(t *testing.T) {
 	base := isps.InternDesc(isps.MustParse(internSrc))
 	baseText := isps.Format(base)
 	ifPath, ok := isps.Find(base, func(n isps.Node) bool { _, is := n.(*isps.IfStmt); return is })
@@ -400,7 +411,7 @@ func TestInternOwned(t *testing.T) {
 				owned := build(v)
 				text := isps.Format(owned)
 				copied := isps.MustParse(text)
-				got := isps.InternOwned(owned)
+				got := isps.Intern(owned)
 				isps.Walk(got, func(n isps.Node, _ isps.Path) bool {
 					if !isps.Interned(n) {
 						t.Errorf("worker %d: %T under the result is not frozen", w, n)
@@ -408,7 +419,7 @@ func TestInternOwned(t *testing.T) {
 					return true
 				})
 				if isps.InternDesc(copied) != got {
-					t.Errorf("worker %d: InternOwned gave a different node than Intern of a copy", w)
+					t.Errorf("worker %d: Intern gave a different node than interning a copy", w)
 				}
 				if isps.Format(owned) != text {
 					t.Errorf("worker %d: interning in place changed the owned tree", w)
@@ -420,7 +431,7 @@ func TestInternOwned(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if isps.InternOwned(base) != base {
-		t.Error("InternOwned of an interned tree is not the identity")
+	if isps.Intern(base) != base {
+		t.Error("Intern of an interned tree is not the identity")
 	}
 }

@@ -8,10 +8,10 @@ import "fmt"
 // and O(depth) shallow hash folds per edit point. Every transformation
 // builds its result this way (ReplaceAtDesc, SpliceAtDesc, or Rewrite for
 // whole-subtree substitutions), so no rewrite copies or re-interns the
-// parts of a description it leaves alone. Apart from InternOwned, which
-// canonicalizes the children of nodes its caller owns, setChild is the only
-// code that replaces a child of a built node, and it writes only into the
-// fresh copies shallowCopy makes.
+// parts of a description it leaves alone. setChild is the only code that
+// replaces a child of a built node, and it writes only into the fresh
+// copies shallowCopy makes and, for Intern, into the unfrozen nodes of a
+// tree the caller handed over, swapping a child for its canonical node.
 
 // shallowCopy returns an unfrozen copy of n, a node with children, sharing
 // them. Slices are copied (fresh backing arrays) so that setChild on the
@@ -51,10 +51,11 @@ func shallowCopy(n Node) Node {
 	panic(fmt.Sprintf("isps: shallow copy of leaf %T", n))
 }
 
-// setChild writes c as the i-th child of n, a copy shallowCopy just made,
-// after the caller has checked i against n.NumChildren(). A c of the wrong
-// kind for that position is refused with a *NodeError wrapping
-// ErrChildKind, and n, which then holds a nil child, must be dropped.
+// setChild writes c as the i-th child of n, a copy shallowCopy just made
+// or an unfrozen node Intern owns, after the caller has checked i against
+// n.NumChildren(). A c of the wrong kind for that position is refused with
+// a *NodeError wrapping ErrChildKind, and n, which then holds a nil child,
+// must be dropped.
 func setChild(n Node, i int, c Node) error {
 	var ok bool
 	switch x := n.(type) {

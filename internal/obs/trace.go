@@ -119,25 +119,30 @@ func (s Span) End(attrs map[string]any) {
 // JSONLSink writes one JSON object per line — the `--trace FILE` format.
 type JSONLSink struct {
 	mu    sync.Mutex
-	enc   *json.Encoder
+	w     io.Writer
 	err   error
 	drops uint64
 }
 
 // NewJSONLSink writes events to w as JSON lines.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
+	return &JSONLSink{w: w}
 }
 
-// Emit writes the event as one JSON line. Write failures never fail the
-// traced computation — tracing is advisory — but they are not swallowed
-// either: the first error is retained for Err, every failed event counts
-// toward Dropped, and the mutex keeps concurrent emissions from
-// interleaving partial lines.
+// Emit writes the event as one JSON line, in one write. Write failures
+// never fail the traced computation — tracing is advisory — but they are
+// not swallowed either: the first error is retained for Err, every failed
+// event counts toward Dropped, and the mutex keeps concurrent emissions
+// from interleaving partial lines. A failed write drops only its own
+// event: the next event is written again.
 func (s *JSONLSink) Emit(e *Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.enc.Encode(e); err != nil {
+	line, err := json.Marshal(e)
+	if err == nil {
+		_, err = s.w.Write(append(line, '\n'))
+	}
+	if err != nil {
 		if s.err == nil {
 			s.err = err
 		}

@@ -233,8 +233,32 @@ func TestConcurrentJSONLTraceEmission(t *testing.T) {
 
 // TestJSONLSinkDropsOnWriterError: a failing writer must not panic or fail
 // the traced computation; the sink records the first error, counts every
-// dropped event, and every line that did reach the writer is whole JSON.
+// dropped event, drops no event whose own write succeeded, and every line
+// that did reach the writer is whole JSON.
 func TestJSONLSinkDropsOnWriterError(t *testing.T) {
+	// A writer that fails once: only that write's event is lost.
+	once := &failingWriter{failAfter: 1 << 30, failOnly: 3}
+	onceSink := NewJSONLSink(once)
+	onceTr := derive(NewTracer(onceSink), "t")
+	for i := 0; i < 10; i++ {
+		onceTr.Event("e", map[string]any{"i": i})
+	}
+	if onceSink.Err() == nil {
+		t.Fatal("sink swallowed the write error")
+	}
+	if got := onceSink.Dropped(); got != 1 {
+		t.Errorf("Dropped() = %d, want 1 (only the third write failed)", got)
+	}
+	onceLines := strings.Split(strings.TrimRight(once.buf.String(), "\n"), "\n")
+	if len(onceLines) != 9 {
+		t.Fatalf("%d lines reached the writer, want 9", len(onceLines))
+	}
+	for i, line := range onceLines {
+		if !json.Valid([]byte(line)) {
+			t.Fatalf("line %d of the surviving trace is not valid JSON: %q", i, line)
+		}
+	}
+
 	fw := &failingWriter{failAfter: 2}
 	sink := NewJSONLSink(fw)
 	tr := derive(NewTracer(sink), "t")
@@ -301,16 +325,18 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// failingWriter keeps failAfter writes in buf, then errors forever.
+// failingWriter keeps failAfter writes in buf, then errors forever; it
+// also fails its failOnly-th write (0 = none).
 type failingWriter struct {
 	buf       bytes.Buffer
 	n         int
 	failAfter int
+	failOnly  int
 }
 
 func (w *failingWriter) Write(p []byte) (int, error) {
 	w.n++
-	if w.n > w.failAfter {
+	if w.n > w.failAfter || w.n == w.failOnly {
 		return 0, errors.New("disk full")
 	}
 	return w.buf.Write(p)

@@ -156,19 +156,6 @@ func stmtWhere(d *isps.Description, pred func(isps.Stmt) bool) (isps.Path, error
 	return p, nil
 }
 
-// exprWhere returns the path of the first expression whose printed form is
-// exactly text.
-func exprWhere(d *isps.Description, text string) (isps.Path, error) {
-	p, ok := isps.Find(d, func(n isps.Node) bool {
-		e, isExpr := n.(isps.Expr)
-		return isExpr && isps.ExprString(e) == text
-	})
-	if !ok {
-		return nil, fmt.Errorf("proofs: no expression %q found", text)
-	}
-	return p, nil
-}
-
 // apply is a terse step application for scripts.
 func apply(s *core.Session, side core.Side, name string, at isps.Path, kv ...string) error {
 	args := transform.Args{}
@@ -185,12 +172,16 @@ func applyAtExpr(s *core.Session, side core.Side, name, exprText string, kv ...s
 }
 
 // applyAtExprN is applyAtExpr for the n-th (0-based, pre-order) occurrence
-// of the printed form.
+// of the printed form. The text is parsed and interned once, and each
+// candidate is compared by digest: printing and parsing round-trip, so
+// these are the expressions that print as the text.
 func applyAtExprN(s *core.Session, side core.Side, name, exprText string, n int, kv ...string) error {
-	paths := isps.FindAll(s.Desc(side), func(nd isps.Node) bool {
-		e, isExpr := nd.(isps.Expr)
-		return isExpr && isps.ExprString(e) == exprText
-	})
+	want, err := isps.ParseExpr(exprText)
+	if err != nil {
+		return fmt.Errorf("proofs: %s: %w", name, err)
+	}
+	target := isps.Intern(want)
+	paths := isps.FindAll(s.Desc(side), func(nd isps.Node) bool { return isps.Equal(nd, target) })
 	if n >= len(paths) {
 		return fmt.Errorf("proofs: %s: only %d occurrences of %q, want #%d", name, len(paths), exprText, n)
 	}

@@ -39,7 +39,8 @@ output (a);`)
 			"order": "a,f,k", "func": "a", "src": "a", "dst": "f"},
 		{"value": "not-a-number", "width": "x", "delta": "y"},
 	}
-	for _, d := range []*isps.Description{parsed, isps.InternDesc(parsed)} {
+	// Intern takes its argument over, so the interned side is a re-parse.
+	for _, d := range []*isps.Description{parsed, isps.InternDesc(isps.MustParse(isps.Format(parsed)))} {
 		want := isps.Format(d)
 		var paths []isps.Path
 		isps.Walk(d, func(n isps.Node, p isps.Path) bool {

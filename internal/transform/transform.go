@@ -251,12 +251,6 @@ func (e *PrecondError) Msg() string { return fmt.Sprintf(e.format, e.args...) }
 
 func (e *PrecondError) Error() string { return "transform " + e.Xform + ": " + e.Msg() }
 
-// IsPrecond reports whether err is (or wraps) a precondition failure.
-func IsPrecond(err error) bool {
-	var pe *PrecondError
-	return errors.As(err, &pe)
-}
-
 // AsPrecond extracts the precondition failure from err, if any. A refused
 // search probe returns the *PrecondError itself, so that case is a type
 // assertion; only a wrapped one pays for errors.As.

@@ -115,7 +115,8 @@ const refused = "refused: "
 // precondition failure whose message mentions wantMsg.
 func mustRefuse(t *testing.T, d *isps.Description, name string, at isps.Path, wantMsg string) {
 	t.Helper()
-	if err := mustFail(t, d, name, at, nil, wantMsg); !IsPrecond(err) {
+	err := mustFail(t, d, name, at, nil, wantMsg)
+	if _, ok := AsPrecond(err); !ok {
 		t.Fatalf("%s: refused with %v, not a precondition failure", name, err)
 	}
 }
